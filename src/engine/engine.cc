@@ -377,13 +377,9 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   const int64_t KVl = kv_replicated ? KV : KV / YZ_;
   const Torus3D& topo = ctx.topo();
 
-  // Reshape the projected shards to 4-D.
-  Tensor q4 = q.Reshape({B, T, Hl, dh});
-  Tensor k4 = k.Reshape({B, T, KVl, dh});
-  Tensor v4 = v.Reshape({B, T, KVl, dh});
-
   if (spec_.attn == AttnSharding::kHeads) {
-    AppendKv(c, layer, k4, v4);
+    Tensor q4 = q.Reshape({B, T, Hl, dh});
+    AppendKv(c, layer, k.Reshape({B, T, KVl, dh}), v.Reshape({B, T, KVl, dh}));
     int64_t g0 = 0, gcount = -1;
     if (kv_replicated && KV > 1) {
       // Grouped-query with replicated K/V heads: this chip's query chunk
@@ -402,290 +398,283 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
     return attn.Reshape({B * T, Hl * dh});
   }
 
-  // Batch-sharded (§3.3, Fig 5b): reshard Q (and multihead K/V) from heads
-  // to batch. The inputs are replicated over x after the x all-reduce, so
-  // the x batch split is a free local slice; the yz split needs an
-  // all-to-all (heads -> batch). Slicing x first makes the per-chip batch
-  // rank x-major, matching the weight-gathered path's xyz group rank so the
-  // two phases share one KV-cache layout.
+  // Batch-sharded (§3.3, Fig 5b): the rows are already this chip's x batch
+  // slice (the reduce-scatter(x) of the projections scatters rows), so
+  // only the yz split needs an all-to-all (heads -> batch). x-major batch
+  // ranks match the weight-gathered path's xyz group rank, so the two
+  // phases share one KV-cache layout.
   TSI_CHECK_EQ(B % n_, 0) << "batch-sharded attention needs batch % chips == 0";
-  auto slice_x = [&](Tensor t) {
-    if (X_ == 1) return t;
-    int xr = topo.RankInGroup(c, kAxisX);
-    return t.Chunk(0, X_, xr);
-  };
-  auto slice_yz = [&](Tensor t) {
-    if (YZ_ == 1) return t;
-    int yzr = topo.RankInGroup(c, kAxisYZ);
-    return t.Chunk(0, YZ_, yzr);
-  };
-  Tensor qb = ctx.AllToAll(kAxisYZ, slice_x(std::move(q4)), /*split=*/0,
-                           /*concat=*/2);
-  Tensor kb, vb;
+  const int64_t Bx = B / X_;
+  Tensor q4 = q.Reshape({Bx, T, Hl, dh});
+  Tensor k4 = k.Reshape({Bx, T, KVl, dh});
+  Tensor v4 = v.Reshape({Bx, T, KVl, dh});
+  Tensor qb, kb, vb;
   if (kv_replicated) {
     // The K/V heads are replicated over yz: the batch split is a local
     // slice, no communication (this is the saving of Fig 4c).
-    kb = slice_yz(slice_x(std::move(k4)));
-    vb = slice_yz(slice_x(std::move(v4)));
+    qb = ctx.AllToAll(kAxisYZ, std::move(q4), /*split=*/0, /*concat=*/2);
+    const int yzr = YZ_ == 1 ? 0 : topo.RankInGroup(c, kAxisYZ);
+    kb = YZ_ == 1 ? std::move(k4) : k4.Chunk(0, YZ_, yzr);
+    vb = YZ_ == 1 ? std::move(v4) : v4.Chunk(0, YZ_, yzr);
   } else {
-    kb = ctx.AllToAll(kAxisYZ, slice_x(std::move(k4)), 0, 2);
-    vb = ctx.AllToAll(kAxisYZ, slice_x(std::move(v4)), 0, 2);
+    // Head-sharded K/V reshard with q in the same all-to-all.
+    std::vector<Tensor> qkv;
+    qkv.push_back(std::move(q4));
+    qkv.push_back(std::move(k4));
+    qkv.push_back(std::move(v4));
+    qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), 0, 2);
+    qb = std::move(qkv[0]);
+    kb = std::move(qkv[1]);
+    vb = std::move(qkv[2]);
   }
   AppendKv(c, layer, kb, vb);
   Tensor attn = SlotAttention(c, layer, qb, static_cast<double>(H));
-  // Back to head sharding: all-to-all heads <- batch over yz, then gather
-  // the x batch slices. attn is [B/n, T, H, dh].
+  // Back to head sharding over yz; attn is [B/n, T, H, dh]. The caller
+  // gathers the x batch rows.
   Tensor back = ctx.AllToAll(kAxisYZ, std::move(attn), /*split=*/2,
                              /*concat=*/0);
-  if (X_ > 1) back = ctx.AllGather(kAxisX, std::move(back), 0);
-  return back.Reshape({B * T, Hl * dh});
+  return back.Reshape({Bx * T, Hl * dh});
 }
 
 void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
                                     int64_t B, int64_t T) {
   const FusedPlan& plan = *active_plan_;
-  if (plan.int8) {
-    WsBlockChipInt8(ctx, x, layer, B, T);
-    return;
-  }
   const int c = ctx.chip();
   const bool gated = config_.gated_ffn;
+  const bool int8 = plan.int8;
+  const bool heads = spec_.attn == AttnSharding::kHeads;
   const ShardedLayerWeights& lw =
       shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
-  const bool nt_attn = plan.norm_into_attn;
-  const bool nt_ffn = plan.norm_into_ffn;
+  const QuantizedLayerShard* qw =
+      int8 ? &qshards_[static_cast<size_t>(c)][static_cast<size_t>(layer)]
+           : nullptr;
+  // §3.5 Looped CollectiveEinsum for the FFN input projections (fp32 only:
+  // the int8 pipeline runs its own matmul kernels).
+  const bool looped = X_ > 1 && spec_.fuse_collectives && !int8;
+  // Over x the q/k/v projections are partial sums. Batch-sharded attention
+  // wants only this chip's x batch rows, so they reduce-scatter along rows;
+  // head-sharded attention wants them whole, so they reduce-scatter along
+  // columns and all-gather back -- an all-reduce split in two, so each half
+  // can share its collective with the FFN's.
+  const int64_t qkv_dim = heads ? 1 : 0;
 
-  // Projects the block input through `w`: with the norm applied on the
-  // matmul's A-pack when this site fused it, from the materialized normed
-  // tensor otherwise. The packed values are identical (tensor/matmul.cc),
-  // so the two forms mix freely and bit-identically.
-  auto proj = [&](const NormInput& ni, bool use_nt, const Tensor& w) {
-    return use_nt ? LocalMatMulNormA(c, x, ni.nt, w)
-                  : LocalMatMul(c, ni.y, w);
-  };
-
-  // Attention branch; with `accum` set, the output projection accumulates
-  // into *accum (c += attn @ wo) instead of materializing its partial sum.
-  auto attn_branch = [&](const NormInput& ni, Tensor* accum) {
-    Tensor q = proj(ni, nt_attn, lw.wq);
-    Tensor k = proj(ni, nt_attn, lw.wk);
-    Tensor v = proj(ni, nt_attn, lw.wv);
-    if (X_ > 1) {
-      q = ctx.AllReduce(kAxisX, std::move(q));
-      k = ctx.AllReduce(kAxisX, std::move(k));
-      v = ctx.AllReduce(kAxisX, std::move(v));
+  // The current norm site, in the forms its consumers read: fp32 (`ni`:
+  // materialized and/or as a pack-time transform) or dynamic int8 (`yq`).
+  NormInput ni;
+  QuantizedActivations yq;
+  bool nt_attn = false, nt_ffn = false;
+  auto norm = [&](bool second, bool attn, bool ffn) {
+    if (!int8) {
+      nt_attn = attn && plan.norm_into_attn;
+      nt_ffn = ffn && plan.norm_into_ffn;
+      ni = NormInputChip(ctx, x, second, layer, nt_attn || nt_ffn,
+                         (attn && !nt_attn) || (ffn && !nt_ffn));
+      return;
     }
-    Tensor attn = AttentionChip(ctx, std::move(q), std::move(k), std::move(v),
-                                layer, B, T);
-    if (accum != nullptr) {
-      LocalMatMulAccumulate(c, attn, lw.wo, accum);
-      return Tensor();
+    // One fused norm+quantize pass over x when the plan fused them, the
+    // two-step composition otherwise -- bit-identical either way
+    // (quant/int8.cc).
+    if (!plan.quantize_fused_norm) {
+      yq = QuantizeActivationsInt8(DistLayerNormChip(ctx, x, second, layer));
+      return;
     }
-    return LocalMatMul(c, attn, lw.wo);  // [B*T, E/X] partial over yz
-  };
-
-  // FFN branch; partial over yz.
-  auto ffn_branch = [&](const NormInput& ni, Tensor* accum) {
-    Tensor h;
-    if (X_ > 1) {
-      Tensor h1, h2;
-      if (spec_.fuse_collectives) {
-        // §3.5 Looped CollectiveEinsum: the input projection and its
-        // reduce-scatter(x) execute as one pipelined op. It needs the
-        // materialized normed tensor (the plan never fuses this site).
-        h1 = ctx.MatMulReduceScatter(kAxisX, ni.y, lw.win, weight_byte_width_);
-        if (gated)
-          h2 = ctx.MatMulReduceScatter(kAxisX, ni.y, lw.win_gate,
-                                       weight_byte_width_);
-      } else {
-        h1 = proj(ni, nt_ffn, lw.win);
-        if (gated) h2 = proj(ni, nt_ffn, lw.win_gate);
-        // §3.5: reduce-scatter the partial sums into the hidden dim, apply
-        // the nonlinearity on 1/X of the data, and all-gather once.
-        h1 = ctx.ReduceScatter(kAxisX, std::move(h1), /*dim=*/1);
-        if (gated) h2 = ctx.ReduceScatter(kAxisX, std::move(h2), 1);
-      }
-      h = gated ? Swish2(h1).Mul(h2) : Gelu(h1);
-      h = ctx.AllGather(kAxisX, std::move(h), 1);
-    } else if (nt_ffn) {
-      // Norm prologue + activation epilogue in one fused projection.
-      h = gated ? LocalMatMulNormASwishMulGate(c, x, ni.nt, lw.win,
-                                               lw.win_gate)
-                : LocalMatMulNormAGelu(c, x, ni.nt, lw.win);
+    const Tensor& gain = second ? lw.ln2_gain : lw.ln_gain;
+    RowNormTransform nt;
+    if (X_ == 1) {
+      nt = NormTransformFromRows(x, gain);
     } else {
-      // Unsharded hidden dim: the projection and nonlinearity fuse into one
-      // kernel (bit-identical to the matmul + activation composition).
-      h = gated ? LocalMatMulSwishMulGate(c, ni.y, lw.win, lw.win_gate)
-                : LocalMatMulGelu(c, ni.y, lw.win);
-    }
-    if (accum != nullptr) {
-      LocalMatMulAccumulate(c, h, lw.wout, accum);
-      return Tensor();
-    }
-    return LocalMatMul(c, h, lw.wout);  // [B*T, E/X] partial over yz
-  };
-
-  if (config_.parallel_block) {
-    NormInput ni = NormInputChip(ctx, x, /*second_gain=*/false, layer,
-                                 nt_attn || nt_ffn, !nt_attn || !nt_ffn);
-    Tensor oa = attn_branch(ni, nullptr);
-    if (plan.wout_accumulate) {
-      // §3.4 branch sum folded into wout's accumulate epilogue: oa += of.
-      ffn_branch(ni, &oa);
-    } else {
-      Tensor of = ffn_branch(ni, nullptr);
-      oa.AddInPlace(of);
-    }
-    // §3.4: one shared all-reduce(yz) for the summed branch outputs.
-    Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(oa)) : std::move(oa);
-    x.AddInPlace(o);
-    return;
-  }
-
-  // Serial: x += Attn(LN1(x)); x += FFN(LN2(x)) -- two all-reduces.
-  {
-    NormInput ni = NormInputChip(ctx, x, false, layer, nt_attn, !nt_attn);
-    if (plan.wo_accumulate) {
-      // YZ == 1 by plan construction (a collective would bar the fusion);
-      // every read of x through ni precedes the accumulate.
-      attn_branch(ni, &x);
-    } else {
-      Tensor oa = attn_branch(ni, nullptr);
-      Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(oa)) : std::move(oa);
-      x.AddInPlace(o);
-    }
-  }
-  {
-    NormInput ni = NormInputChip(ctx, x, true, layer, nt_ffn, !nt_ffn);
-    if (plan.wout_accumulate) {
-      ffn_branch(ni, &x);
-    } else {
-      Tensor of = ffn_branch(ni, nullptr);
-      Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(of)) : std::move(of);
-      x.AddInPlace(o);
-    }
-  }
-}
-
-void DistributedEngine::WsBlockChipInt8(SpmdContext& ctx, Tensor& x,
-                                        int64_t layer, int64_t B, int64_t T) {
-  const FusedPlan& plan = *active_plan_;
-  const int c = ctx.chip();
-  const bool gated = config_.gated_ffn;
-  const ShardedLayerWeights& lw =
-      shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
-  const QuantizedLayerShard& qw =
-      qshards_[static_cast<size_t>(c)][static_cast<size_t>(layer)];
-
-  // Normed + int8-quantized block input: one fused pass over x when the
-  // plan fused the quantize into the norm, the two-step composition
-  // otherwise -- bit-identical either way (quant/int8.cc).
-  auto norm_quant = [&](bool second) {
-    if (plan.quantize_fused_norm) {
-      const Tensor& gain = second ? lw.ln2_gain : lw.ln_gain;
-      if (X_ == 1) {
-        NoteFusion(1, 8.0 * static_cast<double>(x.numel()));
-        return QuantizeNormedInt8(x, NormTransformFromRows(x, gain));
-      }
       Tensor moments = ctx.AllReduce(kAxisX, RowMoments(x));
-      NoteFusion(1, 8.0 * static_cast<double>(x.numel()));
-      return QuantizeNormedInt8(
-          x, NormTransformFromMoments(moments, gain,
-                                      static_cast<double>(config_.d_model)));
+      nt = NormTransformFromMoments(moments, gain,
+                                    static_cast<double>(config_.d_model));
     }
-    return QuantizeActivationsInt8(DistLayerNormChip(ctx, x, second, layer));
+    NoteFusion(1, 8.0 * static_cast<double>(x.numel()));
+    yq = QuantizeNormedInt8(x, nt);
   };
 
-  auto attn_branch = [&](const QuantizedActivations& yq, Tensor* accum) {
-    Tensor q = LocalMatMulInt8(c, yq, qw.wq);
-    Tensor k = LocalMatMulInt8(c, yq, qw.wk);
-    Tensor v = LocalMatMulInt8(c, yq, qw.wv);
-    if (X_ > 1) {
-      q = ctx.AllReduce(kAxisX, std::move(q));
-      k = ctx.AllReduce(kAxisX, std::move(k));
-      v = ctx.AllReduce(kAxisX, std::move(v));
-    }
-    Tensor attn = AttentionChip(ctx, std::move(q), std::move(k), std::move(v),
-                                layer, B, T);
-    QuantizedActivations aq = QuantizeActivationsInt8(attn);
-    if (accum != nullptr) {
-      LocalMatMulInt8Accumulate(c, aq, qw.wo, accum);
+  using W = const Tensor ShardedLayerWeights::*;
+  using W8 = const QuantizedTensor QuantizedLayerShard::*;
+  // Projects the norm site through an input weight: int8, or fp32 with the
+  // norm applied on the matmul's A-pack when this site fused it and from
+  // the materialized normed tensor otherwise (the packed values are
+  // identical, tensor/matmul.cc, so the forms mix freely and bit-exactly).
+  auto proj = [&](W w, W8 w8, bool use_nt) {
+    if (int8) return LocalMatMulInt8(c, yq, qw->*w8);
+    return use_nt ? LocalMatMulNormA(c, x, ni.nt, lw.*w)
+                  : LocalMatMul(c, ni.y, lw.*w);
+  };
+  // a @ w, or *accum += a @ w when the plan folded the sum into the matmul
+  // (then returns an empty tensor). Int8 quantizes `a` unless the caller
+  // already holds it quantized (`aq`).
+  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, W w,
+                      W8 w8, Tensor* accum) {
+    if (int8) {
+      QuantizedActivations own;
+      if (aq == nullptr) {
+        own = QuantizeActivationsInt8(a);
+        aq = &own;
+      }
+      if (accum == nullptr) return LocalMatMulInt8(c, *aq, qw->*w8);
+      LocalMatMulInt8Accumulate(c, *aq, qw->*w8, accum);
       return Tensor();
     }
-    return LocalMatMulInt8(c, aq, qw.wo);
+    if (accum == nullptr) return LocalMatMul(c, a, lw.*w);
+    LocalMatMulAccumulate(c, a, lw.*w, accum);
+    return Tensor();
+  };
+  // FFN hidden when d_ff is whole on-chip (X == 1): no collective, so the
+  // projection, the activation and (int8) the quantize fuse per the plan.
+  // fp32 returns the hidden; int8 fills *hq.
+  auto ffn_hidden_local = [&](QuantizedActivations* hq) {
+    if (!int8) {
+      if (nt_ffn)
+        return gated ? LocalMatMulNormASwishMulGate(c, x, ni.nt, lw.win,
+                                                    lw.win_gate)
+                     : LocalMatMulNormAGelu(c, x, ni.nt, lw.win);
+      return gated ? LocalMatMulSwishMulGate(c, ni.y, lw.win, lw.win_gate)
+                   : LocalMatMulGelu(c, ni.y, lw.win);
+    }
+    Tensor h1 = LocalMatMulInt8(c, yq, qw->win);
+    if (gated) {
+      Tensor h2 = LocalMatMulInt8(c, yq, qw->win_gate);
+      if (plan.quantize_fused_act) {
+        NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
+        *hq = QuantizeSwishGateInt8(h1, h2);
+      } else {
+        *hq = QuantizeActivationsInt8(Swish2(h1).Mul(h2));
+      }
+    } else if (plan.quantize_fused_act) {
+      NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
+      *hq = QuantizeGeluInt8(h1);
+    } else {
+      *hq = QuantizeActivationsInt8(Gelu(h1));
+    }
+    return Tensor();
   };
 
-  auto ffn_branch = [&](const QuantizedActivations& yq, Tensor* accum) {
-    QuantizedActivations hq;
-    if (X_ > 1) {
-      // The reduce-scatter/all-gather pair is a quantization barrier: the
-      // hidden activations cross chips in fp32 and requantize after.
-      Tensor h1 = LocalMatMulInt8(c, yq, qw.win);
-      Tensor h2;
-      if (gated) h2 = LocalMatMulInt8(c, yq, qw.win_gate);
-      h1 = ctx.ReduceScatter(kAxisX, std::move(h1), /*dim=*/1);
-      if (gated) h2 = ctx.ReduceScatter(kAxisX, std::move(h2), 1);
-      Tensor h = gated ? Swish2(h1).Mul(h2) : Gelu(h1);
-      h = ctx.AllGather(kAxisX, std::move(h), 1);
-      hq = QuantizeActivationsInt8(h);
+  // All-gathers the pointed-to tensors over x, in place, in one collective.
+  auto gather_x = [&](const std::vector<Tensor*>& ts,
+                      const std::vector<int64_t>& dims) {
+    std::vector<Tensor> g;
+    for (Tensor* t : ts) g.push_back(std::move(*t));
+    g = ctx.AllGatherMany(kAxisX, std::move(g), dims);
+    for (size_t i = 0; i < ts.size(); ++i) *ts[i] = std::move(g[i]);
+  };
+
+  // One block half -- both branches at once in a parallel block -- with one
+  // collective per axis per program point (§3.4):
+  //   reduce-scatter(x): {q, k, v, h1, h2} (looped: h1/h2's matmuls
+  //                      pipelined under it)
+  //   all-gather(x):     kHeads {q, k, v, h} before attention,
+  //                      kBatch {attention rows, h} after it
+  // Returns the summed branch outputs (partial over yz), or an empty tensor
+  // when the plan accumulated them straight into x.
+  auto half = [&](bool second, bool attn, bool ffn) {
+    norm(second, attn, ffn);
+    std::vector<Tensor> rs;
+    std::vector<int64_t> rs_dims;
+    if (attn) {
+      rs.push_back(proj(&ShardedLayerWeights::wq, &QuantizedLayerShard::wq,
+                        nt_attn));
+      rs.push_back(proj(&ShardedLayerWeights::wk, &QuantizedLayerShard::wk,
+                        nt_attn));
+      rs.push_back(proj(&ShardedLayerWeights::wv, &QuantizedLayerShard::wv,
+                        nt_attn));
+      rs_dims.assign(3, qkv_dim);
+    }
+    if (ffn && looped) {
+      // The FFN input projections run pipelined under the same
+      // reduce-scatter(x), on the materialized normed tensor (the plan
+      // never fuses the norm into this site).
+      std::vector<const Tensor*> ws = {&lw.win};
+      if (gated) ws.push_back(&lw.win_gate);
+      rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims, ni.y,
+                                       ws, weight_byte_width_);
     } else {
-      Tensor h1 = LocalMatMulInt8(c, yq, qw.win);
-      if (gated) {
-        Tensor h2 = LocalMatMulInt8(c, yq, qw.win_gate);
-        if (plan.quantize_fused_act) {
-          NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
-          hq = QuantizeSwishGateInt8(h1, h2);
-        } else {
-          hq = QuantizeActivationsInt8(Swish2(h1).Mul(h2));
+      if (ffn && X_ > 1) {
+        rs.push_back(proj(&ShardedLayerWeights::win,
+                          &QuantizedLayerShard::win, nt_ffn));
+        rs_dims.push_back(1);
+        if (gated) {
+          rs.push_back(proj(&ShardedLayerWeights::win_gate,
+                            &QuantizedLayerShard::win_gate, nt_ffn));
+          rs_dims.push_back(1);
         }
-      } else if (plan.quantize_fused_act) {
-        NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
-        hq = QuantizeGeluInt8(h1);
+      }
+      if (X_ > 1 && !rs.empty())
+        rs = ctx.ReduceScatterMany(kAxisX, std::move(rs), rs_dims);
+    }
+
+    Tensor h;
+    QuantizedActivations hq;
+    if (ffn && X_ == 1) {
+      h = ffn_hidden_local(&hq);
+    } else if (ffn) {
+      const size_t at = attn ? 3 : 0;
+      Tensor h1 = std::move(rs[at]), h2;
+      if (gated) h2 = std::move(rs[at + 1]);
+      // §3.5: the nonlinearity runs on 1/X of the hidden dim, between the
+      // reduce-scatter and the all-gather.
+      h = gated ? Swish2(h1).Mul(h2) : Gelu(h1);
+    }
+    const bool gather_h = ffn && X_ > 1;
+
+    Tensor out;
+    if (attn) {
+      Tensor q = std::move(rs[0]), k = std::move(rs[1]), v = std::move(rs[2]);
+      if (heads && X_ > 1) {
+        std::vector<Tensor*> ts = {&q, &k, &v};
+        if (gather_h) ts.push_back(&h);
+        gather_x(ts, std::vector<int64_t>(ts.size(), 1));
+      }
+      Tensor a = AttentionChip(ctx, std::move(q), std::move(k), std::move(v),
+                               layer, B, T);
+      if (!heads && X_ > 1) {
+        if (gather_h) {
+          gather_x({&a, &h}, {0, 1});
+        } else {
+          gather_x({&a}, {0});
+        }
+      }
+      // A serial block without a yz reduction may fold the residual add
+      // into wo (the plan only sets this when YZ == 1).
+      Tensor* accum =
+          !config_.parallel_block && plan.wo_accumulate ? &x : nullptr;
+      out = out_proj(a, nullptr, &ShardedLayerWeights::wo,
+                     &QuantizedLayerShard::wo, accum);
+    } else if (gather_h) {
+      gather_x({&h}, {1});
+    }
+
+    if (ffn) {
+      const QuantizedActivations* hqp = int8 && X_ == 1 ? &hq : nullptr;
+      W wout = &ShardedLayerWeights::wout;
+      W8 wout8 = &QuantizedLayerShard::wout;
+      if (plan.wout_accumulate) {
+        // §3.4 branch sum (parallel) or residual add (serial, YZ == 1)
+        // folded into wout's accumulate epilogue.
+        out_proj(h, hqp, wout, wout8, attn ? &out : &x);
+      } else if (attn) {
+        out.AddInPlace(out_proj(h, hqp, wout, wout8, nullptr));
       } else {
-        hq = QuantizeActivationsInt8(Gelu(h1));
+        out = out_proj(h, hqp, wout, wout8, nullptr);
       }
     }
-    if (accum != nullptr) {
-      LocalMatMulInt8Accumulate(c, hq, qw.wout, accum);
-      return Tensor();
-    }
-    return LocalMatMulInt8(c, hq, qw.wout);
+    return out;
   };
 
+  // Residual add of a half's output: one all-reduce(yz) of the partial sums
+  // (§3.4: one per parallel block, two per serial block).
+  auto residual = [&](Tensor out) {
+    if (out.empty()) return;  // accumulated into x already
+    if (YZ_ > 1) out = ctx.AllReduce(kAxisYZ, std::move(out));
+    x.AddInPlace(out);
+  };
   if (config_.parallel_block) {
-    QuantizedActivations yq = norm_quant(false);
-    Tensor oa = attn_branch(yq, nullptr);
-    if (plan.wout_accumulate) {
-      ffn_branch(yq, &oa);
-    } else {
-      Tensor of = ffn_branch(yq, nullptr);
-      oa.AddInPlace(of);
-    }
-    Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(oa)) : std::move(oa);
-    x.AddInPlace(o);
+    residual(half(/*second=*/false, /*attn=*/true, /*ffn=*/true));
     return;
   }
-
-  {
-    QuantizedActivations yq = norm_quant(false);
-    if (plan.wo_accumulate) {
-      attn_branch(yq, &x);  // YZ == 1 by plan construction
-    } else {
-      Tensor oa = attn_branch(yq, nullptr);
-      Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(oa)) : std::move(oa);
-      x.AddInPlace(o);
-    }
-  }
-  {
-    QuantizedActivations yq = norm_quant(true);
-    if (plan.wout_accumulate) {
-      ffn_branch(yq, &x);
-    } else {
-      Tensor of = ffn_branch(yq, nullptr);
-      Tensor o = YZ_ > 1 ? ctx.AllReduce(kAxisYZ, std::move(of)) : std::move(of);
-      x.AddInPlace(o);
-    }
-  }
+  residual(half(false, true, false));
+  residual(half(true, false, true));
 }
 
 void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
@@ -694,40 +683,52 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
   const ShardedLayerWeights& lw =
       shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
 
-  // Gather this layer's weights to full matrices (charged as collectives on
-  // the virtual clock).
-  auto gather = [&](const Tensor& shard, bool cols_replicated) {
-    Tensor t = shard;
-    if (YZ_ > 1 && !cols_replicated)
-      t = ctx.AllGather(kAxisYZ, std::move(t), 1);
-    if (X_ > 1) t = ctx.AllGather(kAxisX, std::move(t), 0);
-    return t;
+  // Gather this layer's weights to full matrices with one all-gather per
+  // axis (charged as collectives on the virtual clock): first every
+  // weight's yz pieces (column shards of the input projections, row shards
+  // of wo/wout), then every weight's x pieces, the norm gains included.
+  std::vector<Tensor> w;
+  std::vector<int64_t> yz_dims, x_dims;  // yz_dim -1: not split over yz
+  auto add = [&](const Tensor& shard, int64_t yz_dim, int64_t x_dim) {
+    w.push_back(shard);
+    yz_dims.push_back(yz_dim);
+    x_dims.push_back(x_dim);
+    return w.size() - 1;
   };
-  auto gather_rows_over_yz_cols_over_x = [&](const Tensor& shard) {
-    // wo / wout store rows over yz and cols over x.
-    Tensor t = shard;
-    if (X_ > 1) t = ctx.AllGather(kAxisX, std::move(t), 1);
-    if (YZ_ > 1) t = ctx.AllGather(kAxisYZ, std::move(t), 0);
-    return t;
-  };
-  auto gather_gain = [&](const Tensor& shard) {
-    Tensor t = shard;
-    if (X_ > 1) t = ctx.AllGather(kAxisX, std::move(t), 0);
-    return t;
-  };
-
   const bool kv_replicated = config_.n_kv_heads() % YZ_ != 0;
-  Tensor wq = gather(lw.wq, false);
-  Tensor wk = gather(lw.wk, kv_replicated);
-  Tensor wv = gather(lw.wv, kv_replicated);
-  Tensor wo = gather_rows_over_yz_cols_over_x(lw.wo);
-  Tensor win = gather(lw.win, false);
-  Tensor wgate;
-  if (config_.gated_ffn) wgate = gather(lw.win_gate, false);
-  Tensor wout = gather_rows_over_yz_cols_over_x(lw.wout);
-  Tensor ln = gather_gain(lw.ln_gain);
-  Tensor ln2;  // second pre-norm exists only in serial blocks
-  if (!config_.parallel_block) ln2 = gather_gain(lw.ln2_gain);
+  const size_t iq = add(lw.wq, 1, 0);
+  const size_t ik = add(lw.wk, kv_replicated ? -1 : 1, 0);
+  const size_t iv = add(lw.wv, kv_replicated ? -1 : 1, 0);
+  const size_t io = add(lw.wo, 0, 1);
+  const size_t iin = add(lw.win, 1, 0);
+  const size_t igate = config_.gated_ffn ? add(lw.win_gate, 1, 0) : 0;
+  const size_t iout = add(lw.wout, 0, 1);
+  const size_t iln = add(lw.ln_gain, -1, 0);
+  // The second pre-norm exists only in serial blocks.
+  const size_t iln2 = config_.parallel_block ? 0 : add(lw.ln2_gain, -1, 0);
+  if (YZ_ > 1) {
+    std::vector<Tensor> g;
+    std::vector<int64_t> dims;
+    std::vector<size_t> at;
+    for (size_t i = 0; i < w.size(); ++i) {
+      if (yz_dims[i] < 0) continue;
+      g.push_back(std::move(w[i]));
+      dims.push_back(yz_dims[i]);
+      at.push_back(i);
+    }
+    g = ctx.AllGatherMany(kAxisYZ, std::move(g), dims);
+    for (size_t j = 0; j < at.size(); ++j) w[at[j]] = std::move(g[j]);
+  }
+  if (X_ > 1) w = ctx.AllGatherMany(kAxisX, std::move(w), x_dims);
+  const Tensor& wq = w[iq];
+  const Tensor& wk = w[ik];
+  const Tensor& wv = w[iv];
+  const Tensor& wo = w[io];
+  const Tensor& win = w[iin];
+  const Tensor& wgate = w[igate];  // read only when gated
+  const Tensor& wout = w[iout];
+  const Tensor& ln = w[iln];
+  const Tensor& ln2 = w[iln2];  // read only by serial blocks
 
   const int64_t H = config_.n_heads, KV = config_.n_kv_heads(), dh = config_.d_head;
   const FusedPlan& plan = *active_plan_;

@@ -14,7 +14,10 @@
 //     F-dim intermediates are partial sums over x and are reduce-scattered
 //     into the hidden dimension, activated, and all-gathered back (the §3.5
 //     choice); attention/FFN outputs are partial sums over yz, combined with
-//     one all-reduce(yz) per parallel block (two for serial, §3.4).
+//     one all-reduce(yz) per parallel block (two for serial, §3.4). Every
+//     program point runs one collective per axis: the q/k/v and FFN
+//     input partial sums share one reduce-scatter(x), and the gathers back
+//     share one all-gather(x) (SpmdContext's tuple collectives).
 //   * Weight-gathered XYZ (§3.2.3): per layer, weight shards are all-gathered
 //     to full matrices over the whole mesh while activations stay fully
 //     batch-sharded; everything else is chip-local. Used for large-batch
@@ -62,8 +65,8 @@ struct EngineSpec {
   AttnSharding attn = AttnSharding::kHeads;
   WeightFormat weight_format = WeightFormat::kBf16;
   // §3.5 Looped CollectiveEinsum: fuse the weight-stationary FFN input
-  // projections with their reduce-scatter(x) so the ring steps pipeline
-  // under chunked matmuls. Numerically identical (tests assert it); the
+  // projections with the reduce-scatter(x) they share with q/k/v so the
+  // ring steps pipeline under chunked matmuls. Numerically identical (tests assert it); the
   // virtual clock charges the pipelined schedule instead of compute + comm.
   bool fuse_collectives = false;
   // Decode fast path (engine/fastpath.h, docs/fastpath.md): operator fusion
@@ -162,19 +165,21 @@ class DistributedEngine {
 
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
-  // Weight-stationary block over this chip's activation shard [B*T, E/X].
+  // Weight-stationary block over this chip's activation shard [B*T, E/X],
+  // one collective per mesh axis per program point. fp32, or (per the
+  // active plan) int8 weight shards with dynamic per-row int8 activations
+  // and fp32 accumulation; fusion per the active plan.
   void WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer, int64_t batch,
                    int64_t t);
-  // Int8 twin of WsBlockChip: int8 weight shards, dynamic per-row int8
-  // activations, fp32 accumulation; fusion per the active plan.
-  void WsBlockChipInt8(SpmdContext& ctx, Tensor& x, int64_t layer,
-                       int64_t batch, int64_t t);
   // Fully local block over the chip's batch shard with gathered weights.
   void WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
                    int64_t batch_local, int64_t t);
 
-  // Head- or batch-sharded attention from replicated-over-x q/k/v; returns
-  // this chip's [B*T, (H/YZ)*dh] slice. Inputs are [B*T, cols].
+  // Head- or batch-sharded attention over this chip's heads. kHeads: q/k/v
+  // are whole over x ([B*T, cols]) and so is the [B*T, (H/YZ)*dh] result.
+  // kBatch: q/k/v are this chip's x batch rows ([B/X*T, cols], what the
+  // rows reduce-scatter(x) delivers) and so is the [B/X*T, (H/YZ)*dh]
+  // result; the caller gathers the rows back over x.
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer, int64_t batch, int64_t t);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 #include "sim/transfer.h"
 #include "util/logging.h"
@@ -29,6 +30,108 @@ double MaxDepositTime(const std::vector<ExchangeHub::Deposit>& parts) {
   double t = 0;
   for (const auto& p : parts) t = std::max(t, p.time);
   return t;
+}
+
+// The local members of a tuple collective: shapes, normalized dims, and
+// their float offsets in the packed deposit.
+struct Members {
+  std::vector<Shape> shapes;
+  std::vector<int64_t> dims;
+  std::vector<int64_t> offsets;
+  int64_t total = 0;
+
+  Members(const std::vector<Tensor>& ts, const std::vector<int64_t>& ds) {
+    for (size_t j = 0; j < ts.size(); ++j) {
+      const auto r = static_cast<int64_t>(ts[j].rank());
+      const int64_t d = ds[j] < 0 ? ds[j] + r : ds[j];
+      TSI_CHECK(d >= 0 && d < r) << "dim " << ds[j] << " of a rank-" << r
+                                 << " member";
+      shapes.push_back(ts[j].shape());
+      dims.push_back(d);
+      offsets.push_back(total);
+      total += ts[j].numel();
+    }
+  }
+
+  // Member j of deposit `p`, read in place.
+  const float* In(const ExchangeHub::Deposit& p, size_t j) const {
+    TSI_CHECK_EQ(p.tensor->numel(), total) << "members differ across ranks";
+    return p.tensor->data() + offsets[j];
+  }
+};
+
+// Packs members into one flat deposit, in order; a lone member travels as
+// itself (no copy).
+Tensor PackMembers(std::vector<Tensor> ts) {
+  if (ts.size() == 1) return std::move(ts[0]);
+  int64_t total = 0;
+  for (const Tensor& t : ts) total += t.numel();
+  Tensor packed({total});
+  float* dst = packed.data();
+  for (const Tensor& t : ts) {
+    std::memcpy(dst, t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
+    dst += t.numel();
+  }
+  return packed;
+}
+
+using Deposits = std::vector<ExchangeHub::Deposit>;
+
+// All-gather data path: every member concatenated along its dim over the
+// deposits, in group order.
+std::vector<Tensor> GatherMembers(const Deposits& parts, const Members& mem) {
+  std::vector<Tensor> out;
+  out.reserve(mem.shapes.size());
+  for (size_t j = 0; j < mem.shapes.size(); ++j) {
+    const Shape& box = mem.shapes[j];
+    const auto d = static_cast<size_t>(mem.dims[j]);
+    Shape shape = box;
+    shape[d] *= static_cast<int64_t>(parts.size());
+    Tensor o(shape);
+    const Shape zero(box.size(), 0);
+    Shape dst_off(box.size(), 0);
+    for (const auto& p : parts) {
+      TransferBox(mem.In(p, j), box, zero, &o, dst_off, box, /*add=*/false);
+      dst_off[d] += box[d];
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+// Reduce-scatter data path: rank `rank`'s chunk of every member along its
+// dim, summed over the deposits in group order -- elementwise the same
+// additions as summing everything and then chunking (what the serial
+// lockstep collective computes), at 1/k the work.
+std::vector<Tensor> ScatterSumMembers(const Deposits& parts,
+                                      const Members& mem, int rank) {
+  const auto k = static_cast<int64_t>(parts.size());
+  std::vector<Tensor> out;
+  out.reserve(mem.shapes.size());
+  for (size_t j = 0; j < mem.shapes.size(); ++j) {
+    const Shape& shape = mem.shapes[j];
+    const auto d = static_cast<size_t>(mem.dims[j]);
+    TSI_CHECK_EQ(shape[d] % k, 0)
+        << "dim " << shape[d] << " not divisible into " << k << " chunks";
+    Shape box = shape;
+    box[d] = shape[d] / k;
+    Shape src_off(box.size(), 0);
+    src_off[d] = rank * box[d];
+    const Shape zero(box.size(), 0);
+    Tensor o(box);
+    for (size_t i = 0; i < parts.size(); ++i)
+      TransferBox(mem.In(parts[i], j), shape, src_off, &o, zero, box,
+                  /*add=*/i > 0);
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+// One-member tuple, for the single-tensor entry points.
+std::vector<Tensor> Lone(Tensor t) {
+  std::vector<Tensor> one;
+  one.push_back(std::move(t));
+  return one;
 }
 
 }  // namespace
@@ -142,54 +245,46 @@ void SpmdContext::ChargePipelined(
 }
 
 Tensor SpmdContext::AllGather(unsigned mask, Tensor t, int64_t dim) {
+  return std::move(AllGatherMany(mask, Lone(std::move(t)), {dim})[0]);
+}
+
+Tensor SpmdContext::ReduceScatter(unsigned mask, Tensor t, int64_t dim) {
+  return std::move(ReduceScatterMany(mask, Lone(std::move(t)), {dim})[0]);
+}
+
+std::vector<Tensor> SpmdContext::AllGatherMany(unsigned mask,
+                                               std::vector<Tensor> tensors,
+                                               const std::vector<int64_t>& dims) {
+  TSI_CHECK(!tensors.empty());
+  TSI_CHECK_EQ(tensors.size(), dims.size());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
-  if (g.size == 1) return t;
+  if (g.size == 1) return tensors;
   SimMachine& m = *ex_->machine_;
-  auto parts = ExchangeTimed(g, std::move(t));
-  Shape out_shape = parts[0].tensor->shape();
-  out_shape[static_cast<size_t>(dim)] = 0;
-  for (const auto& p : parts)
-    out_shape[static_cast<size_t>(dim)] += p.tensor->dim(dim);
-  Tensor out(out_shape);
-  Shape zero(out_shape.size(), 0);
-  Shape dst_off(out_shape.size(), 0);
-  for (const auto& p : parts) {
-    TransferBox(*p.tensor, zero, &out, dst_off, p.tensor->shape(),
-                /*add=*/false);
-    dst_off[static_cast<size_t>(dim)] += p.tensor->dim(dim);
-  }
-  double bytes = static_cast<double>(out.numel()) * m.bytes_per_element();
+  const Members mem(tensors, dims);
+  auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
+  std::vector<Tensor> out = GatherMembers(parts, mem);
+  double bytes = 0;
+  for (const Tensor& o : out)
+    bytes += static_cast<double>(o.numel()) * m.bytes_per_element();
   Charge(parts, m.comm_cost().AllGatherTime(bytes, g.size),
          bytes * (static_cast<double>(g.size) - 1.0) / g.size,
          "all-gather(" + AxisName(mask) + ")");
   return out;
 }
 
-Tensor SpmdContext::ReduceScatter(unsigned mask, Tensor t, int64_t dim) {
+std::vector<Tensor> SpmdContext::ReduceScatterMany(
+    unsigned mask, std::vector<Tensor> tensors,
+    const std::vector<int64_t>& dims) {
+  TSI_CHECK(!tensors.empty());
+  TSI_CHECK_EQ(tensors.size(), dims.size());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
-  if (g.size == 1) return t;
+  if (g.size == 1) return tensors;
   SimMachine& m = *ex_->machine_;
-  auto parts = ExchangeTimed(g, std::move(t));
-  const int64_t k = static_cast<int64_t>(parts.size());
-  // Sum only this rank's chunk, in group order -- elementwise the same
-  // additions as summing everything and then chunking (what the serial
-  // lockstep collective computes), at 1/k the work.
-  const Tensor& p0 = *parts[0].tensor;
-  TSI_CHECK_EQ(p0.dim(dim) % k, 0)
-      << "dim " << p0.dim(dim) << " not divisible into " << k << " chunks";
-  const int64_t len = p0.dim(dim) / k;
-  Shape box = p0.shape();
-  box[static_cast<size_t>(dim)] = len;
-  Shape src_off(box.size(), 0);
-  src_off[static_cast<size_t>(dim)] = static_cast<int64_t>(g.rank) * len;
-  Shape zero(box.size(), 0);
-  Tensor out(box);
-  TransferBox(p0, src_off, &out, zero, box, /*add=*/false);
-  for (int64_t i = 1; i < k; ++i)
-    TransferBox(*parts[static_cast<size_t>(i)].tensor, src_off, &out, zero,
-                box, /*add=*/true);
-  // Charged on the *full* per-chip buffer (the D of Appendix A.1).
-  double bytes = static_cast<double>(p0.numel()) * m.bytes_per_element();
+  const Members mem(tensors, dims);
+  auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
+  std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
+  // Charged on the *full* per-chip buffers (the D of Appendix A.1).
+  const double bytes = static_cast<double>(mem.total) * m.bytes_per_element();
   Charge(parts, m.comm_cost().AllGatherTime(bytes, g.size),
          bytes * (static_cast<double>(g.size) - 1.0) / g.size,
          "reduce-scatter(" + AxisName(mask) + ")");
@@ -216,32 +311,51 @@ Tensor SpmdContext::AllReduce(unsigned mask, Tensor t) {
 
 Tensor SpmdContext::AllToAll(unsigned mask, Tensor t, int64_t split_dim,
                              int64_t concat_dim) {
+  return std::move(
+      AllToAllMany(mask, Lone(std::move(t)), split_dim, concat_dim)[0]);
+}
+
+std::vector<Tensor> SpmdContext::AllToAllMany(unsigned mask,
+                                              std::vector<Tensor> tensors,
+                                              int64_t split_dim,
+                                              int64_t concat_dim) {
+  TSI_CHECK(!tensors.empty());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
-  if (g.size == 1) return t;
+  if (g.size == 1) return tensors;
   SimMachine& m = *ex_->machine_;
-  auto parts = ExchangeTimed(g, std::move(t));
-  const int64_t k = static_cast<int64_t>(parts.size());
-  const Tensor& p0 = *parts[0].tensor;
-  TSI_CHECK_EQ(p0.dim(split_dim) % k, 0);
-  const int64_t len = p0.dim(split_dim) / k;
-  Shape box = p0.shape();
-  box[static_cast<size_t>(split_dim)] = len;
-  Shape out_shape = box;
-  out_shape[static_cast<size_t>(concat_dim)] =
-      box[static_cast<size_t>(concat_dim)] * k;
-  Tensor out(out_shape);
-  Shape src_off(box.size(), 0);
-  src_off[static_cast<size_t>(split_dim)] = static_cast<int64_t>(g.rank) * len;
-  Shape dst_off(box.size(), 0);
-  for (int64_t i = 0; i < k; ++i) {
-    dst_off[static_cast<size_t>(concat_dim)] =
-        i * box[static_cast<size_t>(concat_dim)];
-    TransferBox(*parts[static_cast<size_t>(i)].tensor, src_off, &out, dst_off,
-                box, /*add=*/false);
+  const Members mem(tensors, std::vector<int64_t>(tensors.size(), split_dim));
+  const int64_t k = g.size;
+  auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
+  std::vector<Tensor> out;
+  out.reserve(mem.shapes.size());
+  for (size_t j = 0; j < mem.shapes.size(); ++j) {
+    const Shape& shape = mem.shapes[j];
+    const auto sd = static_cast<size_t>(mem.dims[j]);
+    const auto rank = static_cast<int64_t>(shape.size());
+    const int64_t cdi = concat_dim < 0 ? concat_dim + rank : concat_dim;
+    TSI_CHECK(cdi >= 0 && cdi < rank) << "concat dim " << concat_dim;
+    const auto cd = static_cast<size_t>(cdi);
+    TSI_CHECK_EQ(shape[sd] % k, 0)
+        << "dim " << shape[sd] << " not divisible into " << k << " chunks";
+    // This rank's chunk of every deposit, concatenated in group order.
+    Shape box = shape;
+    box[sd] = shape[sd] / k;
+    Shape out_shape = box;
+    out_shape[cd] *= k;
+    Tensor o(out_shape);
+    Shape src_off(box.size(), 0);
+    src_off[sd] = g.rank * box[sd];
+    Shape dst_off(box.size(), 0);
+    for (const auto& p : parts) {
+      TransferBox(mem.In(p, j), shape, src_off, &o, dst_off, box,
+                  /*add=*/false);
+      dst_off[cd] += box[cd];
+    }
+    out.push_back(std::move(o));
   }
   // All-to-all uses direct pairwise paths, not a dependent ring: charge the
-  // bandwidth factor on the per-chip buffer plus a single hop latency.
-  double bytes = static_cast<double>(p0.numel()) * m.bytes_per_element();
+  // bandwidth factor on the per-chip buffers plus a single hop latency.
+  const double bytes = static_cast<double>(mem.total) * m.bytes_per_element();
   Charge(parts, m.comm_cost().AllToAllTime(bytes, g.size),
          bytes * (static_cast<double>(g.size) - 1.0) / g.size,
          "all-to-all(" + AxisName(mask) + ")");
@@ -251,33 +365,35 @@ Tensor SpmdContext::AllToAll(unsigned mask, Tensor t, int64_t split_dim,
 Tensor SpmdContext::MatMulReduceScatter(unsigned mask, const Tensor& x,
                                         const Tensor& w,
                                         double weight_byte_width) {
+  return std::move(
+      MatMulReduceScatterMany(mask, {}, {}, x, {&w}, weight_byte_width)[0]);
+}
+
+std::vector<Tensor> SpmdContext::MatMulReduceScatterMany(
+    unsigned mask, std::vector<Tensor> tensors, std::vector<int64_t> dims,
+    const Tensor& x, const std::vector<const Tensor*>& ws,
+    double weight_byte_width) {
+  TSI_CHECK(!ws.empty());
+  TSI_CHECK_EQ(tensors.size(), dims.size());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
   SimMachine& m = *ex_->machine_;
-  Tensor partial = MatMul(x, w);
-  double flops = 2.0 * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
-  double wbytes = static_cast<double>(w.numel()) * weight_byte_width;
-  if (g.size == 1) {
-    m.ChargeComputeAndMemory(chip_, flops, wbytes, "matmul");
-    return partial;
+  const double rows = static_cast<double>(x.numel() / x.dim(-1));
+  double flops = 0, wbytes = 0;
+  for (const Tensor* w : ws) {
+    const double f = 2.0 * rows * w->dim(0) * w->dim(1);
+    const double b = static_cast<double>(w->numel()) * weight_byte_width;
+    tensors.push_back(MatMul(x, *w));
+    dims.push_back(-1);
+    if (g.size == 1) m.ChargeComputeAndMemory(chip_, f, b, "matmul");
+    flops += f;
+    wbytes += b;
   }
-  auto parts = ExchangeTimed(g, std::move(partial));
-  const int64_t k = static_cast<int64_t>(parts.size());
-  const Tensor& p0 = *parts[0].tensor;
-  TSI_CHECK_EQ(p0.dim(1) % k, 0);
-  const int64_t len = p0.dim(1) / k;
-  Shape box = p0.shape();
-  box[1] = len;
-  Shape src_off(box.size(), 0);
-  src_off[1] = static_cast<int64_t>(g.rank) * len;
-  Shape zero(box.size(), 0);
-  Tensor out(box);
-  TransferBox(p0, src_off, &out, zero, box, /*add=*/false);
-  for (int64_t i = 1; i < k; ++i)
-    TransferBox(*parts[static_cast<size_t>(i)].tensor, src_off, &out, zero,
-                box, /*add=*/true);
-  double chunk_bytes =
-      static_cast<double>(p0.numel()) / static_cast<double>(k) *
-      m.bytes_per_element();
+  if (g.size == 1) return tensors;
+  const Members mem(tensors, dims);
+  auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
+  std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
+  double chunk_bytes = static_cast<double>(mem.total) /
+                       static_cast<double>(g.size) * m.bytes_per_element();
   ChargePipelined(parts, flops, wbytes, chunk_bytes, "looped-matmul-rs");
   return out;
 }
@@ -294,18 +410,10 @@ Tensor SpmdContext::AllGatherMatMul(unsigned mask, const Tensor& x,
     m.ChargeComputeAndMemory(chip_, flops, wbytes, "matmul");
     return y;
   }
-  auto parts = ExchangeTimed(g, x);
-  Shape out_shape = parts[0].tensor->shape();
-  out_shape[0] = 0;
-  for (const auto& p : parts) out_shape[0] += p.tensor->dim(0);
-  Tensor gathered(out_shape);
-  Shape zero(out_shape.size(), 0);
-  Shape dst_off(out_shape.size(), 0);
-  for (const auto& p : parts) {
-    TransferBox(*p.tensor, zero, &gathered, dst_off, p.tensor->shape(),
-                /*add=*/false);
-    dst_off[0] += p.tensor->dim(0);
-  }
+  std::vector<Tensor> one = Lone(x);
+  const Members mem(one, {0});
+  auto parts = ExchangeTimed(g, PackMembers(std::move(one)));
+  Tensor gathered = std::move(GatherMembers(parts, mem)[0]);
   double flops =
       2.0 * static_cast<double>(gathered.dim(0)) * w.dim(0) * w.dim(1);
   double wbytes = static_cast<double>(w.numel()) * weight_byte_width;

@@ -94,6 +94,24 @@ class SpmdContext {
   Tensor AllGather(unsigned mask, Tensor t, int64_t dim);
   // Group-order sum, then this chip keeps its rank's chunk along `dim`.
   Tensor ReduceScatter(unsigned mask, Tensor t, int64_t dim);
+
+  // Tuple collectives: member i behaves exactly like the single-tensor call
+  // on tensors[i] along dims[i] (same chunk assignment, same group-order
+  // float adds), but all members travel packed in ONE deposit through ONE
+  // rendezvous and are charged as ONE collective: one latency term
+  // (Alpha(k) for the ring collectives, one hop for the all-to-all) plus the
+  // bandwidth term on the members' summed bytes, one trace event under the
+  // single-tensor name, summed egress. Every rank must pass the same member
+  // shapes. A lone member travels as itself: the single-tensor calls are
+  // this with one member.
+  std::vector<Tensor> AllGatherMany(unsigned mask, std::vector<Tensor> tensors,
+                                    const std::vector<int64_t>& dims);
+  std::vector<Tensor> ReduceScatterMany(unsigned mask,
+                                        std::vector<Tensor> tensors,
+                                        const std::vector<int64_t>& dims);
+  // Every member resharded from `split_dim` to `concat_dim`, one hop.
+  std::vector<Tensor> AllToAllMany(unsigned mask, std::vector<Tensor> tensors,
+                                   int64_t split_dim, int64_t concat_dim);
   // Group-order sum, replicated; charged as RS + AG (twice).
   Tensor AllReduce(unsigned mask, Tensor t);
   // Reshards from `split_dim` to `concat_dim` within the group.
@@ -104,6 +122,14 @@ class SpmdContext {
   // with the §3.5 pipelined schedule (sim/collective_einsum.h).
   Tensor MatMulReduceScatter(unsigned mask, const Tensor& x, const Tensor& w,
                              double weight_byte_width = 2.0);
+  // The tuple form: ReduceScatterMany(mask, {tensors..., x @ *ws[0], ...},
+  // {dims..., -1, ...}) with the matmuls pipelined under the ring. The
+  // already computed `tensors` ride in the same deposit, so the whole tuple
+  // is charged as ONE pipelined collective over the summed bytes.
+  std::vector<Tensor> MatMulReduceScatterMany(
+      unsigned mask, std::vector<Tensor> tensors, std::vector<int64_t> dims,
+      const Tensor& x, const std::vector<const Tensor*>& ws,
+      double weight_byte_width = 2.0);
   // Fused y = AllGather(mask, x) @ w over the row dim, pipelined charge.
   Tensor AllGatherMatMul(unsigned mask, const Tensor& x, const Tensor& w,
                          double weight_byte_width = 2.0);

@@ -8,8 +8,14 @@ namespace tsi {
 
 void TransferBox(const Tensor& src, const Shape& src_off, Tensor* dst,
                  const Shape& dst_off, const Shape& box, bool add) {
+  TransferBox(src.data(), src.shape(), src_off, dst, dst_off, box, add);
+}
+
+void TransferBox(const float* sp, const Shape& src_shape,
+                 const Shape& src_off, Tensor* dst, const Shape& dst_off,
+                 const Shape& box, bool add) {
   const int64_t rank = static_cast<int64_t>(box.size());
-  TSI_CHECK_EQ(src.rank(), rank);
+  TSI_CHECK_EQ(static_cast<int64_t>(src_shape.size()), rank);
   TSI_CHECK_EQ(dst->rank(), rank);
   // Row-major strides.
   Shape sstr(static_cast<size_t>(rank)), dstr(static_cast<size_t>(rank));
@@ -17,13 +23,13 @@ void TransferBox(const Tensor& src, const Shape& src_off, Tensor* dst,
   for (int64_t d = rank - 1; d >= 0; --d) {
     sstr[static_cast<size_t>(d)] = ss;
     dstr[static_cast<size_t>(d)] = ds;
-    ss *= src.dim(d);
+    ss *= src_shape[static_cast<size_t>(d)];
     ds *= dst->dim(d);
   }
   int64_t src_base = 0, dst_base = 0;
   for (int64_t d = 0; d < rank; ++d) {
     TSI_CHECK(src_off[static_cast<size_t>(d)] + box[static_cast<size_t>(d)] <=
-              src.dim(d));
+              src_shape[static_cast<size_t>(d)]);
     TSI_CHECK(dst_off[static_cast<size_t>(d)] + box[static_cast<size_t>(d)] <=
               dst->dim(d));
     src_base += src_off[static_cast<size_t>(d)] * sstr[static_cast<size_t>(d)];
@@ -32,7 +38,6 @@ void TransferBox(const Tensor& src, const Shape& src_off, Tensor* dst,
   const int64_t run = box[static_cast<size_t>(rank - 1)];
   const int64_t rows = NumElements(box) / (run == 0 ? 1 : run);
   if (run == 0) return;
-  const float* sp = src.data();
   float* dp = dst->data();
   // Odometer over all dims but the last.
   Shape idx(static_cast<size_t>(rank - 1), 0);

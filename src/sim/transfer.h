@@ -15,4 +15,10 @@ namespace tsi {
 void TransferBox(const Tensor& src, const Shape& src_off, Tensor* dst,
                  const Shape& dst_off, const Shape& box, bool add);
 
+// Same, reading the source as a row-major `src_shape` tensor stored at
+// `src` (e.g. one member of a packed collective deposit).
+void TransferBox(const float* src, const Shape& src_shape,
+                 const Shape& src_off, Tensor* dst, const Shape& dst_off,
+                 const Shape& box, bool add);
+
 }  // namespace tsi

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/attn_cost.h"
 #include "hw/chip.h"
 #include "model/reference.h"
+#include "sim/trace.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -700,6 +704,118 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
   SimMachine machine(Torus3D(1, 1, 1), TpuV4());
   DistributedEngine engine(weights, &machine, EngineSpec{});
   EXPECT_DEATH(engine.DecodeStep({0}), "decode requires a prefilled cache");
+}
+
+// The weight-stationary schedule runs one collective per mesh axis per
+// program point (§3.4): the q/k/v and FFN input partial sums share one
+// reduce-scatter(x), and the gathers back share one all-gather(x). A traced
+// decode step shows exactly that set per layer, plus the logit head's
+// moments all-reduce(x), all-gather(x) and all-gather(xyz).
+struct ScheduleCase {
+  AttnSharding attn;
+  bool parallel;
+  bool multihead;
+  // Collective calls per layer, by trace name.
+  std::map<std::string, int> per_layer;
+};
+
+class CollectiveScheduleTest : public ::testing::TestWithParam<ScheduleCase> {};
+
+// Collective calls on chip 0 by name. An all-reduce records its
+// reduce-scatter and all-gather legs as two events under one name.
+std::map<std::string, int> CollectiveCalls(const Tracer& tracer) {
+  std::map<std::string, int> calls;
+  for (const TraceEvent& e : tracer.events())
+    if (e.chip == 0 && std::string(CategoryFor(e.name)) == "comm") ++calls[e.name];
+  for (auto& [name, n] : calls)
+    if (name.rfind("all-reduce", 0) == 0) n /= 2;
+  return calls;
+}
+
+TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
+  const ScheduleCase& p = GetParam();
+  ModelConfig cfg = p.multihead ? TinyTestModelMultihead() : TinyTestModel();
+  cfg.parallel_block = p.parallel;
+  ModelWeights weights = ModelWeights::Random(cfg, 17);
+  SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  EngineSpec spec;
+  spec.attn = p.attn;
+  DistributedEngine engine(weights, &machine, spec);
+  const int64_t B = 4;
+  engine.Prefill(RandomTokens(B * 4, cfg.vocab_size, 18), B);
+
+  Tracer tracer;
+  machine.AttachTracer(&tracer);
+  engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 19));
+
+  std::map<std::string, int> want;
+  for (const auto& [name, n] : p.per_layer) want[name] = n * cfg.num_layers;
+  ++want["all-reduce(x)"];   // final norm moments
+  ++want["all-gather(x)"];   // normed activations for the logit head
+  ++want["all-gather(xyz)"]; // vocab-sharded logits
+  EXPECT_EQ(CollectiveCalls(tracer), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, CollectiveScheduleTest,
+    ::testing::Values(
+        ScheduleCase{kBatch, true, false,
+                     {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
+                      {"all-to-all(yz)", 2}, {"all-gather(x)", 1},
+                      {"all-reduce(yz)", 1}}},
+        ScheduleCase{kHeads, true, false,
+                     {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
+                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}}},
+        // Serial: each half has its own norm, reduce-scatter, gather and
+        // yz reduction.
+        ScheduleCase{kBatch, false, false,
+                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
+                      {"all-to-all(yz)", 2}, {"all-gather(x)", 2},
+                      {"all-reduce(yz)", 2}}},
+        ScheduleCase{kHeads, false, false,
+                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
+                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}}},
+        // Multihead K/V heads shard over yz: they reshard with q in one
+        // all-to-all.
+        ScheduleCase{kBatch, false, true,
+                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
+                      {"all-to-all(yz)", 2}, {"all-gather(x)", 2},
+                      {"all-reduce(yz)", 2}}}),
+    [](const ::testing::TestParamInfo<ScheduleCase>& info) {
+      const ScheduleCase& p = info.param;
+      return std::string(p.attn == kBatch ? "batch" : "heads") +
+             (p.parallel ? "_parallel" : "_serial") +
+             (p.multihead ? "_mha" : "_mqa");
+    });
+
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysTwentyTwoHops) {
+  // The paper's parallel layer on 2x2x1 with batch-sharded attention: per
+  // layer 2 (moments all-reduce) + 1 (reduce-scatter) + 2 (all-to-alls) +
+  // 1 (all-gather) + 2 (yz all-reduce) = 8 hop latencies; the logit head
+  // adds 2 + 1 + 3. Ring collectives pay k - 1 hops per leg, an all-to-all
+  // one; every collective event must include its hops.
+  ModelConfig cfg = TinyTestModel();
+  ModelWeights weights = ModelWeights::Random(cfg, 21);
+  SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  EngineSpec spec;
+  spec.attn = AttnSharding::kBatch;
+  DistributedEngine engine(weights, &machine, spec);
+  const int64_t B = 4;
+  engine.Prefill(RandomTokens(B * 4, cfg.vocab_size, 22), B);
+
+  Tracer tracer;
+  machine.AttachTracer(&tracer);
+  engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 23));
+  const double hop = machine.comm_cost().hop_latency;
+  double hops = 0;
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.chip != 0 || std::string(CategoryFor(e.name)) != "comm") continue;
+    const bool a2a = e.name.rfind("all-to-all", 0) == 0;
+    const int k = e.name.find("(xyz)") != std::string::npos ? 4 : 2;
+    hops += a2a ? 1 : k - 1;
+    EXPECT_GE(e.duration, (a2a ? 1 : k - 1) * hop) << e.name;
+  }
+  EXPECT_EQ(hops, 2 * 8 + 6);
 }
 
 }  // namespace

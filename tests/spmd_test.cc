@@ -179,6 +179,209 @@ TEST(SpmdExecutorTest, CollectiveChargesMatchSerialFormulas) {
   }
 }
 
+// Tuple collectives (SpmdContext::AllGatherMany / ReduceScatterMany /
+// AllToAllMany): each member bit-identical to its single-tensor call, the
+// whole tuple charged as one collective, and slot-count invariant like
+// everything else.
+enum class TupleOp { kAllGather, kReduceScatter, kAllToAll };
+
+const char* TupleName(TupleOp op) {
+  switch (op) {
+    case TupleOp::kAllGather: return "all-gather";
+    case TupleOp::kReduceScatter: return "reduce-scatter";
+    case TupleOp::kAllToAll: return "all-to-all";
+  }
+  return "";
+}
+
+struct TupleRun {
+  std::vector<std::vector<Tensor>> out;  // [chip][member]
+  std::vector<ChipCounters> counters;
+  std::vector<TraceEvent> events;
+};
+
+// Members of mixed rank and split dim; every split extent, and every dim 0
+// (the all-to-all's split dim), divides by 8.
+std::vector<Tensor> TupleMembers(int chip) {
+  Rng rng(Rng::DeriveSeed(99, static_cast<uint64_t>(chip)));
+  std::vector<Tensor> ts;
+  ts.push_back(Tensor::Gaussian({16, 6}, rng));
+  ts.push_back(Tensor::Gaussian({8, 8}, rng));
+  ts.push_back(Tensor::Gaussian({8, 8, 5}, rng));
+  return ts;
+}
+const std::vector<int64_t> kTupleDims = {0, 1, 1};
+const unsigned kTupleMasks[] = {kAxisX, kAxisY | kAxisZ, kAxisXYZ};
+const TupleOp kTupleOps[] = {TupleOp::kAllGather, TupleOp::kReduceScatter,
+                             TupleOp::kAllToAll};
+
+// many: one tuple call; else one single-tensor call per member, in member
+// order. The all-to-all splits dim 0 and concatenates along dim 1.
+TupleRun RunTuple(unsigned mask, TupleOp op, bool many, int slots) {
+  SimMachine machine(Torus3D(2, 2, 2), TpuV4());
+  Tracer tracer;
+  machine.AttachTracer(&tracer);
+  SpmdExecutor ex(&machine);
+  ex.set_slots(slots);
+  TupleRun r;
+  r.out.resize(static_cast<size_t>(machine.num_chips()));
+  ex.Run([&](SpmdContext& ctx) {
+    std::vector<Tensor> ts = TupleMembers(ctx.chip());
+    std::vector<Tensor>& out = r.out[static_cast<size_t>(ctx.chip())];
+    if (many) {
+      switch (op) {
+        case TupleOp::kAllGather:
+          out = ctx.AllGatherMany(mask, std::move(ts), kTupleDims);
+          break;
+        case TupleOp::kReduceScatter:
+          out = ctx.ReduceScatterMany(mask, std::move(ts), kTupleDims);
+          break;
+        case TupleOp::kAllToAll:
+          out = ctx.AllToAllMany(mask, std::move(ts), 0, 1);
+          break;
+      }
+      return;
+    }
+    for (size_t j = 0; j < ts.size(); ++j) {
+      switch (op) {
+        case TupleOp::kAllGather:
+          out.push_back(ctx.AllGather(mask, ts[j], kTupleDims[j]));
+          break;
+        case TupleOp::kReduceScatter:
+          out.push_back(ctx.ReduceScatter(mask, ts[j], kTupleDims[j]));
+          break;
+        case TupleOp::kAllToAll:
+          out.push_back(ctx.AllToAll(mask, ts[j], 0, 1));
+          break;
+      }
+    }
+  });
+  for (int c = 0; c < machine.num_chips(); ++c)
+    r.counters.push_back(machine.counters(c));
+  r.events = tracer.events();
+  return r;
+}
+
+TEST(SpmdTupleCollectiveTest, ManyIsBitIdenticalToPerMemberCalls) {
+  for (unsigned mask : kTupleMasks) {
+    for (TupleOp op : kTupleOps) {
+      TupleRun single = RunTuple(mask, op, /*many=*/false, 8);
+      TupleRun many = RunTuple(mask, op, /*many=*/true, 8);
+      for (size_t c = 0; c < single.out.size(); ++c) {
+        ASSERT_EQ(many.out[c].size(), single.out[c].size());
+        for (size_t j = 0; j < single.out[c].size(); ++j)
+          EXPECT_TRUE(BitIdentical(many.out[c][j], single.out[c][j]))
+              << TupleName(op) << "(" << AxisName(mask) << ") chip " << c
+              << " member " << j;
+        EXPECT_DOUBLE_EQ(many.counters[c].network_bytes,
+                         single.counters[c].network_bytes)
+            << "egress is the members' sum";
+      }
+    }
+  }
+}
+
+TEST(SpmdTupleCollectiveTest, ManyChargesOneCollective) {
+  const Torus3D mesh(2, 2, 2);
+  for (unsigned mask : kTupleMasks) {
+    const int k = static_cast<int>(mesh.GroupOf(0, mask).size());
+    for (TupleOp op : kTupleOps) {
+      TupleRun r = RunTuple(mask, op, /*many=*/true, 8);
+      SimMachine probe(mesh, TpuV4());
+      const CommCostModel& cm = probe.comm_cost();
+      // Summed bytes: the gathered outputs (all-gather) or the full
+      // per-chip inputs (reduce-scatter, all-to-all).
+      double bytes = 0;
+      for (const Tensor& t : TupleMembers(0))
+        bytes += static_cast<double>(t.numel()) * probe.bytes_per_element();
+      if (op == TupleOp::kAllGather) bytes *= k;
+      // One latency term plus the bandwidth term on the summed bytes.
+      const double want = op == TupleOp::kAllToAll
+                              ? cm.AllToAllTime(bytes, k)
+                              : cm.Alpha(k) + bytes / cm.network_bw * cm.Factor(k);
+      for (size_t c = 0; c < r.counters.size(); ++c) {
+        EXPECT_DOUBLE_EQ(r.counters[c].time, want)
+            << TupleName(op) << "(" << AxisName(mask) << ") chip " << c;
+        EXPECT_DOUBLE_EQ(r.counters[c].network_bytes, bytes * (k - 1) / k);
+      }
+      // One trace event per chip, under the single-tensor name.
+      ASSERT_EQ(r.events.size(), r.counters.size());
+      const std::string name =
+          std::string(TupleName(op)) + "(" + AxisName(mask) + ")";
+      for (const TraceEvent& e : r.events) EXPECT_EQ(e.name, name);
+    }
+  }
+}
+
+TEST(SpmdTupleCollectiveTest, ManySlotCountInvariant) {
+  for (TupleOp op : kTupleOps) {
+    TupleRun one = RunTuple(kAxisXYZ, op, /*many=*/true, 1);
+    TupleRun eight = RunTuple(kAxisXYZ, op, /*many=*/true, 8);
+    for (size_t c = 0; c < one.out.size(); ++c) {
+      for (size_t j = 0; j < one.out[c].size(); ++j)
+        EXPECT_TRUE(BitIdentical(one.out[c][j], eight.out[c][j]))
+            << TupleName(op) << " chip " << c << " member " << j;
+      EXPECT_EQ(one.counters[c].time, eight.counters[c].time);
+      EXPECT_EQ(one.counters[c].network_bytes, eight.counters[c].network_bytes);
+    }
+  }
+}
+
+// MatMulReduceScatterMany: the same data as ReduceScatterMany over the
+// members plus the computed partials, in one pipelined collective that
+// beats charging the matmuls and then the reduce-scatter.
+TEST(SpmdTupleCollectiveTest, MatMulReduceScatterManyIsOnePipelinedCollective) {
+  for (unsigned mask : {kAxisX, kAxisXYZ}) {
+    TupleRun looped, serial;
+    for (bool pipelined : {true, false}) {
+      TupleRun& r = pipelined ? looped : serial;
+      SimMachine machine(Torus3D(2, 2, 2), TpuV4());
+      Tracer tracer;
+      machine.AttachTracer(&tracer);
+      SpmdExecutor ex(&machine);
+      r.out.resize(static_cast<size_t>(machine.num_chips()));
+      ex.Run([&](SpmdContext& ctx) {
+        Rng rng(Rng::DeriveSeed(7, static_cast<uint64_t>(ctx.chip())));
+        const Tensor x = Tensor::Gaussian({8, 6}, rng);
+        const Tensor w1 = Tensor::Gaussian({6, 8}, rng);
+        const Tensor w2 = Tensor::Gaussian({6, 16}, rng);
+        std::vector<Tensor> ts = TupleMembers(ctx.chip());
+        std::vector<int64_t> dims = kTupleDims;
+        std::vector<Tensor>& out = r.out[static_cast<size_t>(ctx.chip())];
+        if (pipelined) {
+          out = ctx.MatMulReduceScatterMany(mask, std::move(ts), dims, x,
+                                            {&w1, &w2});
+          return;
+        }
+        for (const Tensor* w : {&w1, &w2}) {
+          ts.push_back(MatMul(x, *w));
+          dims.push_back(1);
+          ctx.machine().ChargeComputeAndMemory(
+              ctx.chip(), 2.0 * x.dim(0) * w->dim(0) * w->dim(1),
+              static_cast<double>(w->numel()) * 2.0, "matmul");
+        }
+        out = ctx.ReduceScatterMany(mask, std::move(ts), dims);
+      });
+      for (int c = 0; c < machine.num_chips(); ++c)
+        r.counters.push_back(machine.counters(c));
+      r.events = tracer.events();
+    }
+    ASSERT_EQ(looped.events.size(), looped.counters.size());
+    for (const TraceEvent& e : looped.events)
+      EXPECT_EQ(e.name, "looped-matmul-rs");
+    for (size_t c = 0; c < looped.out.size(); ++c) {
+      ASSERT_EQ(looped.out[c].size(), serial.out[c].size());
+      for (size_t j = 0; j < looped.out[c].size(); ++j)
+        EXPECT_TRUE(BitIdentical(looped.out[c][j], serial.out[c][j]))
+            << AxisName(mask) << " chip " << c << " member " << j;
+      EXPECT_DOUBLE_EQ(looped.counters[c].network_bytes,
+                       serial.counters[c].network_bytes);
+      EXPECT_LT(looped.counters[c].time, serial.counters[c].time)
+          << "pipelining should hide something";
+    }
+  }
+}
+
 TEST(SimMachineTest, CommCostCacheFollowsHopLatency) {
   SimMachine machine(Torus3D(1, 4, 1), TpuV4());
   double t0 = machine.comm_cost().AllGatherTime(1 << 20, 4);
