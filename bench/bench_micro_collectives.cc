@@ -12,7 +12,7 @@
 #include "sim/collective_einsum.h"
 #include "sim/collectives.h"
 #include "sim/ring.h"
-#include "sim/threaded.h"
+#include "sim/spmd.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -93,21 +93,21 @@ BENCHMARK(BM_RingAllGather);
 
 void BM_ThreadedAllReduce(benchmark::State& state) {
   // Rendezvous-based concurrent collective: measures the thread + exchange
-  // overhead of the SPMD runtime. The collectives object lives across
-  // iterations, so this exercises the steady-state path (cached channels,
-  // reused SPMD threads), not setup cost.
-  Torus3D topo(2, 2, 2);
+  // overhead of the SPMD executor. The executor lives across iterations, so
+  // this exercises the steady-state path (cached channels, reused SPMD
+  // threads), not setup cost.
+  SimMachine m(Torus3D(2, 2, 2), TpuV4());
   ShardVec in;
-  for (int c = 0; c < topo.num_chips(); ++c) {
+  for (int c = 0; c < m.num_chips(); ++c) {
     Rng rng(static_cast<uint64_t>(c + 100));
     in.push_back(Tensor::Gaussian({64, 64}, rng));
   }
-  ThreadedCollectives tc(topo);
-  ShardVec out(static_cast<size_t>(topo.num_chips()));
+  SpmdExecutor ex(&m);
+  ShardVec out(static_cast<size_t>(m.num_chips()));
   for (auto _ : state) {
-    RunSpmd(topo.num_chips(), [&](int chip) {
-      out[static_cast<size_t>(chip)] =
-          tc.AllReduce(chip, kAxisXYZ, in[static_cast<size_t>(chip)]);
+    ex.Run([&](SpmdContext& ctx) {
+      const size_t c = static_cast<size_t>(ctx.chip());
+      out[c] = ctx.AllReduce(kAxisXYZ, in[c]);
     });
     benchmark::DoNotOptimize(out);
   }
@@ -117,18 +117,18 @@ BENCHMARK(BM_ThreadedAllReduce);
 void BM_ThreadedAllGather(benchmark::State& state) {
   // Zero-copy gather: deposits travel by shared_ptr and land in one output
   // buffer (no per-member deep copies, no Concat temporaries).
-  Torus3D topo(2, 2, 2);
+  SimMachine m(Torus3D(2, 2, 2), TpuV4());
   ShardVec in;
-  for (int c = 0; c < topo.num_chips(); ++c) {
+  for (int c = 0; c < m.num_chips(); ++c) {
     Rng rng(static_cast<uint64_t>(c + 200));
     in.push_back(Tensor::Gaussian({256, 64}, rng));
   }
-  ThreadedCollectives tc(topo);
-  ShardVec out(static_cast<size_t>(topo.num_chips()));
+  SpmdExecutor ex(&m);
+  ShardVec out(static_cast<size_t>(m.num_chips()));
   for (auto _ : state) {
-    RunSpmd(topo.num_chips(), [&](int chip) {
-      out[static_cast<size_t>(chip)] =
-          tc.AllGather(chip, kAxisXYZ, in[static_cast<size_t>(chip)], 0);
+    ex.Run([&](SpmdContext& ctx) {
+      const size_t c = static_cast<size_t>(ctx.chip());
+      out[c] = ctx.AllGather(kAxisXYZ, in[c], 0);
     });
     benchmark::DoNotOptimize(out);
   }

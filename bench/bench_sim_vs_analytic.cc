@@ -116,8 +116,11 @@ int main() {
   }
   std::printf("\nWith alpha = 0 the two implementations should agree closely\n"
               "(same roofline; batch-sharded attention skips the q/k/v\n"
-              "all-gather the estimator prices); with alpha on, the residual\n"
-              "is the norm-moment and logit-head collectives the estimator\n"
-              "does not count.\n");
+              "all-gather the estimator prices); with alpha on, the\n"
+              "simulator runs one ring per torus axis and a single exchange\n"
+              "per 2-chip all-reduce, while the estimator still prices flat\n"
+              "(prod k - 1)-hop rings and RS + AG, so the simulator reads\n"
+              "below it despite the norm-moment and logit-head collectives\n"
+              "the estimator does not count.\n");
   return 0;
 }

@@ -316,10 +316,9 @@ Tensor DistributedEngine::DistLayerNormChip(SpmdContext& ctx, const Tensor& x,
                                             bool second_gain, int64_t layer) {
   const int c = ctx.chip();
   const auto& shard = shards_[static_cast<size_t>(c)];
-  const Tensor& gain =
-      layer < 0 ? shard.final_ln_gain
-                : (second_gain ? shard.layers[static_cast<size_t>(layer)].ln2_gain
-                               : shard.layers[static_cast<size_t>(layer)].ln_gain);
+  const Tensor& gain = second_gain
+                           ? shard.layers[static_cast<size_t>(layer)].ln2_gain
+                           : shard.layers[static_cast<size_t>(layer)].ln_gain;
   if (X_ == 1) return LayerNorm(x, gain);
   // E sharded over x: all-reduce per-row (sum, sumsq) moments over x, then
   // normalize this chip's shard locally (single-pass kernels, tensor/ops.h).
@@ -851,9 +850,7 @@ Tensor DistributedEngine::Forward(const std::vector<int32_t>& tokens, int64_t B,
       for (int64_t l = 0; l < config_.num_layers; ++l)
         WgBlockChip(ctx, x, l, b_local, T);
       // Final norm + logit head, batch-locally; gather full logits.
-      Tensor gain = shards_[static_cast<size_t>(c)].final_ln_gain;
-      if (X_ > 1) gain = ctx.AllGather(kAxisX, std::move(gain), 0);
-      Tensor y = LayerNorm(x, gain);
+      Tensor y = LayerNorm(x, shards_[static_cast<size_t>(c)].final_ln_gain);
       Tensor lg = LocalMatMul(
           c, y, shards_[static_cast<size_t>(c)].embedding.Transpose2D());
       Tensor logits = ctx.AllGather(
@@ -876,8 +873,23 @@ Tensor DistributedEngine::Forward(const std::vector<int32_t>& tokens, int64_t B,
     Tensor x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
     for (int64_t l = 0; l < config_.num_layers; ++l) WsBlockChip(ctx, x, l, B, T);
 
-    Tensor y = DistLayerNormChip(ctx, x, false, /*layer=*/-1);
-    Tensor full = X_ > 1 ? ctx.AllGather(kAxisX, std::move(y), 1) : std::move(y);
+    // Final norm on the full rows: the shards' moments ride in the
+    // all-gather of the raw activations, and every chip sums them in group
+    // order -- AllReduce's adds, so the normed rows are bit-identical to
+    // normalizing each shard and gathering those.
+    const Tensor& gain = shards_[static_cast<size_t>(c)].final_ln_gain;
+    Tensor full;
+    if (X_ == 1) {
+      full = LayerNorm(x, gain);
+    } else {
+      std::vector<Tensor> g;
+      g.push_back(RowMoments(x));
+      g.push_back(std::move(x));
+      g = ctx.AllGatherMany(kAxisX, std::move(g), {0, 1});
+      Tensor moments = g[0].Chunk(0, X_, 0);
+      for (int64_t i = 1; i < X_; ++i) moments.AddInPlace(g[0].Chunk(0, X_, i));
+      full = NormalizeWithMoments(g[1], moments, gain, static_cast<double>(E));
+    }
     if (n_ > 1 && V % n_ == 0) {
       const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
       Tensor logits = LocalMatMul(c, full, embT.Chunk(1, n_, r));

@@ -183,7 +183,8 @@ class DistributedEngine {
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer, int64_t batch, int64_t t);
 
-  // LayerNorm over the E dim when E is sharded over x (moment all-reduce).
+  // A layer's LayerNorm over the E dim when E is sharded over x (moment
+  // all-reduce).
   Tensor DistLayerNormChip(SpmdContext& ctx, const Tensor& x,
                            bool second_gain, int64_t layer);
 

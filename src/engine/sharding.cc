@@ -37,8 +37,7 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
     const int yzr = mesh.RankInGroup(chip, kAxisY | kAxisZ);
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
     cw.embedding = weights.embedding;
-    cw.final_ln_gain =
-        X > 1 ? weights.final_ln_gain.Chunk(0, X, xr) : weights.final_ln_gain;
+    cw.final_ln_gain = weights.final_ln_gain;
     cw.layers.reserve(weights.layers.size());
     for (const LayerWeights& lw : weights.layers) {
       ShardedLayerWeights s;

@@ -33,7 +33,7 @@ struct ShardedLayerWeights {
 struct ChipWeights {
   std::vector<ShardedLayerWeights> layers;
   Tensor embedding;      // [vocab, E] replicated (small at test scale)
-  Tensor final_ln_gain;  // [E/X]
+  Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
 };
 
 // Slices `weights` for every chip of `mesh`. Requires d_model % X == 0,

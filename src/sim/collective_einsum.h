@@ -12,7 +12,11 @@
 //
 // which approaches max(T_compute, T_comm) for large K -- the overlap the
 // analytic model's `overlap_fraction` summarizes. bench_ablation_fusion
-// measures the gain across shapes.
+// measures the gain across shapes. Over several torus axes the collective
+// runs one ring per axis (sim/spmd.h): the matmul is chunked over the ring
+// of the mask's last axis, which carries the full buffer, and the other
+// axes' rings follow as plain ring steps -- the same per-axis hops as the
+// unfused collective, never more.
 #pragma once
 
 #include <vector>

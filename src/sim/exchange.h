@@ -1,14 +1,13 @@
 // Rendezvous exchange for threaded SPMD execution.
 //
-// ExchangeHub is the synchronization core of the threaded runtime
-// (sim/threaded.h) and of the parallel lockstep executor (sim/spmd.h): every
-// member of a group deposits one tensor and blocks until the whole group has
-// arrived, then receives the full ordered set of deposits. Groups are
-// identified by their (ordered) member list; distinct groups synchronize
-// independently, and one group can rendezvous repeatedly (each round is an
-// epoch). This is the moral equivalent of an MPI communicator's collective
-// entry point, reduced to the one primitive every collective in this
-// codebase can be built from.
+// ExchangeHub is the synchronization core of the parallel lockstep
+// executor (sim/spmd.h): every member of a group deposits one tensor and
+// blocks until the whole group has arrived, then receives the full ordered
+// set of deposits. Groups are identified by their (ordered) member list;
+// distinct groups synchronize independently, and one group can rendezvous
+// repeatedly (each round is an epoch). This is the moral equivalent of an
+// MPI communicator's collective entry point, reduced to the one primitive
+// every collective in this codebase can be built from.
 //
 // Deposits travel as shared_ptr<const Tensor>: the depositing chip moves its
 // tensor in once, and every member receives pointers to the same immutable

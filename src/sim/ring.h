@@ -1,16 +1,17 @@
-// Wire-level ring collectives (Appendix A.1).
+// Wire-level ring collectives (Appendix A.1 on a torus).
 //
 // The direct collectives in sim/collectives.h produce results "by fiat" and
-// charge closed-form time. These implement the actual chunked ring
-// algorithms the cost model describes -- K-1 dependent steps, each moving a
-// D/K chunk to the ring successor -- so that
-//   * the D*(K-1)/K bandwidth term and the alpha*(K-1) latency term emerge
-//     from the step loop instead of being asserted, and
-//   * per-link traffic can be audited (every chip sends exactly
-//     D*(K-1)/K bytes to its successor; tests verify this and that the
-//     results are bit-identical to the direct collectives).
-// Ring order within a group is the group's rank order (the torus axis
-// order), so chunk ownership matches sim/collectives.h exactly.
+// charge closed-form time. These implement the actual chunked algorithms the
+// charges describe -- one ring per torus axis of the mask, each of its k-1
+// dependent steps moving one block to the ring successor -- so that
+//   * the per-axis alpha*(k_a-1) latency terms and the D*(K-1)/K bandwidth
+//     term emerge from the step loops instead of being asserted, and
+//   * per-link traffic can be audited (every chip sends exactly D*(K-1)/K
+//     bytes over its rings; tests verify this and that the results match
+//     the direct collectives).
+// The data travels as the group's K chunks, slot r being the chunk rank r
+// owns in sim/collectives.h, so chunk ownership matches exactly; ring order
+// along an axis is the coordinate order.
 #pragma once
 
 #include <vector>
@@ -21,21 +22,33 @@
 
 namespace tsi {
 
-// bytes_sent[i] = total bytes chip i sent to its ring successor.
+// bytes_sent[i] = total bytes chip i sent to its ring successors.
 struct RingTraffic {
   std::vector<double> bytes_sent;
 };
 
-// Ring all-gather along `mask`: K-1 steps, each forwarding the chunk
-// received in the previous step. out[chip] = Concat over the group along
-// `dim`, identical to AllGather(m, in, mask, dim).
+// All-gather along `mask`: one ring per axis, in axis order (x, y, z). On
+// each axis every chip forwards the block of chunks it holds around the
+// ring, so the blocks grow by the axis extent from one axis to the next.
+// out[chip] = Concat over the group along `dim`, identical to
+// AllGather(m, in, mask, dim).
 ShardVec RingAllGather(SimMachine& m, const ShardVec& in, unsigned mask,
                        int64_t dim, RingTraffic* traffic = nullptr);
 
-// Ring reduce-scatter along `mask`: chunk r circulates K-1 hops accumulating
-// every chip's contribution and lands, fully reduced, on the rank-r chip.
-// Identical to ReduceScatter(m, in, mask, dim).
+// Reduce-scatter along `mask`: one ring per axis, in reverse axis order. On
+// each axis the held chunks split into one block per ring position; block c
+// circulates k-1 hops accumulating every member's partial and lands, summed,
+// on the member at coordinate c. Equal to ReduceScatter(m, in, mask, dim) up
+// to float addition order.
 ShardVec RingReduceScatter(SimMachine& m, const ShardVec& in, unsigned mask,
                            int64_t dim, RingTraffic* traffic = nullptr);
+
+// All-reduce along `mask`. Over a single 2-chip axis: one exchange, each
+// chip sending its full buffer to its peer and both adding in group order
+// (bit-identical to AllReduce). Otherwise RingReduceScatter then
+// RingAllGather over the flattened buffers, whose size must divide by the
+// group size; equal to AllReduce(m, in, mask) up to float addition order.
+ShardVec RingAllReduce(SimMachine& m, const ShardVec& in, unsigned mask,
+                       RingTraffic* traffic = nullptr);
 
 }  // namespace tsi

@@ -127,6 +127,23 @@ std::vector<Tensor> ScatterSumMembers(const Deposits& parts,
   return out;
 }
 
+// Per-axis ring time for a collective over torus axes of extents `axes`
+// (axis order, extents > 1): one ring per axis, all-gathers in axis order,
+// reduce-scatters in reverse order. Axis a's ring carries the buffer
+// D_a = D / prod_{b > a} k_b in either direction, so it costs
+// AllGatherTime(D_a, k_a). The bandwidth terms sum to the flat ring's
+// D (K-1)/K and the hops to sum_a (k_a - 1); a single axis is exactly the
+// flat AllGatherTime(D, k).
+double PerAxisRingTime(const CommCostModel& cost, const std::vector<int>& axes,
+                       double bytes) {
+  double t = 0;
+  for (auto k = axes.rbegin(); k != axes.rend(); ++k) {
+    t += cost.AllGatherTime(bytes, *k);
+    bytes /= *k;
+  }
+  return t;
+}
+
 // One-member tuple, for the single-tensor entry points.
 std::vector<Tensor> Lone(Tensor t) {
   std::vector<Tensor> one;
@@ -159,6 +176,10 @@ SpmdExecutor::AxisGroup& SpmdExecutor::GroupFor(int chip, unsigned mask) {
     g->rank = topo.RankInGroup(chip, mask);
     g->size = static_cast<int>(group.size());
     g->channel = &hub_.ChannelFor(group);
+    for (unsigned axis : {kAxisX, kAxisY, kAxisZ}) {
+      const int k = (mask & axis) ? topo.GroupSize(axis) : 1;
+      if (k > 1) g->axes.push_back(k);
+    }
     slot = std::move(g);
   }
   return *slot;
@@ -228,19 +249,29 @@ void SpmdContext::Charge(const std::vector<ExchangeHub::Deposit>& parts,
 }
 
 void SpmdContext::ChargePipelined(
-    const std::vector<ExchangeHub::Deposit>& parts, double total_flops,
-    double total_weight_bytes, double step_bytes, const char* name) {
+    const std::vector<ExchangeHub::Deposit>& parts,
+    const std::vector<int>& axes, double total_flops,
+    double total_weight_bytes, double elems, const char* name) {
   SimMachine& m = *ex_->machine_;
-  const int k = static_cast<int>(parts.size());
   const ChipSpec& chip = m.chip();
+  const CommCostModel& cost = m.comm_cost();
+  // The matmul is chunked over the ring of the group's last axis, which
+  // carries the full buffer (the first reduce-scatter stage, the last
+  // all-gather stage) ...
+  const int k = axes.back();
   double t_chunk = std::max(chip.ComputeTime(total_flops / k),
                             chip.MemoryTime(total_weight_bytes / k));
-  double t_step = m.comm_cost().hop_latency + step_bytes / chip.network_bw;
+  double step_bytes = elems / k * m.bytes_per_element();
+  double t_step = cost.hop_latency + step_bytes / chip.network_bw;
   double t = t_chunk;  // first chunk has nothing to hide under
   for (int s = 0; s < k - 1; ++s) t += std::max(t_chunk, t_step);
+  // ... and the other axes' rings follow as plain ring steps on D / k.
+  const double bytes = elems * m.bytes_per_element();
+  t += PerAxisRingTime(cost, {axes.begin(), axes.end() - 1}, bytes / k);
+  const double group = static_cast<double>(parts.size());
   m.SetTime(chip_, MaxDepositTime(parts));
   m.BookWork(chip_, total_flops, total_weight_bytes);
-  m.ChargeNetwork(chip_, step_bytes * (k - 1));
+  m.ChargeNetwork(chip_, bytes * (group - 1.0) / group);
   m.AdvanceTimeTraced(chip_, t, name);
 }
 
@@ -266,7 +297,7 @@ std::vector<Tensor> SpmdContext::AllGatherMany(unsigned mask,
   double bytes = 0;
   for (const Tensor& o : out)
     bytes += static_cast<double>(o.numel()) * m.bytes_per_element();
-  Charge(parts, m.comm_cost().AllGatherTime(bytes, g.size),
+  Charge(parts, PerAxisRingTime(m.comm_cost(), g.axes, bytes),
          bytes * (static_cast<double>(g.size) - 1.0) / g.size,
          "all-gather(" + AxisName(mask) + ")");
   return out;
@@ -285,7 +316,7 @@ std::vector<Tensor> SpmdContext::ReduceScatterMany(
   std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
   // Charged on the *full* per-chip buffers (the D of Appendix A.1).
   const double bytes = static_cast<double>(mem.total) * m.bytes_per_element();
-  Charge(parts, m.comm_cost().AllGatherTime(bytes, g.size),
+  Charge(parts, PerAxisRingTime(m.comm_cost(), g.axes, bytes),
          bytes * (static_cast<double>(g.size) - 1.0) / g.size,
          "reduce-scatter(" + AxisName(mask) + ")");
   return out;
@@ -298,11 +329,17 @@ Tensor SpmdContext::AllReduce(unsigned mask, Tensor t) {
   auto parts = ExchangeTimed(g, std::move(t));
   Tensor sum = *parts[0].tensor;
   for (size_t i = 1; i < parts.size(); ++i) sum.AddInPlace(*parts[i].tensor);
-  // all-reduce = reduce-scatter + all-gather: charge twice.
-  double bytes = static_cast<double>(sum.numel()) * m.bytes_per_element();
-  double seconds = m.comm_cost().AllGatherTime(bytes, g.size);
-  double egress = bytes * (static_cast<double>(g.size) - 1.0) / g.size;
+  const CommCostModel& cost = m.comm_cost();
+  const double bytes = static_cast<double>(sum.numel()) * m.bytes_per_element();
   const std::string name = "all-reduce(" + AxisName(mask) + ")";
+  if (g.axes.size() == 1 && g.axes[0] == 2) {
+    // Two chips: one exchange of the full buffer -- RS + AG's bytes, one hop.
+    Charge(parts, cost.hop_latency + bytes / cost.network_bw, bytes, name);
+    return sum;
+  }
+  // Per-axis reduce-scatter, then per-axis all-gather: two legs.
+  double seconds = PerAxisRingTime(cost, g.axes, bytes);
+  double egress = bytes * (static_cast<double>(g.size) - 1.0) / g.size;
   Charge(parts, seconds, egress, name);
   m.AdvanceTimeTraced(chip_, seconds, name);
   m.ChargeNetwork(chip_, egress);
@@ -392,9 +429,8 @@ std::vector<Tensor> SpmdContext::MatMulReduceScatterMany(
   const Members mem(tensors, dims);
   auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
   std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
-  double chunk_bytes = static_cast<double>(mem.total) /
-                       static_cast<double>(g.size) * m.bytes_per_element();
-  ChargePipelined(parts, flops, wbytes, chunk_bytes, "looped-matmul-rs");
+  ChargePipelined(parts, g.axes, flops, wbytes,
+                  static_cast<double>(mem.total), "looped-matmul-rs");
   return out;
 }
 
@@ -417,9 +453,8 @@ Tensor SpmdContext::AllGatherMatMul(unsigned mask, const Tensor& x,
   double flops =
       2.0 * static_cast<double>(gathered.dim(0)) * w.dim(0) * w.dim(1);
   double wbytes = static_cast<double>(w.numel()) * weight_byte_width;
-  double chunk_bytes = static_cast<double>(gathered.numel()) /
-                       static_cast<double>(g.size) * m.bytes_per_element();
-  ChargePipelined(parts, flops, wbytes, chunk_bytes, "ag-looped-matmul");
+  ChargePipelined(parts, g.axes, flops, wbytes,
+                  static_cast<double>(gathered.numel()), "ag-looped-matmul");
   return MatMul(gathered, w);
 }
 

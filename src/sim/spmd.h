@@ -61,13 +61,17 @@ class SpmdExecutor {
  private:
   friend class SpmdContext;
 
-  // Resolved (rank, size, channel) for one (chip, axis-mask) pair; same
-  // caching scheme as ThreadedCollectives. Each entry is only touched by
-  // its chip's thread (RunBlocking's chip -> slot-thread mapping is fixed).
+  // Resolved (rank, size, channel, axis extents) for one (chip, axis-mask)
+  // pair, cached so steady-state collectives skip the group-list allocation
+  // and the hub's registry lookup. Each entry is only touched by its chip's
+  // thread (RunBlocking's chip -> slot-thread mapping is fixed).
   struct AxisGroup {
     int rank = 0;
     int size = 0;
     ExchangeHub::Channel* channel = nullptr;
+    // Extents of the mask's torus axes that exceed 1, in axis order
+    // (x, y, z); their product is `size`. The charges run one ring each.
+    std::vector<int> axes;
   };
 
   AxisGroup& GroupFor(int chip, unsigned mask);
@@ -81,9 +85,19 @@ class SpmdExecutor {
 };
 
 // One chip's view of an executing SPMD region: identity plus charged
-// collectives. Semantics and charging match sim/collectives.h and
-// sim/collective_einsum.h exactly (same group order, same chunk assignment,
-// same float add order, same Appendix-A virtual-clock charges).
+// collectives. Semantics match sim/collectives.h and sim/collective_einsum.h
+// exactly (same group order, same chunk assignment, same float add order).
+//
+// Charging follows the algorithm a torus runs (Appendix A.1, one ring per
+// axis; sim/ring.h implements each one on the wire). A collective over axes
+// of extents k_1..k_n runs one ring per axis: all-gathers in axis order,
+// reduce-scatters in reverse order, each axis a paying
+// AllGatherTime(D_a, k_a) on its buffer D_a = D / prod_{b > a} k_b. The
+// bytes sum to the flat ring's D (K-1)/K; the hop latency is
+// sum_a (k_a - 1) instead of prod_a k_a - 1. An all-reduce is the per-axis
+// reduce-scatter then the per-axis all-gather, except over a single 2-chip
+// axis, where it is one exchange of the full buffer: hop + D / bw with
+// egress D, RS + AG's bytes in one hop.
 class SpmdContext {
  public:
   int chip() const { return chip_; }
@@ -98,12 +112,12 @@ class SpmdContext {
   // Tuple collectives: member i behaves exactly like the single-tensor call
   // on tensors[i] along dims[i] (same chunk assignment, same group-order
   // float adds), but all members travel packed in ONE deposit through ONE
-  // rendezvous and are charged as ONE collective: one latency term
-  // (Alpha(k) for the ring collectives, one hop for the all-to-all) plus the
-  // bandwidth term on the members' summed bytes, one trace event under the
-  // single-tensor name, summed egress. Every rank must pass the same member
-  // shapes. A lone member travels as itself: the single-tensor calls are
-  // this with one member.
+  // rendezvous and are charged as ONE collective: one latency term (the
+  // per-axis rings' hops for the ring collectives, one hop for the
+  // all-to-all) plus the bandwidth term on the members' summed bytes, one
+  // trace event under the single-tensor name, summed egress. Every rank
+  // must pass the same member shapes. A lone member travels as itself: the
+  // single-tensor calls are this with one member.
   std::vector<Tensor> AllGatherMany(unsigned mask, std::vector<Tensor> tensors,
                                     const std::vector<int64_t>& dims);
   std::vector<Tensor> ReduceScatterMany(unsigned mask,
@@ -112,7 +126,8 @@ class SpmdContext {
   // Every member resharded from `split_dim` to `concat_dim`, one hop.
   std::vector<Tensor> AllToAllMany(unsigned mask, std::vector<Tensor> tensors,
                                    int64_t split_dim, int64_t concat_dim);
-  // Group-order sum, replicated; charged as RS + AG (twice).
+  // Group-order sum, replicated; charged as an exchange over one 2-chip
+  // axis, else as the per-axis RS + AG (two trace events).
   Tensor AllReduce(unsigned mask, Tensor t);
   // Reshards from `split_dim` to `concat_dim` within the group.
   Tensor AllToAll(unsigned mask, Tensor t, int64_t split_dim,
@@ -146,10 +161,13 @@ class SpmdContext {
   // time, advances by `seconds` (traced as `name`), books `egress_bytes`.
   void Charge(const std::vector<ExchangeHub::Deposit>& parts, double seconds,
               double egress_bytes, const std::string& name);
-  // Entry barrier + pipelined fused-einsum charge (sim/collective_einsum.cc).
+  // Entry barrier + pipelined fused-einsum charge (sim/collective_einsum.h)
+  // over the per-axis rings of `axes`, for a collective on a buffer of
+  // `elems` elements per chip.
   void ChargePipelined(const std::vector<ExchangeHub::Deposit>& parts,
-                       double total_flops, double total_weight_bytes,
-                       double step_bytes, const char* name);
+                       const std::vector<int>& axes, double total_flops,
+                       double total_weight_bytes, double elems,
+                       const char* name);
 
   SpmdExecutor* ex_;
   int chip_;

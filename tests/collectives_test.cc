@@ -26,6 +26,29 @@ struct CollectiveCase {
   unsigned mask;
 };
 
+// Torus axes of `mask` with extent > 1.
+int RingAxes(const Torus3D& mesh, unsigned mask) {
+  int axes = 0;
+  for (unsigned a : {kAxisX, kAxisY, kAxisZ})
+    if ((mask & a) && mesh.GroupSize(a) > 1) ++axes;
+  return axes;
+}
+
+// Closed form of a ring collective run as one ring per torus axis
+// (Appendix A.1): axis a's ring carries D_a = D / prod_{b>a} k_b and pays
+// Alpha(k_a) + D_a / bw * Factor(k_a).
+double PerAxisRingTime(const Torus3D& mesh, unsigned mask,
+                       const CommCostModel& cm, double bytes) {
+  double t = 0;
+  for (unsigned a : {kAxisZ, kAxisY, kAxisX}) {
+    if (!(mask & a)) continue;
+    const int k = mesh.GroupSize(a);
+    t += cm.Alpha(k) + bytes / cm.network_bw * cm.Factor(k);
+    bytes /= k;
+  }
+  return t;
+}
+
 std::string CaseName(const ::testing::TestParamInfo<CollectiveCase>& info) {
   const auto& p = info.param;
   return std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
@@ -78,8 +101,61 @@ TEST_P(CollectiveParamTest, AllReduceEqualsReduceScatterPlusAllGather) {
   for (int c = 0; c < m1.num_chips(); ++c) {
     EXPECT_LT(MaxAbsDiff(ar[static_cast<size_t>(c)], rs_ag[static_cast<size_t>(c)]), 1e-5f);
   }
-  // Same composed operation, same charged time.
-  EXPECT_NEAR(m1.MaxTime(), m2.MaxTime(), 1e-12);
+  // Same composed operation, same charged time -- except over one 2-chip
+  // axis, where the all-reduce is one exchange of the full buffer: hop +
+  // D / bw, the same bytes as RS + AG in one hop instead of two.
+  if (RingAxes(m1.topo(), p.mask) == 1 && k == 2) {
+    const CommCostModel& cm = m1.comm_cost();
+    const double D = 2.0 * k * 5 * m1.bytes_per_element();
+    EXPECT_NEAR(m1.MaxTime(), cm.hop_latency + D / cm.network_bw, 1e-12);
+  } else {
+    EXPECT_NEAR(m1.MaxTime(), m2.MaxTime(), 1e-12);
+  }
+}
+
+// Charges run one ring per torus axis (sim/spmd.h): an all-gather or a
+// reduce-scatter pays the per-axis ring terms, never more bytes than the
+// flat ring (each chip's egress stays D (K-1)/K), and an all-reduce pays two
+// such legs -- or, over one 2-chip axis, a single exchange: hop + D / bw
+// with egress D. A single-axis all-reduce over k >= 3 chips keeps the flat
+// AllReduceTime.
+TEST_P(CollectiveParamTest, ChargesOneRingPerTorusAxis) {
+  auto p = GetParam();
+  const Torus3D mesh(p.x, p.y, p.z);
+  const int k = mesh.GroupSize(p.mask);
+  const bool exchange = RingAxes(mesh, p.mask) == 1 && k == 2;
+  for (int op = 0; op < 3; ++op) {
+    SimMachine m = MakeMachine(p.x, p.y, p.z);
+    const CommCostModel& cm = m.comm_cost();
+    ShardVec in = RandomShards(m, {static_cast<int64_t>(4 * k), 3}, 9);
+    // D: the gathered output (all-gather), else the per-chip input.
+    double D = 4.0 * k * 3 * m.bytes_per_element();
+    if (op == 0) {
+      AllGather(m, in, p.mask, 0);
+      D *= k;
+    } else if (op == 1) {
+      ReduceScatter(m, in, p.mask, 0);
+    } else {
+      AllReduce(m, in, p.mask);
+    }
+    double want_t = PerAxisRingTime(mesh, p.mask, cm, D);
+    double want_bytes = D * (k - 1) / k;
+    if (op == 2 && exchange) {
+      want_t = cm.hop_latency + D / cm.network_bw;
+      want_bytes = D;
+    } else if (op == 2) {
+      want_t *= 2;
+      want_bytes *= 2;
+      if (RingAxes(mesh, p.mask) == 1) {
+        EXPECT_DOUBLE_EQ(want_t, cm.AllReduceTime(D, k));
+      }
+    }
+    for (int c = 0; c < m.num_chips(); ++c) {
+      EXPECT_DOUBLE_EQ(m.counters(c).time, want_t) << "op " << op << " chip " << c;
+      EXPECT_DOUBLE_EQ(m.counters(c).network_bytes, want_bytes)
+          << "op " << op << " chip " << c;
+    }
+  }
 }
 
 TEST_P(CollectiveParamTest, AllToAllMovesShardingBetweenDims) {

@@ -11,10 +11,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
+#include "hw/chip.h"
 #include "sim/exchange.h"
-#include "sim/threaded.h"
+#include "sim/spmd.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -139,11 +141,21 @@ TEST(FusedEpilogueTest, MatMulSwishMulGateEqualsComposition) {
   EXPECT_TRUE(BitIdentical(MatMulSwishMulGate(a, win, wgate), unfused));
 }
 
+// Runs body(chip) on `n` concurrent chip threads: an SPMD region with one
+// execution slot per chip, so a chip parked in a bare hub rendezvous never
+// holds back another chip's slot.
+void RunChips(int n, const std::function<void(int chip)>& body) {
+  SimMachine machine(Torus3D(n, 1, 1), TpuV4());
+  SpmdExecutor ex(&machine);
+  ex.set_slots(n);
+  ex.Run([&](SpmdContext& ctx) { body(ctx.chip()); });
+}
+
 TEST(ExchangeHubTest, SharesDepositsWithoutCopying) {
   ExchangeHub hub;
   std::vector<const float*> deposited(2);
   std::vector<const float*> received(2);
-  RunSpmd(2, [&](int chip) {
+  RunChips(2, [&](int chip) {
     Tensor t = Tensor::Full({8}, static_cast<float>(chip));
     deposited[static_cast<size_t>(chip)] = t.data();
     auto parts = hub.Exchange({0, 1}, chip, std::move(t));
@@ -162,7 +174,7 @@ TEST(ExchangeHubStressTest, ManyGroupsRepeatedEpochs) {
   const int n = 8;
   const int epochs = 100;
   ExchangeHub hub;
-  RunSpmd(n, [&](int chip) {
+  RunChips(n, [&](int chip) {
     // Partitions: all chips; same-parity chips; neighbor pairs.
     std::vector<int> all, parity, pair;
     for (int c = 0; c < n; ++c) all.push_back(c);

@@ -710,7 +710,8 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
 // program point (§3.4): the q/k/v and FFN input partial sums share one
 // reduce-scatter(x), and the gathers back share one all-gather(x). A traced
 // decode step shows exactly that set per layer, plus the logit head's
-// moments all-reduce(x), all-gather(x) and all-gather(xyz).
+// all-gather(x) (activations and final-norm moments together) and
+// all-gather(xyz).
 struct ScheduleCase {
   AttnSharding attn;
   bool parallel;
@@ -721,14 +722,12 @@ struct ScheduleCase {
 
 class CollectiveScheduleTest : public ::testing::TestWithParam<ScheduleCase> {};
 
-// Collective calls on chip 0 by name. An all-reduce records its
-// reduce-scatter and all-gather legs as two events under one name.
+// Collective calls on chip 0 by name. On 2x2x1 every all-reduce runs over
+// one 2-chip axis, where it is a single exchange: one event per call.
 std::map<std::string, int> CollectiveCalls(const Tracer& tracer) {
   std::map<std::string, int> calls;
   for (const TraceEvent& e : tracer.events())
     if (e.chip == 0 && std::string(CategoryFor(e.name)) == "comm") ++calls[e.name];
-  for (auto& [name, n] : calls)
-    if (name.rfind("all-reduce", 0) == 0) n /= 2;
   return calls;
 }
 
@@ -750,8 +749,7 @@ TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
 
   std::map<std::string, int> want;
   for (const auto& [name, n] : p.per_layer) want[name] = n * cfg.num_layers;
-  ++want["all-reduce(x)"];   // final norm moments
-  ++want["all-gather(x)"];   // normed activations for the logit head
+  ++want["all-gather(x)"];   // activations + final norm moments
   ++want["all-gather(xyz)"]; // vocab-sharded logits
   EXPECT_EQ(CollectiveCalls(tracer), want);
 }
@@ -788,15 +786,18 @@ INSTANTIATE_TEST_SUITE_P(
              (p.multihead ? "_mha" : "_mqa");
     });
 
-TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysTwentyTwoHops) {
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysFifteenHops) {
   // The paper's parallel layer on 2x2x1 with batch-sharded attention: per
-  // layer 2 (moments all-reduce) + 1 (reduce-scatter) + 2 (all-to-alls) +
-  // 1 (all-gather) + 2 (yz all-reduce) = 8 hop latencies; the logit head
-  // adds 2 + 1 + 3. Ring collectives pay k - 1 hops per leg, an all-to-all
-  // one; every collective event must include its hops.
+  // layer 1 (moments all-reduce) + 1 (reduce-scatter) + 2 (all-to-alls) +
+  // 1 (all-gather) + 1 (yz all-reduce) = 6 hop latencies; the logit head
+  // adds 1 (all-gather(x) with the final norm's moments) + 2
+  // (all-gather(xyz)). A ring collective runs one ring per torus axis and
+  // pays sum_a (k_a - 1) hops; an all-reduce over one 2-chip axis is one
+  // exchange, an all-to-all one hop. Every event must include its hops.
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 21);
-  SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  const Torus3D mesh(2, 2, 1);
+  SimMachine machine(mesh, TpuV4());
   EngineSpec spec;
   spec.attn = AttnSharding::kBatch;
   DistributedEngine engine(weights, &machine, spec);
@@ -810,12 +811,20 @@ TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysTwentyTwoHops) {
   double hops = 0;
   for (const TraceEvent& e : tracer.events()) {
     if (e.chip != 0 || std::string(CategoryFor(e.name)) != "comm") continue;
-    const bool a2a = e.name.rfind("all-to-all", 0) == 0;
-    const int k = e.name.find("(xyz)") != std::string::npos ? 4 : 2;
-    hops += a2a ? 1 : k - 1;
-    EXPECT_GE(e.duration, (a2a ? 1 : k - 1) * hop) << e.name;
+    int event_hops = 1;  // all-to-all, or an exchange over one 2-chip axis
+    if (e.name.rfind("all-to-all", 0) != 0 &&
+        e.name.rfind("all-reduce", 0) != 0) {
+      event_hops = 0;
+      for (char a : e.name.substr(e.name.find('(')))
+        event_hops += a == 'x' ? mesh.x() - 1
+                    : a == 'y' ? mesh.y() - 1
+                    : a == 'z' ? mesh.z() - 1
+                               : 0;
+    }
+    hops += event_hops;
+    EXPECT_GE(e.duration, event_hops * hop) << e.name;
   }
-  EXPECT_EQ(hops, 2 * 8 + 6);
+  EXPECT_EQ(hops, 2 * 6 + 3);
 }
 
 }  // namespace

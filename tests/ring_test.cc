@@ -51,10 +51,10 @@ TEST_P(RingCollectiveTest, AllGatherMatchesDirectResultAndTime) {
     EXPECT_EQ(MaxAbsDiff(got[static_cast<size_t>(c)], want[static_cast<size_t>(c)]), 0.0f)
         << "chip " << c;
   }
-  // The (k-1)-step ring schedule reproduces the closed-form time exactly:
-  // (k-1)*(alpha + D/(k*bw)) == alpha*(k-1) + D*(k-1)/(k*bw).
+  // Each axis's (k_a-1)-step ring reproduces its closed-form term:
+  // (k_a-1)*(alpha + D_a/(k_a*bw)) == alpha*(k_a-1) + D_a*(k_a-1)/(k_a*bw).
   EXPECT_NEAR(ring.MaxTime(), direct.MaxTime(), 1e-15);
-  // Per-link audit: every chip sends D*(k-1)/k bytes to its successor.
+  // Per-link audit: every chip sends D*(k-1)/k bytes over its rings.
   int k = topo.GroupSize(p.mask);
   double D = 4.0 * 6.0 * k * ring.bytes_per_element();
   for (int c = 0; c < topo.num_chips(); ++c) {
@@ -87,13 +87,44 @@ TEST_P(RingCollectiveTest, ReduceScatterMatchesDirectResultAndTime) {
   }
 }
 
+TEST_P(RingCollectiveTest, AllReduceMatchesDirectResultAndTime) {
+  auto p = GetParam();
+  Torus3D topo(p.x, p.y, p.z);
+  int k = topo.GroupSize(p.mask);
+  ShardVec in = RandomShards(topo.num_chips(), {static_cast<int64_t>(2 * k), 3}, 3);
+
+  SimMachine direct(topo, TpuV4());
+  ShardVec want = AllReduce(direct, in, p.mask);
+
+  SimMachine ring(topo, TpuV4());
+  RingTraffic traffic;
+  ShardVec got = RingAllReduce(ring, in, p.mask, &traffic);
+
+  for (int c = 0; c < topo.num_chips(); ++c) {
+    EXPECT_EQ(got[static_cast<size_t>(c)].shape(), in[static_cast<size_t>(c)].shape());
+    EXPECT_LT(MaxAbsDiff(got[static_cast<size_t>(c)], want[static_cast<size_t>(c)]), 1e-4f)
+        << "chip " << c;
+  }
+  // Per-axis reduce-scatter then all-gather (or, over one 2-chip axis, one
+  // exchange of the whole buffer) reproduces the direct charge.
+  EXPECT_NEAR(ring.MaxTime(), direct.MaxTime(), 1e-15);
+  // Two legs of D*(k-1)/k each -- for k = 2, the exchange's D.
+  double D = static_cast<double>(in[0].numel()) * ring.bytes_per_element();
+  for (int c = 0; c < topo.num_chips(); ++c) {
+    EXPECT_NEAR(traffic.bytes_sent[static_cast<size_t>(c)], 2 * D * (k - 1.0) / k, 1e-9);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Meshes, RingCollectiveTest,
                          ::testing::Values(RingCase{1, 1, 1, kAxisXYZ},
                                            RingCase{4, 1, 1, kAxisX},
                                            RingCase{2, 2, 1, kAxisXY},
                                            RingCase{2, 2, 2, kAxisY | kAxisZ},
                                            RingCase{2, 3, 1, kAxisY},
-                                           RingCase{2, 2, 2, kAxisXYZ}),
+                                           RingCase{2, 2, 2, kAxisXYZ},
+                                           RingCase{2, 2, 1, kAxisX},
+                                           RingCase{4, 2, 1, kAxisXY},
+                                           RingCase{2, 3, 2, kAxisXYZ}),
                          CaseName);
 
 // --- Looped CollectiveEinsum (§3.5) ----------------------------------------

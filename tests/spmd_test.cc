@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -179,6 +180,22 @@ TEST(SpmdExecutorTest, CollectiveChargesMatchSerialFormulas) {
   }
 }
 
+// Closed form of a ring collective run as one ring per torus axis
+// (Appendix A.1): reduce-scatters walk the axes in reverse order (all-gathers
+// forward, same terms), and axis a's ring carries D_a = D / prod_{b>a} k_b,
+// paying Alpha(k_a) + D_a / bw * Factor(k_a).
+double PerAxisRingTime(const Torus3D& mesh, unsigned mask,
+                       const CommCostModel& cm, double bytes) {
+  double t = 0;
+  for (unsigned a : {kAxisZ, kAxisY, kAxisX}) {
+    if (!(mask & a)) continue;
+    const int k = mesh.GroupSize(a);
+    t += cm.Alpha(k) + bytes / cm.network_bw * cm.Factor(k);
+    bytes /= k;
+  }
+  return t;
+}
+
 // Tuple collectives (SpmdContext::AllGatherMany / ReduceScatterMany /
 // AllToAllMany): each member bit-identical to its single-tensor call, the
 // whole tuple charged as one collective, and slot-count invariant like
@@ -295,10 +312,11 @@ TEST(SpmdTupleCollectiveTest, ManyChargesOneCollective) {
       for (const Tensor& t : TupleMembers(0))
         bytes += static_cast<double>(t.numel()) * probe.bytes_per_element();
       if (op == TupleOp::kAllGather) bytes *= k;
-      // One latency term plus the bandwidth term on the summed bytes.
+      // One latency term plus the bandwidth term on the summed bytes: one
+      // hop for the all-to-all, one ring per torus axis otherwise.
       const double want = op == TupleOp::kAllToAll
                               ? cm.AllToAllTime(bytes, k)
-                              : cm.Alpha(k) + bytes / cm.network_bw * cm.Factor(k);
+                              : PerAxisRingTime(mesh, mask, cm, bytes);
       for (size_t c = 0; c < r.counters.size(); ++c) {
         EXPECT_DOUBLE_EQ(r.counters[c].time, want)
             << TupleName(op) << "(" << AxisName(mask) << ") chip " << c;
@@ -331,11 +349,12 @@ TEST(SpmdTupleCollectiveTest, ManySlotCountInvariant) {
 // members plus the computed partials, in one pipelined collective that
 // beats charging the matmuls and then the reduce-scatter.
 TEST(SpmdTupleCollectiveTest, MatMulReduceScatterManyIsOnePipelinedCollective) {
+  const Torus3D mesh(2, 2, 2);
   for (unsigned mask : {kAxisX, kAxisXYZ}) {
     TupleRun looped, serial;
     for (bool pipelined : {true, false}) {
       TupleRun& r = pipelined ? looped : serial;
-      SimMachine machine(Torus3D(2, 2, 2), TpuV4());
+      SimMachine machine(mesh, TpuV4());
       Tracer tracer;
       machine.AttachTracer(&tracer);
       SpmdExecutor ex(&machine);
@@ -369,6 +388,27 @@ TEST(SpmdTupleCollectiveTest, MatMulReduceScatterManyIsOnePipelinedCollective) {
     ASSERT_EQ(looped.events.size(), looped.counters.size());
     for (const TraceEvent& e : looped.events)
       EXPECT_EQ(e.name, "looped-matmul-rs");
+    // Closed form: the matmuls (x [8, 6] times w1 [6, 8] and w2 [6, 16])
+    // chunk over the ring of the mask's last axis, k_o chunks under k_o - 1
+    // steps of hop + (D / k_o) / bw; the other axes' rings then carry
+    // D / k_o as plain ring steps -- the unfused reduce-scatter's hops.
+    SimMachine probe(mesh, TpuV4());
+    const CommCostModel& cm = probe.comm_cost();
+    const ChipSpec& chip = probe.chip();
+    double elems = 8 * 8 + 8 * 16;  // the two matmul outputs
+    for (const Tensor& t : TupleMembers(0))
+      elems += static_cast<double>(t.numel());
+    const double flops = 2.0 * 8 * 6 * (8 + 16);
+    const double wbytes = 6.0 * (8 + 16) * 2.0;
+    const unsigned last =
+        (mask & kAxisZ) ? kAxisZ : (mask & kAxisY) ? kAxisY : kAxisX;
+    const int ko = mesh.GroupSize(last);
+    const double t_chunk = std::max(chip.ComputeTime(flops / ko),
+                                    chip.MemoryTime(wbytes / ko));
+    const double step_bytes = elems / ko * probe.bytes_per_element();
+    const double t_step = cm.hop_latency + step_bytes / cm.network_bw;
+    const double want = t_chunk + (ko - 1) * std::max(t_chunk, t_step) +
+                        PerAxisRingTime(mesh, mask & ~last, cm, step_bytes);
     for (size_t c = 0; c < looped.out.size(); ++c) {
       ASSERT_EQ(looped.out[c].size(), serial.out[c].size());
       for (size_t j = 0; j < looped.out[c].size(); ++j)
@@ -378,6 +418,79 @@ TEST(SpmdTupleCollectiveTest, MatMulReduceScatterManyIsOnePipelinedCollective) {
                        serial.counters[c].network_bytes);
       EXPECT_LT(looped.counters[c].time, serial.counters[c].time)
           << "pipelining should hide something";
+      EXPECT_DOUBLE_EQ(looped.counters[c].time, want) << AxisName(mask);
+    }
+  }
+}
+
+// All-reduce charges: over one 2-chip axis a single exchange of the full
+// buffer (hop + D / bw, egress D, one event: RS + AG's bytes in one hop);
+// otherwise the per-axis reduce-scatter and all-gather legs (two events,
+// egress twice the flat ring's D (K-1)/K), which over a single axis of
+// k >= 3 chips is exactly the flat AllReduceTime. Slot counts 1 and 8 give
+// identical clocks and traces.
+TEST(SpmdAllReduceTest, ExchangeOverTwoChipAxisElsePerAxisLegs) {
+  struct Case {
+    Torus3D mesh;
+    unsigned mask;
+  };
+  const Case cases[] = {{Torus3D(2, 2, 2), kAxisX},
+                        {Torus3D(2, 2, 2), kAxisY | kAxisZ},
+                        {Torus3D(2, 2, 2), kAxisXYZ},
+                        {Torus3D(2, 2, 1), kAxisY | kAxisZ},
+                        {Torus3D(4, 2, 1), kAxisXY},
+                        {Torus3D(1, 4, 1), kAxisY},
+                        {Torus3D(2, 3, 2), kAxisY}};
+  for (const Case& cs : cases) {
+    const std::string name = cs.mesh.ToString() + " " + AxisName(cs.mask);
+    TupleRun runs[2];
+    for (int i = 0; i < 2; ++i) {
+      SimMachine machine(cs.mesh, TpuV4());
+      Tracer tracer;
+      machine.AttachTracer(&tracer);
+      SpmdExecutor ex(&machine);
+      ex.set_slots(i == 0 ? 1 : 8);
+      ex.Run([&](SpmdContext& ctx) {
+        ctx.AllReduce(cs.mask,
+                      Tensor::Full({6, 4}, static_cast<float>(ctx.chip())));
+      });
+      for (int c = 0; c < machine.num_chips(); ++c)
+        runs[i].counters.push_back(machine.counters(c));
+      runs[i].events = tracer.events();
+    }
+    SimMachine probe(cs.mesh, TpuV4());
+    const CommCostModel& cm = probe.comm_cost();
+    const double D = 6 * 4 * probe.bytes_per_element();
+    const int k = cs.mesh.GroupSize(cs.mask);
+    int axes = 0;
+    for (unsigned a : {kAxisX, kAxisY, kAxisZ})
+      if ((cs.mask & a) && cs.mesh.GroupSize(a) > 1) ++axes;
+    double want_t = 2 * PerAxisRingTime(cs.mesh, cs.mask, cm, D);
+    double want_bytes = 2 * D * (k - 1) / k;
+    size_t events = 2;
+    if (axes == 1 && k == 2) {
+      want_t = cm.hop_latency + D / cm.network_bw;
+      want_bytes = D;
+      events = 1;
+    } else if (axes == 1) {
+      EXPECT_DOUBLE_EQ(want_t, cm.AllReduceTime(D, k)) << name;
+    }
+    const TupleRun& r = runs[0];
+    for (size_t c = 0; c < r.counters.size(); ++c) {
+      EXPECT_DOUBLE_EQ(r.counters[c].time, want_t) << name << " chip " << c;
+      EXPECT_DOUBLE_EQ(r.counters[c].network_bytes, want_bytes)
+          << name << " chip " << c;
+      EXPECT_EQ(r.counters[c].time, runs[1].counters[c].time) << name;
+      EXPECT_EQ(r.counters[c].network_bytes, runs[1].counters[c].network_bytes)
+          << name;
+    }
+    ASSERT_EQ(r.events.size(), events * r.counters.size()) << name;
+    ASSERT_EQ(r.events.size(), runs[1].events.size()) << name;
+    for (size_t i = 0; i < r.events.size(); ++i) {
+      EXPECT_EQ(r.events[i].name, "all-reduce(" + AxisName(cs.mask) + ")");
+      EXPECT_EQ(r.events[i].chip, runs[1].events[i].chip) << name;
+      EXPECT_EQ(r.events[i].start, runs[1].events[i].start) << name;
+      EXPECT_EQ(r.events[i].duration, runs[1].events[i].duration) << name;
     }
   }
 }
