@@ -1,8 +1,8 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "model/attention.h"
@@ -197,8 +197,11 @@ void DistributedEngine::LocalMatMulInt8Accumulate(int chip,
   MatMulInt8Accumulate(x, w, c);
 }
 
-void DistributedEngine::AppendKv(int chip, int64_t layer, const Tensor& k4,
-                                 const Tensor& v4) {
+void DistributedEngine::AppendKv(int chip, int64_t layer, const Tensor& k,
+                                 const Tensor& v) {
+  // The cache's packed form: the chip's lanes back to back in one row.
+  const Tensor k4 = k.Reshape({1, k.dim(0), k.dim(1), k.dim(2)});
+  const Tensor v4 = v.Reshape({1, v.dim(0), v.dim(1), v.dim(2)});
   if (cache_.format() == WeightFormat::kInt8) {
     cache_.AppendQuantized(chip, layer, QuantizeKvInt8(k4), QuantizeKvInt8(v4));
   } else {
@@ -210,17 +213,21 @@ Tensor DistributedEngine::SlotAttention(int chip, int64_t layer, const Tensor& q
                                         double heads, int64_t g0,
                                         int64_t gcount) {
   const auto& slots = cache_.step_slots(chip);
-  const int64_t T = q.dim(1);
+  const auto& widths = cache_.step_widths(chip);
+  const int64_t H = q.dim(1), dh = q.dim(2);
   const bool int8 = cache_.format() == WeightFormat::kInt8;
+  const double dhd = static_cast<double>(config_.d_head);
   double flops = 0, kv_bytes = 0;
   std::vector<Tensor> outs;
   outs.reserve(slots.size());
+  int64_t first = 0;  // the lane's first row of q
   for (size_t i = 0; i < slots.size(); ++i) {
-    const int64_t s = slots[i];
-    const bool scratch = s == ShardedKvCache::kScratchSlot;
-    const int64_t lane = static_cast<int64_t>(i);
-    Tensor qi = q.Slice(0, lane, 1);
-    if (scratch) {
+    const int64_t s = slots[i], T = widths[i];
+    const auto lane = static_cast<int64_t>(i);
+    Tensor qi = q.Slice(0, first, T).Reshape({1, T, H, dh});
+    first += T;
+    Tensor out;
+    if (s == ShardedKvCache::kScratchSlot) {
       // Padding lanes read their per-lane step scratch (one step's worth of
       // K/V, never paged).
       if (int8) {
@@ -235,76 +242,54 @@ Tensor DistributedEngine::SlotAttention(int chip, int64_t layer, const Tensor& q
         const QuantizedKv& kc = slice ? ks : kf;
         const QuantizedKv& vc = slice ? vs : vf;
         flops += 4.0 * static_cast<double>(T) * static_cast<double>(kc.t()) *
-                 heads * static_cast<double>(config_.d_head);
+                 heads * dhd;
         kv_bytes += static_cast<double>(kc.ByteSize() + vc.ByteSize());
-        outs.push_back(
-            ScaledDotProductAttentionInt8Kv(qi, kc, vc, /*causal=*/true));
-        continue;
-      }
-      Tensor kc = cache_.ScratchK(chip, layer, lane);
-      Tensor vc = cache_.ScratchV(chip, layer, lane);
-      if (gcount >= 0 && gcount != kc.dim(2)) {
-        kc = kc.Slice(2, g0, gcount);
-        vc = vc.Slice(2, g0, gcount);
-      }
-      flops += 4.0 * static_cast<double>(T) * static_cast<double>(kc.dim(1)) *
-               heads * static_cast<double>(config_.d_head);
-      kv_bytes +=
-          2.0 * static_cast<double>(kc.numel()) * machine_->bytes_per_element();
-      outs.push_back(ScaledDotProductAttention(qi, kc, vc, /*causal=*/true));
-      continue;
-    }
-    // Resident slot: read through the page table. Charges are computed from
-    // the read geometry, not a materialized tensor, so they are identical
-    // whether the kernel iterates pages (fast path) or a gathered block --
-    // and bit-for-bit equal to the pre-paging contiguous expressions.
-    const int64_t len = cache_.ReadLength(chip, s);
-    const int64_t stored = cache_.StoredKvHeads(chip);
-    const bool slice = gcount >= 0 && gcount != stored;
-    const int64_t sel = slice ? gcount : stored;
-    const int64_t off = slice ? g0 : 0;
-    const double dh = static_cast<double>(config_.d_head);
-    // Per-lane flops/bytes are exact integers in double, so this sum equals
-    // the batched 4*B*T*len*heads*dh / 2*numel formulation bit-for-bit when
-    // every lane shares one length -- the virtual clock stays identical to
-    // the static-batch path.
-    flops += 4.0 * static_cast<double>(T) * static_cast<double>(len) * heads * dh;
-    if (int8) {
-      // The §3.6/D.3 win: the decode-dominating KV stream is charged at its
-      // actual int8 footprint (1-byte values + per-vector scales).
-      kv_bytes += 2.0 * (static_cast<double>(len * sel) * dh +
-                         4.0 * static_cast<double>(len * sel));
-      if (spec_.kv.paged_kernel) {
-        outs.push_back(ScaledDotProductAttentionPagedInt8Kv(
-            qi, cache_.PageSpanK8(chip, layer, s, off, sel),
-            cache_.PageSpanV8(chip, layer, s, off, sel), /*causal=*/true));
+        out = ScaledDotProductAttentionInt8Kv(qi, kc, vc, /*causal=*/true);
       } else {
-        QuantizedKv kc = cache_.K8(chip, layer, s);
-        QuantizedKv vc = cache_.V8(chip, layer, s);
-        if (slice) {
-          kc = SliceKvHeads(kc, g0, gcount);
-          vc = SliceKvHeads(vc, g0, gcount);
+        Tensor kc = cache_.ScratchK(chip, layer, lane);
+        Tensor vc = cache_.ScratchV(chip, layer, lane);
+        if (gcount >= 0 && gcount != kc.dim(2)) {
+          kc = kc.Slice(2, g0, gcount);
+          vc = vc.Slice(2, g0, gcount);
         }
-        outs.push_back(
-            ScaledDotProductAttentionInt8Kv(qi, kc, vc, /*causal=*/true));
+        flops += 4.0 * static_cast<double>(T) *
+                 static_cast<double>(kc.dim(1)) * heads * dhd;
+        kv_bytes += 2.0 * static_cast<double>(kc.numel()) *
+                    machine_->bytes_per_element();
+        out = ScaledDotProductAttention(qi, kc, vc, /*causal=*/true);
       }
-      continue;
-    }
-    kv_bytes += 2.0 * (static_cast<double>(len * sel) * dh) *
-                machine_->bytes_per_element();
-    if (spec_.kv.paged_kernel) {
-      outs.push_back(ScaledDotProductAttentionPaged(
-          qi, cache_.PageSpanK(chip, layer, s, off, sel),
-          cache_.PageSpanV(chip, layer, s, off, sel), /*causal=*/true));
     } else {
-      Tensor kc = cache_.K(chip, layer, s);
-      Tensor vc = cache_.V(chip, layer, s);
-      if (slice) {
-        kc = kc.Slice(2, g0, gcount);
-        vc = vc.Slice(2, g0, gcount);
+      // Resident slot: read through the page table. Charges are computed
+      // from the read geometry and are bit-for-bit equal to the contiguous
+      // expressions the cache had before paging.
+      const int64_t len = cache_.ReadLength(chip, s);
+      const int64_t stored = cache_.StoredKvHeads(chip);
+      const bool slice = gcount >= 0 && gcount != stored;
+      const int64_t sel = slice ? gcount : stored;
+      const int64_t off = slice ? g0 : 0;
+      // Per-lane flops/bytes are exact integers in double, so this sum
+      // equals the batched 4*B*T*len*heads*dh / 2*numel formulation
+      // bit-for-bit when every lane shares one shape -- the virtual clock
+      // stays identical to the static-batch path.
+      flops += 4.0 * static_cast<double>(T) * static_cast<double>(len) *
+               heads * dhd;
+      if (int8) {
+        // The §3.6/D.3 win: the decode-dominating KV stream is charged at
+        // its actual int8 footprint (1-byte values + per-vector scales).
+        kv_bytes += 2.0 * (static_cast<double>(len * sel) * dhd +
+                           4.0 * static_cast<double>(len * sel));
+        out = ScaledDotProductAttentionPagedInt8Kv(
+            qi, cache_.PageSpanK8(chip, layer, s, off, sel),
+            cache_.PageSpanV8(chip, layer, s, off, sel), /*causal=*/true);
+      } else {
+        kv_bytes += 2.0 * (static_cast<double>(len * sel) * dhd) *
+                    machine_->bytes_per_element();
+        out = ScaledDotProductAttentionPaged(
+            qi, cache_.PageSpanK(chip, layer, s, off, sel),
+            cache_.PageSpanV(chip, layer, s, off, sel), /*causal=*/true);
       }
-      outs.push_back(ScaledDotProductAttention(qi, kc, vc, /*causal=*/true));
     }
+    outs.push_back(out.Reshape({T, H, dh}));
   }
   machine_->ChargeComputeAndMemory(chip, flops, kv_bytes, "attention");
   // Per-lane SDPA is bit-identical to one batched call: the kernel streams
@@ -366,9 +351,9 @@ DistributedEngine::NormInput DistributedEngine::NormInputChip(
 }
 
 Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
-                                        Tensor v, int64_t layer, int64_t B,
-                                        int64_t T) {
+                                        Tensor v, int64_t layer) {
   const int c = ctx.chip();
+  const int64_t rows = q.dim(0);
   const int64_t H = config_.n_heads, dh = config_.d_head;
   const int64_t Hl = H / YZ_;
   const int64_t KV = config_.n_kv_heads();
@@ -377,8 +362,8 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   const Torus3D& topo = ctx.topo();
 
   if (spec_.attn == AttnSharding::kHeads) {
-    Tensor q4 = q.Reshape({B, T, Hl, dh});
-    AppendKv(c, layer, k.Reshape({B, T, KVl, dh}), v.Reshape({B, T, KVl, dh}));
+    Tensor q3 = q.Reshape({rows, Hl, dh});
+    AppendKv(c, layer, k.Reshape({rows, KVl, dh}), v.Reshape({rows, KVl, dh}));
     int64_t g0 = 0, gcount = -1;
     if (kv_replicated && KV > 1) {
       // Grouped-query with replicated K/V heads: this chip's query chunk
@@ -393,50 +378,48 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
       gcount = g1 - g0 + 1;
     }
     Tensor attn =
-        SlotAttention(c, layer, q4, static_cast<double>(Hl), g0, gcount);
-    return attn.Reshape({B * T, Hl * dh});
+        SlotAttention(c, layer, q3, static_cast<double>(Hl), g0, gcount);
+    return attn.Reshape({rows, Hl * dh});
   }
 
-  // Batch-sharded (§3.3, Fig 5b): the rows are already this chip's x batch
-  // slice (the reduce-scatter(x) of the projections scatters rows), so
-  // only the yz split needs an all-to-all (heads -> batch). x-major batch
-  // ranks match the weight-gathered path's xyz group rank, so the two
-  // phases share one KV-cache layout.
-  TSI_CHECK_EQ(B % n_, 0) << "batch-sharded attention needs batch % chips == 0";
-  const int64_t Bx = B / X_;
-  Tensor q4 = q.Reshape({Bx, T, Hl, dh});
-  Tensor k4 = k.Reshape({Bx, T, KVl, dh});
-  Tensor v4 = v.Reshape({Bx, T, KVl, dh});
+  // Batch-sharded (§3.3, Fig 5b): the rows are already this chip's x slice
+  // of the group-major frame (the reduce-scatter(x) of the projections
+  // scatters rows), so only the yz split needs an all-to-all (heads ->
+  // rows). x-major ranks match the weight-gathered path's xyz group rank,
+  // so the two phases share one KV-cache layout.
+  Tensor q3 = q.Reshape({rows, Hl, dh});
+  Tensor k3 = k.Reshape({rows, KVl, dh});
+  Tensor v3 = v.Reshape({rows, KVl, dh});
   Tensor qb, kb, vb;
   if (kv_replicated) {
-    // The K/V heads are replicated over yz: the batch split is a local
+    // The K/V heads are replicated over yz: the row split is a local
     // slice, no communication (this is the saving of Fig 4c).
-    qb = ctx.AllToAll(kAxisYZ, std::move(q4), /*split=*/0, /*concat=*/2);
+    qb = ctx.AllToAll(kAxisYZ, std::move(q3), /*split=*/0, /*concat=*/1);
     const int yzr = YZ_ == 1 ? 0 : topo.RankInGroup(c, kAxisYZ);
-    kb = YZ_ == 1 ? std::move(k4) : k4.Chunk(0, YZ_, yzr);
-    vb = YZ_ == 1 ? std::move(v4) : v4.Chunk(0, YZ_, yzr);
+    kb = YZ_ == 1 ? std::move(k3) : k3.Chunk(0, YZ_, yzr);
+    vb = YZ_ == 1 ? std::move(v3) : v3.Chunk(0, YZ_, yzr);
   } else {
     // Head-sharded K/V reshard with q in the same all-to-all.
     std::vector<Tensor> qkv;
-    qkv.push_back(std::move(q4));
-    qkv.push_back(std::move(k4));
-    qkv.push_back(std::move(v4));
-    qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), 0, 2);
+    qkv.push_back(std::move(q3));
+    qkv.push_back(std::move(k3));
+    qkv.push_back(std::move(v3));
+    qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), 0, 1);
     qb = std::move(qkv[0]);
     kb = std::move(qkv[1]);
     vb = std::move(qkv[2]);
   }
   AppendKv(c, layer, kb, vb);
   Tensor attn = SlotAttention(c, layer, qb, static_cast<double>(H));
-  // Back to head sharding over yz; attn is [B/n, T, H, dh]. The caller
-  // gathers the x batch rows.
-  Tensor back = ctx.AllToAll(kAxisYZ, std::move(attn), /*split=*/2,
+  // Back to head sharding over yz; attn is [rows/YZ, H, dh]. The caller
+  // gathers the x rows.
+  Tensor back = ctx.AllToAll(kAxisYZ, std::move(attn), /*split=*/1,
                              /*concat=*/0);
-  return back.Reshape({Bx * T, Hl * dh});
+  return back.Reshape({rows, Hl * dh});
 }
 
-void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
-                                    int64_t B, int64_t T) {
+void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
+                                    int64_t layer) {
   const FusedPlan& plan = *active_plan_;
   const int c = ctx.chip();
   const bool gated = config_.gated_ffn;
@@ -625,8 +608,8 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
         if (gather_h) ts.push_back(&h);
         gather_x(ts, std::vector<int64_t>(ts.size(), 1));
       }
-      Tensor a = AttentionChip(ctx, std::move(q), std::move(k), std::move(v),
-                               layer, B, T);
+      Tensor a =
+          AttentionChip(ctx, std::move(q), std::move(k), std::move(v), layer);
       if (!heads && X_ > 1) {
         if (gather_h) {
           gather_x({&a, &h}, {0, 1});
@@ -676,9 +659,10 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
   residual(half(true, false, true));
 }
 
-void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
-                                    int64_t b_local, int64_t T) {
+void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
+                                    int64_t layer) {
   const int c = ctx.chip();
+  const int64_t rows = x.dim(0);
   const ShardedLayerWeights& lw =
       shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
 
@@ -736,20 +720,20 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
   // Projections through the gathered (full) matrices; KV appends go through
   // AppendKv so an int8-precision cache narrows even on this fp32 path.
   auto run_attn_fused = [&](const RowNormTransform& nt) {
-    Tensor q = LocalMatMulNormA(c, x, nt, wq).Reshape({b_local, T, H, dh});
-    Tensor k = LocalMatMulNormA(c, x, nt, wk).Reshape({b_local, T, KV, dh});
-    Tensor v = LocalMatMulNormA(c, x, nt, wv).Reshape({b_local, T, KV, dh});
+    Tensor q = LocalMatMulNormA(c, x, nt, wq).Reshape({rows, H, dh});
+    Tensor k = LocalMatMulNormA(c, x, nt, wk).Reshape({rows, KV, dh});
+    Tensor v = LocalMatMulNormA(c, x, nt, wv).Reshape({rows, KV, dh});
     AppendKv(c, layer, k, v);
     return SlotAttention(c, layer, q, static_cast<double>(H))
-        .Reshape({b_local * T, H * dh});
+        .Reshape({rows, H * dh});
   };
   auto run_attn = [&](const Tensor& y) {
-    Tensor q = LocalMatMul(c, y, wq).Reshape({b_local, T, H, dh});
-    Tensor k = LocalMatMul(c, y, wk).Reshape({b_local, T, KV, dh});
-    Tensor v = LocalMatMul(c, y, wv).Reshape({b_local, T, KV, dh});
+    Tensor q = LocalMatMul(c, y, wq).Reshape({rows, H, dh});
+    Tensor k = LocalMatMul(c, y, wk).Reshape({rows, KV, dh});
+    Tensor v = LocalMatMul(c, y, wv).Reshape({rows, KV, dh});
     AppendKv(c, layer, k, v);
     Tensor attn = SlotAttention(c, layer, q, static_cast<double>(H));
-    return LocalMatMul(c, attn.Reshape({b_local * T, H * dh}), wo);
+    return LocalMatMul(c, attn.Reshape({rows, H * dh}), wo);
   };
   auto run_ffn = [&](const Tensor& y) {
     Tensor h = config_.gated_ffn ? LocalMatMulSwishMulGate(c, y, win, wgate)
@@ -803,145 +787,202 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
   }
 }
 
-Tensor DistributedEngine::Forward(const std::vector<int32_t>& tokens, int64_t B,
-                                  FfnLayout layout,
-                                  const std::vector<int64_t>& slot_map) {
-  TSI_CHECK_GT(B, 0);
-  TSI_CHECK_EQ(static_cast<int64_t>(slot_map.size()), B);
-  TSI_CHECK_EQ(static_cast<int64_t>(tokens.size()) % B, 0);
-  const int64_t T = static_cast<int64_t>(tokens.size()) / B;
-  const int64_t E = config_.d_model;
+Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
+                               StepPhase phase) {
+  TSI_CHECK(!lanes.empty()) << "a step needs at least one lane";
+  const FfnLayout layout =
+      phase == StepPhase::kDecode ? spec_.decode_ffn : spec_.prefill_ffn;
+  const int64_t E = config_.d_model, V = config_.vocab_size;
   // Single-threaded here (before spmd_.Run): select the fusion plan for the
   // phase this layout executes.
   active_plan_ = layout == spec_.decode_ffn ? &decode_plan_ : &prefill_plan_;
 
-  // Declare this step's cache writes. Under kHeads every chip stores every
-  // lane's slot (its head subset); under kBatch lane i's full-kv rows land
-  // only on the chip with xyz-rank i/(B/n) -- the same x-major rank the WS
-  // all-to-all resharding and the WG batch chunking both produce, which is
-  // what lets mixed-layout phases share one cache.
-  std::vector<std::vector<int64_t>> targets(static_cast<size_t>(n_));
-  if (spec_.attn == AttnSharding::kHeads) {
-    for (auto& t : targets) t = slot_map;
-  } else {
-    TSI_CHECK_EQ(B % n_, 0) << "batch-sharded attention needs batch % chips == 0";
-    const int64_t b_local = B / n_;
-    for (int c = 0; c < n_; ++c) {
-      const auto r = static_cast<int64_t>(
-          machine_->topo().RankInGroup(c, kAxisXYZ));
-      targets[static_cast<size_t>(c)].assign(
-          slot_map.begin() + r * b_local,
-          slot_map.begin() + (r + 1) * b_local);
-    }
-  }
-  cache_.BeginStep(std::move(targets), T);
+  StepFrame frame = LayOutStep(lanes);
+  const auto rows = static_cast<int64_t>(frame.tokens.size());
+  cache_.BeginStep(std::move(frame.chip_slots), std::move(frame.chip_widths));
 
-  Tensor x_full = EmbeddingLookup(shards_[0].embedding, tokens);  // [B*T, E]
-  Tensor result;
+  Tensor x_full =
+      EmbeddingLookup(shards_[0].embedding, frame.tokens);  // [rows, E]
+  Tensor result;  // [rows, V] in frame order
 
   if (layout == FfnLayout::kWGXYZ && n_ > 1) {
-    TSI_CHECK_EQ(B % n_, 0) << "weight-gathered execution shards the batch";
-    const int64_t b_local = B / n_;
-    const Tensor x3 = x_full.Reshape({B, T, E});
     spmd_.Run([&](SpmdContext& ctx) {
       const int c = ctx.chip();
       const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
-      Tensor x = x3.Chunk(0, n_, r).Reshape({b_local * T, E});
-      for (int64_t l = 0; l < config_.num_layers; ++l)
-        WgBlockChip(ctx, x, l, b_local, T);
-      // Final norm + logit head, batch-locally; gather full logits.
+      Tensor x = x_full.Chunk(0, n_, r);
+      for (int64_t l = 0; l < config_.num_layers; ++l) WgBlockChip(ctx, x, l);
+      // Final norm + logit head, group-locally; gather full logits.
       Tensor y = LayerNorm(x, shards_[static_cast<size_t>(c)].final_ln_gain);
       Tensor lg = LocalMatMul(
           c, y, shards_[static_cast<size_t>(c)].embedding.Transpose2D());
-      Tensor logits = ctx.AllGather(
-          kAxisXYZ, lg.Reshape({b_local, T, config_.vocab_size}), 0);
+      Tensor logits = ctx.AllGather(kAxisXYZ, std::move(lg), 0);
       if (c == 0) result = std::move(logits);
     });
-    cache_.CommitStep();
-    return result;
+  } else {
+    // Weight-stationary path: activations sharded [rows, E/X] over x. The
+    // logit head shards the [E, vocab] projection over the vocab dim
+    // across all chips and all-gathers the logits (falls back to replicated
+    // compute when the vocab does not divide).
+    const Tensor embT = shards_[0].embedding.Transpose2D();
+    spmd_.Run([&](SpmdContext& ctx) {
+      const int c = ctx.chip();
+      const int xr = ctx.topo().RankInGroup(c, kAxisX);
+      Tensor x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
+      for (int64_t l = 0; l < config_.num_layers; ++l) WsBlockChip(ctx, x, l);
+
+      // Final norm on the full rows: the shards' moments ride in the
+      // all-gather of the raw activations, and every chip sums them in
+      // group order -- AllReduce's adds, so the normed rows are
+      // bit-identical to normalizing each shard and gathering those.
+      const Tensor& gain = shards_[static_cast<size_t>(c)].final_ln_gain;
+      Tensor full;
+      if (X_ == 1) {
+        full = LayerNorm(x, gain);
+      } else {
+        std::vector<Tensor> g;
+        g.push_back(RowMoments(x));
+        g.push_back(std::move(x));
+        g = ctx.AllGatherMany(kAxisX, std::move(g), {0, 1});
+        Tensor moments = g[0].Chunk(0, X_, 0);
+        for (int64_t i = 1; i < X_; ++i)
+          moments.AddInPlace(g[0].Chunk(0, X_, i));
+        full = NormalizeWithMoments(g[1], moments, gain, static_cast<double>(E));
+      }
+      if (n_ > 1 && V % n_ == 0) {
+        const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
+        Tensor logits = LocalMatMul(c, full, embT.Chunk(1, n_, r));
+        logits = ctx.AllGather(kAxisXYZ, std::move(logits), /*dim=*/1);
+        if (c == 0) result = std::move(logits);
+      } else if (c == 0) {
+        result = LocalMatMul(0, full, embT);
+      } else {
+        machine_->ChargeComputeAndMemory(
+            c, 2.0 * rows * E * V,
+            static_cast<double>(shards_[0].embedding.numel()) *
+                weight_byte_width_);
+      }
+    });
   }
-
-  // Weight-stationary path: activations sharded [B*T, E/X] over x. The
-  // logit head shards the [E, vocab] projection over the vocab dim across
-  // all chips and all-gathers the logits (falls back to replicated compute
-  // when the vocab does not divide).
-  const int64_t V = config_.vocab_size;
-  const Tensor embT = shards_[0].embedding.Transpose2D();
-  spmd_.Run([&](SpmdContext& ctx) {
-    const int c = ctx.chip();
-    const int xr = ctx.topo().RankInGroup(c, kAxisX);
-    Tensor x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
-    for (int64_t l = 0; l < config_.num_layers; ++l) WsBlockChip(ctx, x, l, B, T);
-
-    // Final norm on the full rows: the shards' moments ride in the
-    // all-gather of the raw activations, and every chip sums them in group
-    // order -- AllReduce's adds, so the normed rows are bit-identical to
-    // normalizing each shard and gathering those.
-    const Tensor& gain = shards_[static_cast<size_t>(c)].final_ln_gain;
-    Tensor full;
-    if (X_ == 1) {
-      full = LayerNorm(x, gain);
-    } else {
-      std::vector<Tensor> g;
-      g.push_back(RowMoments(x));
-      g.push_back(std::move(x));
-      g = ctx.AllGatherMany(kAxisX, std::move(g), {0, 1});
-      Tensor moments = g[0].Chunk(0, X_, 0);
-      for (int64_t i = 1; i < X_; ++i) moments.AddInPlace(g[0].Chunk(0, X_, i));
-      full = NormalizeWithMoments(g[1], moments, gain, static_cast<double>(E));
-    }
-    if (n_ > 1 && V % n_ == 0) {
-      const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
-      Tensor logits = LocalMatMul(c, full, embT.Chunk(1, n_, r));
-      logits = ctx.AllGather(kAxisXYZ, std::move(logits), /*dim=*/1);
-      if (c == 0) result = logits.Reshape({B, T, V});
-    } else if (c == 0) {
-      result = LocalMatMul(0, full, embT).Reshape({B, T, V});
-    } else {
-      machine_->ChargeComputeAndMemory(
-          c, 2.0 * (B * T) * E * V,
-          static_cast<double>(shards_[0].embedding.numel()) * weight_byte_width_);
-    }
-  });
   cache_.CommitStep();
-  return result;
+
+  // The input lanes' logits, in input order.
+  std::vector<int64_t> first(lanes.size(), 0);  // each lane's first row
+  int64_t row = 0, in_rows = 0;
+  for (size_t f = 0; f < frame.lane.size(); ++f) {
+    if (frame.lane[f] >= 0) first[static_cast<size_t>(frame.lane[f])] = row;
+    row += frame.width[f];
+  }
+  for (const StepLane& l : lanes) in_rows += static_cast<int64_t>(l.tokens.size());
+  Tensor out({in_rows, V});
+  float* dst = out.data();
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const auto n = static_cast<int64_t>(lanes[i].tokens.size()) * V;
+    std::memcpy(dst, result.data() + first[i] * V,
+                static_cast<size_t>(n) * sizeof(float));
+    dst += n;
+  }
+  return out;
+}
+
+DistributedEngine::StepFrame DistributedEngine::LayOutStep(
+    const std::vector<StepLane>& lanes) const {
+  // Under kHeads every chip stores every lane's slot (its head subset), and
+  // the rows are the lanes back to back. Under kBatch a lane's full-kv rows
+  // land only on its owner -- the chip with xyz-rank `group`, which is
+  // where the WS row splits (x-major reduce-scatter then all-to-all) and
+  // the WG batch chunking both deliver group g's rows [g*R, (g+1)*R). That
+  // shared rank is what lets mixed-layout phases share one cache.
+  StepFrame frame;
+  frame.chip_slots.resize(static_cast<size_t>(n_));
+  frame.chip_widths.resize(static_cast<size_t>(n_));
+  auto width = [&](size_t i) {
+    return static_cast<int64_t>(lanes[i].tokens.size());
+  };
+  // Appends lane `i` (-1: a padding lane `pad` rows wide) to the rows and
+  // to chip c's cache lanes (-1: every chip's).
+  auto place = [&](int64_t i, int64_t pad, int c) {
+    const bool real = i >= 0;
+    const int64_t slot = real ? lanes[static_cast<size_t>(i)].slot
+                              : ShardedKvCache::kScratchSlot;
+    const int64_t w = real ? width(static_cast<size_t>(i)) : pad;
+    frame.lane.push_back(i);
+    frame.width.push_back(w);
+    if (real) {
+      const auto& t = lanes[static_cast<size_t>(i)].tokens;
+      frame.tokens.insert(frame.tokens.end(), t.begin(), t.end());
+    } else {
+      frame.tokens.insert(frame.tokens.end(), static_cast<size_t>(w), 0);
+    }
+    for (int cc = 0; cc < n_; ++cc) {
+      if (c >= 0 && cc != c) continue;
+      frame.chip_slots[static_cast<size_t>(cc)].push_back(slot);
+      frame.chip_widths[static_cast<size_t>(cc)].push_back(w);
+    }
+  };
+  for (const StepLane& l : lanes)
+    TSI_CHECK(!l.tokens.empty()) << "step lane for slot " << l.slot
+                                 << " carries no tokens";
+  if (spec_.attn == AttnSharding::kHeads) {
+    for (size_t i = 0; i < lanes.size(); ++i)
+      place(static_cast<int64_t>(i), 0, -1);
+    return frame;
+  }
+  std::vector<int64_t> group_rows(static_cast<size_t>(n_), 0);
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const int64_t g = lanes[i].group;
+    TSI_CHECK(g >= 0 && g < n_)
+        << "owner group " << g << " out of range for " << n_ << " chips";
+    group_rows[static_cast<size_t>(g)] += width(i);
+  }
+  const int64_t R = *std::max_element(group_rows.begin(), group_rows.end());
+  std::vector<int> chip_of(static_cast<size_t>(n_));  // xyz-rank -> chip
+  for (int c = 0; c < n_; ++c)
+    chip_of[static_cast<size_t>(machine_->topo().RankInGroup(c, kAxisXYZ))] = c;
+  for (int64_t g = 0; g < n_; ++g) {
+    const int c = chip_of[static_cast<size_t>(g)];
+    for (size_t i = 0; i < lanes.size(); ++i)
+      if (lanes[i].group == g) place(static_cast<int64_t>(i), 0, c);
+    const int64_t pad = R - group_rows[static_cast<size_t>(g)];
+    if (pad > 0) place(-1, pad, c);
+  }
+  return frame;
 }
 
 namespace {
-std::vector<int64_t> IdentitySlots(int64_t batch) {
-  std::vector<int64_t> slots(static_cast<size_t>(batch));
-  std::iota(slots.begin(), slots.end(), 0);
-  return slots;
+// Lane i of a static batch on slot i; kBatch owner groups i / (batch / n),
+// the layout every static caller shares.
+std::vector<StepLane> StaticLanes(const std::vector<int32_t>& tokens,
+                                  int64_t batch, AttnSharding attn, int n) {
+  TSI_CHECK_GT(batch, 0);
+  TSI_CHECK_EQ(static_cast<int64_t>(tokens.size()) % batch, 0);
+  if (attn == AttnSharding::kBatch) {
+    TSI_CHECK_EQ(batch % n, 0)
+        << "batch-sharded attention needs batch % chips == 0";
+  }
+  const auto T = static_cast<int64_t>(tokens.size()) / batch;
+  std::vector<StepLane> lanes(static_cast<size_t>(batch));
+  for (int64_t i = 0; i < batch; ++i) {
+    StepLane& l = lanes[static_cast<size_t>(i)];
+    l.slot = i;
+    l.tokens.assign(tokens.begin() + i * T, tokens.begin() + (i + 1) * T);
+    l.group = attn == AttnSharding::kBatch ? i / (batch / n) : 0;
+  }
+  return lanes;
 }
 }  // namespace
 
 Tensor DistributedEngine::Prefill(const std::vector<int32_t>& tokens, int64_t batch) {
-  return Forward(tokens, batch, spec_.prefill_ffn, IdentitySlots(batch));
+  Tensor logits =
+      Step(StaticLanes(tokens, batch, spec_.attn, n_), StepPhase::kPrefill);
+  const auto T = static_cast<int64_t>(tokens.size()) / batch;
+  return logits.Reshape({batch, T, config_.vocab_size});
 }
 
 Tensor DistributedEngine::DecodeStep(const std::vector<int32_t>& tokens) {
   TSI_CHECK_GT(cache_.length(), 0) << "decode requires a prefilled cache";
-  const int64_t B = static_cast<int64_t>(tokens.size());
-  return Forward(tokens, B, spec_.decode_ffn, IdentitySlots(B));
-}
-
-Tensor DistributedEngine::PrefillSlots(const std::vector<int32_t>& tokens,
-                                       const std::vector<int64_t>& slot_map) {
-  return Forward(tokens, static_cast<int64_t>(slot_map.size()),
-                 spec_.prefill_ffn, slot_map);
-}
-
-Tensor DistributedEngine::DecodeSlots(const std::vector<int32_t>& tokens,
-                                      const std::vector<int64_t>& slot_map) {
-  TSI_CHECK_EQ(tokens.size(), slot_map.size()) << "decode is one token per lane";
-  for (int64_t s : slot_map) {
-    if (s != ShardedKvCache::kScratchSlot) {
-      TSI_CHECK_GT(cache_.slot_length(s), 0)
-          << "decode requires a prefilled slot (slot " << s << ")";
-    }
-  }
-  return Forward(tokens, static_cast<int64_t>(slot_map.size()),
-                 spec_.decode_ffn, slot_map);
+  const auto B = static_cast<int64_t>(tokens.size());
+  return Step(StaticLanes(tokens, B, spec_.attn, n_), StepPhase::kDecode)
+      .Reshape({B, 1, config_.vocab_size});
 }
 
 SlotPages DistributedEngine::ExportSlot(int64_t slot) const {

@@ -33,6 +33,8 @@
 // freely with DecodeStep; the KV cache layout is fixed by the attention
 // sharding and shared across phases, which is what lets a serving system use
 // weight-gathered prefill + weight-stationary decode on the same state.
+// Step runs one ragged pass over lanes of different widths, so a prefill
+// chunk and one-token decode lanes can share a forward pass.
 //
 // Every forward pass is verified (tests/engine_test.cc) to match the
 // single-chip ReferenceModel bit-for-close across layouts x shardings x
@@ -75,11 +77,26 @@ struct EngineSpec {
   // Applies to both phases' weight-stationary block execution;
   // weight-gathered blocks keep fp32 compute but share the int8 KV cache.
   FastPathConfig fastpath;
-  // Paged KV cache knobs (engine/kvcache.h): allocation page size and
-  // whether SDPA iterates the page table directly or gathers first. Both
-  // settings are bit-identical to each other and to any other page size.
+  // Paged KV cache knobs (engine/kvcache.h): the allocation page size.
+  // Every page size is bit-identical to every other.
   KvCacheConfig kv;
 };
+
+// One lane of a ragged engine step (DistributedEngine::Step).
+struct StepLane {
+  // KV slot the lane reads and extends, or ShardedKvCache::kScratchSlot for
+  // a padding lane (computed, its K/V discarded).
+  int64_t slot = ShardedKvCache::kScratchSlot;
+  // The lane's tokens this step: one for a decode lane, a whole chunk for a
+  // prefill lane.
+  std::vector<int32_t> tokens;
+  // kBatch only: the xyz-rank of the chip that stores the slot's KV. A slot
+  // must keep its owner group across steps (the cache checks).
+  int64_t group = 0;
+};
+
+// Which phase layout (EngineSpec.prefill_ffn / decode_ffn) a step runs.
+enum class StepPhase { kPrefill, kDecode };
 
 class DistributedEngine {
  public:
@@ -91,26 +108,27 @@ class DistributedEngine {
 
   // Processes `batch` sequences of tokens.size()/batch tokens each,
   // extending the KV cache; returns logits [batch, len, vocab]. Equivalent
-  // to PrefillSlots with the identity slot map [0, batch).
+  // to a prefill Step with lane i on slot i (kBatch: owner group
+  // i/(batch/n)).
   Tensor Prefill(const std::vector<int32_t>& tokens, int64_t batch);
 
   // Extends every sequence by one token; returns logits [batch, 1, vocab].
   Tensor DecodeStep(const std::vector<int32_t>& tokens);
 
-  // --- Slot-mapped forwards (continuous batching, src/serve) --------------
-  // Same forward passes, but lane i of the batch reads/extends KV slot
-  // slot_map[i] instead of slot i. Lanes mapped to
-  // ShardedKvCache::kScratchSlot are padding: they flow through every
-  // collective (keeping shapes and virtual-clock charges independent of how
-  // many lanes are real) but their K/V is discarded. Each real slot attends
-  // over its own ragged context, so sequences at different positions can
-  // share one forward pass. Under kBatch sharding, slot s's cache lives on
-  // the chip with xyz-rank i/(B/n) for the lane i carrying it -- callers
-  // must keep a slot on one owner lane group across calls (the cache checks).
-  Tensor PrefillSlots(const std::vector<int32_t>& tokens,
-                      const std::vector<int64_t>& slot_map);
-  Tensor DecodeSlots(const std::vector<int32_t>& tokens,
-                     const std::vector<int64_t>& slot_map);
+  // --- Ragged step (continuous batching, src/serve) ------------------------
+  // One forward pass over `lanes`, each extending its own slot by its own
+  // number of tokens and attending over that slot's ragged context, so
+  // prefill chunks and decode lanes at any positions can share a pass.
+  // Returns logits [sum of lane widths, vocab], lane by lane in input order.
+  // Scratch lanes are padding: they flow through every collective (keeping
+  // shapes and the virtual clock's charges independent of how many lanes
+  // are real) but their K/V is discarded. Under kHeads the rows are the
+  // lanes back to back. Under kBatch they are group-major: each owner
+  // group's lanes sit together, and every group is padded with one scratch
+  // lane up to the largest group's row count, so the batch-row splits of the
+  // weight-stationary collectives and the weight-gathered batch chunks put
+  // each lane on its owner chip.
+  Tensor Step(const std::vector<StepLane>& lanes, StepPhase phase);
   // Frees a slot's cache on every chip for reuse by a new request.
   void ResetSlot(int64_t slot) { cache_.ResetSlot(slot); }
   // Shares `parent`'s first `prefix_len` committed tokens with the empty
@@ -145,7 +163,7 @@ class DistributedEngine {
   int64_t context_length() const { return cache_.length(); }
   const EngineSpec& spec() const { return spec_; }
   SimMachine& machine() { return *machine_; }
-  // The engine's SPMD executor: every Forward runs as one per-chip region on
+  // The engine's SPMD executor: every Step runs as one per-chip region on
   // it. Exposed so callers can pin the slot count (tests, benchmarks).
   SpmdExecutor& spmd() { return spmd_; }
   const ModelConfig& config() const { return config_; }
@@ -160,28 +178,33 @@ class DistributedEngine {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  Tensor Forward(const std::vector<int32_t>& tokens, int64_t batch,
-                 FfnLayout layout, const std::vector<int64_t>& slot_map);
+  // A step's rows: the lanes in row order plus padding lanes (`lane` -1),
+  // each frame lane's width, the rows' tokens (padding rows carry token 0),
+  // and the lanes each chip's cache stores.
+  struct StepFrame {
+    std::vector<int64_t> lane, width;
+    std::vector<int32_t> tokens;
+    std::vector<std::vector<int64_t>> chip_slots, chip_widths;
+  };
+  StepFrame LayOutStep(const std::vector<StepLane>& lanes) const;
 
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
-  // Weight-stationary block over this chip's activation shard [B*T, E/X],
+  // Weight-stationary block over this chip's activation shard [rows, E/X],
   // one collective per mesh axis per program point. fp32, or (per the
   // active plan) int8 weight shards with dynamic per-row int8 activations
   // and fp32 accumulation; fusion per the active plan.
-  void WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer, int64_t batch,
-                   int64_t t);
-  // Fully local block over the chip's batch shard with gathered weights.
-  void WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer,
-                   int64_t batch_local, int64_t t);
+  void WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer);
+  // Fully local block over the chip's group rows with gathered weights.
+  void WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer);
 
   // Head- or batch-sharded attention over this chip's heads. kHeads: q/k/v
-  // are whole over x ([B*T, cols]) and so is the [B*T, (H/YZ)*dh] result.
-  // kBatch: q/k/v are this chip's x batch rows ([B/X*T, cols], what the
-  // rows reduce-scatter(x) delivers) and so is the [B/X*T, (H/YZ)*dh]
-  // result; the caller gathers the rows back over x.
+  // are whole over x ([rows, cols]) and so is the [rows, (H/YZ)*dh] result.
+  // kBatch: q/k/v are this chip's x rows ([rows/X, cols], what the rows
+  // reduce-scatter(x) delivers) and so is the [rows/X, (H/YZ)*dh] result;
+  // the caller gathers the rows back over x.
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
-                       int64_t layer, int64_t batch, int64_t t);
+                       int64_t layer);
 
   // A layer's LayerNorm over the E dim when E is sharded over x (moment
   // all-reduce).
@@ -202,9 +225,9 @@ class DistributedEngine {
   NormInput NormInputChip(SpmdContext& ctx, const Tensor& x, bool second_gain,
                           int64_t layer, bool want_nt, bool want_y);
 
-  // Appends this step's K/V rows in the cache's storage format (quantizing
-  // to int8 per (row, position, head) when the cache is int8).
-  void AppendKv(int chip, int64_t layer, const Tensor& k4, const Tensor& v4);
+  // Appends this chip's step rows k/v [rows, kv, dh] in the cache's storage
+  // format (quantizing to int8 per (position, head) when the cache is int8).
+  void AppendKv(int chip, int64_t layer, const Tensor& k, const Tensor& v);
 
   Tensor LocalMatMul(int chip, const Tensor& x, const Tensor& w);
   // Fused matmul+activation hot paths; charge exactly like the LocalMatMul
@@ -235,14 +258,15 @@ class DistributedEngine {
   // the ops executed).
   void NoteFusion(int64_t fused_kernels, double bytes_saved);
 
-  // Runs SDPA per lane of `q` ([rows, T, heads, dh]) against each lane's
-  // cached slot (or scratch), accumulating the attention flop/byte charges
-  // into ONE ChargeComputeAndMemory call so the virtual clock matches the
-  // batched formulation exactly when all lanes share a length. [g0, g0 +
-  // gcount) selects the kv-head slice of the cached K/V for this chip's
-  // query chunk (kHeads grouped-query path); gcount == -1 reads all heads.
-  // Dispatches on the cache format: int8 caches run the dequant-fused SDPA
-  // kernel and charge the actual int8 footprint.
+  // Runs SDPA per lane of `q` ([rows, heads, dh], the chip's step lanes
+  // back to back at their declared widths) against each lane's cached slot
+  // through its page table (or the lane's scratch), accumulating the
+  // attention flop/byte charges into ONE ChargeComputeAndMemory call so the
+  // virtual clock matches the batched formulation exactly when all lanes
+  // share a shape. [g0, g0 + gcount) selects the kv-head slice of the cached
+  // K/V for this chip's query chunk (kHeads grouped-query path); gcount ==
+  // -1 reads all heads. Dispatches on the cache format: int8 caches run the
+  // dequant-fused SDPA kernel and charge the actual int8 footprint.
   Tensor SlotAttention(int chip, int64_t layer, const Tensor& q, double heads,
                        int64_t g0 = 0, int64_t gcount = -1);
 
@@ -260,7 +284,7 @@ class DistributedEngine {
   double weight_byte_width_;  // 2 (bf16) or 1 (int8) for traffic charging
   int X_, YZ_, n_;
   FusedPlan prefill_plan_, decode_plan_;
-  // Set (single-threaded) by Forward before entering the SPMD region.
+  // Set (single-threaded) by Step before entering the SPMD region.
   const FusedPlan* active_plan_ = nullptr;
   // Fastpath counters; created eagerly in the ctor (never from SPMD
   // closures) and only when the fast path is active, so baseline metric

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/logging.h"
@@ -64,16 +65,17 @@ bool ShardedKvCache::SlotResident(int chip, int64_t slot) const {
          !pool.tables[static_cast<size_t>(slot)].empty();
 }
 
-bool ShardedKvCache::SlotTargeted(int chip, int64_t slot) const {
-  if (!step_open_) return false;
+int64_t ShardedKvCache::StepWidth(int chip, int64_t slot) const {
+  if (!step_open_) return 0;
   const auto& targets = step_slots_[static_cast<size_t>(chip)];
-  return std::find(targets.begin(), targets.end(), slot) != targets.end();
+  const auto it = std::find(targets.begin(), targets.end(), slot);
+  if (it == targets.end()) return 0;
+  return step_widths_[static_cast<size_t>(chip)]
+                     [static_cast<size_t>(it - targets.begin())];
 }
 
 int64_t ShardedKvCache::ReadLength(int chip, int64_t slot) const {
-  int64_t len = slot_length(slot);
-  if (SlotTargeted(chip, slot)) len += step_t_;
-  return len;
+  return slot_length(slot) + StepWidth(chip, slot);
 }
 
 void ShardedKvCache::ReadGeometry(int chip, int64_t* kv, int64_t* dh) const {
@@ -152,19 +154,37 @@ void ShardedKvCache::CowSplitPage(int c, int64_t slot, size_t page_idx) {
 
 void ShardedKvCache::BeginStep(std::vector<std::vector<int64_t>> per_chip_slots,
                                int64_t t) {
+  std::vector<std::vector<int64_t>> widths;
+  widths.reserve(per_chip_slots.size());
+  for (const auto& slots : per_chip_slots) widths.emplace_back(slots.size(), t);
+  BeginStep(std::move(per_chip_slots), std::move(widths));
+}
+
+void ShardedKvCache::BeginStep(std::vector<std::vector<int64_t>> per_chip_slots,
+                               std::vector<std::vector<int64_t>> per_chip_widths) {
   TSI_CHECK(!step_open_) << "BeginStep with a step already open (missing CommitStep)";
   TSI_CHECK_EQ(static_cast<int>(per_chip_slots.size()), num_chips_);
-  TSI_CHECK_GT(t, 0) << "step width must be positive";
+  TSI_CHECK_EQ(static_cast<int>(per_chip_widths.size()), num_chips_);
   const int64_t ps = config_.page_size;
+  // A slot stored on several chips (kHeads) advances once, by one width.
+  std::unordered_map<int64_t, int64_t> slot_width;
   for (int c = 0; c < num_chips_; ++c) {
     ChipPool& pool = pool_[static_cast<size_t>(c)];
+    const auto& slots = per_chip_slots[static_cast<size_t>(c)];
+    const auto& widths = per_chip_widths[static_cast<size_t>(c)];
+    TSI_CHECK_EQ(slots.size(), widths.size())
+        << "one width per declared lane on chip " << c;
     std::unordered_set<int64_t> seen;
-    for (int64_t slot : per_chip_slots[static_cast<size_t>(c)]) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const int64_t slot = slots[i], t = widths[i];
+      TSI_CHECK_GT(t, 0) << "step width must be positive";
       if (slot == kScratchSlot) continue;
       TSI_CHECK_GE(slot, 0) << "slot ids are non-negative (or kScratchSlot)";
       TSI_CHECK(seen.insert(slot).second)
           << "slot " << slot << " targeted by two lanes of chip " << c
           << " in one step";
+      TSI_CHECK_EQ(slot_width.emplace(slot, t).first->second, t)
+          << "slot " << slot << " declared with different widths on two chips";
       if (static_cast<int64_t>(slot_len_.size()) <= slot)
         slot_len_.resize(static_cast<size_t>(slot) + 1, 0);
       if (static_cast<int64_t>(pool.tables.size()) <= slot)
@@ -210,7 +230,7 @@ void ShardedKvCache::BeginStep(std::vector<std::vector<int64_t>> per_chip_slots,
     }
   }
   step_slots_ = std::move(per_chip_slots);
-  step_t_ = t;
+  step_widths_ = std::move(per_chip_widths);
   appended_.assign(static_cast<size_t>(num_chips_),
                    std::vector<bool>(static_cast<size_t>(num_layers_), false));
   step_open_ = true;
@@ -227,12 +247,9 @@ void ShardedKvCache::Append(int chip, int64_t layer, const Tensor& k,
   TSI_CHECK_EQ(k.rank(), 4);
   TSI_CHECK(k.SameShape(v)) << "K/V shape mismatch: " << ShapeToString(k.shape())
                             << " vs " << ShapeToString(v.shape());
+  CheckStepBlock(chip, layer, k.dim(0), k.dim(1));
   const auto& targets = step_slots_[static_cast<size_t>(chip)];
-  TSI_CHECK_EQ(k.dim(0), static_cast<int64_t>(targets.size()))
-      << "appended rows must match the slot targets declared for chip " << chip;
-  TSI_CHECK_EQ(k.dim(1), step_t_)
-      << "mismatched t: chip " << chip << " layer " << layer << " appended "
-      << k.dim(1) << " positions into a " << step_t_ << "-wide step";
+  const auto& widths = step_widths_[static_cast<size_t>(chip)];
   const int64_t kv = k.dim(2), dh = k.dim(3);
   // kv_heads_/d_head_ are fixed by CommitStep (single-threaded); Append runs
   // concurrently across chips and must not write shared fields -- each chip
@@ -259,16 +276,23 @@ void ShardedKvCache::Append(int chip, int64_t layer, const Tensor& k,
   const int64_t row_elems = kv * dh;  // one position's block
   const size_t page_elems = static_cast<size_t>(ps * row_elems);
   LayerPages& lp = store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
+  int64_t first = 0;  // the lane's first position in the block
   for (size_t i = 0; i < targets.size(); ++i) {
-    const int64_t slot = targets[i];
+    const int64_t slot = targets[i], w = widths[i];
     if (slot == kScratchSlot) {
-      lp.k_scratch[i] = k.Slice(0, static_cast<int64_t>(i), 1);
-      lp.v_scratch[i] = v.Slice(0, static_cast<int64_t>(i), 1);
+      Tensor ks({1, w, kv, dh}), vs({1, w, kv, dh});
+      std::memcpy(ks.data(), k.data() + first * row_elems,
+                  static_cast<size_t>(w * row_elems) * sizeof(float));
+      std::memcpy(vs.data(), v.data() + first * row_elems,
+                  static_cast<size_t>(w * row_elems) * sizeof(float));
+      lp.k_scratch[i] = std::move(ks);
+      lp.v_scratch[i] = std::move(vs);
+      first += w;
       continue;
     }
     const int64_t len0 = slot_len_[static_cast<size_t>(slot)];
     const std::vector<int32_t>& table = pool.tables[static_cast<size_t>(slot)];
-    for (int64_t tt = 0; tt < step_t_; ++tt) {
+    for (int64_t tt = 0; tt < w; ++tt) {
       const int64_t pos = len0 + tt;
       const auto page = static_cast<size_t>(table[static_cast<size_t>(pos / ps)]);
       TSI_CHECK_EQ(pool.refcount[page], 1)
@@ -278,13 +302,14 @@ void ShardedKvCache::Append(int chip, int64_t layer, const Tensor& k,
       std::vector<float>& pv = lp.v[page];
       if (pk.empty()) pk.resize(page_elems, 0.0f);
       if (pv.empty()) pv.resize(page_elems, 0.0f);
-      const int64_t src = ((static_cast<int64_t>(i) * step_t_) + tt) * row_elems;
+      const int64_t src = (first + tt) * row_elems;
       const int64_t dst = (pos % ps) * row_elems;
       std::memcpy(pk.data() + dst, k.data() + src,
                   static_cast<size_t>(row_elems) * sizeof(float));
       std::memcpy(pv.data() + dst, v.data() + src,
                   static_cast<size_t>(row_elems) * sizeof(float));
     }
+    first += w;
   }
 }
 
@@ -309,12 +334,9 @@ void ShardedKvCache::AppendQuantized(int chip, int64_t layer,
   TSI_CHECK_EQ(static_cast<int64_t>(v.scales.size()),
                v.rows() * v.t() * v.kv_heads())
       << "mismatched scale count for the appended V block";
+  CheckStepBlock(chip, layer, k.rows(), k.t());
   const auto& targets = step_slots_[static_cast<size_t>(chip)];
-  TSI_CHECK_EQ(k.rows(), static_cast<int64_t>(targets.size()))
-      << "appended rows must match the slot targets declared for chip " << chip;
-  TSI_CHECK_EQ(k.t(), step_t_)
-      << "mismatched t: chip " << chip << " layer " << layer << " appended "
-      << k.t() << " positions into a " << step_t_ << "-wide step";
+  const auto& widths = step_widths_[static_cast<size_t>(chip)];
   const int64_t kv = k.kv_heads(), dh = k.d_head();
   if (kv_heads_ >= 0) {
     TSI_CHECK(kv == kv_heads_ && dh == d_head_)
@@ -337,16 +359,18 @@ void ShardedKvCache::AppendQuantized(int chip, int64_t layer,
   const int64_t ps = config_.page_size;
   const int64_t row_elems = kv * dh;
   LayerPages& lp = store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
+  int64_t first = 0;  // the lane's first position in the block
   for (size_t i = 0; i < targets.size(); ++i) {
-    const int64_t slot = targets[i];
+    const int64_t slot = targets[i], w = widths[i];
     if (slot == kScratchSlot) {
-      lp.k8_scratch[i] = SliceKvRow(k, static_cast<int64_t>(i));
-      lp.v8_scratch[i] = SliceKvRow(v, static_cast<int64_t>(i));
+      lp.k8_scratch[i] = SliceKvPositions(k, first, w);
+      lp.v8_scratch[i] = SliceKvPositions(v, first, w);
+      first += w;
       continue;
     }
     const int64_t len0 = slot_len_[static_cast<size_t>(slot)];
     const std::vector<int32_t>& table = pool.tables[static_cast<size_t>(slot)];
-    for (int64_t tt = 0; tt < step_t_; ++tt) {
+    for (int64_t tt = 0; tt < w; ++tt) {
       const int64_t pos = len0 + tt;
       const auto page = static_cast<size_t>(table[static_cast<size_t>(pos / ps)]);
       TSI_CHECK_EQ(pool.refcount[page], 1)
@@ -360,7 +384,7 @@ void ShardedKvCache::AppendQuantized(int chip, int64_t layer,
       if (pv.empty()) pv.resize(static_cast<size_t>(ps * row_elems), 0);
       if (pks.empty()) pks.resize(static_cast<size_t>(ps * kv), 1.0f);
       if (pvs.empty()) pvs.resize(static_cast<size_t>(ps * kv), 1.0f);
-      const int64_t src_vec = (static_cast<int64_t>(i) * step_t_ + tt) * kv;
+      const int64_t src_vec = (first + tt) * kv;
       const int64_t dst_vec = (pos % ps) * kv;
       std::memcpy(pk.data() + dst_vec * dh, k.values.data() + src_vec * dh,
                   static_cast<size_t>(row_elems));
@@ -371,7 +395,29 @@ void ShardedKvCache::AppendQuantized(int chip, int64_t layer,
       std::memcpy(pvs.data() + dst_vec, v.scales.data() + src_vec,
                   static_cast<size_t>(kv) * sizeof(float));
     }
+    first += w;
   }
+}
+
+void ShardedKvCache::CheckStepBlock(int chip, int64_t layer, int64_t d0,
+                                    int64_t d1) const {
+  const auto& widths = step_widths_[static_cast<size_t>(chip)];
+  const auto lanes = static_cast<int64_t>(widths.size());
+  if (d0 == lanes) {
+    // [lanes, t, ...]: one row per lane, each exactly its declared width.
+    for (int64_t i = 0; i < lanes; ++i)
+      TSI_CHECK_EQ(d1, widths[static_cast<size_t>(i)])
+          << "mismatched t: chip " << chip << " layer " << layer << " lane "
+          << i << " appended " << d1 << " positions into a "
+          << widths[static_cast<size_t>(i)] << "-wide lane";
+    return;
+  }
+  int64_t total = 0;
+  for (int64_t w : widths) total += w;
+  TSI_CHECK(d0 == 1 && d1 == total)
+      << "appended rows must match the slot targets declared for chip "
+      << chip << ": a [" << d0 << ", " << d1 << "] block for " << lanes
+      << " lanes of " << total << " positions in all";
 }
 
 void ShardedKvCache::CommitStep() {
@@ -398,19 +444,23 @@ void ShardedKvCache::CommitStep() {
           << d_head_ << "]";
     }
   }
-  // Advance each targeted slot once: under kHeads several chips target the
-  // same slot and must not double-advance it.
+  // Advance each targeted slot once, by its lane's width: under kHeads
+  // several chips target the same slot and must not double-advance it.
   std::unordered_set<int64_t> advanced;
   int64_t appended_tokens = 0;
   for (int c = 0; c < num_chips_; ++c) {
-    for (int64_t slot : step_slots_[static_cast<size_t>(c)]) {
+    const auto& slots = step_slots_[static_cast<size_t>(c)];
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const int64_t slot = slots[i];
       if (slot == kScratchSlot || !advanced.insert(slot).second) continue;
-      slot_len_[static_cast<size_t>(slot)] += step_t_;
-      appended_tokens += step_t_;
+      const int64_t w = step_widths_[static_cast<size_t>(c)][i];
+      slot_len_[static_cast<size_t>(slot)] += w;
+      appended_tokens += w;
     }
   }
   step_open_ = false;
   step_slots_.clear();
+  step_widths_.clear();
   appended_.clear();
   obs::MetricsRegistry& m = metrics_ ? *metrics_ : obs::MetricsRegistry::Global();
   m.GetCounter("kv/appended_tokens")->Add(appended_tokens);
@@ -420,6 +470,11 @@ void ShardedKvCache::CommitStep() {
 const std::vector<int64_t>& ShardedKvCache::step_slots(int chip) const {
   TSI_CHECK(step_open_) << "step_slots outside a step";
   return step_slots_[static_cast<size_t>(chip)];
+}
+
+const std::vector<int64_t>& ShardedKvCache::step_widths(int chip) const {
+  TSI_CHECK(step_open_) << "step_widths outside a step";
+  return step_widths_[static_cast<size_t>(chip)];
 }
 
 void ShardedKvCache::ForkSlot(int64_t parent, int64_t child,
@@ -461,7 +516,7 @@ void ShardedKvCache::ForkSlot(int64_t parent, int64_t child,
 }
 
 Tensor ShardedKvCache::K(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "K on an int8 cache (use K8)";
+  TSI_CHECK(format_ == WeightFormat::kBf16) << "K on an int8 cache";
   const int64_t len = ReadLength(chip, slot);
   TSI_CHECK(len > 0 && SlotResident(chip, slot))
       << "slot " << slot << " empty on chip " << chip;
@@ -487,7 +542,7 @@ Tensor ShardedKvCache::K(int chip, int64_t layer, int64_t slot) const {
 }
 
 Tensor ShardedKvCache::V(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "V on an int8 cache (use V8)";
+  TSI_CHECK(format_ == WeightFormat::kBf16) << "V on an int8 cache";
   const int64_t len = ReadLength(chip, slot);
   TSI_CHECK(len > 0 && SlotResident(chip, slot))
       << "slot " << slot << " empty on chip " << chip;
@@ -510,61 +565,6 @@ Tensor ShardedKvCache::V(int chip, int64_t layer, int64_t slot) const {
     pos += run;
   }
   return out;
-}
-
-namespace {
-
-QuantizedKv GatherInt8(const std::vector<std::vector<int8_t>>& values,
-                       const std::vector<std::vector<float>>& scales,
-                       const std::vector<int32_t>& table, int64_t len,
-                       int64_t ps, int64_t kv, int64_t dh) {
-  QuantizedKv out;
-  out.shape = {1, len, kv, dh};
-  out.values.resize(static_cast<size_t>(len * kv * dh));
-  out.scales.resize(static_cast<size_t>(len * kv));
-  for (int64_t pos = 0; pos < len;) {
-    const int64_t run = std::min(ps - pos % ps, len - pos);
-    const auto page = static_cast<size_t>(table[static_cast<size_t>(pos / ps)]);
-    TSI_CHECK(!values[page].empty()) << "page never written (read before append?)";
-    std::memcpy(out.values.data() + pos * kv * dh,
-                values[page].data() + (pos % ps) * kv * dh,
-                static_cast<size_t>(run * kv * dh));
-    std::memcpy(out.scales.data() + pos * kv,
-                scales[page].data() + (pos % ps) * kv,
-                static_cast<size_t>(run * kv) * sizeof(float));
-    pos += run;
-  }
-  return out;
-}
-
-}  // namespace
-
-QuantizedKv ShardedKvCache::K8(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kInt8) << "K8 on an fp32 cache (use K)";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  return GatherInt8(lp.k8, lp.k8s,
-                    pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)],
-                    len, config_.page_size, kv, dh);
-}
-
-QuantizedKv ShardedKvCache::V8(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kInt8) << "V8 on an fp32 cache (use V)";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  return GatherInt8(lp.v8, lp.v8s,
-                    pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)],
-                    len, config_.page_size, kv, dh);
 }
 
 PagedKvSpan ShardedKvCache::PageSpanK(int chip, int64_t layer, int64_t slot,

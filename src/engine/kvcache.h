@@ -22,29 +22,31 @@
 // stored once (kv/pages_* gauges report in_use/shared/bytes; forks and COW
 // splits are counters).
 //
-// Write protocol (driven by DistributedEngine; unchanged from the ragged
-// cache):
-//   BeginStep(per_chip_slots, t)   -- declare, per chip, the global slot id
-//                                     each appended row targets, and the
-//                                     common step width t. Allocates this
-//                                     step's pages and performs any pending
-//                                     COW splits, single-threaded, so
-//                                     concurrent Appends never reallocate.
-//   Append(chip, layer, k, v)      -- once per (chip, layer), rows matching
-//                                     the declared targets, written into
-//                                     the slot's pages (chip-local only).
+// Write protocol (driven by DistributedEngine, one ragged step per forward
+// pass):
+//   BeginStep(per_chip_slots,      -- declare, per chip, the lanes this
+//             per_chip_widths)        step appends: each lane's global slot
+//                                     id and its width (positions). Lanes
+//                                     may differ in width -- a prefill
+//                                     chunk and one-token decode lanes share
+//                                     a step. Allocates this step's pages
+//                                     and performs any pending COW splits,
+//                                     single-threaded, so concurrent Appends
+//                                     never reallocate.
+//   Append(chip, layer, k, v)      -- once per (chip, layer): the chip's
+//                                     lanes' positions back to back, written
+//                                     into each slot's pages (chip-local).
 //   CommitStep()                   -- validate every declared (chip, layer)
-//                                     appended exactly t positions to every
-//                                     target, then advance slot lengths.
-// Shape or step-width mismatches die loudly inside Append/CommitStep. Rows
+//                                     appended, then advance each slot by its
+//                                     lane's width.
+// Shape or width mismatches die loudly inside Append/CommitStep. Lanes
 // targeting kScratchSlot land in per-lane scratch storage that is discarded
 // at the next BeginStep -- the padding lanes a fixed decode frame or a
 // batch-divisibility constraint needs.
 //
-// Reads: K/V (and K8/V8) gather a slot's pages into one contiguous
-// [1, len, kv, dh] block; PageSpanK/V (PageSpanK8/V8) expose the page table
-// directly for the paged SDPA kernels (model/attention.h), which iterate
-// positions in the same order and are bit-identical to the gathered path.
+// Reads: PageSpanK/V (PageSpanK8/V8) expose a slot's page table to the paged
+// SDPA kernels (model/attention.h); K/V gather an fp32 slot into one
+// contiguous [1, len, kv, dh] block (the KV migration wire format).
 #pragma once
 
 #include <cstdint>
@@ -62,12 +64,9 @@ class MetricsRegistry;
 }  // namespace obs
 
 // Paged-cache knobs, carried on EngineSpec. `page_size` is the allocation
-// granularity in token positions; `paged_kernel` selects whether the
-// engine's SDPA iterates the page table directly (fast path) or gathers a
-// slot into a contiguous block first (both are bit-identical).
+// granularity in token positions.
 struct KvCacheConfig {
   int64_t page_size = 16;
-  bool paged_kernel = true;
 };
 
 // One slot's cached K/V lifted out of a chip's page pool (KV migration
@@ -114,29 +113,37 @@ class ShardedKvCache {
   int64_t slot_length(int64_t slot) const;
 
   // --- Write protocol ------------------------------------------------------
-  // per_chip_slots[chip][i] is the global slot id (or kScratchSlot) that row
-  // i of chip `chip`'s appends targets this step; `t` is the step width every
-  // append must carry. Chips with an empty list append nothing. Called
-  // outside SPMD regions only (single-threaded): this is where the step's
-  // pages are allocated and shared boundary pages are COW-split.
+  // per_chip_slots[chip][i] is the global slot id (or kScratchSlot) that lane
+  // i of chip `chip`'s appends targets this step, per_chip_widths[chip][i]
+  // the positions it appends (> 0). A slot appears at most once per chip;
+  // chips with an empty list append nothing. Called outside SPMD regions
+  // only (single-threaded): this is where the step's pages are allocated
+  // and shared boundary pages are COW-split.
+  void BeginStep(std::vector<std::vector<int64_t>> per_chip_slots,
+                 std::vector<std::vector<int64_t>> per_chip_widths);
+  // Uniform step: every lane appends `t` positions.
   void BeginStep(std::vector<std::vector<int64_t>> per_chip_slots, int64_t t);
-  // Appends `k`/`v` of shape [rows, t, kv, dh] for (chip, layer); rows must
-  // match the chip's declared targets. Safe to call concurrently for
-  // distinct chips (each touches only its own page pool).
+  // Appends `k`/`v` for (chip, layer): either [lanes, t, kv, dh] when every
+  // declared lane is t wide, or the packed [1, sum of widths, kv, dh] with
+  // the lanes' positions back to back in declared order. Safe to call
+  // concurrently for distinct chips (each touches only its own page pool).
   void Append(int chip, int64_t layer, const Tensor& k, const Tensor& v);
-  // Int8 twin of Append for kInt8 caches: same validation (rows, t, shape
-  // drift, double append) plus a per-(row, position, head) scale-count check;
-  // mismatched scales or a precision mismatch with the cache die loudly.
+  // Int8 twin of Append for kInt8 caches: same validation (lanes, widths,
+  // shape drift, double append) plus a per-(row, position, head) scale-count
+  // check; mismatched scales or a precision mismatch with the cache die
+  // loudly.
   void AppendQuantized(int chip, int64_t layer, const QuantizedKv& k,
                        const QuantizedKv& v);
-  // Validates the completed step (every declared (chip, layer) appended
-  // exactly t positions to every target) and advances the per-slot lengths.
-  // Called outside SPMD regions only.
+  // Validates the completed step (every declared (chip, layer) appended)
+  // and advances each targeted slot by its lane's width. Called outside
+  // SPMD regions only.
   void CommitStep();
 
-  // This step's declared targets for `chip` (valid between BeginStep and
-  // CommitStep; used by the engine's attention to map rows to slots).
+  // This step's declared lanes for `chip`: slots and widths (valid between
+  // BeginStep and CommitStep; the engine's attention maps rows to slots with
+  // them).
   const std::vector<int64_t>& step_slots(int chip) const;
+  const std::vector<int64_t>& step_widths(int chip) const;
 
   // --- Prefix sharing ------------------------------------------------------
   // Shares the pages covering `parent`'s first `prefix_len` committed tokens
@@ -151,14 +158,13 @@ class ShardedKvCache {
   void ForkSlot(int64_t parent, int64_t child, int64_t prefix_len);
 
   // --- Reads ---------------------------------------------------------------
-  // A slot's K/V gathered from its pages into one contiguous block of shape
-  // [1, len, kv, dh]. `len` includes the open step's in-flight appends for
-  // slots targeted on `chip` (the engine's attention reads mid-step). The
-  // slot must hold data on this chip (always true under kHeads; only on the
-  // owner under kBatch).
+  // An fp32 slot's K/V gathered from its pages into one contiguous block of
+  // shape [1, len, kv, dh]. `len` includes the open step's in-flight appends
+  // for slots targeted on `chip`. The slot must hold data on this chip
+  // (always true under kHeads; only on the owner under kBatch).
   Tensor K(int chip, int64_t layer, int64_t slot) const;
   Tensor V(int chip, int64_t layer, int64_t slot) const;
-  // Page-table views of the same data for the paged SDPA kernels;
+  // Page-table views for the paged SDPA kernels;
   // [g0, g0 + gcount) selects a head slice (gcount == -1: every stored
   // head). Borrow the pool's buffers: valid until the next BeginStep /
   // ResetSlot / ForkSlot.
@@ -170,8 +176,6 @@ class ShardedKvCache {
   const Tensor& ScratchK(int chip, int64_t layer, int64_t lane) const;
   const Tensor& ScratchV(int chip, int64_t layer, int64_t lane) const;
   // Int8 readers (kInt8 caches only; dequant is folded into the SDPA kernel).
-  QuantizedKv K8(int chip, int64_t layer, int64_t slot) const;
-  QuantizedKv V8(int chip, int64_t layer, int64_t slot) const;
   PagedKvSpanInt8 PageSpanK8(int chip, int64_t layer, int64_t slot,
                              int64_t g0 = 0, int64_t gcount = -1) const;
   PagedKvSpanInt8 PageSpanV8(int chip, int64_t layer, int64_t slot,
@@ -179,8 +183,8 @@ class ShardedKvCache {
   const QuantizedKv& ScratchK8(int chip, int64_t layer, int64_t lane) const;
   const QuantizedKv& ScratchV8(int chip, int64_t layer, int64_t lane) const;
 
-  // Readable context length of `slot` on `chip`: committed tokens, plus the
-  // open step's width when the slot is targeted on this chip.
+  // Readable context length of `slot` on `chip`: committed tokens, plus its
+  // lane's width in the open step when the slot is targeted on this chip.
   int64_t ReadLength(int chip, int64_t slot) const;
   // Physical kv-head count stored per position on this chip (fixed by the
   // first append; identical on every chip that stores data).
@@ -257,7 +261,11 @@ class ShardedKvCache {
   void EnsureLayerCapacity(int c);
   void CowSplitPage(int c, int64_t slot, size_t page_idx);
   bool SlotResident(int chip, int64_t slot) const;
-  bool SlotTargeted(int chip, int64_t slot) const;
+  // Width of `slot`'s lane on `chip` in the open step; 0 when untargeted.
+  int64_t StepWidth(int chip, int64_t slot) const;
+  // Checks an appended block's leading [d0, d1] dims against the chip's
+  // declared lanes (see Append).
+  void CheckStepBlock(int chip, int64_t layer, int64_t d0, int64_t d1) const;
   // Geometry for reads on `chip`: committed cache-wide values, or the
   // chip's in-flight observed values during the first step.
   void ReadGeometry(int chip, int64_t* kv, int64_t* dh) const;
@@ -281,8 +289,8 @@ class ShardedKvCache {
 
   // In-flight step state.
   bool step_open_ = false;
-  int64_t step_t_ = 0;
   std::vector<std::vector<int64_t>> step_slots_;
+  std::vector<std::vector<int64_t>> step_widths_;
   std::vector<std::vector<bool>> appended_;  // [chip][layer]
 };
 

@@ -332,14 +332,17 @@ QuantizedKv ConcatKvTime(const QuantizedKv& a, const QuantizedKv& b) {
   return out;
 }
 
-QuantizedKv SliceKvRow(const QuantizedKv& q, int64_t r) {
-  TSI_CHECK(r >= 0 && r < q.rows()) << "kv row slice out of range";
+QuantizedKv SliceKvPositions(const QuantizedKv& q, int64_t p0,
+                             int64_t count) {
+  TSI_CHECK(p0 >= 0 && count >= 0 && p0 + count <= q.rows() * q.t())
+      << "kv position slice out of range";
   QuantizedKv out;
-  out.shape = {1, q.t(), q.kv_heads(), q.d_head()};
-  const int64_t nv = q.t() * q.kv_heads() * q.d_head();
-  const int64_t ns = q.t() * q.kv_heads();
-  out.values.assign(q.values.begin() + r * nv, q.values.begin() + (r + 1) * nv);
-  out.scales.assign(q.scales.begin() + r * ns, q.scales.begin() + (r + 1) * ns);
+  out.shape = {1, count, q.kv_heads(), q.d_head()};
+  const int64_t vec = q.kv_heads() * q.d_head();  // values per position
+  out.values.assign(q.values.begin() + p0 * vec,
+                    q.values.begin() + (p0 + count) * vec);
+  out.scales.assign(q.scales.begin() + p0 * q.kv_heads(),
+                    q.scales.begin() + (p0 + count) * q.kv_heads());
   return out;
 }
 

@@ -121,7 +121,8 @@ Tensor Dequantize(const QuantizedKv& q);
 QuantizedKv SliceKvHeads(const QuantizedKv& q, int64_t h0, int64_t count);
 // Concatenation along the time dim; `a` may be empty (returns b).
 QuantizedKv ConcatKvTime(const QuantizedKv& a, const QuantizedKv& b);
-// Row `r` of q as a [1, t, kv_heads, d_head] block.
-QuantizedKv SliceKvRow(const QuantizedKv& q, int64_t r);
+// Positions [p0, p0 + count) of q's rows laid end to end (row r's position
+// t is p = r * t() + t), as a [1, count, kv_heads, d_head] block.
+QuantizedKv SliceKvPositions(const QuantizedKv& q, int64_t p0, int64_t count);
 
 }  // namespace tsi

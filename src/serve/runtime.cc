@@ -65,27 +65,12 @@ int64_t EngineServeBackend::GroupOf(int64_t slot) const {
   return slot / (num_slots_ / n);
 }
 
-Tensor EngineServeBackend::PrefillIntoSlot(int64_t slot, int64_t group,
-                                           const std::vector<int32_t>& tokens) {
-  const auto T = static_cast<int64_t>(tokens.size());
-  const int n = engine_->machine().num_chips();
-  // kHeads caches are replicated over chips, so one real lane suffices.
-  // kBatch needs batch % chips == 0 AND the real lane on the chip that owns
-  // this slot in the decode frame (xyz-rank `group`): run an n-lane group
-  // with n-1 scratch lanes.
-  std::vector<int64_t> slot_map;
-  int64_t lane = 0;
-  if (engine_->spec().attn == AttnSharding::kBatch) {
-    slot_map.assign(static_cast<size_t>(n), ShardedKvCache::kScratchSlot);
-    lane = group;
-    slot_map[static_cast<size_t>(lane)] = slot;
-  } else {
-    slot_map.assign(1, slot);
-  }
-  std::vector<int32_t> frame(slot_map.size() * static_cast<size_t>(T), 0);
-  std::copy(tokens.begin(), tokens.end(),
-            frame.begin() + static_cast<size_t>(lane) * tokens.size());
-  return engine_->PrefillSlots(frame, slot_map);
+Tensor EngineServeBackend::RunQueued() {
+  std::vector<StepLane> lanes;
+  for (auto& [slot, tokens] : queued_)
+    lanes.push_back({slot, std::move(tokens), GroupOf(slot)});
+  queued_.clear();
+  return engine_->Step(lanes, StepPhase::kPrefill);
 }
 
 int32_t EngineServeBackend::Prefill(int64_t slot, int64_t request,
@@ -93,35 +78,70 @@ int32_t EngineServeBackend::Prefill(int64_t slot, int64_t request,
                                     bool last) {
   TSI_CHECK(slot >= 0 && slot < num_slots_);
   TSI_CHECK(!tokens.empty());
-  const int64_t group = GroupOf(slot);
-  Tensor logits = PrefillIntoSlot(slot, group, tokens);
   if (options_.share_prefixes) {
     auto& hist = slot_tokens_[slot];
     hist.insert(hist.end(), tokens.begin(), tokens.end());
     slot_request_[slot] = request;
   }
-  if (!last) return -1;
-  const auto T = static_cast<int64_t>(tokens.size());
-  const int64_t lane =
-      engine_->spec().attn == AttnSharding::kBatch ? group : 0;
+  std::vector<int32_t>& queued = queued_[slot];
+  queued.insert(queued.end(), tokens.begin(), tokens.end());
+  if (!last) {
+    // Deferred: the chunk rides in the next forward pass. The counter is
+    // created on first use, so runs that never defer export no new series.
+    obs::MetricsRegistry& m = options_.metrics
+                                  ? *options_.metrics
+                                  : obs::MetricsRegistry::Global();
+    m.GetCounter("serve/deferred_chunks")->Add(1);
+    return -1;
+  }
+  // The final chunk runs now, in one lane with the slot's queued chunks and
+  // next to every other queued chunk; the first token comes from the
+  // lane's last row.
+  int64_t end = 0;  // one past the slot's last logits row
+  for (const auto& [s, t] : queued_) {
+    end += static_cast<int64_t>(t.size());
+    if (s == slot) break;
+  }
+  Tensor logits = RunQueued();
   const int64_t V = engine_->config().vocab_size;
-  const float* row = logits.data() + ((lane * T) + (T - 1)) * V;
-  return SamplerFor(request).Sample(row, V);
+  return SamplerFor(request).Sample(logits.data() + (end - 1) * V, V);
 }
 
 std::vector<int32_t> EngineServeBackend::Decode(
     const std::vector<DecodeLane>& lanes) {
   TSI_CHECK(!lanes.empty());
-  // Fixed frame: lane s carries slot s when occupied, scratch otherwise.
-  std::vector<int64_t> slot_map(static_cast<size_t>(num_slots_),
-                                ShardedKvCache::kScratchSlot);
-  std::vector<int32_t> frame(static_cast<size_t>(num_slots_), 0);
+  // Queued chunks ride in the decode frame only when both phases run one
+  // layout; otherwise they run first, in a pass with the prefill layout.
+  const EngineSpec& spec = engine_->spec();
+  if (spec.prefill_ffn != spec.decode_ffn && !queued_.empty()) RunQueued();
+  // Fixed frame: lane s carries slot s when it decodes, the slot's queued
+  // chunk when one waits, and a one-token scratch lane otherwise.
+  std::vector<StepLane> frame;
+  frame.reserve(static_cast<size_t>(num_slots_));
+  for (int64_t s = 0; s < num_slots_; ++s)
+    frame.push_back({ShardedKvCache::kScratchSlot, {0}, GroupOf(s)});
   for (const DecodeLane& l : lanes) {
     TSI_CHECK(l.slot >= 0 && l.slot < num_slots_);
-    slot_map[static_cast<size_t>(l.slot)] = l.slot;
-    frame[static_cast<size_t>(l.slot)] = l.token;
+    StepLane& f = frame[static_cast<size_t>(l.slot)];
+    f.slot = l.slot;
+    f.tokens[0] = l.token;
   }
-  Tensor logits = engine_->DecodeSlots(frame, slot_map);
+  for (auto& [slot, tokens] : queued_) {
+    StepLane& f = frame[static_cast<size_t>(slot)];
+    TSI_CHECK_EQ(f.slot, ShardedKvCache::kScratchSlot)
+        << "slot " << slot << " decodes with a prefill chunk queued";
+    f.slot = slot;
+    f.tokens = std::move(tokens);
+  }
+  queued_.clear();
+  std::vector<int64_t> first;  // each frame lane's first logits row
+  first.reserve(frame.size());
+  int64_t rows = 0;
+  for (const StepLane& f : frame) {
+    first.push_back(rows);
+    rows += static_cast<int64_t>(f.tokens.size());
+  }
+  Tensor logits = engine_->Step(frame, StepPhase::kDecode);
   if (options_.share_prefixes) {
     // The fed-back token is what entered each slot's KV this step; the
     // history must mirror the cached context exactly for LCP matching.
@@ -131,8 +151,8 @@ std::vector<int32_t> EngineServeBackend::Decode(
   std::vector<int32_t> out;
   out.reserve(lanes.size());
   for (const DecodeLane& l : lanes)
-    out.push_back(
-        SamplerFor(l.request).Sample(logits.data() + l.slot * V, V));
+    out.push_back(SamplerFor(l.request).Sample(
+        logits.data() + first[static_cast<size_t>(l.slot)] * V, V));
   return out;
 }
 
@@ -149,8 +169,9 @@ int64_t EngineServeBackend::EnsureSystemSlot(size_t idx, int64_t group) {
   // pseudo-slot on this owner group. Every later request forks these pages;
   // the prompt is computed and stored once per group, not once per request.
   const int64_t slot = next_pseudo_slot_++;
-  PrefillIntoSlot(slot, group, system_prompts_[idx]);
-  system_slots_.emplace(key, slot);
+  system_slots_.emplace(key, slot);  // GroupOf(slot) reads it
+  queued_[slot] = system_prompts_[idx];
+  RunQueued();
   TSI_LOG(DEBUG) << "materialized system prompt " << idx << " ("
                  << system_prompts_[idx].size() << " tokens) in pseudo-slot "
                  << slot << " for group " << group;
@@ -204,6 +225,8 @@ int64_t EngineServeBackend::AdoptPrefix(int64_t slot, const ServeRequest& req) {
 }
 
 void EngineServeBackend::Release(int64_t slot) {
+  TSI_CHECK(queued_.count(slot) == 0)
+      << "release of slot " << slot << " with a prefill chunk queued";
   if (options_.share_prefixes && options_.retain_parents > 0) {
     auto hist = slot_tokens_.find(slot);
     auto reqit = slot_request_.find(slot);

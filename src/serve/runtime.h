@@ -10,10 +10,22 @@
 // sharding the frame keeps batch % chips == 0 by construction.
 //
 // Lane mapping is the identity (slot s rides lane s), so under kBatch
-// sharding slot s's KV lives on the chip with xyz-rank s/(S/n) -- and
-// prefill chunks, which run as n-lane padded groups of one real lane, place
-// that lane on the same owner rank. This is what lets a weight-gathered
-// prefill and a weight-stationary decode extend the same cache (§3.5).
+// sharding slot s's KV lives on the chip with xyz-rank s/(S/n), its owner
+// group; prefill lanes name the same group, and the engine's ragged step
+// (DistributedEngine::Step) pads each group to a common row count. This is
+// what lets a weight-gathered prefill and a weight-stationary decode extend
+// the same cache (§3.5).
+//
+// Deferred chunks: a non-final prefill chunk does not run at its own call.
+// Prefill queues it, returns -1 and leaves the clock unchanged; it rides in
+// the backend's next forward pass -- the next decode frame (replacing the
+// slot's scratch lane there, when prefill_ffn == decode_ffn), or the next
+// final chunk's pass (the request's own final chunk joins its queued
+// tokens as one longer lane). A final chunk runs at its call, since that
+// call returns the first token. Each forward pass costs a fixed collective
+// latency plus a small per-row term, so merging the chunk into a pass that
+// runs anyway saves a whole pass. serve/deferred_chunks counts the chunks
+// that ran in a later pass.
 //
 // Determinism: the engine's kernels are row-independent and its per-slot
 // attention reads only the lane's own slot, so a request's sampled tokens
@@ -68,15 +80,19 @@ class EngineServeBackend : public ServeBackend {
   // Pseudo-slot holding system prompt `idx` for `group`, prefilled on
   // first use.
   int64_t EnsureSystemSlot(size_t idx, int64_t group);
-  // Runs one PrefillSlots call targeting `slot` on owner `group` (n-lane
-  // padded frame under kBatch, single lane under kHeads); returns logits.
-  Tensor PrefillIntoSlot(int64_t slot, int64_t group,
-                         const std::vector<int32_t>& tokens);
+  // Runs every queued chunk in one prefill-layout pass (one lane per slot,
+  // its chunks back to back) and empties the queue; returns the logits,
+  // lane by lane in slot order.
+  Tensor RunQueued();
 
   DistributedEngine* engine_;
   int64_t num_slots_;
   ServeOptions options_;
   std::map<int64_t, Sampler> samplers_;  // request id -> sampler stream
+  // Prompt tokens waiting for the next forward pass, by slot: deferred
+  // non-final chunks, joined by the final chunk (or a system prompt) just
+  // before a prefill pass runs them.
+  std::map<int64_t, std::vector<int32_t>> queued_;
 
   // Prefix-sharing state. Pseudo-slot ids start at num_slots_ so they can
   // never collide with decode-frame lanes.

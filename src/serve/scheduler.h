@@ -152,7 +152,8 @@ class ServeBackend {
   virtual void AdvanceTo(double t) = 0;
   // Feed one chunk of request `request`'s prompt into `slot`'s KV cache.
   // `last` marks the prompt's final chunk; returns the first sampled token
-  // then (undefined otherwise).
+  // then (undefined otherwise). A backend may defer a non-final chunk into
+  // its next forward pass (EngineServeBackend does; serve/runtime.h).
   virtual int32_t Prefill(int64_t slot, int64_t request,
                           const std::vector<int32_t>& tokens, bool last) = 0;
   // One decode step advancing every lane by one token; returns the sampled

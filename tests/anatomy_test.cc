@@ -96,27 +96,12 @@ obs::BoundBy ArgmaxBound(const CostBreakdown& b) {
 
 // --- Anatomy: trace-side fold == report-side records -----------------------
 
-TEST(AnatomyTest, FoldMatchesServeReportRecords) {
-  ModelConfig cfg = TinyTestModel();
-  InferenceEstimator estimator = IdealEstimator(cfg);
-  AnalyticServeConfig acfg;
-  acfg.spec = PartitionSpec{Torus3D(2, 2, 1), FfnLayout::kWS2D,
-                            AttnSharding::kBatch, WeightFormat::kBf16};
-  acfg.num_slots = 4;
-
-  Tracer tracer;
-  obs::MetricsRegistry metrics;
-  ServeOptions options = GreedyOptions(/*prefill_chunk=*/3);
-  options.tracer = &tracer;
-  options.metrics = &metrics;
-  AnalyticServeBackend backend(&estimator, acfg);
-  const std::vector<ServeRequest> requests = ClassedRequests(cfg);
-  const ServeReport report = RunContinuousServing(backend, requests, options);
-  ASSERT_EQ(report.completed(), 6);
-
-  const obs::AnatomyReport anatomy = obs::FoldAnatomy(tracer.timeline());
-  ASSERT_EQ(anatomy.requests.size(), 6u);
-  for (size_t i = 0; i < 6; ++i) {
+// Every request's folded anatomy equals the scheduler's own record.
+void ExpectFoldMatchesRecords(const obs::AnatomyReport& anatomy,
+                              const ServeReport& report,
+                              const std::vector<ServeRequest>& requests) {
+  ASSERT_EQ(anatomy.requests.size(), report.requests.size());
+  for (size_t i = 0; i < report.requests.size(); ++i) {
     const RequestRecord& rec = report.requests[i];
     const obs::RequestAnatomy& a = anatomy.requests[i];
     ASSERT_EQ(a.id, rec.id);
@@ -149,6 +134,29 @@ TEST(AnatomyTest, FoldMatchesServeReportRecords) {
     }
     EXPECT_EQ(fed, a.prompt_tokens);
   }
+}
+
+TEST(AnatomyTest, FoldMatchesServeReportRecords) {
+  ModelConfig cfg = TinyTestModel();
+  InferenceEstimator estimator = IdealEstimator(cfg);
+  AnalyticServeConfig acfg;
+  acfg.spec = PartitionSpec{Torus3D(2, 2, 1), FfnLayout::kWS2D,
+                            AttnSharding::kBatch, WeightFormat::kBf16};
+  acfg.num_slots = 4;
+
+  Tracer tracer;
+  obs::MetricsRegistry metrics;
+  ServeOptions options = GreedyOptions(/*prefill_chunk=*/3);
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  AnalyticServeBackend backend(&estimator, acfg);
+  const std::vector<ServeRequest> requests = ClassedRequests(cfg);
+  const ServeReport report = RunContinuousServing(backend, requests, options);
+  ASSERT_EQ(report.completed(), 6);
+
+  const obs::AnatomyReport anatomy = obs::FoldAnatomy(tracer.timeline());
+  ASSERT_EQ(anatomy.requests.size(), 6u);
+  ExpectFoldMatchesRecords(anatomy, report, requests);
 
   // Per-class summaries fold exactly the samples the report's own
   // per-class grouping produces (the SLO input), so an anatomy percentile
@@ -167,6 +175,40 @@ TEST(AnatomyTest, FoldMatchesServeReportRecords) {
     EXPECT_DOUBLE_EQ(c.ttft.p50, SortedPercentile(ttft, 50));
     EXPECT_DOUBLE_EQ(c.ttft.p99, SortedPercentile(ttft, 99));
   }
+}
+
+TEST(AnatomyTest, FunctionalFoldMatchesRecordsWithDeferredChunks) {
+  // The functional backend defers non-final prefill chunks into its next
+  // forward pass: their prefill spans are zero-length and their cost sits
+  // in the next pass's span. The fold still reproduces every record.
+  ModelConfig cfg = TinyTestModel();
+  ModelWeights weights = ModelWeights::Random(cfg, 7);
+  SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  Tracer tracer;
+  machine.AttachTracer(&tracer);
+  EngineSpec spec;
+  spec.attn = AttnSharding::kBatch;
+  DistributedEngine engine(weights, &machine, spec);
+  obs::MetricsRegistry metrics;
+  engine.set_metrics(&metrics);
+  ServeOptions options = GreedyOptions(/*prefill_chunk=*/3);
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  EngineServeBackend backend(&engine, /*num_slots=*/4, options);
+  const std::vector<ServeRequest> requests = ClassedRequests(cfg);
+  const ServeReport report = RunContinuousServing(backend, requests, options);
+  ASSERT_EQ(report.completed(), 6);
+
+  const obs::AnatomyReport anatomy = obs::FoldAnatomy(tracer.timeline());
+  ExpectFoldMatchesRecords(anatomy, report, requests);
+  int64_t deferred = 0;
+  for (const obs::RequestAnatomy& a : anatomy.requests) {
+    ASSERT_EQ(a.prefill.size(), 2u);  // 4-6 token prompts, 3-token chunks
+    EXPECT_EQ(a.prefill[0].seconds, 0.0) << "request " << a.id;
+    EXPECT_GT(a.prefill[1].seconds, 0.0) << "request " << a.id;
+    ++deferred;
+  }
+  EXPECT_EQ(metrics.GetCounter("serve/deferred_chunks")->value(), deferred);
 }
 
 // --- Byte-identity across SPMD slot counts ---------------------------------

@@ -105,6 +105,23 @@ TEST(EdgeDeathTest, KvCacheRejectsMismatchedT) {
   EXPECT_DEATH(cache.Append(1, 0, bad, bad), "mismatched t");
 }
 
+TEST(EdgeDeathTest, KvCacheRejectsLaneAppendingAnotherWidth) {
+  // A ragged step: lane 0 declares 3 positions, lane 1 one. A block that
+  // gives lane 0 two positions (or packs the wrong total) must die.
+  ShardedKvCache cache(1, 1, AttnSharding::kHeads);
+  cache.BeginStep({{0, 1}}, {{3, 1}});
+  Tensor per_lane({2, 2, 1, 4});
+  EXPECT_DEATH(cache.Append(0, 0, per_lane, per_lane),
+               "lane 0 appended 2 positions into a 3-wide lane");
+  Tensor packed({1, 5, 1, 4});
+  EXPECT_DEATH(cache.Append(0, 0, packed, packed), "4 positions in all");
+  Tensor good({1, 4, 1, 4});
+  cache.Append(0, 0, good, good);
+  cache.CommitStep();
+  EXPECT_EQ(cache.slot_length(0), 3);
+  EXPECT_EQ(cache.slot_length(1), 1);
+}
+
 TEST(EdgeDeathTest, KvCacheRejectsRowsNotMatchingTargets) {
   ShardedKvCache cache(1, 1, AttnSharding::kHeads);
   cache.BeginStep({{0, 1}}, 1);  // two declared targets

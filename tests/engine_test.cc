@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -557,11 +558,11 @@ struct PagedCase {
 class PagedKvIdentityTest : public ::testing::TestWithParam<PagedCase> {};
 
 TEST_P(PagedKvIdentityTest, PagedDecodeBitIdenticalToContiguous) {
-  // The paging contract: page size, paged-kernel vs gather, and SPMD slot
-  // count are all storage/scheduling choices -- logits and the virtual
-  // clock must not move by a single bit. A huge page (1024) reproduces the
-  // pre-paging contiguous layout; page size 4 forces multi-page tables with
-  // partial boundary pages (prefill length 5 is not a multiple of 4).
+  // The paging contract: page size and SPMD slot count are storage and
+  // scheduling choices -- logits and the virtual clock must not move by a
+  // single bit. A huge page (1024) holds every sequence in one page, the
+  // contiguous layout; page size 4 forces multi-page tables with partial
+  // boundary pages (prefill length 5 is not a multiple of 4).
   const PagedCase& p = GetParam();
   ModelConfig cfg = ConfigForVariant(p.variant);
   ModelWeights weights = ModelWeights::Random(cfg, 80);
@@ -595,18 +596,16 @@ TEST_P(PagedKvIdentityTest, PagedDecodeBitIdenticalToContiguous) {
     return r;
   };
 
-  const Run base = run(KvCacheConfig{/*page_size=*/1024, /*paged_kernel=*/false},
-                       /*spmd_slots=*/1);
+  const Run base = run(KvCacheConfig{/*page_size=*/1024}, /*spmd_slots=*/1);
   ASSERT_GT(base.time, 0.0);
   for (int slots : {1, 8}) {
     for (KvCacheConfig kv :
-         {KvCacheConfig{4, true}, KvCacheConfig{4, false},
-          KvCacheConfig{16, true}, KvCacheConfig{1024, false}}) {
+         {KvCacheConfig{4}, KvCacheConfig{16}, KvCacheConfig{1024}}) {
       const Run got = run(kv, slots);
       for (size_t i = 0; i < base.logits.size(); ++i)
         EXPECT_EQ(MaxAbsDiff(got.logits[i], base.logits[i]), 0.0f)
-            << "page_size " << kv.page_size << " kernel " << kv.paged_kernel
-            << " slots " << slots << " step " << i;
+            << "page_size " << kv.page_size << " slots " << slots
+            << " step " << i;
       EXPECT_EQ(got.time, base.time) << "virtual clock moved";
       EXPECT_EQ(got.hbm, base.hbm) << "HBM bytes moved";
       EXPECT_EQ(got.net, base.net) << "network bytes moved";
@@ -646,14 +645,17 @@ TEST(EngineTest, ForkSlotSkipsRePrefillBitExactly) {
   const int64_t L = 6;
   auto prompt = RandomTokens(L, cfg.vocab_size, 85);
 
-  engine.PrefillSlots(prompt, {0});
+  engine.Step({{0, prompt}}, StepPhase::kPrefill);
   engine.ForkSlot(/*parent=*/0, /*child=*/1, /*prefix_len=*/L);
   EXPECT_EQ(engine.slot_length(1), L);
   // The fork shares pages instead of re-storing them.
   EXPECT_GT(engine.cache().pages_shared(), 0);
 
   auto next = RandomTokens(2, cfg.vocab_size, 86);
-  Tensor both = engine.DecodeSlots({next[0], next[0]}, {0, 1});
+  auto decode = [&](int32_t a, int32_t b) {
+    return engine.Step({{0, {a}}, {1, {b}}}, StepPhase::kDecode);
+  };
+  Tensor both = decode(next[0], next[0]);
   // Identical context + identical token => identical logits on both lanes
   // (the divergent append COW-split the shared boundary page first).
   EXPECT_EQ(MaxAbsDiff(both.Slice(0, 0, 1), both.Slice(0, 1, 1)), 0.0f);
@@ -661,10 +663,185 @@ TEST(EngineTest, ForkSlotSkipsRePrefillBitExactly) {
   // Feed different tokens, then the same token again: the contexts have
   // diverged, so the lanes must no longer agree -- each slot really owns a
   // private copy of the boundary page.
-  engine.DecodeSlots({next[0], next[1]}, {0, 1});
-  Tensor after = engine.DecodeSlots({next[0], next[0]}, {0, 1});
+  decode(next[0], next[1]);
+  Tensor after = decode(next[0], next[0]);
   EXPECT_GT(MaxAbsDiff(after.Slice(0, 0, 1), after.Slice(0, 1, 1)), 0.0f);
 }
+
+// --- Ragged step (DistributedEngine::Step) ----------------------------------
+
+uint64_t Fnv1a(uint64_t h, const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    uint32_t bits;
+    const float f = t[i];
+    std::memcpy(&bits, &f, sizeof(bits));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+
+struct StepCase {
+  AttnSharding attn;
+  bool int8_;
+  // Golden values of the uniform frames below, recorded on the engine that
+  // ran them as separate slot-mapped prefill and decode calls.
+  uint64_t prefill_hash, decode_hash;
+  double time, hbm, net;
+};
+
+std::string StepCaseName(const ::testing::TestParamInfo<StepCase>& info) {
+  return std::string(info.param.attn == kBatch ? "batch" : "heads") +
+         (info.param.int8_ ? "_int8" : "_fp32");
+}
+
+class StepTest : public ::testing::TestWithParam<StepCase> {
+ protected:
+  // The serving frame on 2x2x1: 8 slots, kBatch owner group slot / 2.
+  static constexpr int64_t kSlots = 8;
+  static int64_t GroupOf(int64_t slot) { return slot / 2; }
+
+  StepTest()
+      : cfg_(TinyTestModel()),
+        weights_(ModelWeights::Random(cfg_, 90)),
+        machine_(Torus3D(2, 2, 1), TpuV4()),
+        engine_(weights_, &machine_, Spec(GetParam())) {}
+
+  static EngineSpec Spec(const StepCase& p) {
+    EngineSpec spec;
+    spec.attn = p.attn;
+    if (p.int8_) spec.fastpath.precision = FastPathPrecision::kInt8;
+    return spec;
+  }
+
+  StepLane Lane(int64_t slot, std::vector<int32_t> tokens) const {
+    return {slot, std::move(tokens),
+            GetParam().attn == kBatch && slot >= 0 ? GroupOf(slot) : 0};
+  }
+
+  // A lone-chunk prefill of 5 + s tokens into every slot s; hashes each
+  // pass's logits.
+  uint64_t PrefillEverySlot(DistributedEngine& engine) const {
+    uint64_t h = kFnvBasis;
+    for (int64_t s = 0; s < kSlots; ++s)
+      h = Fnv1a(h, engine.Step({Lane(s, RandomTokens(5 + s, cfg_.vocab_size,
+                                                     91 + static_cast<uint64_t>(s)))},
+                               StepPhase::kPrefill));
+    return h;
+  }
+
+  // The fixed decode frame: one lane per slot, `idle` a scratch lane.
+  std::vector<StepLane> DecodeFrame(uint64_t seed, int64_t idle) const {
+    auto toks = RandomTokens(kSlots, cfg_.vocab_size, seed);
+    std::vector<StepLane> frame;
+    for (int64_t s = 0; s < kSlots; ++s) {
+      if (s == idle) {
+        StepLane pad = Lane(ShardedKvCache::kScratchSlot, {0});
+        pad.group = GetParam().attn == kBatch ? GroupOf(s) : 0;
+        frame.push_back(pad);
+      } else {
+        frame.push_back(Lane(s, {toks[static_cast<size_t>(s)]}));
+      }
+    }
+    return frame;
+  }
+
+  double Hbm() const {
+    double b = 0;
+    for (int c = 0; c < machine_.num_chips(); ++c)
+      b += machine_.counters(c).hbm_bytes;
+    return b;
+  }
+  double Net() const {
+    double b = 0;
+    for (int c = 0; c < machine_.num_chips(); ++c)
+      b += machine_.counters(c).network_bytes;
+    return b;
+  }
+
+  ModelConfig cfg_;
+  ModelWeights weights_;
+  SimMachine machine_;
+  DistributedEngine engine_;
+};
+
+TEST_P(StepTest, UniformFramesReproduceGoldenValues) {
+  // Lone chunks (kBatch: one equally wide scratch lane per other owner
+  // group) and uniform decode frames (slot 3 idle) reproduce the golden
+  // logits, modeled time, HBM bytes and network bytes.
+  const StepCase& p = GetParam();
+  EXPECT_EQ(PrefillEverySlot(engine_), p.prefill_hash);
+  uint64_t h = kFnvBasis;
+  for (uint64_t step = 0; step < 2; ++step) {
+    Tensor logits = engine_.Step(DecodeFrame(100 + step, /*idle=*/3),
+                                 StepPhase::kDecode);
+    ASSERT_EQ(logits.dim(0), kSlots);
+    for (int64_t s = 0; s < kSlots; ++s)
+      if (s != 3) h = Fnv1a(h, logits.Slice(0, s, 1));
+  }
+  EXPECT_EQ(h, p.decode_hash);
+  EXPECT_EQ(machine_.MaxTime(), p.time);
+  EXPECT_EQ(Hbm(), p.hbm);
+  EXPECT_EQ(Net(), p.net);
+}
+
+TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
+  // One pass carrying a 64-token prefill chunk (slot 8) and 8 decode lanes
+  // gives every lane the logits it gets when the chunk and the decode step
+  // run as two passes, leaves the same cache behind, and costs less
+  // modeled time: one pass's collective latency instead of two.
+  const StepCase& p = GetParam();
+  DistributedEngine& split = engine_;
+  SimMachine merged_machine(Torus3D(2, 2, 1), TpuV4());
+  DistributedEngine merged(weights_, &merged_machine, Spec(p));
+  PrefillEverySlot(split);
+  PrefillEverySlot(merged);
+  const auto chunk = RandomTokens(64, cfg_.vocab_size, 120);
+  StepLane chunk_lane = Lane(8, chunk);
+  chunk_lane.group = p.attn == kBatch ? 1 : 0;
+  const std::vector<StepLane> frame = DecodeFrame(121, /*idle=*/-1);
+
+  double t0 = machine_.MaxTime();
+  Tensor chunk_logits = split.Step({chunk_lane}, StepPhase::kPrefill);
+  Tensor decode_logits = split.Step(frame, StepPhase::kDecode);
+  const double two_passes = machine_.MaxTime() - t0;
+
+  std::vector<StepLane> both = frame;
+  both.push_back(chunk_lane);
+  t0 = merged_machine.MaxTime();
+  Tensor logits = merged.Step(both, StepPhase::kDecode);
+  const double one_pass = merged_machine.MaxTime() - t0;
+
+  ASSERT_EQ(logits.dim(0), kSlots + 64);
+  EXPECT_EQ(MaxAbsDiff(logits.Slice(0, 0, kSlots), decode_logits), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(logits.Slice(0, kSlots, 64), chunk_logits), 0.0f);
+  EXPECT_LT(one_pass, two_passes);
+
+  // Same cache afterwards: a decode frame over all nine slots agrees too.
+  std::vector<StepLane> next = DecodeFrame(122, /*idle=*/-1);
+  StepLane nine = Lane(8, {chunk[0]});
+  nine.group = chunk_lane.group;
+  next.push_back(nine);
+  EXPECT_EQ(MaxAbsDiff(merged.Step(next, StepPhase::kDecode),
+                       split.Step(next, StepPhase::kDecode)),
+            0.0f);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, StepTest,
+    ::testing::Values(
+        StepCase{kHeads, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
+                 0.00011029658666666671, 545536, 197568},
+        StepCase{kHeads, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
+                 0.00011025644000000022, 352832, 197568},
+        StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
+                 0.00015077013333333336, 518080, 714240},
+        StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
+                 0.00015073120000000032, 332240, 714240}),
+    StepCaseName);
 
 TEST(EngineTest, PagedKvBytesMatchAnalyticModel) {
   // The analytic memory model and the functional cache must agree EXACTLY on

@@ -275,8 +275,9 @@ TEST(QuantizedKvTest, SliceConcatAndRowMatchFp32Counterparts) {
   EXPECT_EQ(MaxAbsDiff(Dequantize(ConcatKvTime(qa, qb)),
                        Tensor::Concat(1, {Dequantize(qa), Dequantize(qb)})),
             0.0f);
-  EXPECT_EQ(MaxAbsDiff(Dequantize(SliceKvRow(qa, 1)),
-                       Dequantize(qa).Slice(0, 1, 1)),
+  // Positions 2..3 of the rows laid end to end: row 0's last, row 1's first.
+  EXPECT_EQ(MaxAbsDiff(Dequantize(SliceKvPositions(qa, 2, 2)),
+                       Dequantize(qa).Reshape({1, 6, 4, 8}).Slice(1, 2, 2)),
             0.0f);
   // Concat onto an empty block returns the appended block unchanged.
   QuantizedKv empty;

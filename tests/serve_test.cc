@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "engine/generation.h"
@@ -236,6 +237,119 @@ TEST(ServeRuntimeTest, MixedLayoutServingMatchesStaticGenerate) {
   for (int64_t b = 0; b < B; ++b)
     EXPECT_EQ(got.requests[static_cast<size_t>(b)].tokens,
               want.sequences[static_cast<size_t>(b)]);
+}
+
+// Forwards to a backend, records how far each non-final Prefill call moved
+// the clock, and whether a decode step ran while a chunk was deferred.
+class DeferralProbe : public ServeBackend {
+ public:
+  explicit DeferralProbe(ServeBackend* inner) : inner_(inner) {}
+  int64_t num_slots() const override { return inner_->num_slots(); }
+  double Now() const override { return inner_->Now(); }
+  void AdvanceTo(double t) override { inner_->AdvanceTo(t); }
+  int32_t Prefill(int64_t slot, int64_t request,
+                  const std::vector<int32_t>& tokens, bool last) override {
+    const double before = Now();
+    const int32_t token = inner_->Prefill(slot, request, tokens, last);
+    if (!last) {
+      ++non_final;
+      max_non_final_advance = std::max(max_non_final_advance, Now() - before);
+    }
+    deferred = !last;
+    return token;
+  }
+  std::vector<int32_t> Decode(const std::vector<DecodeLane>& lanes) override {
+    if (deferred) ++decodes_carrying_chunks;
+    deferred = false;
+    return inner_->Decode(lanes);
+  }
+  void Release(int64_t slot) override { inner_->Release(slot); }
+
+  int64_t non_final = 0;
+  double max_non_final_advance = 0;
+  int64_t decodes_carrying_chunks = 0;
+
+ private:
+  bool deferred = false;  // the last Prefill call queued its chunk
+  ServeBackend* inner_;
+};
+
+TEST(ServeRuntimeTest, DeferredRagChunksMatchIsolatedRuns) {
+  // A rag-shaped trace: short prompts start decoding first, then prompts of
+  // three chunks arrive while they decode. Non-final chunks are deferred
+  // into the next forward pass (a decode frame, or the request's final
+  // chunk as one longer lane); none of that may change a token, and the
+  // virtual timestamps stay independent of the SPMD slot count.
+  ModelConfig cfg = TinyTestModel();
+  ModelWeights weights = ModelWeights::Random(cfg, 34);
+  const int64_t kChunk = 4;
+  std::vector<ServeRequest> requests;
+  for (int64_t i = 0; i < 8; ++i) {
+    ServeRequest r;
+    r.id = i;
+    const bool rag = i >= 2;
+    r.arrival = rag ? 1e-6 * static_cast<double>(i) : 0;
+    r.prompt = RandomTokens(rag ? 2 * kChunk + 1 + i % 3 : 3, cfg.vocab_size,
+                            400 + static_cast<uint64_t>(i));
+    r.max_new_tokens = rag ? 3 : 12;
+    requests.push_back(std::move(r));
+  }
+
+  for (const ServeSetup& setup : {BatchShardedSetup(), HeadShardedSetup()}) {
+    const std::string attn = ToString(setup.spec.attn);
+    struct Run {
+      ServeReport report;
+      int64_t non_final = 0;
+      double max_non_final_advance = 0;
+      int64_t deferred_chunks = 0;
+      int64_t decodes_carrying_chunks = 0;
+    };
+    auto run = [&](int spmd_slots) {
+      SimMachine machine(setup.mesh, TpuV4());
+      DistributedEngine engine(weights, &machine, setup.spec);
+      engine.spmd().set_slots(spmd_slots);
+      obs::MetricsRegistry metrics;
+      ServeOptions options = GreedyOptions(kChunk);
+      options.metrics = &metrics;
+      EngineServeBackend backend(&engine, /*num_slots=*/8, options);
+      DeferralProbe probe(&backend);
+      Run r;
+      r.report = RunContinuousServing(probe, requests, options);
+      r.non_final = probe.non_final;
+      r.max_non_final_advance = probe.max_non_final_advance;
+      r.decodes_carrying_chunks = probe.decodes_carrying_chunks;
+      r.deferred_chunks = metrics.GetCounter("serve/deferred_chunks")->value();
+      return r;
+    };
+    const Run run_one = run(1);
+    const ServeReport& one = run_one.report;
+    const ServeReport eight = run(8).report;
+    ASSERT_EQ(one.completed(), 8) << attn;
+    ASSERT_EQ(eight.completed(), 8) << attn;
+
+    // Six rag prompts of three chunks: twelve non-final chunks, every one
+    // deferred at no cost to the clock.
+    EXPECT_EQ(run_one.non_final, 12) << attn;
+    EXPECT_EQ(run_one.max_non_final_advance, 0.0) << attn;
+    EXPECT_EQ(run_one.deferred_chunks, 12) << attn;
+    EXPECT_GT(run_one.decodes_carrying_chunks, 0) << attn;
+
+    for (size_t i = 0; i < 8; ++i) {
+      const RequestRecord& a = one.requests[i];
+      const RequestRecord& b = eight.requests[i];
+      EXPECT_EQ(a.tokens, b.tokens) << attn << " request " << a.id;
+      EXPECT_EQ(a.first_token, b.first_token) << attn << " request " << a.id;
+      EXPECT_EQ(a.token_times, b.token_times) << attn << " request " << a.id;
+      // Isolated: the request alone on a fresh engine.
+      ServeRequest alone = requests[i];
+      alone.arrival = 0;
+      const ServeReport solo = RunOnFreshEngine(setup, weights, 8, {alone},
+                                                GreedyOptions(kChunk));
+      ASSERT_EQ(solo.completed(), 1);
+      EXPECT_EQ(a.tokens, solo.requests[0].tokens)
+          << attn << " request " << a.id;
+    }
+  }
 }
 
 TEST(ServeRuntimeTest, FusedFastPathServingIsBitIdentical) {

@@ -188,11 +188,12 @@ TEST(ShardedKvCacheTest, AppendsAndTracksLength) {
 TEST(ShardedKvCacheTest, ScratchLanesAreDiscarded) {
   ShardedKvCache cache(1, 1, AttnSharding::kHeads, WeightFormat::kBf16,
                        KvCacheConfig{/*page_size=*/4});
-  Tensor rows({2, 3, 1, 4});
-  // Lane 0 targets slot 0; lane 1 is padding.
+  Tensor rows = Tensor::Iota({2, 3, 1, 4});
+  // Lane 0 targets slot 0; lane 1 is padding and keeps its own row.
   cache.BeginStep({{0, ShardedKvCache::kScratchSlot}}, 3);
   cache.Append(0, 0, rows, rows);
-  EXPECT_EQ(cache.ScratchK(0, 0, /*lane=*/1).dim(1), 3);
+  EXPECT_EQ(MaxAbsDiff(cache.ScratchK(0, 0, /*lane=*/1), rows.Slice(0, 1, 1)),
+            0.0f);
   cache.CommitStep();
   EXPECT_EQ(cache.length(), 3);
   EXPECT_EQ(cache.num_slots(), 1);
@@ -201,6 +202,28 @@ TEST(ShardedKvCacheTest, ScratchLanesAreDiscarded) {
   // one page per slot).
   EXPECT_EQ(cache.pages_in_use(), 1);
   EXPECT_DOUBLE_EQ(cache.TotalBytes(2.0), 1 * 2 * (4 * 1 * 4) * 2.0);
+}
+
+TEST(ShardedKvCacheTest, Int8ScratchLanesKeepTheirOwnPositions) {
+  // Same as above on an int8 cache, in both block forms: [lanes, t] and the
+  // packed [1, sum of widths] the engine appends for a ragged step.
+  Rng rng(9);
+  Tensor rows = Tensor::Gaussian({2, 3, 1, 4}, rng);
+  const QuantizedKv q = QuantizeKvInt8(rows);
+  for (bool packed : {false, true}) {
+    ShardedKvCache cache(1, 1, AttnSharding::kHeads, WeightFormat::kInt8,
+                         KvCacheConfig{/*page_size=*/4});
+    QuantizedKv block = q;
+    if (packed) block.shape = {1, 6, 1, 4};
+    cache.BeginStep({{0, ShardedKvCache::kScratchSlot}}, {{3, 3}});
+    cache.AppendQuantized(0, 0, block, block);
+    EXPECT_EQ(MaxAbsDiff(Dequantize(cache.ScratchK8(0, 0, /*lane=*/1)),
+                         Dequantize(q).Slice(0, 1, 1)),
+              0.0f)
+        << (packed ? "packed" : "per lane");
+    cache.CommitStep();
+    EXPECT_EQ(cache.slot_length(0), 3);
+  }
 }
 
 namespace {
@@ -311,14 +334,18 @@ TEST(ShardedKvCacheTest, Int8ForkAndCowMatchFp32Semantics) {
   EXPECT_EQ(cache.pages_in_use(), 2);
   append8(1, 1, 2.0f);
   EXPECT_EQ(cache.cow_splits(), 1);
-  // Prefixes agree (values and scales); divergent tails are independent.
-  QuantizedKv pk = cache.K8(0, 0, 0), ck = cache.K8(0, 0, 1);
-  EXPECT_EQ(pk.t(), 6);
-  EXPECT_EQ(ck.t(), 7);
-  for (int64_t i = 0; i < 6 * 8; ++i)
-    ASSERT_EQ(pk.values[static_cast<size_t>(i)], ck.values[static_cast<size_t>(i)]);
-  for (int64_t i = 0; i < 6; ++i)
-    ASSERT_EQ(pk.scales[static_cast<size_t>(i)], ck.scales[static_cast<size_t>(i)]);
+  // Prefixes agree (values and scales, read through the page tables);
+  // divergent tails are independent.
+  PagedKvSpanInt8 pk = cache.PageSpanK8(0, 0, 0), ck = cache.PageSpanK8(0, 0, 1);
+  EXPECT_EQ(pk.len, 6);
+  EXPECT_EQ(ck.len, 7);
+  for (int64_t pos = 0; pos < 6; ++pos) {
+    const auto page = static_cast<size_t>(pos / 4);
+    const int64_t at = pos % 4;
+    for (int64_t d = 0; d < 8; ++d)
+      ASSERT_EQ(pk.pages[page][at * 8 + d], ck.pages[page][at * 8 + d]);
+    ASSERT_EQ(pk.scale_pages[page][at], ck.scale_pages[page][at]);
+  }
   // Int8 bytes are page-granular too: values + fp32 scales for 3 pages.
   EXPECT_DOUBLE_EQ(cache.TotalBytes(2.0), 3 * 2.0 * (4 * 1 * 8 + 4.0 * 4 * 1));
 }

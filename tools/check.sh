@@ -42,7 +42,13 @@
 #                             # serving, disaggregation and collective suites
 #                             # on it with 8 SPMD slots forced (packed
 #                             # tuple-collective deposits, per-axis ring
-#                             # chunks, tensor offset math, KV page pool)
+#                             # chunks, tensor offset math, KV page pool,
+#                             # ragged-step appends and their death tests)
+#   tools/check.sh perfbench  # additionally run the host-clock serving
+#                             # benchmark (perfbench/run.py) on both
+#                             # workloads for 5 s with spans on, and fail
+#                             # unless each result reads correct with 0
+#                             # failed requests
 #
 # TSan halves throughput and multiplies memory, so TSI_TSAN_TESTS can narrow
 # the sanitized run to the concurrency-heavy tests; default is everything.
@@ -77,7 +83,7 @@ if [[ "${1:-}" == "asan" ]]; then
   # -fno-sanitize-recover, so any report fails the test. Only the suites it
   # runs are built; ring_test and collectives_test cover the per-axis chunk
   # bookkeeping of the wire-level collectives.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test'
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON >/dev/null
@@ -121,7 +127,7 @@ if [[ "${1:-}" == "disagg" ]]; then
   # Disaggregation race check: KV migration exports from one engine and
   # imports into another, so two SimMachines' thread pools and page pools
   # are live at once; 8 forced SPMD slots overlap the source's chunked
-  # ExportSlot reads with the destination's PrefillSlots writes. Then the
+  # ExportSlot reads with the destination's Step writes. Then the
   # E24 prefill/decode-pool sweep runs standalone, writing
   # BENCH_serving_disagg.json (the full tracked BENCH_serving.json is only
   # refreshed by the plain bench run, which includes every section).
@@ -155,6 +161,21 @@ if [[ "${1:-}" == "autotune" ]]; then
       --batches 4,8 --contexts 16,32 --out "$plans"
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
     "$repo/build-check-tsan/tools/plan_cli" validate "$plans" --functional
+fi
+
+if [[ "${1:-}" == "perfbench" ]]; then
+  # The benchmark's own build (.bench_build/) and correctness replay: each
+  # workload's last stdout line is its JSON result.
+  echo "== Host-clock serving benchmark (perfbench) =="
+  for workload in rag prefix; do
+    result="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+                --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+    echo "$workload: $result"
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
+      || { echo "perfbench $workload: not correct, or requests failed"; exit 1; }
+  done
 fi
 
 if [[ "${1:-}" == "obs" ]]; then

@@ -459,6 +459,20 @@ int RunDemo(const std::string& prefix) {
   // combined document carries (docs/observability.md).
   const std::vector<TimelineEvent> timeline = tracer.timeline();
   const obs::AnatomyReport anatomy = obs::FoldAnatomy(timeline);
+  // The trace-side fold must reproduce the scheduler's own records, with
+  // the backend's deferred (zero-length) prefill chunks among the spans.
+  bool folded = anatomy.requests.size() == report.requests.size();
+  for (size_t i = 0; folded && i < report.requests.size(); ++i) {
+    const obs::RequestAnatomy& a = anatomy.requests[i];
+    const RequestRecord& r = report.requests[i];
+    folded = a.id == r.id && a.arrival == r.arrival &&
+             a.admitted == r.admitted && a.first_token == r.first_token &&
+             a.finished == r.finished &&
+             a.token_times.size() == r.tokens.size();
+  }
+  std::printf("anatomy fold matches the report records: %s\n",
+              folded ? "OK" : "FAILED");
+  if (!folded) return 1;
   InferenceEstimator estimator(cfg, TpuV4());
   obs::RooflineInputs rin;
   rin.estimator = &estimator;
