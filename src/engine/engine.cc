@@ -15,7 +15,26 @@ namespace {
 
 constexpr unsigned kAxisYZ = kAxisY | kAxisZ;
 
+// Rows of the groups before xyz-rank `r` in a group-major frame.
+int64_t RowsBefore(const std::vector<int64_t>& group_rows, int r) {
+  int64_t n = 0;
+  for (int g = 0; g < r; ++g) n += group_rows[static_cast<size_t>(g)];
+  return n;
+}
+
 }  // namespace
+
+SpmdContext::Extents DistributedEngine::RowsOverX() const {
+  SpmdContext::Extents e(static_cast<size_t>(X_), 0);
+  for (size_t g = 0; g < group_rows_.size(); ++g)
+    e[g / static_cast<size_t>(YZ_)] += group_rows_[g];
+  return e;
+}
+
+SpmdContext::Extents DistributedEngine::RowsOverYz(int xr) const {
+  const auto first = group_rows_.begin() + static_cast<int64_t>(xr) * YZ_;
+  return SpmdContext::Extents(first, first + YZ_);
+}
 
 DistributedEngine::DistributedEngine(const ModelWeights& weights,
                                      SimMachine* machine, EngineSpec spec)
@@ -387,35 +406,45 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   // scatters rows), so only the yz split needs an all-to-all (heads ->
   // rows). x-major ranks match the weight-gathered path's xyz group rank,
   // so the two phases share one KV-cache layout.
+  // The yz ranks of this chip's x slice own the slice's groups in rank
+  // order, each at its own row extent.
+  const SpmdContext::Extents yz_rows =
+      RowsOverYz(topo.RankInGroup(c, kAxisX));
   Tensor q3 = q.Reshape({rows, Hl, dh});
   Tensor k3 = k.Reshape({rows, KVl, dh});
   Tensor v3 = v.Reshape({rows, KVl, dh});
-  Tensor qb, kb, vb;
+  std::vector<Tensor> qkv;
+  qkv.push_back(std::move(q3));
+  Tensor kb, vb;
   if (kv_replicated) {
     // The K/V heads are replicated over yz: the row split is a local
     // slice, no communication (this is the saving of Fig 4c).
-    qb = ctx.AllToAll(kAxisYZ, std::move(q3), /*split=*/0, /*concat=*/1);
     const int yzr = YZ_ == 1 ? 0 : topo.RankInGroup(c, kAxisYZ);
-    kb = YZ_ == 1 ? std::move(k3) : k3.Chunk(0, YZ_, yzr);
-    vb = YZ_ == 1 ? std::move(v3) : v3.Chunk(0, YZ_, yzr);
+    const int64_t first = RowsBefore(yz_rows, yzr);
+    const int64_t own = yz_rows[static_cast<size_t>(yzr)];
+    kb = own == rows ? std::move(k3) : k3.Slice(0, first, own);
+    vb = own == rows ? std::move(v3) : v3.Slice(0, first, own);
   } else {
     // Head-sharded K/V reshard with q in the same all-to-all.
-    std::vector<Tensor> qkv;
-    qkv.push_back(std::move(q3));
     qkv.push_back(std::move(k3));
     qkv.push_back(std::move(v3));
-    qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), 0, 1);
-    qb = std::move(qkv[0]);
+  }
+  qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), /*split=*/0, /*concat=*/1,
+                         /*split_extents=*/yz_rows);
+  Tensor qb = std::move(qkv[0]);
+  if (!kv_replicated) {
     kb = std::move(qkv[1]);
     vb = std::move(qkv[2]);
   }
   AppendKv(c, layer, kb, vb);
-  Tensor attn = SlotAttention(c, layer, qb, static_cast<double>(H));
-  // Back to head sharding over yz; attn is [rows/YZ, H, dh]. The caller
-  // gathers the x rows.
-  Tensor back = ctx.AllToAll(kAxisYZ, std::move(attn), /*split=*/1,
-                             /*concat=*/0);
-  return back.Reshape({rows, Hl * dh});
+  std::vector<Tensor> attn;
+  attn.push_back(SlotAttention(c, layer, qb, static_cast<double>(H)));
+  // Back to head sharding over yz; attn is this chip's group rows
+  // [group rows, H, dh]. The caller gathers the x rows.
+  attn = ctx.AllToAllMany(kAxisYZ, std::move(attn), /*split=*/1,
+                          /*concat=*/0, /*split_extents=*/{},
+                          /*concat_extents=*/yz_rows);
+  return attn[0].Reshape({rows, Hl * dh});
 }
 
 void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
@@ -439,6 +468,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   // columns and all-gather back -- an all-reduce split in two, so each half
   // can share its collective with the FFN's.
   const int64_t qkv_dim = heads ? 1 : 0;
+  // kBatch: the rows split over x at the x slices' group rows.
+  const SpmdContext::Extents x_rows =
+      heads ? SpmdContext::Extents{} : RowsOverX();
 
   // The current norm site, in the forms its consumers read: fp32 (`ni`:
   // materialized and/or as a pack-time transform) or dynamic int8 (`yq`).
@@ -533,12 +565,14 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     return Tensor();
   };
 
-  // All-gathers the pointed-to tensors over x, in place, in one collective.
+  // All-gathers the pointed-to tensors over x, in place, in one collective
+  // (per-member rank extents as in AllGatherMany).
   auto gather_x = [&](const std::vector<Tensor*>& ts,
-                      const std::vector<int64_t>& dims) {
+                      const std::vector<int64_t>& dims,
+                      const std::vector<SpmdContext::Extents>& extents) {
     std::vector<Tensor> g;
     for (Tensor* t : ts) g.push_back(std::move(*t));
-    g = ctx.AllGatherMany(kAxisX, std::move(g), dims);
+    g = ctx.AllGatherMany(kAxisX, std::move(g), dims, extents);
     for (size_t i = 0; i < ts.size(); ++i) *ts[i] = std::move(g[i]);
   };
 
@@ -554,6 +588,7 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     norm(second, attn, ffn);
     std::vector<Tensor> rs;
     std::vector<int64_t> rs_dims;
+    std::vector<SpmdContext::Extents> rs_rows;
     if (attn) {
       rs.push_back(proj(&ShardedLayerWeights::wq, &QuantizedLayerShard::wq,
                         nt_attn));
@@ -562,6 +597,7 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       rs.push_back(proj(&ShardedLayerWeights::wv, &QuantizedLayerShard::wv,
                         nt_attn));
       rs_dims.assign(3, qkv_dim);
+      rs_rows.assign(3, x_rows);
     }
     if (ffn && looped) {
       // The FFN input projections run pipelined under the same
@@ -570,20 +606,22 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       std::vector<const Tensor*> ws = {&lw.win};
       if (gated) ws.push_back(&lw.win_gate);
       rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims, ni.y,
-                                       ws, weight_byte_width_);
+                                       ws, weight_byte_width_, rs_rows);
     } else {
       if (ffn && X_ > 1) {
         rs.push_back(proj(&ShardedLayerWeights::win,
                           &QuantizedLayerShard::win, nt_ffn));
         rs_dims.push_back(1);
+        rs_rows.emplace_back();
         if (gated) {
           rs.push_back(proj(&ShardedLayerWeights::win_gate,
                             &QuantizedLayerShard::win_gate, nt_ffn));
           rs_dims.push_back(1);
+          rs_rows.emplace_back();
         }
       }
       if (X_ > 1 && !rs.empty())
-        rs = ctx.ReduceScatterMany(kAxisX, std::move(rs), rs_dims);
+        rs = ctx.ReduceScatterMany(kAxisX, std::move(rs), rs_dims, rs_rows);
     }
 
     Tensor h;
@@ -606,15 +644,15 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       if (heads && X_ > 1) {
         std::vector<Tensor*> ts = {&q, &k, &v};
         if (gather_h) ts.push_back(&h);
-        gather_x(ts, std::vector<int64_t>(ts.size(), 1));
+        gather_x(ts, std::vector<int64_t>(ts.size(), 1), {});
       }
       Tensor a =
           AttentionChip(ctx, std::move(q), std::move(k), std::move(v), layer);
       if (!heads && X_ > 1) {
         if (gather_h) {
-          gather_x({&a, &h}, {0, 1});
+          gather_x({&a, &h}, {0, 1}, {x_rows, {}});
         } else {
-          gather_x({&a}, {0});
+          gather_x({&a}, {0}, {x_rows});
         }
       }
       // A serial block without a yz reduction may fold the residual add
@@ -624,7 +662,7 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       out = out_proj(a, nullptr, &ShardedLayerWeights::wo,
                      &QuantizedLayerShard::wo, accum);
     } else if (gather_h) {
-      gather_x({&h}, {1});
+      gather_x({&h}, {1}, {});
     }
 
     if (ffn) {
@@ -799,6 +837,7 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
 
   StepFrame frame = LayOutStep(lanes);
   const auto rows = static_cast<int64_t>(frame.tokens.size());
+  group_rows_ = std::move(frame.group_rows);
   cache_.BeginStep(std::move(frame.chip_slots), std::move(frame.chip_widths));
 
   Tensor x_full =
@@ -809,14 +848,16 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
     spmd_.Run([&](SpmdContext& ctx) {
       const int c = ctx.chip();
       const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
-      Tensor x = x_full.Chunk(0, n_, r);
+      Tensor x = x_full.Slice(0, RowsBefore(group_rows_, r),
+                              group_rows_[static_cast<size_t>(r)]);
       for (int64_t l = 0; l < config_.num_layers; ++l) WgBlockChip(ctx, x, l);
       // Final norm + logit head, group-locally; gather full logits.
       Tensor y = LayerNorm(x, shards_[static_cast<size_t>(c)].final_ln_gain);
-      Tensor lg = LocalMatMul(
-          c, y, shards_[static_cast<size_t>(c)].embedding.Transpose2D());
-      Tensor logits = ctx.AllGather(kAxisXYZ, std::move(lg), 0);
-      if (c == 0) result = std::move(logits);
+      std::vector<Tensor> lg;
+      lg.push_back(LocalMatMul(
+          c, y, shards_[static_cast<size_t>(c)].embedding.Transpose2D()));
+      lg = ctx.AllGatherMany(kAxisXYZ, std::move(lg), {0}, {group_rows_});
+      if (c == 0) result = std::move(lg[0]);
     });
   } else {
     // Weight-stationary path: activations sharded [rows, E/X] over x. The
@@ -889,30 +930,26 @@ DistributedEngine::StepFrame DistributedEngine::LayOutStep(
   // Under kHeads every chip stores every lane's slot (its head subset), and
   // the rows are the lanes back to back. Under kBatch a lane's full-kv rows
   // land only on its owner -- the chip with xyz-rank `group`, which is
-  // where the WS row splits (x-major reduce-scatter then all-to-all) and
-  // the WG batch chunking both deliver group g's rows [g*R, (g+1)*R). That
-  // shared rank is what lets mixed-layout phases share one cache.
+  // where the WS row splits (x-major reduce-scatter then all-to-all, at the
+  // groups' row extents) and the WG batch slicing both deliver group g's
+  // rows. That shared rank is what lets mixed-layout phases share one
+  // cache. Each group holds exactly its lanes' rows; a group with no lane
+  // gets one one-token scratch lane, so no chip's shard is empty.
   StepFrame frame;
   frame.chip_slots.resize(static_cast<size_t>(n_));
   frame.chip_widths.resize(static_cast<size_t>(n_));
-  auto width = [&](size_t i) {
-    return static_cast<int64_t>(lanes[i].tokens.size());
-  };
-  // Appends lane `i` (-1: a padding lane `pad` rows wide) to the rows and
-  // to chip c's cache lanes (-1: every chip's).
-  auto place = [&](int64_t i, int64_t pad, int c) {
+  // Appends lane `i` (-1: a one-token scratch lane) to the rows and to
+  // chip c's cache lanes (-1: every chip's).
+  static const std::vector<int32_t> kScratchToken = {0};
+  auto place = [&](int64_t i, int c) {
     const bool real = i >= 0;
     const int64_t slot = real ? lanes[static_cast<size_t>(i)].slot
                               : ShardedKvCache::kScratchSlot;
-    const int64_t w = real ? width(static_cast<size_t>(i)) : pad;
+    const auto& t = real ? lanes[static_cast<size_t>(i)].tokens : kScratchToken;
+    const auto w = static_cast<int64_t>(t.size());
     frame.lane.push_back(i);
     frame.width.push_back(w);
-    if (real) {
-      const auto& t = lanes[static_cast<size_t>(i)].tokens;
-      frame.tokens.insert(frame.tokens.end(), t.begin(), t.end());
-    } else {
-      frame.tokens.insert(frame.tokens.end(), static_cast<size_t>(w), 0);
-    }
+    frame.tokens.insert(frame.tokens.end(), t.begin(), t.end());
     for (int cc = 0; cc < n_; ++cc) {
       if (c >= 0 && cc != c) continue;
       frame.chip_slots[static_cast<size_t>(cc)].push_back(slot);
@@ -924,26 +961,24 @@ DistributedEngine::StepFrame DistributedEngine::LayOutStep(
                                  << " carries no tokens";
   if (spec_.attn == AttnSharding::kHeads) {
     for (size_t i = 0; i < lanes.size(); ++i)
-      place(static_cast<int64_t>(i), 0, -1);
+      place(static_cast<int64_t>(i), -1);
     return frame;
   }
-  std::vector<int64_t> group_rows(static_cast<size_t>(n_), 0);
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    const int64_t g = lanes[i].group;
-    TSI_CHECK(g >= 0 && g < n_)
-        << "owner group " << g << " out of range for " << n_ << " chips";
-    group_rows[static_cast<size_t>(g)] += width(i);
-  }
-  const int64_t R = *std::max_element(group_rows.begin(), group_rows.end());
+  for (const StepLane& l : lanes)
+    TSI_CHECK(l.group >= 0 && l.group < n_)
+        << "owner group " << l.group << " out of range for " << n_ << " chips";
+  frame.group_rows.assign(static_cast<size_t>(n_), 0);
   std::vector<int> chip_of(static_cast<size_t>(n_));  // xyz-rank -> chip
   for (int c = 0; c < n_; ++c)
     chip_of[static_cast<size_t>(machine_->topo().RankInGroup(c, kAxisXYZ))] = c;
   for (int64_t g = 0; g < n_; ++g) {
     const int c = chip_of[static_cast<size_t>(g)];
+    const size_t before = frame.tokens.size();
     for (size_t i = 0; i < lanes.size(); ++i)
-      if (lanes[i].group == g) place(static_cast<int64_t>(i), 0, c);
-    const int64_t pad = R - group_rows[static_cast<size_t>(g)];
-    if (pad > 0) place(-1, pad, c);
+      if (lanes[i].group == g) place(static_cast<int64_t>(i), c);
+    if (frame.tokens.size() == before) place(-1, c);
+    frame.group_rows[static_cast<size_t>(g)] =
+        static_cast<int64_t>(frame.tokens.size() - before);
   }
   return frame;
 }

@@ -124,10 +124,11 @@ class DistributedEngine {
   // shapes and the virtual clock's charges independent of how many lanes
   // are real) but their K/V is discarded. Under kHeads the rows are the
   // lanes back to back. Under kBatch they are group-major: each owner
-  // group's lanes sit together, and every group is padded with one scratch
-  // lane up to the largest group's row count, so the batch-row splits of the
-  // weight-stationary collectives and the weight-gathered batch chunks put
-  // each lane on its owner chip.
+  // group's lanes sit together at exactly their rows (a group with no lane
+  // gets one one-token scratch lane), and the weight-stationary row splits
+  // and the weight-gathered row slices run at the groups' row extents, so
+  // each lane lands on its owner chip and no group is padded to another's
+  // size.
   Tensor Step(const std::vector<StepLane>& lanes, StepPhase phase);
   // Frees a slot's cache on every chip for reuse by a new request.
   void ResetSlot(int64_t slot) { cache_.ResetSlot(slot); }
@@ -178,15 +179,21 @@ class DistributedEngine {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  // A step's rows: the lanes in row order plus padding lanes (`lane` -1),
-  // each frame lane's width, the rows' tokens (padding rows carry token 0),
-  // and the lanes each chip's cache stores.
+  // A step's rows: the lanes in row order plus scratch lanes (`lane` -1),
+  // each frame lane's width, the rows' tokens (scratch rows carry token 0),
+  // the lanes each chip's cache stores, and (kBatch) each owner group's
+  // row count by xyz-rank.
   struct StepFrame {
     std::vector<int64_t> lane, width;
     std::vector<int32_t> tokens;
     std::vector<std::vector<int64_t>> chip_slots, chip_widths;
+    std::vector<int64_t> group_rows;
   };
   StepFrame LayOutStep(const std::vector<StepLane>& lanes) const;
+  // kBatch row extents of the current step's frame: per x-rank (the x
+  // slice's groups summed), and per yz-rank within x-rank `xr`.
+  SpmdContext::Extents RowsOverX() const;
+  SpmdContext::Extents RowsOverYz(int xr) const;
 
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
@@ -200,9 +207,9 @@ class DistributedEngine {
 
   // Head- or batch-sharded attention over this chip's heads. kHeads: q/k/v
   // are whole over x ([rows, cols]) and so is the [rows, (H/YZ)*dh] result.
-  // kBatch: q/k/v are this chip's x rows ([rows/X, cols], what the rows
-  // reduce-scatter(x) delivers) and so is the [rows/X, (H/YZ)*dh] result;
-  // the caller gathers the rows back over x.
+  // kBatch: q/k/v are this chip's x slice of the rows (its yz groups' rows,
+  // what the rows reduce-scatter(x) delivers) and so is the
+  // [slice rows, (H/YZ)*dh] result; the caller gathers the rows back over x.
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer);
 
@@ -286,6 +293,7 @@ class DistributedEngine {
   FusedPlan prefill_plan_, decode_plan_;
   // Set (single-threaded) by Step before entering the SPMD region.
   const FusedPlan* active_plan_ = nullptr;
+  std::vector<int64_t> group_rows_;  // StepFrame::group_rows
   // Fastpath counters; created eagerly in the ctor (never from SPMD
   // closures) and only when the fast path is active, so baseline metric
   // exports carry no fastpath entries.

@@ -12,9 +12,9 @@
 // Lane mapping is the identity (slot s rides lane s), so under kBatch
 // sharding slot s's KV lives on the chip with xyz-rank s/(S/n), its owner
 // group; prefill lanes name the same group, and the engine's ragged step
-// (DistributedEngine::Step) pads each group to a common row count. This is
-// what lets a weight-gathered prefill and a weight-stationary decode extend
-// the same cache (§3.5).
+// (DistributedEngine::Step) lays each group out at its own row count and
+// splits the rows at those extents. This is what lets a weight-gathered
+// prefill and a weight-stationary decode extend the same cache (§3.5).
 //
 // Deferred chunks: a non-final prefill chunk does not run at its own call.
 // Prefill queues it, returns -1 and leaves the clock unchanged; it rides in

@@ -32,31 +32,106 @@ double MaxDepositTime(const std::vector<ExchangeHub::Deposit>& parts) {
   return t;
 }
 
-// The local members of a tuple collective: shapes, normalized dims, and
-// their float offsets in the packed deposit.
-struct Members {
-  std::vector<Shape> shapes;
-  std::vector<int64_t> dims;
-  std::vector<int64_t> offsets;
-  int64_t total = 0;
+using Deposits = std::vector<ExchangeHub::Deposit>;
+using Extents = SpmdContext::Extents;
 
-  Members(const std::vector<Tensor>& ts, const std::vector<int64_t>& ds) {
-    for (size_t j = 0; j < ts.size(); ++j) {
-      const auto r = static_cast<int64_t>(ts[j].rank());
-      const int64_t d = ds[j] < 0 ? ds[j] + r : ds[j];
-      TSI_CHECK(d >= 0 && d < r) << "dim " << ds[j] << " of a rank-" << r
-                                 << " member";
-      shapes.push_back(ts[j].shape());
-      dims.push_back(d);
-      offsets.push_back(total);
-      total += ts[j].numel();
+int64_t NormDim(int64_t d, const Shape& s) {
+  const auto r = static_cast<int64_t>(s.size());
+  const int64_t n = d < 0 ? d + r : d;
+  TSI_CHECK(n >= 0 && n < r) << "dim " << d << " of a rank-" << r
+                             << " member";
+  return n;
+}
+
+int64_t Elements(const Shape& s) {
+  int64_t n = 1;
+  for (int64_t e : s) n *= e;
+  return n;
+}
+
+// Elements per unit of extent along `d`: the product of the other dims.
+int64_t Cross(const Shape& s, int64_t d) {
+  int64_t n = 1;
+  for (size_t i = 0; i < s.size(); ++i)
+    if (static_cast<int64_t>(i) != d) n *= s[i];
+  return n;
+}
+
+// Sum of the extents of the ranks before `r`.
+int64_t Before(const Extents& e, int r) {
+  int64_t n = 0;
+  for (int i = 0; i < r; ++i) n += e[static_cast<size_t>(i)];
+  return n;
+}
+
+// The per-rank extents of a `whole`-long dim split `k` ways: `given` (one
+// per rank, tiling the dim), or the even split when none is given.
+Extents SplitExtents(const Extents& given, int64_t whole, int64_t k) {
+  if (given.empty()) {
+    TSI_CHECK_EQ(whole % k, 0)
+        << "dim " << whole << " not divisible into " << k << " chunks";
+    return Extents(static_cast<size_t>(k), whole / k);
+  }
+  TSI_CHECK_EQ(static_cast<int64_t>(given.size()), k) << "one extent per rank";
+  int64_t sum = 0;
+  for (int64_t e : given) {
+    TSI_CHECK_GE(e, 0);
+    sum += e;
+  }
+  TSI_CHECK_EQ(sum, whole) << "extents do not tile the dim";
+  return given;
+}
+
+// The extents every rank deposits along a dim whose local extent is
+// `mine`: `given` (checked against this rank's), or `mine` on every rank.
+Extents DepositExtents(const Extents& given, int64_t mine, int64_t k,
+                       int rank) {
+  if (given.empty()) return Extents(static_cast<size_t>(k), mine);
+  TSI_CHECK_EQ(static_cast<int64_t>(given.size()), k) << "one extent per rank";
+  TSI_CHECK_EQ(given[static_cast<size_t>(rank)], mine)
+      << "rank " << rank << " deposits a different extent than declared";
+  return given;
+}
+
+// Member j's extents: extents[j] when the caller gave any.
+const Extents& MemberExtents(const std::vector<Extents>& extents, size_t j) {
+  static const Extents kEven;
+  return extents.empty() ? kEven : extents[j];
+}
+
+// The members of a tuple collective as every rank deposits them: rank r's
+// member j has shape shapes[r][j] and sits at offsets[r][j] of its packed
+// deposit. Ranks' shapes differ only along a ragged dim.
+struct Packing {
+  std::vector<std::vector<Shape>> shapes;
+  std::vector<std::vector<int64_t>> offsets;
+  std::vector<int64_t> totals;
+
+  // Every rank packs `local`, except that member j's extent along
+  // `dims[j]` is ext[j][r] on rank r (dims[j] < 0: the same on every rank).
+  Packing(const std::vector<Shape>& local, const std::vector<int64_t>& dims,
+          const std::vector<Extents>& ext, int64_t k) {
+    for (int64_t r = 0; r < k; ++r) {
+      std::vector<Shape> rs = local;
+      std::vector<int64_t> at;
+      int64_t total = 0;
+      for (size_t j = 0; j < rs.size(); ++j) {
+        if (dims[j] >= 0)
+          rs[j][static_cast<size_t>(dims[j])] = ext[j][static_cast<size_t>(r)];
+        at.push_back(total);
+        total += Elements(rs[j]);
+      }
+      shapes.push_back(std::move(rs));
+      offsets.push_back(std::move(at));
+      totals.push_back(total);
     }
   }
 
-  // Member j of deposit `p`, read in place.
-  const float* In(const ExchangeHub::Deposit& p, size_t j) const {
-    TSI_CHECK_EQ(p.tensor->numel(), total) << "members differ across ranks";
-    return p.tensor->data() + offsets[j];
+  // Member j of rank r's deposit, read in place.
+  const float* In(const Deposits& parts, size_t r, size_t j) const {
+    TSI_CHECK_EQ(parts[r].tensor->numel(), totals[r])
+        << "members differ from the declared shapes and extents";
+    return parts[r].tensor->data() + offsets[r][j];
   }
 };
 
@@ -75,28 +150,70 @@ Tensor PackMembers(std::vector<Tensor> ts) {
   return packed;
 }
 
-using Deposits = std::vector<ExchangeHub::Deposit>;
+// A tuple's members as split over the group: shapes, normalized dims and
+// every rank's extent along each member's dim.
+struct Split {
+  std::vector<Shape> local;
+  std::vector<int64_t> dims;
+  std::vector<Extents> ext;
 
-// All-gather data path: every member concatenated along its dim over the
-// deposits, in group order.
-std::vector<Tensor> GatherMembers(const Deposits& parts, const Members& mem) {
-  std::vector<Tensor> out;
-  out.reserve(mem.shapes.size());
-  for (size_t j = 0; j < mem.shapes.size(); ++j) {
-    const Shape& box = mem.shapes[j];
-    const auto d = static_cast<size_t>(mem.dims[j]);
-    Shape shape = box;
-    shape[d] *= static_cast<int64_t>(parts.size());
-    Tensor o(shape);
-    const Shape zero(box.size(), 0);
-    Shape dst_off(box.size(), 0);
-    for (const auto& p : parts) {
-      TransferBox(mem.In(p, j), box, zero, &o, dst_off, box, /*add=*/false);
-      dst_off[d] += box[d];
+  Split(const std::vector<Tensor>& ts, const std::vector<int64_t>& ds,
+        const std::vector<Extents>& extents) {
+    TSI_CHECK(extents.empty() || extents.size() == ts.size())
+        << "one extents entry per member";
+    for (size_t j = 0; j < ts.size(); ++j) {
+      local.push_back(ts[j].shape());
+      dims.push_back(NormDim(ds[j], local.back()));
     }
-    out.push_back(std::move(o));
   }
-  return out;
+  int64_t Along(size_t j) const {
+    return local[j][static_cast<size_t>(dims[j])];
+  }
+
+  // Each rank's share of the tuple in elements: its chunk of a
+  // reduce-scatter's buffer, or its deposit into an all-gather.
+  std::vector<int64_t> Shares() const {
+    std::vector<int64_t> sh(ext.empty() ? 0 : ext[0].size(), 0);
+    for (size_t j = 0; j < local.size(); ++j)
+      for (size_t r = 0; r < sh.size(); ++r)
+        sh[r] += Cross(local[j], dims[j]) * ext[j][r];
+    return sh;
+  }
+};
+
+// A reduce-scatter's split: the extents tile every member's dim.
+Split ScatterSplit(const std::vector<Tensor>& ts,
+                   const std::vector<int64_t>& ds,
+                   const std::vector<Extents>& extents, int64_t k) {
+  Split sp(ts, ds, extents);
+  for (size_t j = 0; j < ts.size(); ++j)
+    sp.ext.push_back(SplitExtents(MemberExtents(extents, j), sp.Along(j), k));
+  return sp;
+}
+
+// An all-gather's split: this rank's extents are its members' own.
+Split GatherSplit(const std::vector<Tensor>& ts,
+                  const std::vector<int64_t>& ds,
+                  const std::vector<Extents>& extents, int64_t k, int rank) {
+  Split sp(ts, ds, extents);
+  for (size_t j = 0; j < ts.size(); ++j)
+    sp.ext.push_back(
+        DepositExtents(MemberExtents(extents, j), sp.Along(j), k, rank));
+  return sp;
+}
+
+// A ragged split is charged as its busiest member: k times the largest
+// share, which is the whole buffer when the shares are equal.
+int64_t Busiest(const std::vector<int64_t>& shares) {
+  return static_cast<int64_t>(shares.size()) *
+         *std::max_element(shares.begin(), shares.end());
+}
+
+// What a chip sends: the buffer less its own share.
+int64_t EgressOf(const std::vector<int64_t>& shares, int rank) {
+  int64_t total = 0;
+  for (int64_t s : shares) total += s;
+  return total - shares[static_cast<size_t>(rank)];
 }
 
 // Reduce-scatter data path: rank `rank`'s chunk of every member along its
@@ -104,24 +221,47 @@ std::vector<Tensor> GatherMembers(const Deposits& parts, const Members& mem) {
 // additions as summing everything and then chunking (what the serial
 // lockstep collective computes), at 1/k the work.
 std::vector<Tensor> ScatterSumMembers(const Deposits& parts,
-                                      const Members& mem, int rank) {
-  const auto k = static_cast<int64_t>(parts.size());
+                                      const Split& sc, int rank) {
+  const Packing pk(sc.local, std::vector<int64_t>(sc.local.size(), -1),
+                   sc.ext, static_cast<int64_t>(parts.size()));
   std::vector<Tensor> out;
-  out.reserve(mem.shapes.size());
-  for (size_t j = 0; j < mem.shapes.size(); ++j) {
-    const Shape& shape = mem.shapes[j];
-    const auto d = static_cast<size_t>(mem.dims[j]);
-    TSI_CHECK_EQ(shape[d] % k, 0)
-        << "dim " << shape[d] << " not divisible into " << k << " chunks";
+  out.reserve(sc.local.size());
+  for (size_t j = 0; j < sc.local.size(); ++j) {
+    const Shape& shape = sc.local[j];
+    const auto d = static_cast<size_t>(sc.dims[j]);
     Shape box = shape;
-    box[d] = shape[d] / k;
+    box[d] = sc.ext[j][static_cast<size_t>(rank)];
     Shape src_off(box.size(), 0);
-    src_off[d] = rank * box[d];
+    src_off[d] = Before(sc.ext[j], rank);
     const Shape zero(box.size(), 0);
     Tensor o(box);
     for (size_t i = 0; i < parts.size(); ++i)
-      TransferBox(mem.In(parts[i], j), shape, src_off, &o, zero, box,
+      TransferBox(pk.In(parts, i, j), shape, src_off, &o, zero, box,
                   /*add=*/i > 0);
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+// All-gather data path: every member concatenated along its dim over the
+// deposits, in group order.
+std::vector<Tensor> GatherMembers(const Deposits& parts, const Split& ga) {
+  const Packing pk(ga.local, ga.dims, ga.ext,
+                   static_cast<int64_t>(parts.size()));
+  std::vector<Tensor> out;
+  out.reserve(ga.local.size());
+  for (size_t j = 0; j < ga.local.size(); ++j) {
+    const auto d = static_cast<size_t>(ga.dims[j]);
+    Shape shape = ga.local[j];
+    shape[d] = Before(ga.ext[j], static_cast<int>(parts.size()));
+    Tensor o(shape);
+    Shape dst_off(shape.size(), 0);
+    for (size_t r = 0; r < parts.size(); ++r) {
+      const Shape& box = pk.shapes[r][j];
+      TransferBox(pk.In(parts, r, j), box, Shape(box.size(), 0), &o, dst_off,
+                  box, /*add=*/false);
+      dst_off[d] += box[d];
+    }
     out.push_back(std::move(o));
   }
   return out;
@@ -248,10 +388,22 @@ void SpmdContext::Charge(const std::vector<ExchangeHub::Deposit>& parts,
   m.ChargeNetwork(chip_, egress_bytes);
 }
 
+void SpmdContext::ChargeRing(const std::vector<ExchangeHub::Deposit>& parts,
+                             const SpmdExecutor::AxisGroup& g,
+                             const std::vector<int64_t>& shares,
+                             const std::string& name) {
+  const double bpe = ex_->machine_->bytes_per_element();
+  Charge(parts,
+         PerAxisRingTime(ex_->machine_->comm_cost(), g.axes,
+                         static_cast<double>(Busiest(shares)) * bpe),
+         static_cast<double>(EgressOf(shares, g.rank)) * bpe, name);
+}
+
 void SpmdContext::ChargePipelined(
     const std::vector<ExchangeHub::Deposit>& parts,
     const std::vector<int>& axes, double total_flops,
-    double total_weight_bytes, double elems, const char* name) {
+    double total_weight_bytes, double elems, double egress_elems,
+    const char* name) {
   SimMachine& m = *ex_->machine_;
   const ChipSpec& chip = m.chip();
   const CommCostModel& cost = m.comm_cost();
@@ -268,10 +420,9 @@ void SpmdContext::ChargePipelined(
   // ... and the other axes' rings follow as plain ring steps on D / k.
   const double bytes = elems * m.bytes_per_element();
   t += PerAxisRingTime(cost, {axes.begin(), axes.end() - 1}, bytes / k);
-  const double group = static_cast<double>(parts.size());
   m.SetTime(chip_, MaxDepositTime(parts));
   m.BookWork(chip_, total_flops, total_weight_bytes);
-  m.ChargeNetwork(chip_, bytes * (group - 1.0) / group);
+  m.ChargeNetwork(chip_, egress_elems * m.bytes_per_element());
   m.AdvanceTimeTraced(chip_, t, name);
 }
 
@@ -283,42 +434,33 @@ Tensor SpmdContext::ReduceScatter(unsigned mask, Tensor t, int64_t dim) {
   return std::move(ReduceScatterMany(mask, Lone(std::move(t)), {dim})[0]);
 }
 
-std::vector<Tensor> SpmdContext::AllGatherMany(unsigned mask,
-                                               std::vector<Tensor> tensors,
-                                               const std::vector<int64_t>& dims) {
+std::vector<Tensor> SpmdContext::AllGatherMany(
+    unsigned mask, std::vector<Tensor> tensors,
+    const std::vector<int64_t>& dims, const std::vector<Extents>& extents) {
   TSI_CHECK(!tensors.empty());
   TSI_CHECK_EQ(tensors.size(), dims.size());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
   if (g.size == 1) return tensors;
-  SimMachine& m = *ex_->machine_;
-  const Members mem(tensors, dims);
+  const Split ga = GatherSplit(tensors, dims, extents, g.size, g.rank);
   auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
-  std::vector<Tensor> out = GatherMembers(parts, mem);
-  double bytes = 0;
-  for (const Tensor& o : out)
-    bytes += static_cast<double>(o.numel()) * m.bytes_per_element();
-  Charge(parts, PerAxisRingTime(m.comm_cost(), g.axes, bytes),
-         bytes * (static_cast<double>(g.size) - 1.0) / g.size,
-         "all-gather(" + AxisName(mask) + ")");
+  std::vector<Tensor> out = GatherMembers(parts, ga);
+  // Charged on the gathered outputs (the D of Appendix A.1).
+  ChargeRing(parts, g, ga.Shares(), "all-gather(" + AxisName(mask) + ")");
   return out;
 }
 
 std::vector<Tensor> SpmdContext::ReduceScatterMany(
     unsigned mask, std::vector<Tensor> tensors,
-    const std::vector<int64_t>& dims) {
+    const std::vector<int64_t>& dims, const std::vector<Extents>& extents) {
   TSI_CHECK(!tensors.empty());
   TSI_CHECK_EQ(tensors.size(), dims.size());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
   if (g.size == 1) return tensors;
-  SimMachine& m = *ex_->machine_;
-  const Members mem(tensors, dims);
+  const Split sc = ScatterSplit(tensors, dims, extents, g.size);
   auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
-  std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
+  std::vector<Tensor> out = ScatterSumMembers(parts, sc, g.rank);
   // Charged on the *full* per-chip buffers (the D of Appendix A.1).
-  const double bytes = static_cast<double>(mem.total) * m.bytes_per_element();
-  Charge(parts, PerAxisRingTime(m.comm_cost(), g.axes, bytes),
-         bytes * (static_cast<double>(g.size) - 1.0) / g.size,
-         "reduce-scatter(" + AxisName(mask) + ")");
+  ChargeRing(parts, g, sc.Shares(), "reduce-scatter(" + AxisName(mask) + ")");
   return out;
 }
 
@@ -355,46 +497,68 @@ Tensor SpmdContext::AllToAll(unsigned mask, Tensor t, int64_t split_dim,
 std::vector<Tensor> SpmdContext::AllToAllMany(unsigned mask,
                                               std::vector<Tensor> tensors,
                                               int64_t split_dim,
-                                              int64_t concat_dim) {
+                                              int64_t concat_dim,
+                                              const Extents& split_extents,
+                                              const Extents& concat_extents) {
   TSI_CHECK(!tensors.empty());
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
   if (g.size == 1) return tensors;
   SimMachine& m = *ex_->machine_;
-  const Members mem(tensors, std::vector<int64_t>(tensors.size(), split_dim));
   const int64_t k = g.size;
+  const size_t n = tensors.size();
+  // Rank r deposits its members at concat_extents[r] along the concat dim
+  // (a gather's split) and cuts them along the split dim, rank q receiving
+  // split_extents[q] (a scatter's split).
+  const Split sp = ScatterSplit(tensors, std::vector<int64_t>(n, split_dim),
+                                std::vector<Extents>(n, split_extents), k);
+  const Split cp =
+      GatherSplit(tensors, std::vector<int64_t>(n, concat_dim),
+                  std::vector<Extents>(n, concat_extents), k, g.rank);
+  const Packing pk(cp.local, cp.dims, cp.ext, k);
   auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
   std::vector<Tensor> out;
-  out.reserve(mem.shapes.size());
-  for (size_t j = 0; j < mem.shapes.size(); ++j) {
-    const Shape& shape = mem.shapes[j];
-    const auto sd = static_cast<size_t>(mem.dims[j]);
-    const auto rank = static_cast<int64_t>(shape.size());
-    const int64_t cdi = concat_dim < 0 ? concat_dim + rank : concat_dim;
-    TSI_CHECK(cdi >= 0 && cdi < rank) << "concat dim " << concat_dim;
-    const auto cd = static_cast<size_t>(cdi);
-    TSI_CHECK_EQ(shape[sd] % k, 0)
-        << "dim " << shape[sd] << " not divisible into " << k << " chunks";
-    // This rank's chunk of every deposit, concatenated in group order.
-    Shape box = shape;
-    box[sd] = shape[sd] / k;
-    Shape out_shape = box;
-    out_shape[cd] *= k;
+  out.reserve(n);
+  for (size_t j = 0; j < n; ++j) {
+    const auto sd = static_cast<size_t>(sp.dims[j]);
+    const auto cd = static_cast<size_t>(cp.dims[j]);
+    TSI_CHECK_NE(sd, cd) << "split and concat dims coincide";
+    // This rank's block of every deposit, concatenated in group order.
+    Shape out_shape = cp.local[j];
+    out_shape[sd] = sp.ext[j][static_cast<size_t>(g.rank)];
+    out_shape[cd] = Before(cp.ext[j], static_cast<int>(k));
     Tensor o(out_shape);
-    Shape src_off(box.size(), 0);
-    src_off[sd] = g.rank * box[sd];
-    Shape dst_off(box.size(), 0);
-    for (const auto& p : parts) {
-      TransferBox(mem.In(p, j), shape, src_off, &o, dst_off, box,
+    Shape src_off(out_shape.size(), 0);
+    src_off[sd] = Before(sp.ext[j], g.rank);
+    Shape dst_off(out_shape.size(), 0);
+    for (size_t r = 0; r < parts.size(); ++r) {
+      const Shape& shape = pk.shapes[r][j];
+      Shape box = shape;
+      box[sd] = out_shape[sd];
+      TransferBox(pk.In(parts, r, j), shape, src_off, &o, dst_off, box,
                   /*add=*/false);
       dst_off[cd] += box[cd];
     }
     out.push_back(std::move(o));
   }
   // All-to-all uses direct pairwise paths, not a dependent ring: charge the
-  // bandwidth factor on the per-chip buffers plus a single hop latency.
-  const double bytes = static_cast<double>(mem.total) * m.bytes_per_element();
-  Charge(parts, m.comm_cost().AllToAllTime(bytes, g.size),
-         bytes * (static_cast<double>(g.size) - 1.0) / g.size,
+  // bandwidth factor on the per-chip buffers plus a single hop latency. A
+  // ragged one is charged as k times its largest block (rank r to rank q).
+  auto block = [&](size_t r, size_t q) {
+    int64_t e = 0;
+    for (size_t j = 0; j < n; ++j)
+      e += Cross(pk.shapes[r][j], sp.dims[j]) * sp.ext[j][q];
+    return e;
+  };
+  int64_t largest = 0;
+  for (size_t r = 0; r < parts.size(); ++r)
+    for (size_t q = 0; q < parts.size(); ++q)
+      largest = std::max(largest, block(r, q));
+  const auto me = static_cast<size_t>(g.rank);
+  const double bpe = m.bytes_per_element();
+  Charge(parts,
+         m.comm_cost().AllToAllTime(static_cast<double>(k * largest) * bpe,
+                                    g.size),
+         static_cast<double>(pk.totals[me] - block(me, me)) * bpe,
          "all-to-all(" + AxisName(mask) + ")");
   return out;
 }
@@ -409,12 +573,16 @@ Tensor SpmdContext::MatMulReduceScatter(unsigned mask, const Tensor& x,
 std::vector<Tensor> SpmdContext::MatMulReduceScatterMany(
     unsigned mask, std::vector<Tensor> tensors, std::vector<int64_t> dims,
     const Tensor& x, const std::vector<const Tensor*>& ws,
-    double weight_byte_width) {
+    double weight_byte_width, const std::vector<Extents>& extents) {
   TSI_CHECK(!ws.empty());
   TSI_CHECK_EQ(tensors.size(), dims.size());
+  TSI_CHECK(extents.empty() || extents.size() == tensors.size())
+      << "one extents entry per carried member";
   SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
   SimMachine& m = *ex_->machine_;
   const double rows = static_cast<double>(x.numel() / x.dim(-1));
+  std::vector<Extents> ext = extents;
+  if (!ext.empty()) ext.resize(tensors.size() + ws.size());
   double flops = 0, wbytes = 0;
   for (const Tensor* w : ws) {
     const double f = 2.0 * rows * w->dim(0) * w->dim(1);
@@ -426,11 +594,14 @@ std::vector<Tensor> SpmdContext::MatMulReduceScatterMany(
     wbytes += b;
   }
   if (g.size == 1) return tensors;
-  const Members mem(tensors, dims);
+  const Split sc = ScatterSplit(tensors, dims, ext, g.size);
   auto parts = ExchangeTimed(g, PackMembers(std::move(tensors)));
-  std::vector<Tensor> out = ScatterSumMembers(parts, mem, g.rank);
+  std::vector<Tensor> out = ScatterSumMembers(parts, sc, g.rank);
+  const std::vector<int64_t> shares = sc.Shares();
   ChargePipelined(parts, g.axes, flops, wbytes,
-                  static_cast<double>(mem.total), "looped-matmul-rs");
+                  static_cast<double>(Busiest(shares)),
+                  static_cast<double>(EgressOf(shares, g.rank)),
+                  "looped-matmul-rs");
   return out;
 }
 
@@ -447,14 +618,15 @@ Tensor SpmdContext::AllGatherMatMul(unsigned mask, const Tensor& x,
     return y;
   }
   std::vector<Tensor> one = Lone(x);
-  const Members mem(one, {0});
+  const Split ga = GatherSplit(one, {0}, {}, g.size, g.rank);
   auto parts = ExchangeTimed(g, PackMembers(std::move(one)));
-  Tensor gathered = std::move(GatherMembers(parts, mem)[0]);
+  Tensor gathered = std::move(GatherMembers(parts, ga)[0]);
   double flops =
       2.0 * static_cast<double>(gathered.dim(0)) * w.dim(0) * w.dim(1);
   double wbytes = static_cast<double>(w.numel()) * weight_byte_width;
-  ChargePipelined(parts, g.axes, flops, wbytes,
-                  static_cast<double>(gathered.numel()), "ag-looped-matmul");
+  const auto elems = gathered.numel();
+  ChargePipelined(parts, g.axes, flops, wbytes, static_cast<double>(elems),
+                  static_cast<double>(elems - x.numel()), "ag-looped-matmul");
   return MatMul(gathered, w);
 }
 

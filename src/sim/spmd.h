@@ -109,23 +109,43 @@ class SpmdContext {
   // Group-order sum, then this chip keeps its rank's chunk along `dim`.
   Tensor ReduceScatter(unsigned mask, Tensor t, int64_t dim);
 
+  // Per-rank extents along a split dimension, in group order: rank r's
+  // share is extents[r] rows (or columns). Empty means the even split.
+  using Extents = std::vector<int64_t>;
+
   // Tuple collectives: member i behaves exactly like the single-tensor call
   // on tensors[i] along dims[i] (same chunk assignment, same group-order
   // float adds), but all members travel packed in ONE deposit through ONE
   // rendezvous and are charged as ONE collective: one latency term (the
   // per-axis rings' hops for the ring collectives, one hop for the
   // all-to-all) plus the bandwidth term on the members' summed bytes, one
-  // trace event under the single-tensor name, summed egress. Every rank
-  // must pass the same member shapes. A lone member travels as itself: the
-  // single-tensor calls are this with one member.
+  // trace event under the single-tensor name. A lone member travels as
+  // itself: the single-tensor calls are this with one member.
+  //
+  // Ragged splits: `extents[i]` (when given and non-empty) sets member i's
+  // per-rank extents along dims[i] -- the rows each rank keeps after a
+  // reduce-scatter, or deposits into an all-gather -- and every rank passes
+  // the same extents. An even split is the case of equal extents. A ragged
+  // collective is charged as its busiest member: the per-chip buffer in the
+  // charge is k times the largest rank share (integer elements, so equal
+  // shares charge exactly the even formula). Each chip's egress is its
+  // actual bytes: the buffer less its own share.
   std::vector<Tensor> AllGatherMany(unsigned mask, std::vector<Tensor> tensors,
-                                    const std::vector<int64_t>& dims);
-  std::vector<Tensor> ReduceScatterMany(unsigned mask,
-                                        std::vector<Tensor> tensors,
-                                        const std::vector<int64_t>& dims);
+                                    const std::vector<int64_t>& dims,
+                                    const std::vector<Extents>& extents = {});
+  std::vector<Tensor> ReduceScatterMany(
+      unsigned mask, std::vector<Tensor> tensors,
+      const std::vector<int64_t>& dims,
+      const std::vector<Extents>& extents = {});
   // Every member resharded from `split_dim` to `concat_dim`, one hop.
+  // `split_extents` are the rows each rank receives along `split_dim`;
+  // `concat_extents` the rows each rank deposits along `concat_dim` (both
+  // shared by every member). The charge is k times the largest block any
+  // rank sends to any other; egress is the deposit less the kept block.
   std::vector<Tensor> AllToAllMany(unsigned mask, std::vector<Tensor> tensors,
-                                   int64_t split_dim, int64_t concat_dim);
+                                   int64_t split_dim, int64_t concat_dim,
+                                   const Extents& split_extents = {},
+                                   const Extents& concat_extents = {});
   // Group-order sum, replicated; charged as an exchange over one 2-chip
   // axis, else as the per-axis RS + AG (two trace events).
   Tensor AllReduce(unsigned mask, Tensor t);
@@ -138,13 +158,16 @@ class SpmdContext {
   Tensor MatMulReduceScatter(unsigned mask, const Tensor& x, const Tensor& w,
                              double weight_byte_width = 2.0);
   // The tuple form: ReduceScatterMany(mask, {tensors..., x @ *ws[0], ...},
-  // {dims..., -1, ...}) with the matmuls pipelined under the ring. The
-  // already computed `tensors` ride in the same deposit, so the whole tuple
-  // is charged as ONE pipelined collective over the summed bytes.
+  // {dims..., -1, ...}, extents) with the matmuls pipelined under the ring.
+  // The already computed `tensors` ride in the same deposit, so the whole
+  // tuple is charged as ONE pipelined collective over the summed bytes (the
+  // busiest member's, for ragged `extents` of the carried members; the
+  // matmul outputs split evenly).
   std::vector<Tensor> MatMulReduceScatterMany(
       unsigned mask, std::vector<Tensor> tensors, std::vector<int64_t> dims,
       const Tensor& x, const std::vector<const Tensor*>& ws,
-      double weight_byte_width = 2.0);
+      double weight_byte_width = 2.0,
+      const std::vector<Extents>& extents = {});
   // Fused y = AllGather(mask, x) @ w over the row dim, pipelined charge.
   Tensor AllGatherMatMul(unsigned mask, const Tensor& x, const Tensor& w,
                          double weight_byte_width = 2.0);
@@ -161,13 +184,20 @@ class SpmdContext {
   // time, advances by `seconds` (traced as `name`), books `egress_bytes`.
   void Charge(const std::vector<ExchangeHub::Deposit>& parts, double seconds,
               double egress_bytes, const std::string& name);
+  // Charge of a ring collective whose ranks hold `shares` elements of its
+  // buffer: the per-axis rings on k times the largest share (the busiest
+  // member; the whole buffer when the shares are equal), egress the buffer
+  // less this rank's share.
+  void ChargeRing(const std::vector<ExchangeHub::Deposit>& parts,
+                  const SpmdExecutor::AxisGroup& g,
+                  const std::vector<int64_t>& shares, const std::string& name);
   // Entry barrier + pipelined fused-einsum charge (sim/collective_einsum.h)
   // over the per-axis rings of `axes`, for a collective on a buffer of
-  // `elems` elements per chip.
+  // `elems` elements per chip of which this chip sends `egress_elems`.
   void ChargePipelined(const std::vector<ExchangeHub::Deposit>& parts,
                        const std::vector<int>& axes, double total_flops,
                        double total_weight_bytes, double elems,
-                       const char* name);
+                       double egress_elems, const char* name);
 
   SpmdExecutor* ex_;
   int chip_;

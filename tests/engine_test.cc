@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/attn_cost.h"
@@ -684,6 +686,24 @@ uint64_t Fnv1a(uint64_t h, const Tensor& t) {
 }
 constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 
+// `lanes` with every owner group of the n-chip mesh topped up by one
+// scratch lane to the largest group's row count: the padded kBatch frame
+// that ragged frames are compared against, and the one StepTest's golden
+// values were recorded on.
+std::vector<StepLane> PaddedFrame(std::vector<StepLane> lanes, int n) {
+  std::vector<int64_t> rows(static_cast<size_t>(n), 0);
+  for (const StepLane& l : lanes)
+    rows[static_cast<size_t>(l.group)] += static_cast<int64_t>(l.tokens.size());
+  const int64_t R = *std::max_element(rows.begin(), rows.end());
+  for (int g = 0; g < n; ++g) {
+    const int64_t pad = R - rows[static_cast<size_t>(g)];
+    if (pad > 0)
+      lanes.push_back({ShardedKvCache::kScratchSlot,
+                       std::vector<int32_t>(static_cast<size_t>(pad), 0), g});
+  }
+  return lanes;
+}
+
 struct StepCase {
   AttnSharding attn;
   bool int8_;
@@ -722,14 +742,18 @@ class StepTest : public ::testing::TestWithParam<StepCase> {
             GetParam().attn == kBatch && slot >= 0 ? GroupOf(slot) : 0};
   }
 
-  // A lone-chunk prefill of 5 + s tokens into every slot s; hashes each
-  // pass's logits.
+  // A lone-chunk prefill of 5 + s tokens into every slot s (kBatch: with
+  // one equally wide scratch lane per other owner group, the frame the
+  // golden values were recorded on); hashes each chunk's logits.
   uint64_t PrefillEverySlot(DistributedEngine& engine) const {
     uint64_t h = kFnvBasis;
-    for (int64_t s = 0; s < kSlots; ++s)
-      h = Fnv1a(h, engine.Step({Lane(s, RandomTokens(5 + s, cfg_.vocab_size,
-                                                     91 + static_cast<uint64_t>(s)))},
-                               StepPhase::kPrefill));
+    for (int64_t s = 0; s < kSlots; ++s) {
+      std::vector<StepLane> lanes = {
+          Lane(s, RandomTokens(5 + s, cfg_.vocab_size,
+                               91 + static_cast<uint64_t>(s)))};
+      if (GetParam().attn == kBatch) lanes = PaddedFrame(lanes, 4);
+      h = Fnv1a(h, engine.Step(lanes, StepPhase::kPrefill).Slice(0, 0, 5 + s));
+    }
     return h;
   }
 
@@ -769,9 +793,9 @@ class StepTest : public ::testing::TestWithParam<StepCase> {
 };
 
 TEST_P(StepTest, UniformFramesReproduceGoldenValues) {
-  // Lone chunks (kBatch: one equally wide scratch lane per other owner
-  // group) and uniform decode frames (slot 3 idle) reproduce the golden
-  // logits, modeled time, HBM bytes and network bytes.
+  // Lone chunks (kBatch: explicit, equally wide scratch lanes for the other
+  // owner groups) and uniform decode frames (slot 3 idle) reproduce the
+  // golden logits, modeled time, HBM bytes and network bytes.
   const StepCase& p = GetParam();
   EXPECT_EQ(PrefillEverySlot(engine_), p.prefill_hash);
   uint64_t h = kFnvBasis;
@@ -842,6 +866,159 @@ INSTANTIATE_TEST_SUITE_P(
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
                  0.00015073120000000032, 332240, 714240}),
     StepCaseName);
+
+// Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
+// logits and the cache left behind are bit-identical to the padded frame the
+// engine used to build (PaddedFrame), while the modeled time and the network
+// bytes are strictly lower.
+struct RaggedCase {
+  int x, y, z;
+  FfnLayout prefill_ffn;
+  bool int8_;
+  bool fused;
+};
+
+class RaggedFrameTest : public ::testing::TestWithParam<RaggedCase> {
+ protected:
+  RaggedFrameTest()
+      : cfg_(TinyTestModel()), weights_(ModelWeights::Random(cfg_, 95)) {}
+
+  EngineSpec Spec() const {
+    const RaggedCase& p = GetParam();
+    EngineSpec spec;
+    spec.attn = AttnSharding::kBatch;
+    spec.prefill_ffn = p.prefill_ffn;
+    spec.fuse_collectives = p.fused;
+    if (p.int8_) spec.fastpath.precision = FastPathPrecision::kInt8;
+    return spec;
+  }
+  Torus3D Mesh() const {
+    const RaggedCase& p = GetParam();
+    return Torus3D(p.x, p.y, p.z);
+  }
+  static double Net(const SimMachine& m) {
+    double b = 0;
+    for (int c = 0; c < m.num_chips(); ++c) b += m.counters(c).network_bytes;
+    return b;
+  }
+
+  // Runs `lanes` ragged on one engine and padded on the other; the real
+  // lanes' logits must agree bit for bit and the ragged pass must move
+  // strictly fewer network bytes. Weight-stationary passes are strictly
+  // faster too: every chip's matmuls run over the frame's rows. A
+  // weight-gathered pass costs exactly the padded time: each chip computes
+  // only its own group's rows, so the busiest chip -- the largest group,
+  // which padding never grew -- does the same work either way, and the
+  // logits all-gather is charged as its busiest member.
+  void ExpectCheaperAndIdentical(const std::vector<StepLane>& lanes,
+                                 StepPhase phase, const std::string& what) {
+    int64_t real_rows = 0;
+    for (const StepLane& l : lanes)
+      real_rows += static_cast<int64_t>(l.tokens.size());
+    const double t0 = ragged_machine_->MaxTime(), n0 = Net(*ragged_machine_);
+    const double p0 = padded_machine_->MaxTime(), q0 = Net(*padded_machine_);
+    Tensor ragged = ragged_->Step(lanes, phase);
+    Tensor padded =
+        padded_->Step(PaddedFrame(lanes, ragged_machine_->num_chips()), phase);
+    ASSERT_EQ(ragged.dim(0), real_rows) << what;
+    EXPECT_TRUE(BitIdentical(ragged, padded.Slice(0, 0, real_rows))) << what;
+    const FfnLayout layout = phase == StepPhase::kPrefill
+                                 ? GetParam().prefill_ffn
+                                 : FfnLayout::kWS2D;
+    if (layout == FfnLayout::kWGXYZ) {
+      EXPECT_EQ(ragged_machine_->MaxTime() - t0,
+                padded_machine_->MaxTime() - p0)
+          << what;
+    } else {
+      EXPECT_LT(ragged_machine_->MaxTime() - t0,
+                padded_machine_->MaxTime() - p0)
+          << what;
+    }
+    EXPECT_LT(Net(*ragged_machine_) - n0, Net(*padded_machine_) - q0) << what;
+  }
+
+  void SetUp() override {
+    ragged_machine_ = std::make_unique<SimMachine>(Mesh(), TpuV4());
+    padded_machine_ = std::make_unique<SimMachine>(Mesh(), TpuV4());
+    ragged_ = std::make_unique<DistributedEngine>(
+        weights_, ragged_machine_.get(), Spec());
+    padded_ = std::make_unique<DistributedEngine>(
+        weights_, padded_machine_.get(), Spec());
+  }
+
+  static bool BitIdentical(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  }
+
+  ModelConfig cfg_;
+  ModelWeights weights_;
+  std::unique_ptr<SimMachine> ragged_machine_, padded_machine_;
+  std::unique_ptr<DistributedEngine> ragged_, padded_;
+};
+
+TEST_P(RaggedFrameTest, RaggedLoneChunkMatchesPaddedFrame) {
+  const int n = ragged_machine_->num_chips();
+  // Slot s lives on owner group s % n.
+  auto lane = [&](int64_t slot, int64_t width, uint64_t seed) {
+    return StepLane{slot, RandomTokens(width, cfg_.vocab_size, seed),
+                    slot % n};
+  };
+  // A lone 16-token chunk: every other group is one scratch row.
+  ExpectCheaperAndIdentical({lane(1, 16, 300)}, StepPhase::kPrefill,
+                            "lone chunk");
+  // Chunks in every group but two (groups 1 and n - 1 hold no lane).
+  std::vector<StepLane> most;
+  for (int64_t g = 0; g < n; ++g)
+    if (g != 1 && g != n - 1)
+      most.push_back(lane(g, 3 + g, 310 + static_cast<uint64_t>(g)));
+  ExpectCheaperAndIdentical(most, StepPhase::kPrefill, "two empty groups");
+  // A decode frame carrying a chunk: one lane per touched slot, slot 1's
+  // lane a 12-token chunk.
+  std::vector<StepLane> mixed;
+  for (int64_t g = 0; g < n; ++g)
+    if (g != 1 && g != n - 1)
+      mixed.push_back(lane(g, 1, 330 + static_cast<uint64_t>(g)));
+  mixed.push_back(lane(1, 12, 340));
+  ExpectCheaperAndIdentical(mixed, StepPhase::kDecode,
+                            "chunk in a decode frame");
+
+  // The caches agree: a uniform decode frame over every slot, identical on
+  // both engines, gives bit-identical logits.
+  std::vector<StepLane> frame;
+  for (int64_t s = 0; s < n; ++s) {
+    if (s == n - 1) {
+      frame.push_back({ShardedKvCache::kScratchSlot, {0}, s});
+    } else {
+      frame.push_back(lane(s, 1, 350 + static_cast<uint64_t>(s)));
+    }
+  }
+  for (int64_t s = 0; s < n; ++s)
+    EXPECT_EQ(ragged_->slot_length(s), padded_->slot_length(s)) << "slot " << s;
+  EXPECT_TRUE(BitIdentical(ragged_->Step(frame, StepPhase::kDecode),
+                           padded_->Step(frame, StepPhase::kDecode)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, RaggedFrameTest,
+    ::testing::Values(RaggedCase{2, 2, 1, FfnLayout::kWS2D, false, false},
+                      RaggedCase{2, 2, 1, FfnLayout::kWS2D, false, true},
+                      RaggedCase{2, 2, 1, FfnLayout::kWS2D, true, false},
+                      RaggedCase{2, 2, 1, FfnLayout::kWGXYZ, false, false},
+                      RaggedCase{2, 2, 1, FfnLayout::kWGXYZ, true, false},
+                      RaggedCase{2, 2, 2, FfnLayout::kWS2D, false, false},
+                      RaggedCase{2, 2, 2, FfnLayout::kWS2D, false, true},
+                      RaggedCase{2, 2, 2, FfnLayout::kWS2D, true, false},
+                      RaggedCase{2, 2, 2, FfnLayout::kWGXYZ, false, false},
+                      RaggedCase{2, 2, 2, FfnLayout::kWGXYZ, true, false}),
+    [](const ::testing::TestParamInfo<RaggedCase>& info) {
+      const RaggedCase& p = info.param;
+      return std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
+             std::to_string(p.z) +
+             (p.prefill_ffn == FfnLayout::kWGXYZ ? "_wgxyz" : "_ws2d") +
+             (p.int8_ ? "_int8" : "_fp32") + (p.fused ? "_fused" : "");
+    });
 
 TEST(EngineTest, PagedKvBytesMatchAnalyticModel) {
   // The analytic memory model and the functional cache must agree EXACTLY on

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <sstream>
 
 #include "engine/generation.h"
@@ -349,6 +351,185 @@ TEST(ServeRuntimeTest, DeferredRagChunksMatchIsolatedRuns) {
       EXPECT_EQ(a.tokens, solo.requests[0].tokens)
           << attn << " request " << a.id;
     }
+  }
+}
+
+// Replays each forward pass of an EngineServeBackend on a shadow engine as
+// the padded kBatch frame -- every owner group topped up with a scratch
+// lane to the largest group's rows -- from the same per-chip clock skew,
+// and records both passes' modeled times.
+// The frame is rebuilt the way the backend builds it (serve/runtime.h):
+// queued chunks run with the next final chunk, or replace their slot's
+// scratch lane in the next fixed decode frame.
+class PaddedShadow : public ServeBackend {
+ public:
+  struct Pass {
+    bool carries_chunk = false;
+    // Every owner group ran the same rows (a group without a lane runs one
+    // scratch row): the padded frame is the same frame.
+    bool uniform = false;
+    double ragged = 0, padded = 0;
+  };
+
+  PaddedShadow(EngineServeBackend* inner, SimMachine* machine,
+               DistributedEngine* shadow)
+      : inner_(inner), machine_(machine), shadow_(shadow) {}
+  int64_t num_slots() const override { return inner_->num_slots(); }
+  double Now() const override { return inner_->Now(); }
+  void AdvanceTo(double t) override { inner_->AdvanceTo(t); }
+  int32_t Prefill(int64_t slot, int64_t request,
+                  const std::vector<int32_t>& tokens, bool last) override {
+    auto& q = queued_[slot];
+    q.insert(q.end(), tokens.begin(), tokens.end());
+    if (!last) return inner_->Prefill(slot, request, tokens, last);
+    std::vector<StepLane> lanes;
+    for (auto& [s, t] : queued_) lanes.push_back({s, std::move(t), GroupOf(s)});
+    queued_.clear();
+    int32_t token = 0;
+    Replay(lanes, StepPhase::kPrefill, true,
+           [&] { token = inner_->Prefill(slot, request, tokens, last); });
+    return token;
+  }
+  std::vector<int32_t> Decode(const std::vector<DecodeLane>& lanes) override {
+    std::vector<StepLane> frame;
+    for (int64_t s = 0; s < num_slots(); ++s)
+      frame.push_back({ShardedKvCache::kScratchSlot, {0}, GroupOf(s)});
+    for (const DecodeLane& l : lanes)
+      frame[static_cast<size_t>(l.slot)] = {l.slot, {l.token}, GroupOf(l.slot)};
+    const bool chunks = !queued_.empty();
+    for (auto& [s, t] : queued_)
+      frame[static_cast<size_t>(s)] = {s, std::move(t), GroupOf(s)};
+    queued_.clear();
+    std::vector<int32_t> out;
+    Replay(frame, StepPhase::kDecode, chunks,
+           [&] { out = inner_->Decode(lanes); });
+    return out;
+  }
+  void Release(int64_t slot) override {
+    inner_->Release(slot);
+    shadow_->ResetSlot(slot);
+  }
+
+  std::vector<Pass> passes;
+
+ private:
+  int64_t GroupOf(int64_t slot) const {
+    return slot / (num_slots() / machine_->num_chips());
+  }
+
+  void Replay(const std::vector<StepLane>& frame, StepPhase phase,
+              bool carries_chunk, const std::function<void()>& run) {
+    const int n = machine_->num_chips();
+    SimMachine& sm = shadow_->machine();
+    // Shift the ragged clocks forward so the shadow starts with the same
+    // skew and no clock rewinds.
+    double shift = 0;
+    for (int c = 0; c < n; ++c)
+      shift = std::max(shift, sm.counters(c).time - machine_->counters(c).time);
+    for (int c = 0; c < n; ++c)
+      sm.SetTime(c, machine_->counters(c).time + shift);
+    const double t0 = machine_->MaxTime();
+    run();
+    Pass p;
+    p.carries_chunk = carries_chunk;
+    p.ragged = machine_->MaxTime() - t0;
+    std::vector<int64_t> rows(static_cast<size_t>(n), 0);
+    for (const StepLane& l : frame)
+      rows[static_cast<size_t>(l.group)] +=
+          static_cast<int64_t>(l.tokens.size());
+    const int64_t R = *std::max_element(rows.begin(), rows.end());
+    p.uniform = std::all_of(rows.begin(), rows.end(), [&](int64_t r) {
+      return r == R || (r == 0 && R == 1);
+    });
+    std::vector<StepLane> padded = frame;
+    for (int g = 0; g < n; ++g) {
+      const int64_t pad = R - rows[static_cast<size_t>(g)];
+      if (pad > 0)
+        padded.push_back(
+            {ShardedKvCache::kScratchSlot,
+             std::vector<int32_t>(static_cast<size_t>(pad), 0), g});
+    }
+    shadow_->Step(padded, phase);
+    p.padded = sm.MaxTime() - (t0 + shift);
+    passes.push_back(p);
+  }
+
+  EngineServeBackend* inner_;
+  SimMachine* machine_;
+  DistributedEngine* shadow_;
+  std::map<int64_t, std::vector<int32_t>> queued_;
+};
+
+TEST(ServeRuntimeTest, RaggedKBatchFramesMatchIsolatedRunsAndCostLess) {
+  // Rag-shaped traces on batch-sharded attention: each owner group runs
+  // exactly its lanes' rows. Tokens equal isolated runs, timestamps are
+  // identical for SPMD slots 1 and 8, and every pass whose groups hold
+  // different row counts -- each one carries a chunk -- costs less modeled
+  // time than the same frame padded. A uniform frame (a decode frame
+  // without chunks, or a one-token final chunk alone) has nothing to pad
+  // and costs the same.
+  ModelConfig cfg = TinyTestModel();
+  ModelWeights weights = ModelWeights::Random(cfg, 36);
+  const int64_t kChunk = 4, kSlots = 8;
+  std::vector<ServeRequest> requests;
+  for (int64_t i = 0; i < 8; ++i) {
+    ServeRequest r;
+    r.id = i;
+    const bool rag = i >= 2;
+    r.arrival = rag ? 1e-6 * static_cast<double>(i) : 0;
+    r.prompt = RandomTokens(rag ? 2 * kChunk + 1 + i % 3 : 3, cfg.vocab_size,
+                            500 + static_cast<uint64_t>(i));
+    r.max_new_tokens = rag ? 3 : 12;
+    requests.push_back(std::move(r));
+  }
+  const ServeOptions options = GreedyOptions(kChunk);
+  for (const Torus3D& mesh : {Torus3D(2, 2, 1), Torus3D(2, 2, 2)}) {
+    ServeSetup setup{mesh, {}};
+    setup.spec.attn = AttnSharding::kBatch;
+    const std::string name = mesh.ToString();
+    const ServeReport one =
+        RunOnFreshEngine(setup, weights, kSlots, requests, options, 1);
+
+    SimMachine machine(mesh, TpuV4()), shadow_machine(mesh, TpuV4());
+    DistributedEngine engine(weights, &machine, setup.spec);
+    DistributedEngine shadow(weights, &shadow_machine, setup.spec);
+    engine.spmd().set_slots(8);
+    EngineServeBackend backend(&engine, kSlots, options);
+    PaddedShadow probe(&backend, &machine, &shadow);
+    const ServeReport eight = RunContinuousServing(probe, requests, options);
+
+    ASSERT_EQ(one.completed(), 8) << name;
+    ASSERT_EQ(eight.completed(), 8) << name;
+    for (size_t i = 0; i < 8; ++i) {
+      const RequestRecord& a = one.requests[i];
+      const RequestRecord& b = eight.requests[i];
+      EXPECT_EQ(a.tokens, b.tokens) << name << " request " << a.id;
+      EXPECT_EQ(a.first_token, b.first_token) << name << " request " << a.id;
+      EXPECT_EQ(a.token_times, b.token_times) << name << " request " << a.id;
+      ServeRequest alone = requests[i];
+      alone.arrival = 0;
+      const ServeReport solo =
+          RunOnFreshEngine(setup, weights, kSlots, {alone}, options);
+      ASSERT_EQ(solo.completed(), 1);
+      EXPECT_EQ(a.tokens, solo.requests[0].tokens)
+          << name << " request " << a.id;
+    }
+
+    // The shadow's clocks are shifted, so equal passes agree to the
+    // rounding of the larger absolute times, not bit for bit.
+    int64_t chunk_passes = 0, plain_passes = 0;
+    for (const PaddedShadow::Pass& p : probe.passes) {
+      if (p.uniform) {
+        ++plain_passes;
+        EXPECT_NEAR(p.ragged, p.padded, 1e-12 * p.padded) << name;
+      } else {
+        EXPECT_TRUE(p.carries_chunk) << name;
+        ++chunk_passes;
+        EXPECT_LT(p.ragged, p.padded) << name;
+      }
+    }
+    EXPECT_GT(chunk_passes, 0) << name;
+    EXPECT_GT(plain_passes, 0) << name;
   }
 }
 

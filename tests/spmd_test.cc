@@ -495,6 +495,227 @@ TEST(SpmdAllReduceTest, ExchangeOverTwoChipAxisElsePerAxisLegs) {
   }
 }
 
+// Ragged row splits: a collective whose ranks hold different row extents
+// (SpmdContext::Extents). Its values equal the real rows of the same
+// collective run on rows padded to the largest extent; equal extents charge
+// exactly the even closed forms; an uneven charge is never above the padded
+// one and never below the busiest member's bytes over the link bandwidth.
+enum class RaggedOp {
+  kReduceScatter,
+  kAllGather,
+  kAllToAllSplit,
+  kAllToAllConcat
+};
+
+const char* RaggedName(RaggedOp op) {
+  switch (op) {
+    case RaggedOp::kReduceScatter: return "reduce-scatter";
+    case RaggedOp::kAllGather: return "all-gather";
+    case RaggedOp::kAllToAllSplit: return "all-to-all rows->heads";
+    case RaggedOp::kAllToAllConcat: return "all-to-all heads->rows";
+  }
+  return "";
+}
+
+struct RaggedGroup {
+  Torus3D mesh;
+  unsigned mask;
+  SpmdContext::Extents uneven;  // one rank holds a single row
+};
+
+// Group sizes 2 and 4: one x ring, two rings (x then y), one y ring.
+const RaggedGroup kRaggedGroups[] = {{Torus3D(2, 2, 1), kAxisX, {5, 1}},
+                                     {Torus3D(2, 2, 1), kAxisXYZ, {3, 1, 6, 2}},
+                                     {Torus3D(1, 4, 1), kAxisY, {3, 1, 6, 2}}};
+
+int64_t Sum(const SpmdContext::Extents& e) {
+  int64_t n = 0;
+  for (int64_t v : e) n += v;
+  return n;
+}
+
+// Rows of `t` cut into blocks of extents `e`, each block zero-padded to `m`
+// rows: the frame the padded collective runs on.
+Tensor PadBlocks(const Tensor& t, const SpmdContext::Extents& e, int64_t m) {
+  std::vector<Tensor> blocks;
+  int64_t first = 0;
+  for (int64_t rows : e) {
+    Shape pad = t.shape();
+    pad[0] = m - rows;
+    blocks.push_back(t.Slice(0, first, rows));
+    if (m > rows) blocks.push_back(Tensor::Zeros(pad));
+    first += rows;
+  }
+  return Tensor::Concat(0, blocks);
+}
+
+// The real rows of a padded result: the first e[q] rows of each m-row block.
+Tensor UnpadBlocks(const Tensor& t, const SpmdContext::Extents& e, int64_t m) {
+  std::vector<Tensor> blocks;
+  for (size_t q = 0; q < e.size(); ++q)
+    blocks.push_back(t.Slice(0, static_cast<int64_t>(q) * m, e[q]));
+  return Tensor::Concat(0, blocks);
+}
+
+// Runs `op` on `g` with rank r holding ext[r] rows -- ragged, or padded to
+// the largest extent and split evenly. Member 0 carries the rows; the
+// reduce-scatter and all-gather add an evenly split member 1, the
+// split-side all-to-all a second row member. Every result is returned
+// unpadded (the real rows only).
+TupleRun RunRagged(const RaggedGroup& g, RaggedOp op,
+                   const SpmdContext::Extents& ext, bool padded) {
+  SimMachine machine(g.mesh, TpuV4());
+  SpmdExecutor ex(&machine);
+  ex.set_slots(8);
+  const auto k = static_cast<int64_t>(ext.size());
+  const int64_t m = *std::max_element(ext.begin(), ext.end());
+  const int64_t w = 2 * k;  // a width every group size divides
+  const SpmdContext::Extents even(ext.size(), m);
+  TupleRun r;
+  r.out.resize(static_cast<size_t>(machine.num_chips()));
+  ex.Run([&](SpmdContext& ctx) {
+    const int rank = ctx.topo().RankInGroup(ctx.chip(), g.mask);
+    const int64_t mine = ext[static_cast<size_t>(rank)];
+    Rng rng(Rng::DeriveSeed(77, static_cast<uint64_t>(ctx.chip())));
+    std::vector<Tensor>& out = r.out[static_cast<size_t>(ctx.chip())];
+    switch (op) {
+      case RaggedOp::kReduceScatter: {
+        Tensor rows = Tensor::Gaussian({Sum(ext), 3}, rng);
+        Tensor cols = Tensor::Gaussian({2, w}, rng);
+        std::vector<Tensor> ts;
+        ts.push_back(padded ? PadBlocks(rows, ext, m) : rows);
+        ts.push_back(cols);
+        out = ctx.ReduceScatterMany(g.mask, std::move(ts), {0, 1},
+                                    {padded ? even : ext, {}});
+        if (padded) out[0] = out[0].Slice(0, 0, mine);
+        break;
+      }
+      case RaggedOp::kAllGather: {
+        Tensor rows = Tensor::Gaussian({mine, 3}, rng);
+        Tensor cols = Tensor::Gaussian({2, 2}, rng);
+        std::vector<Tensor> ts;
+        ts.push_back(padded ? PadBlocks(rows, {mine}, m) : rows);
+        ts.push_back(cols);
+        out = ctx.AllGatherMany(g.mask, std::move(ts), {0, 1},
+                                {padded ? even : ext, {}});
+        if (padded) out[0] = UnpadBlocks(out[0], ext, m);
+        break;
+      }
+      case RaggedOp::kAllToAllSplit: {
+        Tensor a = Tensor::Gaussian({Sum(ext), w}, rng);
+        Tensor b = Tensor::Gaussian({Sum(ext), k, 3}, rng);
+        std::vector<Tensor> ts;
+        ts.push_back(padded ? PadBlocks(a, ext, m) : a);
+        ts.push_back(padded ? PadBlocks(b, ext, m) : b);
+        out = ctx.AllToAllMany(g.mask, std::move(ts), 0, 1,
+                               padded ? even : ext);
+        if (padded)
+          for (Tensor& o : out) o = o.Slice(0, 0, mine);
+        break;
+      }
+      case RaggedOp::kAllToAllConcat: {
+        Tensor a = Tensor::Gaussian({mine, w}, rng);
+        std::vector<Tensor> ts;
+        ts.push_back(padded ? PadBlocks(a, {mine}, m) : a);
+        out = ctx.AllToAllMany(g.mask, std::move(ts), 1, 0, {},
+                               padded ? even : ext);
+        if (padded) out[0] = UnpadBlocks(out[0], ext, m);
+        break;
+      }
+    }
+  });
+  for (int c = 0; c < machine.num_chips(); ++c)
+    r.counters.push_back(machine.counters(c));
+  return r;
+}
+
+const RaggedOp kRaggedOps[] = {RaggedOp::kReduceScatter, RaggedOp::kAllGather,
+                               RaggedOp::kAllToAllSplit,
+                               RaggedOp::kAllToAllConcat};
+
+TEST(SpmdRaggedCollectiveTest, ValuesEqualThePaddedCollectivesRealRows) {
+  for (const RaggedGroup& g : kRaggedGroups) {
+    for (RaggedOp op : kRaggedOps) {
+      const std::string name = std::string(RaggedName(op)) + "(" +
+                               AxisName(g.mask) + ") on " + g.mesh.ToString();
+      const TupleRun ragged = RunRagged(g, op, g.uneven, /*padded=*/false);
+      const TupleRun padded = RunRagged(g, op, g.uneven, /*padded=*/true);
+      for (size_t c = 0; c < ragged.out.size(); ++c) {
+        ASSERT_EQ(ragged.out[c].size(), padded.out[c].size()) << name;
+        for (size_t j = 0; j < ragged.out[c].size(); ++j)
+          EXPECT_TRUE(BitIdentical(ragged.out[c][j], padded.out[c][j]))
+              << name << " chip " << c << " member " << j;
+      }
+    }
+  }
+}
+
+TEST(SpmdRaggedCollectiveTest, EqualExtentsChargeTheEvenClosedForms) {
+  for (const RaggedGroup& g : kRaggedGroups) {
+    const auto k = static_cast<int64_t>(g.uneven.size());
+    const SpmdContext::Extents equal(g.uneven.size(), 2);
+    SimMachine probe(g.mesh, TpuV4());
+    const CommCostModel& cm = probe.comm_cost();
+    const double bpe = probe.bytes_per_element();
+    for (RaggedOp op : kRaggedOps) {
+      const std::string name = std::string(RaggedName(op)) + "(" +
+                               AxisName(g.mask) + ") on " + g.mesh.ToString();
+      // The even formulas' per-chip buffer D: the full inputs for the
+      // reduce-scatter, the gathered outputs for the all-gather, the
+      // deposit for the all-to-all.
+      double elems = 0;
+      switch (op) {
+        case RaggedOp::kReduceScatter: elems = 2 * k * 3 + 2 * 2 * k; break;
+        case RaggedOp::kAllGather: elems = k * (2 * 3 + 2 * 2); break;
+        case RaggedOp::kAllToAllSplit:
+          elems = 2 * k * 2 * k + 2 * k * k * 3;
+          break;
+        case RaggedOp::kAllToAllConcat: elems = 2 * 2 * k; break;
+      }
+      const double D = elems * bpe;
+      const bool a2a = op == RaggedOp::kAllToAllSplit ||
+                       op == RaggedOp::kAllToAllConcat;
+      const double want_t = a2a ? cm.AllToAllTime(D, static_cast<int>(k))
+                                : PerAxisRingTime(g.mesh, g.mask, cm, D);
+      const TupleRun r = RunRagged(g, op, equal, /*padded=*/false);
+      for (size_t c = 0; c < r.counters.size(); ++c) {
+        EXPECT_EQ(r.counters[c].time, want_t) << name << " chip " << c;
+        EXPECT_EQ(r.counters[c].network_bytes, D * (k - 1) / k)
+            << name << " chip " << c;
+      }
+    }
+  }
+}
+
+TEST(SpmdRaggedCollectiveTest, UnevenChargeIsTheBusiestMembers) {
+  for (const RaggedGroup& g : kRaggedGroups) {
+    SimMachine probe(g.mesh, TpuV4());
+    const double bw = probe.comm_cost().network_bw;
+    for (RaggedOp op : kRaggedOps) {
+      const std::string name = std::string(RaggedName(op)) + "(" +
+                               AxisName(g.mask) + ") on " + g.mesh.ToString();
+      const TupleRun ragged = RunRagged(g, op, g.uneven, /*padded=*/false);
+      const TupleRun padded = RunRagged(g, op, g.uneven, /*padded=*/true);
+      double busiest = 0, ragged_net = 0, padded_net = 0;
+      for (size_t c = 0; c < ragged.counters.size(); ++c) {
+        busiest = std::max(busiest, ragged.counters[c].network_bytes);
+        ragged_net += ragged.counters[c].network_bytes;
+        padded_net += padded.counters[c].network_bytes;
+      }
+      // Never above the padded charge -- here exactly it: one member is
+      // ragged, so the busiest rank's share is what every padded rank
+      // moves.
+      for (size_t c = 0; c < ragged.counters.size(); ++c) {
+        EXPECT_EQ(ragged.counters[c].time, padded.counters[c].time)
+            << name << " chip " << c;
+        EXPECT_GE(ragged.counters[c].time, busiest / bw)
+            << name << " chip " << c;
+      }
+      EXPECT_LT(ragged_net, padded_net) << name << ": padding rows move";
+    }
+  }
+}
+
 TEST(SimMachineTest, CommCostCacheFollowsHopLatency) {
   SimMachine machine(Torus3D(1, 4, 1), TpuV4());
   double t0 = machine.comm_cost().AllGatherTime(1 << 20, 4);

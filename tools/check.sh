@@ -42,13 +42,17 @@
 #                             # serving, disaggregation and collective suites
 #                             # on it with 8 SPMD slots forced (packed
 #                             # tuple-collective deposits, per-axis ring
-#                             # chunks, tensor offset math, KV page pool,
-#                             # ragged-step appends and their death tests)
+#                             # chunks, tensor offset math, ragged row
+#                             # splits, KV page pool, ragged-step appends
+#                             # and their death tests)
 #   tools/check.sh perfbench  # additionally run the host-clock serving
 #                             # benchmark (perfbench/run.py) on both
 #                             # workloads for 5 s with spans on, and fail
 #                             # unless each result reads correct with 0
-#                             # failed requests
+#                             # failed requests; then run each workload
+#                             # twice with spans off and fail unless the
+#                             # modeled-clock ttft_p50/ttft_p90/tpot_p50
+#                             # agree exactly (one seed, one schedule)
 #
 # TSan halves throughput and multiplies memory, so TSI_TSAN_TESTS can narrow
 # the sanitized run to the concurrency-heavy tests; default is everything.
@@ -175,6 +179,25 @@ if [[ "${1:-}" == "perfbench" ]]; then
 r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
       || { echo "perfbench $workload: not correct, or requests failed"; exit 1; }
+  done
+  # The end-to-end latencies are read on the modeled clock, which is
+  # deterministic per seed: two runs must report them identically.
+  echo "== perfbench modeled-clock determinism =="
+  for workload in rag prefix; do
+    runs=()
+    for _ in 1 2; do
+      runs+=("$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+                  --seed 1 --seconds 5 --trace 0 | tail -n 1)")
+    done
+    python3 -c 'import json, sys
+a, b = (json.loads(r) for r in sys.argv[2:])
+names = ("ttft_p50_ms", "ttft_p90_ms", "tpot_p50_ms")
+va = [a["metrics"][n]["value"] for n in names]
+vb = [b["metrics"][n]["value"] for n in names]
+print(sys.argv[1] + ": " + ", ".join("%s %r" % nv for nv in zip(names, va)))
+ok = va == vb and all(r["correct"] is True and r["failed"] == 0 for r in (a, b))
+sys.exit(0 if ok else 1)' "$workload" "${runs[@]}" \
+      || { echo "perfbench $workload: modeled metrics differ between runs"; exit 1; }
   done
 fi
 
