@@ -18,6 +18,8 @@
 // Looped-CollectiveEinsum overlap of §3.5 cannot hide.
 #pragma once
 
+#include <vector>
+
 namespace tsi {
 
 struct CommCostModel {
@@ -49,6 +51,23 @@ struct CommCostModel {
   // All-reduce = reduce-scatter + all-gather on the same buffer.
   double AllReduceTime(double bytes, int k) const {
     return 2.0 * (Alpha(k) + bytes / network_bw * Factor(k));
+  }
+
+  // A ring collective over torus axes of extents `axes` (axis order, each
+  // > 1), as a torus runs it: one ring per axis, all-gathers in axis order,
+  // reduce-scatters in reverse order. Axis a's ring carries the buffer
+  // D_a = D / prod_{b > a} k_b in either direction, so it costs
+  // AllGatherTime(D_a, k_a). The bandwidth terms sum to the flat ring's
+  // D (K-1)/K and the hops to sum_a (k_a - 1); a single axis is exactly
+  // AllGatherTime(D, k). `bytes` is D: the gathered output per chip, or a
+  // reduce-scatter's full input.
+  double PerAxisRingTime(const std::vector<int>& axes, double bytes) const {
+    double t = 0;
+    for (auto k = axes.rbegin(); k != axes.rend(); ++k) {
+      t += AllGatherTime(bytes, *k);
+      bytes /= *k;
+    }
+    return t;
   }
 
   // All-to-all over k chips: each chip holds `bytes_per_chip` and keeps 1/k

@@ -5,6 +5,7 @@
 #include "comm/cost.h"
 #include "core/attn_cost.h"
 #include "core/ffn_cost.h"
+#include "core/replication.h"
 #include "util/logging.h"
 
 namespace tsi {
@@ -32,10 +33,15 @@ double KvProjCols(const ModelConfig& config, const Torus3D& mesh) {
 }  // namespace
 
 double AttnFSideBytes(const ModelConfig& config, const Torus3D& mesh,
-                      double batch_tokens, double act_bytes) {
+                      double batch_tokens, double act_bytes,
+                      bool qkv_replicated) {
   const double H = static_cast<double>(config.n_heads);
   const double dh = static_cast<double>(config.d_head);
   const int YZ = mesh.y() * mesh.z();
+  if (qkv_replicated) {
+    const double KV = static_cast<double>(config.n_kv_heads());
+    return 2.0 * batch_tokens * (H * dh + 2.0 * KV * dh) * act_bytes;
+  }
   return 2.0 * batch_tokens * (H * dh / YZ + KvProjCols(config, mesh)) *
          act_bytes;
 }
@@ -55,7 +61,8 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const PartitionSpec& spec,
                                      const ChipSpec& chip,
                                      const SystemModel& sys, Phase phase,
-                                     double B, double L, double context) {
+                                     double B, double L, double context,
+                                     bool qkv_replicated) {
   TSI_CHECK_GE(context, L);
   const double E = static_cast<double>(config.d_model);
   const double F = static_cast<double>(config.d_ff);
@@ -82,7 +89,11 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
   const double ffn_flops = 2.0 * BL * (in_proj + 1.0) * E * F / n;
   const double attn_proj_params = 2.0 * E * H * dh + 2.0 * E * KV * dh;
   const double proj_flops = 2.0 * BL * attn_proj_params / n;
-  out.compute += (ffn_flops + proj_flops) /
+  // Replicated q/k/v columns (core/replication.h): every chip also projects
+  // through, and streams, the other yz ranks' columns.
+  const double replica_params =
+      qkv_replicated ? QkvReplicaParams(config, spec.mesh) : 0.0;
+  out.compute += (ffn_flops + proj_flops + 2.0 * BL * replica_params) /
                  (chip.peak_flops * act_speedup * sys.MatmulEff(rows_per_chip));
 
   // Attention dot products (QK^T and AV): pairs per sequence for L new
@@ -94,7 +105,8 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
 
   // --- Memory --------------------------------------------------------------
   const double hbm = chip.hbm_bw * sys.hbm_frac;
-  out.weight_memory = static_cast<double>(config.ParamsPerLayer()) * wb / n / hbm;
+  out.weight_memory = static_cast<double>(config.ParamsPerLayer()) * wb / n / hbm +
+                      replica_params * wb / hbm;
   // The attention step streams this layer's per-chip K/V cache once.
   const double kv_bytes =
       KvCacheBytesPerChip(config, spec.attn, n, B, context,
@@ -113,8 +125,10 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
 CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
                         const ChipSpec& chip, const SystemModel& sys,
                         Phase phase, double B, double L, double context) {
-  CostBreakdown out =
-      LayerComputeMemoryCost(config, spec, chip, sys, phase, B, L, context);
+  const Replication rep =
+      ChooseReplication(config, spec, chip, sys.hop_latency);
+  CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
+                                             L, context, rep.qkv);
 
   const int n = spec.num_chips();
   const int X = spec.mesh.x();
@@ -143,7 +157,7 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
     // into the same collectives (§3.4) in a parallel block; a serial block
     // issues them separately (extra alphas, same volume).
     if (X > 1) {
-      double attn_f_bytes = AttnFSideBytes(config, spec.mesh, BL, act);
+      double attn_f_bytes = AttnFSideBytes(config, spec.mesh, BL, act, rep.qkv);
       int f_count = (in_proj + 1) + (config.parallel_block ? 0 : 2);
       out.comm += unhidden(ffn_vol.act_f_bytes + attn_f_bytes, X, f_count);
     }
@@ -170,11 +184,16 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
   // Batch-sharded attention entered from a weight-stationary layout needs an
   // all-to-all to reshard Q/K/V from heads to batch and one to shard the
   // attention output back (§3.3, Fig 5b). Weight-gathered layouts are
-  // already batch-sharded, so no reshard is needed.
+  // already batch-sharded, so no reshard is needed; replicated q/k/v
+  // columns make the inbound one a local slice.
   if (spec.attn == AttnSharding::kBatch && !weight_gathered) {
-    double a2a_in = AttnAllToAllBytes(config, spec.mesh, BL, act, true);
     double a2a_out = AttnAllToAllBytes(config, spec.mesh, BL, act, false);
-    out.comm += cm.AllToAllTime(a2a_in, n) + cm.AllToAllTime(a2a_out, n);
+    double a2a = cm.AllToAllTime(a2a_out, n);
+    if (!rep.qkv) {
+      double a2a_in = AttnAllToAllBytes(config, spec.mesh, BL, act, true);
+      a2a = cm.AllToAllTime(a2a_in, n) + a2a;
+    }
+    out.comm += a2a;
   }
 
   return out;

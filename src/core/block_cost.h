@@ -19,7 +19,10 @@ enum class Phase { kPrefill, kDecode };
 
 // Cost of one transformer layer processing B sequences x L new tokens each,
 // attending to `context` total positions per sequence (context >= L; decode
-// passes L = 1, prefill passes context = prior cache + L).
+// passes L = 1, prefill passes context = prior cache + L). Follows
+// ChooseReplication (core/replication.h) at sys.hop_latency: when site 1
+// fires, the q/k/v reduce-scatter widens, the replicas stream, and the
+// all-to-all into batch-sharded attention drops out.
 CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
                         const ChipSpec& chip, const SystemModel& sys,
                         Phase phase, double batch, double new_tokens,
@@ -31,13 +34,15 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
 // of merely close.
 
 // Compute + HBM streaming + fixed overhead: every term of LayerCost except
-// the collective schedule (comm stays zero).
+// the collective schedule (comm stays zero). `qkv_replicated`: the q/k/v
+// columns are whole on every yz chip (site 1 of core/replication.h), so each
+// chip also projects and streams QkvReplicaParams.
 CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const PartitionSpec& spec,
                                      const ChipSpec& chip,
                                      const SystemModel& sys, Phase phase,
                                      double batch, double new_tokens,
-                                     double context);
+                                     double context, bool qkv_replicated);
 
 // Unhidden time of `n_collectives` ring collectives jointly moving `bytes`
 // over k chips: per-hop alphas are never hidden; the bandwidth term overlaps
@@ -48,8 +53,10 @@ double UnhiddenCollectiveTime(const CommCostModel& cm, const SystemModel& sys,
 // Per-chip bytes the attention Q/K/V projections + output contribute to the
 // F-side collective group (§3.4): Q columns shard over yz; K/V columns shard
 // when yz divides the KV heads and replicate otherwise (MQA, narrow GQA).
+// With `qkv_replicated` every chip reduces every head's columns.
 double AttnFSideBytes(const ModelConfig& config, const Torus3D& mesh,
-                      double batch_tokens, double act_bytes);
+                      double batch_tokens, double act_bytes,
+                      bool qkv_replicated = false);
 
 // Per-chip all-to-all bytes resharding batch-sharded attention (§3.3,
 // Fig 5b): inbound Q/K/V (include_kv) or the outbound context vector.

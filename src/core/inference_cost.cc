@@ -5,6 +5,7 @@
 
 #include "core/attn_cost.h"
 #include "core/flops.h"
+#include "core/replication.h"
 #include "util/logging.h"
 
 namespace tsi {
@@ -21,8 +22,12 @@ CostBreakdown InferenceEstimator::ForwardCost(const PartitionSpec& spec,
       LayerCost(config_, spec, chip_, sys_, phase, batch, new_tokens, context);
   CostBreakdown total = layer * static_cast<double>(config_.num_layers);
 
-  // Logit head: [B*L, E] @ [E, vocab], vocab-sharded over all chips.
-  const int n = spec.num_chips();
+  // Logit head: [B*L, E] @ [E, vocab], vocab-sharded over all chips -- or
+  // whole on one chip when the replication rule keeps it there
+  // (core/replication.h, site 2).
+  const bool whole_head =
+      ChooseReplication(config_, spec, chip_, sys_.hop_latency).logit_head;
+  const int n = whole_head ? 1 : spec.num_chips();
   const double BL = batch * new_tokens;
   const double wb = WeightBytes(spec.weight_format);
   const double head_params = static_cast<double>(config_.d_model) * config_.vocab_size;
@@ -42,8 +47,7 @@ void InferenceEstimator::FillMetrics(const PartitionSpec& spec, double batch,
   double ideal =
       MatmulFlopsPerToken(config_) * r->tokens / (n * chip_.peak_flops);
   r->mfu = r->seconds > 0 ? ideal / r->seconds : 0;
-  r->weight_bytes_per_chip = static_cast<double>(MatmulParams(config_)) *
-                             WeightBytes(spec.weight_format) / n;
+  r->weight_bytes_per_chip = WeightBytesPerChip(spec);
   r->kv_bytes_per_chip = KvCacheBytesPerChipPaged(
       config_, spec.attn, n, batch, context, ActivationBytes(spec.kv_format),
       spec.kv_page_size);
@@ -98,11 +102,24 @@ double InferenceEstimator::MaxContextLength(const PartitionSpec& spec,
   return std::floor(context / ps) * ps;
 }
 
+double InferenceEstimator::WeightBytesPerChip(const PartitionSpec& spec) const {
+  const double wb = WeightBytes(spec.weight_format);
+  double bytes =
+      static_cast<double>(MatmulParams(config_)) * wb / spec.num_chips();
+  // The busiest chip also holds the replicas the rule keeps.
+  const Replication rep =
+      ChooseReplication(config_, spec, chip_, sys_.hop_latency);
+  if (rep.qkv)
+    bytes += static_cast<double>(config_.num_layers) *
+             QkvReplicaParams(config_, spec.mesh) * wb;
+  if (rep.logit_head) bytes += HeadReplicaParams(config_, spec.mesh) * wb;
+  return bytes;
+}
+
 bool InferenceEstimator::FitsMemory(const PartitionSpec& spec, double batch,
                                     double context) const {
   const int n = spec.num_chips();
-  double weights = static_cast<double>(MatmulParams(config_)) *
-                   WeightBytes(spec.weight_format) / n;
+  double weights = WeightBytesPerChip(spec);
   double kv = KvCacheBytesPerChipPaged(config_, spec.attn, n, batch, context,
                                        ActivationBytes(spec.kv_format),
                                        spec.kv_page_size);

@@ -65,6 +65,9 @@ class InferenceEstimator {
                             double new_tokens, double context) const;
   void FillMetrics(const PartitionSpec& spec, double batch, double context,
                    PhaseResult* r) const;
+  // Weights on the busiest chip: the E_x F_yz shard plus the replicas
+  // ChooseReplication keeps (core/replication.h).
+  double WeightBytesPerChip(const PartitionSpec& spec) const;
 
   ModelConfig config_;
   ChipSpec chip_;

@@ -1,5 +1,5 @@
 // KV-cache migration cost between disaggregated serving pools
-// (serve/disagg.h; ROADMAP item 2).
+// (serve/disagg.h; ROADMAP: disaggregated serving).
 //
 // When a request finishes its chunked prefill in one pool and decodes in
 // another, its cached KV state crosses the inter-pool interconnect exactly

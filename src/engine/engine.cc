@@ -15,6 +15,23 @@ namespace {
 
 constexpr unsigned kAxisYZ = kAxisY | kAxisZ;
 
+// The replication rule (core/replication.h) over both phase layouts: the
+// phases share the weight shards, so a site replicates when either
+// weight-stationary phase wants it.
+Replication ChooseEngineReplication(const ModelConfig& config,
+                                    const EngineSpec& spec,
+                                    const SimMachine& machine) {
+  Replication r;
+  for (FfnLayout l : {spec.prefill_ffn, spec.decode_ffn}) {
+    const Replication p = ChooseReplication(
+        config, PartitionSpec{machine.topo(), l, spec.attn, spec.weight_format},
+        machine.chip(), machine.hop_latency());
+    r.qkv = r.qkv || p.qkv;
+    r.logit_head = r.logit_head || p.logit_head;
+  }
+  return r;
+}
+
 // Rows of the groups before xyz-rank `r` in a group-major frame.
 int64_t RowsBefore(const std::vector<int64_t>& group_rows, int r) {
   int64_t n = 0;
@@ -60,14 +77,15 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
           << "weight-gathered execution keeps activations batch-sharded";
     }
   }
+  replication_ = ChooseEngineReplication(config_, spec_, *machine_);
   if (spec_.weight_format == WeightFormat::kInt8) {
     // Quantize the full matrices before sharding so per-column scales match
     // the unsharded reference; traffic is charged at 1 byte/param.
     ModelWeights rt = weights;
     rt.SimulateInt8Roundtrip();
-    shards_ = ShardWeights(rt, machine->topo());
+    shards_ = ShardWeights(rt, machine->topo(), replication_);
   } else {
-    shards_ = ShardWeights(weights, machine->topo());
+    shards_ = ShardWeights(weights, machine->topo(), replication_);
   }
   cache_ = ShardedKvCache(n_, config_.num_layers, spec_.attn,
                           spec_.fastpath.int8() ? WeightFormat::kInt8
@@ -79,7 +97,8 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
   auto plan_for = [&](FfnLayout layout) {
     BlockGraph graph =
         BuildBlockGraph(config_, layout, spec_.attn, X_, YZ_,
-                        spec_.fuse_collectives, spec_.fastpath.precision);
+                        spec_.fuse_collectives, spec_.fastpath.precision,
+                        replication_.qkv);
     return FuseBlockGraph(&graph, spec_.fastpath);
   };
   prefill_plan_ = plan_for(spec_.prefill_ffn);
@@ -87,7 +106,8 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
   active_plan_ = &decode_plan_;
   if (spec_.fastpath.int8()) {
     // Int8 weight shards for the end-to-end int8 matmuls; per-column scales
-    // are computed over each chip's shard (its rows of the full matrix).
+    // are computed over each chip's shard (its rows of the full matrix), so
+    // a replicated column gets the scale its sharded copy would.
     qshards_.resize(shards_.size());
     for (size_t cs = 0; cs < shards_.size(); ++cs) {
       qshards_[cs].reserve(shards_[cs].layers.size());
@@ -376,7 +396,8 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   const int64_t H = config_.n_heads, dh = config_.d_head;
   const int64_t Hl = H / YZ_;
   const int64_t KV = config_.n_kv_heads();
-  const bool kv_replicated = KV % YZ_ != 0;  // see engine/sharding.cc
+  // Whole K/V heads on every yz chip: see engine/sharding.cc.
+  const bool kv_replicated = replication_.qkv || KV % YZ_ != 0;
   const int64_t KVl = kv_replicated ? KV : KV / YZ_;
   const Torus3D& topo = ctx.topo();
 
@@ -410,31 +431,41 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   // order, each at its own row extent.
   const SpmdContext::Extents yz_rows =
       RowsOverYz(topo.RankInGroup(c, kAxisX));
-  Tensor q3 = q.Reshape({rows, Hl, dh});
+  const int yzr = YZ_ == 1 ? 0 : topo.RankInGroup(c, kAxisYZ);
+  const int64_t first = RowsBefore(yz_rows, yzr);
+  const int64_t own = yz_rows[static_cast<size_t>(yzr)];
+  // Heads replicated over yz: the row split is a local slice, no
+  // communication (this is the saving of Fig 4c).
+  auto own_rows = [&](Tensor t) {
+    if (own == rows) return t;
+    return t.Slice(0, first, own);
+  };
   Tensor k3 = k.Reshape({rows, KVl, dh});
   Tensor v3 = v.Reshape({rows, KVl, dh});
-  std::vector<Tensor> qkv;
-  qkv.push_back(std::move(q3));
-  Tensor kb, vb;
+  Tensor qb, kb, vb;
   if (kv_replicated) {
-    // The K/V heads are replicated over yz: the row split is a local
-    // slice, no communication (this is the saving of Fig 4c).
-    const int yzr = YZ_ == 1 ? 0 : topo.RankInGroup(c, kAxisYZ);
-    const int64_t first = RowsBefore(yz_rows, yzr);
-    const int64_t own = yz_rows[static_cast<size_t>(yzr)];
-    kb = own == rows ? std::move(k3) : k3.Slice(0, first, own);
-    vb = own == rows ? std::move(v3) : v3.Slice(0, first, own);
-  } else {
-    // Head-sharded K/V reshard with q in the same all-to-all.
-    qkv.push_back(std::move(k3));
-    qkv.push_back(std::move(v3));
+    kb = own_rows(std::move(k3));
+    vb = own_rows(std::move(v3));
   }
-  qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), /*split=*/0, /*concat=*/1,
-                         /*split_extents=*/yz_rows);
-  Tensor qb = std::move(qkv[0]);
-  if (!kv_replicated) {
-    kb = std::move(qkv[1]);
-    vb = std::move(qkv[2]);
+  if (replication_.qkv) {
+    // Every head's columns on every yz chip (core/replication.h): q is
+    // sliced like the K/V, and the inbound all-to-all goes away.
+    qb = own_rows(q.Reshape({rows, H, dh}));
+  } else {
+    // Head-sharded q (and head-sharded K/V with it) in one all-to-all.
+    std::vector<Tensor> qkv;
+    qkv.push_back(q.Reshape({rows, Hl, dh}));
+    if (!kv_replicated) {
+      qkv.push_back(std::move(k3));
+      qkv.push_back(std::move(v3));
+    }
+    qkv = ctx.AllToAllMany(kAxisYZ, std::move(qkv), /*split=*/0,
+                           /*concat=*/1, /*split_extents=*/yz_rows);
+    qb = std::move(qkv[0]);
+    if (!kv_replicated) {
+      kb = std::move(qkv[1]);
+      vb = std::move(qkv[2]);
+    }
   }
   AppendKv(c, layer, kb, vb);
   std::vector<Tensor> attn;
@@ -716,10 +747,14 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
     x_dims.push_back(x_dim);
     return w.size() - 1;
   };
-  const bool kv_replicated = config_.n_kv_heads() % YZ_ != 0;
-  const size_t iq = add(lw.wq, 1, 0);
-  const size_t ik = add(lw.wk, kv_replicated ? -1 : 1, 0);
-  const size_t iv = add(lw.wv, kv_replicated ? -1 : 1, 0);
+  // Replicated columns (multiquery K/V, replicated q/k/v) gather over x
+  // only.
+  const int64_t q_yz = replication_.qkv ? -1 : 1;
+  const int64_t kv_yz =
+      replication_.qkv || config_.n_kv_heads() % YZ_ != 0 ? -1 : 1;
+  const size_t iq = add(lw.wq, q_yz, 0);
+  const size_t ik = add(lw.wk, kv_yz, 0);
+  const size_t iv = add(lw.wv, kv_yz, 0);
   const size_t io = add(lw.wo, 0, 1);
   const size_t iin = add(lw.win, 1, 0);
   const size_t igate = config_.gated_ffn ? add(lw.win_gate, 1, 0) : 0;
@@ -836,7 +871,6 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
   active_plan_ = layout == spec_.decode_ffn ? &decode_plan_ : &prefill_plan_;
 
   StepFrame frame = LayOutStep(lanes);
-  const auto rows = static_cast<int64_t>(frame.tokens.size());
   group_rows_ = std::move(frame.group_rows);
   cache_.BeginStep(std::move(frame.chip_slots), std::move(frame.chip_widths));
 
@@ -852,21 +886,22 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
                               group_rows_[static_cast<size_t>(r)]);
       for (int64_t l = 0; l < config_.num_layers; ++l) WgBlockChip(ctx, x, l);
       // Final norm + logit head, group-locally; gather full logits.
-      Tensor y = LayerNorm(x, shards_[static_cast<size_t>(c)].final_ln_gain);
+      const ChipWeights& cw = shards_[static_cast<size_t>(c)];
+      Tensor y = LayerNorm(x, cw.final_ln_gain);
       std::vector<Tensor> lg;
-      lg.push_back(LocalMatMul(
-          c, y, shards_[static_cast<size_t>(c)].embedding.Transpose2D()));
+      lg.push_back(LocalMatMul(c, y, cw.head));
       lg = ctx.AllGatherMany(kAxisXYZ, std::move(lg), {0}, {group_rows_});
       if (c == 0) result = std::move(lg[0]);
     });
   } else {
     // Weight-stationary path: activations sharded [rows, E/X] over x. The
     // logit head shards the [E, vocab] projection over the vocab dim
-    // across all chips and all-gathers the logits (falls back to replicated
-    // compute when the vocab does not divide).
-    const Tensor embT = shards_[0].embedding.Transpose2D();
+    // across all chips and all-gathers the logits -- or, when it is not
+    // sharded (ChipWeights::head_shard), chip 0 computes it whole.
+    const bool head_sharded = !shards_[0].head_shard.empty();
     spmd_.Run([&](SpmdContext& ctx) {
       const int c = ctx.chip();
+      const ChipWeights& cw = shards_[static_cast<size_t>(c)];
       const int xr = ctx.topo().RankInGroup(c, kAxisX);
       Tensor x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
       for (int64_t l = 0; l < config_.num_layers; ++l) WsBlockChip(ctx, x, l);
@@ -875,7 +910,7 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
       // all-gather of the raw activations, and every chip sums them in
       // group order -- AllReduce's adds, so the normed rows are
       // bit-identical to normalizing each shard and gathering those.
-      const Tensor& gain = shards_[static_cast<size_t>(c)].final_ln_gain;
+      const Tensor& gain = cw.final_ln_gain;
       Tensor full;
       if (X_ == 1) {
         full = LayerNorm(x, gain);
@@ -889,18 +924,12 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
           moments.AddInPlace(g[0].Chunk(0, X_, i));
         full = NormalizeWithMoments(g[1], moments, gain, static_cast<double>(E));
       }
-      if (n_ > 1 && V % n_ == 0) {
-        const int r = ctx.topo().RankInGroup(c, kAxisXYZ);
-        Tensor logits = LocalMatMul(c, full, embT.Chunk(1, n_, r));
+      if (head_sharded) {
+        Tensor logits = LocalMatMul(c, full, cw.head_shard);
         logits = ctx.AllGather(kAxisXYZ, std::move(logits), /*dim=*/1);
         if (c == 0) result = std::move(logits);
       } else if (c == 0) {
-        result = LocalMatMul(0, full, embT);
-      } else {
-        machine_->ChargeComputeAndMemory(
-            c, 2.0 * rows * E * V,
-            static_cast<double>(shards_[0].embedding.numel()) *
-                weight_byte_width_);
+        result = LocalMatMul(0, full, cw.head);
       }
     });
   }

@@ -28,6 +28,15 @@
 //     paper's optimized multiquery layout) via all-to-all resharding of
 //     Q/K/V before attention and of the attention output after it.
 //
+// The construction-time machine (its chip and hop latency) decides, through
+// ChooseReplication (core/replication.h), whether the q/k/v columns stay
+// whole on every yz chip -- then batch-sharded attention slices its rows
+// locally instead of the inbound all-to-all -- and whether the
+// weight-stationary logit head runs whole on chip 0 instead of
+// vocab-sharded plus an all-gather. Either way every tensor is
+// bit-identical; only the schedule and the virtual clock change. Set the
+// hop latency before constructing the engine.
+//
 // Incremental processing is supported: Prefill may be called repeatedly
 // (§3.5's "incremental processing of sequences during prefill") and mixes
 // freely with DecodeStep; the KV cache layout is fixed by the attention
@@ -173,6 +182,8 @@ class DistributedEngine {
   // them; ToString(plan) is human-readable).
   const FusedPlan& prefill_plan() const { return prefill_plan_; }
   const FusedPlan& decode_plan() const { return decode_plan_; }
+  // What the replication rule kept whole (core/replication.h).
+  const Replication& replication() const { return replication_; }
   // Routes the cache's "kv/" metrics and the engine's "fastpath/" counters
   // to an isolated registry (tests; the default sink is
   // MetricsRegistry::Global()).
@@ -280,6 +291,7 @@ class DistributedEngine {
   ModelConfig config_;
   EngineSpec spec_;
   SimMachine* machine_;
+  Replication replication_;
   std::vector<ChipWeights> shards_;
   // Per-chip, per-layer int8 weight shards (fastpath int8 only; the
   // embedding and logit head stay fp32).

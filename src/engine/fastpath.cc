@@ -87,7 +87,7 @@ struct Builder {
 // weight shards; x splits d_model (partial-sum reductions), yz splits heads
 // and d_ff (the per-branch or per-block allreduce).
 void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
-               int x, int yz, bool int8) {
+               int x, int yz, bool int8, bool qkv_replicated) {
   b->Add(OpKind::kMatMul, "q", {proj_in});
   b->Add(OpKind::kMatMul, "k", {proj_in});
   b->Add(OpKind::kMatMul, "v", {proj_in});
@@ -96,7 +96,9 @@ void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
     b->Add(OpKind::kComm, "qkv_allreduce", qkv);
     qkv = {"qkv_allreduce"};
   }
-  if (attn == AttnSharding::kBatch && yz > 1) {
+  // Replicated q/k/v columns split their rows locally
+  // (core/replication.h): no inbound reshard.
+  if (attn == AttnSharding::kBatch && yz > 1 && !qkv_replicated) {
     b->Add(OpKind::kComm, "attn_reshard", qkv);
     qkv = {"attn_reshard"};
   }
@@ -146,12 +148,12 @@ void AddWsFfn(Builder* b, const std::string& proj_in,
 }
 
 BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
-                   bool fuse_collectives, bool int8) {
+                   bool fuse_collectives, bool int8, bool qkv_replicated) {
   Builder b;
   if (config.parallel_block) {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string proj_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, proj_in, attn, x, yz, int8);
+    AddWsAttn(&b, proj_in, attn, x, yz, int8, qkv_replicated);
     AddWsFfn(&b, proj_in, ln, config.gated_ffn, x, fuse_collectives, int8);
     b.Add(OpKind::kResidualAdd, "branch_sum", {"wo", "ffn_out"});
     std::string block_out = "branch_sum";
@@ -163,7 +165,7 @@ BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
   } else {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string attn_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, attn_in, attn, x, yz, int8);
+    AddWsAttn(&b, attn_in, attn, x, yz, int8, qkv_replicated);
     std::string attn_out = "wo";
     if (yz > 1) {
       b.Add(OpKind::kComm, "attn_allreduce", {attn_out});
@@ -216,12 +218,14 @@ BlockGraph BuildWg(const ModelConfig& config) {
 
 BlockGraph BuildBlockGraph(const ModelConfig& config, FfnLayout ffn,
                            AttnSharding attn, int x, int yz,
-                           bool fuse_collectives, FastPathPrecision precision) {
+                           bool fuse_collectives, FastPathPrecision precision,
+                           bool qkv_replicated) {
   const bool int8 = precision == FastPathPrecision::kInt8;
   if (IsWeightGathered(ffn)) return BuildWg(config);
   // The int8 pipeline runs its own matmul kernels and never takes the fused
   // matmul-collective path, so its graph is built without it.
-  return BuildWs(config, attn, x, yz, fuse_collectives && !int8, int8);
+  return BuildWs(config, attn, x, yz, fuse_collectives && !int8, int8,
+                 qkv_replicated);
 }
 
 FusedPlan FuseBlockGraph(BlockGraph* graph, const FastPathConfig& config) {

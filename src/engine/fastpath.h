@@ -89,10 +89,13 @@ struct BlockGraph {
 // patterns that would reach across a chip boundary simply fail to match.
 // Int8 precision inserts the kQuantize nodes the int8 pipeline needs;
 // weight-gathered layouts keep fp32 compute (only the KV cache narrows), so
-// their graphs carry no quantize nodes.
+// their graphs carry no quantize nodes. `qkv_replicated`: the q/k/v columns
+// are whole on every yz chip (core/replication.h), so batch-sharded
+// attention has no inbound reshard.
 BlockGraph BuildBlockGraph(const ModelConfig& config, FfnLayout ffn,
                            AttnSharding attn, int x, int yz,
-                           bool fuse_collectives, FastPathPrecision precision);
+                           bool fuse_collectives, FastPathPrecision precision,
+                           bool qkv_replicated);
 
 // What the engine executes for one block under a given layout; produced by
 // FuseBlockGraph, consumed by DistributedEngine's per-chip block functions.

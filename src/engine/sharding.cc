@@ -8,7 +8,7 @@ namespace {
 // Chunks `w`'s rows over x and its columns over yz, where columns are
 // organized as `col_groups` groups of `col_group_width` (heads of width
 // d_head, or one group of width F). `replicate_cols` skips column chunking
-// (multiquery K/V).
+// (multiquery K/V, and replicated q/k/v).
 Tensor ShardMatrix(const Tensor& w, int x_rank, int x_parts, int yz_rank,
                    int yz_parts, bool replicate_cols) {
   Tensor rows = x_parts > 1 ? w.Chunk(0, x_parts, x_rank) : w;
@@ -19,7 +19,8 @@ Tensor ShardMatrix(const Tensor& w, int x_rank, int x_parts, int yz_rank,
 }  // namespace
 
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
-                                      const Torus3D& mesh) {
+                                      const Torus3D& mesh,
+                                      const Replication& replicate) {
   const ModelConfig& cfg = weights.config;
   const int X = mesh.x();
   const int YZ = mesh.y() * mesh.z();
@@ -29,21 +30,28 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
   // K/V heads shard over yz when they divide evenly; otherwise they are
   // replicated on every yz chip (Fig 4b's multiquery case, and grouped-query
   // configs with fewer kv heads than the yz extent).
-  const bool kv_replicated = cfg.n_kv_heads() % YZ != 0;
+  const bool kv_replicated = replicate.qkv || cfg.n_kv_heads() % YZ != 0;
+  const int n = mesh.num_chips();
+  const Tensor head = weights.embedding.Transpose2D();
+  const bool shard_head =
+      n > 1 && cfg.vocab_size % n == 0 && !replicate.logit_head;
 
-  std::vector<ChipWeights> chips(static_cast<size_t>(mesh.num_chips()));
-  for (int chip = 0; chip < mesh.num_chips(); ++chip) {
+  std::vector<ChipWeights> chips(static_cast<size_t>(n));
+  for (int chip = 0; chip < n; ++chip) {
     const int xr = mesh.RankInGroup(chip, kAxisX);
     const int yzr = mesh.RankInGroup(chip, kAxisY | kAxisZ);
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
     cw.embedding = weights.embedding;
     cw.final_ln_gain = weights.final_ln_gain;
+    cw.head = head;
+    if (shard_head)
+      cw.head_shard = head.Chunk(1, n, mesh.RankInGroup(chip, kAxisXYZ));
     cw.layers.reserve(weights.layers.size());
     for (const LayerWeights& lw : weights.layers) {
       ShardedLayerWeights s;
       s.ln_gain = X > 1 ? lw.ln_gain.Chunk(0, X, xr) : lw.ln_gain;
       s.ln2_gain = X > 1 ? lw.ln2_gain.Chunk(0, X, xr) : lw.ln2_gain;
-      s.wq = ShardMatrix(lw.wq, xr, X, yzr, YZ, /*replicate_cols=*/false);
+      s.wq = ShardMatrix(lw.wq, xr, X, yzr, YZ, replicate.qkv);
       s.wk = ShardMatrix(lw.wk, xr, X, yzr, YZ, kv_replicated);
       s.wv = ShardMatrix(lw.wv, xr, X, yzr, YZ, kv_replicated);
       // wo: rows are the heads dim (chunk over yz), cols are E (chunk over x).

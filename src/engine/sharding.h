@@ -9,10 +9,15 @@
 // weight-gathered execution (which all-gathers from it at run time), exactly
 // so the engine can switch layouts between prefill and decode without
 // resharding -- the property §3.2.3 calls out.
+//
+// Where the latency-aware replication rule fires (core/replication.h), the
+// q/k/v columns stay whole on every yz chip (site 1) and the logit head is
+// not vocab-sharded (site 2).
 #pragma once
 
 #include <vector>
 
+#include "core/replication.h"
 #include "hw/topology.h"
 #include "model/weights.h"
 
@@ -21,8 +26,9 @@ namespace tsi {
 struct ShardedLayerWeights {
   Tensor ln_gain;   // [E/X]
   Tensor ln2_gain;  // [E/X]
-  Tensor wq;        // [E/X, (H/YZ)*dh]
-  Tensor wk;        // [E/X, KVcols]  (KVcols = dh for MQA, (KV/YZ)*dh for MHA)
+  Tensor wq;        // [E/X, (H/YZ)*dh], or [E/X, H*dh] when replicated
+  Tensor wk;        // [E/X, KVcols]  (KVcols = dh for MQA, (KV/YZ)*dh for MHA,
+                    //  KV*dh when replicated)
   Tensor wv;        // like wk
   Tensor wo;        // [(H/YZ)*dh, E/X]
   Tensor win;       // [E/X, F/YZ]
@@ -34,11 +40,19 @@ struct ChipWeights {
   std::vector<ShardedLayerWeights> layers;
   Tensor embedding;      // [vocab, E] replicated (small at test scale)
   Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
+  // The logit head: the embedding transposed once, at sharding time.
+  Tensor head;        // [E, vocab], the whole head (replicated)
+  Tensor head_shard;  // [E, vocab/n]: this chip's xyz-rank vocab columns
+                      // when the weight-stationary head is sharded; empty
+                      // when it runs whole on chip 0 (one chip, a vocab
+                      // that does not divide, or replication site 2)
 };
 
-// Slices `weights` for every chip of `mesh`. Requires d_model % X == 0,
-// d_ff % YZ == 0, n_heads % YZ == 0 (and n_kv_heads % YZ == 0 for multihead).
+// Slices `weights` for every chip of `mesh`, replicating what `replicate`
+// says. Requires d_model % X == 0, d_ff % YZ == 0, n_heads % YZ == 0 (and
+// n_kv_heads % YZ == 0 for multihead).
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
-                                      const Torus3D& mesh);
+                                      const Torus3D& mesh,
+                                      const Replication& replicate = {});
 
 }  // namespace tsi

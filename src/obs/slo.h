@@ -1,4 +1,5 @@
-// SLO specification and attainment reporting (ROADMAP item 5's contract).
+// SLO specification and attainment reporting (the contract of the
+// ROADMAP's SLO priority classes).
 //
 // An SloSpec names TTFT / TPOT percentile targets per request class
 // ("interactive", "rag", ...; the "" class is the default for requests with

@@ -37,7 +37,8 @@ std::optional<TuneResult> TuneOver(const InferenceEstimator& est, int chips,
     // Every candidate goes through the propagation pass; the plan the tuner
     // emits is the LOWERED spec, so a propagation bug surfaces as a priced
     // mismatch here rather than as silently wrong serving plans.
-    LoweredPlan plan = LowerSpec(est.config(), spec);
+    LoweredPlan plan =
+        LowerSpec(est.config(), spec, est.chip(), est.system().hop_latency);
     if (stats != nullptr &&
         !PriceMatchesLayerCost(plan, est, phase, batch, new_tokens, context)) {
       ++stats->price_mismatches;

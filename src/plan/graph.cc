@@ -18,11 +18,13 @@ std::string ShardingAssignment::ToString() const {
   std::ostringstream os;
   os << "E." << AxisName(e_axes) << " F." << AxisName(f_axes);
   if (gather_axes != kAxisNone) os << " gather." << AxisName(gather_axes);
+  if (qkv_replicated) os << " qkv.replicated";
   os << " attn=" << tsi::ToString(attn) << " on " << mesh.ToString();
   return os.str();
 }
 
-ShardingAssignment CanonicalAssignment(const PartitionSpec& spec) {
+ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
+                                       bool qkv_replicated) {
   ShardingAssignment a;
   a.mesh = spec.mesh;
   a.e_axes = spec.mesh.x() > 1 ? kAxisX : kAxisNone;
@@ -58,6 +60,7 @@ ShardingAssignment CanonicalAssignment(const PartitionSpec& spec) {
   a.activations = spec.activations;
   a.kv_format = spec.kv_format;
   a.kv_page_size = spec.kv_page_size;
+  a.qkv_replicated = qkv_replicated;
   return a;
 }
 
@@ -108,12 +111,13 @@ BlockGraph BuildBlockGraph(const ModelConfig& config,
   g.assignment = a;
   g.parallel = config.parallel_block;
   const unsigned E = a.e_axes, F = a.f_axes, G = a.gather_axes;
+  const unsigned QKV = a.qkv_replicated ? kAxisNone : F;  // heads columns
   const int in_proj = config.gated_ffn ? 2 : 1;
 
   if (g.parallel) {
     g.ops.push_back(Simple(OpKind::kInput, "x", {}));                   // 0
     g.ops.push_back(Simple(OpKind::kNorm, "norm", {0}));                // 1
-    g.ops.push_back(Matmul("qkv", 1, "E", "heads", E, F, G));           // 2
+    g.ops.push_back(Matmul("qkv", 1, "E", "heads", E, QKV, G));         // 2
     g.ops.push_back(Simple(OpKind::kAttention, "sdpa", {2}));           // 3
     g.ops.push_back(Matmul("attn_out", 3, "heads", "E", F, E, G));      // 4
     g.ops.push_back(Matmul("ffn_in", 1, "E", "F", E, F, G, in_proj));   // 5
@@ -123,7 +127,7 @@ BlockGraph BuildBlockGraph(const ModelConfig& config,
   } else {
     g.ops.push_back(Simple(OpKind::kInput, "x", {}));                   // 0
     g.ops.push_back(Simple(OpKind::kNorm, "norm1", {0}));               // 1
-    g.ops.push_back(Matmul("qkv", 1, "E", "heads", E, F, G));           // 2
+    g.ops.push_back(Matmul("qkv", 1, "E", "heads", E, QKV, G));         // 2
     g.ops.push_back(Simple(OpKind::kAttention, "sdpa", {2}));           // 3
     g.ops.push_back(Matmul("attn_out", 3, "heads", "E", F, E, G));      // 4
     g.ops.push_back(Simple(OpKind::kResidual, "res1", {0, 4}));         // 5

@@ -41,6 +41,10 @@ struct ShardingAssignment {
   WeightFormat activations = WeightFormat::kBf16;
   WeightFormat kv_format = WeightFormat::kBf16;
   int64_t kv_page_size = 0;
+  // Site 1 of core/replication.h: the q/k/v weights keep their heads
+  // columns whole instead of sharding them over f_axes, so batch-sharded
+  // attention splits its rows locally instead of by all-to-all.
+  bool qkv_replicated = false;
 
   // Weight sharding that remains after the gather.
   unsigned EffectiveEAxes() const { return e_axes & ~gather_axes; }
@@ -57,8 +61,10 @@ struct ShardingAssignment {
 };
 
 // The assignment encoding each hand-coded layout (paper §3.2-§3.3):
-// E over x, F over yz, gather over none/x/xy/xyz.
-ShardingAssignment CanonicalAssignment(const PartitionSpec& spec);
+// E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated` as the
+// replication rule decided it for `spec`.
+ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
+                                       bool qkv_replicated = false);
 
 enum class OpKind {
   kInput,       // block input activation

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/ffn_cost.h"
+#include "core/replication.h"
 #include "util/logging.h"
 
 namespace tsi {
@@ -81,9 +82,11 @@ LoweredPlan LowerBlock(const PropagatedBlock& block) {
   return plan;
 }
 
-LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec) {
+LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec,
+                      const ChipSpec& chip, double hop_latency) {
+  const bool qkv = ChooseReplication(config, spec, chip, hop_latency).qkv;
   return LowerBlock(
-      Propagate(BuildBlockGraph(config, CanonicalAssignment(spec))));
+      Propagate(BuildBlockGraph(config, CanonicalAssignment(spec, qkv))));
 }
 
 CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
@@ -92,8 +95,9 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   const ModelConfig& config = plan.block.graph.config;
   const PartitionSpec& spec = plan.spec;
   const Torus3D& mesh = spec.mesh;
-  CostBreakdown out =
-      LayerComputeMemoryCost(config, spec, chip, sys, phase, B, L, context);
+  const bool qkv_replicated = plan.block.graph.assignment.qkv_replicated;
+  CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
+                                             L, context, qkv_replicated);
 
   const int n = spec.num_chips();
   const double BL = B * L;
@@ -107,7 +111,8 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
 
   if (!plan.weight_gathered) {
     if (plan.f_collectives > 0) {
-      double attn_f_bytes = AttnFSideBytes(config, mesh, BL, act);
+      double attn_f_bytes =
+          AttnFSideBytes(config, mesh, BL, act, qkv_replicated);
       out.comm += UnhiddenCollectiveTime(
           cm, sys, ffn_vol.act_f_bytes + attn_f_bytes,
           mesh.GroupSize(plan.f_axes), plan.f_collectives);
@@ -134,9 +139,15 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   }
 
   if (plan.a2a_count > 0) {
-    double a2a_in = AttnAllToAllBytes(config, mesh, BL, act, true);
+    // The outbound all-to-all always runs; the inbound one unless the
+    // q/k/v columns are replicated.
     double a2a_out = AttnAllToAllBytes(config, mesh, BL, act, false);
-    out.comm += cm.AllToAllTime(a2a_in, n) + cm.AllToAllTime(a2a_out, n);
+    double a2a = cm.AllToAllTime(a2a_out, n);
+    if (plan.a2a_count > 1) {
+      double a2a_in = AttnAllToAllBytes(config, mesh, BL, act, true);
+      a2a = cm.AllToAllTime(a2a_in, n) + a2a;
+    }
+    out.comm += a2a;
   }
   return out;
 }

@@ -35,7 +35,9 @@ struct LoweredPlan {
   unsigned e_axes = kAxisNone;
   bool weight_gathered = false;
   unsigned gather_axes = kAxisNone;
-  int a2a_count = 0;         // attention reshard all-to-alls (0 or 2)
+  // Attention reshard all-to-alls: 0, 2, or 1 (outbound only) when the
+  // q/k/v columns are replicated.
+  int a2a_count = 0;
 
   // Human-readable schedule, one collective per line.
   std::string ScheduleToString() const;
@@ -46,11 +48,15 @@ struct LoweredPlan {
 // prefix of x <= xy <= xyz).
 LoweredPlan LowerBlock(const PropagatedBlock& block);
 
-// Convenience: canonical assignment -> build -> propagate -> lower.
-LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec);
+// Convenience: canonical assignment -> build -> propagate -> lower, with
+// the q/k/v replication ChooseReplication (core/replication.h) picks for
+// `spec` on `chip` at `hop_latency`.
+LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec,
+                      const ChipSpec& chip, double hop_latency);
 
 // Prices the lowered schedule; equals LayerCost(config, plan.spec, ...)
-// exactly for every canonical layout.
+// exactly for every canonical layout when the plan was lowered on `chip` at
+// sys.hop_latency.
 CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
                          const SystemModel& sys, Phase phase, double batch,
                          double new_tokens, double context);

@@ -133,9 +133,12 @@ PropagatedBlock Propagate(const BlockGraph& graph) {
           // Head-sharded projections entering batch-sharded attention:
           // all-to-all tokens<->heads on the way in and back out (Fig 5b).
           // Weight-gathered layouts arrive with tokens already sharded and
-          // skip both. Net of the pair the spec is unchanged.
-          out.collectives.push_back({CollectiveKind::kAllToAll, live,
-                                     static_cast<int>(i), "q/k/v", 1, true});
+          // skip both; replicated q/k/v columns hold every head, so the way
+          // in is a local row slice. Net of the pair the spec is unchanged.
+          if (!graph.assignment.qkv_replicated)
+            out.collectives.push_back({CollectiveKind::kAllToAll, live,
+                                       static_cast<int>(i), "q/k/v", 1,
+                                       true});
           out.collectives.push_back({CollectiveKind::kAllToAll, live,
                                      static_cast<int>(i), "attn.ctx", 1,
                                      true});

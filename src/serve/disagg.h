@@ -1,4 +1,5 @@
-// Disaggregated prefill/decode serving pools (ROADMAP item 2).
+// Disaggregated prefill/decode serving pools (ROADMAP: disaggregated
+// serving).
 //
 // The paper's central finding is that prefill and decode want DIFFERENT
 // partitioning layouts (weight-gathered vs. weight-stationary, §3.2-§3.3)

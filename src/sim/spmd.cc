@@ -267,23 +267,6 @@ std::vector<Tensor> GatherMembers(const Deposits& parts, const Split& ga) {
   return out;
 }
 
-// Per-axis ring time for a collective over torus axes of extents `axes`
-// (axis order, extents > 1): one ring per axis, all-gathers in axis order,
-// reduce-scatters in reverse order. Axis a's ring carries the buffer
-// D_a = D / prod_{b > a} k_b in either direction, so it costs
-// AllGatherTime(D_a, k_a). The bandwidth terms sum to the flat ring's
-// D (K-1)/K and the hops to sum_a (k_a - 1); a single axis is exactly the
-// flat AllGatherTime(D, k).
-double PerAxisRingTime(const CommCostModel& cost, const std::vector<int>& axes,
-                       double bytes) {
-  double t = 0;
-  for (auto k = axes.rbegin(); k != axes.rend(); ++k) {
-    t += cost.AllGatherTime(bytes, *k);
-    bytes /= *k;
-  }
-  return t;
-}
-
 // One-member tuple, for the single-tensor entry points.
 std::vector<Tensor> Lone(Tensor t) {
   std::vector<Tensor> one;
@@ -394,8 +377,8 @@ void SpmdContext::ChargeRing(const std::vector<ExchangeHub::Deposit>& parts,
                              const std::string& name) {
   const double bpe = ex_->machine_->bytes_per_element();
   Charge(parts,
-         PerAxisRingTime(ex_->machine_->comm_cost(), g.axes,
-                         static_cast<double>(Busiest(shares)) * bpe),
+         ex_->machine_->comm_cost().PerAxisRingTime(
+             g.axes, static_cast<double>(Busiest(shares)) * bpe),
          static_cast<double>(EgressOf(shares, g.rank)) * bpe, name);
 }
 
@@ -419,7 +402,7 @@ void SpmdContext::ChargePipelined(
   for (int s = 0; s < k - 1; ++s) t += std::max(t_chunk, t_step);
   // ... and the other axes' rings follow as plain ring steps on D / k.
   const double bytes = elems * m.bytes_per_element();
-  t += PerAxisRingTime(cost, {axes.begin(), axes.end() - 1}, bytes / k);
+  t += cost.PerAxisRingTime({axes.begin(), axes.end() - 1}, bytes / k);
   m.SetTime(chip_, MaxDepositTime(parts));
   m.BookWork(chip_, total_flops, total_weight_bytes);
   m.ChargeNetwork(chip_, egress_elems * m.bytes_per_element());
@@ -480,7 +463,7 @@ Tensor SpmdContext::AllReduce(unsigned mask, Tensor t) {
     return sum;
   }
   // Per-axis reduce-scatter, then per-axis all-gather: two legs.
-  double seconds = PerAxisRingTime(cost, g.axes, bytes);
+  double seconds = cost.PerAxisRingTime(g.axes, bytes);
   double egress = bytes * (static_cast<double>(g.size) - 1.0) / g.size;
   Charge(parts, seconds, egress, name);
   m.AdvanceTimeTraced(chip_, seconds, name);

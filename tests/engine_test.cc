@@ -854,17 +854,21 @@ TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
             0.0f);
 }
 
+// The replication rule (core/replication.h) fires at both sites on this
+// mesh: chip 0 runs the whole logit head (no all-gather(xyz)), and under
+// kBatch the q/k/v columns are whole on every yz chip (no inbound
+// all-to-all, and each chip streams the other yz rank's q columns).
 INSTANTIATE_TEST_SUITE_P(
     Layouts, StepTest,
     ::testing::Values(
         StepCase{kHeads, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
-                 0.00011029658666666671, 545536, 197568},
+                 9.0292320000000058e-05, 545536, 165312},
         StepCase{kHeads, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 0.00011025644000000022, 352832, 197568},
+                 9.0252173333333515e-05, 352832, 165312},
         StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
-                 0.00015077013333333336, 518080, 714240},
+                 0.00011074432000000018, 600000, 640512},
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 0.00015073120000000032, 332240, 714240}),
+                 0.00011069904000000028, 383440, 640512}),
     StepCaseName);
 
 // Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
@@ -1064,14 +1068,23 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
 // program point (§3.4): the q/k/v and FFN input partial sums share one
 // reduce-scatter(x), and the gathers back share one all-gather(x). A traced
 // decode step shows exactly that set per layer, plus the logit head's
-// all-gather(x) (activations and final-norm moments together) and
-// all-gather(xyz).
+// all-gather(x) (activations and final-norm moments together) and, when
+// the head is vocab-sharded, all-gather(xyz).
+//
+// At the default hop latency the replication rule (core/replication.h)
+// fires at both sites on this mesh: kBatch keeps q/k/v whole on every yz
+// chip (one all-to-all(yz) per attention, the outbound one) and chip 0 runs
+// the whole logit head (no all-gather(xyz)). At hop latency 0 nothing
+// replicates and the paper's schedule runs.
 struct ScheduleCase {
   AttnSharding attn;
   bool parallel;
   bool multihead;
+  double hop_latency;
   // Collective calls per layer, by trace name.
   std::map<std::string, int> per_layer;
+  // Collective calls after the last layer.
+  std::map<std::string, int> head;
 };
 
 class CollectiveScheduleTest : public ::testing::TestWithParam<ScheduleCase> {};
@@ -1091,6 +1104,7 @@ TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
   cfg.parallel_block = p.parallel;
   ModelWeights weights = ModelWeights::Random(cfg, 17);
   SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  machine.set_hop_latency(p.hop_latency);
   EngineSpec spec;
   spec.attn = p.attn;
   DistributedEngine engine(weights, &machine, spec);
@@ -1101,57 +1115,84 @@ TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
   machine.AttachTracer(&tracer);
   engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 19));
 
-  std::map<std::string, int> want;
-  for (const auto& [name, n] : p.per_layer) want[name] = n * cfg.num_layers;
-  ++want["all-gather(x)"];   // activations + final norm moments
-  ++want["all-gather(xyz)"]; // vocab-sharded logits
+  std::map<std::string, int> want = p.head;
+  for (const auto& [name, n] : p.per_layer) want[name] += n * cfg.num_layers;
   EXPECT_EQ(CollectiveCalls(tracer), want);
 }
+
+// The logit head: the all-gather(x) of activations + final-norm moments,
+// then whole on chip 0 (replicated) or vocab-sharded and gathered.
+const std::map<std::string, int> kReplicatedHead = {{"all-gather(x)", 1}};
+const std::map<std::string, int> kShardedHead = {{"all-gather(x)", 1},
+                                                 {"all-gather(xyz)", 1}};
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, CollectiveScheduleTest,
     ::testing::Values(
-        ScheduleCase{kBatch, true, false,
+        ScheduleCase{kBatch, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
-                      {"all-to-all(yz)", 2}, {"all-gather(x)", 1},
-                      {"all-reduce(yz)", 1}}},
-        ScheduleCase{kHeads, true, false,
+                      {"all-to-all(yz)", 1}, {"all-gather(x)", 1},
+                      {"all-reduce(yz)", 1}},
+                     kReplicatedHead},
+        ScheduleCase{kHeads, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
-                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}}},
+                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
+                     kReplicatedHead},
         // Serial: each half has its own norm, reduce-scatter, gather and
         // yz reduction.
-        ScheduleCase{kBatch, false, false,
+        ScheduleCase{kBatch, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-to-all(yz)", 2}, {"all-gather(x)", 2},
-                      {"all-reduce(yz)", 2}}},
-        ScheduleCase{kHeads, false, false,
+                      {"all-to-all(yz)", 1}, {"all-gather(x)", 2},
+                      {"all-reduce(yz)", 2}},
+                     kReplicatedHead},
+        ScheduleCase{kHeads, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}}},
+                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
+                     kReplicatedHead},
+        // Multihead: the replicated K/V columns split their rows locally
+        // with q's.
+        ScheduleCase{kBatch, false, true, 1e-6,
+                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
+                      {"all-to-all(yz)", 1}, {"all-gather(x)", 2},
+                      {"all-reduce(yz)", 2}},
+                     kReplicatedHead},
+        // Hop latency 0: the paper's layouts. q reshards heads -> rows on
+        // the way in, and the logits are vocab-sharded and gathered.
+        ScheduleCase{kBatch, true, false, 0,
+                     {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
+                      {"all-to-all(yz)", 2}, {"all-gather(x)", 1},
+                      {"all-reduce(yz)", 1}},
+                     kShardedHead},
+        ScheduleCase{kHeads, true, false, 0,
+                     {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
+                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
+                     kShardedHead},
         // Multihead K/V heads shard over yz: they reshard with q in one
         // all-to-all.
-        ScheduleCase{kBatch, false, true,
+        ScheduleCase{kBatch, false, true, 0,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
                       {"all-to-all(yz)", 2}, {"all-gather(x)", 2},
-                      {"all-reduce(yz)", 2}}}),
+                      {"all-reduce(yz)", 2}},
+                     kShardedHead}),
     [](const ::testing::TestParamInfo<ScheduleCase>& info) {
       const ScheduleCase& p = info.param;
       return std::string(p.attn == kBatch ? "batch" : "heads") +
              (p.parallel ? "_parallel" : "_serial") +
-             (p.multihead ? "_mha" : "_mqa");
+             (p.multihead ? "_mha" : "_mqa") +
+             (p.hop_latency == 0 ? "_alpha0" : "");
     });
 
-TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysFifteenHops) {
-  // The paper's parallel layer on 2x2x1 with batch-sharded attention: per
-  // layer 1 (moments all-reduce) + 1 (reduce-scatter) + 2 (all-to-alls) +
-  // 1 (all-gather) + 1 (yz all-reduce) = 6 hop latencies; the logit head
-  // adds 1 (all-gather(x) with the final norm's moments) + 2
-  // (all-gather(xyz)). A ring collective runs one ring per torus axis and
-  // pays sum_a (k_a - 1) hops; an all-reduce over one 2-chip axis is one
-  // exchange, an all-to-all one hop. Every event must include its hops.
+// Hop latencies of one traced kBatch decode step of the paper's parallel
+// layer on 2x2x1 at `hop_latency`. A ring collective runs one ring per
+// torus axis and pays sum_a (k_a - 1) hops; an all-reduce over one 2-chip
+// axis is one exchange, an all-to-all one hop. Every event must include its
+// hops.
+double BatchShardedDecodeStepHops(double hop_latency) {
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 21);
   const Torus3D mesh(2, 2, 1);
   SimMachine machine(mesh, TpuV4());
+  machine.set_hop_latency(hop_latency);
   EngineSpec spec;
   spec.attn = AttnSharding::kBatch;
   DistributedEngine engine(weights, &machine, spec);
@@ -1178,7 +1219,22 @@ TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysFifteenHops) {
     hops += event_hops;
     EXPECT_GE(e.duration, event_hops * hop) << e.name;
   }
-  EXPECT_EQ(hops, 2 * 6 + 3);
+  return hops;
+}
+
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysElevenHops) {
+  // Both replicas (core/replication.h): per layer 1 (moments all-reduce) +
+  // 1 (reduce-scatter) + 1 (the outbound all-to-all) + 1 (all-gather) + 1
+  // (yz all-reduce) = 5 hop latencies; the logit head adds 1 (all-gather(x)
+  // with the final norm's moments) and runs whole on chip 0.
+  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 5 + 1);
+}
+
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepRunsFifteenHopsAtAlphaZero) {
+  // The paper's layouts: per layer 6 (both all-to-alls), and the logit head
+  // adds 1 (all-gather(x)) + 2 (all-gather(xyz) of the vocab-sharded
+  // logits).
+  EXPECT_EQ(BatchShardedDecodeStepHops(0), 2 * 6 + 3);
 }
 
 }  // namespace

@@ -69,18 +69,21 @@ INSTANTIATE_TEST_SUITE_P(ChipCounts, EstimatorPropertyTest,
 // accounting exactly in a configuration where the collective set is known in
 // closed form: WS-1D (x == 1), heads-sharded attention, parallel blocks.
 // Per layer the only collective is the shared output all-reduce(yz) of the
-// [B*T, E] activations, plus one final all-gather of the vocab-sharded
-// logits; nothing else communicates.
-TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedForm) {
+// [B*T, E] activations. The logit head adds an all-gather of the
+// vocab-sharded logits only when it is sharded: at the default hop latency
+// the replication rule (core/replication.h) runs it whole on chip 0.
+void ExpectWs1DHeadsEgress(double hop_latency, bool logits_gathered) {
   ModelConfig cfg = TinyTestModel();  // parallel blocks, 2 layers
   ModelWeights weights = ModelWeights::Random(cfg, 31);
   Torus3D topo(1, 2, 2);
   SimMachine machine(topo, TpuV4());
+  machine.set_hop_latency(hop_latency);
   EngineSpec spec;
   spec.prefill_ffn = FfnLayout::kWS1D;
   spec.decode_ffn = FfnLayout::kWS1D;
   spec.attn = AttnSharding::kHeads;
   DistributedEngine engine(weights, &machine, spec);
+  ASSERT_EQ(engine.replication().logit_head, !logits_gathered);
 
   const int64_t B = 4, T = 8;
   std::vector<int32_t> tokens(static_cast<size_t>(B * T), 3);
@@ -92,13 +95,23 @@ TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedForm) {
   // all-reduce = 2 legs, each moving D*(n-1)/n per chip...
   double expect_per_chip = cfg.num_layers * 2.0 * bytes * (n - 1.0) / n;
   // ...plus the all-gather of the vocab-sharded logits.
-  double logit_bytes = static_cast<double>(B * T) * cfg.vocab_size *
-                       machine.bytes_per_element();
-  expect_per_chip += logit_bytes * (n - 1.0) / n;
+  if (logits_gathered) {
+    double logit_bytes = static_cast<double>(B * T) * cfg.vocab_size *
+                         machine.bytes_per_element();
+    expect_per_chip += logit_bytes * (n - 1.0) / n;
+  }
   for (int c = 0; c < topo.num_chips(); ++c) {
     EXPECT_NEAR(machine.counters(c).network_bytes, expect_per_chip, 1e-6)
         << "chip " << c;
   }
+}
+
+TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedForm) {
+  ExpectWs1DHeadsEgress(/*hop_latency=*/1e-6, /*logits_gathered=*/false);
+}
+
+TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedFormAtAlphaZero) {
+  ExpectWs1DHeadsEgress(/*hop_latency=*/0, /*logits_gathered=*/true);
 }
 
 // Total matmul FLOPs charged across chips: sharded matmuls must sum back to

@@ -28,7 +28,8 @@ constexpr auto kI8 = FastPathPrecision::kInt8;
 FusedPlan PlanFor(const ModelConfig& cfg, FfnLayout ffn, int x, int yz,
                   bool fuse_collectives, FastPathPrecision prec,
                   BlockGraph* out_graph = nullptr) {
-  BlockGraph g = BuildBlockGraph(cfg, ffn, kHeads, x, yz, fuse_collectives, prec);
+  BlockGraph g = BuildBlockGraph(cfg, ffn, kHeads, x, yz, fuse_collectives, prec,
+                                 /*qkv_replicated=*/false);
   FastPathConfig fc;
   fc.fuse_ops = true;
   fc.precision = prec;
@@ -41,11 +42,28 @@ FusedPlan PlanFor(const ModelConfig& cfg, FfnLayout ffn, int x, int yz,
 
 TEST(FusionPassTest, FuseOpsOffPlansNothing) {
   BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS1D, kHeads, 1, 4,
-                                 /*fuse_collectives=*/false, kFp32);
+                                 /*fuse_collectives=*/false, kFp32,
+                                 /*qkv_replicated=*/false);
   FusedPlan plan = FuseBlockGraph(&g, FastPathConfig{});
   EXPECT_FALSE(plan.AnyFusion());
   EXPECT_EQ(plan.fused_ops_per_block, 0);
   EXPECT_EQ(g.NumFused(), 0);
+}
+
+TEST(FusionPassTest, ReplicatedQkvDropsOnlyTheInboundReshard) {
+  // Batch-sharded attention on 2x2: the graph carries the all-to-all into
+  // attention only while the q/k/v columns are head-sharded
+  // (core/replication.h); the one back out stays either way.
+  for (bool replicated : {false, true}) {
+    BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS2D, AttnSharding::kBatch,
+                                   2, 2, /*fuse_collectives=*/false, kFp32,
+                                   replicated);
+    EXPECT_EQ(g.Find("attn_reshard") != nullptr, !replicated);
+    ASSERT_NE(g.Find("attn_unshard"), nullptr);
+    EXPECT_EQ(g.Find("attn")->inputs,
+              std::vector<std::string>{replicated ? "qkv_allreduce"
+                                                  : "attn_reshard"});
+  }
 }
 
 TEST(FusionPassTest, ParallelBlockFusesNormActivationAndBranchSum) {

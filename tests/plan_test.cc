@@ -189,7 +189,7 @@ TEST(LowerTest, PropagationReproducesHandCodedLayerCostExactly) {
           spec.ffn = lc.ffn;
           spec.attn = attn;
           spec.weight_format = fmt;
-          LoweredPlan plan = LowerSpec(config, spec);
+          LoweredPlan plan = LowerSpec(config, spec, chip, sys.hop_latency);
           ASSERT_EQ(plan.spec.ffn, spec.ffn);
           std::string what = config.name + " " + spec.ToString();
           // Decode step, large-batch prefill, long-context decode.
@@ -221,7 +221,7 @@ TEST(LowerTest, AllEnumeratedCandidatesPriceExactly) {
     for (const PartitionSpec& spec :
          EnumerateSpecs(config, chips, WeightFormat::kInt8,
                         /*dedup=*/false)) {
-      LoweredPlan plan = LowerSpec(config, spec);
+      LoweredPlan plan = LowerSpec(config, spec, chip, sys.hop_latency);
       ExpectBreakdownEq(
           LayerCost(config, spec, chip, sys, Phase::kDecode, 64, 1, 2048),
           PriceBlock(plan, chip, sys, Phase::kDecode, 64, 1, 2048),
@@ -236,13 +236,17 @@ TEST(LowerTest, LoweringRecoversLayoutEnum) {
     PartitionSpec spec;
     spec.mesh = lc.mesh;
     spec.ffn = lc.ffn;
-    EXPECT_EQ(LowerSpec(config, spec).spec.ffn, lc.ffn);
+    EXPECT_EQ(
+        LowerSpec(config, spec, TpuV4(), SystemModel{}.hop_latency).spec.ffn,
+        lc.ffn);
   }
   // Degenerate mesh: a gather over xy on a y=z=1 mesh IS a gather over x.
   PartitionSpec degen;
   degen.mesh = Torus3D(8, 1, 1);
   degen.ffn = FfnLayout::kWGXY;
-  EXPECT_EQ(LowerSpec(config, degen).spec.ffn, FfnLayout::kWGX);
+  EXPECT_EQ(
+      LowerSpec(config, degen, TpuV4(), SystemModel{}.hop_latency).spec.ffn,
+      FfnLayout::kWGX);
 }
 
 // --- Enumeration dedup -----------------------------------------------------

@@ -1,0 +1,192 @@
+// The latency-aware replication rule (core/replication.h) on its own: where
+// it fires, where it never does, what it counts, and that the engine, the
+// estimator and the src/plan lowering read the same answer from it.
+#include "core/replication.h"
+
+#include <gtest/gtest.h>
+
+#include "core/block_cost.h"
+#include "core/flops.h"
+#include "core/inference_cost.h"
+#include "engine/engine.h"
+#include "engine/sharding.h"
+#include "hw/chip.h"
+#include "plan/lower.h"
+
+namespace tsi {
+namespace {
+
+constexpr double kHop = 1e-6;  // SystemModel's and SimMachine's default
+
+// The serving benchmark's model (perfbench/serve_bench.cc): PaLM-shaped,
+// multiquery, 2 layers, E = 256, vocab 512.
+ModelConfig ServingBenchModel() {
+  ModelConfig c = TinyTestModel();
+  c.name = "serving-bench";
+  c.d_model = 256;
+  c.d_ff = 1024;
+  c.n_heads = 16;
+  c.d_head = 16;
+  c.vocab_size = 512;
+  return c;
+}
+
+PartitionSpec Spec(const Torus3D& mesh, FfnLayout ffn, AttnSharding attn,
+                   WeightFormat wf = WeightFormat::kBf16) {
+  PartitionSpec s;
+  s.mesh = mesh;
+  s.ffn = ffn;
+  s.attn = attn;
+  s.weight_format = wf;
+  return s;
+}
+
+TEST(ReplicationRuleTest, ServingBenchModelReplicatesBothSitesOn2x2x1) {
+  // Streaming the other yz rank's 32 KiB of Wq takes 27 ns and the other
+  // chips' 192 KiB of the head 160 ns, against one hop (the all-to-all(yz))
+  // and two (the all-gather(xyz) of the logits).
+  const ModelConfig cfg = ServingBenchModel();
+  const Torus3D mesh(2, 2, 1);
+  EXPECT_EQ(QkvReplicaParams(cfg, mesh) * 2.0, 32.0 * 1024);
+  EXPECT_EQ(HeadReplicaParams(cfg, mesh) * 2.0, 192.0 * 1024);
+  const Replication r = ChooseReplication(
+      cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch), TpuV4(), kHop);
+  EXPECT_TRUE(r.qkv);
+  EXPECT_TRUE(r.logit_head);
+  // Site 1 needs batch-sharded attention; site 2 does not.
+  const Replication heads = ChooseReplication(
+      cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kHeads), TpuV4(), kHop);
+  EXPECT_FALSE(heads.qkv);
+  EXPECT_TRUE(heads.logit_head);
+  // Weight-gathered layouts have neither collective to remove.
+  EXPECT_EQ(ChooseReplication(
+                cfg, Spec(mesh, FfnLayout::kWGXYZ, AttnSharding::kBatch),
+                TpuV4(), kHop),
+            Replication{});
+  // Nothing to replicate over on one chip; no yz axis for site 1 on 2x1x1.
+  EXPECT_EQ(ChooseReplication(cfg,
+                              Spec(Torus3D(1, 1, 1), FfnLayout::kWS1D,
+                                   AttnSharding::kBatch),
+                              TpuV4(), kHop),
+            Replication{});
+  const Replication x_only = ChooseReplication(
+      cfg, Spec(Torus3D(2, 1, 1), FfnLayout::kWS2D, AttnSharding::kBatch),
+      TpuV4(), kHop);
+  EXPECT_FALSE(x_only.qkv);
+  EXPECT_TRUE(x_only.logit_head);
+}
+
+TEST(ReplicationRuleTest, Palm540BOn4x4x4ReplicatesNeitherSite) {
+  // The extra Wq stream is ~88 us per layer, the extra head ~7.7 ms.
+  const ModelConfig cfg = Palm540B();
+  const Torus3D mesh(4, 4, 4);
+  EXPECT_NEAR(TpuV4().MemoryTime(QkvReplicaParams(cfg, mesh) * 2.0), 88e-6,
+              1e-6);
+  EXPECT_NEAR(TpuV4().MemoryTime(HeadReplicaParams(cfg, mesh) * 2.0), 7.7e-3,
+              0.1e-3);
+  for (AttnSharding attn : {AttnSharding::kBatch, AttnSharding::kHeads})
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8})
+      EXPECT_EQ(ChooseReplication(cfg, Spec(mesh, FfnLayout::kWS2D, attn, wf),
+                                  TpuV4(), kHop),
+                Replication{})
+          << ToString(attn) << " " << ToString(wf);
+}
+
+TEST(ReplicationRuleTest, ZeroHopLatencyNeverReplicates) {
+  for (const ModelConfig& cfg :
+       {TinyTestModel(), TinyTestModelMultihead(), TinyTestModelGrouped(),
+        ServingBenchModel(), Palm8B(), Palm540B()})
+    for (const Torus3D& mesh :
+         {Torus3D(2, 2, 1), Torus3D(1, 2, 2), Torus3D(2, 2, 2),
+          Torus3D(4, 4, 4)})
+      for (AttnSharding attn : {AttnSharding::kBatch, AttnSharding::kHeads})
+        for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8})
+          EXPECT_EQ(
+              ChooseReplication(cfg, Spec(mesh, FfnLayout::kWS2D, attn, wf),
+                                TpuV4(), /*hop_latency=*/0),
+              Replication{})
+              << cfg.name << " on " << mesh.ToString();
+}
+
+TEST(ReplicationRuleTest, MultiheadCountsKeyAndValueColumns) {
+  // E/X rows of the columns the other yz ranks hold: q's alone under
+  // multiquery (its K/V head is replicated already), q's, k's and v's
+  // under multihead.
+  const Torus3D mesh(2, 2, 1);
+  const ModelConfig mqa = TinyTestModel();
+  const ModelConfig mha = TinyTestModelMultihead();
+  const double rows = 32.0 / 2, half = 0.5;
+  EXPECT_EQ(QkvReplicaParams(mqa, mesh), rows * (8 * 8) * half);
+  EXPECT_EQ(QkvReplicaParams(mha, mesh), rows * (8 * 8 + 2 * 8 * 8) * half);
+  // The engine's shards hold exactly those extra columns.
+  const Replication both{true, true};
+  const auto plain = ShardWeights(ModelWeights::Random(mha, 3), mesh);
+  const auto wide = ShardWeights(ModelWeights::Random(mha, 3), mesh, both);
+  auto qkv_params = [](const ShardedLayerWeights& l) {
+    return static_cast<double>(l.wq.numel() + l.wk.numel() + l.wv.numel());
+  };
+  EXPECT_EQ(qkv_params(wide[0].layers[0]) - qkv_params(plain[0].layers[0]),
+            QkvReplicaParams(mha, mesh));
+  // The replicated head is unsharded; the paper's is a vocab shard.
+  EXPECT_TRUE(wide[0].head_shard.empty());
+  EXPECT_EQ(plain[0].head_shard.dim(1), mha.vocab_size / 4);
+  EXPECT_EQ(wide[0].head.shape(), (Shape{mha.d_model, mha.vocab_size}));
+}
+
+TEST(ReplicationRuleTest, EngineEstimatorAndLoweringAgree) {
+  const ModelConfig cfg = ServingBenchModel();
+  const ModelWeights weights = ModelWeights::Random(cfg, 5);
+  const Torus3D mesh(2, 2, 1);
+  const PartitionSpec spec =
+      Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch);
+  for (double hop : {kHop, 0.0}) {
+    SCOPED_TRACE(hop);
+    const Replication rule = ChooseReplication(cfg, spec, TpuV4(), hop);
+
+    // Engine: the decision it sharded and scheduled by.
+    SimMachine machine(mesh, TpuV4());
+    machine.set_hop_latency(hop);
+    EngineSpec espec;
+    espec.attn = AttnSharding::kBatch;
+    DistributedEngine engine(weights, &machine, espec);
+    EXPECT_EQ(engine.replication(), rule);
+
+    // Lowering: one all-to-all instead of two, priced to the double like
+    // LayerCost.
+    SystemModel sys;
+    sys.hop_latency = hop;
+    const plan::LoweredPlan lowered = plan::LowerSpec(cfg, spec, TpuV4(), hop);
+    EXPECT_EQ(lowered.block.graph.assignment.qkv_replicated, rule.qkv);
+    EXPECT_EQ(lowered.a2a_count, rule.qkv ? 1 : 2);
+    const CostBreakdown hand =
+        LayerCost(cfg, spec, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
+    const CostBreakdown derived =
+        plan::PriceBlock(lowered, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
+    EXPECT_EQ(hand.compute, derived.compute);
+    EXPECT_EQ(hand.weight_memory, derived.weight_memory);
+    EXPECT_EQ(hand.kv_memory, derived.kv_memory);
+    EXPECT_EQ(hand.comm, derived.comm);
+    EXPECT_EQ(hand.overhead, derived.overhead);
+
+    // Estimator: the head priced whole when site 2 fires, and the replicas
+    // counted in the weights per chip.
+    InferenceEstimator est(cfg, TpuV4(), sys);
+    const PhaseResult step = est.DecodeStep(spec, 8, 200);
+    const double head_params =
+        static_cast<double>(cfg.d_model) * cfg.vocab_size;
+    const int head_chips = rule.logit_head ? 1 : mesh.num_chips();
+    EXPECT_DOUBLE_EQ(step.breakdown.weight_memory,
+                     hand.weight_memory * cfg.num_layers +
+                         head_params * 2.0 / head_chips /
+                             (TpuV4().hbm_bw * sys.hbm_frac));
+    double weights_per_chip =
+        static_cast<double>(MatmulParams(cfg)) * 2.0 / mesh.num_chips();
+    if (rule.qkv)
+      weights_per_chip += cfg.num_layers * QkvReplicaParams(cfg, mesh) * 2.0;
+    if (rule.logit_head) weights_per_chip += HeadReplicaParams(cfg, mesh) * 2.0;
+    EXPECT_EQ(step.weight_bytes_per_chip, weights_per_chip);
+  }
+}
+
+}  // namespace
+}  // namespace tsi

@@ -39,7 +39,8 @@
 #   tools/check.sh asan       # additionally build an AddressSanitizer +
 #                             # UndefinedBehaviorSanitizer config
 #                             # (-DTSI_ASAN=ON) and run the SPMD, engine,
-#                             # serving, disaggregation and collective suites
+#                             # serving, disaggregation, collective and
+#                             # replication suites
 #                             # on it with 8 SPMD slots forced (packed
 #                             # tuple-collective deposits, per-axis ring
 #                             # chunks, tensor offset math, ragged row
@@ -80,14 +81,14 @@ ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
 echo "== ThreadSanitizer, 8 SPMD slots forced =="
 TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
   ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-        -R 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test'
+        -R 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test|replication_test|replication_identity_test'
 
 if [[ "${1:-}" == "asan" ]]; then
   # Memory-safety and UB check: -fsanitize=address,undefined with
   # -fno-sanitize-recover, so any report fails the test. Only the suites it
   # runs are built; ring_test and collectives_test cover the per-axis chunk
   # bookkeeping of the wire-level collectives.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test'
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON >/dev/null

@@ -212,7 +212,9 @@ int RunExplain(const std::string& path, int argc, char** argv) {
                 hit->key.model.c_str());
     return 0;
   }
-  plan::LoweredPlan lowered = plan::LowerSpec(*config, hit->spec);
+  // The schedule the tuner priced: TpuV4 at the default hop latency.
+  plan::LoweredPlan lowered = plan::LowerSpec(*config, hit->spec, TpuV4(),
+                                              SystemModel{}.hop_latency);
   std::printf("\nper-op shardings:\n");
   for (size_t i = 0; i < lowered.block.graph.ops.size(); ++i) {
     std::printf("  %-12s %s\n", lowered.block.graph.ops[i].name.c_str(),
@@ -275,7 +277,8 @@ int RunValidate(const std::string& path, bool functional) {
     ++checked;
     // The propagation-derived schedule must still price exactly like the
     // hand-coded LayerCost at this plan's bucket point...
-    plan::LoweredPlan lowered = plan::LowerSpec(*config, p.spec);
+    plan::LoweredPlan lowered = plan::LowerSpec(
+        *config, p.spec, est.chip(), est.system().hop_latency);
     const auto batch = static_cast<double>(key.batch_bucket);
     const auto context = static_cast<double>(key.context_bucket);
     const double new_tokens = key.phase == Phase::kPrefill ? context : 1.0;
