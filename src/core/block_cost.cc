@@ -46,6 +46,14 @@ double AttnFSideBytes(const ModelConfig& config, const Torus3D& mesh,
          act_bytes;
 }
 
+double WoSideBytes(const ModelConfig& config, const Torus3D& mesh,
+                   double batch_tokens, double act_bytes) {
+  if (!config.parallel_block) return 0.0;
+  const int YZ = mesh.y() * mesh.z();
+  return batch_tokens * (1.0 - 1.0 / YZ) *
+         (static_cast<double>(config.d_model) / mesh.x()) * act_bytes;
+}
+
 double AttnAllToAllBytes(const ModelConfig& config, const Torus3D& mesh,
                          double batch_tokens, double act_bytes,
                          bool include_kv) {
@@ -62,7 +70,7 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const ChipSpec& chip,
                                      const SystemModel& sys, Phase phase,
                                      double B, double L, double context,
-                                     bool qkv_replicated) {
+                                     const Replication& rep) {
   TSI_CHECK_GE(context, L);
   const double E = static_cast<double>(config.d_model);
   const double F = static_cast<double>(config.d_ff);
@@ -90,10 +98,13 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
   const double attn_proj_params = 2.0 * E * H * dh + 2.0 * E * KV * dh;
   const double proj_flops = 2.0 * BL * attn_proj_params / n;
   // Replicated q/k/v columns (core/replication.h): every chip also projects
-  // through, and streams, the other yz ranks' columns.
+  // through, and streams, the other yz ranks' columns. Replicated wo rows
+  // only stream: the flops per chip are unchanged.
+  const double qkv_params =
+      rep.qkv ? QkvReplicaParams(config, spec.mesh) : 0.0;
   const double replica_params =
-      qkv_replicated ? QkvReplicaParams(config, spec.mesh) : 0.0;
-  out.compute += (ffn_flops + proj_flops + 2.0 * BL * replica_params) /
+      qkv_params + (rep.wo ? WoReplicaParams(config, spec.mesh) : 0.0);
+  out.compute += (ffn_flops + proj_flops + 2.0 * BL * qkv_params) /
                  (chip.peak_flops * act_speedup * sys.MatmulEff(rows_per_chip));
 
   // Attention dot products (QK^T and AV): pairs per sequence for L new
@@ -128,7 +139,7 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
   const Replication rep =
       ChooseReplication(config, spec, chip, sys.hop_latency);
   CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
-                                             L, context, rep.qkv);
+                                             L, context, rep);
 
   const int n = spec.num_chips();
   const int X = spec.mesh.x();
@@ -165,6 +176,10 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
     // outputs in a parallel block, two pairs in a serial block.
     int e_pairs = config.parallel_block ? 1 : 2;
     out.comm += unhidden(ffn_vol.act_e_bytes * e_pairs, YZ, 2 * e_pairs);
+    // Site 3's side terms ride the yz exchange: bandwidth only, no alpha.
+    if (rep.wo)
+      out.comm += WoSideBytes(config, spec.mesh, BL, act) / cm.network_bw *
+                  (1.0 - sys.overlap_fraction);
   } else {
     // Weight-gathered: gather ALL of this layer's weights (attention
     // projections match the FFN layout, §3.3).
@@ -185,10 +200,14 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
   // all-to-all to reshard Q/K/V from heads to batch and one to shard the
   // attention output back (§3.3, Fig 5b). Weight-gathered layouts are
   // already batch-sharded, so no reshard is needed; replicated q/k/v
-  // columns make the inbound one a local slice.
+  // columns make the inbound one a local slice, replicated wo rows the
+  // outbound one a side term of the yz all-reduce.
   if (spec.attn == AttnSharding::kBatch && !weight_gathered) {
-    double a2a_out = AttnAllToAllBytes(config, spec.mesh, BL, act, false);
-    double a2a = cm.AllToAllTime(a2a_out, n);
+    double a2a = 0.0;
+    if (!rep.wo) {
+      double a2a_out = AttnAllToAllBytes(config, spec.mesh, BL, act, false);
+      a2a = cm.AllToAllTime(a2a_out, n);
+    }
     if (!rep.qkv) {
       double a2a_in = AttnAllToAllBytes(config, spec.mesh, BL, act, true);
       a2a = cm.AllToAllTime(a2a_in, n) + a2a;

@@ -9,6 +9,7 @@
 
 #include "comm/cost.h"
 #include "core/layouts.h"
+#include "core/replication.h"
 #include "core/system.h"
 #include "hw/chip.h"
 #include "model/config.h"
@@ -22,7 +23,9 @@ enum class Phase { kPrefill, kDecode };
 // passes L = 1, prefill passes context = prior cache + L). Follows
 // ChooseReplication (core/replication.h) at sys.hop_latency: when site 1
 // fires, the q/k/v reduce-scatter widens, the replicas stream, and the
-// all-to-all into batch-sharded attention drops out.
+// all-to-all into batch-sharded attention drops out; when site 3 fires, the
+// wo replica streams, the yz all-reduce carries the side terms
+// (WoSideBytes), and the all-to-all out of attention drops out.
 CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
                         const ChipSpec& chip, const SystemModel& sys,
                         Phase phase, double batch, double new_tokens,
@@ -34,15 +37,17 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
 // of merely close.
 
 // Compute + HBM streaming + fixed overhead: every term of LayerCost except
-// the collective schedule (comm stays zero). `qkv_replicated`: the q/k/v
-// columns are whole on every yz chip (site 1 of core/replication.h), so each
-// chip also projects and streams QkvReplicaParams.
+// the collective schedule (comm stays zero). `rep` (core/replication.h):
+// with the q/k/v columns whole on every yz chip (site 1) each chip also
+// projects and streams QkvReplicaParams; with wo's rows whole (site 3) it
+// streams WoReplicaParams, at unchanged flops (each chip projects its own
+// rows through every head instead of every row through its own).
 CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const PartitionSpec& spec,
                                      const ChipSpec& chip,
                                      const SystemModel& sys, Phase phase,
                                      double batch, double new_tokens,
-                                     double context, bool qkv_replicated);
+                                     double context, const Replication& rep);
 
 // Unhidden time of `n_collectives` ring collectives jointly moving `bytes`
 // over k chips: per-hop alphas are never hidden; the bandwidth term overlaps
@@ -57,6 +62,14 @@ double UnhiddenCollectiveTime(const CommCostModel& cm, const SystemModel& sys,
 double AttnFSideBytes(const ModelConfig& config, const Torus3D& mesh,
                       double batch_tokens, double act_bytes,
                       bool qkv_replicated = false);
+
+// Per-chip bytes site 3 (core/replication.h) adds to a block's yz
+// all-reduce exchange: a parallel block deposits its FFN partial at every
+// row plus its own rows' wo terms for the other yz rank, (1 - 1/YZ) of the
+// rows beyond the plain all-reduce; a serial block's attention half
+// deposits only its own rows' terms, the plain buffer's size, so adds none.
+double WoSideBytes(const ModelConfig& config, const Torus3D& mesh,
+                   double batch_tokens, double act_bytes);
 
 // Per-chip all-to-all bytes resharding batch-sharded attention (§3.3,
 // Fig 5b): inbound Q/K/V (include_kv) or the outbound context vector.

@@ -112,6 +112,9 @@ double InferenceEstimator::WeightBytesPerChip(const PartitionSpec& spec) const {
   if (rep.qkv)
     bytes += static_cast<double>(config_.num_layers) *
              QkvReplicaParams(config_, spec.mesh) * wb;
+  if (rep.wo)
+    bytes += static_cast<double>(config_.num_layers) *
+             WoReplicaParams(config_, spec.mesh) * wb;
   if (rep.logit_head) bytes += HeadReplicaParams(config_, spec.mesh) * wb;
   return bytes;
 }

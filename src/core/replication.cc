@@ -38,6 +38,13 @@ double HeadReplicaParams(const ModelConfig& config, const Torus3D& mesh) {
          static_cast<double>(config.vocab_size) * (1.0 - 1.0 / n);
 }
 
+double WoReplicaParams(const ModelConfig& config, const Torus3D& mesh) {
+  const int YZ = mesh.y() * mesh.z();
+  return static_cast<double>(config.d_model) / mesh.x() *
+         static_cast<double>(config.n_heads) *
+         static_cast<double>(config.d_head) * (1.0 - 1.0 / YZ);
+}
+
 Replication ChooseReplication(const ModelConfig& config,
                               const PartitionSpec& spec, const ChipSpec& chip,
                               double hop_latency) {
@@ -59,6 +66,14 @@ Replication ChooseReplication(const ModelConfig& config,
       cols += 2.0 * static_cast<double>(config.n_kv_heads()) * dh / YZ;
     const double removed = cm.AllToAllTime(YZ * cols * act, YZ);
     r.qkv = chip.MemoryTime(QkvReplicaParams(config, mesh) * wb) < removed;
+  }
+  if (spec.attn == AttnSharding::kBatch && YZ == 2) {
+    // The all-to-all(yz) out of attention with one row per owner group: one
+    // hop, each rank sending a row of the other rank's heads.
+    const double cols = static_cast<double>(config.n_heads) *
+                        static_cast<double>(config.d_head) / YZ;
+    const double removed = cm.AllToAllTime(YZ * cols * act, YZ);
+    r.wo = chip.MemoryTime(WoReplicaParams(config, mesh) * wb) < removed;
   }
   if (mesh.num_chips() > 1) {
     // The all-gather(xyz) of one row's logits: sum_a (k_a - 1) hops.

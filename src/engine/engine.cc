@@ -28,6 +28,7 @@ Replication ChooseEngineReplication(const ModelConfig& config,
         machine.chip(), machine.hop_latency());
     r.qkv = r.qkv || p.qkv;
     r.logit_head = r.logit_head || p.logit_head;
+    r.wo = r.wo || p.wo;
   }
   return r;
 }
@@ -45,6 +46,14 @@ SpmdContext::Extents DistributedEngine::RowsOverX() const {
   SpmdContext::Extents e(static_cast<size_t>(X_), 0);
   for (size_t g = 0; g < group_rows_.size(); ++g)
     e[g / static_cast<size_t>(YZ_)] += group_rows_[g];
+  return e;
+}
+
+SpmdContext::Extents DistributedEngine::RowsOfYzOverX(int yzr) const {
+  SpmdContext::Extents e(static_cast<size_t>(X_), 0);
+  for (int xr = 0; xr < X_; ++xr)
+    e[static_cast<size_t>(xr)] =
+        group_rows_[static_cast<size_t>(xr * YZ_ + yzr)];
   return e;
 }
 
@@ -98,30 +107,20 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
     BlockGraph graph =
         BuildBlockGraph(config_, layout, spec_.attn, X_, YZ_,
                         spec_.fuse_collectives, spec_.fastpath.precision,
-                        replication_.qkv);
+                        replication_);
     return FuseBlockGraph(&graph, spec_.fastpath);
   };
   prefill_plan_ = plan_for(spec_.prefill_ffn);
   decode_plan_ = plan_for(spec_.decode_ffn);
   active_plan_ = &decode_plan_;
   if (spec_.fastpath.int8()) {
-    // Int8 weight shards for the end-to-end int8 matmuls; per-column scales
-    // are computed over each chip's shard (its rows of the full matrix), so
-    // a replicated column gets the scale its sharded copy would.
+    // Int8 weight shards for the end-to-end int8 matmuls
+    // (QuantizeLayerShard: scales over each shard's own rows).
     qshards_.resize(shards_.size());
     for (size_t cs = 0; cs < shards_.size(); ++cs) {
       qshards_[cs].reserve(shards_[cs].layers.size());
-      for (const ShardedLayerWeights& lw : shards_[cs].layers) {
-        QuantizedLayerShard q;
-        q.wq = QuantizeInt8(lw.wq);
-        q.wk = QuantizeInt8(lw.wk);
-        q.wv = QuantizeInt8(lw.wv);
-        q.wo = QuantizeInt8(lw.wo);
-        q.win = QuantizeInt8(lw.win);
-        if (config_.gated_ffn) q.win_gate = QuantizeInt8(lw.win_gate);
-        q.wout = QuantizeInt8(lw.wout);
-        qshards_[cs].push_back(std::move(q));
-      }
+      for (const ShardedLayerWeights& lw : shards_[cs].layers)
+        qshards_[cs].push_back(QuantizeLayerShard(lw, config_.gated_ffn));
     }
   }
   if (spec_.fastpath.active()) {
@@ -470,6 +469,9 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   AppendKv(c, layer, kb, vb);
   std::vector<Tensor> attn;
   attn.push_back(SlotAttention(c, layer, qb, static_cast<double>(H)));
+  // wo's rows whole on this chip (core/replication.h, site 3): the owner
+  // projects its group rows through every head, no reshard.
+  if (replication_.wo) return attn[0].Reshape({own, H * dh});
   // Back to head sharding over yz; attn is this chip's group rows
   // [group rows, H, dh]. The caller gathers the x rows.
   attn = ctx.AllToAllMany(kAxisYZ, std::move(attn), /*split=*/1,
@@ -550,21 +552,26 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   // a @ w, or *accum += a @ w when the plan folded the sum into the matmul
   // (then returns an empty tensor). Int8 quantizes `a` unless the caller
   // already holds it quantized (`aq`).
-  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, W w,
-                      W8 w8, Tensor* accum) {
+  auto matmul_out = [&](const Tensor& a, const QuantizedActivations* aq,
+                        const Tensor& w, const QuantizedTensor* w8,
+                        Tensor* accum) {
     if (int8) {
       QuantizedActivations own;
       if (aq == nullptr) {
         own = QuantizeActivationsInt8(a);
         aq = &own;
       }
-      if (accum == nullptr) return LocalMatMulInt8(c, *aq, qw->*w8);
-      LocalMatMulInt8Accumulate(c, *aq, qw->*w8, accum);
+      if (accum == nullptr) return LocalMatMulInt8(c, *aq, *w8);
+      LocalMatMulInt8Accumulate(c, *aq, *w8, accum);
       return Tensor();
     }
-    if (accum == nullptr) return LocalMatMul(c, a, lw.*w);
-    LocalMatMulAccumulate(c, a, lw.*w, accum);
+    if (accum == nullptr) return LocalMatMul(c, a, w);
+    LocalMatMulAccumulate(c, a, w, accum);
     return Tensor();
+  };
+  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, W w,
+                      W8 w8, Tensor* accum) {
+    return matmul_out(a, aq, lw.*w, int8 ? &(qw->*w8) : nullptr, accum);
   };
   // FFN hidden when d_ff is whole on-chip (X == 1): no collective, so the
   // projection, the activation and (int8) the quantize fuse per the plan.
@@ -607,6 +614,12 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     for (size_t i = 0; i < ts.size(); ++i) *ts[i] = std::move(g[i]);
   };
 
+  // Site 3 (core/replication.h): wo's rows whole on this yz chip, which
+  // lies on a single 2-chip yz axis.
+  const bool owner_wo = !heads && replication_.wo;
+  const auto yzr =
+      static_cast<size_t>(YZ_ == 1 ? 0 : ctx.topo().RankInGroup(c, kAxisYZ));
+
   // One block half -- both branches at once in a parallel block -- with one
   // collective per axis per program point (§3.4):
   //   reduce-scatter(x): {q, k, v, h1, h2} (looped: h1/h2's matmuls
@@ -614,7 +627,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   //   all-gather(x):     kHeads {q, k, v, h} before attention,
   //                      kBatch {attention rows, h} after it
   // Returns the summed branch outputs (partial over yz), or an empty tensor
-  // when the plan accumulated them straight into x.
+  // when the plan accumulated them straight into x. Under site 3 the half
+  // runs its yz reduction itself and sets `reduced`.
+  bool reduced = false;
   auto half = [&](bool second, bool attn, bool ffn) {
     norm(second, attn, ffn);
     std::vector<Tensor> rs;
@@ -680,11 +695,38 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       Tensor a =
           AttentionChip(ctx, std::move(q), std::move(k), std::move(v), layer);
       if (!heads && X_ > 1) {
+        // Site 3 gathers this yz rank's rows with every head, else the
+        // whole frame's rows with this chip's heads.
+        const SpmdContext::Extents a_rows =
+            owner_wo ? RowsOfYzOverX(static_cast<int>(yzr)) : x_rows;
         if (gather_h) {
-          gather_x({&a, &h}, {0, 1}, {x_rows, {}});
+          gather_x({&a, &h}, {0, 1}, {a_rows, {}});
         } else {
-          gather_x({&a}, {0}, {x_rows});
+          gather_x({&a}, {0}, {a_rows});
         }
+      }
+      if (owner_wo) {
+        // `a` holds this yz rank's rows with every head. Each yz block j
+        // projects them through its heads, A_j = a[:, heads_j] @ wo_j: the
+        // matmul chip (x, j) runs on its shard (int8: each block's columns
+        // quantized per row, as that chip quantizes its own). The yz
+        // reduction takes A_own as this chip's term at its rows, ships the
+        // other block as the side term, and adds the FFN partial at every
+        // row (SpmdContext::AllReduceOwnedRows).
+        const int64_t w = a.dim(1) / YZ_;
+        std::vector<Tensor> terms;
+        for (size_t j = 0; j < 2; ++j)
+          terms.push_back(matmul_out(
+              a.Slice(1, static_cast<int64_t>(j) * w, w), nullptr,
+              lw.wo_blocks[j], int8 ? &qw->wo_blocks[j] : nullptr, nullptr));
+        Tensor f;
+        if (ffn)
+          f = out_proj(h, int8 && X_ == 1 ? &hq : nullptr,
+                       &ShardedLayerWeights::wout, &QuantizedLayerShard::wout,
+                       nullptr);
+        reduced = true;
+        return ctx.AllReduceOwnedRows(kAxisYZ, f, terms[yzr], terms[1 - yzr],
+                                      group_rows_);
       }
       // A serial block without a yz reduction may fold the residual add
       // into wo (the plan only sets this when YZ == 1).
@@ -717,7 +759,8 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   // (§3.4: one per parallel block, two per serial block).
   auto residual = [&](Tensor out) {
     if (out.empty()) return;  // accumulated into x already
-    if (YZ_ > 1) out = ctx.AllReduce(kAxisYZ, std::move(out));
+    if (YZ_ > 1 && !reduced) out = ctx.AllReduce(kAxisYZ, std::move(out));
+    reduced = false;
     x.AddInPlace(out);
   };
   if (config_.parallel_block) {

@@ -31,9 +31,12 @@
 // The construction-time machine (its chip and hop latency) decides, through
 // ChooseReplication (core/replication.h), whether the q/k/v columns stay
 // whole on every yz chip -- then batch-sharded attention slices its rows
-// locally instead of the inbound all-to-all -- and whether the
-// weight-stationary logit head runs whole on chip 0 instead of
-// vocab-sharded plus an all-gather. Either way every tensor is
+// locally instead of the inbound all-to-all -- whether wo's rows stay
+// whole on both yz chips -- then each row's owner projects every head and
+// ships the other rank's term inside the yz all-reduce instead of the
+// outbound all-to-all -- and whether the weight-stationary logit head runs
+// whole on chip 0 instead of vocab-sharded plus an all-gather. Either way
+// every tensor is
 // bit-identical; only the schedule and the virtual clock change. Set the
 // hop latency before constructing the engine.
 //
@@ -205,6 +208,8 @@ class DistributedEngine {
   // slice's groups summed), and per yz-rank within x-rank `xr`.
   SpmdContext::Extents RowsOverX() const;
   SpmdContext::Extents RowsOverYz(int xr) const;
+  // kBatch: the rows of yz-rank `yzr`'s groups, per x-rank.
+  SpmdContext::Extents RowsOfYzOverX(int yzr) const;
 
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
@@ -220,7 +225,9 @@ class DistributedEngine {
   // are whole over x ([rows, cols]) and so is the [rows, (H/YZ)*dh] result.
   // kBatch: q/k/v are this chip's x slice of the rows (its yz groups' rows,
   // what the rows reduce-scatter(x) delivers) and so is the
-  // [slice rows, (H/YZ)*dh] result; the caller gathers the rows back over x.
+  // [slice rows, (H/YZ)*dh] result -- or, when wo's rows are replicated
+  // (site 3), the [group rows, H*dh] of this chip's own group; the caller
+  // gathers the rows back over x.
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer);
 
@@ -295,9 +302,6 @@ class DistributedEngine {
   std::vector<ChipWeights> shards_;
   // Per-chip, per-layer int8 weight shards (fastpath int8 only; the
   // embedding and logit head stay fp32).
-  struct QuantizedLayerShard {
-    QuantizedTensor wq, wk, wv, wo, win, win_gate, wout;
-  };
   std::vector<std::vector<QuantizedLayerShard>> qshards_;
   ShardedKvCache cache_;
   double weight_byte_width_;  // 2 (bf16) or 1 (int8) for traffic charging

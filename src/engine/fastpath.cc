@@ -87,7 +87,7 @@ struct Builder {
 // weight shards; x splits d_model (partial-sum reductions), yz splits heads
 // and d_ff (the per-branch or per-block allreduce).
 void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
-               int x, int yz, bool int8, bool qkv_replicated) {
+               int x, int yz, bool int8, const Replication& replication) {
   b->Add(OpKind::kMatMul, "q", {proj_in});
   b->Add(OpKind::kMatMul, "k", {proj_in});
   b->Add(OpKind::kMatMul, "v", {proj_in});
@@ -98,15 +98,20 @@ void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
   }
   // Replicated q/k/v columns split their rows locally
   // (core/replication.h): no inbound reshard.
-  if (attn == AttnSharding::kBatch && yz > 1 && !qkv_replicated) {
+  if (attn == AttnSharding::kBatch && yz > 1 && !replication.qkv) {
     b->Add(OpKind::kComm, "attn_reshard", qkv);
     qkv = {"attn_reshard"};
   }
   b->Add(OpKind::kSdpa, "attn", qkv);
   std::string wo_in = "attn";
-  if (attn == AttnSharding::kBatch && yz > 1) {
+  // Replicated wo rows keep the rows on their owner (every head), so only
+  // the all-gather(x) of those rows stands between attention and wo.
+  if (attn == AttnSharding::kBatch && yz > 1 && !replication.wo) {
     b->Add(OpKind::kComm, "attn_unshard", {wo_in});
     wo_in = "attn_unshard";
+  } else if (attn == AttnSharding::kBatch && yz > 1 && x > 1) {
+    b->Add(OpKind::kComm, "attn_gather", {wo_in});
+    wo_in = "attn_gather";
   }
   if (int8) wo_in = b->AddQuant("attn_quant", wo_in);
   b->Add(OpKind::kMatMul, "wo", {wo_in});
@@ -148,24 +153,31 @@ void AddWsFfn(Builder* b, const std::string& proj_in,
 }
 
 BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
-                   bool fuse_collectives, bool int8, bool qkv_replicated) {
+                   bool fuse_collectives, bool int8,
+                   const Replication& replication) {
   Builder b;
   if (config.parallel_block) {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string proj_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, proj_in, attn, x, yz, int8, qkv_replicated);
+    AddWsAttn(&b, proj_in, attn, x, yz, int8, replication);
     AddWsFfn(&b, proj_in, ln, config.gated_ffn, x, fuse_collectives, int8);
-    b.Add(OpKind::kResidualAdd, "branch_sum", {"wo", "ffn_out"});
-    std::string block_out = "branch_sum";
-    if (yz > 1) {
-      b.Add(OpKind::kComm, "block_allreduce", {block_out});
+    std::string block_out;
+    if (attn == AttnSharding::kBatch && yz > 1 && replication.wo) {
+      b.Add(OpKind::kComm, "block_allreduce", {"wo", "ffn_out"});
       block_out = "block_allreduce";
+    } else {
+      b.Add(OpKind::kResidualAdd, "branch_sum", {"wo", "ffn_out"});
+      block_out = "branch_sum";
+      if (yz > 1) {
+        b.Add(OpKind::kComm, "block_allreduce", {block_out});
+        block_out = "block_allreduce";
+      }
     }
     b.Add(OpKind::kResidualAdd, "residual", {"x", block_out});
   } else {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string attn_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, attn_in, attn, x, yz, int8, qkv_replicated);
+    AddWsAttn(&b, attn_in, attn, x, yz, int8, replication);
     std::string attn_out = "wo";
     if (yz > 1) {
       b.Add(OpKind::kComm, "attn_allreduce", {attn_out});
@@ -219,13 +231,13 @@ BlockGraph BuildWg(const ModelConfig& config) {
 BlockGraph BuildBlockGraph(const ModelConfig& config, FfnLayout ffn,
                            AttnSharding attn, int x, int yz,
                            bool fuse_collectives, FastPathPrecision precision,
-                           bool qkv_replicated) {
+                           const Replication& replication) {
   const bool int8 = precision == FastPathPrecision::kInt8;
   if (IsWeightGathered(ffn)) return BuildWg(config);
   // The int8 pipeline runs its own matmul kernels and never takes the fused
   // matmul-collective path, so its graph is built without it.
   return BuildWs(config, attn, x, yz, fuse_collectives && !int8, int8,
-                 qkv_replicated);
+                 replication);
 }
 
 FusedPlan FuseBlockGraph(BlockGraph* graph, const FastPathConfig& config) {

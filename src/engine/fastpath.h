@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/layouts.h"
+#include "core/replication.h"
 #include "model/config.h"
 
 namespace tsi {
@@ -89,13 +90,16 @@ struct BlockGraph {
 // patterns that would reach across a chip boundary simply fail to match.
 // Int8 precision inserts the kQuantize nodes the int8 pipeline needs;
 // weight-gathered layouts keep fp32 compute (only the KV cache narrows), so
-// their graphs carry no quantize nodes. `qkv_replicated`: the q/k/v columns
-// are whole on every yz chip (core/replication.h), so batch-sharded
-// attention has no inbound reshard.
+// their graphs carry no quantize nodes. `replication` (core/replication.h):
+// with the q/k/v columns whole on every yz chip, batch-sharded attention
+// has no inbound reshard; with wo's rows whole on both yz chips, no
+// outbound one, and a parallel block's branch sum happens inside the yz
+// all-reduce (each row's owner ships the other rank's wo term with it), so
+// it folds into neither output projection.
 BlockGraph BuildBlockGraph(const ModelConfig& config, FfnLayout ffn,
                            AttnSharding attn, int x, int yz,
                            bool fuse_collectives, FastPathPrecision precision,
-                           bool qkv_replicated);
+                           const Replication& replication);
 
 // What the engine executes for one block under a given layout; produced by
 // FuseBlockGraph, consumed by DistributedEngine's per-chip block functions.

@@ -58,6 +58,12 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
       {
         Tensor rows = YZ > 1 ? lw.wo.Chunk(0, YZ, yzr) : lw.wo;
         s.wo = X > 1 ? rows.Chunk(1, X, xr) : rows;
+        if (replicate.wo) {
+          for (int j = 0; j < YZ; ++j) {
+            Tensor block = lw.wo.Chunk(0, YZ, j);
+            s.wo_blocks.push_back(X > 1 ? block.Chunk(1, X, xr) : block);
+          }
+        }
       }
       s.win = ShardMatrix(lw.win, xr, X, yzr, YZ, false);
       if (cfg.gated_ffn)
@@ -70,6 +76,21 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
     }
   }
   return chips;
+}
+
+QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,
+                                       bool gated) {
+  QuantizedLayerShard q;
+  q.wq = QuantizeInt8(shard.wq);
+  q.wk = QuantizeInt8(shard.wk);
+  q.wv = QuantizeInt8(shard.wv);
+  q.wo = QuantizeInt8(shard.wo);
+  for (const Tensor& block : shard.wo_blocks)
+    q.wo_blocks.push_back(QuantizeInt8(block));
+  q.win = QuantizeInt8(shard.win);
+  if (gated) q.win_gate = QuantizeInt8(shard.win_gate);
+  q.wout = QuantizeInt8(shard.wout);
+  return q;
 }
 
 }  // namespace tsi

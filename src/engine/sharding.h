@@ -11,8 +11,9 @@
 // resharding -- the property §3.2.3 calls out.
 //
 // Where the latency-aware replication rule fires (core/replication.h), the
-// q/k/v columns stay whole on every yz chip (site 1) and the logit head is
-// not vocab-sharded (site 2).
+// q/k/v columns stay whole on every yz chip (site 1), the logit head is not
+// vocab-sharded (site 2), and every yz rank's block of wo rows sits on each
+// yz chip (site 3).
 #pragma once
 
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/replication.h"
 #include "hw/topology.h"
 #include "model/weights.h"
+#include "quant/int8.h"
 
 namespace tsi {
 
@@ -31,6 +33,9 @@ struct ShardedLayerWeights {
                     //  KV*dh when replicated)
   Tensor wv;        // like wk
   Tensor wo;        // [(H/YZ)*dh, E/X]
+  // Site 3: every yz rank's wo block [(H/YZ)*dh, E/X] at this chip's E/X
+  // columns, in yz-rank order (block yzr is `wo`); empty otherwise.
+  std::vector<Tensor> wo_blocks;
   Tensor win;       // [E/X, F/YZ]
   Tensor win_gate;  // [E/X, F/YZ] (gated only)
   Tensor wout;      // [F/YZ, E/X]
@@ -54,5 +59,16 @@ struct ChipWeights {
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Torus3D& mesh,
                                       const Replication& replicate = {});
+
+// One layer shard's int8 weights (the end-to-end int8 path): per-column
+// scales over the shard's own rows, so a replicated column -- or a
+// replicated wo block -- gets exactly the bytes and scales its sharded copy
+// would.
+struct QuantizedLayerShard {
+  QuantizedTensor wq, wk, wv, wo, win, win_gate, wout;
+  std::vector<QuantizedTensor> wo_blocks;  // one per ShardedLayerWeights block
+};
+QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,
+                                       bool gated);
 
 }  // namespace tsi

@@ -19,12 +19,13 @@ std::string ShardingAssignment::ToString() const {
   os << "E." << AxisName(e_axes) << " F." << AxisName(f_axes);
   if (gather_axes != kAxisNone) os << " gather." << AxisName(gather_axes);
   if (qkv_replicated) os << " qkv.replicated";
+  if (wo_replicated) os << " wo.replicated";
   os << " attn=" << tsi::ToString(attn) << " on " << mesh.ToString();
   return os.str();
 }
 
 ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
-                                       bool qkv_replicated) {
+                                       const Replication& rep) {
   ShardingAssignment a;
   a.mesh = spec.mesh;
   a.e_axes = spec.mesh.x() > 1 ? kAxisX : kAxisNone;
@@ -60,7 +61,8 @@ ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
   a.activations = spec.activations;
   a.kv_format = spec.kv_format;
   a.kv_page_size = spec.kv_page_size;
-  a.qkv_replicated = qkv_replicated;
+  a.qkv_replicated = rep.qkv;
+  a.wo_replicated = rep.wo;
   return a;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/layouts.h"
+#include "core/replication.h"
 #include "model/config.h"
 #include "plan/shard_spec.h"
 
@@ -45,6 +46,12 @@ struct ShardingAssignment {
   // columns whole instead of sharding them over f_axes, so batch-sharded
   // attention splits its rows locally instead of by all-to-all.
   bool qkv_replicated = false;
+  // Site 3: wo keeps its heads rows whole on both yz chips, so each row's
+  // owner projects every head and ships the other rank's term inside the
+  // residual all-reduce instead of an all-to-all out of attention. The
+  // attention output still lowers as a partial over f_axes: the side terms
+  // rebuild exactly those partials.
+  bool wo_replicated = false;
 
   // Weight sharding that remains after the gather.
   unsigned EffectiveEAxes() const { return e_axes & ~gather_axes; }
@@ -61,10 +68,10 @@ struct ShardingAssignment {
 };
 
 // The assignment encoding each hand-coded layout (paper §3.2-§3.3):
-// E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated` as the
-// replication rule decided it for `spec`.
+// E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated` and
+// `wo_replicated` as the replication rule decided them for `spec`.
 ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
-                                       bool qkv_replicated = false);
+                                       const Replication& rep = {});
 
 enum class OpKind {
   kInput,       // block input activation

@@ -84,9 +84,9 @@ LoweredPlan LowerBlock(const PropagatedBlock& block) {
 
 LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec,
                       const ChipSpec& chip, double hop_latency) {
-  const bool qkv = ChooseReplication(config, spec, chip, hop_latency).qkv;
+  const Replication rep = ChooseReplication(config, spec, chip, hop_latency);
   return LowerBlock(
-      Propagate(BuildBlockGraph(config, CanonicalAssignment(spec, qkv))));
+      Propagate(BuildBlockGraph(config, CanonicalAssignment(spec, rep))));
 }
 
 CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
@@ -95,9 +95,11 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   const ModelConfig& config = plan.block.graph.config;
   const PartitionSpec& spec = plan.spec;
   const Torus3D& mesh = spec.mesh;
-  const bool qkv_replicated = plan.block.graph.assignment.qkv_replicated;
+  const ShardingAssignment& a = plan.block.graph.assignment;
+  const Replication rep{a.qkv_replicated, /*logit_head=*/false,
+                        a.wo_replicated};
   CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
-                                             L, context, qkv_replicated);
+                                             L, context, rep);
 
   const int n = spec.num_chips();
   const double BL = B * L;
@@ -112,7 +114,7 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   if (!plan.weight_gathered) {
     if (plan.f_collectives > 0) {
       double attn_f_bytes =
-          AttnFSideBytes(config, mesh, BL, act, qkv_replicated);
+          AttnFSideBytes(config, mesh, BL, act, rep.qkv);
       out.comm += UnhiddenCollectiveTime(
           cm, sys, ffn_vol.act_f_bytes + attn_f_bytes,
           mesh.GroupSize(plan.f_axes), plan.f_collectives);
@@ -124,6 +126,9 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
                                          mesh.GroupSize(plan.e_axes),
                                          2 * e_pairs);
     }
+    if (rep.wo)
+      out.comm += WoSideBytes(config, mesh, BL, act) / cm.network_bw *
+                  (1.0 - sys.overlap_fraction);
   } else {
     const int N = mesh.GroupSize(plan.gather_axes);
     double gather_bytes = static_cast<double>(config.ParamsPerLayer()) * wb *
@@ -139,11 +144,14 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   }
 
   if (plan.a2a_count > 0) {
-    // The outbound all-to-all always runs; the inbound one unless the
-    // q/k/v columns are replicated.
-    double a2a_out = AttnAllToAllBytes(config, mesh, BL, act, false);
-    double a2a = cm.AllToAllTime(a2a_out, n);
-    if (plan.a2a_count > 1) {
+    // The outbound all-to-all runs unless wo's rows are replicated, the
+    // inbound one unless the q/k/v columns are.
+    double a2a = 0.0;
+    if (!rep.wo) {
+      double a2a_out = AttnAllToAllBytes(config, mesh, BL, act, false);
+      a2a = cm.AllToAllTime(a2a_out, n);
+    }
+    if (!rep.qkv) {
       double a2a_in = AttnAllToAllBytes(config, mesh, BL, act, true);
       a2a = cm.AllToAllTime(a2a_in, n) + a2a;
     }

@@ -35,8 +35,9 @@ struct LoweredPlan {
   unsigned e_axes = kAxisNone;
   bool weight_gathered = false;
   unsigned gather_axes = kAxisNone;
-  // Attention reshard all-to-alls: 0, 2, or 1 (outbound only) when the
-  // q/k/v columns are replicated.
+  // Attention reshard all-to-alls: 2, less one for each replication site
+  // that removes one (q/k/v: the inbound, wo: the outbound); 0 without
+  // batch-sharded attention on a weight-stationary layout.
   int a2a_count = 0;
 
   // Human-readable schedule, one collective per line.
@@ -49,8 +50,8 @@ struct LoweredPlan {
 LoweredPlan LowerBlock(const PropagatedBlock& block);
 
 // Convenience: canonical assignment -> build -> propagate -> lower, with
-// the q/k/v replication ChooseReplication (core/replication.h) picks for
-// `spec` on `chip` at `hop_latency`.
+// the q/k/v and wo replication ChooseReplication (core/replication.h)
+// picks for `spec` on `chip` at `hop_latency`.
 LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec,
                       const ChipSpec& chip, double hop_latency);
 

@@ -134,14 +134,18 @@ PropagatedBlock Propagate(const BlockGraph& graph) {
           // all-to-all tokens<->heads on the way in and back out (Fig 5b).
           // Weight-gathered layouts arrive with tokens already sharded and
           // skip both; replicated q/k/v columns hold every head, so the way
-          // in is a local row slice. Net of the pair the spec is unchanged.
+          // in is a local row slice, and replicated wo rows project every
+          // head on the row's owner, whose side terms ride the residual
+          // all-reduce instead of the way out. Net of the pair the spec is
+          // unchanged.
           if (!graph.assignment.qkv_replicated)
             out.collectives.push_back({CollectiveKind::kAllToAll, live,
                                        static_cast<int>(i), "q/k/v", 1,
                                        true});
-          out.collectives.push_back({CollectiveKind::kAllToAll, live,
-                                     static_cast<int>(i), "attn.ctx", 1,
-                                     true});
+          if (!graph.assignment.wo_replicated)
+            out.collectives.push_back({CollectiveKind::kAllToAll, live,
+                                       static_cast<int>(i), "attn.ctx", 1,
+                                       true});
         }
         in.Validate(mesh);
         out.specs[i] = in;

@@ -18,9 +18,10 @@
 //     attention and FFN branches, serial blocks pay two -- §3.4 falls out
 //     of the graph shape instead of being hand-coded);
 //   * batch-sharded attention entered with replicated tokens inserts the
-//     AllToAll reshard pair (§3.3 Fig 5b) -- only the outbound one when the
-//     q/k/v columns are replicated (core/replication.h); weight-gathered
-//     layouts arrive with tokens already sharded and insert nothing;
+//     AllToAll reshard pair (§3.3 Fig 5b) -- without the inbound one when
+//     the q/k/v columns are replicated, without the outbound one when wo's
+//     rows are (core/replication.h); weight-gathered layouts arrive with
+//     tokens already sharded and insert nothing;
 //   * a weight-gathered matmul records the per-layer weight AllGather.
 //
 // In a parallel block the attention projections' F-side collectives fuse

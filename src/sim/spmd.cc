@@ -471,6 +471,88 @@ Tensor SpmdContext::AllReduce(unsigned mask, Tensor t) {
   return sum;
 }
 
+Tensor SpmdContext::AllReduceOwnedRows(unsigned mask, const Tensor& partial,
+                                       const Tensor& own, const Tensor& side,
+                                       const Extents& segments) {
+  SpmdExecutor::AxisGroup& g = ex_->GroupFor(chip_, mask);
+  TSI_CHECK(g.axes.size() == 1 && g.axes[0] == 2)
+      << "an owned-row all-reduce runs over a single 2-chip axis";
+  TSI_CHECK_EQ(own.rank(), 2);
+  TSI_CHECK(side.shape() == own.shape()) << "one side term per own row";
+  const int64_t E = own.dim(1);
+  int64_t N = 0;
+  int64_t owned[2] = {0, 0};
+  for (size_t s = 0; s < segments.size(); ++s) {
+    TSI_CHECK_GE(segments[s], 0);
+    N += segments[s];
+    owned[s % 2] += segments[s];
+  }
+  const int me = g.rank;
+  TSI_CHECK_EQ(own.dim(0), owned[me]) << "own rows differ from the segments";
+  const bool has_partial = !partial.empty();
+  if (has_partial) {
+    TSI_CHECK(partial.shape() == (Shape{N, E})) << "a partial covers every row";
+  }
+  // The deposit: the partial with this rank's rows completed (or its own
+  // terms alone), then the side terms.
+  auto head_rows = [&](int r) { return has_partial ? N : owned[r]; };
+  Tensor dep({(head_rows(me) + owned[me]) * E});
+  float* d = dep.data();
+  if (has_partial) {
+    std::copy_n(partial.data(), N * E, d);
+    const float* o = own.data();
+    int64_t row = 0;
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const int64_t n = segments[s] * E;
+      if (static_cast<int>(s % 2) == me) {
+        for (int64_t i = 0; i < n; ++i) d[row * E + i] += o[i];
+        o += n;
+      }
+      row += segments[s];
+    }
+  } else {
+    std::copy_n(own.data(), own.numel(), d);
+  }
+  // copy_n, not memcpy: an empty member's data() may be null.
+  std::copy_n(side.data(), side.numel(), d + head_rows(me) * E);
+
+  auto parts = ExchangeTimed(g, std::move(dep));
+  for (int r = 0; r < 2; ++r)
+    TSI_CHECK_EQ(parts[static_cast<size_t>(r)].tensor->numel(),
+                 (head_rows(r) + owned[r]) * E)
+        << "rank " << r << " deposited a different layout";
+  const float* deps[2] = {parts[0].tensor->data(), parts[1].tensor->data()};
+  Tensor sum({N, E});
+  float* out = sum.data();
+  int64_t row = 0;
+  int64_t at[2] = {0, 0};  // each owner's rows before this segment
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const int o = static_cast<int>(s % 2);
+    const int other = 1 - o;
+    const float* p_own =
+        deps[o] + (has_partial ? row : at[o]) * E;  // P_o, complete
+    const float* p_side = deps[o] + (head_rows(o) + at[o]) * E;
+    const float* p_rest = has_partial ? deps[other] + row * E : nullptr;
+    const int64_t n = segments[s] * E;
+    for (int64_t i = 0; i < n; ++i) {
+      // P_other = side + rest, then P_0 + P_1 in group order.
+      const float p_other = p_rest ? p_side[i] + p_rest[i] : p_side[i];
+      out[row * E + i] = o == 0 ? p_own[i] + p_other : p_other + p_own[i];
+    }
+    at[o] += segments[s];
+    row += segments[s];
+  }
+  SimMachine& m = *ex_->machine_;
+  const double bpe = m.bytes_per_element();
+  const double busiest = static_cast<double>(
+      std::max(head_rows(0) + owned[0], head_rows(1) + owned[1]) * E);
+  Charge(parts,
+         m.comm_cost().hop_latency + busiest * bpe / m.comm_cost().network_bw,
+         static_cast<double>((head_rows(me) + owned[me]) * E) * bpe,
+         "all-reduce(" + AxisName(mask) + ")");
+  return sum;
+}
+
 Tensor SpmdContext::AllToAll(unsigned mask, Tensor t, int64_t split_dim,
                              int64_t concat_dim) {
   return std::move(

@@ -149,6 +149,27 @@ class SpmdContext {
   // Group-order sum, replicated; charged as an exchange over one 2-chip
   // axis, else as the per-axis RS + AG (two trace events).
   Tensor AllReduce(unsigned mask, Tensor t);
+  // The all-reduce of [rows, E] partial sums over a single 2-chip axis when
+  // each row's owner holds a term the other rank lacks (replication site 3,
+  // core/replication.h: the owner projects every head's attention output
+  // for its rows). The rows run in segments owned alternately: segment s is
+  // `segments[s]` rows of rank s % 2, and a rank's own rows are its
+  // segments in row order (n rows).
+  //   partial [N, E]: this rank's partial at every row, less `own` at its
+  //                   own rows; or empty (every rank alike) when it has no
+  //                   partial beyond its own rows.
+  //   own     [n, E]: this rank's term at its own rows.
+  //   side    [n, E]: the other rank's term at this rank's own rows.
+  // Every rank returns, for every row, P_0 + P_1 in group order, where
+  // P_r = partial_r + own_r at r's rows and partial_r + side_o at the rows
+  // o owns (own_r / side_o alone without a partial): AllReduce of those
+  // recombined partials, bit for bit. One exchange: a rank deposits its
+  // partial with its own rows completed (or just `own`) followed by `side`;
+  // charged one hop plus the larger deposit over the link, egress its own
+  // deposit, one trace event under AllReduce's name.
+  Tensor AllReduceOwnedRows(unsigned mask, const Tensor& partial,
+                            const Tensor& own, const Tensor& side,
+                            const Extents& segments);
   // Reshards from `split_dim` to `concat_dim` within the group.
   Tensor AllToAll(unsigned mask, Tensor t, int64_t split_dim,
                   int64_t concat_dim);

@@ -854,10 +854,11 @@ TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
             0.0f);
 }
 
-// The replication rule (core/replication.h) fires at both sites on this
+// The replication rule (core/replication.h) fires at every site on this
 // mesh: chip 0 runs the whole logit head (no all-gather(xyz)), and under
-// kBatch the q/k/v columns are whole on every yz chip (no inbound
-// all-to-all, and each chip streams the other yz rank's q columns).
+// kBatch the q/k/v columns and wo's rows are whole on every yz chip (no
+// all-to-all in or out of attention; each chip streams the other yz rank's
+// q columns and wo rows).
 INSTANTIATE_TEST_SUITE_P(
     Layouts, StepTest,
     ::testing::Values(
@@ -866,9 +867,9 @@ INSTANTIATE_TEST_SUITE_P(
         StepCase{kHeads, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
                  9.0252173333333515e-05, 352832, 165312},
         StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
-                 0.00011074432000000018, 600000, 640512},
+                 9.0761386666666751e-05, 681920, 640512},
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 0.00011069904000000028, 383440, 640512}),
+                 9.0708640000000221e-05, 429520, 640512}),
     StepCaseName);
 
 // Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
@@ -1072,10 +1073,11 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
 // the head is vocab-sharded, all-gather(xyz).
 //
 // At the default hop latency the replication rule (core/replication.h)
-// fires at both sites on this mesh: kBatch keeps q/k/v whole on every yz
-// chip (one all-to-all(yz) per attention, the outbound one) and chip 0 runs
-// the whole logit head (no all-gather(xyz)). At hop latency 0 nothing
-// replicates and the paper's schedule runs.
+// fires at every site on this mesh: kBatch keeps q/k/v and wo whole on
+// every yz chip (no all-to-all(yz) at all: the rows split locally on the
+// way in, and the wo side terms ride the all-reduce(yz) on the way out) and
+// chip 0 runs the whole logit head (no all-gather(xyz)). At hop latency 0
+// nothing replicates and the paper's schedule runs.
 struct ScheduleCase {
   AttnSharding attn;
   bool parallel;
@@ -1131,8 +1133,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ScheduleCase{kBatch, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
-                      {"all-to-all(yz)", 1}, {"all-gather(x)", 1},
-                      {"all-reduce(yz)", 1}},
+                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
                      kReplicatedHead},
         ScheduleCase{kHeads, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
@@ -1142,8 +1143,7 @@ INSTANTIATE_TEST_SUITE_P(
         // yz reduction.
         ScheduleCase{kBatch, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-to-all(yz)", 1}, {"all-gather(x)", 2},
-                      {"all-reduce(yz)", 2}},
+                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
                      kReplicatedHead},
         ScheduleCase{kHeads, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
@@ -1153,8 +1153,7 @@ INSTANTIATE_TEST_SUITE_P(
         // with q's.
         ScheduleCase{kBatch, false, true, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-to-all(yz)", 1}, {"all-gather(x)", 2},
-                      {"all-reduce(yz)", 2}},
+                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
                      kReplicatedHead},
         // Hop latency 0: the paper's layouts. q reshards heads -> rows on
         // the way in, and the logits are vocab-sharded and gathered.
@@ -1222,12 +1221,12 @@ double BatchShardedDecodeStepHops(double hop_latency) {
   return hops;
 }
 
-TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysElevenHops) {
-  // Both replicas (core/replication.h): per layer 1 (moments all-reduce) +
-  // 1 (reduce-scatter) + 1 (the outbound all-to-all) + 1 (all-gather) + 1
-  // (yz all-reduce) = 5 hop latencies; the logit head adds 1 (all-gather(x)
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysNineHops) {
+  // Every replica (core/replication.h): per layer 1 (moments all-reduce) +
+  // 1 (reduce-scatter) + 1 (all-gather) + 1 (yz all-reduce, carrying the
+  // wo side terms) = 4 hop latencies; the logit head adds 1 (all-gather(x)
   // with the final norm's moments) and runs whole on chip 0.
-  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 5 + 1);
+  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 4 + 1);
 }
 
 TEST(CollectiveScheduleTest, BatchShardedDecodeStepRunsFifteenHopsAtAlphaZero) {

@@ -114,6 +114,38 @@ TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedFormAtAlphaZero) {
   ExpectWs1DHeadsEgress(/*hop_latency=*/0, /*logits_gathered=*/true);
 }
 
+// Batch-sharded attention on WS-1D over one 2-chip yz axis (1x2x1): at the
+// default hop latency every replication site fires (core/replication.h),
+// so no all-to-all runs and the logits are not gathered. The only
+// collective per layer is the yz all-reduce, one exchange whose deposit is
+// the FFN partial at every row plus this chip's own rows' wo terms for the
+// other rank (SpmdContext::AllReduceOwnedRows): (N + N/2) * E per chip,
+// where the all-reduce alone would send N * E.
+TEST(EngineTrafficTest, Ws1DBatchEgressCarriesTheWoSideTerms) {
+  ModelConfig cfg = TinyTestModel();  // parallel blocks, 2 layers
+  ModelWeights weights = ModelWeights::Random(cfg, 33);
+  Torus3D topo(1, 2, 1);
+  SimMachine machine(topo, TpuV4());
+  EngineSpec spec;
+  spec.prefill_ffn = FfnLayout::kWS1D;
+  spec.decode_ffn = FfnLayout::kWS1D;
+  spec.attn = AttnSharding::kBatch;
+  DistributedEngine engine(weights, &machine, spec);
+  ASSERT_EQ(engine.replication(), (Replication{true, true, true}));
+
+  const int64_t B = 4, T = 8;  // two lanes per owner group
+  std::vector<int32_t> tokens(static_cast<size_t>(B * T), 3);
+  engine.Prefill(tokens, B);
+
+  const double N = static_cast<double>(B * T);
+  const double expect_per_chip = cfg.num_layers * (N + N / 2) *
+                                 cfg.d_model * machine.bytes_per_element();
+  for (int c = 0; c < topo.num_chips(); ++c) {
+    EXPECT_EQ(machine.counters(c).network_bytes, expect_per_chip)
+        << "chip " << c;
+  }
+}
+
 // Total matmul FLOPs charged across chips: sharded matmuls must sum back to
 // the whole model's work (2 flops per param per token through the layers
 // and the vocab-sharded logit head).

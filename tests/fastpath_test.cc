@@ -29,7 +29,7 @@ FusedPlan PlanFor(const ModelConfig& cfg, FfnLayout ffn, int x, int yz,
                   bool fuse_collectives, FastPathPrecision prec,
                   BlockGraph* out_graph = nullptr) {
   BlockGraph g = BuildBlockGraph(cfg, ffn, kHeads, x, yz, fuse_collectives, prec,
-                                 /*qkv_replicated=*/false);
+                                 Replication{});
   FastPathConfig fc;
   fc.fuse_ops = true;
   fc.precision = prec;
@@ -43,7 +43,7 @@ FusedPlan PlanFor(const ModelConfig& cfg, FfnLayout ffn, int x, int yz,
 TEST(FusionPassTest, FuseOpsOffPlansNothing) {
   BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS1D, kHeads, 1, 4,
                                  /*fuse_collectives=*/false, kFp32,
-                                 /*qkv_replicated=*/false);
+                                 Replication{});
   FusedPlan plan = FuseBlockGraph(&g, FastPathConfig{});
   EXPECT_FALSE(plan.AnyFusion());
   EXPECT_EQ(plan.fused_ops_per_block, 0);
@@ -57,12 +57,37 @@ TEST(FusionPassTest, ReplicatedQkvDropsOnlyTheInboundReshard) {
   for (bool replicated : {false, true}) {
     BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS2D, AttnSharding::kBatch,
                                    2, 2, /*fuse_collectives=*/false, kFp32,
-                                   replicated);
+                                   Replication{replicated});
     EXPECT_EQ(g.Find("attn_reshard") != nullptr, !replicated);
     ASSERT_NE(g.Find("attn_unshard"), nullptr);
     EXPECT_EQ(g.Find("attn")->inputs,
               std::vector<std::string>{replicated ? "qkv_allreduce"
                                                   : "attn_reshard"});
+  }
+}
+
+TEST(FusionPassTest, ReplicatedWoDropsTheOutboundReshardAndBranchSum) {
+  // With wo's rows on both yz chips (core/replication.h, site 3) the rows
+  // stay on their owner: only the all-gather(x) separates attention from
+  // wo (none on 1x2), and the branch sum happens inside the yz all-reduce,
+  // so neither output projection accumulates it.
+  const Replication wo{true, false, true};
+  for (int x : {2, 1}) {
+    BlockGraph g = BuildBlockGraph(TinyTestModel(), x == 1 ? kWS1D : kWS2D,
+                                   AttnSharding::kBatch, x, 2,
+                                   /*fuse_collectives=*/false, kFp32, wo);
+    EXPECT_EQ(g.Find("attn_unshard"), nullptr);
+    EXPECT_EQ(g.Find("attn_gather") != nullptr, x > 1);
+    EXPECT_EQ(g.Find("branch_sum"), nullptr);
+    ASSERT_NE(g.Find("block_allreduce"), nullptr);
+    EXPECT_EQ(g.Find("block_allreduce")->inputs,
+              (std::vector<std::string>{"wo", "ffn_out"}));
+    FastPathConfig fc;
+    fc.fuse_ops = true;
+    const FusedPlan plan = FuseBlockGraph(&g, fc);
+    EXPECT_FALSE(plan.wo_accumulate);
+    EXPECT_FALSE(plan.wout_accumulate);
+    EXPECT_TRUE(plan.norm_into_attn);
   }
 }
 

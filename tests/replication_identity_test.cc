@@ -1,10 +1,11 @@
 // Replication is a schedule change only: two engines on the same weights,
 // one on a machine with hop latency 0 (nothing replicated, the paper's
-// layouts) and one at 1 us (the q/k/v columns whole on every yz chip and
-// the logit head whole on chip 0, core/replication.h), produce bit-identical
-// logits and leave bit-identical KV caches behind, through a ragged step
-// sequence: lone chunks, a chunk riding a decode frame, and decode frames
-// with idle slots.
+// layouts) and one at 1 us (the q/k/v columns whole on every yz chip, the
+// logit head whole on chip 0 and -- where the yz axis is one 2-chip axis --
+// wo's rows whole on both yz chips, core/replication.h), produce
+// bit-identical logits and leave bit-identical KV caches behind, through a
+// ragged step sequence: lone chunks, a chunk riding a decode frame, and
+// decode frames with idle slots.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -77,7 +78,8 @@ class ReplicationIdentityTest
           weights_, machines_[i].get(), Spec());
     }
     ASSERT_EQ(paper().replication(), Replication{});
-    ASSERT_EQ(replicated().replication(), (Replication{true, true}));
+    ASSERT_EQ(replicated().replication(),
+              (Replication{true, true, /*wo=*/p.y * p.z == 2}));
   }
 
   DistributedEngine& paper() { return *engines_[0]; }
@@ -151,8 +153,11 @@ TEST_P(ReplicationIdentityTest, RaggedStepsAreBitIdentical) {
 
 std::vector<IdentityCase> Cases() {
   std::vector<IdentityCase> cases;
+  // 2x2x1, 1x2x1 and 2x1x2 replicate wo too (1x2x1 with no x axis, 2x1x2
+  // on the z axis); 2x2x2 and 1x2x2 do not.
   for (auto mesh : {std::vector<int>{2, 2, 1}, std::vector<int>{2, 2, 2},
-                    std::vector<int>{1, 2, 2}})
+                    std::vector<int>{1, 2, 2}, std::vector<int>{1, 2, 1},
+                    std::vector<int>{2, 1, 2}})
     for (bool wg : {false, true})
       for (bool mha : {false, true})
         for (bool int8 : {false, true})

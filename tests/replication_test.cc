@@ -1,9 +1,13 @@
 // The latency-aware replication rule (core/replication.h) on its own: where
-// it fires, where it never does, what it counts, and that the engine, the
-// estimator and the src/plan lowering read the same answer from it.
+// each of its three sites fires, where it never does, what it counts, and
+// that the engine, the estimator and the src/plan lowering read the same
+// answer from it.
 #include "core/replication.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "core/block_cost.h"
 #include "core/flops.h"
@@ -12,6 +16,7 @@
 #include "engine/sharding.h"
 #include "hw/chip.h"
 #include "plan/lower.h"
+#include "quant/int8.h"
 
 namespace tsi {
 namespace {
@@ -76,6 +81,91 @@ TEST(ReplicationRuleTest, ServingBenchModelReplicatesBothSitesOn2x2x1) {
   EXPECT_TRUE(x_only.logit_head);
 }
 
+TEST(ReplicationRuleTest, ServingBenchModelReplicatesWoOnOneTwoChipYzAxis) {
+  // Site 3: the other yz rank's 32 KiB of wo rows stream in 27 ns against
+  // the all-to-all(yz)'s hop, wherever the yz all-reduce is one exchange --
+  // one yz axis of extent 2, with any x (1x2x1 runs WS-1D, 2x1x2 puts the
+  // axis on z).
+  const ModelConfig cfg = ServingBenchModel();
+  EXPECT_EQ(WoReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0, 32.0 * 1024);
+  for (const Torus3D& mesh :
+       {Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2)}) {
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+      const Replication r = ChooseReplication(
+          cfg, Spec(mesh, ws, AttnSharding::kBatch, wf), TpuV4(), kHop);
+      EXPECT_TRUE(r.wo) << mesh.ToString() << " " << ToString(wf);
+      EXPECT_TRUE(r.qkv) << mesh.ToString() << " " << ToString(wf);
+      // Head-sharded attention has no all-to-all to remove.
+      EXPECT_FALSE(ChooseReplication(cfg,
+                                     Spec(mesh, ws, AttnSharding::kHeads, wf),
+                                     TpuV4(), kHop)
+                       .wo)
+          << mesh.ToString();
+    }
+  }
+  // A yz all-reduce over 4 chips is more than one exchange: site 3 stays
+  // off while site 1 still fires.
+  for (const Torus3D& mesh : {Torus3D(2, 2, 2), Torus3D(1, 2, 2)}) {
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    const Replication r = ChooseReplication(
+        cfg, Spec(mesh, ws, AttnSharding::kBatch), TpuV4(), kHop);
+    EXPECT_FALSE(r.wo) << mesh.ToString();
+    EXPECT_TRUE(r.qkv) << mesh.ToString();
+  }
+  // Weight-gathered layouts never reshard attention.
+  EXPECT_FALSE(ChooseReplication(
+                   cfg, Spec(Torus3D(2, 2, 1), FfnLayout::kWGXYZ,
+                             AttnSharding::kBatch),
+                   TpuV4(), kHop)
+                   .wo);
+}
+
+TEST(ReplicationRuleTest, ReplicatedWoBlocksAreTheOldShards) {
+  // Each chip's wo block j is chip (x, j)'s shard in the paper's layout --
+  // fp32 elements and, quantized, int8 bytes and column scales.
+  const ModelConfig cfg = ServingBenchModel();
+  const Torus3D mesh(2, 2, 1);
+  const ModelWeights weights = ModelWeights::Random(cfg, 7);
+  const Replication wo_only{false, false, true};
+  const auto plain = ShardWeights(weights, mesh);
+  const auto wide = ShardWeights(weights, mesh, wo_only);
+  for (int c = 0; c < mesh.num_chips(); ++c) {
+    const int xr = mesh.RankInGroup(c, kAxisX);
+    const ShardedLayerWeights& lw = wide[static_cast<size_t>(c)].layers[1];
+    EXPECT_TRUE(plain[static_cast<size_t>(c)].layers[1].wo_blocks.empty());
+    ASSERT_EQ(lw.wo_blocks.size(), 2u);
+    const QuantizedLayerShard q = QuantizeLayerShard(lw, cfg.gated_ffn);
+    ASSERT_EQ(q.wo_blocks.size(), 2u);
+    for (int j = 0; j < 2; ++j) {
+      // The chip at x rank xr and yz rank j.
+      int owner = -1;
+      for (int o = 0; o < mesh.num_chips(); ++o)
+        if (mesh.RankInGroup(o, kAxisX) == xr &&
+            mesh.RankInGroup(o, kAxisY | kAxisZ) == j)
+          owner = o;
+      const ShardedLayerWeights& old = plain[static_cast<size_t>(owner)].layers[1];
+      const Tensor& block = lw.wo_blocks[static_cast<size_t>(j)];
+      ASSERT_EQ(block.shape(), old.wo.shape());
+      EXPECT_EQ(std::memcmp(block.data(), old.wo.data(),
+                            static_cast<size_t>(block.numel()) * sizeof(float)),
+                0)
+          << "chip " << c << " block " << j;
+      const QuantizedTensor old_q = QuantizeInt8(old.wo);
+      const QuantizedTensor& new_q = q.wo_blocks[static_cast<size_t>(j)];
+      EXPECT_EQ(new_q.shape, old_q.shape);
+      EXPECT_EQ(new_q.values, old_q.values) << "chip " << c << " block " << j;
+      EXPECT_EQ(new_q.scales, old_q.scales) << "chip " << c << " block " << j;
+    }
+    // The chip's own block is its shard.
+    const int yzr = mesh.RankInGroup(c, kAxisY | kAxisZ);
+    EXPECT_EQ(std::memcmp(lw.wo_blocks[static_cast<size_t>(yzr)].data(),
+                          lw.wo.data(),
+                          static_cast<size_t>(lw.wo.numel()) * sizeof(float)),
+              0);
+  }
+}
+
 TEST(ReplicationRuleTest, Palm540BOn4x4x4ReplicatesNeitherSite) {
   // The extra Wq stream is ~88 us per layer, the extra head ~7.7 ms.
   const ModelConfig cfg = Palm540B();
@@ -97,8 +187,8 @@ TEST(ReplicationRuleTest, ZeroHopLatencyNeverReplicates) {
        {TinyTestModel(), TinyTestModelMultihead(), TinyTestModelGrouped(),
         ServingBenchModel(), Palm8B(), Palm540B()})
     for (const Torus3D& mesh :
-         {Torus3D(2, 2, 1), Torus3D(1, 2, 2), Torus3D(2, 2, 2),
-          Torus3D(4, 4, 4)})
+         {Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2),
+          Torus3D(1, 2, 2), Torus3D(2, 2, 2), Torus3D(4, 4, 4)})
       for (AttnSharding attn : {AttnSharding::kBatch, AttnSharding::kHeads})
         for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8})
           EXPECT_EQ(
@@ -133,31 +223,38 @@ TEST(ReplicationRuleTest, MultiheadCountsKeyAndValueColumns) {
   EXPECT_EQ(wide[0].head.shape(), (Shape{mha.d_model, mha.vocab_size}));
 }
 
-TEST(ReplicationRuleTest, EngineEstimatorAndLoweringAgree) {
+class ReplicationAgreementTest : public ::testing::TestWithParam<Torus3D> {};
+
+TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
   const ModelConfig cfg = ServingBenchModel();
   const ModelWeights weights = ModelWeights::Random(cfg, 5);
-  const Torus3D mesh(2, 2, 1);
-  const PartitionSpec spec =
-      Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch);
+  const Torus3D mesh = GetParam();
+  const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+  const PartitionSpec spec = Spec(mesh, ws, AttnSharding::kBatch);
   for (double hop : {kHop, 0.0}) {
     SCOPED_TRACE(hop);
     const Replication rule = ChooseReplication(cfg, spec, TpuV4(), hop);
+    // Every site fires at 1 us on these meshes, none at 0.
+    EXPECT_EQ(rule, hop > 0 ? (Replication{true, true, true}) : Replication{});
 
     // Engine: the decision it sharded and scheduled by.
     SimMachine machine(mesh, TpuV4());
     machine.set_hop_latency(hop);
     EngineSpec espec;
     espec.attn = AttnSharding::kBatch;
+    espec.prefill_ffn = ws;
+    espec.decode_ffn = ws;
     DistributedEngine engine(weights, &machine, espec);
     EXPECT_EQ(engine.replication(), rule);
 
-    // Lowering: one all-to-all instead of two, priced to the double like
-    // LayerCost.
+    // Lowering: one all-to-all fewer per replicated site, priced to the
+    // double like LayerCost.
     SystemModel sys;
     sys.hop_latency = hop;
     const plan::LoweredPlan lowered = plan::LowerSpec(cfg, spec, TpuV4(), hop);
     EXPECT_EQ(lowered.block.graph.assignment.qkv_replicated, rule.qkv);
-    EXPECT_EQ(lowered.a2a_count, rule.qkv ? 1 : 2);
+    EXPECT_EQ(lowered.block.graph.assignment.wo_replicated, rule.wo);
+    EXPECT_EQ(lowered.a2a_count, 2 - int{rule.qkv} - int{rule.wo});
     const CostBreakdown hand =
         LayerCost(cfg, spec, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
     const CostBreakdown derived =
@@ -183,10 +280,21 @@ TEST(ReplicationRuleTest, EngineEstimatorAndLoweringAgree) {
         static_cast<double>(MatmulParams(cfg)) * 2.0 / mesh.num_chips();
     if (rule.qkv)
       weights_per_chip += cfg.num_layers * QkvReplicaParams(cfg, mesh) * 2.0;
+    if (rule.wo)
+      weights_per_chip += cfg.num_layers * WoReplicaParams(cfg, mesh) * 2.0;
     if (rule.logit_head) weights_per_chip += HeadReplicaParams(cfg, mesh) * 2.0;
     EXPECT_EQ(step.weight_bytes_per_chip, weights_per_chip);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    OneTwoChipYzAxis, ReplicationAgreementTest,
+    ::testing::Values(Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2)),
+    [](const ::testing::TestParamInfo<Torus3D>& info) {
+      return std::to_string(info.param.x()) + "x" +
+             std::to_string(info.param.y()) + "x" +
+             std::to_string(info.param.z());
+    });
 
 }  // namespace
 }  // namespace tsi

@@ -716,6 +716,151 @@ TEST(SpmdRaggedCollectiveTest, UnevenChargeIsTheBusiestMembers) {
   }
 }
 
+// The owned-row all-reduce (replication site 3, core/replication.h): each
+// row's owner ships the other rank's term for its rows inside the exchange.
+// Over random ragged segments it equals AllReduce of the recombined
+// partials bit for bit, for 1 and 8 slots alike, and is charged as one
+// exchange: one hop plus the larger deposit over the link, egress the
+// rank's deposit (its partial, or its own terms, plus its side terms).
+struct OwnedRowsRun {
+  std::vector<Tensor> owned, reference;  // per chip
+  std::vector<double> owned_time, owned_egress;
+  std::vector<ChipCounters> counters;
+  std::vector<TraceEvent> events;
+};
+
+OwnedRowsRun RunOwnedRows(const Torus3D& mesh, unsigned mask,
+                          const SpmdContext::Extents& segments,
+                          bool with_partial, uint64_t seed, int slots) {
+  SimMachine machine(mesh, TpuV4());
+  Tracer tracer;
+  machine.AttachTracer(&tracer);
+  SpmdExecutor ex(&machine);
+  ex.set_slots(slots);
+  const int64_t E = 5;
+  int64_t N = 0;
+  for (int64_t s : segments) N += s;
+  OwnedRowsRun r;
+  const auto n = static_cast<size_t>(machine.num_chips());
+  r.owned.resize(n);
+  r.reference.resize(n);
+  r.owned_time.resize(n);
+  r.owned_egress.resize(n);
+  ex.Run([&](SpmdContext& ctx) {
+    const int me = ctx.topo().RankInGroup(ctx.chip(), mask);
+    // Rank r's base partial F_r at every row and its term A_r at every row,
+    // the same on every chip.
+    auto base = [&](int rank) {
+      Rng rng(Rng::DeriveSeed(seed, static_cast<uint64_t>(2 * rank)));
+      return Tensor::Gaussian({N, E}, rng);
+    };
+    auto term = [&](int rank) {
+      Rng rng(Rng::DeriveSeed(seed, static_cast<uint64_t>(2 * rank + 1)));
+      return Tensor::Gaussian({N, E}, rng);
+    };
+    // The rows of `t` that rank `owner` owns, in row order.
+    auto owned_rows = [&](const Tensor& t, int owner) {
+      std::vector<Tensor> parts;
+      int64_t row = 0;
+      for (size_t s = 0; s < segments.size(); ++s) {
+        if (static_cast<int>(s % 2) == owner && segments[s] > 0)
+          parts.push_back(t.Slice(0, row, segments[s]));
+        row += segments[s];
+      }
+      if (parts.empty()) return Tensor({0, E});
+      return Tensor::Concat(0, parts);
+    };
+    const Tensor mine = term(me), theirs = term(1 - me);
+    Tensor partial;
+    if (with_partial) partial = base(me);
+    Tensor out = ctx.AllReduceOwnedRows(mask, partial, owned_rows(mine, me),
+                                        owned_rows(theirs, me), segments);
+    const ChipCounters& cc = ctx.machine().counters(ctx.chip());
+    r.owned_time[static_cast<size_t>(ctx.chip())] = cc.time;
+    r.owned_egress[static_cast<size_t>(ctx.chip())] = cc.network_bytes;
+    // The recombined partial: the base (if any) plus the rank's own term.
+    Tensor recombined = mine;
+    if (with_partial) {
+      recombined = base(me);
+      recombined.AddInPlace(mine);
+    }
+    r.reference[static_cast<size_t>(ctx.chip())] =
+        ctx.AllReduce(mask, std::move(recombined));
+    r.owned[static_cast<size_t>(ctx.chip())] = std::move(out);
+  });
+  for (int c = 0; c < machine.num_chips(); ++c)
+    r.counters.push_back(machine.counters(c));
+  r.events = tracer.events();
+  return r;
+}
+
+TEST(SpmdOwnedRowsAllReduceTest, EqualsAllReduceOfRecombinedPartials) {
+  struct Case {
+    Torus3D mesh;
+    unsigned mask;
+  };
+  const Case cases[] = {{Torus3D(2, 2, 1), kAxisY | kAxisZ},
+                        {Torus3D(1, 2, 1), kAxisY | kAxisZ},
+                        {Torus3D(2, 1, 2), kAxisY | kAxisZ},
+                        {Torus3D(2, 2, 2), kAxisX}};
+  Rng pick(123);
+  for (const Case& cs : cases) {
+    for (uint64_t trial = 0; trial < 6; ++trial) {
+      // 2, 4 or 6 segments of 0..4 rows each.
+      SpmdContext::Extents segments(2 * (1 + trial % 3));
+      for (int64_t& e : segments)
+        e = static_cast<int64_t>(pick.NextBelow(5));
+      for (bool with_partial : {true, false}) {
+        const std::string name = cs.mesh.ToString() + " trial " +
+                                 std::to_string(trial) +
+                                 (with_partial ? " partial" : " own rows");
+        const OwnedRowsRun one =
+            RunOwnedRows(cs.mesh, cs.mask, segments, with_partial, trial, 1);
+        const OwnedRowsRun eight =
+            RunOwnedRows(cs.mesh, cs.mask, segments, with_partial, trial, 8);
+        SimMachine probe(cs.mesh, TpuV4());
+        const CommCostModel& cm = probe.comm_cost();
+        const double bpe = probe.bytes_per_element();
+        int64_t N = 0, owned[2] = {0, 0};
+        for (size_t s = 0; s < segments.size(); ++s) {
+          N += segments[s];
+          owned[s % 2] += segments[s];
+        }
+        auto deposit = [&](int rank) {
+          return static_cast<double>(
+                     (with_partial ? N : owned[rank]) + owned[rank]) *
+                 5 * bpe;
+        };
+        const double busiest = std::max(deposit(0), deposit(1));
+        for (size_t c = 0; c < one.owned.size(); ++c) {
+          EXPECT_TRUE(BitIdentical(one.owned[c], one.reference[c]))
+              << name << " chip " << c;
+          EXPECT_TRUE(BitIdentical(one.owned[c], eight.owned[c]))
+              << name << " chip " << c;
+          const int rank = cs.mesh.RankInGroup(static_cast<int>(c), cs.mask);
+          EXPECT_DOUBLE_EQ(one.owned_time[c],
+                           cm.hop_latency + busiest / cm.network_bw)
+              << name << " chip " << c;
+          EXPECT_EQ(one.owned_egress[c], deposit(rank))
+              << name << " chip " << c;
+          EXPECT_EQ(one.counters[c].time, eight.counters[c].time) << name;
+          EXPECT_EQ(one.counters[c].network_bytes,
+                    eight.counters[c].network_bytes)
+              << name;
+        }
+        // One all-reduce event per chip for each of the two calls.
+        ASSERT_EQ(one.events.size(), 2 * one.owned.size()) << name;
+        ASSERT_EQ(one.events.size(), eight.events.size()) << name;
+        for (size_t i = 0; i < one.events.size(); ++i) {
+          EXPECT_EQ(one.events[i].name, "all-reduce(" + AxisName(cs.mask) + ")");
+          EXPECT_EQ(one.events[i].start, eight.events[i].start) << name;
+          EXPECT_EQ(one.events[i].duration, eight.events[i].duration) << name;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimMachineTest, CommCostCacheFollowsHopLatency) {
   SimMachine machine(Torus3D(1, 4, 1), TpuV4());
   double t0 = machine.comm_cost().AllGatherTime(1 << 20, 4);

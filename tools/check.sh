@@ -46,12 +46,12 @@
 #                             # chunks, tensor offset math, ragged row
 #                             # splits, KV page pool, ragged-step appends
 #                             # and their death tests)
-#   tools/check.sh perfbench  # additionally run the host-clock serving
-#                             # benchmark (perfbench/run.py) on both
-#                             # workloads for 5 s with spans on, and fail
+#   tools/check.sh perfbench  # additionally rebuild the host-clock serving
+#                             # benchmark from scratch (.bench_build/) and
+#                             # run perfbench/run.py on both workloads for
+#                             # 2 s, twice with spans off and once on; fail
 #                             # unless each result reads correct with 0
-#                             # failed requests; then run each workload
-#                             # twice with spans off and fail unless the
+#                             # failed requests and the two span-off runs'
 #                             # modeled-clock ttft_p50/ttft_p90/tpot_p50
 #                             # agree exactly (one seed, one schedule)
 #
@@ -169,35 +169,34 @@ if [[ "${1:-}" == "autotune" ]]; then
 fi
 
 if [[ "${1:-}" == "perfbench" ]]; then
-  # The benchmark's own build (.bench_build/) and correctness replay: each
-  # workload's last stdout line is its JSON result.
-  echo "== Host-clock serving benchmark (perfbench) =="
-  for workload in rag prefix; do
-    result="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
-                --seed 1 --seconds 5 --trace 1 | tail -n 1)"
-    echo "$workload: $result"
-    python3 -c 'import json, sys
-r = json.loads(sys.argv[1])
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
-      || { echo "perfbench $workload: not correct, or requests failed"; exit 1; }
-  done
-  # The end-to-end latencies are read on the modeled clock, which is
-  # deterministic per seed: two runs must report them identically.
-  echo "== perfbench modeled-clock determinism =="
+  # The host-clock serving benchmark as a fresh checkout runs it: its own
+  # build tree (.bench_build/) configured and compiled from scratch by
+  # perfbench/run.py, then both workloads for 2 s with spans off (twice)
+  # and on. Each run's last stdout line is its JSON result; every one must
+  # read correct with 0 failed requests, and the two span-off runs must
+  # report the same modeled-clock latencies (one seed, one schedule).
+  echo "== Host-clock serving benchmark (perfbench, fresh .bench_build) =="
+  rm -rf "$repo/.bench_build"
   for workload in rag prefix; do
     runs=()
-    for _ in 1 2; do
-      runs+=("$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
-                  --seed 1 --seconds 5 --trace 0 | tail -n 1)")
+    for trace in 0 0 1; do
+      result="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+                  --seed 1 --seconds 2 --trace "$trace" | tail -n 1)" \
+        || { echo "perfbench $workload --trace $trace: run failed"; exit 1; }
+      echo "$workload --trace $trace: $result"
+      python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
+        || { echo "perfbench $workload --trace $trace: not correct, or requests failed"; exit 1; }
+      runs+=("$result")
     done
     python3 -c 'import json, sys
-a, b = (json.loads(r) for r in sys.argv[2:])
+a, b = (json.loads(r) for r in sys.argv[2:4])
 names = ("ttft_p50_ms", "ttft_p90_ms", "tpot_p50_ms")
 va = [a["metrics"][n]["value"] for n in names]
 vb = [b["metrics"][n]["value"] for n in names]
 print(sys.argv[1] + ": " + ", ".join("%s %r" % nv for nv in zip(names, va)))
-ok = va == vb and all(r["correct"] is True and r["failed"] == 0 for r in (a, b))
-sys.exit(0 if ok else 1)' "$workload" "${runs[@]}" \
+sys.exit(0 if va == vb else 1)' "$workload" "${runs[@]}" \
       || { echo "perfbench $workload: modeled metrics differ between runs"; exit 1; }
   done
 fi
