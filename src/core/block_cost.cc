@@ -92,18 +92,22 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
   // --- Compute -------------------------------------------------------------
   // Rows per chip of the main matmuls sets the small-batch efficiency
   // rolloff: weight-stationary layouts see the full token batch on every
-  // chip; weight-gathered layouts shard the batch N ways.
-  const double rows_per_chip = weight_gathered ? BL / N : BL;
+  // chip (its x slice under site 4); weight-gathered layouts shard the
+  // batch N ways.
+  const double rows_per_chip =
+      weight_gathered ? BL / N : (rep.x ? BL / spec.mesh.x() : BL);
   const double ffn_flops = 2.0 * BL * (in_proj + 1.0) * E * F / n;
   const double attn_proj_params = 2.0 * E * H * dh + 2.0 * E * KV * dh;
   const double proj_flops = 2.0 * BL * attn_proj_params / n;
   // Replicated q/k/v columns (core/replication.h): every chip also projects
   // through, and streams, the other yz ranks' columns. Replicated wo rows
-  // only stream: the flops per chip are unchanged.
+  // only stream: the flops per chip are unchanged. So does a layer whole
+  // over x: each chip runs 1/X of the rows through X times the weights.
   const double qkv_params =
       rep.qkv ? QkvReplicaParams(config, spec.mesh) : 0.0;
   const double replica_params =
-      qkv_params + (rep.wo ? WoReplicaParams(config, spec.mesh) : 0.0);
+      qkv_params + (rep.wo ? WoReplicaParams(config, spec.mesh) : 0.0) +
+      (rep.x ? XReplicaParams(config, spec.mesh, rep) : 0.0);
   out.compute += (ffn_flops + proj_flops + 2.0 * BL * qkv_params) /
                  (chip.peak_flops * act_speedup * sys.MatmulEff(rows_per_chip));
 
@@ -167,7 +171,8 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
     // all-gather of the activated result). Attention Q/K/V projections fuse
     // into the same collectives (§3.4) in a parallel block; a serial block
     // issues them separately (extra alphas, same volume).
-    if (X > 1) {
+    // A layer whole over x (site 4) has none: x carries the rows.
+    if (X > 1 && !rep.x) {
       double attn_f_bytes = AttnFSideBytes(config, spec.mesh, BL, act, rep.qkv);
       int f_count = (in_proj + 1) + (config.parallel_block ? 0 : 2);
       out.comm += unhidden(ffn_vol.act_f_bytes + attn_f_bytes, X, f_count);
@@ -201,8 +206,11 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
   // attention output back (§3.3, Fig 5b). Weight-gathered layouts are
   // already batch-sharded, so no reshard is needed; replicated q/k/v
   // columns make the inbound one a local slice, replicated wo rows the
-  // outbound one a side term of the yz all-reduce.
-  if (spec.attn == AttnSharding::kBatch && !weight_gathered) {
+  // outbound one a side term of the yz all-reduce. A layer whole over x
+  // on a mesh without a yz axis holds every head of its own rows: there is
+  // nothing to reshard.
+  if (spec.attn == AttnSharding::kBatch && !weight_gathered &&
+      !(rep.x && YZ == 1)) {
     double a2a = 0.0;
     if (!rep.wo) {
       double a2a_out = AttnAllToAllBytes(config, spec.mesh, BL, act, false);

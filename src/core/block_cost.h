@@ -25,7 +25,10 @@ enum class Phase { kPrefill, kDecode };
 // fires, the q/k/v reduce-scatter widens, the replicas stream, and the
 // all-to-all into batch-sharded attention drops out; when site 3 fires, the
 // wo replica streams, the yz all-reduce carries the side terms
-// (WoSideBytes), and the all-to-all out of attention drops out.
+// (WoSideBytes), and the all-to-all out of attention drops out; when site
+// 4 fires, the x-side group drops out and the whole layer streams on every
+// x rank (its yz all-reduce carries the x slice's rows at full E: the same
+// bytes).
 CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
                         const ChipSpec& chip, const SystemModel& sys,
                         Phase phase, double batch, double new_tokens,
@@ -41,7 +44,9 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
 // with the q/k/v columns whole on every yz chip (site 1) each chip also
 // projects and streams QkvReplicaParams; with wo's rows whole (site 3) it
 // streams WoReplicaParams, at unchanged flops (each chip projects its own
-// rows through every head instead of every row through its own).
+// rows through every head instead of every row through its own); with the
+// layer whole over x (site 4) it streams XReplicaParams, at unchanged flops
+// over 1/X of the rows.
 CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const PartitionSpec& spec,
                                      const ChipSpec& chip,

@@ -24,17 +24,20 @@ CostBreakdown InferenceEstimator::ForwardCost(const PartitionSpec& spec,
 
   // Logit head: [B*L, E] @ [E, vocab], vocab-sharded over all chips -- or
   // whole on one chip when the replication rule keeps it there
-  // (core/replication.h, site 2).
-  const bool whole_head =
-      ChooseReplication(config_, spec, chip_, sys_.hop_latency).logit_head;
+  // (core/replication.h, site 2), one chip per x slice over the slice's
+  // rows when x carries the rows (site 4).
+  const Replication rep =
+      ChooseReplication(config_, spec, chip_, sys_.hop_latency);
+  const bool whole_head = rep.logit_head;
   const int n = whole_head ? 1 : spec.num_chips();
   const double BL = batch * new_tokens;
   const double wb = WeightBytes(spec.weight_format);
   const double head_params = static_cast<double>(config_.d_model) * config_.vocab_size;
   const int N = WeightGatherWidth(spec.ffn, spec.mesh);
   const double rows = (N > 1) ? BL / N : BL;
-  total.compute += 2.0 * BL * head_params / n /
-                   (chip_.peak_flops * sys_.MatmulEff(rows));
+  const double head_rows = whole_head && rep.x ? BL / spec.mesh.x() : BL;
+  total.compute += 2.0 * head_rows * head_params / n /
+                   (chip_.peak_flops * sys_.MatmulEff(std::min(rows, head_rows)));
   total.weight_memory += head_params * wb / n / (chip_.hbm_bw * sys_.hbm_frac);
   total.overhead += sys_.per_layer_overhead;  // final norm + sampling
   return total;
@@ -115,6 +118,9 @@ double InferenceEstimator::WeightBytesPerChip(const PartitionSpec& spec) const {
   if (rep.wo)
     bytes += static_cast<double>(config_.num_layers) *
              WoReplicaParams(config_, spec.mesh) * wb;
+  if (rep.x)
+    bytes += static_cast<double>(config_.num_layers) *
+             XReplicaParams(config_, spec.mesh, rep) * wb;
   if (rep.logit_head) bytes += HeadReplicaParams(config_, spec.mesh) * wb;
   return bytes;
 }

@@ -45,6 +45,15 @@ double WoReplicaParams(const ModelConfig& config, const Torus3D& mesh) {
          static_cast<double>(config.d_head) * (1.0 - 1.0 / YZ);
 }
 
+double XReplicaParams(const ModelConfig& config, const Torus3D& mesh,
+                      const Replication& rep) {
+  double shard = static_cast<double>(config.ParamsPerLayer()) /
+                 mesh.num_chips();
+  if (rep.qkv) shard += QkvReplicaParams(config, mesh);
+  if (rep.wo) shard += WoReplicaParams(config, mesh);
+  return shard * (mesh.x() - 1);
+}
+
 Replication ChooseReplication(const ModelConfig& config,
                               const PartitionSpec& spec, const ChipSpec& chip,
                               double hop_latency) {
@@ -74,6 +83,35 @@ Replication ChooseReplication(const ModelConfig& config,
                         static_cast<double>(config.d_head) / YZ;
     const double removed = cm.AllToAllTime(YZ * cols * act, YZ);
     r.wo = chip.MemoryTime(WoReplicaParams(config, mesh) * wb) < removed;
+  }
+  if (spec.attn == AttnSharding::kBatch && mesh.x() > 1) {
+    // The layer's x collectives with one row per owner group: per block
+    // half the norm's moments all-reduce(x) (one exchange on a 2-chip
+    // axis), the reduce-scatter(x) of the q/k/v and FFN input partials
+    // (q/k/v at site 1's widths) and the all-gather(x) of the attention
+    // rows and the activated hidden. A serial block runs each twice, over
+    // the same bytes in total.
+    const int X = mesh.x();
+    const double rows = mesh.num_chips();
+    const double dh = static_cast<double>(config.d_head);
+    const double H = static_cast<double>(config.n_heads);
+    const double KV = static_cast<double>(config.n_kv_heads());
+    const double F = static_cast<double>(config.d_ff);
+    const double q_cols = r.qkv ? H * dh : H * dh / YZ;
+    double kv_cols = 2.0 * KV * dh;
+    if (!r.qkv && KvShardsOverYz(config, YZ)) kv_cols /= YZ;
+    const double in_cols =
+        q_cols + kv_cols + (config.gated_ffn ? 2.0 : 1.0) * F / YZ;
+    const double out_cols = (H * dh + F) / YZ;
+    const double moments = rows * 2.0 * act;
+    const double all_reduce = X == 2 ? cm.hop_latency + moments / cm.network_bw
+                                     : cm.AllReduceTime(moments, X);
+    const int halves = config.parallel_block ? 1 : 2;
+    const double removed = halves * all_reduce +
+                           cm.ReduceScatterTime(rows * in_cols * act, X) +
+                           cm.AllGatherTime(rows * out_cols * act, X) +
+                           (halves - 1) * 2.0 * cm.Alpha(X);
+    r.x = chip.MemoryTime(XReplicaParams(config, mesh, r) * wb) < removed;
   }
   if (mesh.num_chips() > 1) {
     // The all-gather(xyz) of one row's logits: sum_a (k_a - 1) hops.

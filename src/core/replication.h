@@ -5,7 +5,7 @@
 // (comm/cost.h), the trade can flip for a tensor that moves only a few KiB:
 // replicating a weight shard over a mesh axis costs every chip on it extra
 // weight bytes streamed from HBM per pass, but removes a collective -- and
-// its hops -- outright. Three sites can make that trade without changing
+// its hops -- outright. Four sites can make that trade without changing
 // any result (each element keeps its fma chain and its reduction order):
 //
 //   * Site 1, the attention input projections under batch-sharded attention
@@ -16,7 +16,8 @@
 //     all-to-all(yz) into attention goes away.
 //   * Site 2, the weight-stationary logit head. Chip 0 multiplies the
 //     normed rows by the whole transposed embedding instead of every chip
-//     computing a vocab shard that an all-gather(xyz) then assembles.
+//     computing a vocab shard that an all-gather(xyz) then assembles (under
+//     site 4, chip (x, 0) of every x slice does so for the slice's rows).
 //   * Site 3, the attention output projection under batch-sharded attention
 //     on a weight-stationary layout whose yz all-reduce is one exchange:
 //     exactly one yz torus axis, of extent 2. With wo's rows (every head)
@@ -31,16 +32,34 @@
 //     attention goes away. It needs the single exchange: on a longer ring
 //     the partial sums are reduced in pieces on the way, and a side term
 //     would have to join each piece where it is summed.
+//   * Site 4, the whole layer over x under batch-sharded attention on a
+//     weight-stationary layout with X > 1. Every chip keeps its yz shard at
+//     all E rows and columns (on top of the site-1 and site-3 replicas), and
+//     the residual stream is sharded by rows over x instead of by E: chip
+//     (x, j) holds its x slice's owner-group rows at full E. x then carries
+//     batch, and the layer's x collectives -- the norm's moments
+//     all-reduce(x), the reduce-scatter(x) and the all-gather(x) -- go
+//     away; only the yz all-reduce remains. The chip computes what the x
+//     ranks used to: every contraction over E runs as X per-block matmuls,
+//     block g on chip (g, j)'s old shard (int8: with block g's own per-row
+//     activation scales and column scales), summed in group order; the
+//     norm's moments are computed per E block and summed in group order.
+//     Those are exactly the adds ReduceScatterMany and AllReduce make. A
+//     contraction over heads or F produces E columns, each its own fma
+//     chain whichever columns share the matmul, so those run once at full
+//     E.
 //
 // ChooseReplication replicates a site only when the extra weight bytes it
-// streams per pass cost less HBM time (ChipSpec::hbm_bw) than the collective
-// it removes costs on a one-row frame: its hops times the hop latency plus
-// that row's bytes (CommCostModel, charged as the simulator charges it). The
-// rule reads only hardware constants, the hop latency, the model dimensions
-// and the weight format. With hop latency 0 it never replicates -- there is
-// no hop to buy back, so the paper's layouts stand -- and at PaLM scale it
-// never does either (the extra Wq or wo stream on 64 chips is ~88 us per
-// layer, the extra head stream ~7.7 ms, against a few us of hops).
+// streams per pass cost less HBM time (ChipSpec::hbm_bw) than the
+// collectives it removes cost on a frame of one row per owner group: their
+// hops times the hop latency plus that frame's bytes (CommCostModel,
+// charged as the simulator charges them). The rule reads only hardware
+// constants, the hop latency, the model dimensions and the weight format.
+// With hop latency 0 it never replicates -- there is no hop to buy back, so
+// the paper's layouts stand -- and at PaLM scale it never does either (the
+// extra Wq or wo stream on 64 chips is ~88 us per layer, the extra x stream
+// of a whole layer hundreds of us, the extra head ~7.7 ms, against a few us
+// of hops).
 //
 // The engine (engine/engine.h), LayerCost and InferenceEstimator
 // (core/block_cost.h, core/inference_cost.h) and the src/plan lowering all
@@ -58,6 +77,7 @@ struct Replication {
   bool qkv = false;         // site 1: q/k/v columns whole on every yz chip
   bool logit_head = false;  // site 2: the whole head on chip 0, no gather
   bool wo = false;          // site 3: wo's rows whole on both yz chips
+  bool x = false;           // site 4: every layer weight whole over x
 
   bool operator==(const Replication&) const = default;
 };
@@ -75,10 +95,16 @@ double HeadReplicaParams(const ModelConfig& config, const Torus3D& mesh);
 // fires: the other yz rank's rows (heads) at this chip's E/X columns.
 double WoReplicaParams(const ModelConfig& config, const Torus3D& mesh);
 
-// The rule above, for one phase layout. Sites 1 and 3 need kBatch and a
+// Layer parameters one chip streams beyond its shard when site 4 fires:
+// the other x ranks' E blocks of everything it holds per layer, the site-1
+// and site-3 replicas `rep` keeps included.
+double XReplicaParams(const ModelConfig& config, const Torus3D& mesh,
+                      const Replication& rep);
+
+// The rule above, for one phase layout. Sites 1, 3 and 4 need kBatch and a
 // weight-stationary `spec.ffn`; site 1 YZ > 1, site 3 YZ == 2 (one yz axis
-// of extent 2); site 2 a weight-stationary `spec.ffn` and more than one
-// chip.
+// of extent 2), site 4 X > 1; site 2 a weight-stationary `spec.ffn` and
+// more than one chip.
 Replication ChooseReplication(const ModelConfig& config,
                               const PartitionSpec& spec, const ChipSpec& chip,
                               double hop_latency);

@@ -29,8 +29,25 @@ Replication ChooseEngineReplication(const ModelConfig& config,
     r.qkv = r.qkv || p.qkv;
     r.logit_head = r.logit_head || p.logit_head;
     r.wo = r.wo || p.wo;
+    r.x = r.x || p.x;
   }
   return r;
+}
+
+// x's `n` E blocks (column blocks of equal width), in x-rank order.
+std::vector<Tensor> EBlocks(const Tensor& x, int n) {
+  const int64_t w = x.dim(1) / n;
+  std::vector<Tensor> blocks;
+  for (int g = 0; g < n; ++g) blocks.push_back(x.Slice(1, g * w, w));
+  return blocks;
+}
+
+// The blocks' per-row moments summed in group order: the adds the moments
+// all-reduce(x) makes over the blocks' chips.
+Tensor SumRowMoments(const std::vector<Tensor>& blocks) {
+  Tensor m = RowMoments(blocks[0]);
+  for (size_t g = 1; g < blocks.size(); ++g) m.AddInPlace(RowMoments(blocks[g]));
+  return m;
 }
 
 // Rows of the groups before xyz-rank `r` in a group-major frame.
@@ -335,56 +352,21 @@ Tensor DistributedEngine::SlotAttention(int chip, int64_t layer, const Tensor& q
   return outs.size() == 1 ? std::move(outs[0]) : Tensor::Concat(0, outs);
 }
 
-Tensor DistributedEngine::DistLayerNormChip(SpmdContext& ctx, const Tensor& x,
-                                            bool second_gain, int64_t layer) {
-  const int c = ctx.chip();
-  const auto& shard = shards_[static_cast<size_t>(c)];
-  const Tensor& gain = second_gain
-                           ? shard.layers[static_cast<size_t>(layer)].ln2_gain
-                           : shard.layers[static_cast<size_t>(layer)].ln_gain;
-  if (X_ == 1) return LayerNorm(x, gain);
-  // E sharded over x: all-reduce per-row (sum, sumsq) moments over x, then
-  // normalize this chip's shard locally (single-pass kernels, tensor/ops.h).
-  Tensor moments = ctx.AllReduce(kAxisX, RowMoments(x));
-  return NormalizeWithMoments(x, moments, gain,
-                              static_cast<double>(config_.d_model));
-}
-
-DistributedEngine::NormInput DistributedEngine::NormInputChip(
-    SpmdContext& ctx, const Tensor& x, bool second_gain, int64_t layer,
-    bool want_nt, bool want_y) {
-  const int c = ctx.chip();
-  const auto& shard = shards_[static_cast<size_t>(c)];
-  const Tensor& gain =
-      second_gain ? shard.layers[static_cast<size_t>(layer)].ln2_gain
-                  : shard.layers[static_cast<size_t>(layer)].ln_gain;
+DistributedEngine::NormInput DistributedEngine::NormForms(
+    const Tensor& x, const Tensor& moments, const Tensor& gain, bool want_nt,
+    bool want_y) const {
+  const double E = static_cast<double>(config_.d_model);
   NormInput ni;
-  if (X_ == 1) {
-    if (want_nt) {
-      ni.nt = NormTransformFromRows(x, gain);
-      ni.has_nt = true;
-    }
-    if (want_y) {
-      ni.y = LayerNorm(x, gain);
-      ni.has_y = true;
-    }
-  } else {
-    // One moments all-reduce feeds both forms, so the collective schedule
-    // (and the virtual clock) is identical whichever consumers fused.
-    Tensor moments = ctx.AllReduce(kAxisX, RowMoments(x));
-    if (want_nt) {
-      ni.nt = NormTransformFromMoments(moments, gain,
-                                       static_cast<double>(config_.d_model));
-      ni.has_nt = true;
-    }
-    if (want_y) {
-      ni.y = NormalizeWithMoments(x, moments, gain,
-                                  static_cast<double>(config_.d_model));
-      ni.has_y = true;
-    }
+  if (want_nt) {
+    ni.nt = moments.empty() ? NormTransformFromRows(x, gain)
+                            : NormTransformFromMoments(moments, gain, E);
+    ni.has_nt = true;
   }
-  // When every consumer fused the norm, the normed tensor never exists.
-  if (!ni.has_y) NoteFusion(0, 8.0 * static_cast<double>(x.numel()));
+  if (want_y) {
+    ni.y = moments.empty() ? LayerNorm(x, gain)
+                           : NormalizeWithMoments(x, moments, gain, E);
+    ni.has_y = true;
+  }
   return ni;
 }
 
@@ -492,9 +474,15 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   const QuantizedLayerShard* qw =
       int8 ? &qshards_[static_cast<size_t>(c)][static_cast<size_t>(layer)]
            : nullptr;
+  // The E blocks this chip holds (engine/sharding.h): one -- all of E when
+  // X == 1, its x rank's E/X otherwise -- or, when the layer is whole over
+  // x (site 4), all X, and x carries the rows instead. Only in the paper's
+  // layout does E split over the x chips, with x collectives.
+  const int nb = static_cast<int>(lw.in.size());
+  const bool x_comm = X_ > 1 && nb == 1;
   // §3.5 Looped CollectiveEinsum for the FFN input projections (fp32 only:
   // the int8 pipeline runs its own matmul kernels).
-  const bool looped = X_ > 1 && spec_.fuse_collectives && !int8;
+  const bool looped = x_comm && spec_.fuse_collectives && !int8;
   // Over x the q/k/v projections are partial sums. Batch-sharded attention
   // wants only this chip's x batch rows, so they reduce-scatter along rows;
   // head-sharded attention wants them whole, so they reduce-scatter along
@@ -503,51 +491,74 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   const int64_t qkv_dim = heads ? 1 : 0;
   // kBatch: the rows split over x at the x slices' group rows.
   const SpmdContext::Extents x_rows =
-      heads ? SpmdContext::Extents{} : RowsOverX();
+      heads || !x_comm ? SpmdContext::Extents{} : RowsOverX();
 
-  // The current norm site, in the forms its consumers read: fp32 (`ni`:
-  // materialized and/or as a pack-time transform) or dynamic int8 (`yq`).
-  NormInput ni;
-  QuantizedActivations yq;
+  // The current norm site, per E block, in the forms its consumers read:
+  // fp32 (`ni`: materialized and/or as a pack-time transform) or dynamic
+  // int8 (`yq`). `xcols` holds x's E blocks when there are several.
+  std::vector<Tensor> xcols;
+  auto xblock = [&](int g) -> const Tensor& {
+    return nb == 1 ? x : xcols[static_cast<size_t>(g)];
+  };
+  std::vector<NormInput> ni(static_cast<size_t>(nb));
+  std::vector<QuantizedActivations> yq(static_cast<size_t>(nb));
   bool nt_attn = false, nt_ffn = false;
   auto norm = [&](bool second, bool attn, bool ffn) {
+    if (nb > 1) xcols = EBlocks(x, nb);
+    // A row split over E blocks (across the x chips or on this one) is
+    // normalized with its blocks' moments summed in group order.
+    Tensor moments;
+    if (X_ > 1) {
+      moments = nb == 1 ? RowMoments(x) : SumRowMoments(xcols);
+      if (x_comm) moments = ctx.AllReduce(kAxisX, std::move(moments));
+    }
+    // fp32: the norm on the A-pack of the consumers that fused it, the
+    // normed tensor for the rest. Int8: one fused norm+quantize pass when
+    // the plan fused them, the two-step composition otherwise --
+    // bit-identical either way (quant/int8.cc).
+    bool want_nt, want_y;
     if (!int8) {
       nt_attn = attn && plan.norm_into_attn;
       nt_ffn = ffn && plan.norm_into_ffn;
-      ni = NormInputChip(ctx, x, second, layer, nt_attn || nt_ffn,
-                         (attn && !nt_attn) || (ffn && !nt_ffn));
-      return;
-    }
-    // One fused norm+quantize pass over x when the plan fused them, the
-    // two-step composition otherwise -- bit-identical either way
-    // (quant/int8.cc).
-    if (!plan.quantize_fused_norm) {
-      yq = QuantizeActivationsInt8(DistLayerNormChip(ctx, x, second, layer));
-      return;
-    }
-    const Tensor& gain = second ? lw.ln2_gain : lw.ln_gain;
-    RowNormTransform nt;
-    if (X_ == 1) {
-      nt = NormTransformFromRows(x, gain);
+      want_nt = nt_attn || nt_ffn;
+      want_y = (attn && !nt_attn) || (ffn && !nt_ffn);
     } else {
-      Tensor moments = ctx.AllReduce(kAxisX, RowMoments(x));
-      nt = NormTransformFromMoments(moments, gain,
-                                    static_cast<double>(config_.d_model));
+      want_nt = plan.quantize_fused_norm;
+      want_y = !want_nt;
     }
-    NoteFusion(1, 8.0 * static_cast<double>(x.numel()));
-    yq = QuantizeNormedInt8(x, nt);
+    for (int g = 0; g < nb; ++g) {
+      const auto gi = static_cast<size_t>(g);
+      const EBlockWeights& b = lw.in[gi];
+      const Tensor& xb = xblock(g);
+      ni[gi] = NormForms(xb, moments, second ? b.ln2_gain : b.ln_gain,
+                         want_nt, want_y);
+      // When every consumer fused the norm, the normed tensor never exists.
+      if (!want_y) NoteFusion(int8 ? 1 : 0, 8.0 * static_cast<double>(xb.numel()));
+      if (int8)
+        yq[gi] = want_nt ? QuantizeNormedInt8(xb, ni[gi].nt)
+                         : QuantizeActivationsInt8(ni[gi].y);
+    }
   };
 
-  using W = const Tensor ShardedLayerWeights::*;
-  using W8 = const QuantizedTensor QuantizedLayerShard::*;
-  // Projects the norm site through an input weight: int8, or fp32 with the
-  // norm applied on the matmul's A-pack when this site fused it and from
-  // the materialized normed tensor otherwise (the packed values are
-  // identical, tensor/matmul.cc, so the forms mix freely and bit-exactly).
+  using W = const Tensor EBlockWeights::*;
+  using W8 = const QuantizedTensor QuantizedEBlock::*;
+  // Projects the norm site through a d_model-input weight: int8, or fp32
+  // with the norm applied on the matmul's A-pack when this site fused it
+  // and from the materialized normed tensor otherwise (the packed values
+  // are identical, tensor/matmul.cc, so the forms mix freely and
+  // bit-exactly). Block g's matmul is the one chip (g, yz rank) runs on its
+  // shard; the blocks' partial sums add in group order, as the
+  // reduce-scatter(x) adds them.
   auto proj = [&](W w, W8 w8, bool use_nt) {
-    if (int8) return LocalMatMulInt8(c, yq, qw->*w8);
-    return use_nt ? LocalMatMulNormA(c, x, ni.nt, lw.*w)
-                  : LocalMatMul(c, ni.y, lw.*w);
+    auto block = [&](int g) {
+      const auto gi = static_cast<size_t>(g);
+      if (int8) return LocalMatMulInt8(c, yq[gi], qw->in[gi].*w8);
+      return use_nt ? LocalMatMulNormA(c, xblock(g), ni[gi].nt, lw.in[gi].*w)
+                    : LocalMatMul(c, ni[gi].y, lw.in[gi].*w);
+    };
+    Tensor p = block(0);
+    for (int g = 1; g < nb; ++g) p.AddInPlace(block(g));
+    return p;
   };
   // a @ w, or *accum += a @ w when the plan folded the sum into the matmul
   // (then returns an empty tensor). Int8 quantizes `a` unless the caller
@@ -569,25 +580,31 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     LocalMatMulAccumulate(c, a, w, accum);
     return Tensor();
   };
-  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, W w,
-                      W8 w8, Tensor* accum) {
+  using WO = const Tensor ShardedLayerWeights::*;
+  using WO8 = const QuantizedTensor QuantizedLayerShard::*;
+  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, WO w,
+                      WO8 w8, Tensor* accum) {
     return matmul_out(a, aq, lw.*w, int8 ? &(qw->*w8) : nullptr, accum);
   };
-  // FFN hidden when d_ff is whole on-chip (X == 1): no collective, so the
-  // projection, the activation and (int8) the quantize fuse per the plan.
-  // fp32 returns the hidden; int8 fills *hq.
+  // FFN hidden when d_ff is whole on-chip (no x collective). One E block:
+  // the projection, the activation and (int8) the quantize fuse per the
+  // plan. Several: the activation runs on the blocks' sum. fp32 returns
+  // the hidden; int8 fills *hq.
   auto ffn_hidden_local = [&](QuantizedActivations* hq) {
-    if (!int8) {
+    if (!int8 && nb == 1) {
+      const EBlockWeights& b = lw.in[0];
       if (nt_ffn)
-        return gated ? LocalMatMulNormASwishMulGate(c, x, ni.nt, lw.win,
-                                                    lw.win_gate)
-                     : LocalMatMulNormAGelu(c, x, ni.nt, lw.win);
-      return gated ? LocalMatMulSwishMulGate(c, ni.y, lw.win, lw.win_gate)
-                   : LocalMatMulGelu(c, ni.y, lw.win);
+        return gated ? LocalMatMulNormASwishMulGate(c, x, ni[0].nt, b.win,
+                                                    b.win_gate)
+                     : LocalMatMulNormAGelu(c, x, ni[0].nt, b.win);
+      return gated ? LocalMatMulSwishMulGate(c, ni[0].y, b.win, b.win_gate)
+                   : LocalMatMulGelu(c, ni[0].y, b.win);
     }
-    Tensor h1 = LocalMatMulInt8(c, yq, qw->win);
+    Tensor h1 = proj(&EBlockWeights::win, &QuantizedEBlock::win, nt_ffn), h2;
+    if (gated)
+      h2 = proj(&EBlockWeights::win_gate, &QuantizedEBlock::win_gate, nt_ffn);
+    if (!int8) return gated ? Swish2(h1).Mul(h2) : Gelu(h1);
     if (gated) {
-      Tensor h2 = LocalMatMulInt8(c, yq, qw->win_gate);
       if (plan.quantize_fused_act) {
         NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
         *hq = QuantizeSwishGateInt8(h1, h2);
@@ -626,9 +643,10 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   //                      pipelined under it)
   //   all-gather(x):     kHeads {q, k, v, h} before attention,
   //                      kBatch {attention rows, h} after it
-  // Returns the summed branch outputs (partial over yz), or an empty tensor
-  // when the plan accumulated them straight into x. Under site 3 the half
-  // runs its yz reduction itself and sets `reduced`.
+  // (neither when no x collective runs). Returns the summed branch outputs
+  // (partial over yz), or an empty tensor when the plan accumulated them
+  // straight into x. Under site 3 the half runs its yz reduction itself and
+  // sets `reduced`.
   bool reduced = false;
   auto half = [&](bool second, bool attn, bool ffn) {
     norm(second, attn, ffn);
@@ -636,12 +654,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     std::vector<int64_t> rs_dims;
     std::vector<SpmdContext::Extents> rs_rows;
     if (attn) {
-      rs.push_back(proj(&ShardedLayerWeights::wq, &QuantizedLayerShard::wq,
-                        nt_attn));
-      rs.push_back(proj(&ShardedLayerWeights::wk, &QuantizedLayerShard::wk,
-                        nt_attn));
-      rs.push_back(proj(&ShardedLayerWeights::wv, &QuantizedLayerShard::wv,
-                        nt_attn));
+      rs.push_back(proj(&EBlockWeights::wq, &QuantizedEBlock::wq, nt_attn));
+      rs.push_back(proj(&EBlockWeights::wk, &QuantizedEBlock::wk, nt_attn));
+      rs.push_back(proj(&EBlockWeights::wv, &QuantizedEBlock::wv, nt_attn));
       rs_dims.assign(3, qkv_dim);
       rs_rows.assign(3, x_rows);
     }
@@ -649,30 +664,31 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       // The FFN input projections run pipelined under the same
       // reduce-scatter(x), on the materialized normed tensor (the plan
       // never fuses the norm into this site).
-      std::vector<const Tensor*> ws = {&lw.win};
-      if (gated) ws.push_back(&lw.win_gate);
-      rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims, ni.y,
-                                       ws, weight_byte_width_, rs_rows);
+      std::vector<const Tensor*> ws = {&lw.in[0].win};
+      if (gated) ws.push_back(&lw.in[0].win_gate);
+      rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims,
+                                       ni[0].y, ws, weight_byte_width_,
+                                       rs_rows);
     } else {
-      if (ffn && X_ > 1) {
-        rs.push_back(proj(&ShardedLayerWeights::win,
-                          &QuantizedLayerShard::win, nt_ffn));
+      if (ffn && x_comm) {
+        rs.push_back(
+            proj(&EBlockWeights::win, &QuantizedEBlock::win, nt_ffn));
         rs_dims.push_back(1);
         rs_rows.emplace_back();
         if (gated) {
-          rs.push_back(proj(&ShardedLayerWeights::win_gate,
-                            &QuantizedLayerShard::win_gate, nt_ffn));
+          rs.push_back(proj(&EBlockWeights::win_gate,
+                            &QuantizedEBlock::win_gate, nt_ffn));
           rs_dims.push_back(1);
           rs_rows.emplace_back();
         }
       }
-      if (X_ > 1 && !rs.empty())
+      if (x_comm && !rs.empty())
         rs = ctx.ReduceScatterMany(kAxisX, std::move(rs), rs_dims, rs_rows);
     }
 
     Tensor h;
     QuantizedActivations hq;
-    if (ffn && X_ == 1) {
+    if (ffn && !x_comm) {
       h = ffn_hidden_local(&hq);
     } else if (ffn) {
       const size_t at = attn ? 3 : 0;
@@ -682,19 +698,21 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       // reduce-scatter and the all-gather.
       h = gated ? Swish2(h1).Mul(h2) : Gelu(h1);
     }
-    const bool gather_h = ffn && X_ > 1;
+    const bool gather_h = ffn && x_comm;
+    // Int8 holds the locally computed hidden quantized already.
+    const QuantizedActivations* hqp = int8 && !x_comm ? &hq : nullptr;
 
     Tensor out;
     if (attn) {
       Tensor q = std::move(rs[0]), k = std::move(rs[1]), v = std::move(rs[2]);
-      if (heads && X_ > 1) {
+      if (heads && x_comm) {
         std::vector<Tensor*> ts = {&q, &k, &v};
         if (gather_h) ts.push_back(&h);
         gather_x(ts, std::vector<int64_t>(ts.size(), 1), {});
       }
       Tensor a =
           AttentionChip(ctx, std::move(q), std::move(k), std::move(v), layer);
-      if (!heads && X_ > 1) {
+      if (!heads && x_comm) {
         // Site 3 gathers this yz rank's rows with every head, else the
         // whole frame's rows with this chip's heads.
         const SpmdContext::Extents a_rows =
@@ -712,7 +730,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
         // quantized per row, as that chip quantizes its own). The yz
         // reduction takes A_own as this chip's term at its rows, ships the
         // other block as the side term, and adds the FFN partial at every
-        // row (SpmdContext::AllReduceOwnedRows).
+        // row (SpmdContext::AllReduceOwnedRows). The rows run in owner
+        // segments: the frame's groups, or this x slice's when x carries
+        // the rows (site 4).
         const int64_t w = a.dim(1) / YZ_;
         std::vector<Tensor> terms;
         for (size_t j = 0; j < 2; ++j)
@@ -721,12 +741,13 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
               lw.wo_blocks[j], int8 ? &qw->wo_blocks[j] : nullptr, nullptr));
         Tensor f;
         if (ffn)
-          f = out_proj(h, int8 && X_ == 1 ? &hq : nullptr,
-                       &ShardedLayerWeights::wout, &QuantizedLayerShard::wout,
-                       nullptr);
+          f = out_proj(h, hqp, &ShardedLayerWeights::wout,
+                       &QuantizedLayerShard::wout, nullptr);
         reduced = true;
-        return ctx.AllReduceOwnedRows(kAxisYZ, f, terms[yzr], terms[1 - yzr],
-                                      group_rows_);
+        return ctx.AllReduceOwnedRows(
+            kAxisYZ, f, terms[yzr], terms[1 - yzr],
+            x_comm ? group_rows_
+                   : RowsOverYz(ctx.topo().RankInGroup(c, kAxisX)));
       }
       // A serial block without a yz reduction may fold the residual add
       // into wo (the plan only sets this when YZ == 1).
@@ -739,9 +760,8 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     }
 
     if (ffn) {
-      const QuantizedActivations* hqp = int8 && X_ == 1 ? &hq : nullptr;
-      W wout = &ShardedLayerWeights::wout;
-      W8 wout8 = &QuantizedLayerShard::wout;
+      WO wout = &ShardedLayerWeights::wout;
+      WO8 wout8 = &QuantizedLayerShard::wout;
       if (plan.wout_accumulate) {
         // §3.4 branch sum (parallel) or residual add (serial, YZ == 1)
         // folded into wout's accumulate epilogue.
@@ -782,6 +802,10 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
   // axis (charged as collectives on the virtual clock): first every
   // weight's yz pieces (column shards of the input projections, row shards
   // of wo/wout), then every weight's x pieces, the norm gains included.
+  // Shards whole over x (site 4) skip the x gather: the chip's E blocks
+  // are concatenated locally, exactly what the gather would deliver.
+  const int nb = static_cast<int>(lw.in.size());
+  const bool x_comm = X_ > 1 && nb == 1;
   std::vector<Tensor> w;
   std::vector<int64_t> yz_dims, x_dims;  // yz_dim -1: not split over yz
   auto add = [&](const Tensor& shard, int64_t yz_dim, int64_t x_dim) {
@@ -795,39 +819,56 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
   const int64_t q_yz = replication_.qkv ? -1 : 1;
   const int64_t kv_yz =
       replication_.qkv || config_.n_kv_heads() % YZ_ != 0 ? -1 : 1;
-  const size_t iq = add(lw.wq, q_yz, 0);
-  const size_t ik = add(lw.wk, kv_yz, 0);
-  const size_t iv = add(lw.wv, kv_yz, 0);
+  // Per E block, the d_model-input weights' positions in `w`. The gate
+  // exists only in gated FFNs and the second pre-norm only in serial
+  // blocks.
+  struct BlockAt {
+    size_t q, k, v, in, gate, ln, ln2;
+  };
+  std::vector<BlockAt> at(static_cast<size_t>(nb));
+  for (int g = 0; g < nb; ++g) {
+    const EBlockWeights& b = lw.in[static_cast<size_t>(g)];
+    BlockAt& i = at[static_cast<size_t>(g)];
+    i.q = add(b.wq, q_yz, 0);
+    i.k = add(b.wk, kv_yz, 0);
+    i.v = add(b.wv, kv_yz, 0);
+    i.in = add(b.win, 1, 0);
+    i.gate = config_.gated_ffn ? add(b.win_gate, 1, 0) : 0;
+    i.ln = add(b.ln_gain, -1, 0);
+    i.ln2 = config_.parallel_block ? 0 : add(b.ln2_gain, -1, 0);
+  }
   const size_t io = add(lw.wo, 0, 1);
-  const size_t iin = add(lw.win, 1, 0);
-  const size_t igate = config_.gated_ffn ? add(lw.win_gate, 1, 0) : 0;
   const size_t iout = add(lw.wout, 0, 1);
-  const size_t iln = add(lw.ln_gain, -1, 0);
-  // The second pre-norm exists only in serial blocks.
-  const size_t iln2 = config_.parallel_block ? 0 : add(lw.ln2_gain, -1, 0);
   if (YZ_ > 1) {
     std::vector<Tensor> g;
     std::vector<int64_t> dims;
-    std::vector<size_t> at;
+    std::vector<size_t> pos;
     for (size_t i = 0; i < w.size(); ++i) {
       if (yz_dims[i] < 0) continue;
       g.push_back(std::move(w[i]));
       dims.push_back(yz_dims[i]);
-      at.push_back(i);
+      pos.push_back(i);
     }
     g = ctx.AllGatherMany(kAxisYZ, std::move(g), dims);
-    for (size_t j = 0; j < at.size(); ++j) w[at[j]] = std::move(g[j]);
+    for (size_t j = 0; j < pos.size(); ++j) w[pos[j]] = std::move(g[j]);
   }
-  if (X_ > 1) w = ctx.AllGatherMany(kAxisX, std::move(w), x_dims);
-  const Tensor& wq = w[iq];
-  const Tensor& wk = w[ik];
-  const Tensor& wv = w[iv];
+  if (x_comm) w = ctx.AllGatherMany(kAxisX, std::move(w), x_dims);
+  // A d_model-input weight (or gain) at all E rows.
+  auto whole = [&](size_t BlockAt::*m) {
+    if (nb == 1) return std::move(w[at[0].*m]);
+    std::vector<Tensor> parts;
+    for (const BlockAt& i : at) parts.push_back(std::move(w[i.*m]));
+    return Tensor::Concat(0, parts);
+  };
+  const Tensor wq = whole(&BlockAt::q);
+  const Tensor wk = whole(&BlockAt::k);
+  const Tensor wv = whole(&BlockAt::v);
+  const Tensor win = whole(&BlockAt::in);
+  const Tensor wgate = config_.gated_ffn ? whole(&BlockAt::gate) : Tensor();
+  const Tensor ln = whole(&BlockAt::ln);
+  const Tensor ln2 = config_.parallel_block ? Tensor() : whole(&BlockAt::ln2);
   const Tensor& wo = w[io];
-  const Tensor& win = w[iin];
-  const Tensor& wgate = w[igate];  // read only when gated
   const Tensor& wout = w[iout];
-  const Tensor& ln = w[iln];
-  const Tensor& ln2 = w[iln2];  // read only by serial blocks
 
   const int64_t H = config_.n_heads, KV = config_.n_kv_heads(), dh = config_.d_head;
   const FusedPlan& plan = *active_plan_;
@@ -937,26 +978,41 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
       if (c == 0) result = std::move(lg[0]);
     });
   } else {
-    // Weight-stationary path: activations sharded [rows, E/X] over x. The
+    // Weight-stationary path: activations sharded [rows, E/X] over x, or
+    // [x slice rows, E] when the layers are whole over x (site 4). The
     // logit head shards the [E, vocab] projection over the vocab dim
     // across all chips and all-gathers the logits -- or, when it is not
-    // sharded (ChipWeights::head_shard), chip 0 computes it whole.
+    // sharded (ChipWeights::head_shard), chip 0 computes it whole, or chip
+    // (x, 0) for its x slice's rows under site 4.
     const bool head_sharded = !shards_[0].head_shard.empty();
+    const bool x_rows = replication_.x;
+    std::vector<Tensor> slice_logits(x_rows ? static_cast<size_t>(X_) : 0);
     spmd_.Run([&](SpmdContext& ctx) {
       const int c = ctx.chip();
       const ChipWeights& cw = shards_[static_cast<size_t>(c)];
       const int xr = ctx.topo().RankInGroup(c, kAxisX);
-      Tensor x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
+      Tensor x;
+      if (x_rows) {
+        x = x_full.Slice(0, RowsBefore(group_rows_, xr * YZ_),
+                         RowsOverX()[static_cast<size_t>(xr)]);
+      } else {
+        x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
+      }
       for (int64_t l = 0; l < config_.num_layers; ++l) WsBlockChip(ctx, x, l);
 
-      // Final norm on the full rows: the shards' moments ride in the
-      // all-gather of the raw activations, and every chip sums them in
-      // group order -- AllReduce's adds, so the normed rows are
-      // bit-identical to normalizing each shard and gathering those.
+      // Final norm on the full rows. With E split over x, the shards'
+      // moments ride in the all-gather of the raw activations; with the
+      // rows split instead, each row's E blocks' moments are computed
+      // here. Either way they are summed in group order -- AllReduce's
+      // adds, so the normed rows are bit-identical to normalizing each
+      // shard and gathering those.
       const Tensor& gain = cw.final_ln_gain;
       Tensor full;
       if (X_ == 1) {
         full = LayerNorm(x, gain);
+      } else if (x_rows) {
+        full = NormalizeWithMoments(x, SumRowMoments(EBlocks(x, X_)), gain,
+                                    static_cast<double>(E));
       } else {
         std::vector<Tensor> g;
         g.push_back(RowMoments(x));
@@ -968,13 +1024,21 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
         full = NormalizeWithMoments(g[1], moments, gain, static_cast<double>(E));
       }
       if (head_sharded) {
+        // A vocab shard needs every row.
+        if (x_rows)
+          full = ctx.AllGatherMany(kAxisX, {std::move(full)}, {0},
+                                   {RowsOverX()})[0];
         Tensor logits = LocalMatMul(c, full, cw.head_shard);
         logits = ctx.AllGather(kAxisXYZ, std::move(logits), /*dim=*/1);
         if (c == 0) result = std::move(logits);
+      } else if (x_rows) {
+        if (ctx.topo().RankInGroup(c, kAxisYZ) == 0)
+          slice_logits[static_cast<size_t>(xr)] = LocalMatMul(c, full, cw.head);
       } else if (c == 0) {
         result = LocalMatMul(0, full, cw.head);
       }
     });
+    if (x_rows && !head_sharded) result = Tensor::Concat(0, slice_logits);
   }
   cache_.CommitStep();
 

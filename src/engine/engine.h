@@ -34,9 +34,11 @@
 // locally instead of the inbound all-to-all -- whether wo's rows stay
 // whole on both yz chips -- then each row's owner projects every head and
 // ships the other rank's term inside the yz all-reduce instead of the
-// outbound all-to-all -- and whether the weight-stationary logit head runs
-// whole on chip 0 instead of vocab-sharded plus an all-gather. Either way
-// every tensor is
+// outbound all-to-all -- whether the weight-stationary logit head runs
+// whole on chip 0 instead of vocab-sharded plus an all-gather, and whether
+// every layer weight stays whole over x -- then each chip holds its x
+// slice's rows at full E and runs every contraction over E as the x ranks'
+// per-block partials, so no x collective runs. Either way every tensor is
 // bit-identical; only the schedule and the virtual clock change. Set the
 // hop latency before constructing the engine.
 //
@@ -213,8 +215,9 @@ class DistributedEngine {
 
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
-  // Weight-stationary block over this chip's activation shard [rows, E/X],
-  // one collective per mesh axis per program point. fp32, or (per the
+  // Weight-stationary block over this chip's activation shard: [rows, E/X],
+  // or [x slice rows, E] when the layer is whole over x (site 4); one
+  // collective per mesh axis per program point. fp32, or (per the
   // active plan) int8 weight shards with dynamic per-row int8 activations
   // and fp32 accumulation; fusion per the active plan.
   void WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer);
@@ -224,31 +227,29 @@ class DistributedEngine {
   // Head- or batch-sharded attention over this chip's heads. kHeads: q/k/v
   // are whole over x ([rows, cols]) and so is the [rows, (H/YZ)*dh] result.
   // kBatch: q/k/v are this chip's x slice of the rows (its yz groups' rows,
-  // what the rows reduce-scatter(x) delivers) and so is the
-  // [slice rows, (H/YZ)*dh] result -- or, when wo's rows are replicated
-  // (site 3), the [group rows, H*dh] of this chip's own group; the caller
-  // gathers the rows back over x.
+  // what the rows reduce-scatter(x) delivers, or the rows the chip holds
+  // under site 4) and so is the [slice rows, (H/YZ)*dh] result -- or, when
+  // wo's rows are replicated (site 3), the [group rows, H*dh] of this
+  // chip's own group; the caller gathers the rows back over x when E is
+  // sharded there.
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer);
 
-  // A layer's LayerNorm over the E dim when E is sharded over x (moment
-  // all-reduce).
-  Tensor DistLayerNormChip(SpmdContext& ctx, const Tensor& x,
-                           bool second_gain, int64_t layer);
-
-  // One norm site's output, in whichever forms its consumers need: a
-  // pack-time transform (`nt`, for matmuls that fuse the norm) and/or the
-  // materialized normed tensor (`y`). Both derive from the same moments
-  // (one all-reduce when E is sharded over x), so mixing them per consumer
-  // is bit-identical to the unfused composition.
+  // One norm site's output for one E block `x` of the rows, in whichever
+  // forms its consumers need: a pack-time transform (`nt`, for matmuls that
+  // fuse the norm) and/or the materialized normed tensor (`y`). From the
+  // block's own rows when it is the whole row (`moments` empty), else from
+  // the rows' moments summed over every E block -- the same moments for
+  // every form, so mixing them per consumer is bit-identical to the unfused
+  // composition.
   struct NormInput {
     Tensor y;
     RowNormTransform nt;
     bool has_y = false;
     bool has_nt = false;
   };
-  NormInput NormInputChip(SpmdContext& ctx, const Tensor& x, bool second_gain,
-                          int64_t layer, bool want_nt, bool want_y);
+  NormInput NormForms(const Tensor& x, const Tensor& moments,
+                      const Tensor& gain, bool want_nt, bool want_y) const;
 
   // Appends this chip's step rows k/v [rows, kv, dh] in the cache's storage
   // format (quantizing to int8 per (position, head) when the cache is int8).

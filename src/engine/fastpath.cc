@@ -25,6 +25,7 @@ std::string ToString(OpKind kind) {
     case OpKind::kQuantize: return "quantize";
     case OpKind::kSdpa: return "sdpa";
     case OpKind::kComm: return "comm";
+    case OpKind::kBlockSum: return "block_sum";
   }
   return "?";
 }
@@ -86,8 +87,12 @@ struct Builder {
 // Weight-stationary block (kWS1D/kWS2D): activations flow through the fixed
 // weight shards; x splits d_model (partial-sum reductions), yz splits heads
 // and d_ff (the per-branch or per-block allreduce).
+// `x` is the extent of the x collectives (1 when the layer is whole over
+// x) and `x_blocks` whether the chip sums the x ranks' E-block partials
+// itself.
 void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
-               int x, int yz, bool int8, const Replication& replication) {
+               int x, bool x_blocks, int yz, bool int8,
+               const Replication& replication) {
   b->Add(OpKind::kMatMul, "q", {proj_in});
   b->Add(OpKind::kMatMul, "k", {proj_in});
   b->Add(OpKind::kMatMul, "v", {proj_in});
@@ -95,6 +100,9 @@ void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
   if (x > 1) {
     b->Add(OpKind::kComm, "qkv_allreduce", qkv);
     qkv = {"qkv_allreduce"};
+  } else if (x_blocks) {
+    b->Add(OpKind::kBlockSum, "qkv_block_sum", qkv);
+    qkv = {"qkv_block_sum"};
   }
   // Replicated q/k/v columns split their rows locally
   // (core/replication.h): no inbound reshard.
@@ -118,7 +126,7 @@ void AddWsAttn(Builder* b, const std::string& proj_in, AttnSharding attn,
 }
 
 void AddWsFfn(Builder* b, const std::string& proj_in,
-              const std::string& norm_tag, bool gated, int x,
+              const std::string& norm_tag, bool gated, int x, bool x_blocks,
               bool fuse_collectives, bool int8) {
   std::vector<std::string> hidden;
   if (fuse_collectives && x > 1) {
@@ -140,6 +148,9 @@ void AddWsFfn(Builder* b, const std::string& proj_in,
     if (x > 1) {
       b->Add(OpKind::kComm, "ffn_rs", hidden);
       hidden = {"ffn_rs"};
+    } else if (x_blocks) {
+      b->Add(OpKind::kBlockSum, "ffn_block_sum", hidden);
+      hidden = {"ffn_block_sum"};
     }
   }
   b->Add(OpKind::kActivation, "ffn_act", hidden);
@@ -152,15 +163,20 @@ void AddWsFfn(Builder* b, const std::string& proj_in,
   b->Add(OpKind::kMatMul, "ffn_out", {act});
 }
 
-BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
-                   bool fuse_collectives, bool int8,
+BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x_mesh,
+                   int yz, bool fuse_collectives, bool int8,
                    const Replication& replication) {
   Builder b;
+  // Site 4 keeps every x rank's E block on the chip: no x collective, and
+  // the contractions over E sum the blocks locally.
+  const bool x_blocks = replication.x && x_mesh > 1;
+  const int x = x_blocks ? 1 : x_mesh;
   if (config.parallel_block) {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string proj_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, proj_in, attn, x, yz, int8, replication);
-    AddWsFfn(&b, proj_in, ln, config.gated_ffn, x, fuse_collectives, int8);
+    AddWsAttn(&b, proj_in, attn, x, x_blocks, yz, int8, replication);
+    AddWsFfn(&b, proj_in, ln, config.gated_ffn, x, x_blocks, fuse_collectives,
+             int8);
     std::string block_out;
     if (attn == AttnSharding::kBatch && yz > 1 && replication.wo) {
       b.Add(OpKind::kComm, "block_allreduce", {"wo", "ffn_out"});
@@ -177,7 +193,7 @@ BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
   } else {
     const std::string ln = b.AddNorm("ln", "x", x);
     const std::string attn_in = int8 ? b.AddQuant("ln_quant", ln) : ln;
-    AddWsAttn(&b, attn_in, attn, x, yz, int8, replication);
+    AddWsAttn(&b, attn_in, attn, x, x_blocks, yz, int8, replication);
     std::string attn_out = "wo";
     if (yz > 1) {
       b.Add(OpKind::kComm, "attn_allreduce", {attn_out});
@@ -186,7 +202,8 @@ BlockGraph BuildWs(const ModelConfig& config, AttnSharding attn, int x, int yz,
     b.Add(OpKind::kResidualAdd, "attn_residual", {"x", attn_out});
     const std::string ln2 = b.AddNorm("ln2", "attn_residual", x);
     const std::string ffn_in = int8 ? b.AddQuant("ln2_quant", ln2) : ln2;
-    AddWsFfn(&b, ffn_in, ln2, config.gated_ffn, x, fuse_collectives, int8);
+    AddWsFfn(&b, ffn_in, ln2, config.gated_ffn, x, x_blocks, fuse_collectives,
+             int8);
     std::string ffn_out = "ffn_out";
     if (yz > 1) {
       b.Add(OpKind::kComm, "ffn_allreduce", {ffn_out});

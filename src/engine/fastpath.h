@@ -59,6 +59,7 @@ enum class OpKind {
   kQuantize,     // dynamic per-row int8 activation quantization
   kSdpa,         // scaled dot-product attention over the KV cache
   kComm,         // collective; a hard fusion barrier
+  kBlockSum,     // local group-order sum of per-E-block partials (site 4)
 };
 
 std::string ToString(OpKind kind);
@@ -95,7 +96,10 @@ struct BlockGraph {
 // has no inbound reshard; with wo's rows whole on both yz chips, no
 // outbound one, and a parallel block's branch sum happens inside the yz
 // all-reduce (each row's owner ships the other rank's wo term with it), so
-// it folds into neither output projection.
+// it folds into neither output projection; with the layer whole over x, no
+// x collective at all -- the norm's moments and the contractions over E
+// are summed over the x ranks' E blocks on the chip (kBlockSum nodes, which
+// keep the activation out of the FFN input matmul's epilogue).
 BlockGraph BuildBlockGraph(const ModelConfig& config, FfnLayout ffn,
                            AttnSharding attn, int x, int yz,
                            bool fuse_collectives, FastPathPrecision precision,

@@ -5,15 +5,23 @@
 namespace tsi {
 namespace {
 
-// Chunks `w`'s rows over x and its columns over yz, where columns are
-// organized as `col_groups` groups of `col_group_width` (heads of width
-// d_head, or one group of width F). `replicate_cols` skips column chunking
-// (multiquery K/V, and replicated q/k/v).
-Tensor ShardMatrix(const Tensor& w, int x_rank, int x_parts, int yz_rank,
-                   int yz_parts, bool replicate_cols) {
-  Tensor rows = x_parts > 1 ? w.Chunk(0, x_parts, x_rank) : w;
-  if (replicate_cols || yz_parts == 1) return rows;
-  return rows.Chunk(1, yz_parts, yz_rank);
+// Rows [r0, r0 + nr) and columns [c0, c0 + nc) of the matrix `w`, in one
+// copy.
+Tensor Cut(const Tensor& w, int64_t r0, int64_t nr, int64_t c0, int64_t nc) {
+  const int64_t cols = w.dim(1);
+  std::vector<float> data;
+  data.reserve(static_cast<size_t>(nr * nc));
+  for (int64_t r = r0; r < r0 + nr; ++r) {
+    const float* src = w.data() + r * cols + c0;
+    data.insert(data.end(), src, src + nc);
+  }
+  return Tensor({nr, nc}, std::move(data));
+}
+
+// Entries [i0, i0 + n) of the vector `v`.
+Tensor Cut(const Tensor& v, int64_t i0, int64_t n) {
+  const float* src = v.data() + i0;
+  return Tensor({n}, std::vector<float>(src, src + n));
 }
 
 }  // namespace
@@ -32,46 +40,56 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
   // configs with fewer kv heads than the yz extent).
   const bool kv_replicated = replicate.qkv || cfg.n_kv_heads() % YZ != 0;
   const int n = mesh.num_chips();
+  const int64_t E = cfg.d_model, Eb = E / X, V = cfg.vocab_size;
   const Tensor head = weights.embedding.Transpose2D();
-  const bool shard_head =
-      n > 1 && cfg.vocab_size % n == 0 && !replicate.logit_head;
+  const bool shard_head = n > 1 && V % n == 0 && !replicate.logit_head;
+  // Site 4 keeps every x rank's E block on every chip.
+  const int blocks = replicate.x ? X : 1;
 
   std::vector<ChipWeights> chips(static_cast<size_t>(n));
   for (int chip = 0; chip < n; ++chip) {
     const int xr = mesh.RankInGroup(chip, kAxisX);
     const int yzr = mesh.RankInGroup(chip, kAxisY | kAxisZ);
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
-    cw.embedding = weights.embedding;
+    if (chip == 0) cw.embedding = weights.embedding;
     cw.final_ln_gain = weights.final_ln_gain;
     cw.head = head;
     if (shard_head)
-      cw.head_shard = head.Chunk(1, n, mesh.RankInGroup(chip, kAxisXYZ));
+      cw.head_shard =
+          Cut(head, 0, E, mesh.RankInGroup(chip, kAxisXYZ) * (V / n), V / n);
+    // The chip's E blocks -- its x rank's, or all X -- as rows of the
+    // d_model-input weights and columns of the d_model-output ones.
+    const int g0 = replicate.x ? 0 : xr;
+    const int64_t c0 = g0 * Eb, nc = blocks * Eb;
     cw.layers.reserve(weights.layers.size());
     for (const LayerWeights& lw : weights.layers) {
       ShardedLayerWeights s;
-      s.ln_gain = X > 1 ? lw.ln_gain.Chunk(0, X, xr) : lw.ln_gain;
-      s.ln2_gain = X > 1 ? lw.ln2_gain.Chunk(0, X, xr) : lw.ln2_gain;
-      s.wq = ShardMatrix(lw.wq, xr, X, yzr, YZ, replicate.qkv);
-      s.wk = ShardMatrix(lw.wk, xr, X, yzr, YZ, kv_replicated);
-      s.wv = ShardMatrix(lw.wv, xr, X, yzr, YZ, kv_replicated);
-      // wo: rows are the heads dim (chunk over yz), cols are E (chunk over x).
-      {
-        Tensor rows = YZ > 1 ? lw.wo.Chunk(0, YZ, yzr) : lw.wo;
-        s.wo = X > 1 ? rows.Chunk(1, X, xr) : rows;
-        if (replicate.wo) {
-          for (int j = 0; j < YZ; ++j) {
-            Tensor block = lw.wo.Chunk(0, YZ, j);
-            s.wo_blocks.push_back(X > 1 ? block.Chunk(1, X, xr) : block);
-          }
-        }
+      for (int g = g0; g < g0 + blocks; ++g) {
+        // Block g's E rows; columns chunked over yz unless whole.
+        const int64_t r0 = g * Eb;
+        auto rows = [&](const Tensor& w, bool whole_cols) {
+          const int64_t w_cols = whole_cols ? w.dim(1) : w.dim(1) / YZ;
+          return Cut(w, r0, Eb, whole_cols ? 0 : yzr * w_cols, w_cols);
+        };
+        EBlockWeights b;
+        b.ln_gain = Cut(lw.ln_gain, r0, Eb);
+        b.ln2_gain = Cut(lw.ln2_gain, r0, Eb);
+        b.wq = rows(lw.wq, replicate.qkv);
+        b.wk = rows(lw.wk, kv_replicated);
+        b.wv = rows(lw.wv, kv_replicated);
+        b.win = rows(lw.win, false);
+        if (cfg.gated_ffn) b.win_gate = rows(lw.win_gate, false);
+        s.in.push_back(std::move(b));
       }
-      s.win = ShardMatrix(lw.win, xr, X, yzr, YZ, false);
-      if (cfg.gated_ffn)
-        s.win_gate = ShardMatrix(lw.win_gate, xr, X, yzr, YZ, false);
-      {
-        Tensor rows = YZ > 1 ? lw.wout.Chunk(0, YZ, yzr) : lw.wout;
-        s.wout = X > 1 ? rows.Chunk(1, X, xr) : rows;
-      }
+      // wo and wout: rows are the heads / F dim (chunk over yz), columns E.
+      auto cols = [&](const Tensor& w, int j) {
+        const int64_t w_rows = w.dim(0) / YZ;
+        return Cut(w, j * w_rows, w_rows, c0, nc);
+      };
+      s.wo = cols(lw.wo, yzr);
+      if (replicate.wo)
+        for (int j = 0; j < YZ; ++j) s.wo_blocks.push_back(cols(lw.wo, j));
+      s.wout = cols(lw.wout, yzr);
       cw.layers.push_back(std::move(s));
     }
   }
@@ -81,14 +99,18 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
 QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,
                                        bool gated) {
   QuantizedLayerShard q;
-  q.wq = QuantizeInt8(shard.wq);
-  q.wk = QuantizeInt8(shard.wk);
-  q.wv = QuantizeInt8(shard.wv);
+  for (const EBlockWeights& b : shard.in) {
+    QuantizedEBlock qb;
+    qb.wq = QuantizeInt8(b.wq);
+    qb.wk = QuantizeInt8(b.wk);
+    qb.wv = QuantizeInt8(b.wv);
+    qb.win = QuantizeInt8(b.win);
+    if (gated) qb.win_gate = QuantizeInt8(b.win_gate);
+    q.in.push_back(std::move(qb));
+  }
   q.wo = QuantizeInt8(shard.wo);
   for (const Tensor& block : shard.wo_blocks)
     q.wo_blocks.push_back(QuantizeInt8(block));
-  q.win = QuantizeInt8(shard.win);
-  if (gated) q.win_gate = QuantizeInt8(shard.win_gate);
   q.wout = QuantizeInt8(shard.wout);
   return q;
 }

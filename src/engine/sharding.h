@@ -12,8 +12,10 @@
 //
 // Where the latency-aware replication rule fires (core/replication.h), the
 // q/k/v columns stay whole on every yz chip (site 1), the logit head is not
-// vocab-sharded (site 2), and every yz rank's block of wo rows sits on each
-// yz chip (site 3).
+// vocab-sharded (site 2), every yz rank's block of wo rows sits on each yz
+// chip (site 3), and every chip keeps its yz shard at all E rows and
+// columns (site 4): the d_model-input weights as every x rank's E block,
+// the d_model-output weights at full E.
 #pragma once
 
 #include <vector>
@@ -25,32 +27,42 @@
 
 namespace tsi {
 
-struct ShardedLayerWeights {
+// One x rank's E/X rows of a layer's norm gains and d_model-input weights:
+// exactly what chip (x rank, yz rank) holds in the paper's layout.
+struct EBlockWeights {
   Tensor ln_gain;   // [E/X]
   Tensor ln2_gain;  // [E/X]
   Tensor wq;        // [E/X, (H/YZ)*dh], or [E/X, H*dh] when replicated
   Tensor wk;        // [E/X, KVcols]  (KVcols = dh for MQA, (KV/YZ)*dh for MHA,
                     //  KV*dh when replicated)
   Tensor wv;        // like wk
-  Tensor wo;        // [(H/YZ)*dh, E/X]
-  // Site 3: every yz rank's wo block [(H/YZ)*dh, E/X] at this chip's E/X
-  // columns, in yz-rank order (block yzr is `wo`); empty otherwise.
-  std::vector<Tensor> wo_blocks;
   Tensor win;       // [E/X, F/YZ]
   Tensor win_gate;  // [E/X, F/YZ] (gated only)
-  Tensor wout;      // [F/YZ, E/X]
+};
+
+struct ShardedLayerWeights {
+  // The chip's E blocks in x-rank order: its own x rank's, or every x
+  // rank's when the layer is whole over x (site 4).
+  std::vector<EBlockWeights> in;
+  // The d_model-output weights, at this chip's E columns: its x rank's E/X,
+  // or all E under site 4.
+  Tensor wo;  // [(H/YZ)*dh, E columns]
+  // Site 3: every yz rank's wo block [(H/YZ)*dh, E columns], in yz-rank
+  // order (block yzr is `wo`); empty otherwise.
+  std::vector<Tensor> wo_blocks;
+  Tensor wout;  // [F/YZ, E columns]
 };
 
 struct ChipWeights {
   std::vector<ShardedLayerWeights> layers;
-  Tensor embedding;      // [vocab, E] replicated (small at test scale)
+  Tensor embedding;      // [vocab, E], on chip 0 only: the step's lookup
   Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
   // The logit head: the embedding transposed once, at sharding time.
   Tensor head;        // [E, vocab], the whole head (replicated)
   Tensor head_shard;  // [E, vocab/n]: this chip's xyz-rank vocab columns
                       // when the weight-stationary head is sharded; empty
-                      // when it runs whole on chip 0 (one chip, a vocab
-                      // that does not divide, or replication site 2)
+                      // when it runs whole (one chip, a vocab that does not
+                      // divide, or replication site 2)
 };
 
 // Slices `weights` for every chip of `mesh`, replicating what `replicate`
@@ -61,11 +73,16 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Replication& replicate = {});
 
 // One layer shard's int8 weights (the end-to-end int8 path): per-column
-// scales over the shard's own rows, so a replicated column -- or a
-// replicated wo block -- gets exactly the bytes and scales its sharded copy
-// would.
+// scales over the shard's own rows, so a replicated column, a replicated
+// wo block or a replicated E block gets exactly the bytes and scales its
+// sharded copy would (a d_model-output weight at full E is its x shards'
+// columns side by side: each column's scale reads only that column).
+struct QuantizedEBlock {
+  QuantizedTensor wq, wk, wv, win, win_gate;
+};
 struct QuantizedLayerShard {
-  QuantizedTensor wq, wk, wv, wo, win, win_gate, wout;
+  std::vector<QuantizedEBlock> in;  // one per ShardedLayerWeights::in block
+  QuantizedTensor wo, wout;
   std::vector<QuantizedTensor> wo_blocks;  // one per ShardedLayerWeights block
 };
 QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,

@@ -33,8 +33,9 @@ Tensor ScaledDotProductAttention(const Tensor& q, const Tensor& k,
   TSI_CHECK_EQ(k.dim(3), dh);
   TSI_CHECK_EQ(v.dim(3), dh);
   TSI_CHECK_EQ(H % KV, 0) << "query heads must be a multiple of kv heads";
-  if (causal)
+  if (causal) {
     TSI_CHECK_LE(Tq, Tkv) << "queries cannot outnumber kv positions in causal mask";
+  }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const int64_t offset = Tkv - Tq;  // query i attends to kv <= i + offset
@@ -105,8 +106,9 @@ Tensor ScaledDotProductAttentionInt8Kv(const Tensor& q, const QuantizedKv& k,
   TSI_CHECK_EQ(k.d_head(), dh);
   TSI_CHECK_EQ(v.d_head(), dh);
   TSI_CHECK_EQ(H % KV, 0) << "query heads must be a multiple of kv heads";
-  if (causal)
+  if (causal) {
     TSI_CHECK_LE(Tq, Tkv) << "queries cannot outnumber kv positions in causal mask";
+  }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const int64_t offset = Tkv - Tq;
@@ -202,8 +204,9 @@ Tensor ScaledDotProductAttentionPaged(const Tensor& q, const PagedKvSpan& k,
   TSI_CHECK_EQ(k.d_head, dh);
   TSI_CHECK_EQ(v.d_head, dh);
   TSI_CHECK_EQ(H % KV, 0) << "query heads must be a multiple of kv heads";
-  if (causal)
+  if (causal) {
     TSI_CHECK_LE(Tq, Tkv) << "queries cannot outnumber kv positions in causal mask";
+  }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const int64_t offset = Tkv - Tq;
@@ -279,8 +282,9 @@ Tensor ScaledDotProductAttentionPagedInt8Kv(const Tensor& q,
   TSI_CHECK_EQ(k.d_head, dh);
   TSI_CHECK_EQ(v.d_head, dh);
   TSI_CHECK_EQ(H % KV, 0) << "query heads must be a multiple of kv heads";
-  if (causal)
+  if (causal) {
     TSI_CHECK_LE(Tq, Tkv) << "queries cannot outnumber kv positions in causal mask";
+  }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const int64_t offset = Tkv - Tq;

@@ -11,6 +11,7 @@ ShardSpec ShardingAssignment::InputSpec() const {
   if (gather_axes != kAxisNone) {
     return Spec({{"tokens", gather_axes}, {"E", EffectiveEAxes()}});
   }
+  if (x_replicated) return Spec({{"tokens", e_axes}, {"E", kAxisNone}});
   return Spec({{"tokens", kAxisNone}, {"E", e_axes}});
 }
 
@@ -20,6 +21,7 @@ std::string ShardingAssignment::ToString() const {
   if (gather_axes != kAxisNone) os << " gather." << AxisName(gather_axes);
   if (qkv_replicated) os << " qkv.replicated";
   if (wo_replicated) os << " wo.replicated";
+  if (x_replicated) os << " x.replicated";
   os << " attn=" << tsi::ToString(attn) << " on " << mesh.ToString();
   return os.str();
 }
@@ -63,6 +65,7 @@ ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
   a.kv_page_size = spec.kv_page_size;
   a.qkv_replicated = rep.qkv;
   a.wo_replicated = rep.wo;
+  a.x_replicated = rep.x;
   return a;
 }
 
@@ -112,7 +115,8 @@ BlockGraph BuildBlockGraph(const ModelConfig& config,
   g.config = config;
   g.assignment = a;
   g.parallel = config.parallel_block;
-  const unsigned E = a.e_axes, F = a.f_axes, G = a.gather_axes;
+  const unsigned E = a.x_replicated ? kAxisNone : a.e_axes;
+  const unsigned F = a.f_axes, G = a.gather_axes;
   const unsigned QKV = a.qkv_replicated ? kAxisNone : F;  // heads columns
   const int in_proj = config.gated_ffn ? 2 : 1;
 

@@ -52,6 +52,10 @@ struct ShardingAssignment {
   // attention output still lowers as a partial over f_axes: the side terms
   // rebuild exactly those partials.
   bool wo_replicated = false;
+  // Site 4: every weight keeps its E dim whole instead of sharding it over
+  // e_axes, and the block input shards its tokens over e_axes instead of
+  // its E: x carries batch, and no E contraction leaves a partial over x.
+  bool x_replicated = false;
 
   // Weight sharding that remains after the gather.
   unsigned EffectiveEAxes() const { return e_axes & ~gather_axes; }
@@ -60,16 +64,18 @@ struct ShardingAssignment {
   int GatherWidth() const { return mesh.GroupSize(gather_axes); }
 
   // Block input activation spec: weight-stationary layouts shard E over
-  // e_axes with the token batch replicated; weight-gathered layouts shard
-  // the token batch over the gathered axes with E intact.
+  // e_axes with the token batch replicated (the tokens over e_axes with E
+  // intact when x_replicated); weight-gathered layouts shard the token
+  // batch over the gathered axes with E intact.
   ShardSpec InputSpec() const;
 
   std::string ToString() const;
 };
 
 // The assignment encoding each hand-coded layout (paper §3.2-§3.3):
-// E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated` and
-// `wo_replicated` as the replication rule decided them for `spec`.
+// E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated`,
+// `wo_replicated` and `x_replicated` as the replication rule decided them
+// for `spec`.
 ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
                                        const Replication& rep = {});
 

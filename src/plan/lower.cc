@@ -97,7 +97,7 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   const Torus3D& mesh = spec.mesh;
   const ShardingAssignment& a = plan.block.graph.assignment;
   const Replication rep{a.qkv_replicated, /*logit_head=*/false,
-                        a.wo_replicated};
+                        a.wo_replicated, a.x_replicated};
   CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
                                              L, context, rep);
 

@@ -50,7 +50,7 @@ struct LoweredPlan {
 LoweredPlan LowerBlock(const PropagatedBlock& block);
 
 // Convenience: canonical assignment -> build -> propagate -> lower, with
-// the q/k/v and wo replication ChooseReplication (core/replication.h)
+// the q/k/v, wo and x replication ChooseReplication (core/replication.h)
 // picks for `spec` on `chip` at `hop_latency`.
 LoweredPlan LowerSpec(const ModelConfig& config, const PartitionSpec& spec,
                       const ChipSpec& chip, double hop_latency);

@@ -128,8 +128,13 @@ PropagatedBlock Propagate(const BlockGraph& graph) {
           in.SetAxes("heads", in.AxesOf("heads") | in.partial);
           in.partial = kAxisNone;
         }
+        // Tokens sharded over x by a layer whole over x (site 4) still
+        // need the yz reshard.
+        const unsigned rows_x =
+            graph.assignment.x_replicated ? kAxisX : kAxisNone;
         if (graph.assignment.attn == AttnSharding::kBatch &&
-            (in.AxesOf("tokens") & live) == kAxisNone && live != kAxisNone) {
+            (in.AxesOf("tokens") & live & ~rows_x) == kAxisNone &&
+            (live & ~rows_x) != kAxisNone) {
           // Head-sharded projections entering batch-sharded attention:
           // all-to-all tokens<->heads on the way in and back out (Fig 5b).
           // Weight-gathered layouts arrive with tokens already sharded and

@@ -22,7 +22,9 @@
 //     the q/k/v columns are replicated, without the outbound one when wo's
 //     rows are (core/replication.h); weight-gathered layouts arrive with
 //     tokens already sharded and insert nothing;
-//   * a weight-gathered matmul records the per-layer weight AllGather.
+//   * a weight-gathered matmul records the per-layer weight AllGather;
+//   * a layer whole over x (site 4) contracts no E shard and enters with
+//     its tokens over x, so no x collective is inserted at all.
 //
 // In a parallel block the attention projections' F-side collectives fuse
 // into the FFN's (§3.4): they move their bytes in the same group and pay no

@@ -62,7 +62,10 @@ constexpr i64 kMR = 4;
 constexpr i64 kKC = 512;
 
 // Below this many multiplies the packing overhead dominates; use the simple
-// i-k-j fallback (same fma chain, so still bit-identical).
+// i-k-j fallback (same fma chain, so still bit-identical). So it does below
+// one register tile of rows (a decode step's few rows): the blocked path
+// would pack every B panel for a single use and run kMR rows of fmas per
+// row it keeps.
 constexpr i64 kFallbackMaxMuls = 1 << 15;
 
 enum class Epilogue {
@@ -331,7 +334,7 @@ void BlockedMatMul(ThreadPool& pool, const float* A, const float* B, float* C,
 
 void MatMul2D(ThreadPool& pool, const float* A, const float* B, float* C,
               i64 m, i64 k, i64 n, const KernelOpts& opts) {
-  if (m * k * n <= kFallbackMaxMuls || n < kNR) {
+  if (m * k * n <= kFallbackMaxMuls || n < kNR || m < kMR) {
     FallbackMatMul(A, B, C, m, k, n, opts);
   } else {
     BlockedMatMul(pool, A, B, C, m, k, n, opts);

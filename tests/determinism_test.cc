@@ -65,10 +65,11 @@ struct Case {
 };
 
 // Ragged and aligned shapes: tile edges, single elements, k crossing the
-// kernel's K-block boundary, and a multi-block-every-which-way case.
-const Case kCases[] = {{7, 13, 9},   {33, 65, 47}, {64, 128, 96},
+// kernel's K-block boundary, a multi-block-every-which-way case, and
+// decode-sized row counts over large weights.
+const Case kCases[] = {{7, 13, 9},   {33, 65, 47},  {64, 128, 96},
                        {1, 1, 1},    {17, 520, 31}, {40, 1100, 70},
-                       {128, 64, 256}};
+                       {128, 64, 256}, {1, 600, 200}, {3, 256, 520}};
 
 TEST(MatMulDeterminismTest, MatchesGoldenScalarReferenceExactly) {
   Rng rng(11);

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/attn_cost.h"
 #include "hw/chip.h"
@@ -49,10 +50,15 @@ std::string CaseName(const ::testing::TestParamInfo<EngineCase>& info) {
       if (isalnum(static_cast<unsigned char>(c))) out += c;
     return out;
   };
-  s += "_" + clean(ToString(p.prefill_ffn)) + "_" + clean(ToString(p.decode_ffn));
-  s += "_" + clean(ToString(p.attn));
+  for (const std::string& part :
+       {clean(ToString(p.prefill_ffn)), clean(ToString(p.decode_ffn)),
+        clean(ToString(p.attn))}) {
+    s += '_';
+    s += part;
+  }
   s += p.variant == 0 ? "_mqa" : (p.variant == 1 ? "_mha" : "_gqa");
-  s += "_" + clean(ToString(p.format));
+  s += '_';
+  s += clean(ToString(p.format));
   if (p.fused) s += "_fused";
   return s;
 }
@@ -305,9 +311,10 @@ TEST(EngineTest, BatchShardedKvCacheIsSmallerPerChip) {
   EXPECT_NEAR(heads / batch, 8.0, 1e-6);  // replicated on 8 chips vs sharded
 }
 
-TEST(EngineTest, FusedCollectivesMatchUnfusedAndRunFaster) {
-  // §3.5 Looped CollectiveEinsum as an engine option: identical logits,
-  // strictly less (or equal) virtual time.
+// Prefill on 4x2x1 with and without §3.5 Looped CollectiveEinsum, at hop
+// latency `hop`: the logits and the virtual time.
+std::pair<std::pair<Tensor, double>, std::pair<Tensor, double>>
+FusedVsUnfusedPrefill(double hop) {
   ModelConfig cfg = TinyTestModel();
   cfg.num_layers = 3;
   ModelWeights weights = ModelWeights::Random(cfg, 91);
@@ -316,6 +323,7 @@ TEST(EngineTest, FusedCollectivesMatchUnfusedAndRunFaster) {
 
   auto run = [&](bool fuse) {
     SimMachine machine(Torus3D(4, 2, 1), TpuV4());
+    machine.set_hop_latency(hop);
     EngineSpec spec;
     spec.attn = AttnSharding::kBatch;
     spec.fuse_collectives = fuse;
@@ -323,11 +331,25 @@ TEST(EngineTest, FusedCollectivesMatchUnfusedAndRunFaster) {
     Tensor logits = engine.Prefill(tokens, B);
     return std::make_pair(std::move(logits), machine.MaxTime());
   };
-  auto [unfused_logits, unfused_time] = run(false);
-  auto [fused_logits, fused_time] = run(true);
-  EXPECT_LT(MaxAbsDiff(fused_logits, unfused_logits), 1e-4f);
-  EXPECT_LE(fused_time, unfused_time + 1e-15);
-  EXPECT_LT(fused_time, unfused_time) << "pipelining should hide something";
+  return {run(false), run(true)};
+}
+
+TEST(EngineTest, FusedCollectivesMatchUnfusedAndRunFaster) {
+  // §3.5 Looped CollectiveEinsum as an engine option: identical logits,
+  // strictly less virtual time. At hop latency 0 the paper's layout runs
+  // the reduce-scatter(x) the fused matmuls pipeline under.
+  auto [unfused, fused] = FusedVsUnfusedPrefill(0.0);
+  EXPECT_LT(MaxAbsDiff(fused.first, unfused.first), 1e-4f);
+  EXPECT_LT(fused.second, unfused.second) << "pipelining should hide something";
+}
+
+TEST(EngineTest, FusedCollectivesChangeNothingWhenLayersAreWholeOverX) {
+  // At 1 us the layers stay whole over x (core/replication.h, site 4):
+  // no reduce-scatter(x) is left to pipeline, so the option changes
+  // neither the logits nor the time.
+  auto [unfused, fused] = FusedVsUnfusedPrefill(1e-6);
+  EXPECT_EQ(MaxAbsDiff(fused.first, unfused.first), 0.0f);
+  EXPECT_EQ(fused.second, unfused.second);
 }
 
 TEST(EngineTest, FusedEngineStillMatchesReference) {
@@ -858,7 +880,9 @@ TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
 // mesh: chip 0 runs the whole logit head (no all-gather(xyz)), and under
 // kBatch the q/k/v columns and wo's rows are whole on every yz chip (no
 // all-to-all in or out of attention; each chip streams the other yz rank's
-// q columns and wo rows).
+// q columns and wo rows) and every layer weight is whole over x (no x
+// collective; each chip streams both x ranks' E blocks, and chip (x, 0)
+// runs the logit head for its x slice's rows).
 INSTANTIATE_TEST_SUITE_P(
     Layouts, StepTest,
     ::testing::Values(
@@ -867,9 +891,9 @@ INSTANTIATE_TEST_SUITE_P(
         StepCase{kHeads, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
                  9.0252173333333515e-05, 352832, 165312},
         StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
-                 9.0761386666666751e-05, 681920, 640512},
+                 2.0398719999999959e-05, 1337280, 110592},
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 9.0708640000000221e-05, 429520, 640512}),
+                 2.0294773333333334e-05, 839120, 110592}),
     StepCaseName);
 
 // Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
@@ -1075,9 +1099,11 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
 // At the default hop latency the replication rule (core/replication.h)
 // fires at every site on this mesh: kBatch keeps q/k/v and wo whole on
 // every yz chip (no all-to-all(yz) at all: the rows split locally on the
-// way in, and the wo side terms ride the all-reduce(yz) on the way out) and
-// chip 0 runs the whole logit head (no all-gather(xyz)). At hop latency 0
-// nothing replicates and the paper's schedule runs.
+// way in, and the wo side terms ride the all-reduce(yz) on the way out)
+// and every layer weight whole over x (no x collective: x carries the
+// rows, and chip (x, 0) runs the whole logit head for its x slice's rows);
+// kHeads keeps the logit head whole on chip 0 (no all-gather(xyz)). At hop
+// latency 0 nothing replicates and the paper's schedule runs.
 struct ScheduleCase {
   AttnSharding attn;
   bool parallel;
@@ -1123,38 +1149,34 @@ TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
 }
 
 // The logit head: the all-gather(x) of activations + final-norm moments,
-// then whole on chip 0 (replicated) or vocab-sharded and gathered.
+// then whole on chip 0 (replicated) or vocab-sharded and gathered; with x
+// carrying the rows, no collective at all.
 const std::map<std::string, int> kReplicatedHead = {{"all-gather(x)", 1}};
+const std::map<std::string, int> kRowsOverXHead = {};
 const std::map<std::string, int> kShardedHead = {{"all-gather(x)", 1},
                                                  {"all-gather(xyz)", 1}};
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, CollectiveScheduleTest,
     ::testing::Values(
-        ScheduleCase{kBatch, true, false, 1e-6,
-                     {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
-                      {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
-                     kReplicatedHead},
+        ScheduleCase{kBatch, true, false, 1e-6, {{"all-reduce(yz)", 1}},
+                     kRowsOverXHead},
         ScheduleCase{kHeads, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
                       {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
                      kReplicatedHead},
         // Serial: each half has its own norm, reduce-scatter, gather and
-        // yz reduction.
-        ScheduleCase{kBatch, false, false, 1e-6,
-                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
-                     kReplicatedHead},
+        // yz reduction (under kBatch only the yz reduction is left).
+        ScheduleCase{kBatch, false, false, 1e-6, {{"all-reduce(yz)", 2}},
+                     kRowsOverXHead},
         ScheduleCase{kHeads, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
                       {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
                      kReplicatedHead},
         // Multihead: the replicated K/V columns split their rows locally
         // with q's.
-        ScheduleCase{kBatch, false, true, 1e-6,
-                     {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
-                      {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
-                     kReplicatedHead},
+        ScheduleCase{kBatch, false, true, 1e-6, {{"all-reduce(yz)", 2}},
+                     kRowsOverXHead},
         // Hop latency 0: the paper's layouts. q reshards heads -> rows on
         // the way in, and the logits are vocab-sharded and gathered.
         ScheduleCase{kBatch, true, false, 0,
@@ -1221,12 +1243,12 @@ double BatchShardedDecodeStepHops(double hop_latency) {
   return hops;
 }
 
-TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysNineHops) {
-  // Every replica (core/replication.h): per layer 1 (moments all-reduce) +
-  // 1 (reduce-scatter) + 1 (all-gather) + 1 (yz all-reduce, carrying the
-  // wo side terms) = 4 hop latencies; the logit head adds 1 (all-gather(x)
-  // with the final norm's moments) and runs whole on chip 0.
-  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 4 + 1);
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysTwoHops) {
+  // Every replica (core/replication.h): per layer only the yz all-reduce,
+  // carrying the wo side terms, = 1 hop latency; the final norm runs
+  // locally and chip (x, 0) runs the whole logit head for its x slice's
+  // rows: 0.
+  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 1 + 0);
 }
 
 TEST(CollectiveScheduleTest, BatchShardedDecodeStepRunsFifteenHopsAtAlphaZero) {

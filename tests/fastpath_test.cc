@@ -91,6 +91,48 @@ TEST(FusionPassTest, ReplicatedWoDropsTheOutboundReshardAndBranchSum) {
   }
 }
 
+TEST(FusionPassTest, LayerWholeOverXHasNoXCollective) {
+  // With every layer weight whole over x (core/replication.h, site 4) the
+  // 2x2 block's only collective is the yz all-reduce. The x ranks' E-block
+  // partials are summed on the chip, between the projections and their
+  // consumers, so the FFN activation stays out of the input matmul's
+  // epilogue while the norm still fuses into every projection and the
+  // int8 quantize into the activation.
+  Replication all{true, true, true};
+  all.x = true;
+  for (FastPathPrecision prec : {kFp32, FastPathPrecision::kInt8}) {
+    BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS2D, AttnSharding::kBatch,
+                                   2, 2, /*fuse_collectives=*/true, prec, all);
+    std::vector<std::string> comms;
+    for (const OpNode& op : g.ops)
+      if (op.kind == OpKind::kComm) comms.push_back(op.tag);
+    EXPECT_EQ(comms, std::vector<std::string>{"block_allreduce"});
+    ASSERT_NE(g.Find("qkv_block_sum"), nullptr);
+    EXPECT_EQ(g.Find("attn")->inputs,
+              std::vector<std::string>{"qkv_block_sum"});
+    ASSERT_NE(g.Find("ffn_block_sum"), nullptr);
+    EXPECT_EQ(g.Find("ffn_act")->inputs,
+              std::vector<std::string>{"ffn_block_sum"});
+    FastPathConfig fc;
+    fc.fuse_ops = true;
+    fc.precision = prec;
+    const FusedPlan plan = FuseBlockGraph(&g, fc);
+    EXPECT_FALSE(plan.act_epilogue);
+    if (prec == kFp32) {
+      EXPECT_TRUE(plan.norm_into_attn);
+      EXPECT_TRUE(plan.norm_into_ffn);
+    } else {
+      EXPECT_TRUE(plan.quantize_fused_norm);
+      EXPECT_TRUE(plan.quantize_fused_act);
+    }
+  }
+  // On one x rank the site changes nothing.
+  BlockGraph one = BuildBlockGraph(TinyTestModel(), kWS1D, AttnSharding::kBatch,
+                                   1, 2, false, kFp32, all);
+  EXPECT_EQ(one.Find("qkv_block_sum"), nullptr);
+  EXPECT_EQ(one.Find("ffn_block_sum"), nullptr);
+}
+
 TEST(FusionPassTest, ParallelBlockFusesNormActivationAndBranchSum) {
   // TinyTestModel: parallel block, gated FFN, MQA. On WS1D with yz > 1 the
   // block allreduce bars the final residual, but the branch sum folds into

@@ -1,8 +1,9 @@
 // Replication is a schedule change only: two engines on the same weights,
 // one on a machine with hop latency 0 (nothing replicated, the paper's
 // layouts) and one at 1 us (the q/k/v columns whole on every yz chip, the
-// logit head whole on chip 0 and -- where the yz axis is one 2-chip axis --
-// wo's rows whole on both yz chips, core/replication.h), produce
+// logit head whole, where the yz axis is one 2-chip axis wo's rows whole on
+// both yz chips, and where X > 1 every layer weight whole over x,
+// core/replication.h), produce
 // bit-identical logits and leave bit-identical KV caches behind, through a
 // ragged step sequence: lone chunks, a chunk riding a decode frame, and
 // decode frames with idle slots.
@@ -79,7 +80,7 @@ class ReplicationIdentityTest
     }
     ASSERT_EQ(paper().replication(), Replication{});
     ASSERT_EQ(replicated().replication(),
-              (Replication{true, true, /*wo=*/p.y * p.z == 2}));
+              (Replication{true, true, /*wo=*/p.y * p.z == 2, /*x=*/p.x > 1}));
   }
 
   DistributedEngine& paper() { return *engines_[0]; }
@@ -154,7 +155,8 @@ TEST_P(ReplicationIdentityTest, RaggedStepsAreBitIdentical) {
 std::vector<IdentityCase> Cases() {
   std::vector<IdentityCase> cases;
   // 2x2x1, 1x2x1 and 2x1x2 replicate wo too (1x2x1 with no x axis, 2x1x2
-  // on the z axis); 2x2x2 and 1x2x2 do not.
+  // on the z axis); 2x2x2 and 1x2x2 do not. 2x2x1, 2x2x2 and 2x1x2 keep
+  // the layers whole over x.
   for (auto mesh : {std::vector<int>{2, 2, 1}, std::vector<int>{2, 2, 2},
                     std::vector<int>{1, 2, 2}, std::vector<int>{1, 2, 1},
                     std::vector<int>{2, 1, 2}})

@@ -1,5 +1,5 @@
 // The latency-aware replication rule (core/replication.h) on its own: where
-// each of its three sites fires, where it never does, what it counts, and
+// each of its four sites fires, where it never does, what it counts, and
 // that the engine, the estimator and the src/plan lowering read the same
 // answer from it.
 #include "core/replication.h"
@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "core/block_cost.h"
 #include "core/flops.h"
@@ -166,6 +167,129 @@ TEST(ReplicationRuleTest, ReplicatedWoBlocksAreTheOldShards) {
   }
 }
 
+TEST(ReplicationRuleTest, ServingBenchModelKeepsLayersWholeOverX) {
+  // Site 4: the other x rank's 516 KiB of a layer (its shard with the
+  // site-1 and site-3 replicas) stream in 0.44 us against the layer's three
+  // x collectives (moments all-reduce, reduce-scatter, all-gather), 3 us of
+  // hops on a 2-chip x axis.
+  const ModelConfig cfg = ServingBenchModel();
+  const Torus3D bench(2, 2, 1);
+  const Replication yz_sites{true, true, true};
+  EXPECT_EQ(XReplicaParams(cfg, bench, yz_sites) * 2.0, 516.0 * 1024);
+  EXPECT_NEAR(TpuV4().MemoryTime(XReplicaParams(cfg, bench, yz_sites) * 2.0),
+              0.44e-6, 0.01e-6);
+  for (const Torus3D& mesh : {Torus3D(2, 2, 1), Torus3D(2, 2, 2),
+                              Torus3D(2, 1, 2), Torus3D(4, 1, 1)}) {
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+      EXPECT_TRUE(ChooseReplication(
+                      cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch, wf),
+                      TpuV4(), kHop)
+                      .x)
+          << mesh.ToString() << " " << ToString(wf);
+      // Head-sharded attention keeps E sharded over x; weight-gathered
+      // layouts move the weights anyway; hop latency 0 buys back nothing.
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kHeads, wf),
+                       TpuV4(), kHop)
+                       .x)
+          << mesh.ToString();
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, FfnLayout::kWGXYZ, AttnSharding::kBatch, wf),
+                       TpuV4(), kHop)
+                       .x)
+          << mesh.ToString();
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch, wf),
+                       TpuV4(), /*hop_latency=*/0)
+                       .x)
+          << mesh.ToString();
+    }
+  }
+  // No x axis, nothing to keep whole over it.
+  EXPECT_FALSE(ChooseReplication(cfg,
+                                 Spec(Torus3D(1, 2, 1), FfnLayout::kWS1D,
+                                      AttnSharding::kBatch),
+                                 TpuV4(), kHop)
+                   .x);
+}
+
+TEST(ReplicationRuleTest, PalmLayersStayShardedOverX) {
+  // A PaLM layer's other x blocks take hundreds of us to stream against a
+  // few us of x hops: 540B on 4x4x4, 62B on its 16 chips.
+  EXPECT_GT(TpuV4().MemoryTime(XReplicaParams(Palm540B(), Torus3D(4, 4, 4),
+                                              Replication{}) *
+                               2.0),
+            300e-6);
+  for (const auto& [cfg, mesh] :
+       {std::pair{Palm540B(), Torus3D(4, 4, 4)},
+        std::pair{Palm62B(), Torus3D(4, 2, 2)},
+        std::pair{Palm62B(), Torus3D(2, 4, 2)}})
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8})
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, FfnLayout::kWS2D, AttnSharding::kBatch, wf),
+                       TpuV4(), kHop)
+                       .x)
+          << cfg.name << " on " << mesh.ToString() << " " << ToString(wf);
+}
+
+TEST(ReplicationRuleTest, XBlocksAreTheOldShards) {
+  // Under site 4 chip (x, j)'s E block g is chip (g, j)'s shard in the
+  // paper's layout -- fp32 elements and, quantized, int8 bytes and column
+  // scales -- and its wo and wout hold every x rank's columns side by side.
+  const ModelConfig cfg = ServingBenchModel();
+  const Torus3D mesh(2, 2, 1);
+  const ModelWeights weights = ModelWeights::Random(cfg, 9);
+  const Replication yz_sites{true, true, true};
+  Replication all = yz_sites;
+  all.x = true;
+  const auto plain = ShardWeights(weights, mesh, yz_sites);
+  const auto wide = ShardWeights(weights, mesh, all);
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  auto same_q = [](const QuantizedTensor& a, const QuantizedTensor& b) {
+    return a.shape == b.shape && a.values == b.values && a.scales == b.scales;
+  };
+  const int64_t Eb = cfg.d_model / mesh.x();
+  for (int c = 0; c < mesh.num_chips(); ++c) {
+    const int yzr = mesh.RankInGroup(c, kAxisY | kAxisZ);
+    const ShardedLayerWeights& lw = wide[static_cast<size_t>(c)].layers[1];
+    const QuantizedLayerShard q = QuantizeLayerShard(lw, cfg.gated_ffn);
+    ASSERT_EQ(lw.in.size(), 2u);
+    ASSERT_EQ(q.in.size(), 2u);
+    for (int g = 0; g < mesh.x(); ++g) {
+      int owner = -1;  // the chip at x rank g and yz rank yzr
+      for (int o = 0; o < mesh.num_chips(); ++o)
+        if (mesh.RankInGroup(o, kAxisX) == g &&
+            mesh.RankInGroup(o, kAxisY | kAxisZ) == yzr)
+          owner = o;
+      const ShardedLayerWeights& old = plain[static_cast<size_t>(owner)].layers[1];
+      ASSERT_EQ(old.in.size(), 1u);
+      const EBlockWeights& nb = lw.in[static_cast<size_t>(g)];
+      const EBlockWeights& ob = old.in[0];
+      for (auto m : {&EBlockWeights::ln_gain, &EBlockWeights::wq,
+                     &EBlockWeights::wk, &EBlockWeights::win,
+                     &EBlockWeights::win_gate})
+        EXPECT_TRUE(same(nb.*m, ob.*m)) << "chip " << c << " block " << g;
+      const QuantizedLayerShard old_q = QuantizeLayerShard(old, cfg.gated_ffn);
+      for (auto m : {&QuantizedEBlock::wq, &QuantizedEBlock::wv,
+                     &QuantizedEBlock::win_gate})
+        EXPECT_TRUE(same_q(q.in[static_cast<size_t>(g)].*m, old_q.in[0].*m))
+            << "chip " << c << " block " << g;
+      // The d_model-output weights' x rank g columns.
+      EXPECT_TRUE(same(lw.wout.Slice(1, g * Eb, Eb), old.wout));
+      for (size_t j = 0; j < 2; ++j)
+        EXPECT_TRUE(same(lw.wo_blocks[j].Slice(1, g * Eb, Eb),
+                         old.wo_blocks[j]));
+      const Tensor old_scales({Eb}, old_q.wout.scales);
+      EXPECT_TRUE(same(Tensor({cfg.d_model}, q.wout.scales).Slice(0, g * Eb, Eb),
+                       old_scales));
+    }
+  }
+}
+
 TEST(ReplicationRuleTest, Palm540BOn4x4x4ReplicatesNeitherSite) {
   // The extra Wq stream is ~88 us per layer, the extra head ~7.7 ms.
   const ModelConfig cfg = Palm540B();
@@ -213,7 +337,8 @@ TEST(ReplicationRuleTest, MultiheadCountsKeyAndValueColumns) {
   const auto plain = ShardWeights(ModelWeights::Random(mha, 3), mesh);
   const auto wide = ShardWeights(ModelWeights::Random(mha, 3), mesh, both);
   auto qkv_params = [](const ShardedLayerWeights& l) {
-    return static_cast<double>(l.wq.numel() + l.wk.numel() + l.wv.numel());
+    return static_cast<double>(l.in[0].wq.numel() + l.in[0].wk.numel() +
+                               l.in[0].wv.numel());
   };
   EXPECT_EQ(qkv_params(wide[0].layers[0]) - qkv_params(plain[0].layers[0]),
             QkvReplicaParams(mha, mesh));
@@ -234,8 +359,10 @@ TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
   for (double hop : {kHop, 0.0}) {
     SCOPED_TRACE(hop);
     const Replication rule = ChooseReplication(cfg, spec, TpuV4(), hop);
-    // Every site fires at 1 us on these meshes, none at 0.
-    EXPECT_EQ(rule, hop > 0 ? (Replication{true, true, true}) : Replication{});
+    // Every site fires at 1 us on these meshes (site 4 where X > 1), none
+    // at 0.
+    EXPECT_EQ(rule, hop > 0 ? (Replication{true, true, true, mesh.x() > 1})
+                            : Replication{});
 
     // Engine: the decision it sharded and scheduled by.
     SimMachine machine(mesh, TpuV4());
@@ -254,7 +381,10 @@ TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
     const plan::LoweredPlan lowered = plan::LowerSpec(cfg, spec, TpuV4(), hop);
     EXPECT_EQ(lowered.block.graph.assignment.qkv_replicated, rule.qkv);
     EXPECT_EQ(lowered.block.graph.assignment.wo_replicated, rule.wo);
+    EXPECT_EQ(lowered.block.graph.assignment.x_replicated, rule.x);
     EXPECT_EQ(lowered.a2a_count, 2 - int{rule.qkv} - int{rule.wo});
+    // No x collective once the layer is whole over x.
+    EXPECT_EQ(lowered.f_collectives > 0, mesh.x() > 1 && !rule.x);
     const CostBreakdown hand =
         LayerCost(cfg, spec, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
     const CostBreakdown derived =
@@ -282,6 +412,8 @@ TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
       weights_per_chip += cfg.num_layers * QkvReplicaParams(cfg, mesh) * 2.0;
     if (rule.wo)
       weights_per_chip += cfg.num_layers * WoReplicaParams(cfg, mesh) * 2.0;
+    if (rule.x)
+      weights_per_chip += cfg.num_layers * XReplicaParams(cfg, mesh, rule) * 2.0;
     if (rule.logit_head) weights_per_chip += HeadReplicaParams(cfg, mesh) * 2.0;
     EXPECT_EQ(step.weight_bytes_per_chip, weights_per_chip);
   }

@@ -36,7 +36,7 @@ class ShardingTest : public ::testing::TestWithParam<ShardCase> {};
 // Reassembles a matrix stored rows-over-x / cols-over-yz.
 Tensor ReassembleRowsXColsYZ(const std::vector<ChipWeights>& chips,
                              const Torus3D& mesh, int64_t layer,
-                             Tensor ShardedLayerWeights::*member,
+                             Tensor EBlockWeights::*member,
                              bool cols_replicated) {
   const int X = mesh.x(), YZ = mesh.y() * mesh.z();
   std::vector<Tensor> row_blocks;
@@ -48,7 +48,7 @@ Tensor ReassembleRowsXColsYZ(const std::vector<ChipWeights>& chips,
         if (mesh.RankInGroup(c, kAxisX) == xr &&
             mesh.RankInGroup(c, kAxisY | kAxisZ) == yzr) {
           col_blocks.push_back(
-              chips[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)].*member);
+              chips[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)].in[0].*member);
           break;
         }
       }
@@ -71,15 +71,15 @@ TEST_P(ShardingTest, ShardsReassembleToFullWeights) {
   const bool kv_replicated = cfg.n_kv_heads() % YZ != 0;
   for (int64_t l = 0; l < cfg.num_layers; ++l) {
     EXPECT_EQ(MaxAbsDiff(ReassembleRowsXColsYZ(chips, mesh, l,
-                                               &ShardedLayerWeights::wq, false),
+                                               &EBlockWeights::wq, false),
                          w.layers[static_cast<size_t>(l)].wq),
               0.0f);
     EXPECT_EQ(MaxAbsDiff(ReassembleRowsXColsYZ(chips, mesh, l,
-                                               &ShardedLayerWeights::wk, kv_replicated),
+                                               &EBlockWeights::wk, kv_replicated),
                          w.layers[static_cast<size_t>(l)].wk),
               0.0f);
     EXPECT_EQ(MaxAbsDiff(ReassembleRowsXColsYZ(chips, mesh, l,
-                                               &ShardedLayerWeights::win, false),
+                                               &EBlockWeights::win, false),
                          w.layers[static_cast<size_t>(l)].win),
               0.0f);
   }
@@ -98,13 +98,14 @@ TEST_P(ShardingTest, PerChipShapes) {
   const bool kv_replicated = KV % YZ != 0;
   for (const auto& chip : chips) {
     const auto& lw = chip.layers[0];
-    EXPECT_EQ(lw.win.shape(), (Shape{E / X, F / YZ}));
+    ASSERT_EQ(lw.in.size(), 1u);
+    EXPECT_EQ(lw.in[0].win.shape(), (Shape{E / X, F / YZ}));
     EXPECT_EQ(lw.wout.shape(), (Shape{F / YZ, E / X}));
-    EXPECT_EQ(lw.wq.shape(), (Shape{E / X, H / YZ * dh}));
+    EXPECT_EQ(lw.in[0].wq.shape(), (Shape{E / X, H / YZ * dh}));
     EXPECT_EQ(lw.wo.shape(), (Shape{H / YZ * dh, E / X}));
     int64_t kv_cols = kv_replicated ? KV * dh : KV / YZ * dh;
-    EXPECT_EQ(lw.wk.shape(), (Shape{E / X, kv_cols}));
-    EXPECT_EQ(lw.ln_gain.shape(), (Shape{E / X}));
+    EXPECT_EQ(lw.in[0].wk.shape(), (Shape{E / X, kv_cols}));
+    EXPECT_EQ(lw.in[0].ln_gain.shape(), (Shape{E / X}));
   }
 }
 
@@ -118,8 +119,8 @@ TEST_P(ShardingTest, TotalShardBytesAccounting) {
   auto chips = ShardWeights(w, mesh);
   int64_t total_win = 0, total_wk = 0;
   for (const auto& chip : chips) {
-    total_win += chip.layers[0].win.numel();
-    total_wk += chip.layers[0].wk.numel();
+    total_win += chip.layers[0].in[0].win.numel();
+    total_wk += chip.layers[0].in[0].wk.numel();
   }
   EXPECT_EQ(total_win, w.layers[0].win.numel());
   const int64_t YZ = mesh.y() * mesh.z();

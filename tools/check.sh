@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI-style check: build + test the Release configuration, then build + test
-# a ThreadSanitizer configuration (-DTSI_TSAN=ON). Run from anywhere:
+# a ThreadSanitizer configuration (-DTSI_TSAN=ON). Every build it makes
+# treats compiler warnings as errors (-Werror). Run from anywhere:
 #
 #   tools/check.sh            # both configs, all tests
 #   TSI_TSAN_TESTS='threadpool_test|determinism_test|threaded_test' tools/check.sh
@@ -63,13 +64,14 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc)"
 
 echo "== Release build =="
-cmake -B "$repo/build-check" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B "$repo/build-check" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$repo/build-check" -j "$jobs"
 ctest --test-dir "$repo/build-check" --output-on-failure -j "$jobs"
 
 echo "== ThreadSanitizer build =="
 cmake -B "$repo/build-check-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DTSI_TSAN=ON >/dev/null
+      -DTSI_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$repo/build-check-tsan" -j "$jobs"
 ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
       ${TSI_TSAN_TESTS:+-R "$TSI_TSAN_TESTS"}
@@ -91,7 +93,7 @@ if [[ "${1:-}" == "asan" ]]; then
   asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DTSI_ASAN=ON >/dev/null
+        -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "$repo/build-check-asan" -j "$jobs" \
         --target ${asan_tests//|/ }
   echo "== AddressSanitizer + UBSan, 8 SPMD slots forced =="
