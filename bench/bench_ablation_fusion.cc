@@ -1,21 +1,10 @@
-// Experiment E20 -- operator fusion on the functional engine's real decode
-// path (§3.5; engine/fastpath.h). Two measurements:
-//
-//   1. The fused decode fast path itself: host wall-clock per decode step
-//      with the fusion pass off vs on, on a PaLM 540B-class shape, with the
-//      bit-identity contract checked inline (fused fp32 logits must equal
-//      the unfused logits exactly) and the fastpath counters reported so
-//      the avoided HBM traffic is visible next to the time.
-//   2. The original E20 kernel ablation: pipelined Looped CollectiveEinsum
-//      (matmul+reduce-scatter) vs sequential, on the virtual clock.
-//
-// Both decode records merge into BENCH_micro.json (TSI_BENCH_JSON to
-// redirect), keyed EngineDecode/fp32 and EngineDecode/fp32-fused, so the
-// perf trajectory records the speedup alongside the kernel benchmarks.
+// Experiment E20 -- operator fusion (§3.5) on the virtual clock: the
+// pipelined Looped CollectiveEinsum (matmul + reduce-scatter) vs the
+// sequential matmul then reduce-scatter. The engine's other fusions
+// (docs/fastpath.md) always run; its decode step is timed by
+// bench_ablation_act_quant (EngineDecode/fp32 and EngineDecode/int8-fused).
 #include "common.h"
 
-#include "fastpath_common.h"
-#include "micro_merge.h"
 #include "sim/collective_einsum.h"
 #include "sim/collectives.h"
 #include "util/rng.h"
@@ -30,57 +19,6 @@ ShardVec RandomShards(int n, Shape shape, uint64_t seed) {
     shards.push_back(Tensor::Gaussian(shape, rng));
   }
   return shards;
-}
-
-void RunEngineAblation() {
-  PrintHeader("Fused decode fast path: real engine, fp32, fusion off vs on");
-  const ModelConfig cfg = Palm540BClassModel();
-  const Torus3D mesh(1, 2, 2);
-  const int64_t B = 16, L = 8;
-  const int steps = 4;
-  std::printf("%s, mesh 1x2x2 (WS-2D decode, batch-sharded attention),\n"
-              "B=%lld, %d timed decode steps after warmup\n",
-              cfg.ToString().c_str(), static_cast<long long>(B), steps);
-
-  ModelWeights weights = ModelWeights::Random(cfg, 42);
-  EngineSpec spec;
-  spec.attn = AttnSharding::kBatch;
-
-  DecodeBenchResult base = RunDecodeBench(weights, spec, mesh, B, L, steps);
-  spec.fastpath.fuse_ops = true;
-  DecodeBenchResult fused = RunDecodeBench(weights, spec, mesh, B, L, steps);
-
-  const float diff = MaxAbsDiff(base.last_logits, fused.last_logits);
-  Table t({"config", "ms/step (host)", "HBM MB/step", "sim us/step",
-           "fused ops", "MB saved"});
-  t.AddRow({"unfused fp32", FormatDouble(base.ms_per_step, 1),
-            FormatDouble(base.hbm_mb_per_step, 1),
-            FormatDouble(base.sim_us_per_step, 1),
-            std::to_string(base.fused_ops), "0"});
-  t.AddRow({"fused fp32", FormatDouble(fused.ms_per_step, 1),
-            FormatDouble(fused.hbm_mb_per_step, 1),
-            FormatDouble(fused.sim_us_per_step, 1),
-            std::to_string(fused.fused_ops),
-            FormatDouble(static_cast<double>(fused.bytes_saved) / 1e6, 1)});
-  t.Print();
-  std::printf("fused-vs-unfused logits max |diff|: %g %s\n", diff,
-              diff == 0.0f ? "(bit-identical, as the contract requires)"
-                           : "(VIOLATION: fused fp32 must be bit-identical)");
-  std::printf("fp32 fusion removes intermediate materialization (MB saved =\n"
-              "activation round trips avoided); the cost model only charges\n"
-              "weight/KV streams, so HBM MB and the sim clock match the\n"
-              "unfused run and host ms stays flat -- the int8 path\n"
-              "(bench_ablation_act_quant) is where streamed bytes drop.\n");
-
-  const double flops = DecodeStepFlops(cfg, B);
-  const std::string shape = std::to_string(cfg.d_model) + "x" +
-                            std::to_string(cfg.d_ff) + "x" + std::to_string(B);
-  MergeIntoBenchJson(
-      BenchJsonPath("BENCH_micro.json"),
-      {{"EngineDecode/fp32", shape, base.ms_per_step * 1e6,
-        flops / (base.ms_per_step * 1e-3) / 1e9},
-       {"EngineDecode/fp32-fused", shape, fused.ms_per_step * 1e6,
-        flops / (fused.ms_per_step * 1e-3) / 1e9}});
 }
 
 void RunCollectiveEinsumAblation() {
@@ -145,7 +83,6 @@ void RunCollectiveEinsumAblation() {
 }  // namespace tsi
 
 int main() {
-  tsi::RunEngineAblation();
   tsi::RunCollectiveEinsumAblation();
   return 0;
 }

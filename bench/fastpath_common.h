@@ -1,7 +1,7 @@
 // Shared harness for the decode fast-path ablation benches: a PaLM
 // 540B-class model at reduced feature scale, plus a host-wall-clock decode
-// timing loop over the *real* functional engine (engine/fastpath.h plans,
-// engine.cc fused kernels), not the analytic model.
+// timing loop over the *real* functional engine (engine.cc's fused block
+// bodies), not the analytic model.
 //
 // The feature shape keeps the 540B proportions that make decode
 // memory-bound -- F = 4E gated FFN, multiquery attention, parallel block --
@@ -13,7 +13,6 @@
 #include <chrono>
 
 #include "engine/engine.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -47,8 +46,6 @@ struct DecodeBenchResult {
   double sim_us_per_step = 0;  // virtual-clock time per timed step
   double hbm_mb_per_step = 0;  // charged HBM traffic per step, all chips
   Tensor last_logits;         // for cross-config bit-identity checks
-  int64_t fused_ops = 0;      // fastpath/fused_ops counter after the run
-  int64_t bytes_saved = 0;    // fastpath/bytes_saved counter after the run
   double kv_modelled_bytes = 0;  // cache TotalBytes at 2 B/elem (bf16 model)
 };
 
@@ -59,9 +56,7 @@ inline DecodeBenchResult RunDecodeBench(const ModelWeights& weights,
                                         const EngineSpec& spec, Torus3D mesh,
                                         int64_t B, int64_t L, int steps) {
   SimMachine machine(mesh, TpuV4());
-  obs::MetricsRegistry metrics;
   DistributedEngine engine(weights, &machine, spec);
-  engine.set_metrics(&metrics);
 
   const int64_t vocab = weights.config.vocab_size;
   engine.Prefill(BenchTokens(B * L, vocab, 11), B);
@@ -85,8 +80,6 @@ inline DecodeBenchResult RunDecodeBench(const ModelWeights& weights,
       std::chrono::duration<double, std::milli>(t1 - t0).count() / steps;
   r.sim_us_per_step = (machine.MaxTime() - sim0) * 1e6 / steps;
   r.hbm_mb_per_step = (hbm_total() - hbm0) / 1e6 / steps;
-  r.fused_ops = metrics.GetCounter("fastpath/fused_ops")->value();
-  r.bytes_saved = metrics.GetCounter("fastpath/bytes_saved")->value();
   r.kv_modelled_bytes = engine.cache().TotalBytes(2.0);
   return r;
 }

@@ -1,14 +1,14 @@
-// Decode fast-path serving demo (engine/fastpath.h + src/serve): the same
-// continuous-batching workload served three ways on the functional engine --
-// baseline fp32, fused fp32, and the end-to-end int8 pipeline -- on the
-// Table 2 mixed layout (weight-gathered prefill, 2D weight-stationary
-// decode, batch-sharded attention) over an 8-chip mesh.
+// Serving on the functional engine's fused block bodies (docs/fastpath.md +
+// src/serve): the same continuous-batching workload served in fp32 and
+// through the end-to-end int8 pipeline, on the Table 2 mixed layout
+// (weight-gathered prefill, 2D weight-stationary decode, batch-sharded
+// attention) over an 8-chip mesh.
 //
-// The demo doubles as the `tools/check.sh fastpath` race check: it exits
-// non-zero unless the fused fp32 run reproduces the baseline's tokens
-// bit-for-bit, so running it under ThreadSanitizer with TSI_SPMD_SLOTS=8
-// checks the fused kernels and the int8 quantize/append paths under real
-// SPMD concurrency.
+// The demo doubles as the `tools/check.sh fastpath` race check: it serves
+// the fp32 workload twice and exits non-zero unless both runs produce the
+// same tokens and finish times, so running it under ThreadSanitizer with
+// TSI_SPMD_SLOTS=8 checks the fused kernels and the int8 quantize/append
+// paths under real SPMD concurrency.
 //
 //   build/examples/fastpath_serving [num_requests]
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include "engine/engine.h"
 #include "hw/chip.h"
 #include "serve/runtime.h"
-#include "util/metrics.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -37,25 +36,19 @@ int main(int argc, char** argv) {
 
   struct RunResult {
     ServeReport report;
-    int64_t fused_ops = 0;
-    int64_t bytes_saved = 0;
     double kv_bytes = 0;
   };
-  auto serve = [&](const FastPathConfig& fastpath) {
+  auto serve = [&](FastPathPrecision precision) {
     SimMachine machine(mesh, TpuV4());
-    obs::MetricsRegistry metrics;
     EngineSpec spec;
     spec.prefill_ffn = FfnLayout::kWGXYZ;  // Table 2's serving mixture
     spec.decode_ffn = FfnLayout::kWS2D;
     spec.attn = AttnSharding::kBatch;
-    spec.fastpath = fastpath;
+    spec.fastpath.precision = precision;
     DistributedEngine engine(weights, &machine, spec);
-    engine.set_metrics(&metrics);
     EngineServeBackend backend(&engine, /*num_slots=*/8, options);
     RunResult r;
     r.report = RunContinuousServing(backend, requests, options);
-    r.fused_ops = metrics.GetCounter("fastpath/fused_ops")->value();
-    r.bytes_saved = metrics.GetCounter("fastpath/bytes_saved")->value();
     // The runtime frees KV slots as requests finish, so probe the cache's
     // per-token footprint with one 8x4 prefill before reading bytes.
     std::vector<int32_t> probe(8 * 4, 1);
@@ -64,47 +57,38 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  FastPathConfig off;
-  FastPathConfig fused;
-  fused.fuse_ops = true;
-  FastPathConfig int8 = fused;
-  int8.precision = FastPathPrecision::kInt8;
-
   std::printf("Continuous serving, %s on a 2x2x2 mesh (WG prefill, WS-2D\n"
               "decode, batch attention), 8 KV slots, %lld requests\n\n",
               model.name.c_str(), static_cast<long long>(count));
-  RunResult base = serve(off);
-  RunResult fast = serve(fused);
-  RunResult quant = serve(int8);
+  RunResult fp32 = serve(FastPathPrecision::kFp32);
+  RunResult again = serve(FastPathPrecision::kFp32);
+  RunResult int8 = serve(FastPathPrecision::kInt8);
 
-  Table t({"config", "tokens", "virtual us", "fused ops", "KB saved",
-           "KV cache KB"});
+  Table t({"config", "tokens", "virtual us", "KV cache KB"});
   for (const auto& [name, r] :
-       {std::pair<const char*, const RunResult*>{"baseline fp32", &base},
-        {"fused fp32", &fast},
-        {"fused int8", &quant}}) {
+       {std::pair<const char*, const RunResult*>{"fp32", &fp32},
+        {"int8", &int8}}) {
     t.AddRow({name, std::to_string(r->report.total_tokens()),
               FormatDouble(r->report.makespan * 1e6, 1),
-              std::to_string(r->fused_ops),
-              FormatDouble(static_cast<double>(r->bytes_saved) / 1e3, 1),
               FormatDouble(r->kv_bytes / 1e3, 2)});
   }
   t.Print();
 
-  // The contract check that makes this a meaningful TSan target: fusion
+  // The contract check that makes this a meaningful TSan target: a rerun
   // must not change a single sampled token or clock edge.
-  bool identical = base.report.requests.size() == fast.report.requests.size();
-  for (size_t i = 0; identical && i < base.report.requests.size(); ++i) {
-    identical = base.report.requests[i].tokens == fast.report.requests[i].tokens &&
-                base.report.requests[i].finished == fast.report.requests[i].finished;
+  bool identical = fp32.report.requests.size() == again.report.requests.size();
+  for (size_t i = 0; identical && i < fp32.report.requests.size(); ++i) {
+    identical =
+        fp32.report.requests[i].tokens == again.report.requests[i].tokens &&
+        fp32.report.requests[i].finished == again.report.requests[i].finished;
   }
-  std::printf("\nfused fp32 vs baseline: %s\n",
-              identical ? "identical tokens and clocks (bit-exact contract holds)"
-                        : "DIVERGED -- fused fp32 must be bit-identical");
-  std::printf("fused int8: %lld tokens on an int8 KV cache at %.2fx the\n"
+  std::printf("\nfp32 rerun: %s\n",
+              identical ? "identical tokens and clocks (deterministic)"
+                        : "DIVERGED -- reruns must be bit-identical");
+  std::printf("int8: %lld tokens on an int8 KV cache at %.2fx the\n"
               "bf16-modelled bytes (docs/fastpath.md states the error bounds;\n"
               "engine_test pins int8 greedy tokens to the fp32 reference).\n",
-              static_cast<long long>(quant.report.total_tokens()),
-              quant.kv_bytes / base.kv_bytes);
+              static_cast<long long>(int8.report.total_tokens()),
+              int8.kv_bytes / fp32.kv_bytes);
   return identical ? 0 : 1;
 }

@@ -8,7 +8,6 @@
 #include "model/attention.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 
 namespace tsi {
 namespace {
@@ -104,32 +103,22 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
     }
   }
   replication_ = ChooseEngineReplication(config_, spec_, *machine_);
+  const bool weight_gathered = spec_.prefill_ffn == FfnLayout::kWGXYZ ||
+                               spec_.decode_ffn == FfnLayout::kWGXYZ;
   if (spec_.weight_format == WeightFormat::kInt8) {
     // Quantize the full matrices before sharding so per-column scales match
     // the unsharded reference; traffic is charged at 1 byte/param.
     ModelWeights rt = weights;
     rt.SimulateInt8Roundtrip();
-    shards_ = ShardWeights(rt, machine->topo(), replication_);
+    shards_ = ShardWeights(rt, machine->topo(), replication_, weight_gathered);
   } else {
-    shards_ = ShardWeights(weights, machine->topo(), replication_);
+    shards_ = ShardWeights(weights, machine->topo(), replication_,
+                           weight_gathered);
   }
   cache_ = ShardedKvCache(n_, config_.num_layers, spec_.attn,
                           spec_.fastpath.int8() ? WeightFormat::kInt8
                                                 : WeightFormat::kBf16,
                           spec_.kv);
-  // Plan the per-layout block fusion up front (engine/fastpath.h): the
-  // graphs encode where collectives bar fusion, so the per-chip block
-  // functions only consult plan flags.
-  auto plan_for = [&](FfnLayout layout) {
-    BlockGraph graph =
-        BuildBlockGraph(config_, layout, spec_.attn, X_, YZ_,
-                        spec_.fuse_collectives, spec_.fastpath.precision,
-                        replication_);
-    return FuseBlockGraph(&graph, spec_.fastpath);
-  };
-  prefill_plan_ = plan_for(spec_.prefill_ffn);
-  decode_plan_ = plan_for(spec_.decode_ffn);
-  active_plan_ = &decode_plan_;
   if (spec_.fastpath.int8()) {
     // Int8 weight shards for the end-to-end int8 matmuls
     // (QuantizeLayerShard: scales over each shard's own rows).
@@ -140,71 +129,37 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
         qshards_[cs].push_back(QuantizeLayerShard(lw, config_.gated_ffn));
     }
   }
-  if (spec_.fastpath.active()) {
-    obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
-    fused_ops_ = m.GetCounter("fastpath/fused_ops");
-    fused_bytes_saved_ = m.GetCounter("fastpath/bytes_saved");
-  }
 }
 
 void DistributedEngine::set_metrics(obs::MetricsRegistry* metrics) {
   cache_.set_metrics(metrics);
-  if (spec_.fastpath.active() && metrics != nullptr) {
-    fused_ops_ = metrics->GetCounter("fastpath/fused_ops");
-    fused_bytes_saved_ = metrics->GetCounter("fastpath/bytes_saved");
-  }
 }
 
-void DistributedEngine::NoteFusion(int64_t fused_kernels, double bytes_saved) {
-  if (fused_ops_ == nullptr) return;
-  if (fused_kernels > 0) fused_ops_->Add(fused_kernels);
-  if (bytes_saved > 0) fused_bytes_saved_->Add(static_cast<int64_t>(bytes_saved));
+void DistributedEngine::ChargeMatMul(int chip, const Tensor& x,
+                                     const Tensor& w, int count) {
+  const double flops =
+      2.0 * count * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
+  machine_->ChargeComputeAndMemory(
+      chip, flops,
+      static_cast<double>(count * w.numel()) * weight_byte_width_);
 }
 
 Tensor DistributedEngine::LocalMatMul(int chip, const Tensor& x, const Tensor& w) {
-  double flops = 2.0 * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(chip, flops,
-                                   static_cast<double>(w.numel()) * weight_byte_width_);
+  ChargeMatMul(chip, x, w);
   return MatMul(x, w);
-}
-
-Tensor DistributedEngine::LocalMatMulGelu(int chip, const Tensor& x,
-                                          const Tensor& w) {
-  double flops = 2.0 * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(chip, flops,
-                                   static_cast<double>(w.numel()) * weight_byte_width_);
-  return MatMulGelu(x, w);
-}
-
-Tensor DistributedEngine::LocalMatMulSwishMulGate(int chip, const Tensor& x,
-                                                  const Tensor& w,
-                                                  const Tensor& w_gate) {
-  // Two projections' worth of compute and weight traffic.
-  double flops = 4.0 * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(
-      chip, flops,
-      static_cast<double>(w.numel() + w_gate.numel()) * weight_byte_width_);
-  return MatMulSwishMulGate(x, w, w_gate);
 }
 
 Tensor DistributedEngine::LocalMatMulNormA(int chip, const Tensor& x,
                                            const RowNormTransform& nt,
                                            const Tensor& w) {
-  double flops = 2.0 * (x.numel() / x.dim(-1)) * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(
-      chip, flops, static_cast<double>(w.numel()) * weight_byte_width_);
-  NoteFusion(1, 0.0);  // the avoided normed tensor is counted once per site
+  ChargeMatMul(chip, x, w);
   return MatMulNormA(x, nt, w);
 }
 
 Tensor DistributedEngine::LocalMatMulNormAGelu(int chip, const Tensor& x,
                                                const RowNormTransform& nt,
                                                const Tensor& w) {
-  const double m = static_cast<double>(x.numel() / x.dim(-1));
-  double flops = 2.0 * m * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(
-      chip, flops, static_cast<double>(w.numel()) * weight_byte_width_);
-  NoteFusion(1, 8.0 * m * static_cast<double>(w.dim(1)));  // pre-act hidden
+  ChargeMatMul(chip, x, w);
   return MatMulNormAGelu(x, nt, w);
 }
 
@@ -213,22 +168,13 @@ Tensor DistributedEngine::LocalMatMulNormASwishMulGate(int chip,
                                                        const RowNormTransform& nt,
                                                        const Tensor& w,
                                                        const Tensor& w_gate) {
-  const double m = static_cast<double>(x.numel() / x.dim(-1));
-  double flops = 4.0 * m * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(
-      chip, flops,
-      static_cast<double>(w.numel() + w_gate.numel()) * weight_byte_width_);
-  NoteFusion(1, 16.0 * m * static_cast<double>(w.dim(1)));  // both hiddens
+  ChargeMatMul(chip, x, w, /*count=*/2);  // w and w_gate share a shape
   return MatMulNormASwishMulGate(x, nt, w, w_gate);
 }
 
 void DistributedEngine::LocalMatMulAccumulate(int chip, const Tensor& x,
                                               const Tensor& w, Tensor* c) {
-  const double m = static_cast<double>(x.numel() / x.dim(-1));
-  double flops = 2.0 * m * w.dim(0) * w.dim(1);
-  machine_->ChargeComputeAndMemory(
-      chip, flops, static_cast<double>(w.numel()) * weight_byte_width_);
-  NoteFusion(1, 8.0 * m * static_cast<double>(w.dim(1)));  // matmul output
+  ChargeMatMul(chip, x, w);
   MatMulAccumulate(x, w, c);
 }
 
@@ -248,7 +194,6 @@ void DistributedEngine::LocalMatMulInt8Accumulate(int chip,
   double flops = 2.0 * static_cast<double>(x.rows()) * w.rows() * w.cols();
   machine_->ChargeComputeAndMemory(chip, flops,
                                    static_cast<double>(w.ByteSize()));
-  NoteFusion(1, 8.0 * static_cast<double>(x.rows() * w.cols()));
   MatMulInt8Accumulate(x, w, c);
 }
 
@@ -352,24 +297,6 @@ Tensor DistributedEngine::SlotAttention(int chip, int64_t layer, const Tensor& q
   return outs.size() == 1 ? std::move(outs[0]) : Tensor::Concat(0, outs);
 }
 
-DistributedEngine::NormInput DistributedEngine::NormForms(
-    const Tensor& x, const Tensor& moments, const Tensor& gain, bool want_nt,
-    bool want_y) const {
-  const double E = static_cast<double>(config_.d_model);
-  NormInput ni;
-  if (want_nt) {
-    ni.nt = moments.empty() ? NormTransformFromRows(x, gain)
-                            : NormTransformFromMoments(moments, gain, E);
-    ni.has_nt = true;
-  }
-  if (want_y) {
-    ni.y = moments.empty() ? LayerNorm(x, gain)
-                           : NormalizeWithMoments(x, moments, gain, E);
-    ni.has_y = true;
-  }
-  return ni;
-}
-
 Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
                                         Tensor v, int64_t layer) {
   const int c = ctx.chip();
@@ -464,10 +391,9 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
 
 void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
                                     int64_t layer) {
-  const FusedPlan& plan = *active_plan_;
   const int c = ctx.chip();
   const bool gated = config_.gated_ffn;
-  const bool int8 = plan.int8;
+  const bool int8 = spec_.fastpath.int8();
   const bool heads = spec_.attn == AttnSharding::kHeads;
   const ShardedLayerWeights& lw =
       shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
@@ -493,16 +419,20 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   const SpmdContext::Extents x_rows =
       heads || !x_comm ? SpmdContext::Extents{} : RowsOverX();
 
-  // The current norm site, per E block, in the forms its consumers read:
-  // fp32 (`ni`: materialized and/or as a pack-time transform) or dynamic
-  // int8 (`yq`). `xcols` holds x's E blocks when there are several.
+  // The current norm site, per E block: fp32 as the transform its
+  // consumers apply while packing their matmul's A panel (no normed tensor
+  // exists), except that the looped FFN input projections read the
+  // materialized normed tensor `y`; int8 normed and quantized in one pass
+  // (`yq`). The forms share the moments, so mixing them is bit-identical to
+  // the unfused composition (tensor/matmul.cc, quant/int8.cc). `xcols`
+  // holds x's E blocks when there are several.
   std::vector<Tensor> xcols;
   auto xblock = [&](int g) -> const Tensor& {
     return nb == 1 ? x : xcols[static_cast<size_t>(g)];
   };
-  std::vector<NormInput> ni(static_cast<size_t>(nb));
+  std::vector<RowNormTransform> nt(static_cast<size_t>(nb));
   std::vector<QuantizedActivations> yq(static_cast<size_t>(nb));
-  bool nt_attn = false, nt_ffn = false;
+  Tensor y;
   auto norm = [&](bool second, bool attn, bool ffn) {
     if (nb > 1) xcols = EBlocks(x, nb);
     // A row split over E blocks (across the x chips or on this one) is
@@ -512,57 +442,39 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       moments = nb == 1 ? RowMoments(x) : SumRowMoments(xcols);
       if (x_comm) moments = ctx.AllReduce(kAxisX, std::move(moments));
     }
-    // fp32: the norm on the A-pack of the consumers that fused it, the
-    // normed tensor for the rest. Int8: one fused norm+quantize pass when
-    // the plan fused them, the two-step composition otherwise --
-    // bit-identical either way (quant/int8.cc).
-    bool want_nt, want_y;
-    if (!int8) {
-      nt_attn = attn && plan.norm_into_attn;
-      nt_ffn = ffn && plan.norm_into_ffn;
-      want_nt = nt_attn || nt_ffn;
-      want_y = (attn && !nt_attn) || (ffn && !nt_ffn);
-    } else {
-      want_nt = plan.quantize_fused_norm;
-      want_y = !want_nt;
-    }
+    const double E = static_cast<double>(config_.d_model);
     for (int g = 0; g < nb; ++g) {
       const auto gi = static_cast<size_t>(g);
-      const EBlockWeights& b = lw.in[gi];
+      const Tensor& gain = second ? lw.in[gi].ln2_gain : lw.in[gi].ln_gain;
       const Tensor& xb = xblock(g);
-      ni[gi] = NormForms(xb, moments, second ? b.ln2_gain : b.ln_gain,
-                         want_nt, want_y);
-      // When every consumer fused the norm, the normed tensor never exists.
-      if (!want_y) NoteFusion(int8 ? 1 : 0, 8.0 * static_cast<double>(xb.numel()));
-      if (int8)
-        yq[gi] = want_nt ? QuantizeNormedInt8(xb, ni[gi].nt)
-                         : QuantizeActivationsInt8(ni[gi].y);
+      if (ffn && looped)
+        y = moments.empty() ? LayerNorm(xb, gain)
+                            : NormalizeWithMoments(xb, moments, gain, E);
+      if (!attn && looped) continue;  // a looped FFN half reads only y
+      nt[gi] = moments.empty() ? NormTransformFromRows(xb, gain)
+                               : NormTransformFromMoments(moments, gain, E);
+      if (int8) yq[gi] = QuantizeNormedInt8(xb, nt[gi]);
     }
   };
 
   using W = const Tensor EBlockWeights::*;
   using W8 = const QuantizedTensor QuantizedEBlock::*;
-  // Projects the norm site through a d_model-input weight: int8, or fp32
-  // with the norm applied on the matmul's A-pack when this site fused it
-  // and from the materialized normed tensor otherwise (the packed values
-  // are identical, tensor/matmul.cc, so the forms mix freely and
-  // bit-exactly). Block g's matmul is the one chip (g, yz rank) runs on its
-  // shard; the blocks' partial sums add in group order, as the
-  // reduce-scatter(x) adds them.
-  auto proj = [&](W w, W8 w8, bool use_nt) {
+  // Projects the norm site through a d_model-input weight, int8 or fp32
+  // with the norm on the A-pack. Block g's matmul is the one chip
+  // (g, yz rank) runs on its shard; the blocks' partial sums add in group
+  // order, as the reduce-scatter(x) adds them.
+  auto proj = [&](W w, W8 w8) {
     auto block = [&](int g) {
       const auto gi = static_cast<size_t>(g);
       if (int8) return LocalMatMulInt8(c, yq[gi], qw->in[gi].*w8);
-      return use_nt ? LocalMatMulNormA(c, xblock(g), ni[gi].nt, lw.in[gi].*w)
-                    : LocalMatMul(c, ni[gi].y, lw.in[gi].*w);
+      return LocalMatMulNormA(c, xblock(g), nt[gi], lw.in[gi].*w);
     };
     Tensor p = block(0);
     for (int g = 1; g < nb; ++g) p.AddInPlace(block(g));
     return p;
   };
-  // a @ w, or *accum += a @ w when the plan folded the sum into the matmul
-  // (then returns an empty tensor). Int8 quantizes `a` unless the caller
-  // already holds it quantized (`aq`).
+  // a @ w, or *accum += a @ w (then returns an empty tensor). Int8
+  // quantizes `a` unless the caller already holds it quantized (`aq`).
   auto matmul_out = [&](const Tensor& a, const QuantizedActivations* aq,
                         const Tensor& w, const QuantizedTensor* w8,
                         Tensor* accum) {
@@ -586,37 +498,21 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
                       WO8 w8, Tensor* accum) {
     return matmul_out(a, aq, lw.*w, int8 ? &(qw->*w8) : nullptr, accum);
   };
-  // FFN hidden when d_ff is whole on-chip (no x collective). One E block:
-  // the projection, the activation and (int8) the quantize fuse per the
-  // plan. Several: the activation runs on the blocks' sum. fp32 returns
-  // the hidden; int8 fills *hq.
+  // FFN hidden when d_ff is whole on-chip (no x collective). One fp32 E
+  // block: the activation rides the input matmul's epilogue. Several: the
+  // activation runs on the blocks' sum. Int8 activates and quantizes in one
+  // pass into *hq; fp32 returns the hidden.
   auto ffn_hidden_local = [&](QuantizedActivations* hq) {
     if (!int8 && nb == 1) {
       const EBlockWeights& b = lw.in[0];
-      if (nt_ffn)
-        return gated ? LocalMatMulNormASwishMulGate(c, x, ni[0].nt, b.win,
-                                                    b.win_gate)
-                     : LocalMatMulNormAGelu(c, x, ni[0].nt, b.win);
-      return gated ? LocalMatMulSwishMulGate(c, ni[0].y, b.win, b.win_gate)
-                   : LocalMatMulGelu(c, ni[0].y, b.win);
+      return gated ? LocalMatMulNormASwishMulGate(c, x, nt[0], b.win,
+                                                  b.win_gate)
+                   : LocalMatMulNormAGelu(c, x, nt[0], b.win);
     }
-    Tensor h1 = proj(&EBlockWeights::win, &QuantizedEBlock::win, nt_ffn), h2;
-    if (gated)
-      h2 = proj(&EBlockWeights::win_gate, &QuantizedEBlock::win_gate, nt_ffn);
+    Tensor h1 = proj(&EBlockWeights::win, &QuantizedEBlock::win), h2;
+    if (gated) h2 = proj(&EBlockWeights::win_gate, &QuantizedEBlock::win_gate);
     if (!int8) return gated ? Swish2(h1).Mul(h2) : Gelu(h1);
-    if (gated) {
-      if (plan.quantize_fused_act) {
-        NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
-        *hq = QuantizeSwishGateInt8(h1, h2);
-      } else {
-        *hq = QuantizeActivationsInt8(Swish2(h1).Mul(h2));
-      }
-    } else if (plan.quantize_fused_act) {
-      NoteFusion(1, 8.0 * static_cast<double>(h1.numel()));
-      *hq = QuantizeGeluInt8(h1);
-    } else {
-      *hq = QuantizeActivationsInt8(Gelu(h1));
-    }
+    *hq = gated ? QuantizeSwishGateInt8(h1, h2) : QuantizeGeluInt8(h1);
     return Tensor();
   };
 
@@ -644,9 +540,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   //   all-gather(x):     kHeads {q, k, v, h} before attention,
   //                      kBatch {attention rows, h} after it
   // (neither when no x collective runs). Returns the summed branch outputs
-  // (partial over yz), or an empty tensor when the plan accumulated them
-  // straight into x. Under site 3 the half runs its yz reduction itself and
-  // sets `reduced`.
+  // (partial over yz), or an empty tensor when they accumulated straight
+  // into x (a serial block with YZ == 1). Under site 3 the half runs its yz
+  // reduction itself and sets `reduced`.
   bool reduced = false;
   auto half = [&](bool second, bool attn, bool ffn) {
     norm(second, attn, ffn);
@@ -654,30 +550,27 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     std::vector<int64_t> rs_dims;
     std::vector<SpmdContext::Extents> rs_rows;
     if (attn) {
-      rs.push_back(proj(&EBlockWeights::wq, &QuantizedEBlock::wq, nt_attn));
-      rs.push_back(proj(&EBlockWeights::wk, &QuantizedEBlock::wk, nt_attn));
-      rs.push_back(proj(&EBlockWeights::wv, &QuantizedEBlock::wv, nt_attn));
+      rs.push_back(proj(&EBlockWeights::wq, &QuantizedEBlock::wq));
+      rs.push_back(proj(&EBlockWeights::wk, &QuantizedEBlock::wk));
+      rs.push_back(proj(&EBlockWeights::wv, &QuantizedEBlock::wv));
       rs_dims.assign(3, qkv_dim);
       rs_rows.assign(3, x_rows);
     }
     if (ffn && looped) {
       // The FFN input projections run pipelined under the same
-      // reduce-scatter(x), on the materialized normed tensor (the plan
-      // never fuses the norm into this site).
+      // reduce-scatter(x), on the materialized normed tensor.
       std::vector<const Tensor*> ws = {&lw.in[0].win};
       if (gated) ws.push_back(&lw.in[0].win_gate);
-      rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims,
-                                       ni[0].y, ws, weight_byte_width_,
-                                       rs_rows);
+      rs = ctx.MatMulReduceScatterMany(kAxisX, std::move(rs), rs_dims, y, ws,
+                                       weight_byte_width_, rs_rows);
     } else {
       if (ffn && x_comm) {
-        rs.push_back(
-            proj(&EBlockWeights::win, &QuantizedEBlock::win, nt_ffn));
+        rs.push_back(proj(&EBlockWeights::win, &QuantizedEBlock::win));
         rs_dims.push_back(1);
         rs_rows.emplace_back();
         if (gated) {
-          rs.push_back(proj(&EBlockWeights::win_gate,
-                            &QuantizedEBlock::win_gate, nt_ffn));
+          rs.push_back(
+              proj(&EBlockWeights::win_gate, &QuantizedEBlock::win_gate));
           rs_dims.push_back(1);
           rs_rows.emplace_back();
         }
@@ -749,10 +642,9 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
             x_comm ? group_rows_
                    : RowsOverYz(ctx.topo().RankInGroup(c, kAxisX)));
       }
-      // A serial block without a yz reduction may fold the residual add
-      // into wo (the plan only sets this when YZ == 1).
-      Tensor* accum =
-          !config_.parallel_block && plan.wo_accumulate ? &x : nullptr;
+      // A serial block without a yz reduction folds the residual add into
+      // wo.
+      Tensor* accum = !config_.parallel_block && YZ_ == 1 ? &x : nullptr;
       out = out_proj(a, nullptr, &ShardedLayerWeights::wo,
                      &QuantizedLayerShard::wo, accum);
     } else if (gather_h) {
@@ -760,17 +652,12 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     }
 
     if (ffn) {
-      WO wout = &ShardedLayerWeights::wout;
-      WO8 wout8 = &QuantizedLayerShard::wout;
-      if (plan.wout_accumulate) {
-        // §3.4 branch sum (parallel) or residual add (serial, YZ == 1)
-        // folded into wout's accumulate epilogue.
-        out_proj(h, hqp, wout, wout8, attn ? &out : &x);
-      } else if (attn) {
-        out.AddInPlace(out_proj(h, hqp, wout, wout8, nullptr));
-      } else {
-        out = out_proj(h, hqp, wout, wout8, nullptr);
-      }
+      // §3.4 branch sum (parallel) or residual add (serial, YZ == 1)
+      // folded into wout's accumulate epilogue.
+      Tensor* accum = attn ? &out : YZ_ == 1 ? &x : nullptr;
+      Tensor f = out_proj(h, hqp, &ShardedLayerWeights::wout,
+                          &QuantizedLayerShard::wout, accum);
+      if (accum == nullptr) out = std::move(f);
     }
     return out;
   };
@@ -871,12 +758,11 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
   const Tensor& wout = w[iout];
 
   const int64_t H = config_.n_heads, KV = config_.n_kv_heads(), dh = config_.d_head;
-  const FusedPlan& plan = *active_plan_;
-  const bool fused = plan.wo_accumulate;  // WG fuses all-or-nothing
 
-  // Projections through the gathered (full) matrices; KV appends go through
-  // AppendKv so an int8-precision cache narrows even on this fp32 path.
-  auto run_attn_fused = [&](const RowNormTransform& nt) {
+  // Projections through the gathered (full) matrices, each norm applied on
+  // the A-pack; KV appends go through AppendKv so an int8-precision cache
+  // narrows even on this fp32 path.
+  auto run_attn = [&](const RowNormTransform& nt) {
     Tensor q = LocalMatMulNormA(c, x, nt, wq).Reshape({rows, H, dh});
     Tensor k = LocalMatMulNormA(c, x, nt, wk).Reshape({rows, KV, dh});
     Tensor v = LocalMatMulNormA(c, x, nt, wv).Reshape({rows, KV, dh});
@@ -884,64 +770,26 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
     return SlotAttention(c, layer, q, static_cast<double>(H))
         .Reshape({rows, H * dh});
   };
-  auto run_attn = [&](const Tensor& y) {
-    Tensor q = LocalMatMul(c, y, wq).Reshape({rows, H, dh});
-    Tensor k = LocalMatMul(c, y, wk).Reshape({rows, KV, dh});
-    Tensor v = LocalMatMul(c, y, wv).Reshape({rows, KV, dh});
-    AppendKv(c, layer, k, v);
-    Tensor attn = SlotAttention(c, layer, q, static_cast<double>(H));
-    return LocalMatMul(c, attn.Reshape({rows, H * dh}), wo);
-  };
-  auto run_ffn = [&](const Tensor& y) {
-    Tensor h = config_.gated_ffn ? LocalMatMulSwishMulGate(c, y, win, wgate)
-                                 : LocalMatMulGelu(c, y, win);
-    return LocalMatMul(c, h, wout);
+  auto run_ffn_hidden = [&](const RowNormTransform& nt) {
+    return config_.gated_ffn
+               ? LocalMatMulNormASwishMulGate(c, x, nt, win, wgate)
+               : LocalMatMulNormAGelu(c, x, nt, win);
   };
 
-  if (fused) {
-    // Every read of x happens through a norm transform captured before the
-    // accumulates mutate x, so the fused path reproduces the unfused order
-    // x + attn_out + ffn_out exactly.
-    if (config_.parallel_block) {
-      RowNormTransform nt = NormTransformFromRows(x, ln);
-      NoteFusion(0, 8.0 * static_cast<double>(x.numel()));
-      Tensor attn = run_attn_fused(nt);
-      Tensor h = config_.gated_ffn
-                     ? LocalMatMulNormASwishMulGate(c, x, nt, win, wgate)
-                     : LocalMatMulNormAGelu(c, x, nt, win);
-      LocalMatMulAccumulate(c, attn, wo, &x);
-      LocalMatMulAccumulate(c, h, wout, &x);
-    } else {
-      {
-        RowNormTransform nt = NormTransformFromRows(x, ln);
-        NoteFusion(0, 8.0 * static_cast<double>(x.numel()));
-        Tensor attn = run_attn_fused(nt);
-        LocalMatMulAccumulate(c, attn, wo, &x);
-      }
-      {
-        RowNormTransform nt2 = NormTransformFromRows(x, ln2);
-        NoteFusion(0, 8.0 * static_cast<double>(x.numel()));
-        Tensor h = config_.gated_ffn
-                       ? LocalMatMulNormASwishMulGate(c, x, nt2, win, wgate)
-                       : LocalMatMulNormAGelu(c, x, nt2, win);
-        LocalMatMulAccumulate(c, h, wout, &x);
-      }
-    }
+  // Every read of x happens through a norm transform captured before the
+  // accumulates mutate x, so the block computes x + attn_out + ffn_out in
+  // that order.
+  const RowNormTransform nt = NormTransformFromRows(x, ln);
+  Tensor attn = run_attn(nt);
+  if (config_.parallel_block) {
+    Tensor h = run_ffn_hidden(nt);
+    LocalMatMulAccumulate(c, attn, wo, &x);
+    LocalMatMulAccumulate(c, h, wout, &x);
     return;
   }
-
-  if (config_.parallel_block) {
-    Tensor y = LayerNorm(x, ln);
-    Tensor oa = run_attn(y);
-    Tensor of = run_ffn(y);
-    x.AddInPlace(oa);
-    x.AddInPlace(of);
-  } else {
-    Tensor oa = run_attn(LayerNorm(x, ln));
-    x.AddInPlace(oa);
-    Tensor of = run_ffn(LayerNorm(x, ln2));
-    x.AddInPlace(of);
-  }
+  LocalMatMulAccumulate(c, attn, wo, &x);
+  Tensor h = run_ffn_hidden(NormTransformFromRows(x, ln2));
+  LocalMatMulAccumulate(c, h, wout, &x);
 }
 
 Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
@@ -950,9 +798,6 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
   const FfnLayout layout =
       phase == StepPhase::kDecode ? spec_.decode_ffn : spec_.prefill_ffn;
   const int64_t E = config_.d_model, V = config_.vocab_size;
-  // Single-threaded here (before spmd_.Run): select the fusion plan for the
-  // phase this layout executes.
-  active_plan_ = layout == spec_.decode_ffn ? &decode_plan_ : &prefill_plan_;
 
   StepFrame frame = LayOutStep(lanes);
   group_rows_ = std::move(frame.group_rows);

@@ -60,7 +60,6 @@
 #include <vector>
 
 #include "core/layouts.h"
-#include "engine/fastpath.h"
 #include "engine/kvcache.h"
 #include "engine/sharding.h"
 #include "model/weights.h"
@@ -70,9 +69,22 @@
 namespace tsi {
 
 namespace obs {
-class Counter;
 class MetricsRegistry;
 }  // namespace obs
+
+enum class FastPathPrecision {
+  kFp32,  // fp32 compute
+  kInt8,  // int8 weights + dynamic per-row int8 activations + int8 KV cache
+};
+
+// The engine's numeric precision (docs/fastpath.md). Operator fusion is not
+// a setting: the block bodies always run the fused kernels their collectives
+// allow.
+struct FastPathConfig {
+  FastPathPrecision precision = FastPathPrecision::kFp32;
+
+  bool int8() const { return precision == FastPathPrecision::kInt8; }
+};
 
 struct EngineSpec {
   FfnLayout prefill_ffn = FfnLayout::kWS2D;
@@ -85,11 +97,10 @@ struct EngineSpec {
   // ring steps pipeline under chunked matmuls. Numerically identical (tests assert it); the
   // virtual clock charges the pipelined schedule instead of compute + comm.
   bool fuse_collectives = false;
-  // Decode fast path (engine/fastpath.h, docs/fastpath.md): operator fusion
-  // (fp32-bit-identical, memory-traffic only) and/or the end-to-end int8
-  // pipeline (int8 weight shards, dynamic int8 activations, int8 KV cache).
-  // Applies to both phases' weight-stationary block execution;
-  // weight-gathered blocks keep fp32 compute but share the int8 KV cache.
+  // fp32, or the end-to-end int8 pipeline (int8 weight shards, dynamic
+  // int8 activations, int8 KV cache; docs/fastpath.md). Applies to both
+  // phases' weight-stationary block execution; weight-gathered blocks keep
+  // fp32 compute but share the int8 KV cache.
   FastPathConfig fastpath;
   // Paged KV cache knobs (engine/kvcache.h): the allocation page size.
   // Every page size is bit-identical to every other.
@@ -183,15 +194,10 @@ class DistributedEngine {
   SpmdExecutor& spmd() { return spmd_; }
   const ModelConfig& config() const { return config_; }
   const ShardedKvCache& cache() const { return cache_; }
-  // The fusion plans the engine executes per phase layout (tests inspect
-  // them; ToString(plan) is human-readable).
-  const FusedPlan& prefill_plan() const { return prefill_plan_; }
-  const FusedPlan& decode_plan() const { return decode_plan_; }
   // What the replication rule kept whole (core/replication.h).
   const Replication& replication() const { return replication_; }
-  // Routes the cache's "kv/" metrics and the engine's "fastpath/" counters
-  // to an isolated registry (tests; the default sink is
-  // MetricsRegistry::Global()).
+  // Routes the cache's "kv/" metrics to an isolated registry (tests; the
+  // default sink is MetricsRegistry::Global()).
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -217,9 +223,9 @@ class DistributedEngine {
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
   // Weight-stationary block over this chip's activation shard: [rows, E/X],
   // or [x slice rows, E] when the layer is whole over x (site 4); one
-  // collective per mesh axis per program point. fp32, or (per the
-  // active plan) int8 weight shards with dynamic per-row int8 activations
-  // and fp32 accumulation; fusion per the active plan.
+  // collective per mesh axis per program point. fp32, or int8 weight
+  // shards with dynamic per-row int8 activations and fp32 accumulation;
+  // every fusion the block's collectives allow (docs/fastpath.md).
   void WsBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer);
   // Fully local block over the chip's group rows with gathered weights.
   void WgBlockChip(SpmdContext& ctx, Tensor& x, int64_t layer);
@@ -235,34 +241,17 @@ class DistributedEngine {
   Tensor AttentionChip(SpmdContext& ctx, Tensor q, Tensor k, Tensor v,
                        int64_t layer);
 
-  // One norm site's output for one E block `x` of the rows, in whichever
-  // forms its consumers need: a pack-time transform (`nt`, for matmuls that
-  // fuse the norm) and/or the materialized normed tensor (`y`). From the
-  // block's own rows when it is the whole row (`moments` empty), else from
-  // the rows' moments summed over every E block -- the same moments for
-  // every form, so mixing them per consumer is bit-identical to the unfused
-  // composition.
-  struct NormInput {
-    Tensor y;
-    RowNormTransform nt;
-    bool has_y = false;
-    bool has_nt = false;
-  };
-  NormInput NormForms(const Tensor& x, const Tensor& moments,
-                      const Tensor& gain, bool want_nt, bool want_y) const;
-
   // Appends this chip's step rows k/v [rows, kv, dh] in the cache's storage
   // format (quantizing to int8 per (position, head) when the cache is int8).
   void AppendKv(int chip, int64_t layer, const Tensor& k, const Tensor& v);
 
+  // Local matmuls, charged at the weight footprint they stream: fp32 ones
+  // with the fused prologues and epilogues of docs/fastpath.md (the charges
+  // are a function of shapes, not of fusion), int8 ones at the quantized
+  // weight footprint (the §3.6 byte win).
   Tensor LocalMatMul(int chip, const Tensor& x, const Tensor& w);
-  // Fused matmul+activation hot paths; charge exactly like the LocalMatMul
-  // calls they replace (flops/bytes are a function of shapes, not fusion).
-  Tensor LocalMatMulGelu(int chip, const Tensor& x, const Tensor& w);
-  Tensor LocalMatMulSwishMulGate(int chip, const Tensor& x, const Tensor& w,
-                                 const Tensor& w_gate);
-  // Fused-prologue/epilogue variants (decode fast path); same charges as
-  // their unfused counterparts, plus fastpath metric accounting.
+  // Charges `count` matmuls of x through weights shaped like `w`.
+  void ChargeMatMul(int chip, const Tensor& x, const Tensor& w, int count = 1);
   Tensor LocalMatMulNormA(int chip, const Tensor& x,
                           const RowNormTransform& nt, const Tensor& w);
   Tensor LocalMatMulNormAGelu(int chip, const Tensor& x,
@@ -272,17 +261,10 @@ class DistributedEngine {
                                       const Tensor& w, const Tensor& w_gate);
   void LocalMatMulAccumulate(int chip, const Tensor& x, const Tensor& w,
                              Tensor* c);
-  // Int8 matmuls charge the quantized weight footprint (the §3.6 byte win).
   Tensor LocalMatMulInt8(int chip, const QuantizedActivations& x,
                          const QuantizedTensor& w);
   void LocalMatMulInt8Accumulate(int chip, const QuantizedActivations& x,
                                  const QuantizedTensor& w, Tensor* c);
-  // Fastpath metric accounting: `fused_kernels` fused calls issued,
-  // `bytes_saved` = 8 bytes (fp32 write + read) per element of each fp32
-  // intermediate the fusion avoided materializing. No-op when the fast path
-  // is inactive; deterministic for any SPMD slot count (a pure function of
-  // the ops executed).
-  void NoteFusion(int64_t fused_kernels, double bytes_saved);
 
   // Runs SDPA per lane of `q` ([rows, heads, dh], the chip's step lanes
   // back to back at their declared widths) against each lane's cached slot
@@ -307,15 +289,7 @@ class DistributedEngine {
   ShardedKvCache cache_;
   double weight_byte_width_;  // 2 (bf16) or 1 (int8) for traffic charging
   int X_, YZ_, n_;
-  FusedPlan prefill_plan_, decode_plan_;
-  // Set (single-threaded) by Step before entering the SPMD region.
-  const FusedPlan* active_plan_ = nullptr;
   std::vector<int64_t> group_rows_;  // StepFrame::group_rows
-  // Fastpath counters; created eagerly in the ctor (never from SPMD
-  // closures) and only when the fast path is active, so baseline metric
-  // exports carry no fastpath entries.
-  obs::Counter* fused_ops_ = nullptr;
-  obs::Counter* fused_bytes_saved_ = nullptr;
   SpmdExecutor spmd_;
 };
 

@@ -28,7 +28,8 @@ Tensor Cut(const Tensor& v, int64_t i0, int64_t n) {
 
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Torus3D& mesh,
-                                      const Replication& replicate) {
+                                      const Replication& replicate,
+                                      bool weight_gathered) {
   const ModelConfig& cfg = weights.config;
   const int X = mesh.x();
   const int YZ = mesh.y() * mesh.z();
@@ -53,7 +54,10 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
     if (chip == 0) cw.embedding = weights.embedding;
     cw.final_ln_gain = weights.final_ln_gain;
-    cw.head = head;
+    const bool head_rank = replicate.x
+                               ? mesh.RankInGroup(chip, kAxisY | kAxisZ) == 0
+                               : chip == 0;
+    if (weight_gathered || (!shard_head && head_rank)) cw.head = head;
     if (shard_head)
       cw.head_shard =
           Cut(head, 0, E, mesh.RankInGroup(chip, kAxisXYZ) * (V / n), V / n);

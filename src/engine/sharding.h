@@ -58,7 +58,8 @@ struct ChipWeights {
   Tensor embedding;      // [vocab, E], on chip 0 only: the step's lookup
   Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
   // The logit head: the embedding transposed once, at sharding time.
-  Tensor head;        // [E, vocab], the whole head (replicated)
+  Tensor head;        // [E, vocab], the whole head, on the chips that apply
+                      // it (ShardWeights); empty elsewhere
   Tensor head_shard;  // [E, vocab/n]: this chip's xyz-rank vocab columns
                       // when the weight-stationary head is sharded; empty
                       // when it runs whole (one chip, a vocab that does not
@@ -66,11 +67,15 @@ struct ChipWeights {
 };
 
 // Slices `weights` for every chip of `mesh`, replicating what `replicate`
-// says. Requires d_model % X == 0, d_ff % YZ == 0, n_heads % YZ == 0 (and
-// n_kv_heads % YZ == 0 for multihead).
+// says. The whole logit head goes only to the chips that apply it: every
+// chip when some phase runs weight-gathered (`weight_gathered`); otherwise,
+// unless the head is vocab-sharded, chip 0 -- or, under site 4, each x
+// slice's yz-rank-0 chip. Requires d_model % X == 0, d_ff % YZ == 0,
+// n_heads % YZ == 0 (and n_kv_heads % YZ == 0 for multihead).
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Torus3D& mesh,
-                                      const Replication& replicate = {});
+                                      const Replication& replicate = {},
+                                      bool weight_gathered = false);
 
 // One layer shard's int8 weights (the end-to-end int8 path): per-column
 // scales over the shard's own rows, so a replicated column, a replicated

@@ -23,7 +23,7 @@ namespace tsi {
 namespace {
 
 enum class Layout { kWs2dBatch, kWs2dHeads, kWs1d, kWgXyz };
-enum class Precision { kFp32, kFp32Fused, kInt8 };
+enum class Precision { kFp32, kInt8 };
 
 struct GoldenCase {
   Layout layout;
@@ -75,7 +75,7 @@ Torus3D MeshFor(const GoldenCase& p) {
 
 std::string Name(const GoldenCase& p) {
   static const char* kLayout[] = {"ws2d_batch", "ws2d_heads", "ws1d", "wgxyz"};
-  static const char* kPrec[] = {"fp32", "fp32fused", "int8"};
+  static const char* kPrec[] = {"fp32", "int8"};
   std::string s = kLayout[static_cast<int>(p.layout)];
   s += std::string("_") + kPrec[static_cast<int>(p.precision)];
   s += p.parallel ? "_parallel" : "_serial";
@@ -91,37 +91,15 @@ struct Observed {
   std::string tokens;
 };
 
-Observed RunCase(const GoldenCase& p) {
-  ModelConfig cfg = p.parallel ? TinyTestModel() : TinyTestModelMultihead();
+// Prefill `batch` prompts of 4 tokens, then three greedy decode steps.
+Observed RunEngine(const ModelConfig& cfg, const Torus3D& mesh,
+                   const EngineSpec& spec, int64_t batch) {
   ModelWeights weights = ModelWeights::Random(cfg, 42);
-  SimMachine machine(MeshFor(p), TpuV4());
-  EngineSpec spec;
-  switch (p.layout) {
-    case Layout::kWs2dBatch:
-      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS2D;
-      spec.attn = AttnSharding::kBatch;
-      break;
-    case Layout::kWs2dHeads:
-      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS2D;
-      spec.attn = AttnSharding::kHeads;
-      break;
-    case Layout::kWs1d:
-      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS1D;
-      spec.attn = AttnSharding::kBatch;
-      break;
-    case Layout::kWgXyz:
-      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWGXYZ;
-      spec.attn = AttnSharding::kBatch;
-      break;
-  }
-  spec.fuse_collectives = p.fuse_collectives;
-  spec.fastpath.fuse_ops = p.precision != Precision::kFp32;
-  if (p.precision == Precision::kInt8)
-    spec.fastpath.precision = FastPathPrecision::kInt8;
+  SimMachine machine(mesh, TpuV4());
   DistributedEngine engine(weights, &machine, spec);
   engine.spmd().set_slots(4);
 
-  const int64_t B = p.batch, L = 4;
+  const int64_t B = batch, L = 4;
   Rng rng(7);
   std::vector<int32_t> prompt(static_cast<size_t>(B * L));
   for (auto& t : prompt)
@@ -142,17 +120,49 @@ Observed RunCase(const GoldenCase& p) {
   return o;
 }
 
+// The row as it should read, for a failure message.
+std::string Row(const Observed& o) {
+  std::ostringstream row;
+  row << "0x" << std::hex << o.prefill_hash << "ull, 0x" << o.decode_hash
+      << "ull, \"" << o.tokens << "\"";
+  return row.str();
+}
+
+Observed RunCase(const GoldenCase& p) {
+  ModelConfig cfg = p.parallel ? TinyTestModel() : TinyTestModelMultihead();
+  EngineSpec spec;
+  switch (p.layout) {
+    case Layout::kWs2dBatch:
+      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS2D;
+      spec.attn = AttnSharding::kBatch;
+      break;
+    case Layout::kWs2dHeads:
+      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS2D;
+      spec.attn = AttnSharding::kHeads;
+      break;
+    case Layout::kWs1d:
+      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWS1D;
+      spec.attn = AttnSharding::kBatch;
+      break;
+    case Layout::kWgXyz:
+      spec.prefill_ffn = spec.decode_ffn = FfnLayout::kWGXYZ;
+      spec.attn = AttnSharding::kBatch;
+      break;
+  }
+  spec.fuse_collectives = p.fuse_collectives;
+  if (p.precision == Precision::kInt8)
+    spec.fastpath.precision = FastPathPrecision::kInt8;
+  return RunEngine(cfg, MeshFor(p), spec, p.batch);
+}
+
 class EngineGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(EngineGoldenTest, LogitsAndTokensMatchRecordedValues) {
   const GoldenCase& p = GetParam();
   Observed o = RunCase(p);
-  std::ostringstream row;
-  row << "0x" << std::hex << o.prefill_hash << "ull, 0x" << o.decode_hash
-      << "ull, \"" << o.tokens << "\"";
-  EXPECT_EQ(o.prefill_hash, p.prefill_hash) << Name(p) << ": " << row.str();
-  EXPECT_EQ(o.decode_hash, p.decode_hash) << Name(p) << ": " << row.str();
-  EXPECT_EQ(o.tokens, p.tokens) << Name(p) << ": " << row.str();
+  EXPECT_EQ(o.prefill_hash, p.prefill_hash) << Name(p) << ": " << Row(o);
+  EXPECT_EQ(o.decode_hash, p.decode_hash) << Name(p) << ": " << Row(o);
+  EXPECT_EQ(o.tokens, p.tokens) << Name(p) << ": " << Row(o);
 }
 
 constexpr auto kB = Layout::kWs2dBatch;
@@ -160,7 +170,6 @@ constexpr auto kH = Layout::kWs2dHeads;
 constexpr auto k1 = Layout::kWs1d;
 constexpr auto kG = Layout::kWgXyz;
 constexpr auto kF = Precision::kFp32;
-constexpr auto kFF = Precision::kFp32Fused;
 constexpr auto kI = Precision::kInt8;
 
 // {layout, precision, parallel, 8 chips, looped, batch, prefill, decode, tokens}
@@ -174,14 +183,6 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{kB, kF, false, false, false, 8, 0x5d6af85e58d59873ull, 0xf35c30c54fdf7b7eull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kB, kF, false, true, false, 8, 0xa861d28fd3d4993dull, 0x3d4718b915a4c59eull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kB, kFF, true, false, false, 8, 0x3e28957bc2317c60ull, 0xe2473d441e99e5d4ull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kB, kFF, true, true, false, 8, 0xd3ede5a49a5eaf7cull, 0x36f4db9d3ef873f7ull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kB, kFF, false, false, false, 8, 0x5d6af85e58d59873ull, 0xf35c30c54fdf7b7eull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kB, kFF, false, true, false, 8, 0xa861d28fd3d4993dull, 0x3d4718b915a4c59eull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kB, kI, true, false, false, 8, 0x26c50a234ebb8431ull, 0x4e211b1caafe5547ull,
             "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
@@ -199,14 +200,6 @@ INSTANTIATE_TEST_SUITE_P(
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kH, kF, false, true, false, 8, 0xa861d28fd3d4993dull, 0x3d4718b915a4c59eull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kH, kFF, true, false, false, 8, 0x3e28957bc2317c60ull, 0xe2473d441e99e5d4ull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kH, kFF, true, true, false, 8, 0xd3ede5a49a5eaf7cull, 0x36f4db9d3ef873f7ull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kH, kFF, false, false, false, 8, 0x5d6af85e58d59873ull, 0xf35c30c54fdf7b7eull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kH, kFF, false, true, false, 8, 0xa861d28fd3d4993dull, 0x3d4718b915a4c59eull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kH, kI, true, false, false, 8, 0x26c50a234ebb8431ull, 0x4e211b1caafe5547ull,
             "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
         GoldenCase{kH, kI, true, true, false, 8, 0xe813b3510e4b929bull, 0xa653374341f58d41ull,
@@ -223,14 +216,6 @@ INSTANTIATE_TEST_SUITE_P(
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{k1, kF, false, true, false, 8, 0xefd9aee9fe2f9d1dull, 0x2e714f4b86f3bee1ull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{k1, kFF, true, false, false, 8, 0xd299d6c869faeb38ull, 0x6b5ffeb8675e05f0ull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{k1, kFF, true, true, false, 8, 0x8f7c2cc5e6d58f33ull, 0x8842e0114e144adcull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{k1, kFF, false, false, false, 8, 0x6d881317697cda32ull, 0xa9916eb8580677fdull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{k1, kFF, false, true, false, 8, 0xefd9aee9fe2f9d1dull, 0x2e714f4b86f3bee1ull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{k1, kI, true, false, false, 8, 0x6d192c9a1dcc38bdull, 0x818baa0373290f7dull,
             "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
         GoldenCase{k1, kI, true, true, false, 8, 0xf3b8455e740b0b16ull, 0x3e26912b312227f7ull,
@@ -246,14 +231,6 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{kG, kF, false, false, false, 8, 0x9dbbd2e2bda412b2ull, 0x807e39cf9b85c5b7ull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kG, kF, false, true, false, 8, 0x9dbbd2e2bda412b2ull, 0x807e39cf9b85c5b7ull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kG, kFF, true, false, false, 8, 0xa90014d47e0c78feull, 0x36316a74834b1dceull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kG, kFF, true, true, false, 8, 0xa90014d47e0c78feull, 0x36316a74834b1dceull,
-            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
-        GoldenCase{kG, kFF, false, false, false, 8, 0x9dbbd2e2bda412b2ull, 0x807e39cf9b85c5b7ull,
-            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
-        GoldenCase{kG, kFF, false, true, false, 8, 0x9dbbd2e2bda412b2ull, 0x807e39cf9b85c5b7ull,
             "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
         GoldenCase{kG, kI, true, false, false, 8, 0xbd0db64f14c692e1ull, 0x3a427c62d2dfd0edull,
             "55,29,61,32,42,37,48,23,49,56,57,63,49,48,0,50,55,57,57,50,0,10,62,43,49,61,57,1,23,14,55,52"},
@@ -289,6 +266,94 @@ INSTANTIATE_TEST_SUITE_P(
             "2,2,2,2"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return Name(info.param);
+    });
+
+// Meshes and phase mixes outside the grid above: a single chip,
+// head-sharded attention on yz only, x = 4 with the looped FFN input
+// projections, grouped-query heads, and weight-gathered prefill ahead of
+// weight-stationary decode. Every row runs the whole model (prefill_ffn for
+// Prefill, decode_ffn for DecodeStep).
+struct MeshCase {
+  int x, y, z;
+  FfnLayout prefill_ffn, decode_ffn;
+  AttnSharding attn;
+  int variant;  // 0: MQA parallel, 1: MHA serial, 2: GQA parallel
+  bool fuse_collectives;
+  bool int8;
+  uint64_t prefill_hash;
+  uint64_t decode_hash;
+  const char* tokens;
+};
+
+std::string MeshName(const MeshCase& p) {
+  std::string s = std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
+                  std::to_string(p.z) + "_v" + std::to_string(p.variant);
+  if (p.prefill_ffn == FfnLayout::kWGXYZ) s += "_wg";
+  if (p.attn == AttnSharding::kBatch) s += "_batch";
+  if (p.fuse_collectives) s += "_looped";
+  s += p.int8 ? "_int8" : "_fp32";
+  return s;
+}
+
+class EngineGoldenMeshTest : public ::testing::TestWithParam<MeshCase> {};
+
+TEST_P(EngineGoldenMeshTest, LogitsAndTokensMatchRecordedValues) {
+  const MeshCase& p = GetParam();
+  static const ModelConfig kVariant[] = {
+      TinyTestModel(), TinyTestModelMultihead(), TinyTestModelGrouped()};
+  EngineSpec spec;
+  spec.prefill_ffn = p.prefill_ffn;
+  spec.decode_ffn = p.decode_ffn;
+  spec.attn = p.attn;
+  spec.fuse_collectives = p.fuse_collectives;
+  if (p.int8) spec.fastpath.precision = FastPathPrecision::kInt8;
+  Observed o = RunEngine(kVariant[p.variant], Torus3D(p.x, p.y, p.z), spec, 8);
+  EXPECT_EQ(o.prefill_hash, p.prefill_hash) << MeshName(p) << ": " << Row(o);
+  EXPECT_EQ(o.decode_hash, p.decode_hash) << MeshName(p) << ": " << Row(o);
+  EXPECT_EQ(o.tokens, p.tokens) << MeshName(p) << ": " << Row(o);
+}
+
+constexpr auto kWS1D = FfnLayout::kWS1D;
+constexpr auto kWS2D = FfnLayout::kWS2D;
+constexpr auto kWG = FfnLayout::kWGXYZ;
+constexpr auto kHeads = AttnSharding::kHeads;
+constexpr auto kBatch = AttnSharding::kBatch;
+
+// {x, y, z, prefill, decode, attn, variant, looped, int8, prefill, decode,
+//  tokens}
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, EngineGoldenMeshTest,
+    ::testing::Values(
+        MeshCase{1, 1, 1, kWS1D, kWS1D, kHeads, 0, false, false, 0x422c70acec9d27d8ull, 0x51c71360ab1b16c7ull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{1, 1, 1, kWS1D, kWS1D, kHeads, 0, false, true, 0x5774c1a2923132d1ull, 0xc6161a5545f0554dull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,42,14,62,52"},
+        MeshCase{1, 1, 1, kWS1D, kWS1D, kHeads, 1, false, false, 0x9dbbd2e2bda412b2ull, 0x807e39cf9b85c5b7ull,
+            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
+        MeshCase{1, 1, 1, kWS1D, kWS1D, kHeads, 1, false, true, 0x32efd8007ed8afe0ull, 0x46c158ca8802eab4ull,
+            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,34,53,36,17,15,36"},
+        MeshCase{1, 2, 2, kWS1D, kWS1D, kHeads, 0, false, false, 0xd299d6c869faeb38ull, 0x6b5ffeb8675e05f0ull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{1, 2, 2, kWS1D, kWS1D, kHeads, 0, false, true, 0x6d192c9a1dcc38bdull, 0x818baa0373290f7dull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{1, 2, 2, kWS1D, kWS1D, kHeads, 1, false, false, 0x6d881317697cda32ull, 0xa9916eb8580677fdull,
+            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,41,53,36,17,15,36"},
+        MeshCase{1, 2, 2, kWS1D, kWS1D, kHeads, 1, false, true, 0xb649cf605a34f05bull, 0x86ad11b9573553full,
+            "2,36,15,34,36,48,9,7,2,36,18,53,36,17,15,36,2,36,34,34,36,17,15,36,2,36,34,53,36,17,15,36"},
+        MeshCase{2, 2, 2, kWS2D, kWS2D, kHeads, 2, false, false, 0xe2544452bf2f7e34ull, 0xf921baffb7fb7717ull,
+            "22,44,4,13,19,23,61,37,22,14,10,19,53,19,61,48,35,17,44,53,25,25,61,48,3,8,4,53,25,7,61,35"},
+        MeshCase{2, 2, 2, kWS2D, kWS2D, kHeads, 2, false, true, 0xcd8c265c41a3f77eull, 0xcf702a3eef2aab79ull,
+            "22,44,4,13,19,23,61,37,22,14,10,19,53,19,61,48,35,17,44,53,25,25,61,48,3,8,4,53,25,7,61,35"},
+        MeshCase{4, 2, 1, kWS2D, kWS2D, kBatch, 0, true, false, 0xc82eef539860265ull, 0x229f56cb2c5564f1ull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{4, 2, 1, kWS2D, kWS2D, kBatch, 0, true, true, 0x825574c97db8e0f2ull, 0x8b39276d11b298aull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{2, 2, 2, kWG, kWS2D, kBatch, 0, false, false, 0xa90014d47e0c78feull, 0xc73b57717c3a7088ull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,23,14,62,52"},
+        MeshCase{2, 2, 2, kWG, kWS2D, kBatch, 0, false, true, 0xbd0db64f14c692e1ull, 0xe3e3db0860ae5859ull,
+            "55,29,61,32,42,37,48,23,49,56,57,63,49,48,48,50,55,57,57,50,0,10,0,43,49,61,57,1,42,14,62,52"}),
+    [](const ::testing::TestParamInfo<MeshCase>& info) {
+      return MeshName(info.param);
     });
 
 }  // namespace

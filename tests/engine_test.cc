@@ -17,7 +17,6 @@
 #include "hw/chip.h"
 #include "model/reference.h"
 #include "sim/trace.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -373,101 +372,7 @@ TEST(EngineTest, FusedEngineStillMatchesReference) {
             5e-3f);
 }
 
-// --- Decode fast path (engine/fastpath.h) ----------------------------------
-
-struct FastPathCase {
-  int x, y, z;
-  FfnLayout prefill_ffn, decode_ffn;
-  AttnSharding attn;
-  int variant;
-  bool fuse_collectives = false;
-};
-
-// Runs prefill + two decode steps and returns all three logit tensors.
-std::vector<Tensor> RunFastPath(const ModelConfig& cfg,
-                                const ModelWeights& weights,
-                                const FastPathCase& p, FastPathConfig fp) {
-  SimMachine machine(Torus3D(p.x, p.y, p.z), TpuV4());
-  EngineSpec spec;
-  spec.prefill_ffn = p.prefill_ffn;
-  spec.decode_ffn = p.decode_ffn;
-  spec.attn = p.attn;
-  spec.fuse_collectives = p.fuse_collectives;
-  spec.fastpath = fp;
-  DistributedEngine engine(weights, &machine, spec);
-  const int64_t B = 8, L = 4;
-  std::vector<Tensor> out;
-  out.push_back(engine.Prefill(RandomTokens(B * L, cfg.vocab_size, 70), B));
-  out.push_back(engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 71)));
-  out.push_back(engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 72)));
-  return out;
-}
-
-class FastPathEquivalenceTest : public ::testing::TestWithParam<FastPathCase> {
-};
-
-TEST_P(FastPathEquivalenceTest, FusedFp32BitIdenticalToUnfused) {
-  // The whole point of the fp32 fast path: operator fusion changes memory
-  // traffic, never results. Prefill and decode logits must be bit-identical
-  // with fusion on and off.
-  const FastPathCase& p = GetParam();
-  ModelConfig cfg = ConfigForVariant(p.variant);
-  ModelWeights weights = ModelWeights::Random(cfg, 61);
-  FastPathConfig fused;
-  fused.fuse_ops = true;
-  auto base = RunFastPath(cfg, weights, p, FastPathConfig{});
-  auto got = RunFastPath(cfg, weights, p, fused);
-  for (size_t i = 0; i < base.size(); ++i)
-    EXPECT_EQ(MaxAbsDiff(got[i], base[i]), 0.0f)
-        << "fused fp32 diverges at step " << i;
-}
-
-TEST_P(FastPathEquivalenceTest, FusedInt8BitIdenticalToUnfusedInt8) {
-  // The int8 pipeline's fused quantizers reproduce the two-step
-  // quantization exactly, so fusion must not move a single bit here either.
-  const FastPathCase& p = GetParam();
-  ModelConfig cfg = ConfigForVariant(p.variant);
-  ModelWeights weights = ModelWeights::Random(cfg, 62);
-  FastPathConfig int8_plain, int8_fused;
-  int8_plain.precision = FastPathPrecision::kInt8;
-  int8_fused.precision = FastPathPrecision::kInt8;
-  int8_fused.fuse_ops = true;
-  auto base = RunFastPath(cfg, weights, p, int8_plain);
-  auto got = RunFastPath(cfg, weights, p, int8_fused);
-  for (size_t i = 0; i < base.size(); ++i)
-    EXPECT_EQ(MaxAbsDiff(got[i], base[i]), 0.0f)
-        << "fused int8 diverges at step " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Layouts, FastPathEquivalenceTest,
-    ::testing::Values(
-        // Single chip: every local fusion fires (incl. serial residuals).
-        FastPathCase{1, 1, 1, kWS1D, kWS1D, kHeads, 0},
-        FastPathCase{1, 1, 1, kWS1D, kWS1D, kHeads, 1},
-        // yz > 1: branch allreduce bars residual fusion, norm fusion stays.
-        FastPathCase{1, 2, 2, kWS1D, kWS1D, kHeads, 0},
-        FastPathCase{1, 2, 2, kWS1D, kWS1D, kHeads, 1},
-        // x > 1: distributed-norm moments path feeds the fused A-transform.
-        FastPathCase{2, 2, 1, kWS2D, kWS2D, kHeads, 1},
-        FastPathCase{2, 2, 2, kWS2D, kWS2D, kBatch, 0},
-        // GQA head-group slicing against the (possibly int8) shared cache.
-        FastPathCase{2, 2, 2, kWS2D, kWS2D, kHeads, 2},
-        // Fused collectives: ffn_in is a comm node, norm_into_ffn must not
-        // fire (and must not be needed).
-        FastPathCase{4, 2, 1, kWS2D, kWS2D, kBatch, 0, true},
-        // Weight-gathered prefill and all-local WG fusion.
-        FastPathCase{2, 2, 2, kWG, kWS2D, kBatch, 0},
-        FastPathCase{2, 2, 2, kWG, kWG, kBatch, 1}),
-    [](const ::testing::TestParamInfo<FastPathCase>& info) {
-      const auto& p = info.param;
-      std::string s = std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
-                      std::to_string(p.z) + "_v" + std::to_string(p.variant);
-      if (p.prefill_ffn == kWG) s += "_wg";
-      if (p.attn == kBatch) s += "_batch";
-      if (p.fuse_collectives) s += "_cefused";
-      return s;
-    });
+// --- Int8 precision (docs/fastpath.md) -------------------------------------
 
 TEST(FastPathEngineTest, Int8TracksReferenceAndGreedyTokensMatch) {
   // End-to-end int8 generation: logits stay close to the fp32 reference and
@@ -479,7 +384,6 @@ TEST(FastPathEngineTest, Int8TracksReferenceAndGreedyTokensMatch) {
   EngineSpec spec;
   spec.prefill_ffn = FfnLayout::kWS1D;
   spec.decode_ffn = FfnLayout::kWS1D;
-  spec.fastpath.fuse_ops = true;
   spec.fastpath.precision = FastPathPrecision::kInt8;
   DistributedEngine engine(weights, &machine, spec);
 
@@ -547,27 +451,6 @@ TEST(FastPathEngineTest, Int8ShrinksKvCacheAndDecodeTraffic) {
   // d_head = 8: (8 + 4) / (8 * 2) = 0.75 of the bf16-modelled bytes.
   EXPECT_NEAR(int8_cache / base_cache, 0.75, 1e-9);
   EXPECT_LT(int8_hbm, base_hbm) << "int8 decode must stream fewer bytes";
-}
-
-TEST(FastPathEngineTest, FusionCountersRecordActivity) {
-  ModelConfig cfg = TinyTestModel();
-  ModelWeights weights = ModelWeights::Random(cfg, 68);
-  SimMachine machine(Torus3D(1, 1, 1), TpuV4());
-  EngineSpec spec;
-  spec.prefill_ffn = FfnLayout::kWS1D;
-  spec.decode_ffn = FfnLayout::kWS1D;
-  spec.fastpath.fuse_ops = true;
-  DistributedEngine engine(weights, &machine, spec);
-  EXPECT_TRUE(engine.decode_plan().AnyFusion());
-  EXPECT_GT(engine.decode_plan().fused_ops_per_block, 0);
-
-  obs::MetricsRegistry metrics;
-  engine.set_metrics(&metrics);
-  const int64_t B = 4;
-  engine.Prefill(RandomTokens(B * 4, cfg.vocab_size, 69), B);
-  engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 70));
-  EXPECT_GT(metrics.GetCounter("fastpath/fused_ops")->value(), 0);
-  EXPECT_GT(metrics.GetCounter("fastpath/bytes_saved")->value(), 0);
 }
 
 // --- Paged KV cache bit-identity guard (engine/kvcache.h) -------------------

@@ -1,15 +1,10 @@
-// Decode fast path (engine/fastpath.h, docs/fastpath.md): the block op-graph
-// and fusion pass must plan exactly the fusions each layout admits, and every
-// fused kernel the plan maps to must be bit-identical to the unfused
-// composition it replaces -- fp32 fusion is a pure memory-traffic
-// optimization, and the int8 pipeline's fused quantizers and int8-KV
-// attention reproduce their two-step counterparts exactly.
-#include "engine/fastpath.h"
-
+// Fused kernels of the engine's block bodies (docs/fastpath.md): every fused
+// fp32 kernel is bit-identical to the composition it replaces, and the int8
+// pipeline's fused quantizers and int8-KV attention reproduce their two-step
+// counterparts exactly.
 #include <gtest/gtest.h>
 
 #include "model/attention.h"
-#include "model/config.h"
 #include "quant/int8.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -17,215 +12,6 @@
 
 namespace tsi {
 namespace {
-
-constexpr auto kWS1D = FfnLayout::kWS1D;
-constexpr auto kWS2D = FfnLayout::kWS2D;
-constexpr auto kWG = FfnLayout::kWGXYZ;
-constexpr auto kHeads = AttnSharding::kHeads;
-constexpr auto kFp32 = FastPathPrecision::kFp32;
-constexpr auto kI8 = FastPathPrecision::kInt8;
-
-FusedPlan PlanFor(const ModelConfig& cfg, FfnLayout ffn, int x, int yz,
-                  bool fuse_collectives, FastPathPrecision prec,
-                  BlockGraph* out_graph = nullptr) {
-  BlockGraph g = BuildBlockGraph(cfg, ffn, kHeads, x, yz, fuse_collectives, prec,
-                                 Replication{});
-  FastPathConfig fc;
-  fc.fuse_ops = true;
-  fc.precision = prec;
-  FusedPlan plan = FuseBlockGraph(&g, fc);
-  if (out_graph != nullptr) *out_graph = std::move(g);
-  return plan;
-}
-
-// --- Fusion-pass planning ---------------------------------------------------
-
-TEST(FusionPassTest, FuseOpsOffPlansNothing) {
-  BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS1D, kHeads, 1, 4,
-                                 /*fuse_collectives=*/false, kFp32,
-                                 Replication{});
-  FusedPlan plan = FuseBlockGraph(&g, FastPathConfig{});
-  EXPECT_FALSE(plan.AnyFusion());
-  EXPECT_EQ(plan.fused_ops_per_block, 0);
-  EXPECT_EQ(g.NumFused(), 0);
-}
-
-TEST(FusionPassTest, ReplicatedQkvDropsOnlyTheInboundReshard) {
-  // Batch-sharded attention on 2x2: the graph carries the all-to-all into
-  // attention only while the q/k/v columns are head-sharded
-  // (core/replication.h); the one back out stays either way.
-  for (bool replicated : {false, true}) {
-    BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS2D, AttnSharding::kBatch,
-                                   2, 2, /*fuse_collectives=*/false, kFp32,
-                                   Replication{replicated});
-    EXPECT_EQ(g.Find("attn_reshard") != nullptr, !replicated);
-    ASSERT_NE(g.Find("attn_unshard"), nullptr);
-    EXPECT_EQ(g.Find("attn")->inputs,
-              std::vector<std::string>{replicated ? "qkv_allreduce"
-                                                  : "attn_reshard"});
-  }
-}
-
-TEST(FusionPassTest, ReplicatedWoDropsTheOutboundReshardAndBranchSum) {
-  // With wo's rows on both yz chips (core/replication.h, site 3) the rows
-  // stay on their owner: only the all-gather(x) separates attention from
-  // wo (none on 1x2), and the branch sum happens inside the yz all-reduce,
-  // so neither output projection accumulates it.
-  const Replication wo{true, false, true};
-  for (int x : {2, 1}) {
-    BlockGraph g = BuildBlockGraph(TinyTestModel(), x == 1 ? kWS1D : kWS2D,
-                                   AttnSharding::kBatch, x, 2,
-                                   /*fuse_collectives=*/false, kFp32, wo);
-    EXPECT_EQ(g.Find("attn_unshard"), nullptr);
-    EXPECT_EQ(g.Find("attn_gather") != nullptr, x > 1);
-    EXPECT_EQ(g.Find("branch_sum"), nullptr);
-    ASSERT_NE(g.Find("block_allreduce"), nullptr);
-    EXPECT_EQ(g.Find("block_allreduce")->inputs,
-              (std::vector<std::string>{"wo", "ffn_out"}));
-    FastPathConfig fc;
-    fc.fuse_ops = true;
-    const FusedPlan plan = FuseBlockGraph(&g, fc);
-    EXPECT_FALSE(plan.wo_accumulate);
-    EXPECT_FALSE(plan.wout_accumulate);
-    EXPECT_TRUE(plan.norm_into_attn);
-  }
-}
-
-TEST(FusionPassTest, LayerWholeOverXHasNoXCollective) {
-  // With every layer weight whole over x (core/replication.h, site 4) the
-  // 2x2 block's only collective is the yz all-reduce. The x ranks' E-block
-  // partials are summed on the chip, between the projections and their
-  // consumers, so the FFN activation stays out of the input matmul's
-  // epilogue while the norm still fuses into every projection and the
-  // int8 quantize into the activation.
-  Replication all{true, true, true};
-  all.x = true;
-  for (FastPathPrecision prec : {kFp32, FastPathPrecision::kInt8}) {
-    BlockGraph g = BuildBlockGraph(TinyTestModel(), kWS2D, AttnSharding::kBatch,
-                                   2, 2, /*fuse_collectives=*/true, prec, all);
-    std::vector<std::string> comms;
-    for (const OpNode& op : g.ops)
-      if (op.kind == OpKind::kComm) comms.push_back(op.tag);
-    EXPECT_EQ(comms, std::vector<std::string>{"block_allreduce"});
-    ASSERT_NE(g.Find("qkv_block_sum"), nullptr);
-    EXPECT_EQ(g.Find("attn")->inputs,
-              std::vector<std::string>{"qkv_block_sum"});
-    ASSERT_NE(g.Find("ffn_block_sum"), nullptr);
-    EXPECT_EQ(g.Find("ffn_act")->inputs,
-              std::vector<std::string>{"ffn_block_sum"});
-    FastPathConfig fc;
-    fc.fuse_ops = true;
-    fc.precision = prec;
-    const FusedPlan plan = FuseBlockGraph(&g, fc);
-    EXPECT_FALSE(plan.act_epilogue);
-    if (prec == kFp32) {
-      EXPECT_TRUE(plan.norm_into_attn);
-      EXPECT_TRUE(plan.norm_into_ffn);
-    } else {
-      EXPECT_TRUE(plan.quantize_fused_norm);
-      EXPECT_TRUE(plan.quantize_fused_act);
-    }
-  }
-  // On one x rank the site changes nothing.
-  BlockGraph one = BuildBlockGraph(TinyTestModel(), kWS1D, AttnSharding::kBatch,
-                                   1, 2, false, kFp32, all);
-  EXPECT_EQ(one.Find("qkv_block_sum"), nullptr);
-  EXPECT_EQ(one.Find("ffn_block_sum"), nullptr);
-}
-
-TEST(FusionPassTest, ParallelBlockFusesNormActivationAndBranchSum) {
-  // TinyTestModel: parallel block, gated FFN, MQA. On WS1D with yz > 1 the
-  // block allreduce bars the final residual, but the branch sum folds into
-  // wout and both norm reads fuse into their consumers.
-  BlockGraph g;
-  FusedPlan plan = PlanFor(TinyTestModel(), kWS1D, 1, 4, false, kFp32, &g);
-  EXPECT_TRUE(plan.norm_into_attn);
-  EXPECT_TRUE(plan.norm_into_ffn);
-  EXPECT_TRUE(plan.act_epilogue);
-  EXPECT_TRUE(plan.wout_accumulate);
-  EXPECT_FALSE(plan.wo_accumulate);
-  // ln folded into its first consumer (q), ffn_act into ffn_in, branch_sum
-  // into ffn_out.
-  EXPECT_EQ(g.Find("ln")->fused_into, g.IndexOf("q"));
-  EXPECT_EQ(g.Find("ffn_act")->fused_into, g.IndexOf("ffn_in"));
-  EXPECT_EQ(g.Find("branch_sum")->fused_into, g.IndexOf("ffn_out"));
-  EXPECT_EQ(plan.fused_ops_per_block, 3);
-}
-
-TEST(FusionPassTest, SerialBlockOnOneChipFusesBothResiduals) {
-  // MHA serial block, single chip: no collectives anywhere, so both
-  // residual adds fold into their producing projections.
-  FusedPlan plan = PlanFor(TinyTestModelMultihead(), kWS1D, 1, 1, false, kFp32);
-  EXPECT_TRUE(plan.wo_accumulate);
-  EXPECT_TRUE(plan.wout_accumulate);
-  EXPECT_TRUE(plan.norm_into_attn);
-  EXPECT_TRUE(plan.norm_into_ffn);
-  EXPECT_TRUE(plan.act_epilogue);
-}
-
-TEST(FusionPassTest, BranchAllReduceBarsResidualFusion) {
-  // Serial block with yz > 1: an allreduce sits between each projection and
-  // its residual add, so neither accumulate fusion may fire.
-  BlockGraph g;
-  FusedPlan plan =
-      PlanFor(TinyTestModelMultihead(), kWS1D, 1, 2, false, kFp32, &g);
-  EXPECT_FALSE(plan.wo_accumulate);
-  EXPECT_FALSE(plan.wout_accumulate);
-  EXPECT_EQ(g.Find("attn_residual")->fused_into, -1);
-  // The norm and activation fusions are local and still apply.
-  EXPECT_TRUE(plan.norm_into_attn);
-  EXPECT_TRUE(plan.act_epilogue);
-}
-
-TEST(FusionPassTest, FusedCollectiveFfnInputBarsNormFusion) {
-  // fuse_collectives on a 2D mesh turns ffn_in into a matmul+reduce-scatter
-  // comm node, which needs the materialized normed tensor: norm_into_ffn
-  // must not fire while norm_into_attn still does.
-  BlockGraph g;
-  FusedPlan plan = PlanFor(TinyTestModel(), kWS2D, 2, 2, true, kFp32, &g);
-  EXPECT_TRUE(plan.norm_into_attn);
-  EXPECT_FALSE(plan.norm_into_ffn);
-  EXPECT_EQ(g.Find("ffn_in")->kind, OpKind::kComm);
-  // Activation reads a comm output, not a matmul: no epilogue fusion.
-  EXPECT_FALSE(plan.act_epilogue);
-}
-
-TEST(FusionPassTest, WeightGatheredBlockFusesEverythingLocally) {
-  // WG blocks are all-local (only the weight prefetch is a collective):
-  // every pattern matches.
-  FusedPlan plan = PlanFor(TinyTestModel(), kWG, 2, 2, false, kFp32);
-  EXPECT_TRUE(plan.norm_into_attn);
-  EXPECT_TRUE(plan.norm_into_ffn);
-  EXPECT_TRUE(plan.act_epilogue);
-  EXPECT_TRUE(plan.wo_accumulate);
-  EXPECT_TRUE(plan.wout_accumulate);
-}
-
-TEST(FusionPassTest, Int8PlansQuantizeFusionsInsteadOfFp32Prologues) {
-  BlockGraph g;
-  FusedPlan plan = PlanFor(TinyTestModel(), kWS1D, 1, 1, false, kI8, &g);
-  EXPECT_TRUE(plan.int8);
-  // Int8 matmuls read quantized rows: the fp32 norm prologue and activation
-  // epilogue do not apply...
-  EXPECT_FALSE(plan.norm_into_attn);
-  EXPECT_FALSE(plan.norm_into_ffn);
-  EXPECT_FALSE(plan.act_epilogue);
-  // ...the quantizers fuse into their producers instead, and residual
-  // accumulation still folds into the int8 projections.
-  EXPECT_TRUE(plan.quantize_fused_norm);
-  EXPECT_TRUE(plan.quantize_fused_act);
-  EXPECT_TRUE(plan.wout_accumulate);
-  EXPECT_EQ(g.Find("ln_quant")->fused_into, g.IndexOf("ln"));
-  EXPECT_EQ(g.Find("act_quant")->fused_into, g.IndexOf("ffn_act"));
-}
-
-TEST(FusionPassTest, Int8CrossChipActivationQuantizeDoesNotFuse) {
-  // With d_model split over x the activation requantize reads the all-gather
-  // output, not the activation kernel: it stays a standalone pass.
-  FusedPlan plan = PlanFor(TinyTestModel(), kWS2D, 2, 2, false, kI8);
-  EXPECT_TRUE(plan.quantize_fused_norm);  // norm output is still local
-  EXPECT_FALSE(plan.quantize_fused_act);
-}
 
 // --- Fused fp32 kernels: bit-identical to the unfused composition ----------
 

@@ -533,41 +533,6 @@ TEST(ServeRuntimeTest, RaggedKBatchFramesMatchIsolatedRunsAndCostLess) {
   }
 }
 
-TEST(ServeRuntimeTest, FusedFastPathServingIsBitIdentical) {
-  // Operator fusion (EngineSpec::fastpath.fuse_ops) under the full
-  // continuous-batching runtime: every served token and every virtual
-  // timestamp must match the unfused engine exactly, on the mixed-layout
-  // serving mixture included.
-  ModelConfig cfg = TinyTestModel();
-  ModelWeights weights = ModelWeights::Random(cfg, 26);
-  std::vector<ServeRequest> requests;
-  for (int64_t i = 0; i < 6; ++i) {
-    ServeRequest r;
-    r.id = i;
-    r.arrival = static_cast<double>(i) * 2e-6;
-    r.prompt = RandomTokens(4 + i % 3, cfg.vocab_size, 260 + static_cast<uint64_t>(i));
-    r.max_new_tokens = 5;
-    requests.push_back(std::move(r));
-  }
-  for (ServeSetup setup : {BatchShardedSetup(), MixedLayoutSetup()}) {
-    // The kBatch decode frame must divide over the chips (8 on the mixed
-    // 2x2x2 mesh).
-    ServeReport base =
-        RunOnFreshEngine(setup, weights, 8, requests, GreedyOptions(3));
-    setup.spec.fastpath.fuse_ops = true;
-    ServeReport fused =
-        RunOnFreshEngine(setup, weights, 8, requests, GreedyOptions(3));
-    ASSERT_EQ(base.completed(), 6);
-    ASSERT_EQ(fused.completed(), 6);
-    for (size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(fused.requests[i].tokens, base.requests[i].tokens)
-          << "request " << i;
-      EXPECT_EQ(fused.requests[i].finished, base.requests[i].finished)
-          << "request " << i;
-    }
-  }
-}
-
 TEST(ServeRuntimeTest, Int8ContinuousServingMatchesInt8StaticGenerate) {
   // The int8 fast path under continuous batching equals the same int8
   // engine driven through the static Generate API -- quantization is
@@ -576,7 +541,6 @@ TEST(ServeRuntimeTest, Int8ContinuousServingMatchesInt8StaticGenerate) {
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 27);
   ServeSetup setup = BatchShardedSetup();
-  setup.spec.fastpath.fuse_ops = true;
   setup.spec.fastpath.precision = FastPathPrecision::kInt8;
   const int64_t B = 4, L = 6, kMaxNew = 5;
   const auto prompts = RandomTokens(B * L, cfg.vocab_size, 28);

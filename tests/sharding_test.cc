@@ -1,6 +1,7 @@
 // Weight sharding (E_x F_yz storage, engine/sharding.h): shards must
 // reassemble exactly to the full matrices on every mesh, with the right
-// per-chip shapes, for every attention variant.
+// per-chip shapes, for every attention variant, and the whole logit head
+// sits only on the chips that apply it.
 #include "engine/sharding.h"
 
 #include <gtest/gtest.h>
@@ -138,6 +139,51 @@ INSTANTIATE_TEST_SUITE_P(Meshes, ShardingTest,
                                            ShardCase{2, 1, 2, 2},
                                            ShardCase{2, 2, 2, 2}),
                          CaseName);
+
+// The whole logit head sits only on the chips that apply it (engine.cc's
+// Step): none when the weight-stationary head is vocab-sharded, chip 0 when
+// it runs whole, each x slice's yz-rank-0 chip under site 4, and every chip
+// when a phase runs weight-gathered.
+TEST(LogitHeadPlacementTest, WholeHeadOnlyOnChipsThatApplyIt) {
+  const ModelConfig cfg = TinyTestModel();
+  const ModelWeights w = ModelWeights::Random(cfg, 14);
+  const Torus3D mesh(2, 2, 1);
+  ASSERT_EQ(cfg.vocab_size % mesh.num_chips(), 0);
+  auto holders = [&](const std::vector<ChipWeights>& chips) {
+    std::vector<int> h;
+    for (size_t c = 0; c < chips.size(); ++c) {
+      if (chips[c].head.empty()) continue;
+      EXPECT_EQ(chips[c].head.shape(), (Shape{cfg.d_model, cfg.vocab_size}));
+      EXPECT_EQ(MaxAbsDiff(chips[c].head, w.embedding.Transpose2D()), 0.0f);
+      h.push_back(static_cast<int>(c));
+    }
+    return h;
+  };
+  std::vector<int> yz_rank0;
+  for (int c = 0; c < mesh.num_chips(); ++c)
+    if (mesh.RankInGroup(c, kAxisY | kAxisZ) == 0) yz_rank0.push_back(c);
+  ASSERT_EQ(yz_rank0.size(), 2u);
+
+  Replication whole_head;
+  whole_head.logit_head = true;
+  Replication site4 = whole_head;
+  site4.x = true;
+  Replication sharded_site4;
+  sharded_site4.x = true;
+  EXPECT_EQ(holders(ShardWeights(w, mesh)), std::vector<int>{});
+  EXPECT_EQ(holders(ShardWeights(w, mesh, sharded_site4)), std::vector<int>{});
+  EXPECT_EQ(holders(ShardWeights(w, mesh, whole_head)), std::vector<int>{0});
+  EXPECT_EQ(holders(ShardWeights(w, mesh, site4)), yz_rank0);
+  EXPECT_EQ(holders(ShardWeights(w, mesh, {}, /*weight_gathered=*/true)),
+            (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(holders(ShardWeights(w, mesh, site4, /*weight_gathered=*/true)),
+            (std::vector<int>{0, 1, 2, 3}));
+  // One chip: the head cannot shard, so chip 0 runs it whole.
+  EXPECT_EQ(holders(ShardWeights(w, Torus3D(1, 1, 1))), std::vector<int>{0});
+  // The vocab shards stay wherever the head is sharded.
+  for (const ChipWeights& cw : ShardWeights(w, mesh, {}, true))
+    EXPECT_EQ(cw.head_shard.dim(1), cfg.vocab_size / mesh.num_chips());
+}
 
 TEST(ShardedKvCacheTest, AppendsAndTracksLength) {
   // Batch-sharded: chip 0 owns slots {0, 1}, chip 1 owns slots {2, 3}.

@@ -15,10 +15,10 @@
 #                             # BENCH_serving.json with tools/bench_diff
 #                             # (the bench is deterministic, so any drift in
 #                             # a latency/throughput/SLO metric fails)
-#   tools/check.sh fastpath   # additionally run the fused+int8 serving demo
+#   tools/check.sh fastpath   # additionally run the fp32+int8 serving demo
 #                             # under TSan with 8 SPMD slots forced (the demo
-#                             # exits non-zero if fused fp32 diverges from
-#                             # the baseline's tokens)
+#                             # exits non-zero if two fp32 runs disagree on
+#                             # tokens or finish times)
 #   tools/check.sh paged      # additionally re-run the paged-KV suites (page
 #                             # pool, COW forks, prefix-sharing serving) under
 #                             # TSan with 8 SPMD slots forced -- concurrent
@@ -110,10 +110,10 @@ if [[ "${1:-}" == "bench" ]]; then
 fi
 
 if [[ "${1:-}" == "fastpath" ]]; then
-  # Fused-kernel race check: the fused fp32 + end-to-end int8 serving demo
+  # Fused-kernel race check: the fp32 + end-to-end int8 serving demo
   # (examples/fastpath_serving.cpp) under ThreadSanitizer with multi-slot
-  # SPMD execution forced on. The demo itself gates on the bit-exactness
-  # contract, so this catches both races and silent divergence.
+  # SPMD execution forced on. The demo itself gates on two fp32 runs
+  # agreeing exactly, so this catches both races and silent divergence.
   echo "== Fast-path serving demo under TSan (8 SPMD slots) =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 "$repo/build-check-tsan/examples/fastpath_serving"
 fi
