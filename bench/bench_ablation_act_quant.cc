@@ -9,7 +9,7 @@
 // time; the int8 logit drift vs the fp32 reference is reported next to the
 // speedup, and the engine's actual KV-cache byte counts show the capacity
 // win. Records merge into BENCH_micro.json (EngineDecode/fp32 and
-// EngineDecode/int8-fused).
+// EngineDecode/int8).
 //
 // Projected: the original analytic ablation (activation bytes halved,
 // matmul rate doubled) across the paper's regimes, plus the int8 KV row
@@ -66,7 +66,7 @@ void RunEngineInt8Ablation() {
   MergeIntoBenchJson(BenchJsonPath("BENCH_micro.json"),
                      {{"EngineDecode/fp32", shape, fp32.ms_per_step * 1e6,
                        flops / (fp32.ms_per_step * 1e-3) / 1e9},
-                      {"EngineDecode/int8-fused", shape, int8.ms_per_step * 1e6,
+                      {"EngineDecode/int8", shape, int8.ms_per_step * 1e6,
                        flops / (int8.ms_per_step * 1e-3) / 1e9}});
 }
 

@@ -2,7 +2,7 @@
 // pipelined Looped CollectiveEinsum (matmul + reduce-scatter) vs the
 // sequential matmul then reduce-scatter. The engine's other fusions
 // (docs/fastpath.md) always run; its decode step is timed by
-// bench_ablation_act_quant (EngineDecode/fp32 and EngineDecode/int8-fused).
+// bench_ablation_act_quant (EngineDecode/fp32 and EngineDecode/int8).
 #include "common.h"
 
 #include "sim/collective_einsum.h"

@@ -92,23 +92,30 @@ CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
   // --- Compute -------------------------------------------------------------
   // Rows per chip of the main matmuls sets the small-batch efficiency
   // rolloff: weight-stationary layouts see the full token batch on every
-  // chip (its x slice under site 4); weight-gathered layouts shard the
-  // batch N ways.
-  const double rows_per_chip =
-      weight_gathered ? BL / N : (rep.x ? BL / spec.mesh.x() : BL);
+  // chip (its x slice under site 4, its own group's under site 5);
+  // weight-gathered layouts shard the batch N ways.
+  const double rows_per_chip = weight_gathered ? BL / N
+                               : rep.ffn       ? BL / n
+                               : rep.x         ? BL / spec.mesh.x()
+                                               : BL;
   const double ffn_flops = 2.0 * BL * (in_proj + 1.0) * E * F / n;
   const double attn_proj_params = 2.0 * E * H * dh + 2.0 * E * KV * dh;
   const double proj_flops = 2.0 * BL * attn_proj_params / n;
   // Replicated q/k/v columns (core/replication.h): every chip also projects
   // through, and streams, the other yz ranks' columns. Replicated wo rows
   // only stream: the flops per chip are unchanged. So does a layer whole
-  // over x: each chip runs 1/X of the rows through X times the weights.
+  // over x: each chip runs 1/X of the rows through X times the weights;
+  // and an FFN whole over yz: each chip runs only its own rows through the
+  // whole layer, so each row is projected once and site 1's extra q/k/v
+  // flops go too.
   const double qkv_params =
       rep.qkv ? QkvReplicaParams(config, spec.mesh) : 0.0;
   const double replica_params =
       qkv_params + (rep.wo ? WoReplicaParams(config, spec.mesh) : 0.0) +
-      (rep.x ? XReplicaParams(config, spec.mesh, rep) : 0.0);
-  out.compute += (ffn_flops + proj_flops + 2.0 * BL * qkv_params) /
+      (rep.x ? XReplicaParams(config, spec.mesh, rep) : 0.0) +
+      (rep.ffn ? FfnYzReplicaParams(config, spec.mesh) : 0.0);
+  const double qkv_extra_flops = rep.ffn ? 0.0 : 2.0 * BL * qkv_params;
+  out.compute += (ffn_flops + proj_flops + qkv_extra_flops) /
                  (chip.peak_flops * act_speedup * sys.MatmulEff(rows_per_chip));
 
   // Attention dot products (QK^T and AV): pairs per sequence for L new
@@ -178,13 +185,16 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
       out.comm += unhidden(ffn_vol.act_f_bytes + attn_f_bytes, X, f_count);
     }
     // E-side pair(s) over yz: one rs+ag pair shared by attention and FFN
-    // outputs in a parallel block, two pairs in a serial block.
-    int e_pairs = config.parallel_block ? 1 : 2;
-    out.comm += unhidden(ffn_vol.act_e_bytes * e_pairs, YZ, 2 * e_pairs);
-    // Site 3's side terms ride the yz exchange: bandwidth only, no alpha.
-    if (rep.wo)
-      out.comm += WoSideBytes(config, spec.mesh, BL, act) / cm.network_bw *
-                  (1.0 - sys.overlap_fraction);
+    // outputs in a parallel block, two pairs in a serial block. Site 3's
+    // side terms ride the yz exchange: bandwidth only, no alpha. An FFN
+    // whole over yz (site 5) has neither: every chip holds its rows whole.
+    if (!rep.ffn) {
+      int e_pairs = config.parallel_block ? 1 : 2;
+      out.comm += unhidden(ffn_vol.act_e_bytes * e_pairs, YZ, 2 * e_pairs);
+      if (rep.wo)
+        out.comm += WoSideBytes(config, spec.mesh, BL, act) / cm.network_bw *
+                    (1.0 - sys.overlap_fraction);
+    }
   } else {
     // Weight-gathered: gather ALL of this layer's weights (attention
     // projections match the FFN layout, §3.3).
@@ -206,11 +216,11 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
   // attention output back (§3.3, Fig 5b). Weight-gathered layouts are
   // already batch-sharded, so no reshard is needed; replicated q/k/v
   // columns make the inbound one a local slice, replicated wo rows the
-  // outbound one a side term of the yz all-reduce. A layer whole over x
-  // on a mesh without a yz axis holds every head of its own rows: there is
-  // nothing to reshard.
-  if (spec.attn == AttnSharding::kBatch && !weight_gathered &&
-      !(rep.x && YZ == 1)) {
+  // outbound one a side term of the yz all-reduce. A chip that holds every
+  // head of its own rows -- a layer whole over x on a mesh without a yz
+  // axis, or the FFN whole over yz (site 5) -- has nothing to reshard.
+  const bool rows_whole = rep.ffn || (rep.x && YZ == 1);
+  if (spec.attn == AttnSharding::kBatch && !weight_gathered && !rows_whole) {
     double a2a = 0.0;
     if (!rep.wo) {
       double a2a_out = AttnAllToAllBytes(config, spec.mesh, BL, act, false);

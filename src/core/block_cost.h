@@ -28,7 +28,9 @@ enum class Phase { kPrefill, kDecode };
 // (WoSideBytes), and the all-to-all out of attention drops out; when site
 // 4 fires, the x-side group drops out and the whole layer streams on every
 // x rank (its yz all-reduce carries the x slice's rows at full E: the same
-// bytes).
+// bytes); when site 5 fires, the yz all-reduce and its side terms drop out
+// too, every chip streams the whole layer, and its matmuls run only its
+// own group's rows.
 CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
                         const ChipSpec& chip, const SystemModel& sys,
                         Phase phase, double batch, double new_tokens,
@@ -46,7 +48,9 @@ CostBreakdown LayerCost(const ModelConfig& config, const PartitionSpec& spec,
 // streams WoReplicaParams, at unchanged flops (each chip projects its own
 // rows through every head instead of every row through its own); with the
 // layer whole over x (site 4) it streams XReplicaParams, at unchanged flops
-// over 1/X of the rows.
+// over 1/X of the rows; with the FFN whole over yz (site 5) it streams
+// FfnYzReplicaParams over 1/n of the rows, projecting each row once (no
+// site-1 extra flops).
 CostBreakdown LayerComputeMemoryCost(const ModelConfig& config,
                                      const PartitionSpec& spec,
                                      const ChipSpec& chip,

@@ -25,7 +25,8 @@ CostBreakdown InferenceEstimator::ForwardCost(const PartitionSpec& spec,
   // Logit head: [B*L, E] @ [E, vocab], vocab-sharded over all chips -- or
   // whole on one chip when the replication rule keeps it there
   // (core/replication.h, site 2), one chip per x slice over the slice's
-  // rows when x carries the rows (site 4).
+  // rows when x carries the rows (site 4), every chip over its own group's
+  // rows when the FFN is whole over yz (site 5).
   const Replication rep =
       ChooseReplication(config_, spec, chip_, sys_.hop_latency);
   const bool whole_head = rep.logit_head;
@@ -35,7 +36,10 @@ CostBreakdown InferenceEstimator::ForwardCost(const PartitionSpec& spec,
   const double head_params = static_cast<double>(config_.d_model) * config_.vocab_size;
   const int N = WeightGatherWidth(spec.ffn, spec.mesh);
   const double rows = (N > 1) ? BL / N : BL;
-  const double head_rows = whole_head && rep.x ? BL / spec.mesh.x() : BL;
+  const double head_rows = !whole_head ? BL
+                           : rep.ffn   ? BL / spec.num_chips()
+                           : rep.x     ? BL / spec.mesh.x()
+                                       : BL;
   total.compute += 2.0 * head_rows * head_params / n /
                    (chip_.peak_flops * sys_.MatmulEff(std::min(rows, head_rows)));
   total.weight_memory += head_params * wb / n / (chip_.hbm_bw * sys_.hbm_frac);
@@ -121,6 +125,9 @@ double InferenceEstimator::WeightBytesPerChip(const PartitionSpec& spec) const {
   if (rep.x)
     bytes += static_cast<double>(config_.num_layers) *
              XReplicaParams(config_, spec.mesh, rep) * wb;
+  if (rep.ffn)
+    bytes += static_cast<double>(config_.num_layers) *
+             FfnYzReplicaParams(config_, spec.mesh) * wb;
   if (rep.logit_head) bytes += HeadReplicaParams(config_, spec.mesh) * wb;
   return bytes;
 }

@@ -54,6 +54,13 @@ double XReplicaParams(const ModelConfig& config, const Torus3D& mesh,
   return shard * (mesh.x() - 1);
 }
 
+double FfnYzReplicaParams(const ModelConfig& config, const Torus3D& mesh) {
+  const int YZ = mesh.y() * mesh.z();
+  const double matrices = config.gated_ffn ? 3.0 : 2.0;
+  return matrices * static_cast<double>(config.d_model) *
+         static_cast<double>(config.d_ff) * (1.0 - 1.0 / YZ);
+}
+
 Replication ChooseReplication(const ModelConfig& config,
                               const PartitionSpec& spec, const ChipSpec& chip,
                               double hop_latency) {
@@ -112,6 +119,21 @@ Replication ChooseReplication(const ModelConfig& config,
                            cm.AllGatherTime(rows * out_cols * act, X) +
                            (halves - 1) * 2.0 * cm.Alpha(X);
     r.x = chip.MemoryTime(XReplicaParams(config, mesh, r) * wb) < removed;
+  }
+  if (r.qkv && r.wo && (mesh.x() == 1 || r.x)) {
+    // The yz all-reduce with one row per owner group: the chip's rows (the
+    // frame's, or its x slice's under site 4) at full E, one exchange on
+    // the 2-chip axis, plus site 3's side terms -- its own row's wo terms
+    // for the other rank, which a parallel block deposits beside the FFN
+    // partial. A serial block runs two, the attention half's carrying its
+    // own rows' terms and the side terms: the same bytes.
+    const double rows = static_cast<double>(YZ);
+    const double bytes = rows * static_cast<double>(config.d_model) * act;
+    const double side = config.parallel_block ? bytes * (1.0 - 1.0 / YZ) : 0.0;
+    const int halves = config.parallel_block ? 1 : 2;
+    const double removed = halves * (cm.hop_latency + bytes / cm.network_bw) +
+                           side / cm.network_bw;
+    r.ffn = chip.MemoryTime(FfnYzReplicaParams(config, mesh) * wb) < removed;
   }
   if (mesh.num_chips() > 1) {
     // The all-gather(xyz) of one row's logits: sum_a (k_a - 1) hops.

@@ -5,7 +5,7 @@
 // (comm/cost.h), the trade can flip for a tensor that moves only a few KiB:
 // replicating a weight shard over a mesh axis costs every chip on it extra
 // weight bytes streamed from HBM per pass, but removes a collective -- and
-// its hops -- outright. Four sites can make that trade without changing
+// its hops -- outright. Five sites can make that trade without changing
 // any result (each element keeps its fma chain and its reduction order):
 //
 //   * Site 1, the attention input projections under batch-sharded attention
@@ -17,7 +17,8 @@
 //   * Site 2, the weight-stationary logit head. Chip 0 multiplies the
 //     normed rows by the whole transposed embedding instead of every chip
 //     computing a vocab shard that an all-gather(xyz) then assembles (under
-//     site 4, chip (x, 0) of every x slice does so for the slice's rows).
+//     site 4, chip (x, 0) of every x slice does so for the slice's rows;
+//     under site 5, every chip for its own rows).
 //   * Site 3, the attention output projection under batch-sharded attention
 //     on a weight-stationary layout whose yz all-reduce is one exchange:
 //     exactly one yz torus axis, of extent 2. With wo's rows (every head)
@@ -48,6 +49,19 @@
 //     contraction over heads or F produces E columns, each its own fma
 //     chain whichever columns share the matmul, so those run once at full
 //     E.
+//   * Site 5, the FFN whole over yz, once sites 1 and 3 fired (so the yz
+//     axis is one 2-chip axis) and no x collective runs (X == 1, or site
+//     4). Every chip keeps win/win_gate at all F and wout as YZ row blocks,
+//     block j chip (x, j)'s old shard, and the residual stream is sharded
+//     by rows over x and yz: chip c holds only its own group's rows at full
+//     E. Every chip then holds the whole layer, and the mesh runs purely
+//     data parallel: no collective runs in a block. The hidden splits into
+//     YZ F blocks, block j the columns chip (x, j) computes (int8: each
+//     block quantized with its own per-row scales), and each block's wout
+//     partial F_j is added to its wo term A_j; the blocks then add in group
+//     order, (A_0 + F_0) + (A_1 + F_1) -- exactly the adds
+//     AllReduceOwnedRows makes. One K = F matmul would be a different fma
+//     chain, so the F split stays.
 //
 // ChooseReplication replicates a site only when the extra weight bytes it
 // streams per pass cost less HBM time (ChipSpec::hbm_bw) than the
@@ -59,7 +73,7 @@
 // the paper's layouts stand -- and at PaLM scale it never does either (the
 // extra Wq or wo stream on 64 chips is ~88 us per layer, the extra x stream
 // of a whole layer hundreds of us, the extra head ~7.7 ms, against a few us
-// of hops).
+// of hops; so does the other yz rank's FFN).
 //
 // The engine (engine/engine.h), LayerCost and InferenceEstimator
 // (core/block_cost.h, core/inference_cost.h) and the src/plan lowering all
@@ -78,6 +92,7 @@ struct Replication {
   bool logit_head = false;  // site 2: the whole head on chip 0, no gather
   bool wo = false;          // site 3: wo's rows whole on both yz chips
   bool x = false;           // site 4: every layer weight whole over x
+  bool ffn = false;         // site 5: the FFN whole over yz
 
   bool operator==(const Replication&) const = default;
 };
@@ -101,9 +116,15 @@ double WoReplicaParams(const ModelConfig& config, const Torus3D& mesh);
 double XReplicaParams(const ModelConfig& config, const Torus3D& mesh,
                       const Replication& rep);
 
-// The rule above, for one phase layout. Sites 1, 3 and 4 need kBatch and a
-// weight-stationary `spec.ffn`; site 1 YZ > 1, site 3 YZ == 2 (one yz axis
-// of extent 2), site 4 X > 1; site 2 a weight-stationary `spec.ffn` and
+// FFN parameters one chip streams per layer beyond its shard when site 5
+// fires: the other yz rank's win/win_gate columns and wout rows, at all E
+// (site 5 needs the chip to hold all of E: X == 1 or site 4).
+double FfnYzReplicaParams(const ModelConfig& config, const Torus3D& mesh);
+
+// The rule above, for one phase layout. Sites 1, 3, 4 and 5 need kBatch and
+// a weight-stationary `spec.ffn`; site 1 YZ > 1, site 3 YZ == 2 (one yz
+// axis of extent 2), site 4 X > 1, site 5 sites 1 and 3 and no x
+// collective (X == 1 or site 4); site 2 a weight-stationary `spec.ffn` and
 // more than one chip.
 Replication ChooseReplication(const ModelConfig& config,
                               const PartitionSpec& spec, const ChipSpec& chip,

@@ -29,12 +29,14 @@ Replication ChooseEngineReplication(const ModelConfig& config,
     r.logit_head = r.logit_head || p.logit_head;
     r.wo = r.wo || p.wo;
     r.x = r.x || p.x;
+    r.ffn = r.ffn || p.ffn;
   }
   return r;
 }
 
-// x's `n` E blocks (column blocks of equal width), in x-rank order.
-std::vector<Tensor> EBlocks(const Tensor& x, int n) {
+// x's `n` column blocks of equal width, in rank order: E blocks in x-rank
+// order, or F blocks in yz-rank order.
+std::vector<Tensor> ColumnBlocks(const Tensor& x, int n) {
   const int64_t w = x.dim(1) / n;
   std::vector<Tensor> blocks;
   for (int g = 0; g < n; ++g) blocks.push_back(x.Slice(1, g * w, w));
@@ -105,30 +107,24 @@ DistributedEngine::DistributedEngine(const ModelWeights& weights,
   replication_ = ChooseEngineReplication(config_, spec_, *machine_);
   const bool weight_gathered = spec_.prefill_ffn == FfnLayout::kWGXYZ ||
                                spec_.decode_ffn == FfnLayout::kWGXYZ;
+  // Int8 weight shards for the end-to-end int8 matmuls (QuantizeLayerShard:
+  // scales over each shard's own rows).
+  const bool quantize = spec_.fastpath.int8();
   if (spec_.weight_format == WeightFormat::kInt8) {
     // Quantize the full matrices before sharding so per-column scales match
     // the unsharded reference; traffic is charged at 1 byte/param.
     ModelWeights rt = weights;
     rt.SimulateInt8Roundtrip();
-    shards_ = ShardWeights(rt, machine->topo(), replication_, weight_gathered);
+    shards_ = ShardWeights(rt, machine->topo(), replication_, weight_gathered,
+                           quantize);
   } else {
     shards_ = ShardWeights(weights, machine->topo(), replication_,
-                           weight_gathered);
+                           weight_gathered, quantize);
   }
   cache_ = ShardedKvCache(n_, config_.num_layers, spec_.attn,
                           spec_.fastpath.int8() ? WeightFormat::kInt8
                                                 : WeightFormat::kBf16,
                           spec_.kv);
-  if (spec_.fastpath.int8()) {
-    // Int8 weight shards for the end-to-end int8 matmuls
-    // (QuantizeLayerShard: scales over each shard's own rows).
-    qshards_.resize(shards_.size());
-    for (size_t cs = 0; cs < shards_.size(); ++cs) {
-      qshards_[cs].reserve(shards_[cs].layers.size());
-      for (const ShardedLayerWeights& lw : shards_[cs].layers)
-        qshards_[cs].push_back(QuantizeLayerShard(lw, config_.gated_ffn));
-    }
-  }
 }
 
 void DistributedEngine::set_metrics(obs::MetricsRegistry* metrics) {
@@ -343,9 +339,10 @@ Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,
   const int64_t first = RowsBefore(yz_rows, yzr);
   const int64_t own = yz_rows[static_cast<size_t>(yzr)];
   // Heads replicated over yz: the row split is a local slice, no
-  // communication (this is the saving of Fig 4c).
+  // communication (this is the saving of Fig 4c). A chip that holds only
+  // its own group's rows (site 5) has nothing to slice.
   auto own_rows = [&](Tensor t) {
-    if (own == rows) return t;
+    if (replication_.ffn || own == rows) return t;
     return t.Slice(0, first, own);
   };
   Tensor k3 = k.Reshape({rows, KVl, dh});
@@ -396,14 +393,18 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   const bool int8 = spec_.fastpath.int8();
   const bool heads = spec_.attn == AttnSharding::kHeads;
   const ShardedLayerWeights& lw =
-      shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
+      *shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
   const QuantizedLayerShard* qw =
-      int8 ? &qshards_[static_cast<size_t>(c)][static_cast<size_t>(layer)]
+      int8 ? shards_[static_cast<size_t>(c)]
+                 .qlayers[static_cast<size_t>(layer)]
+                 .get()
            : nullptr;
   // The E blocks this chip holds (engine/sharding.h): one -- all of E when
   // X == 1, its x rank's E/X otherwise -- or, when the layer is whole over
   // x (site 4), all X, and x carries the rows instead. Only in the paper's
-  // layout does E split over the x chips, with x collectives.
+  // layout does E split over the x chips, with x collectives. When the FFN
+  // is whole over yz too (site 5), x holds only this chip's group's rows
+  // and no collective runs at all.
   const int nb = static_cast<int>(lw.in.size());
   const bool x_comm = X_ > 1 && nb == 1;
   // §3.5 Looped CollectiveEinsum for the FFN input projections (fp32 only:
@@ -434,7 +435,7 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   std::vector<QuantizedActivations> yq(static_cast<size_t>(nb));
   Tensor y;
   auto norm = [&](bool second, bool attn, bool ffn) {
-    if (nb > 1) xcols = EBlocks(x, nb);
+    if (nb > 1) xcols = ColumnBlocks(x, nb);
     // A row split over E blocks (across the x chips or on this one) is
     // normalized with its blocks' moments summed in group order.
     Tensor moments;
@@ -492,28 +493,40 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
     LocalMatMulAccumulate(c, a, w, accum);
     return Tensor();
   };
-  using WO = const Tensor ShardedLayerWeights::*;
-  using WO8 = const QuantizedTensor QuantizedLayerShard::*;
-  auto out_proj = [&](const Tensor& a, const QuantizedActivations* aq, WO w,
-                      WO8 w8, Tensor* accum) {
-    return matmul_out(a, aq, lw.*w, int8 ? &(qw->*w8) : nullptr, accum);
+  // The FFN hidden's F blocks: one, or -- when the FFN is whole over yz
+  // (site 5) -- every yz rank's F/YZ columns, block j the columns chip
+  // (x, j) computes in the paper's layout. wout contracts each block on
+  // its own and the blocks' partials add in group order, as the yz
+  // all-reduce adds them.
+  const int fb = replication_.ffn ? YZ_ : 1;
+  auto f_blocks = [&](Tensor t) {
+    if (fb > 1) return ColumnBlocks(t, fb);
+    std::vector<Tensor> one;
+    one.push_back(std::move(t));
+    return one;
   };
-  // FFN hidden when d_ff is whole on-chip (no x collective). One fp32 E
-  // block: the activation rides the input matmul's epilogue. Several: the
-  // activation runs on the blocks' sum. Int8 activates and quantizes in one
-  // pass into *hq; fp32 returns the hidden.
-  auto ffn_hidden_local = [&](QuantizedActivations* hq) {
+  // FFN hidden when d_ff is whole on-chip (no x collective), in F blocks.
+  // One fp32 E block: the activation rides the input matmul's epilogue.
+  // Several: the activation runs on the blocks' sum. Int8 activates and
+  // quantizes each F block in one pass into *hq (per-row scales over the
+  // block's columns) and returns nothing; fp32 returns the hidden.
+  auto ffn_hidden_local = [&](std::vector<QuantizedActivations>* hq) {
     if (!int8 && nb == 1) {
       const EBlockWeights& b = lw.in[0];
-      return gated ? LocalMatMulNormASwishMulGate(c, x, nt[0], b.win,
-                                                  b.win_gate)
-                   : LocalMatMulNormAGelu(c, x, nt[0], b.win);
+      return f_blocks(gated ? LocalMatMulNormASwishMulGate(c, x, nt[0], b.win,
+                                                           b.win_gate)
+                            : LocalMatMulNormAGelu(c, x, nt[0], b.win));
     }
     Tensor h1 = proj(&EBlockWeights::win, &QuantizedEBlock::win), h2;
     if (gated) h2 = proj(&EBlockWeights::win_gate, &QuantizedEBlock::win_gate);
-    if (!int8) return gated ? Swish2(h1).Mul(h2) : Gelu(h1);
-    *hq = gated ? QuantizeSwishGateInt8(h1, h2) : QuantizeGeluInt8(h1);
-    return Tensor();
+    if (!int8) return f_blocks(gated ? Swish2(h1).Mul(h2) : Gelu(h1));
+    const std::vector<Tensor> b1 = f_blocks(std::move(h1));
+    const std::vector<Tensor> b2 =
+        gated ? f_blocks(std::move(h2)) : std::vector<Tensor>();
+    for (size_t j = 0; j < b1.size(); ++j)
+      hq->push_back(gated ? QuantizeSwishGateInt8(b1[j], b2[j])
+                          : QuantizeGeluInt8(b1[j]));
+    return std::vector<Tensor>();
   };
 
   // All-gathers the pointed-to tensors over x, in place, in one collective
@@ -542,7 +555,8 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
   // (neither when no x collective runs). Returns the summed branch outputs
   // (partial over yz), or an empty tensor when they accumulated straight
   // into x (a serial block with YZ == 1). Under site 3 the half runs its yz
-  // reduction itself and sets `reduced`.
+  // reduction itself, and under site 5 sums its F blocks in its place;
+  // either sets `reduced`.
   bool reduced = false;
   auto half = [&](bool second, bool attn, bool ffn) {
     norm(second, attn, ffn);
@@ -579,8 +593,8 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
         rs = ctx.ReduceScatterMany(kAxisX, std::move(rs), rs_dims, rs_rows);
     }
 
-    Tensor h;
-    QuantizedActivations hq;
+    std::vector<Tensor> h;                 // the hidden's F blocks
+    std::vector<QuantizedActivations> hq;  // int8, computed locally
     if (ffn && !x_comm) {
       h = ffn_hidden_local(&hq);
     } else if (ffn) {
@@ -589,18 +603,26 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       if (gated) h2 = std::move(rs[at + 1]);
       // §3.5: the nonlinearity runs on 1/X of the hidden dim, between the
       // reduce-scatter and the all-gather.
-      h = gated ? Swish2(h1).Mul(h2) : Gelu(h1);
+      h.push_back(gated ? Swish2(h1).Mul(h2) : Gelu(h1));
     }
     const bool gather_h = ffn && x_comm;
-    // Int8 holds the locally computed hidden quantized already.
-    const QuantizedActivations* hqp = int8 && !x_comm ? &hq : nullptr;
+    // F block j through its wout rows, h_j @ wout_j or *accum += h_j @
+    // wout_j (int8: the block quantized already when computed locally).
+    auto ffn_out = [&](size_t j, Tensor* accum) {
+      const Tensor& w = fb == 1 ? lw.wout : lw.wout_blocks[j];
+      const QuantizedTensor* w8 = !int8     ? nullptr
+                                  : fb == 1 ? &qw->wout
+                                            : &qw->wout_blocks[j];
+      if (!hq.empty()) return matmul_out(Tensor(), &hq[j], w, w8, accum);
+      return matmul_out(h[j], nullptr, w, w8, accum);
+    };
 
     Tensor out;
     if (attn) {
       Tensor q = std::move(rs[0]), k = std::move(rs[1]), v = std::move(rs[2]);
       if (heads && x_comm) {
         std::vector<Tensor*> ts = {&q, &k, &v};
-        if (gather_h) ts.push_back(&h);
+        if (gather_h) ts.push_back(&h[0]);
         gather_x(ts, std::vector<int64_t>(ts.size(), 1), {});
       }
       Tensor a =
@@ -611,7 +633,7 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
         const SpmdContext::Extents a_rows =
             owner_wo ? RowsOfYzOverX(static_cast<int>(yzr)) : x_rows;
         if (gather_h) {
-          gather_x({&a, &h}, {0, 1}, {a_rows, {}});
+          gather_x({&a, &h[0]}, {0, 1}, {a_rows, {}});
         } else {
           gather_x({&a}, {0}, {a_rows});
         }
@@ -625,18 +647,29 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
         // other block as the side term, and adds the FFN partial at every
         // row (SpmdContext::AllReduceOwnedRows). The rows run in owner
         // segments: the frame's groups, or this x slice's when x carries
-        // the rows (site 4).
+        // the rows (site 4). Site 3 needs one 2-chip yz axis.
+        TSI_CHECK_EQ(YZ_, 2);
         const int64_t w = a.dim(1) / YZ_;
         std::vector<Tensor> terms;
-        for (size_t j = 0; j < 2; ++j)
+        for (size_t j = 0; j < static_cast<size_t>(YZ_); ++j)
           terms.push_back(matmul_out(
               a.Slice(1, static_cast<int64_t>(j) * w, w), nullptr,
               lw.wo_blocks[j], int8 ? &qw->wo_blocks[j] : nullptr, nullptr));
-        Tensor f;
-        if (ffn)
-          f = out_proj(h, hqp, &ShardedLayerWeights::wout,
-                       &QuantizedLayerShard::wout, nullptr);
         reduced = true;
+        if (fb > 1) {
+          // Site 5: `a` holds only this chip's own rows and every F block
+          // is here too, so each yz rank's term completes locally, F_j
+          // accumulated into A_j, and the terms add in group order:
+          // (A_0 + F_0) + (A_1 + F_1), AllReduceOwnedRows's adds without
+          // the exchange.
+          for (size_t j = 0; j < terms.size(); ++j) {
+            if (ffn) ffn_out(j, &terms[j]);
+            if (j > 0) terms[0].AddInPlace(terms[j]);
+          }
+          return std::move(terms[0]);
+        }
+        Tensor f;
+        if (ffn) f = ffn_out(0, nullptr);
         return ctx.AllReduceOwnedRows(
             kAxisYZ, f, terms[yzr], terms[1 - yzr],
             x_comm ? group_rows_
@@ -645,18 +678,22 @@ void DistributedEngine::WsBlockChip(SpmdContext& ctx, Tensor& x,
       // A serial block without a yz reduction folds the residual add into
       // wo.
       Tensor* accum = !config_.parallel_block && YZ_ == 1 ? &x : nullptr;
-      out = out_proj(a, nullptr, &ShardedLayerWeights::wo,
-                     &QuantizedLayerShard::wo, accum);
+      out = matmul_out(a, nullptr, lw.wo, int8 ? &qw->wo : nullptr, accum);
     } else if (gather_h) {
-      gather_x({&h}, {1}, {});
+      gather_x({&h[0]}, {1}, {});
     }
 
-    if (ffn) {
+    if (ffn && fb > 1) {
+      // Site 5, a serial block's FFN half: the F blocks' partials add in
+      // group order, F_0 + F_1, the yz all-reduce's add.
+      out = ffn_out(0, nullptr);
+      for (size_t j = 1; j < static_cast<size_t>(fb); ++j) ffn_out(j, &out);
+      reduced = true;
+    } else if (ffn) {
       // §3.4 branch sum (parallel) or residual add (serial, YZ == 1)
       // folded into wout's accumulate epilogue.
       Tensor* accum = attn ? &out : YZ_ == 1 ? &x : nullptr;
-      Tensor f = out_proj(h, hqp, &ShardedLayerWeights::wout,
-                          &QuantizedLayerShard::wout, accum);
+      Tensor f = ffn_out(0, accum);
       if (accum == nullptr) out = std::move(f);
     }
     return out;
@@ -683,14 +720,16 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
   const int c = ctx.chip();
   const int64_t rows = x.dim(0);
   const ShardedLayerWeights& lw =
-      shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
+      *shards_[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)];
 
   // Gather this layer's weights to full matrices with one all-gather per
   // axis (charged as collectives on the virtual clock): first every
   // weight's yz pieces (column shards of the input projections, row shards
   // of wo/wout), then every weight's x pieces, the norm gains included.
   // Shards whole over x (site 4) skip the x gather: the chip's E blocks
-  // are concatenated locally, exactly what the gather would deliver.
+  // are concatenated locally, exactly what the gather would deliver. Under
+  // site 5 every weight is whole over yz as well -- wo and wout as their yz
+  // row blocks, concatenated here -- and nothing is gathered.
   const int nb = static_cast<int>(lw.in.size());
   const bool x_comm = X_ > 1 && nb == 1;
   std::vector<Tensor> w;
@@ -701,11 +740,12 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
     x_dims.push_back(x_dim);
     return w.size() - 1;
   };
-  // Replicated columns (multiquery K/V, replicated q/k/v) gather over x
-  // only.
+  // Replicated columns (multiquery K/V, replicated q/k/v, the FFN under
+  // site 5) gather over x only.
   const int64_t q_yz = replication_.qkv ? -1 : 1;
   const int64_t kv_yz =
       replication_.qkv || config_.n_kv_heads() % YZ_ != 0 ? -1 : 1;
+  const int64_t f_yz = replication_.ffn ? -1 : 1;
   // Per E block, the d_model-input weights' positions in `w`. The gate
   // exists only in gated FFNs and the second pre-norm only in serial
   // blocks.
@@ -719,14 +759,18 @@ void DistributedEngine::WgBlockChip(SpmdContext& ctx, Tensor& x,
     i.q = add(b.wq, q_yz, 0);
     i.k = add(b.wk, kv_yz, 0);
     i.v = add(b.wv, kv_yz, 0);
-    i.in = add(b.win, 1, 0);
-    i.gate = config_.gated_ffn ? add(b.win_gate, 1, 0) : 0;
+    i.in = add(b.win, f_yz, 0);
+    i.gate = config_.gated_ffn ? add(b.win_gate, f_yz, 0) : 0;
     i.ln = add(b.ln_gain, -1, 0);
     i.ln2 = config_.parallel_block ? 0 : add(b.ln2_gain, -1, 0);
   }
-  const size_t io = add(lw.wo, 0, 1);
-  const size_t iout = add(lw.wout, 0, 1);
-  if (YZ_ > 1) {
+  const size_t io = replication_.ffn
+                        ? add(Tensor::Concat(0, lw.wo_blocks), -1, 1)
+                        : add(lw.wo, 0, 1);
+  const size_t iout = replication_.ffn
+                          ? add(Tensor::Concat(0, lw.wout_blocks), -1, 1)
+                          : add(lw.wout, 0, 1);
+  if (YZ_ > 1 && !replication_.ffn) {
     std::vector<Tensor> g;
     std::vector<int64_t> dims;
     std::vector<size_t> pos;
@@ -799,6 +843,13 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
       phase == StepPhase::kDecode ? spec_.decode_ffn : spec_.prefill_ffn;
   const int64_t E = config_.d_model, V = config_.vocab_size;
 
+  // The host reads every chip's logits between passes, so a pass starts at
+  // the machine's latest clock. Without this, a pass that runs no
+  // collective (core/replication.h, site 5) would let a chip that idled in
+  // the previous pass start this one early.
+  const double start = machine_->MaxTime();
+  for (int c = 0; c < n_; ++c) machine_->SetTime(c, start);
+
   StepFrame frame = LayOutStep(lanes);
   group_rows_ = std::move(frame.group_rows);
   cache_.BeginStep(std::move(frame.chip_slots), std::move(frame.chip_widths));
@@ -824,22 +875,34 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
     });
   } else {
     // Weight-stationary path: activations sharded [rows, E/X] over x, or
-    // [x slice rows, E] when the layers are whole over x (site 4). The
-    // logit head shards the [E, vocab] projection over the vocab dim
-    // across all chips and all-gathers the logits -- or, when it is not
-    // sharded (ChipWeights::head_shard), chip 0 computes it whole, or chip
-    // (x, 0) for its x slice's rows under site 4.
+    // [x slice rows, E] when the layers are whole over x (site 4), or
+    // [group rows, E] when the FFN is whole over yz too (site 5): the rows
+    // split into slices, one per x slice or one per group. The logit head
+    // shards the [E, vocab] projection over the vocab dim across all chips
+    // and all-gathers the logits -- or, when it is not sharded
+    // (ChipWeights::head_shard), chip 0 computes it whole, or each row
+    // slice's chip (x, 0) under site 4, or every chip for its own rows
+    // under site 5.
     const bool head_sharded = !shards_[0].head_shard.empty();
-    const bool x_rows = replication_.x;
-    std::vector<Tensor> slice_logits(x_rows ? static_cast<size_t>(X_) : 0);
+    const bool group_rows = replication_.ffn;
+    // The row slices' extents, and the axes they split over.
+    SpmdContext::Extents slices;
+    if (group_rows) {
+      slices = group_rows_;
+    } else if (replication_.x) {
+      slices = RowsOverX();
+    }
+    const unsigned slice_axes = group_rows ? kAxisXYZ : kAxisX;
+    std::vector<Tensor> slice_logits(slices.size());
     spmd_.Run([&](SpmdContext& ctx) {
       const int c = ctx.chip();
       const ChipWeights& cw = shards_[static_cast<size_t>(c)];
       const int xr = ctx.topo().RankInGroup(c, kAxisX);
+      const int slice = group_rows ? ctx.topo().RankInGroup(c, kAxisXYZ) : xr;
       Tensor x;
-      if (x_rows) {
-        x = x_full.Slice(0, RowsBefore(group_rows_, xr * YZ_),
-                         RowsOverX()[static_cast<size_t>(xr)]);
+      if (!slices.empty()) {
+        x = x_full.Slice(0, RowsBefore(slices, slice),
+                         slices[static_cast<size_t>(slice)]);
       } else {
         x = X_ > 1 ? x_full.Chunk(1, X_, xr) : x_full;
       }
@@ -855,8 +918,8 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
       Tensor full;
       if (X_ == 1) {
         full = LayerNorm(x, gain);
-      } else if (x_rows) {
-        full = NormalizeWithMoments(x, SumRowMoments(EBlocks(x, X_)), gain,
+      } else if (!slices.empty()) {
+        full = NormalizeWithMoments(x, SumRowMoments(ColumnBlocks(x, X_)), gain,
                                     static_cast<double>(E));
       } else {
         std::vector<Tensor> g;
@@ -870,20 +933,23 @@ Tensor DistributedEngine::Step(const std::vector<StepLane>& lanes,
       }
       if (head_sharded) {
         // A vocab shard needs every row.
-        if (x_rows)
-          full = ctx.AllGatherMany(kAxisX, {std::move(full)}, {0},
-                                   {RowsOverX()})[0];
+        if (!slices.empty())
+          full = ctx.AllGatherMany(slice_axes, {std::move(full)}, {0},
+                                   {slices})[0];
         Tensor logits = LocalMatMul(c, full, cw.head_shard);
         logits = ctx.AllGather(kAxisXYZ, std::move(logits), /*dim=*/1);
         if (c == 0) result = std::move(logits);
-      } else if (x_rows) {
-        if (ctx.topo().RankInGroup(c, kAxisYZ) == 0)
-          slice_logits[static_cast<size_t>(xr)] = LocalMatMul(c, full, cw.head);
+      } else if (!slices.empty()) {
+        if (group_rows || ctx.topo().RankInGroup(c, kAxisYZ) == 0)
+          slice_logits[static_cast<size_t>(slice)] =
+              LocalMatMul(c, full, cw.head);
       } else if (c == 0) {
         result = LocalMatMul(0, full, cw.head);
       }
     });
-    if (x_rows && !head_sharded) result = Tensor::Concat(0, slice_logits);
+    // The slices' logits in group order.
+    if (!slices.empty() && !head_sharded)
+      result = Tensor::Concat(0, slice_logits);
   }
   cache_.CommitStep();
 

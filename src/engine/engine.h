@@ -38,9 +38,12 @@
 // whole on chip 0 instead of vocab-sharded plus an all-gather, and whether
 // every layer weight stays whole over x -- then each chip holds its x
 // slice's rows at full E and runs every contraction over E as the x ranks'
-// per-block partials, so no x collective runs. Either way every tensor is
-// bit-identical; only the schedule and the virtual clock change. Set the
-// hop latency before constructing the engine.
+// per-block partials, so no x collective runs -- and whether the FFN stays
+// whole over yz as well -- then each chip holds only its own group's rows,
+// sums the yz ranks' F-block partials itself, and no collective runs in a
+// block. Either way every tensor is bit-identical; only the schedule and
+// the virtual clock change. Set the hop latency before constructing the
+// engine.
 //
 // Incremental processing is supported: Prefill may be called repeatedly
 // (§3.5's "incremental processing of sequences during prefill") and mixes
@@ -222,7 +225,8 @@ class DistributedEngine {
   // Per-chip block bodies, run inside an SpmdExecutor region: each touches
   // only chip ctx.chip()'s weights/cache plus collective-delivered data.
   // Weight-stationary block over this chip's activation shard: [rows, E/X],
-  // or [x slice rows, E] when the layer is whole over x (site 4); one
+  // or [x slice rows, E] when the layer is whole over x (site 4), or
+  // [group rows, E] when the FFN is whole over yz too (site 5); one
   // collective per mesh axis per program point. fp32, or int8 weight
   // shards with dynamic per-row int8 activations and fp32 accumulation;
   // every fusion the block's collectives allow (docs/fastpath.md).
@@ -233,8 +237,9 @@ class DistributedEngine {
   // Head- or batch-sharded attention over this chip's heads. kHeads: q/k/v
   // are whole over x ([rows, cols]) and so is the [rows, (H/YZ)*dh] result.
   // kBatch: q/k/v are this chip's x slice of the rows (its yz groups' rows,
-  // what the rows reduce-scatter(x) delivers, or the rows the chip holds
-  // under site 4) and so is the [slice rows, (H/YZ)*dh] result -- or, when
+  // what the rows reduce-scatter(x) delivers, the rows the chip holds
+  // under site 4, or its own group's under site 5) and so is the
+  // [slice rows, (H/YZ)*dh] result -- or, when
   // wo's rows are replicated (site 3), the [group rows, H*dh] of this
   // chip's own group; the caller gathers the rows back over x when E is
   // sharded there.
@@ -282,10 +287,9 @@ class DistributedEngine {
   EngineSpec spec_;
   SimMachine* machine_;
   Replication replication_;
+  // Per-chip weight shards; with the int8 fast path also their int8 form
+  // (ChipWeights::qlayers; the embedding and logit head stay fp32).
   std::vector<ChipWeights> shards_;
-  // Per-chip, per-layer int8 weight shards (fastpath int8 only; the
-  // embedding and logit head stay fp32).
-  std::vector<std::vector<QuantizedLayerShard>> qshards_;
   ShardedKvCache cache_;
   double weight_byte_width_;  // 2 (bf16) or 1 (int8) for traffic charging
   int X_, YZ_, n_;

@@ -1,5 +1,8 @@
 #include "engine/sharding.h"
 
+#include <map>
+#include <utility>
+
 #include "util/logging.h"
 
 namespace tsi {
@@ -29,13 +32,16 @@ Tensor Cut(const Tensor& v, int64_t i0, int64_t n) {
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Torus3D& mesh,
                                       const Replication& replicate,
-                                      bool weight_gathered) {
+                                      bool weight_gathered, bool quantize) {
   const ModelConfig& cfg = weights.config;
   const int X = mesh.x();
   const int YZ = mesh.y() * mesh.z();
   TSI_CHECK_EQ(cfg.d_model % X, 0) << "d_model must divide over mesh x";
   TSI_CHECK_EQ(cfg.d_ff % YZ, 0) << "d_ff must divide over mesh yz";
   TSI_CHECK_EQ(cfg.n_heads % YZ, 0) << "heads must divide over mesh yz";
+  TSI_CHECK(!replicate.ffn ||
+            (replicate.qkv && replicate.wo && (replicate.x || X == 1)))
+      << "site 5 needs sites 1 and 3 and all of E on every chip";
   // K/V heads shard over yz when they divide evenly; otherwise they are
   // replicated on every yz chip (Fig 4b's multiquery case, and grouped-query
   // configs with fewer kv heads than the yz extent).
@@ -46,6 +52,12 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
   const bool shard_head = n > 1 && V % n == 0 && !replicate.logit_head;
   // Site 4 keeps every x rank's E block on every chip.
   const int blocks = replicate.x ? X : 1;
+  // Chips whose layer shards are equal share one copy: every x rank's
+  // under site 4, every yz rank's under site 5 (nothing is cut by yz rank
+  // then: wo and wout live in their yz blocks). The first chip to hold
+  // each, keyed by (x rank, yz rank), -1 where the shards do not depend on
+  // it.
+  std::map<std::pair<int, int>, int> built;
 
   std::vector<ChipWeights> chips(static_cast<size_t>(n));
   for (int chip = 0; chip < n; ++chip) {
@@ -54,13 +66,20 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
     if (chip == 0) cw.embedding = weights.embedding;
     cw.final_ln_gain = weights.final_ln_gain;
-    const bool head_rank = replicate.x
-                               ? mesh.RankInGroup(chip, kAxisY | kAxisZ) == 0
-                               : chip == 0;
+    const bool head_rank =
+        replicate.ffn || (replicate.x ? yzr == 0 : chip == 0);
     if (weight_gathered || (!shard_head && head_rank)) cw.head = head;
     if (shard_head)
       cw.head_shard =
           Cut(head, 0, E, mesh.RankInGroup(chip, kAxisXYZ) * (V / n), V / n);
+    const std::pair<int, int> key(replicate.x ? -1 : xr,
+                                  replicate.ffn ? -1 : yzr);
+    if (const auto it = built.find(key); it != built.end()) {
+      const ChipWeights& first = chips[static_cast<size_t>(it->second)];
+      cw.layers = first.layers;
+      cw.qlayers = first.qlayers;
+      continue;
+    }
     // The chip's E blocks -- its x rank's, or all X -- as rows of the
     // d_model-input weights and columns of the d_model-output ones.
     const int g0 = replicate.x ? 0 : xr;
@@ -81,8 +100,8 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
         b.wq = rows(lw.wq, replicate.qkv);
         b.wk = rows(lw.wk, kv_replicated);
         b.wv = rows(lw.wv, kv_replicated);
-        b.win = rows(lw.win, false);
-        if (cfg.gated_ffn) b.win_gate = rows(lw.win_gate, false);
+        b.win = rows(lw.win, replicate.ffn);
+        if (cfg.gated_ffn) b.win_gate = rows(lw.win_gate, replicate.ffn);
         s.in.push_back(std::move(b));
       }
       // wo and wout: rows are the heads / F dim (chunk over yz), columns E.
@@ -90,12 +109,21 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
         const int64_t w_rows = w.dim(0) / YZ;
         return Cut(w, j * w_rows, w_rows, c0, nc);
       };
-      s.wo = cols(lw.wo, yzr);
+      if (!replicate.ffn) s.wo = cols(lw.wo, yzr);
       if (replicate.wo)
         for (int j = 0; j < YZ; ++j) s.wo_blocks.push_back(cols(lw.wo, j));
-      s.wout = cols(lw.wout, yzr);
-      cw.layers.push_back(std::move(s));
+      if (replicate.ffn) {
+        for (int j = 0; j < YZ; ++j) s.wout_blocks.push_back(cols(lw.wout, j));
+      } else {
+        s.wout = cols(lw.wout, yzr);
+      }
+      if (quantize)
+        cw.qlayers.push_back(std::make_shared<const QuantizedLayerShard>(
+            QuantizeLayerShard(s, cfg.gated_ffn)));
+      cw.layers.push_back(
+          std::make_shared<const ShardedLayerWeights>(std::move(s)));
     }
+    built.emplace(key, chip);
   }
   return chips;
 }
@@ -112,10 +140,12 @@ QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,
     if (gated) qb.win_gate = QuantizeInt8(b.win_gate);
     q.in.push_back(std::move(qb));
   }
-  q.wo = QuantizeInt8(shard.wo);
+  if (!shard.wo.empty()) q.wo = QuantizeInt8(shard.wo);
   for (const Tensor& block : shard.wo_blocks)
     q.wo_blocks.push_back(QuantizeInt8(block));
-  q.wout = QuantizeInt8(shard.wout);
+  if (!shard.wout.empty()) q.wout = QuantizeInt8(shard.wout);
+  for (const Tensor& block : shard.wout_blocks)
+    q.wout_blocks.push_back(QuantizeInt8(block));
   return q;
 }
 

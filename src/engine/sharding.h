@@ -10,14 +10,21 @@
 // so the engine can switch layouts between prefill and decode without
 // resharding -- the property §3.2.3 calls out.
 //
-// Where the latency-aware replication rule fires (core/replication.h), the
-// q/k/v columns stay whole on every yz chip (site 1), the logit head is not
-// vocab-sharded (site 2), every yz rank's block of wo rows sits on each yz
-// chip (site 3), and every chip keeps its yz shard at all E rows and
+// Where the latency-aware replication rule fires (core/replication.h, five
+// sites), the q/k/v columns stay whole on every yz chip (site 1), the logit
+// head is not vocab-sharded (site 2), every yz rank's block of wo rows sits
+// on each yz chip (site 3), every chip keeps its yz shard at all E rows and
 // columns (site 4): the d_model-input weights as every x rank's E block,
-// the d_model-output weights at full E.
+// the d_model-output weights at full E -- and every chip keeps win/win_gate
+// at all F and every yz rank's block of wout rows (site 5). wo and wout
+// stay in yz row blocks, each byte for byte (and, quantized, scale for
+// scale) the shard chip (x, j) holds in the paper's layout, because the
+// engine contracts heads and F one block at a time: it adds the blocks'
+// partial sums in group order, exactly the adds of the yz all-reduce they
+// replace. One matmul over all F would sum in a different order.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/replication.h"
@@ -36,8 +43,8 @@ struct EBlockWeights {
   Tensor wk;        // [E/X, KVcols]  (KVcols = dh for MQA, (KV/YZ)*dh for MHA,
                     //  KV*dh when replicated)
   Tensor wv;        // like wk
-  Tensor win;       // [E/X, F/YZ]
-  Tensor win_gate;  // [E/X, F/YZ] (gated only)
+  Tensor win;       // [E/X, F/YZ], or [E/X, F] when whole (site 5)
+  Tensor win_gate;  // like win (gated only)
 };
 
 struct ShardedLayerWeights {
@@ -46,15 +53,38 @@ struct ShardedLayerWeights {
   std::vector<EBlockWeights> in;
   // The d_model-output weights, at this chip's E columns: its x rank's E/X,
   // or all E under site 4.
-  Tensor wo;  // [(H/YZ)*dh, E columns]
+  Tensor wo;  // [(H/YZ)*dh, E columns]; empty under site 5
   // Site 3: every yz rank's wo block [(H/YZ)*dh, E columns], in yz-rank
   // order (block yzr is `wo`); empty otherwise.
   std::vector<Tensor> wo_blocks;
-  Tensor wout;  // [F/YZ, E columns]
+  Tensor wout;  // [F/YZ, E columns]; empty under site 5
+  // Site 5: every yz rank's wout block [F/YZ, E columns], in yz-rank order;
+  // empty otherwise.
+  std::vector<Tensor> wout_blocks;
+};
+
+// One layer shard's int8 weights (the end-to-end int8 path): per-column
+// scales over the shard's own rows, so a replicated column, a replicated
+// wo or wout block or a replicated E block gets exactly the bytes and
+// scales its sharded copy would (a d_model-output weight at full E is its x
+// shards' columns side by side: each column's scale reads only that column).
+struct QuantizedEBlock {
+  QuantizedTensor wq, wk, wv, win, win_gate;
+};
+struct QuantizedLayerShard {
+  std::vector<QuantizedEBlock> in;  // one per ShardedLayerWeights::in block
+  QuantizedTensor wo, wout;
+  // One per ShardedLayerWeights block.
+  std::vector<QuantizedTensor> wo_blocks, wout_blocks;
 };
 
 struct ChipWeights {
-  std::vector<ShardedLayerWeights> layers;
+  // Read-only, and shared by the chips whose shards are equal (every x
+  // rank's under site 4, every yz rank's under site 5).
+  std::vector<std::shared_ptr<const ShardedLayerWeights>> layers;
+  // The layers' int8 form (QuantizeLayerShard), shared like `layers`;
+  // empty unless ShardWeights was asked to quantize.
+  std::vector<std::shared_ptr<const QuantizedLayerShard>> qlayers;
   Tensor embedding;      // [vocab, E], on chip 0 only: the step's lookup
   Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
   // The logit head: the embedding transposed once, at sharding time.
@@ -70,27 +100,16 @@ struct ChipWeights {
 // says. The whole logit head goes only to the chips that apply it: every
 // chip when some phase runs weight-gathered (`weight_gathered`); otherwise,
 // unless the head is vocab-sharded, chip 0 -- or, under site 4, each x
-// slice's yz-rank-0 chip. Requires d_model % X == 0, d_ff % YZ == 0,
-// n_heads % YZ == 0 (and n_kv_heads % YZ == 0 for multihead).
+// slice's yz-rank-0 chip; under site 5, every chip. With `quantize`, each
+// distinct layer shard is also quantized once (ChipWeights::qlayers).
+// Requires d_model % X == 0, d_ff % YZ == 0, n_heads % YZ == 0 (and
+// n_kv_heads % YZ == 0 for multihead).
 std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
                                       const Torus3D& mesh,
                                       const Replication& replicate = {},
-                                      bool weight_gathered = false);
+                                      bool weight_gathered = false,
+                                      bool quantize = false);
 
-// One layer shard's int8 weights (the end-to-end int8 path): per-column
-// scales over the shard's own rows, so a replicated column, a replicated
-// wo block or a replicated E block gets exactly the bytes and scales its
-// sharded copy would (a d_model-output weight at full E is its x shards'
-// columns side by side: each column's scale reads only that column).
-struct QuantizedEBlock {
-  QuantizedTensor wq, wk, wv, win, win_gate;
-};
-struct QuantizedLayerShard {
-  std::vector<QuantizedEBlock> in;  // one per ShardedLayerWeights::in block
-  QuantizedTensor wo, wout;
-  std::vector<QuantizedTensor> wo_blocks;  // one per ShardedLayerWeights block
-};
 QuantizedLayerShard QuantizeLayerShard(const ShardedLayerWeights& shard,
                                        bool gated);
-
 }  // namespace tsi

@@ -7,11 +7,17 @@
 namespace tsi {
 namespace plan {
 
+unsigned ShardingAssignment::RowAxes() const {
+  return (x_replicated ? e_axes : kAxisNone) |
+         (ffn_replicated ? f_axes : kAxisNone);
+}
+
 ShardSpec ShardingAssignment::InputSpec() const {
   if (gather_axes != kAxisNone) {
     return Spec({{"tokens", gather_axes}, {"E", EffectiveEAxes()}});
   }
-  if (x_replicated) return Spec({{"tokens", e_axes}, {"E", kAxisNone}});
+  if (x_replicated || ffn_replicated)
+    return Spec({{"tokens", RowAxes()}, {"E", kAxisNone}});
   return Spec({{"tokens", kAxisNone}, {"E", e_axes}});
 }
 
@@ -22,6 +28,7 @@ std::string ShardingAssignment::ToString() const {
   if (qkv_replicated) os << " qkv.replicated";
   if (wo_replicated) os << " wo.replicated";
   if (x_replicated) os << " x.replicated";
+  if (ffn_replicated) os << " ffn.replicated";
   os << " attn=" << tsi::ToString(attn) << " on " << mesh.ToString();
   return os.str();
 }
@@ -66,6 +73,7 @@ ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
   a.qkv_replicated = rep.qkv;
   a.wo_replicated = rep.wo;
   a.x_replicated = rep.x;
+  a.ffn_replicated = rep.ffn;
   return a;
 }
 
@@ -115,8 +123,11 @@ BlockGraph BuildBlockGraph(const ModelConfig& config,
   g.config = config;
   g.assignment = a;
   g.parallel = config.parallel_block;
+  // Site 5 keeps wo's heads and the FFN's F whole (and E is whole too:
+  // site 4, or no x axis), so every matmul's weight is local.
   const unsigned E = a.x_replicated ? kAxisNone : a.e_axes;
-  const unsigned F = a.f_axes, G = a.gather_axes;
+  const unsigned F = a.ffn_replicated ? kAxisNone : a.f_axes;
+  const unsigned G = a.gather_axes;
   const unsigned QKV = a.qkv_replicated ? kAxisNone : F;  // heads columns
   const int in_proj = config.gated_ffn ? 2 : 1;
 

@@ -56,6 +56,11 @@ struct ShardingAssignment {
   // e_axes, and the block input shards its tokens over e_axes instead of
   // its E: x carries batch, and no E contraction leaves a partial over x.
   bool x_replicated = false;
+  // Site 5: the FFN weights and wo keep their F / heads dim whole too, and
+  // the block input shards its tokens over f_axes as well: every chip holds
+  // the whole layer and only its own tokens, and no contraction leaves a
+  // partial at all.
+  bool ffn_replicated = false;
 
   // Weight sharding that remains after the gather.
   unsigned EffectiveEAxes() const { return e_axes & ~gather_axes; }
@@ -63,10 +68,14 @@ struct ShardingAssignment {
   // Chips each weight matrix is gathered over (1 = weight-stationary).
   int GatherWidth() const { return mesh.GroupSize(gather_axes); }
 
+  // Axes a weight-stationary block shards its tokens over: e_axes when
+  // x_replicated, plus f_axes when ffn_replicated.
+  unsigned RowAxes() const;
+
   // Block input activation spec: weight-stationary layouts shard E over
-  // e_axes with the token batch replicated (the tokens over e_axes with E
-  // intact when x_replicated); weight-gathered layouts shard the token
-  // batch over the gathered axes with E intact.
+  // e_axes with the token batch replicated (the tokens over RowAxes() with
+  // E intact when x_replicated or ffn_replicated); weight-gathered layouts
+  // shard the token batch over the gathered axes with E intact.
   ShardSpec InputSpec() const;
 
   std::string ToString() const;
@@ -74,8 +83,8 @@ struct ShardingAssignment {
 
 // The assignment encoding each hand-coded layout (paper §3.2-§3.3):
 // E over x, F over yz, gather over none/x/xy/xyz; `qkv_replicated`,
-// `wo_replicated` and `x_replicated` as the replication rule decided them
-// for `spec`.
+// `wo_replicated`, `x_replicated` and `ffn_replicated` as the replication
+// rule decided them for `spec`.
 ShardingAssignment CanonicalAssignment(const PartitionSpec& spec,
                                        const Replication& rep = {});
 

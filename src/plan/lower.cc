@@ -97,7 +97,7 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
   const Torus3D& mesh = spec.mesh;
   const ShardingAssignment& a = plan.block.graph.assignment;
   const Replication rep{a.qkv_replicated, /*logit_head=*/false,
-                        a.wo_replicated, a.x_replicated};
+                        a.wo_replicated, a.x_replicated, a.ffn_replicated};
   CostBreakdown out = LayerComputeMemoryCost(config, spec, chip, sys, phase, B,
                                              L, context, rep);
 
@@ -126,7 +126,7 @@ CostBreakdown PriceBlock(const LoweredPlan& plan, const ChipSpec& chip,
                                          mesh.GroupSize(plan.e_axes),
                                          2 * e_pairs);
     }
-    if (rep.wo)
+    if (rep.wo && !rep.ffn)
       out.comm += WoSideBytes(config, mesh, BL, act) / cm.network_bw *
                   (1.0 - sys.overlap_fraction);
   } else {

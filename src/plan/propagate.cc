@@ -129,12 +129,12 @@ PropagatedBlock Propagate(const BlockGraph& graph) {
           in.partial = kAxisNone;
         }
         // Tokens sharded over x by a layer whole over x (site 4) still
-        // need the yz reshard.
-        const unsigned rows_x =
-            graph.assignment.x_replicated ? kAxisX : kAxisNone;
+        // need the yz reshard; tokens sharded over every axis by an FFN
+        // whole over yz (site 5) need none.
+        const unsigned rows = graph.assignment.RowAxes();
         if (graph.assignment.attn == AttnSharding::kBatch &&
-            (in.AxesOf("tokens") & live & ~rows_x) == kAxisNone &&
-            (live & ~rows_x) != kAxisNone) {
+            (in.AxesOf("tokens") & live & ~rows) == kAxisNone &&
+            (live & ~rows) != kAxisNone) {
           // Head-sharded projections entering batch-sharded attention:
           // all-to-all tokens<->heads on the way in and back out (Fig 5b).
           // Weight-gathered layouts arrive with tokens already sharded and

@@ -761,11 +761,10 @@ TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
 
 // The replication rule (core/replication.h) fires at every site on this
 // mesh: chip 0 runs the whole logit head (no all-gather(xyz)), and under
-// kBatch the q/k/v columns and wo's rows are whole on every yz chip (no
-// all-to-all in or out of attention; each chip streams the other yz rank's
-// q columns and wo rows) and every layer weight is whole over x (no x
-// collective; each chip streams both x ranks' E blocks, and chip (x, 0)
-// runs the logit head for its x slice's rows).
+// kBatch the q/k/v columns, wo's rows and the FFN are whole on every yz
+// chip and every layer weight is whole over x: each chip streams the whole
+// layer, runs only its own group's rows, and the whole logit head for
+// them, and no collective runs (no network byte).
 INSTANTIATE_TEST_SUITE_P(
     Layouts, StepTest,
     ::testing::Values(
@@ -774,9 +773,9 @@ INSTANTIATE_TEST_SUITE_P(
         StepCase{kHeads, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
                  9.0252173333333515e-05, 352832, 165312},
         StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
-                 2.0398719999999959e-05, 1337280, 110592},
+                 3.9893333333333304e-07, 1910720, 0},
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 2.0294773333333334e-05, 839120, 110592}),
+                 2.5440000000000048e-07, 1218000, 0}),
     StepCaseName);
 
 // Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
@@ -821,7 +820,11 @@ class RaggedFrameTest : public ::testing::TestWithParam<RaggedCase> {
   // weight-gathered pass costs exactly the padded time: each chip computes
   // only its own group's rows, so the busiest chip -- the largest group,
   // which padding never grew -- does the same work either way, and the
-  // logits all-gather is charged as its busiest member.
+  // logits all-gather is charged as its busiest member. A weight-stationary
+  // pass on a purely data-parallel mesh (replication site 5, 2x2x1) also
+  // computes only each chip's own rows and moves no byte at all; in these
+  // frames the largest group's chip stays the busiest when padded, so it
+  // too costs exactly the padded time.
   void ExpectCheaperAndIdentical(const std::vector<StepLane>& lanes,
                                  StepPhase phase, const std::string& what) {
     int64_t real_rows = 0;
@@ -837,16 +840,22 @@ class RaggedFrameTest : public ::testing::TestWithParam<RaggedCase> {
     const FfnLayout layout = phase == StepPhase::kPrefill
                                  ? GetParam().prefill_ffn
                                  : FfnLayout::kWS2D;
-    if (layout == FfnLayout::kWGXYZ) {
-      EXPECT_EQ(ragged_machine_->MaxTime() - t0,
-                padded_machine_->MaxTime() - p0)
-          << what;
+    const double ragged_time = ragged_machine_->MaxTime() - t0;
+    const double padded_time = padded_machine_->MaxTime() - p0;
+    const bool data_parallel =
+        layout != FfnLayout::kWGXYZ && ragged_->replication().ffn;
+    if (layout == FfnLayout::kWGXYZ || data_parallel) {
+      EXPECT_EQ(ragged_time, padded_time) << what;
     } else {
-      EXPECT_LT(ragged_machine_->MaxTime() - t0,
-                padded_machine_->MaxTime() - p0)
+      EXPECT_LT(ragged_time, padded_time) << what;
+    }
+    if (data_parallel) {
+      EXPECT_EQ(Net(*ragged_machine_) - n0, 0.0) << what;
+      EXPECT_EQ(Net(*padded_machine_) - q0, 0.0) << what;
+    } else {
+      EXPECT_LT(Net(*ragged_machine_) - n0, Net(*padded_machine_) - q0)
           << what;
     }
-    EXPECT_LT(Net(*ragged_machine_) - n0, Net(*padded_machine_) - q0) << what;
   }
 
   void SetUp() override {
@@ -980,13 +989,13 @@ TEST(EngineTest, DecodeWithoutPrefillIsRejected) {
 // the head is vocab-sharded, all-gather(xyz).
 //
 // At the default hop latency the replication rule (core/replication.h)
-// fires at every site on this mesh: kBatch keeps q/k/v and wo whole on
-// every yz chip (no all-to-all(yz) at all: the rows split locally on the
-// way in, and the wo side terms ride the all-reduce(yz) on the way out)
-// and every layer weight whole over x (no x collective: x carries the
-// rows, and chip (x, 0) runs the whole logit head for its x slice's rows);
-// kHeads keeps the logit head whole on chip 0 (no all-gather(xyz)). At hop
-// latency 0 nothing replicates and the paper's schedule runs.
+// fires at every site on this mesh: kBatch keeps q/k/v, wo and the FFN
+// whole on every yz chip and every layer weight whole over x, so every
+// chip holds the whole layer and its own group's rows and runs no
+// collective at all, the whole logit head included (the mesh runs purely
+// data parallel); kHeads keeps the logit head whole on chip 0 (no
+// all-gather(xyz)). At hop latency 0 nothing replicates and the paper's
+// schedule runs.
 struct ScheduleCase {
   AttnSharding attn;
   bool parallel;
@@ -1032,34 +1041,31 @@ TEST_P(CollectiveScheduleTest, DecodeStepRunsOneCollectivePerAxisPerPoint) {
 }
 
 // The logit head: the all-gather(x) of activations + final-norm moments,
-// then whole on chip 0 (replicated) or vocab-sharded and gathered; with x
-// carrying the rows, no collective at all.
+// then whole on chip 0 (replicated) or vocab-sharded and gathered; with
+// every chip holding its own rows, no collective at all.
 const std::map<std::string, int> kReplicatedHead = {{"all-gather(x)", 1}};
-const std::map<std::string, int> kRowsOverXHead = {};
+const std::map<std::string, int> kDataParallelHead = {};
 const std::map<std::string, int> kShardedHead = {{"all-gather(x)", 1},
                                                  {"all-gather(xyz)", 1}};
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, CollectiveScheduleTest,
     ::testing::Values(
-        ScheduleCase{kBatch, true, false, 1e-6, {{"all-reduce(yz)", 1}},
-                     kRowsOverXHead},
+        ScheduleCase{kBatch, true, false, 1e-6, {}, kDataParallelHead},
         ScheduleCase{kHeads, true, false, 1e-6,
                      {{"all-reduce(x)", 1}, {"reduce-scatter(x)", 1},
                       {"all-gather(x)", 1}, {"all-reduce(yz)", 1}},
                      kReplicatedHead},
         // Serial: each half has its own norm, reduce-scatter, gather and
-        // yz reduction (under kBatch only the yz reduction is left).
-        ScheduleCase{kBatch, false, false, 1e-6, {{"all-reduce(yz)", 2}},
-                     kRowsOverXHead},
+        // yz reduction (under kBatch none is left).
+        ScheduleCase{kBatch, false, false, 1e-6, {}, kDataParallelHead},
         ScheduleCase{kHeads, false, false, 1e-6,
                      {{"all-reduce(x)", 2}, {"reduce-scatter(x)", 2},
                       {"all-gather(x)", 2}, {"all-reduce(yz)", 2}},
                      kReplicatedHead},
-        // Multihead: the replicated K/V columns split their rows locally
-        // with q's.
-        ScheduleCase{kBatch, false, true, 1e-6, {{"all-reduce(yz)", 2}},
-                     kRowsOverXHead},
+        // Multihead: the replicated K/V columns are projected for the
+        // chip's own rows with q's.
+        ScheduleCase{kBatch, false, true, 1e-6, {}, kDataParallelHead},
         // Hop latency 0: the paper's layouts. q reshards heads -> rows on
         // the way in, and the logits are vocab-sharded and gathered.
         ScheduleCase{kBatch, true, false, 0,
@@ -1090,8 +1096,9 @@ INSTANTIATE_TEST_SUITE_P(
 // layer on 2x2x1 at `hop_latency`. A ring collective runs one ring per
 // torus axis and pays sum_a (k_a - 1) hops; an all-reduce over one 2-chip
 // axis is one exchange, an all-to-all one hop. Every event must include its
-// hops.
-double BatchShardedDecodeStepHops(double hop_latency) {
+// hops. `comm_events`, if given, receives the comm events on every chip.
+double BatchShardedDecodeStepHops(double hop_latency,
+                                  int* comm_events = nullptr) {
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 21);
   const Torus3D mesh(2, 2, 1);
@@ -1108,8 +1115,11 @@ double BatchShardedDecodeStepHops(double hop_latency) {
   engine.DecodeStep(RandomTokens(B, cfg.vocab_size, 23));
   const double hop = machine.comm_cost().hop_latency;
   double hops = 0;
+  if (comm_events != nullptr) *comm_events = 0;
   for (const TraceEvent& e : tracer.events()) {
-    if (e.chip != 0 || std::string(CategoryFor(e.name)) != "comm") continue;
+    const bool comm = std::string(CategoryFor(e.name)) == "comm";
+    if (comm && comm_events != nullptr) ++*comm_events;
+    if (e.chip != 0 || !comm) continue;
     int event_hops = 1;  // all-to-all, or an exchange over one 2-chip axis
     if (e.name.rfind("all-to-all", 0) != 0 &&
         e.name.rfind("all-reduce", 0) != 0) {
@@ -1126,12 +1136,14 @@ double BatchShardedDecodeStepHops(double hop_latency) {
   return hops;
 }
 
-TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysTwoHops) {
-  // Every replica (core/replication.h): per layer only the yz all-reduce,
-  // carrying the wo side terms, = 1 hop latency; the final norm runs
-  // locally and chip (x, 0) runs the whole logit head for its x slice's
-  // rows: 0.
-  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6), 2 * 1 + 0);
+TEST(CollectiveScheduleTest, BatchShardedDecodeStepPaysNoHops) {
+  // Every replica (core/replication.h): each chip holds the whole layer
+  // and its own group's rows, sums the yz ranks' wo and FFN partials
+  // itself, and runs the final norm and the whole logit head for its rows.
+  // No collective event is traced on any chip.
+  int comm_events = -1;
+  EXPECT_EQ(BatchShardedDecodeStepHops(1e-6, &comm_events), 0);
+  EXPECT_EQ(comm_events, 0);
 }
 
 TEST(CollectiveScheduleTest, BatchShardedDecodeStepRunsFifteenHopsAtAlphaZero) {

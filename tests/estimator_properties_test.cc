@@ -115,14 +115,17 @@ TEST(EngineTrafficTest, Ws1DHeadsEgressMatchesClosedFormAtAlphaZero) {
 }
 
 // Batch-sharded attention on WS-1D over one 2-chip yz axis (1x2x1): at the
-// default hop latency every replication site fires (core/replication.h),
-// so no all-to-all runs and the logits are not gathered. The only
-// collective per layer is the yz all-reduce, one exchange whose deposit is
-// the FFN partial at every row plus this chip's own rows' wo terms for the
-// other rank (SpmdContext::AllReduceOwnedRows): (N + N/2) * E per chip,
-// where the all-reduce alone would send N * E.
+// default hop latency replication sites 1-3 fire (core/replication.h), so
+// no all-to-all runs and the logits are not gathered. With an FFN too wide
+// for site 5 -- its other yz half, 1.5 MiB of bf16 per layer, streams in
+// 1.3 us against the 1 us exchange -- the only collective per layer is the
+// yz all-reduce, one exchange whose deposit is the FFN partial at every
+// row plus this chip's own rows' wo terms for the other rank
+// (SpmdContext::AllReduceOwnedRows): (N + N/2) * E per chip, where the
+// all-reduce alone would send N * E.
 TEST(EngineTrafficTest, Ws1DBatchEgressCarriesTheWoSideTerms) {
   ModelConfig cfg = TinyTestModel();  // parallel blocks, 2 layers
+  cfg.d_ff = 16384;
   ModelWeights weights = ModelWeights::Random(cfg, 33);
   Torus3D topo(1, 2, 1);
   SimMachine machine(topo, TpuV4());
@@ -144,6 +147,29 @@ TEST(EngineTrafficTest, Ws1DBatchEgressCarriesTheWoSideTerms) {
     EXPECT_EQ(machine.counters(c).network_bytes, expect_per_chip)
         << "chip " << c;
   }
+}
+
+// The same mesh with the tiny FFN: site 5 keeps it whole over yz too, each
+// chip runs the whole layer over its own group's rows, and no byte moves.
+TEST(EngineTrafficTest, Ws1DBatchDataParallelSendsNothing) {
+  ModelConfig cfg = TinyTestModel();
+  ModelWeights weights = ModelWeights::Random(cfg, 33);
+  Torus3D topo(1, 2, 1);
+  SimMachine machine(topo, TpuV4());
+  EngineSpec spec;
+  spec.prefill_ffn = FfnLayout::kWS1D;
+  spec.decode_ffn = FfnLayout::kWS1D;
+  spec.attn = AttnSharding::kBatch;
+  DistributedEngine engine(weights, &machine, spec);
+  ASSERT_EQ(engine.replication(),
+            (Replication{true, true, true, false, /*ffn=*/true}));
+
+  const int64_t B = 4, T = 8;
+  std::vector<int32_t> tokens(static_cast<size_t>(B * T), 3);
+  engine.Prefill(tokens, B);
+  engine.DecodeStep(std::vector<int32_t>(static_cast<size_t>(B), 5));
+  for (int c = 0; c < topo.num_chips(); ++c)
+    EXPECT_EQ(machine.counters(c).network_bytes, 0.0) << "chip " << c;
 }
 
 // Total matmul FLOPs charged across chips: sharded matmuls must sum back to

@@ -1,12 +1,13 @@
 // Replication is a schedule change only: two engines on the same weights,
 // one on a machine with hop latency 0 (nothing replicated, the paper's
 // layouts) and one at 1 us (the q/k/v columns whole on every yz chip, the
-// logit head whole, where the yz axis is one 2-chip axis wo's rows whole on
-// both yz chips, and where X > 1 every layer weight whole over x,
-// core/replication.h), produce
+// logit head whole, where the yz axis is one 2-chip axis wo's rows and the
+// FFN whole on both yz chips, and where X > 1 every layer weight whole
+// over x, core/replication.h), produce
 // bit-identical logits and leave bit-identical KV caches behind, through a
 // ragged step sequence: lone chunks, a chunk riding a decode frame, and
-// decode frames with idle slots.
+// decode frames with idle slots. A wide-FFN variant keeps the FFN sharded
+// over yz, so both sides of the site-5 choice are checked.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,7 +43,16 @@ struct IdentityCase {
   bool int8_;
   bool fused;
   bool parallel;
+  bool wide_ffn;  // an FFN too wide to stream whole over yz (no site 5)
 };
+
+// A d_ff and a hop latency at which streaming the other yz rank's FFN
+// costs more than the yz all-reduce it would remove, while sites 1-4 still
+// fire: the yz all-reduce, with site 3's wo side terms, stays in every
+// block. (The rule compares stream time against hops, so a 64x wider FFN
+// at 1 us flips it the same way; this keeps the matmuls small.)
+constexpr int64_t kWideFfn = 4096;
+constexpr double kWideFfnHopLatency = 40e-9;
 
 class ReplicationIdentityTest
     : public ::testing::TestWithParam<IdentityCase> {
@@ -53,6 +63,7 @@ class ReplicationIdentityTest
   static ModelConfig Config(const IdentityCase& p) {
     ModelConfig cfg = p.multihead ? TinyTestModelMultihead() : TinyTestModel();
     cfg.parallel_block = p.parallel;
+    if (p.wide_ffn) cfg.d_ff = kWideFfn;
     return cfg;
   }
 
@@ -74,13 +85,15 @@ class ReplicationIdentityTest
     for (int i = 0; i < 2; ++i) {
       machines_[i] =
           std::make_unique<SimMachine>(Torus3D(p.x, p.y, p.z), TpuV4());
-      machines_[i]->set_hop_latency(i == 0 ? 0 : 1e-6);
+      machines_[i]->set_hop_latency(
+          i == 0 ? 0 : (p.wide_ffn ? kWideFfnHopLatency : 1e-6));
       engines_[i] = std::make_unique<DistributedEngine>(
           weights_, machines_[i].get(), Spec());
     }
     ASSERT_EQ(paper().replication(), Replication{});
     ASSERT_EQ(replicated().replication(),
-              (Replication{true, true, /*wo=*/p.y * p.z == 2, /*x=*/p.x > 1}));
+              (Replication{true, true, /*wo=*/p.y * p.z == 2, /*x=*/p.x > 1,
+                           /*ffn=*/p.y * p.z == 2 && !p.wide_ffn}));
   }
 
   DistributedEngine& paper() { return *engines_[0]; }
@@ -154,19 +167,27 @@ TEST_P(ReplicationIdentityTest, RaggedStepsAreBitIdentical) {
 
 std::vector<IdentityCase> Cases() {
   std::vector<IdentityCase> cases;
-  // 2x2x1, 1x2x1 and 2x1x2 replicate wo too (1x2x1 with no x axis, 2x1x2
-  // on the z axis); 2x2x2 and 1x2x2 do not. 2x2x1, 2x2x2 and 2x1x2 keep
-  // the layers whole over x.
-  for (auto mesh : {std::vector<int>{2, 2, 1}, std::vector<int>{2, 2, 2},
-                    std::vector<int>{1, 2, 2}, std::vector<int>{1, 2, 1},
-                    std::vector<int>{2, 1, 2}})
-    for (bool wg : {false, true})
-      for (bool mha : {false, true})
-        for (bool int8 : {false, true})
-          for (bool fused : {false, true})
-            for (bool parallel : {true, false})
-              cases.push_back(
-                  {mesh[0], mesh[1], mesh[2], wg, mha, int8, fused, parallel});
+  // 2x2x1, 1x2x1 and 2x1x2 replicate wo and the FFN too (1x2x1 with no x
+  // axis, 2x1x2 on the z axis), so they run purely data parallel; 2x2x2
+  // and 1x2x2 do not. 2x2x1, 2x2x2 and 2x1x2 keep the layers whole over x.
+  // The same three meshes with a wide FFN keep the FFN sharded over yz and
+  // run the yz all-reduce (collective fusion only changes x collectives,
+  // which none of them runs).
+  for (bool wide : {false, true})
+    for (auto mesh : {std::vector<int>{2, 2, 1}, std::vector<int>{2, 2, 2},
+                      std::vector<int>{1, 2, 2}, std::vector<int>{1, 2, 1},
+                      std::vector<int>{2, 1, 2}}) {
+      if (wide && mesh[1] * mesh[2] != 2) continue;
+      for (bool wg : {false, true})
+        for (bool mha : {false, true})
+          for (bool int8 : {false, true})
+            for (bool fused : {false, true})
+              for (bool parallel : {true, false}) {
+                if (wide && fused) continue;
+                cases.push_back({mesh[0], mesh[1], mesh[2], wg, mha, int8,
+                                 fused, parallel, wide});
+              }
+    }
   return cases;
 }
 
@@ -178,7 +199,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.z) + (p.weight_gathered_prefill ? "_wg" : "_ws") +
              (p.multihead ? "_mha" : "_mqa") + (p.int8_ ? "_int8" : "_fp32") +
              (p.fused ? "_fused" : "") +
-             (p.parallel ? "_parallel" : "_serial");
+             (p.parallel ? "_parallel" : "_serial") +
+             (p.wide_ffn ? "_wideffn" : "");
     });
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The latency-aware replication rule (core/replication.h) on its own: where
-// each of its four sites fires, where it never does, what it counts, and
+// each of its five sites fires, where it never does, what it counts, and
 // that the engine, the estimator and the src/plan lowering read the same
 // answer from it.
 #include "core/replication.h"
@@ -133,8 +133,8 @@ TEST(ReplicationRuleTest, ReplicatedWoBlocksAreTheOldShards) {
   const auto wide = ShardWeights(weights, mesh, wo_only);
   for (int c = 0; c < mesh.num_chips(); ++c) {
     const int xr = mesh.RankInGroup(c, kAxisX);
-    const ShardedLayerWeights& lw = wide[static_cast<size_t>(c)].layers[1];
-    EXPECT_TRUE(plain[static_cast<size_t>(c)].layers[1].wo_blocks.empty());
+    const ShardedLayerWeights& lw = *wide[static_cast<size_t>(c)].layers[1];
+    EXPECT_TRUE(plain[static_cast<size_t>(c)].layers[1]->wo_blocks.empty());
     ASSERT_EQ(lw.wo_blocks.size(), 2u);
     const QuantizedLayerShard q = QuantizeLayerShard(lw, cfg.gated_ffn);
     ASSERT_EQ(q.wo_blocks.size(), 2u);
@@ -145,7 +145,8 @@ TEST(ReplicationRuleTest, ReplicatedWoBlocksAreTheOldShards) {
         if (mesh.RankInGroup(o, kAxisX) == xr &&
             mesh.RankInGroup(o, kAxisY | kAxisZ) == j)
           owner = o;
-      const ShardedLayerWeights& old = plain[static_cast<size_t>(owner)].layers[1];
+      const ShardedLayerWeights& old =
+          *plain[static_cast<size_t>(owner)].layers[1];
       const Tensor& block = lw.wo_blocks[static_cast<size_t>(j)];
       ASSERT_EQ(block.shape(), old.wo.shape());
       EXPECT_EQ(std::memcmp(block.data(), old.wo.data(),
@@ -255,7 +256,7 @@ TEST(ReplicationRuleTest, XBlocksAreTheOldShards) {
   const int64_t Eb = cfg.d_model / mesh.x();
   for (int c = 0; c < mesh.num_chips(); ++c) {
     const int yzr = mesh.RankInGroup(c, kAxisY | kAxisZ);
-    const ShardedLayerWeights& lw = wide[static_cast<size_t>(c)].layers[1];
+    const ShardedLayerWeights& lw = *wide[static_cast<size_t>(c)].layers[1];
     const QuantizedLayerShard q = QuantizeLayerShard(lw, cfg.gated_ffn);
     ASSERT_EQ(lw.in.size(), 2u);
     ASSERT_EQ(q.in.size(), 2u);
@@ -265,7 +266,8 @@ TEST(ReplicationRuleTest, XBlocksAreTheOldShards) {
         if (mesh.RankInGroup(o, kAxisX) == g &&
             mesh.RankInGroup(o, kAxisY | kAxisZ) == yzr)
           owner = o;
-      const ShardedLayerWeights& old = plain[static_cast<size_t>(owner)].layers[1];
+      const ShardedLayerWeights& old =
+          *plain[static_cast<size_t>(owner)].layers[1];
       ASSERT_EQ(old.in.size(), 1u);
       const EBlockWeights& nb = lw.in[static_cast<size_t>(g)];
       const EBlockWeights& ob = old.in[0];
@@ -288,6 +290,181 @@ TEST(ReplicationRuleTest, XBlocksAreTheOldShards) {
                        old_scales));
     }
   }
+}
+
+TEST(ReplicationRuleTest, ServingBenchModelKeepsFfnWholeOverYz) {
+  // Site 5: the other yz rank's 768 KiB of FFN (win, win_gate columns and
+  // wout rows at all E) stream in 0.66 us against the yz all-reduce it
+  // removes, one exchange of a row per owner group plus site 3's side
+  // terms: 1.01 us. Wherever sites 1 and 3 fire and no x collective runs
+  // -- 1x2x1 has no x axis, 2x2x1 and 2x1x2 keep the layers whole over x.
+  const ModelConfig cfg = ServingBenchModel();
+  EXPECT_EQ(FfnYzReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0, 768.0 * 1024);
+  EXPECT_NEAR(
+      TpuV4().MemoryTime(FfnYzReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0),
+      0.66e-6, 0.01e-6);
+  for (const Torus3D& mesh :
+       {Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2)}) {
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+      const Replication r = ChooseReplication(
+          cfg, Spec(mesh, ws, AttnSharding::kBatch, wf), TpuV4(), kHop);
+      EXPECT_TRUE(r.ffn) << mesh.ToString() << " " << ToString(wf);
+      EXPECT_TRUE(r.qkv && r.wo && (mesh.x() == 1 || r.x)) << mesh.ToString();
+      // Head-sharded attention keeps the yz all-reduce; weight-gathered
+      // layouts move the weights anyway; hop latency 0 buys back nothing.
+      EXPECT_FALSE(ChooseReplication(cfg,
+                                     Spec(mesh, ws, AttnSharding::kHeads, wf),
+                                     TpuV4(), kHop)
+                       .ffn)
+          << mesh.ToString();
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, FfnLayout::kWGXYZ, AttnSharding::kBatch,
+                                 wf),
+                       TpuV4(), kHop)
+                       .ffn)
+          << mesh.ToString();
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, ws, AttnSharding::kBatch, wf), TpuV4(),
+                       /*hop_latency=*/0)
+                       .ffn)
+          << mesh.ToString();
+    }
+  }
+  // A yz all-reduce over 4 chips: site 3 stays off, and so does site 5.
+  for (const Torus3D& mesh : {Torus3D(2, 2, 2), Torus3D(1, 2, 2)}) {
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8})
+      EXPECT_FALSE(ChooseReplication(
+                       cfg, Spec(mesh, ws, AttnSharding::kBatch, wf), TpuV4(),
+                       kHop)
+                       .ffn)
+          << mesh.ToString() << " " << ToString(wf);
+  }
+}
+
+TEST(ReplicationRuleTest, PalmFfnStaysShardedOverYz) {
+  // The other yz half of a PaLM FFN takes hundreds of us to stream (8B:
+  // 3 * 4096 * 16384 / 2 params) against a few us of hops; on the meshes
+  // below sites 1 and 3 do not fire either, and site 5 needs both.
+  EXPECT_GT(TpuV4().MemoryTime(FfnYzReplicaParams(Palm8B(), Torus3D(1, 2, 1)) *
+                               2.0),
+            100e-6);
+  for (const auto& [cfg, mesh] :
+       {std::pair{Palm8B(), Torus3D(1, 2, 1)},
+        std::pair{Palm8B(), Torus3D(2, 2, 1)},
+        std::pair{Palm62B(), Torus3D(4, 2, 1)},
+        std::pair{Palm540B(), Torus3D(4, 4, 4)}}) {
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    for (WeightFormat wf : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+      const Replication r = ChooseReplication(
+          cfg, Spec(mesh, ws, AttnSharding::kBatch, wf), TpuV4(), kHop);
+      EXPECT_FALSE(r.ffn) << cfg.name << " on " << mesh.ToString() << " "
+                          << ToString(wf);
+      EXPECT_FALSE(r.wo) << cfg.name << " on " << mesh.ToString();
+    }
+  }
+}
+
+TEST(ReplicationRuleTest, FfnYzBlocksAreTheOldShards) {
+  // Under site 5 chip (x, j)'s win/win_gate columns of yz block k and its
+  // wout block k are chip (x, k)'s shards under sites 1-4 -- fp32 elements
+  // and, quantized, int8 values and column scales -- and its wout at all F
+  // is gone.
+  const ModelConfig cfg = ServingBenchModel();
+  const ModelWeights weights = ModelWeights::Random(cfg, 11);
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  auto same_q = [](const QuantizedTensor& a, const QuantizedTensor& b) {
+    return a.shape == b.shape && a.values == b.values && a.scales == b.scales;
+  };
+  // Columns [c0, c0 + n) of a quantized matrix: its values and scales.
+  auto q_cols = [](const QuantizedTensor& q, int64_t c0, int64_t n) {
+    QuantizedTensor out;
+    out.shape = {q.rows(), n};
+    for (int64_t r = 0; r < q.rows(); ++r)
+      for (int64_t c = c0; c < c0 + n; ++c)
+        out.values.push_back(q.values[static_cast<size_t>(r * q.cols() + c)]);
+    out.scales.assign(q.scales.begin() + c0, q.scales.begin() + c0 + n);
+    return out;
+  };
+  for (const Torus3D& mesh : {Torus3D(2, 2, 1), Torus3D(1, 2, 1)}) {
+    SCOPED_TRACE(mesh.ToString());
+    Replication sites{true, true, true, mesh.x() > 1};
+    const auto plain = ShardWeights(weights, mesh, sites);
+    sites.ffn = true;
+    const auto wide = ShardWeights(weights, mesh, sites);
+    const int64_t Fb = cfg.d_ff / 2;
+    for (int c = 0; c < mesh.num_chips(); ++c) {
+      const int xr = mesh.RankInGroup(c, kAxisX);
+      const ShardedLayerWeights& lw = *wide[static_cast<size_t>(c)].layers[1];
+      const QuantizedLayerShard q = QuantizeLayerShard(lw, cfg.gated_ffn);
+      EXPECT_TRUE(lw.wout.empty());
+      ASSERT_EQ(lw.wout_blocks.size(), 2u);
+      ASSERT_EQ(q.wout_blocks.size(), 2u);
+      for (int k = 0; k < 2; ++k) {
+        int owner = -1;  // the chip at x rank xr and yz rank k
+        for (int o = 0; o < mesh.num_chips(); ++o)
+          if (mesh.RankInGroup(o, kAxisX) == xr &&
+              mesh.RankInGroup(o, kAxisY | kAxisZ) == k)
+            owner = o;
+        const ShardedLayerWeights& old =
+            *plain[static_cast<size_t>(owner)].layers[1];
+        const QuantizedLayerShard old_q =
+            QuantizeLayerShard(old, cfg.gated_ffn);
+        const auto ku = static_cast<size_t>(k);
+        EXPECT_TRUE(same(lw.wout_blocks[ku], old.wout)) << "chip " << c;
+        EXPECT_TRUE(same_q(q.wout_blocks[ku], old_q.wout)) << "chip " << c;
+        ASSERT_EQ(lw.in.size(), old.in.size());
+        for (size_t g = 0; g < lw.in.size(); ++g) {
+          for (auto m : {&EBlockWeights::win, &EBlockWeights::win_gate})
+            EXPECT_TRUE(same((lw.in[g].*m).Slice(1, k * Fb, Fb), old.in[g].*m))
+                << "chip " << c << " block " << g;
+          for (auto m : {&QuantizedEBlock::win, &QuantizedEBlock::win_gate})
+            EXPECT_TRUE(same_q(q_cols(q.in[g].*m, k * Fb, Fb), old_q.in[g].*m))
+                << "chip " << c << " block " << g;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReplicationRuleTest, DataParallelMeshWithAVocabShardedHead) {
+  // A 64Ki vocabulary keeps the head vocab-sharded (the other chips' 3 MiB
+  // of it stream in 2.6 us against 2 us of logit all-gather hops) while the
+  // FFN stays whole over yz: each chip gathers the normed rows of every
+  // group over xyz for its vocab shard, and the logits gather as in the
+  // paper's layout -- bit-identical to hop latency 0.
+  ModelConfig cfg = TinyTestModel();
+  cfg.vocab_size = 65536;
+  const ModelWeights weights = ModelWeights::Random(cfg, 13);
+  const Torus3D mesh(2, 2, 1);
+  EngineSpec spec;
+  spec.attn = AttnSharding::kBatch;
+  SimMachine paper_machine(mesh, TpuV4()), machine(mesh, TpuV4());
+  paper_machine.set_hop_latency(0);
+  DistributedEngine paper(weights, &paper_machine, spec);
+  DistributedEngine engine(weights, &machine, spec);
+  ASSERT_EQ(engine.replication(), (Replication{true, false, true, true, true}));
+  auto bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  // Groups of different sizes: one holds a 5-token chunk.
+  std::vector<StepLane> lanes;
+  for (int64_t s = 0; s < 4; ++s)
+    lanes.push_back({s, std::vector<int32_t>(s == 2 ? 5 : 1,
+                                             static_cast<int32_t>(7 * s + 1)),
+                     s});
+  EXPECT_TRUE(bits(engine.Step(lanes, StepPhase::kPrefill),
+                   paper.Step(lanes, StepPhase::kPrefill)));
+  for (StepLane& l : lanes) l.tokens = {static_cast<int32_t>(l.slot + 3)};
+  EXPECT_TRUE(bits(engine.Step(lanes, StepPhase::kDecode),
+                   paper.Step(lanes, StepPhase::kDecode)));
 }
 
 TEST(ReplicationRuleTest, Palm540BOn4x4x4ReplicatesNeitherSite) {
@@ -340,7 +517,7 @@ TEST(ReplicationRuleTest, MultiheadCountsKeyAndValueColumns) {
     return static_cast<double>(l.in[0].wq.numel() + l.in[0].wk.numel() +
                                l.in[0].wv.numel());
   };
-  EXPECT_EQ(qkv_params(wide[0].layers[0]) - qkv_params(plain[0].layers[0]),
+  EXPECT_EQ(qkv_params(*wide[0].layers[0]) - qkv_params(*plain[0].layers[0]),
             QkvReplicaParams(mha, mesh));
   // The replicated head is unsharded; the paper's is a vocab shard.
   EXPECT_TRUE(wide[0].head_shard.empty());
@@ -351,71 +528,82 @@ TEST(ReplicationRuleTest, MultiheadCountsKeyAndValueColumns) {
 class ReplicationAgreementTest : public ::testing::TestWithParam<Torus3D> {};
 
 TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
-  const ModelConfig cfg = ServingBenchModel();
-  const ModelWeights weights = ModelWeights::Random(cfg, 5);
-  const Torus3D mesh = GetParam();
-  const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
-  const PartitionSpec spec = Spec(mesh, ws, AttnSharding::kBatch);
-  for (double hop : {kHop, 0.0}) {
-    SCOPED_TRACE(hop);
-    const Replication rule = ChooseReplication(cfg, spec, TpuV4(), hop);
-    // Every site fires at 1 us on these meshes (site 4 where X > 1), none
-    // at 0.
-    EXPECT_EQ(rule, hop > 0 ? (Replication{true, true, true, mesh.x() > 1})
-                            : Replication{});
+  // Both block styles: a serial block's yz all-reduces are two.
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    ModelConfig cfg = ServingBenchModel();
+    cfg.parallel_block = parallel;
+    const ModelWeights weights = ModelWeights::Random(cfg, 5);
+    const Torus3D mesh = GetParam();
+    const FfnLayout ws = mesh.x() == 1 ? FfnLayout::kWS1D : FfnLayout::kWS2D;
+    const PartitionSpec spec = Spec(mesh, ws, AttnSharding::kBatch);
+    for (double hop : {kHop, 0.0}) {
+      SCOPED_TRACE(hop);
+      const Replication rule = ChooseReplication(cfg, spec, TpuV4(), hop);
+      // Every site fires at 1 us on these meshes (site 4 where X > 1), none
+      // at 0.
+      EXPECT_EQ(rule, hop > 0 ? (Replication{true, true, true, mesh.x() > 1,
+                                             /*ffn=*/true})
+                              : Replication{});
 
-    // Engine: the decision it sharded and scheduled by.
-    SimMachine machine(mesh, TpuV4());
-    machine.set_hop_latency(hop);
-    EngineSpec espec;
-    espec.attn = AttnSharding::kBatch;
-    espec.prefill_ffn = ws;
-    espec.decode_ffn = ws;
-    DistributedEngine engine(weights, &machine, espec);
-    EXPECT_EQ(engine.replication(), rule);
+      // Engine: the decision it sharded and scheduled by.
+      SimMachine machine(mesh, TpuV4());
+      machine.set_hop_latency(hop);
+      EngineSpec espec;
+      espec.attn = AttnSharding::kBatch;
+      espec.prefill_ffn = ws;
+      espec.decode_ffn = ws;
+      DistributedEngine engine(weights, &machine, espec);
+      EXPECT_EQ(engine.replication(), rule);
 
-    // Lowering: one all-to-all fewer per replicated site, priced to the
-    // double like LayerCost.
-    SystemModel sys;
-    sys.hop_latency = hop;
-    const plan::LoweredPlan lowered = plan::LowerSpec(cfg, spec, TpuV4(), hop);
-    EXPECT_EQ(lowered.block.graph.assignment.qkv_replicated, rule.qkv);
-    EXPECT_EQ(lowered.block.graph.assignment.wo_replicated, rule.wo);
-    EXPECT_EQ(lowered.block.graph.assignment.x_replicated, rule.x);
-    EXPECT_EQ(lowered.a2a_count, 2 - int{rule.qkv} - int{rule.wo});
-    // No x collective once the layer is whole over x.
-    EXPECT_EQ(lowered.f_collectives > 0, mesh.x() > 1 && !rule.x);
-    const CostBreakdown hand =
-        LayerCost(cfg, spec, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
-    const CostBreakdown derived =
-        plan::PriceBlock(lowered, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
-    EXPECT_EQ(hand.compute, derived.compute);
-    EXPECT_EQ(hand.weight_memory, derived.weight_memory);
-    EXPECT_EQ(hand.kv_memory, derived.kv_memory);
-    EXPECT_EQ(hand.comm, derived.comm);
-    EXPECT_EQ(hand.overhead, derived.overhead);
+      // Lowering: one all-to-all fewer per replicated site, priced to the
+      // double like LayerCost.
+      SystemModel sys;
+      sys.hop_latency = hop;
+      const plan::LoweredPlan lowered =
+          plan::LowerSpec(cfg, spec, TpuV4(), hop);
+      EXPECT_EQ(lowered.block.graph.assignment.qkv_replicated, rule.qkv);
+      EXPECT_EQ(lowered.block.graph.assignment.wo_replicated, rule.wo);
+      EXPECT_EQ(lowered.block.graph.assignment.x_replicated, rule.x);
+      EXPECT_EQ(lowered.block.graph.assignment.ffn_replicated, rule.ffn);
+      EXPECT_EQ(lowered.a2a_count, 2 - int{rule.qkv} - int{rule.wo});
+      // No x collective once the layer is whole over x, and no yz all-reduce
+      // once the FFN is whole over yz: no collective at all.
+      EXPECT_EQ(lowered.f_collectives > 0, mesh.x() > 1 && !rule.x);
+      EXPECT_EQ(lowered.e_allreduces > 0, !rule.ffn);
+      const CostBreakdown hand =
+          LayerCost(cfg, spec, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
+      const CostBreakdown derived =
+          plan::PriceBlock(lowered, TpuV4(), sys, Phase::kDecode, 8, 1, 200);
+      EXPECT_EQ(hand.compute, derived.compute);
+      EXPECT_EQ(hand.weight_memory, derived.weight_memory);
+      EXPECT_EQ(hand.kv_memory, derived.kv_memory);
+      EXPECT_EQ(hand.comm, derived.comm);
+      EXPECT_EQ(hand.overhead, derived.overhead);
 
-    // Estimator: the head priced whole when site 2 fires, and the replicas
-    // counted in the weights per chip.
-    InferenceEstimator est(cfg, TpuV4(), sys);
-    const PhaseResult step = est.DecodeStep(spec, 8, 200);
-    const double head_params =
-        static_cast<double>(cfg.d_model) * cfg.vocab_size;
-    const int head_chips = rule.logit_head ? 1 : mesh.num_chips();
-    EXPECT_DOUBLE_EQ(step.breakdown.weight_memory,
-                     hand.weight_memory * cfg.num_layers +
-                         head_params * 2.0 / head_chips /
-                             (TpuV4().hbm_bw * sys.hbm_frac));
-    double weights_per_chip =
-        static_cast<double>(MatmulParams(cfg)) * 2.0 / mesh.num_chips();
-    if (rule.qkv)
-      weights_per_chip += cfg.num_layers * QkvReplicaParams(cfg, mesh) * 2.0;
-    if (rule.wo)
-      weights_per_chip += cfg.num_layers * WoReplicaParams(cfg, mesh) * 2.0;
-    if (rule.x)
-      weights_per_chip += cfg.num_layers * XReplicaParams(cfg, mesh, rule) * 2.0;
-    if (rule.logit_head) weights_per_chip += HeadReplicaParams(cfg, mesh) * 2.0;
-    EXPECT_EQ(step.weight_bytes_per_chip, weights_per_chip);
+      // Estimator: the head priced whole when site 2 fires, and the replicas
+      // counted in the weights per chip.
+      InferenceEstimator est(cfg, TpuV4(), sys);
+      const PhaseResult step = est.DecodeStep(spec, 8, 200);
+      const double head_params =
+          static_cast<double>(cfg.d_model) * cfg.vocab_size;
+      const int head_chips = rule.logit_head ? 1 : mesh.num_chips();
+      EXPECT_DOUBLE_EQ(step.breakdown.weight_memory,
+                       hand.weight_memory * cfg.num_layers +
+                           head_params * 2.0 / head_chips /
+                               (TpuV4().hbm_bw * sys.hbm_frac));
+      const double L = static_cast<double>(cfg.num_layers);
+      double weights_per_chip =
+          static_cast<double>(MatmulParams(cfg)) * 2.0 / mesh.num_chips();
+      if (rule.qkv) weights_per_chip += L * QkvReplicaParams(cfg, mesh) * 2.0;
+      if (rule.wo) weights_per_chip += L * WoReplicaParams(cfg, mesh) * 2.0;
+      if (rule.x) weights_per_chip += L * XReplicaParams(cfg, mesh, rule) * 2.0;
+      if (rule.ffn)
+        weights_per_chip += L * FfnYzReplicaParams(cfg, mesh) * 2.0;
+      if (rule.logit_head)
+        weights_per_chip += HeadReplicaParams(cfg, mesh) * 2.0;
+      EXPECT_EQ(step.weight_bytes_per_chip, weights_per_chip);
+    }
   }
 }
 

@@ -278,7 +278,9 @@ class DeferralProbe : public ServeBackend {
 
 TEST(ServeRuntimeTest, DeferredRagChunksMatchIsolatedRuns) {
   // A rag-shaped trace: short prompts start decoding first, then prompts of
-  // three chunks arrive while they decode. Non-final chunks are deferred
+  // three chunks arrive while they decode (10 ns apart: a tiny-model decode
+  // step on the purely data-parallel kBatch mesh takes ~40 ns, so twelve
+  // of them end within 0.5 us). Non-final chunks are deferred
   // into the next forward pass (a decode frame, or the request's final
   // chunk as one longer lane); none of that may change a token, and the
   // virtual timestamps stay independent of the SPMD slot count.
@@ -290,7 +292,7 @@ TEST(ServeRuntimeTest, DeferredRagChunksMatchIsolatedRuns) {
     ServeRequest r;
     r.id = i;
     const bool rag = i >= 2;
-    r.arrival = rag ? 1e-6 * static_cast<double>(i) : 0;
+    r.arrival = rag ? 1e-8 * static_cast<double>(i) : 0;
     r.prompt = RandomTokens(rag ? 2 * kChunk + 1 + i % 3 : 3, cfg.vocab_size,
                             400 + static_cast<uint64_t>(i));
     r.max_new_tokens = rag ? 3 : 12;
@@ -465,9 +467,13 @@ TEST(ServeRuntimeTest, RaggedKBatchFramesMatchIsolatedRunsAndCostLess) {
   // exactly its lanes' rows. Tokens equal isolated runs, timestamps are
   // identical for SPMD slots 1 and 8, and every pass whose groups hold
   // different row counts -- each one carries a chunk -- costs less modeled
-  // time than the same frame padded. A uniform frame (a decode frame
-  // without chunks, or a one-token final chunk alone) has nothing to pad
-  // and costs the same.
+  // time than the same frame padded, except on a purely data-parallel mesh
+  // (core/replication.h, site 5: 2x2x1), where each chip computes only its
+  // own group's rows and no collective runs: there padding adds work only
+  // to the smaller groups' chips, so the pass costs no more than padded
+  // (less when a padded chip ends up the busiest). A uniform frame (a
+  // decode frame without chunks, or a one-token final chunk alone) has
+  // nothing to pad and costs the same.
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 36);
   const int64_t kChunk = 4, kSlots = 8;
@@ -476,7 +482,7 @@ TEST(ServeRuntimeTest, RaggedKBatchFramesMatchIsolatedRunsAndCostLess) {
     ServeRequest r;
     r.id = i;
     const bool rag = i >= 2;
-    r.arrival = rag ? 1e-6 * static_cast<double>(i) : 0;
+    r.arrival = rag ? 1e-8 * static_cast<double>(i) : 0;
     r.prompt = RandomTokens(rag ? 2 * kChunk + 1 + i % 3 : 3, cfg.vocab_size,
                             500 + static_cast<uint64_t>(i));
     r.max_new_tokens = rag ? 3 : 12;
@@ -525,7 +531,11 @@ TEST(ServeRuntimeTest, RaggedKBatchFramesMatchIsolatedRunsAndCostLess) {
       } else {
         EXPECT_TRUE(p.carries_chunk) << name;
         ++chunk_passes;
-        EXPECT_LT(p.ragged, p.padded) << name;
+        if (engine.replication().ffn) {
+          EXPECT_LE(p.ragged, p.padded + 1e-12 * p.padded) << name;
+        } else {
+          EXPECT_LT(p.ragged, p.padded) << name;
+        }
       }
     }
     EXPECT_GT(chunk_passes, 0) << name;

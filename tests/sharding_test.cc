@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "engine/kvcache.h"
 #include "util/rng.h"
 
@@ -49,7 +51,7 @@ Tensor ReassembleRowsXColsYZ(const std::vector<ChipWeights>& chips,
         if (mesh.RankInGroup(c, kAxisX) == xr &&
             mesh.RankInGroup(c, kAxisY | kAxisZ) == yzr) {
           col_blocks.push_back(
-              chips[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)].in[0].*member);
+              chips[static_cast<size_t>(c)].layers[static_cast<size_t>(layer)]->in[0].*member);
           break;
         }
       }
@@ -98,7 +100,7 @@ TEST_P(ShardingTest, PerChipShapes) {
   const int64_t KV = cfg.n_kv_heads();
   const bool kv_replicated = KV % YZ != 0;
   for (const auto& chip : chips) {
-    const auto& lw = chip.layers[0];
+    const auto& lw = *chip.layers[0];
     ASSERT_EQ(lw.in.size(), 1u);
     EXPECT_EQ(lw.in[0].win.shape(), (Shape{E / X, F / YZ}));
     EXPECT_EQ(lw.wout.shape(), (Shape{F / YZ, E / X}));
@@ -120,8 +122,8 @@ TEST_P(ShardingTest, TotalShardBytesAccounting) {
   auto chips = ShardWeights(w, mesh);
   int64_t total_win = 0, total_wk = 0;
   for (const auto& chip : chips) {
-    total_win += chip.layers[0].in[0].win.numel();
-    total_wk += chip.layers[0].in[0].wk.numel();
+    total_win += chip.layers[0]->in[0].win.numel();
+    total_wk += chip.layers[0]->in[0].wk.numel();
   }
   EXPECT_EQ(total_win, w.layers[0].win.numel());
   const int64_t YZ = mesh.y() * mesh.z();
@@ -143,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(Meshes, ShardingTest,
 // The whole logit head sits only on the chips that apply it (engine.cc's
 // Step): none when the weight-stationary head is vocab-sharded, chip 0 when
 // it runs whole, each x slice's yz-rank-0 chip under site 4, and every chip
-// when a phase runs weight-gathered.
+// under site 5 or when a phase runs weight-gathered.
 TEST(LogitHeadPlacementTest, WholeHeadOnlyOnChipsThatApplyIt) {
   const ModelConfig cfg = TinyTestModel();
   const ModelWeights w = ModelWeights::Random(cfg, 14);
@@ -170,10 +172,15 @@ TEST(LogitHeadPlacementTest, WholeHeadOnlyOnChipsThatApplyIt) {
   site4.x = true;
   Replication sharded_site4;
   sharded_site4.x = true;
+  Replication site5 = site4;
+  site5.qkv = site5.wo = site5.ffn = true;
   EXPECT_EQ(holders(ShardWeights(w, mesh)), std::vector<int>{});
   EXPECT_EQ(holders(ShardWeights(w, mesh, sharded_site4)), std::vector<int>{});
   EXPECT_EQ(holders(ShardWeights(w, mesh, whole_head)), std::vector<int>{0});
   EXPECT_EQ(holders(ShardWeights(w, mesh, site4)), yz_rank0);
+  // Site 5: every chip runs the head for its own group's rows.
+  EXPECT_EQ(holders(ShardWeights(w, mesh, site5)),
+            (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(holders(ShardWeights(w, mesh, {}, /*weight_gathered=*/true)),
             (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(holders(ShardWeights(w, mesh, site4, /*weight_gathered=*/true)),
@@ -183,6 +190,40 @@ TEST(LogitHeadPlacementTest, WholeHeadOnlyOnChipsThatApplyIt) {
   // The vocab shards stay wherever the head is sharded.
   for (const ChipWeights& cw : ShardWeights(w, mesh, {}, true))
     EXPECT_EQ(cw.head_shard.dim(1), cfg.vocab_size / mesh.num_chips());
+}
+
+TEST(ShardSharingTest, ChipsWithEqualShardsShareOneCopy) {
+  // The paper's layout cuts a distinct shard per chip; the layer whole over
+  // x (site 4) makes the x ranks' shards equal, the FFN whole over yz too
+  // (site 5) every chip's. Equal shards are one read-only copy, and so is
+  // their int8 form when quantized.
+  const ModelConfig cfg = TinyTestModel();
+  const ModelWeights w = ModelWeights::Random(cfg, 8);
+  const Torus3D mesh(2, 2, 1);
+  auto distinct = [&](const Replication& r) {
+    std::set<const ShardedLayerWeights*> shards;
+    std::set<const QuantizedLayerShard*> quantized;
+    for (const ChipWeights& cw :
+         ShardWeights(w, mesh, r, /*weight_gathered=*/false,
+                      /*quantize=*/true)) {
+      EXPECT_EQ(cw.layers.size(), static_cast<size_t>(cfg.num_layers));
+      EXPECT_EQ(cw.qlayers.size(), cw.layers.size());
+      for (const auto& lw : cw.layers) shards.insert(lw.get());
+      for (const auto& q : cw.qlayers) quantized.insert(q.get());
+    }
+    EXPECT_EQ(quantized.size(), shards.size());
+    return static_cast<int>(shards.size()) / cfg.num_layers;
+  };
+  Replication site4{true, true, true, true};
+  Replication site5 = site4;
+  site5.ffn = true;
+  EXPECT_EQ(distinct({}), 4);
+  EXPECT_EQ(distinct(site4), 2);
+  EXPECT_EQ(distinct(site5), 1);
+  // Site 5 without sites 1 and 3 is not a layout the rule produces.
+  EXPECT_DEATH(ShardWeights(w, mesh, Replication{false, false, false, true,
+                                                 /*ffn=*/true}),
+               "site 5 needs");
 }
 
 TEST(ShardedKvCacheTest, AppendsAndTracksLength) {

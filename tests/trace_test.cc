@@ -69,14 +69,16 @@ TEST(TracerTest, CollectivesAreTracedWithAxisNames) {
 TEST(TracerTest, EventsTileEachChipTimeline) {
   // Tracing a real engine forward pass: per chip, events must be
   // non-overlapping, ordered, and sum (with idle gaps from clock syncs) to
-  // at most the chip's final clock.
+  // at most the chip's final clock. Head-sharded attention, so the pass
+  // runs collectives: batch-sharded attention on 2x2x1 runs purely data
+  // parallel (core/replication.h, site 5) and traces none.
   ModelConfig cfg = TinyTestModel();
   ModelWeights weights = ModelWeights::Random(cfg, 3);
   SimMachine machine(Torus3D(2, 2, 1), TpuV4());
   Tracer tracer;
   machine.AttachTracer(&tracer);
   EngineSpec spec;
-  spec.attn = AttnSharding::kBatch;
+  spec.attn = AttnSharding::kHeads;
   DistributedEngine engine(weights, &machine, spec);
 
   std::vector<int32_t> tokens(4 * 4, 1);

@@ -40,8 +40,10 @@
 #   tools/check.sh asan       # additionally build an AddressSanitizer +
 #                             # UndefinedBehaviorSanitizer config
 #                             # (-DTSI_ASAN=ON) and run the SPMD, engine,
-#                             # serving, disaggregation, collective and
-#                             # replication suites
+#                             # serving, disaggregation, collective,
+#                             # replication, estimator-property and plan
+#                             # suites (every replication site edits
+#                             # LayerCost, PriceBlock and Propagate)
 #                             # on it with 8 SPMD slots forced (packed
 #                             # tuple-collective deposits, per-axis ring
 #                             # chunks, tensor offset math, ragged row
@@ -89,8 +91,9 @@ if [[ "${1:-}" == "asan" ]]; then
   # Memory-safety and UB check: -fsanitize=address,undefined with
   # -fno-sanitize-recover, so any report fails the test. Only the suites it
   # runs are built; ring_test and collectives_test cover the per-axis chunk
-  # bookkeeping of the wire-level collectives.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test'
+  # bookkeeping of the wire-level collectives, estimator_properties_test and
+  # plan_test the estimator and the src/plan lowering.
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
