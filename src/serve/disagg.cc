@@ -1,19 +1,10 @@
 #include "serve/disagg.h"
 
-#include <algorithm>
-#include <deque>
-#include <limits>
 #include <string>
-#include <utility>
 
 #include "core/migration.h"
 #include "engine/engine.h"
-#include "serve/queue.h"
-#include "serve/slots.h"
-#include "sim/trace.h"
-#include "util/json.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 
 namespace tsi {
 
@@ -89,352 +80,6 @@ KvMigrator::Result AnalyticKvMigrator::Migrate(int64_t /*src_slot*/,
       config_, context, bytes_per_element_, page_size_, link_);
   decode_->SetSlotContext(dst_slot, static_cast<double>(context));
   return {c.bytes, c.seconds};
-}
-
-DisaggReport RunDisaggServing(ServeBackend& prefill, ServeBackend& decode,
-                              KvMigrator& migrator,
-                              std::vector<ServeRequest> requests,
-                              const ServeOptions& options) {
-  TSI_CHECK_GT(options.prefill_chunk, 0);
-  TSI_CHECK(!options.share_prefixes)
-      << "disaggregation does not compose with KV prefix sharing: migrating "
-      << "a forked slot would detach its COW pages";
-  RequestQueue queue(std::move(requests));
-  SlotAllocator prefill_slots(prefill.num_slots());
-  SlotAllocator decode_slots(decode.num_slots());
-
-  Tracer* tracer = options.tracer;
-  obs::MetricsRegistry& metrics =
-      options.metrics ? *options.metrics : obs::MetricsRegistry::Global();
-  obs::Counter* m_admitted = metrics.GetCounter("serve/admitted");
-  obs::Counter* m_retired = metrics.GetCounter("serve/retired");
-  obs::Counter* m_prefill_chunks = metrics.GetCounter("serve/prefill_chunks");
-  obs::Counter* m_decode_steps = metrics.GetCounter("serve/decode_steps");
-  obs::Counter* m_idle_jumps = metrics.GetCounter("serve/idle_jumps");
-  obs::Counter* m_migrations = metrics.GetCounter("serve/migrations");
-  obs::Counter* m_migrated_bytes =
-      metrics.GetCounter("serve/migrated_kv_bytes");
-  obs::Gauge* m_queue_depth = metrics.GetGauge("serve/queue_depth");
-  obs::Gauge* m_prefill_active = metrics.GetGauge("serve/prefill_active");
-  obs::Gauge* m_decode_active = metrics.GetGauge("serve/decode_active");
-  obs::Gauge* m_migration_depth =
-      metrics.GetGauge("serve/migration_queue_depth");
-  // Exact-sample mode like the colocated loop: the exported p99s are order
-  // statistics of the real waits/transfers, not bucket bounds.
-  obs::Histogram* m_queue_wait = metrics.GetHistogram(
-      "serve/queue_wait_s", {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0},
-      /*sample_cap=*/1 << 16);
-  obs::Histogram* m_migration_s = metrics.GetHistogram(
-      "serve/migration_s", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0},
-      /*sample_cap=*/1 << 16);
-
-  struct PrefillJob {
-    ServeRequest req;
-    int64_t slot = -1;
-    RequestRecord rec;
-    int64_t prefilled = 0;
-    bool moved = false;  // handed to the migration queue (or retired)
-  };
-  struct MigrationJob {  // prefill done, waiting for link + decode slot
-    ServeRequest req;
-    RequestRecord rec;
-    int64_t src_slot = -1;
-    int32_t first_token = 0;
-    int64_t context = 0;
-    double ready = 0;  // prefill-pool time the KV became complete
-  };
-  struct InFlight {  // transfer started; KV lands in the decode pool at done
-    ServeRequest req;
-    RequestRecord rec;
-    int64_t dst_slot = -1;
-    int32_t first_token = 0;
-    double done = 0;
-  };
-  struct DecodeJob {
-    ServeRequest req;
-    int64_t slot = -1;
-    RequestRecord rec;
-    int32_t last_token = 0;
-    bool done = false;
-  };
-
-  std::vector<PrefillJob> prefilling;
-  std::deque<MigrationJob> migration_q;
-  std::vector<InFlight> migrating;
-  std::vector<DecodeJob> decoding;
-  // A migrated source slot's id returns to the allocator once the prefill
-  // clock passes the transfer's completion (the pages are gone at Migrate
-  // time; only the virtual reuse point is gated).
-  std::vector<std::pair<int64_t, double>> prefill_frees;
-  std::vector<double> decode_slot_free(
-      static_cast<size_t>(decode.num_slots()), 0.0);
-  double link_free = 0;
-  DisaggReport out;
-
-  auto hits_budget = [&](const RequestRecord& rec, const ServeRequest& req,
-                         int32_t token) {
-    return (options.eos_token && token == *options.eos_token) ||
-           static_cast<int64_t>(rec.tokens.size()) >= req.max_new_tokens;
-  };
-  auto finish = [&](RequestRecord rec, double when) {
-    rec.finished = when;
-    m_retired->Add(1);
-    if (tracer) {
-      tracer->RecordInstant("retire", when,
-                            {{"request", std::to_string(rec.id)},
-                             {"tokens", std::to_string(rec.tokens.size())}});
-      tracer->RecordLifecycle('e', "request", rec.id, when);
-    }
-    out.serve.requests.push_back(std::move(rec));
-  };
-
-  while (!queue.empty() || !prefilling.empty() || !migration_q.empty() ||
-         !migrating.empty() || !decoding.empty()) {
-    bool worked = false;
-
-    // 0. Return prefill slots whose migration transfer has completed (in
-    //    virtual time) to the allocator.
-    for (auto it = prefill_frees.begin(); it != prefill_frees.end();) {
-      if (it->second <= prefill.Now()) {
-        prefill_slots.Release(it->first);
-        it = prefill_frees.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // 1. Start migrations, FIFO, while decode lanes are free. The data is
-    //    copied now (host side); virtually the transfer holds only the
-    //    serialized link from max(ready, link free, lane free) for the A.1
-    //    transfer time -- the prefill pool's next chunk overlaps it.
-    while (!migration_q.empty() && decode_slots.HasFree()) {
-      MigrationJob mj = std::move(migration_q.front());
-      migration_q.pop_front();
-      const int64_t dst = decode_slots.Acquire();
-      const double start =
-          std::max({mj.ready, link_free,
-                    decode_slot_free[static_cast<size_t>(dst)]});
-      const KvMigrator::Result r =
-          migrator.Migrate(mj.src_slot, dst, mj.context);
-      const double done = start + r.seconds;
-      link_free = done;
-      out.migrations += 1;
-      out.migrated_bytes += r.bytes;
-      out.link_busy_seconds += r.seconds;
-      m_migrations->Add(1);
-      m_migrated_bytes->Add(r.bytes);
-      m_migration_s->Observe(r.seconds);
-      if (tracer) {
-        tracer->RecordScheduler(
-            "migrate", start, done - start,
-            {{"request", std::to_string(mj.req.id)},
-             {"bytes", FormatJsonDouble(r.bytes)},
-             {"context", std::to_string(mj.context)},
-             {"src_slot", std::to_string(mj.src_slot)},
-             {"dst_slot", std::to_string(dst)}});
-        tracer->RecordLifecycle('n', "migrated", mj.req.id, done);
-      }
-      TSI_LOG(DEBUG) << "migrate request " << mj.req.id << " slot "
-                     << mj.src_slot << " -> " << dst << " [" << start << ", "
-                     << done << ") " << r.bytes << " bytes";
-      // The prefill pool's pages are free now; the slot id is reusable once
-      // the pool's clock reaches the transfer completion.
-      prefill.Release(mj.src_slot);
-      prefill_frees.emplace_back(mj.src_slot, done);
-      migrating.push_back({std::move(mj.req), std::move(mj.rec), dst,
-                           mj.first_token, done});
-    }
-
-    // 2. Admission into the prefill pool, arrival order.
-    while (prefill_slots.HasFree() && queue.HasArrived(prefill.Now())) {
-      ServeRequest r = queue.Pop();
-      PrefillJob p;
-      p.slot = prefill_slots.Acquire();
-      p.rec.id = r.id;
-      p.rec.klass = r.klass;
-      p.rec.arrival = r.arrival;
-      p.rec.admitted = prefill.Now();
-      m_admitted->Add(1);
-      m_queue_wait->Observe(p.rec.QueueWait());
-      if (tracer) {
-        std::vector<std::pair<std::string, std::string>> bargs{
-            {"prompt_tokens", std::to_string(r.prompt.size())}};
-        if (!r.klass.empty()) bargs.emplace_back("class", r.klass);
-        tracer->RecordLifecycle('b', "request", p.rec.id, p.rec.arrival,
-                                std::move(bargs));
-        tracer->RecordLifecycle('n', "admitted", p.rec.id, p.rec.admitted);
-        tracer->RecordInstant(
-            "admit", p.rec.admitted,
-            {{"request", std::to_string(p.rec.id)},
-             {"queue_wait", FormatJsonDouble(p.rec.QueueWait())}});
-      }
-      TSI_LOG(DEBUG) << "admit request " << p.rec.id << " into prefill slot "
-                     << p.slot << " at t=" << p.rec.admitted;
-      p.req = std::move(r);
-      prefilling.push_back(std::move(p));
-    }
-    m_queue_depth->Set(static_cast<double>(queue.size()));
-    m_prefill_active->Set(static_cast<double>(prefilling.size()));
-    m_migration_depth->Set(
-        static_cast<double>(migration_q.size() + migrating.size()));
-
-    // 3. One prefill chunk per prefilling request, oldest first (§3.5's
-    //    incremental processing, unchanged from the colocated loop -- but
-    //    here no decode lane waits behind the chunk).
-    for (auto& p : prefilling) {
-      const auto len = static_cast<int64_t>(p.req.prompt.size());
-      const int64_t chunk = std::min(options.prefill_chunk, len - p.prefilled);
-      const bool last = p.prefilled + chunk == len;
-      std::vector<int32_t> piece(p.req.prompt.begin() + p.prefilled,
-                                 p.req.prompt.begin() + p.prefilled + chunk);
-      const double begin = prefill.Now();
-      const int64_t context = p.prefilled;  // cached before this chunk
-      const int32_t token = prefill.Prefill(p.slot, p.req.id, piece, last);
-      p.prefilled += chunk;
-      ++out.serve.prefill_chunks;
-      m_prefill_chunks->Add(1);
-      if (tracer)
-        tracer->RecordScheduler("prefill", begin, prefill.Now() - begin,
-                                {{"request", std::to_string(p.req.id)},
-                                 {"tokens", std::to_string(chunk)},
-                                 {"context", std::to_string(context)},
-                                 {"last", last ? "true" : "false"}});
-      worked = true;
-      if (!last) continue;
-      p.rec.first_token = prefill.Now();
-      p.rec.tokens.push_back(token);
-      p.rec.token_times.push_back(p.rec.first_token);
-      if (tracer)
-        tracer->RecordLifecycle('n', "first_token", p.req.id,
-                                p.rec.first_token);
-      p.moved = true;
-      if (hits_budget(p.rec, p.req, token)) {
-        // Done after the first token: retire straight from the prefill
-        // pool, no migration.
-        finish(std::move(p.rec), prefill.Now());
-        prefill.Release(p.slot);
-        prefill_slots.Release(p.slot);
-        continue;
-      }
-      migration_q.push_back({std::move(p.req), std::move(p.rec), p.slot,
-                             token, len, prefill.Now()});
-    }
-    prefilling.erase(std::remove_if(prefilling.begin(), prefilling.end(),
-                                    [](const PrefillJob& p) { return p.moved; }),
-                     prefilling.end());
-
-    // 4. Decode admission: transfers that have landed by the decode pool's
-    //    clock join the fixed frame.
-    for (auto it = migrating.begin(); it != migrating.end();) {
-      if (it->done <= decode.Now()) {
-        decoding.push_back({std::move(it->req), it->dst_slot,
-                            std::move(it->rec), it->first_token, false});
-        it = migrating.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    m_decode_active->Set(static_cast<double>(decoding.size()));
-
-    // 5. One decode step across the frame.
-    std::vector<ServeBackend::DecodeLane> lanes;
-    std::vector<size_t> lane_jobs;
-    for (size_t i = 0; i < decoding.size(); ++i) {
-      lanes.push_back(
-          {decoding[i].slot, decoding[i].last_token, decoding[i].req.id});
-      lane_jobs.push_back(i);
-    }
-    if (!lanes.empty()) {
-      const double begin = decode.Now();
-      // Same span-arg schema as the colocated loop (anatomy/roofline folds).
-      std::string lane_requests;
-      int64_t max_context = 0;
-      for (size_t i = 0; i < lanes.size(); ++i) {
-        const DecodeJob& d = decoding[lane_jobs[i]];
-        if (i > 0) lane_requests += ',';
-        lane_requests += std::to_string(d.req.id);
-        max_context = std::max(
-            max_context, static_cast<int64_t>(d.req.prompt.size()) +
-                             static_cast<int64_t>(d.rec.tokens.size()) - 1);
-      }
-      const std::vector<int32_t> next = decode.Decode(lanes);
-      TSI_CHECK_EQ(next.size(), lanes.size());
-      ++out.serve.decode_steps;
-      m_decode_steps->Add(1);
-      if (tracer)
-        tracer->RecordScheduler("decode", begin, decode.Now() - begin,
-                                {{"lanes", std::to_string(lanes.size())},
-                                 {"requests", std::move(lane_requests)},
-                                 {"frame", std::to_string(decode.num_slots())},
-                                 {"context", std::to_string(max_context)}});
-      for (size_t i = 0; i < lanes.size(); ++i) {
-        DecodeJob& d = decoding[lane_jobs[i]];
-        d.rec.tokens.push_back(next[i]);
-        d.rec.token_times.push_back(decode.Now());
-        d.last_token = next[i];
-        if (hits_budget(d.rec, d.req, next[i])) {
-          finish(std::move(d.rec), decode.Now());
-          decode.Release(d.slot);
-          decode_slots.Release(d.slot);
-          decode_slot_free[static_cast<size_t>(d.slot)] = decode.Now();
-          d.done = true;
-        }
-      }
-      decoding.erase(std::remove_if(decoding.begin(), decoding.end(),
-                                    [](const DecodeJob& d) { return d.done; }),
-                     decoding.end());
-      worked = true;
-    }
-
-    // 6. Idle: nothing ran, so fast-forward each pool to its next event --
-    //    the prefill pool to the next arrival or slot-free point, the
-    //    decode pool to the next transfer landing.
-    if (!worked) {
-      constexpr double kInf = std::numeric_limits<double>::infinity();
-      // Only events strictly in the future can unblock anything: an arrival
-      // at or before Now already failed admission (no free slot), so jumping
-      // to it would be a no-op -- the unblocking event is the slot free.
-      double tp_next = kInf, td_next = kInf;
-      if (!queue.empty() && queue.NextArrival() > prefill.Now())
-        tp_next = std::min(tp_next, queue.NextArrival());
-      for (const auto& [slot, when] : prefill_frees)
-        if (when > prefill.Now()) tp_next = std::min(tp_next, when);
-      for (const InFlight& f : migrating)
-        if (f.done > decode.Now()) td_next = std::min(td_next, f.done);
-      bool advanced = false;
-      if (tp_next < kInf && tp_next > prefill.Now()) {
-        prefill.AdvanceTo(tp_next);
-        advanced = true;
-      }
-      if (td_next < kInf && td_next > decode.Now()) {
-        decode.AdvanceTo(td_next);
-        advanced = true;
-      }
-      m_idle_jumps->Add(1);
-      if (tracer) tracer->RecordInstant("idle", std::max(prefill.Now(), decode.Now()));
-      TSI_CHECK(advanced)
-          << "disagg scheduler stalled with work pending (queue="
-          << queue.size() << " prefilling=" << prefilling.size()
-          << " migration_q=" << migration_q.size() << " migrating="
-          << migrating.size() << " decoding=" << decoding.size() << ")";
-    }
-  }
-  m_queue_depth->Set(0);
-  m_prefill_active->Set(0);
-  m_decode_active->Set(0);
-  m_migration_depth->Set(0);
-
-  std::sort(out.serve.requests.begin(), out.serve.requests.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
-  for (const auto& r : out.serve.requests)
-    out.serve.makespan = std::max(out.serve.makespan, r.finished);
-  out.prefill_makespan = prefill.Now();
-  out.decode_makespan = decode.Now();
-  if (!options.slo.empty())
-    out.serve.slo = obs::EvaluateSlo(options.slo, out.serve.ClassSamples());
-  return out;
 }
 
 AnalyticDisaggRun RunAnalyticDisaggServing(const InferenceEstimator& estimator,

@@ -25,11 +25,13 @@
 // and every decode step overlap it. The link is a single serialized
 // channel -- a transfer starts at max(KV ready, link free, slot free).
 //
-// Scheduling runs on two virtual clocks (one per pool) plus the link
-// timeline; RecordScheduler "migrate" spans land on the pid-1 scheduler
-// track between the pools' prefill/decode spans. Metrics:
-// serve/migrations, serve/migrated_kv_bytes, serve/migration_queue_depth,
-// serve/prefill_active, serve/decode_active.
+// The serving loop of serve/scheduler.h runs the two pools on two virtual
+// clocks (one per pool) plus the link timeline; RecordScheduler
+// "migrate" spans land on the pid-1 scheduler track between the pools'
+// prefill/decode spans. Metrics beyond the colocated set:
+// serve/migrations, serve/migrated_kv_bytes, serve/migration_s,
+// serve/migration_queue_depth, serve/prefill_active, serve/decode_active
+// (in place of serve/active).
 //
 // Determinism: tokens keep the colocated contract -- a request's sequence
 // depends only on its prompt and its sampler stream. With greedy sampling
@@ -139,7 +141,8 @@ struct DisaggReport {
 
 // Two-pool continuous serving: admission and chunked prefill on `prefill`,
 // then KV migration over `migrator`'s link, then fixed-frame decode on
-// `decode`. See the file comment for the scheduling/overlap model.
+// `decode`. See the file comment for the scheduling/overlap model; the loop
+// itself is shared with RunContinuousServing (serve/scheduler.cc).
 DisaggReport RunDisaggServing(ServeBackend& prefill, ServeBackend& decode,
                               KvMigrator& migrator,
                               std::vector<ServeRequest> requests,

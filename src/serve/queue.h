@@ -49,6 +49,10 @@ class RequestQueue {
   std::deque<ServeRequest> pending_;
 };
 
+// Poisson-process arrival stamps at `rate` requests/sec for `count`
+// requests, deterministic in `seed`.
+std::vector<double> PoissonArrivals(double rate, int64_t count, uint64_t seed);
+
 // `count` requests with Poisson arrivals at `rate` req/s and i.i.d. random
 // prompts of `prompt_len` tokens from [0, vocab); deterministic in `seed`.
 std::vector<ServeRequest> PoissonRequests(double rate, int64_t count,

@@ -1,20 +1,30 @@
 // Continuous-batching scheduler (§3.5 incremental prefill, §4.4 mixed
-// batching) over an abstract serving backend.
+// batching) over abstract serving backends.
 //
-// Policy, per iteration:
-//   1. admit every arrived request that fits a free KV slot (queue wait ends
-//      at admission);
-//   2. process ONE prefill chunk -- up to `prefill_chunk` prompt tokens --
+// One loop serves one pool or two. A pool is a ServeBackend, its slots and
+// its requests in the order they entered it. Colocated serving
+// (RunContinuousServing) is one pool: prefill chunks and decode steps share
+// the backend. Disaggregated serving (RunDisaggServing, serve/disagg.h) is a
+// prefill pool and a decode pool plus the link a request's KV crosses
+// between them. Per iteration:
+//   1. (two pools) hand-off: finished prefills start their KV migration,
+//      FIFO, each into the lowest free decode slot;
+//   2. admit every arrived request that fits a free prefill slot (queue
+//      wait ends at admission);
+//   3. process ONE prefill chunk -- up to `prefill_chunk` prompt tokens --
 //      for EACH admitted request still in prefill, oldest first (§3.5's
 //      incremental processing: long prompts are fed in pieces so decode is
 //      never starved for more than one chunk per request, while newly
 //      admitted requests reach the decode frame without queueing behind one
-//      prompt at a time);
-//   3. run ONE decode step across every request that has finished its
-//      prefill, retiring sequences that hit EOS or their token budget and
-//      freeing their slots for reuse;
-//   4. if nothing was runnable, fast-forward the virtual clock to the next
-//      arrival.
+//      prompt at a time). A request whose last chunk samples its first
+//      token joins the frame in place (one pool) or the hand-off queue (two);
+//   4. (two pools) transfers that have landed by the decode clock join the
+//      frame;
+//   5. run ONE decode step across the frame, retiring sequences that hit
+//      EOS or their token budget and freeing their slots for reuse;
+//   6. if nothing was runnable, fast-forward each pool's virtual clock to
+//      its next event: the next arrival (or, with two pools, a prefill slot
+//      freed by a finished transfer; for the decode pool, the next landing).
 //
 // The same loop drives two backends: the functional DistributedEngine
 // (serve/runtime.h; real sharded forward passes on the SPMD simulator,

@@ -1,8 +1,8 @@
 // Shared summary statistics for latency/throughput reporting.
 //
 // One implementation of mean/percentile used by every layer that reports
-// request latencies: the analytical serving simulator (core/serving.h), the
-// continuous-batching runtime (serve/scheduler.h), the obs reporters
+// request latencies: the serving loop and the static-batch baseline
+// (serve/scheduler.h, serve/analytic.h), the obs reporters
 // (obs::Histogram sample quantiles, obs/anatomy.h, obs/slo.h), and the
 // benches.
 //

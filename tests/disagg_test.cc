@@ -9,7 +9,14 @@
 //   * the closed-form migration cost matches the A.1 page-padded formula;
 //   * migrating a non-resident or COW-shared slot dies loudly;
 //   * under a concurrent long-context prefill, the disaggregated decode
-//     pool's inter-token tail beats the colocated run's.
+//     pool's inter-token tail beats the colocated run's;
+//   * §4.4's pipeline on the analytic pools: every request completes,
+//     batch-1 prefill is FIFO and never overlaps, light-load latency equals
+//     the service time, load raises latency, a wider decode frame raises
+//     throughput, busy fractions lie in [0, 1], and the pipeline beats
+//     collect-then-run on streaming arrivals;
+//   * the two-pool run records serve/prefill_tokens, prefill_chunk_tokens
+//     and decode_lanes like the colocated one.
 #include "serve/disagg.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +29,7 @@
 #include "hw/chip.h"
 #include "serve/analytic.h"
 #include "serve/runtime.h"
+#include "sim/trace.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -319,6 +327,188 @@ TEST(DisaggServingTest, ShieldsDecodeTailFromLongContextPrefill) {
       << "disaggregation failed to shield decode from the RAG prefill";
   EXPECT_GT(disagg.prefill_busy_seconds, 0.0);
   EXPECT_GT(disagg.decode_busy_seconds, 0.0);
+}
+
+// --- §4.4's pipeline: a batch-1 prefill pool into a batched decode pool ---
+//
+// "pipelining a batch-1 prefill server into a batch-64 decoding server"
+// (§4.4), on the analytic pools at Palm62B scale.
+
+constexpr int64_t kPipelinePrompt = 512;
+constexpr int64_t kPipelineNew = 32;
+
+DisaggConfig PipelineConfig(int64_t prefill_slots, int64_t decode_slots) {
+  DisaggConfig dc;
+  dc.prefill_spec = {Torus3D(2, 2, 4), FfnLayout::kWS2D, AttnSharding::kHeads,
+                     WeightFormat::kInt8};
+  dc.decode_spec = {Torus3D(2, 2, 4), FfnLayout::kWS2D, AttnSharding::kBatch,
+                    WeightFormat::kInt8};
+  dc.prefill_slots = prefill_slots;
+  dc.decode_slots = decode_slots;
+  dc.link = TestLink();
+  return dc;
+}
+
+// `n` requests arriving every `gap` seconds; the prompt fits one chunk.
+std::vector<ServeRequest> UniformRequests(int64_t n, double gap) {
+  std::vector<ServeRequest> requests;
+  for (int64_t i = 0; i < n; ++i) {
+    ServeRequest r;
+    r.id = i;
+    r.arrival = gap * static_cast<double>(i);
+    r.prompt.assign(static_cast<size_t>(kPipelinePrompt), 1);
+    r.max_new_tokens = kPipelineNew;
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
+AnalyticDisaggRun RunPipeline(const DisaggConfig& dc,
+                              const std::vector<ServeRequest>& requests,
+                              Tracer* tracer = nullptr) {
+  InferenceEstimator estimator(Palm62B(), TpuV4());
+  ServeOptions options = GreedyOptions(kPipelinePrompt);
+  options.tracer = tracer;
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  return RunAnalyticDisaggServing(estimator, dc, requests, options);
+}
+
+double MeanLatency(const ServeReport& report) {
+  return report.LatencySummaryStats().mean;
+}
+
+TEST(DisaggPipelineTest, AllRequestsComplete) {
+  const AnalyticDisaggRun run =
+      RunPipeline(PipelineConfig(4, 8), UniformRequests(20, 0.05));
+  const ServeReport& report = run.report.serve;
+  ASSERT_EQ(report.completed(), 20);
+  for (const RequestRecord& r : report.requests) {
+    EXPECT_GE(r.admitted, r.arrival);
+    EXPECT_GT(r.first_token, r.admitted);
+    EXPECT_GT(r.finished, r.first_token);
+    EXPECT_EQ(r.tokens.size(), static_cast<size_t>(kPipelineNew));
+  }
+  EXPECT_EQ(run.report.migrations, 20);
+  EXPECT_GT(report.makespan, 0);
+}
+
+TEST(DisaggPipelineTest, PrefillSpansAreFifoAndNeverOverlap) {
+  // One prefill slot: the batch-1 prefill server takes requests one at a
+  // time in arrival order.
+  Tracer tracer;
+  const AnalyticDisaggRun run =
+      RunPipeline(PipelineConfig(1, 8), UniformRequests(10, 0.01), &tracer);
+  ASSERT_EQ(run.report.serve.completed(), 10);
+  double prev_end = 0;
+  int64_t prev_request = -1;
+  int spans = 0;
+  for (const TimelineEvent& e : tracer.timeline()) {
+    if (e.name != "prefill") continue;
+    ++spans;
+    EXPECT_GE(e.ts, prev_end) << "prefill spans overlap";
+    prev_end = e.ts + e.dur;
+    const int64_t request = std::stoll(e.args[0].second);
+    EXPECT_EQ(request, prev_request + 1) << "prefill is not FIFO";
+    prev_request = request;
+  }
+  EXPECT_EQ(spans, 10);
+}
+
+TEST(DisaggPipelineTest, LightLoadLatencyEqualsServiceTime) {
+  // Arrivals 100 s apart never queue: latency is batch-1 prefill, the KV
+  // transfer, then one decode step per further token at a growing context.
+  const DisaggConfig dc = PipelineConfig(4, 1);
+  const AnalyticDisaggRun run = RunPipeline(dc, UniformRequests(5, 100.0));
+  InferenceEstimator est(Palm62B(), TpuV4());
+  double service =
+      est.Prefill(dc.prefill_spec, 1, kPipelinePrompt).seconds +
+      EstimateKvMigration(Palm62B(), kPipelinePrompt,
+                          ActivationBytes(dc.decode_spec.kv_format),
+                          dc.decode_spec.kv_page_size, dc.link)
+          .seconds;
+  for (int64_t s = 0; s + 1 < kPipelineNew; ++s)
+    service += est.DecodeStep(dc.decode_spec, 1,
+                              static_cast<double>(kPipelinePrompt + s))
+                   .seconds;
+  ASSERT_EQ(run.report.serve.completed(), 5);
+  for (const RequestRecord& r : run.report.serve.requests)
+    EXPECT_NEAR(r.Latency(), service, 1e-9) << "request " << r.id;
+}
+
+TEST(DisaggPipelineTest, HeavierLoadIncreasesLatency) {
+  const DisaggConfig dc = PipelineConfig(4, 1);
+  const ServeReport light = RunPipeline(dc, UniformRequests(30, 1.0)).report.serve;
+  const ServeReport heavy =
+      RunPipeline(dc, UniformRequests(30, 0.02)).report.serve;
+  EXPECT_GT(MeanLatency(heavy), MeanLatency(light));
+  EXPECT_GE(heavy.LatencySummaryStats().p99, heavy.LatencySummaryStats().p50);
+}
+
+TEST(DisaggPipelineTest, WiderDecodeFrameRaisesThroughputUnderLoad) {
+  const std::vector<ServeRequest> burst = UniformRequests(64, 0.0);
+  const ServeReport narrow =
+      RunPipeline(PipelineConfig(4, 1), burst).report.serve;
+  const ServeReport wide =
+      RunPipeline(PipelineConfig(4, 16), burst).report.serve;
+  EXPECT_GT(wide.ThroughputTokensPerSec(),
+            1.5 * narrow.ThroughputTokensPerSec());
+}
+
+TEST(DisaggPipelineTest, BusyFractionsLieInZeroOne) {
+  const AnalyticDisaggRun run =
+      RunPipeline(PipelineConfig(4, 8), UniformRequests(40, 0.05));
+  const double prefill = run.prefill_busy_seconds / run.report.prefill_makespan;
+  const double decode = run.decode_busy_seconds / run.report.decode_makespan;
+  EXPECT_GT(prefill, 0);
+  EXPECT_LE(prefill, 1.0);
+  EXPECT_GT(decode, 0);
+  EXPECT_LE(decode, 1.0);
+}
+
+TEST(DisaggPipelineTest, BeatsCollectThenRunOnStreamingArrivals) {
+  // When requests stream in, prefilling each at batch 1 on arrival and
+  // batching only the decode beats collecting a batch first: the prefill
+  // work hides behind the arrival gaps, and nobody waits for the group.
+  const DisaggConfig dc = PipelineConfig(4, 8);
+  const std::vector<ServeRequest> requests = UniformRequests(8, 0.3);
+  const ServeReport pipeline = RunPipeline(dc, requests).report.serve;
+  InferenceEstimator est(Palm62B(), TpuV4());
+  const ServeReport collect = RunStaticBatchServing(
+      est, AnalyticServeConfig{dc.decode_spec, dc.decode_slots}, requests);
+  ASSERT_EQ(pipeline.completed(), 8);
+  ASSERT_EQ(collect.completed(), 8);
+  EXPECT_LT(MeanLatency(pipeline), MeanLatency(collect));
+}
+
+TEST(DisaggServingTest, RecordsPrefillTokensAndDecodeLanes) {
+  ModelConfig cfg = TinyTestModel();
+  InferenceEstimator estimator(cfg, TpuV4());
+  const std::vector<ServeRequest> requests = StaggeredRequests(cfg);
+  DisaggConfig dc;
+  dc.prefill_spec = PartitionSpec{Torus3D(2, 2, 1)};
+  dc.decode_spec = PartitionSpec{Torus3D(2, 2, 1)};
+  dc.prefill_slots = 2;
+  dc.decode_slots = 4;
+  dc.link = TestLink();
+  obs::MetricsRegistry metrics;
+  ServeOptions options = GreedyOptions(/*prefill_chunk=*/2);
+  options.metrics = &metrics;
+  const AnalyticDisaggRun run =
+      RunAnalyticDisaggServing(estimator, dc, requests, options);
+
+  int64_t prompt_tokens = 0;
+  for (const ServeRequest& r : requests)
+    prompt_tokens += static_cast<int64_t>(r.prompt.size());
+  EXPECT_EQ(metrics.GetCounter("serve/prefill_tokens")->value(), prompt_tokens);
+  const obs::Histogram::Snapshot chunks =
+      metrics.GetHistogram("serve/prefill_chunk_tokens", {})->Take();
+  EXPECT_EQ(chunks.count, run.report.serve.prefill_chunks);
+  EXPECT_EQ(chunks.sum, static_cast<double>(prompt_tokens));
+  const obs::Histogram::Snapshot lanes =
+      metrics.GetHistogram("serve/decode_lanes", {})->Take();
+  EXPECT_EQ(lanes.count, run.report.serve.decode_steps);
+  EXPECT_GT(run.report.serve.decode_steps, 0);
 }
 
 }  // namespace

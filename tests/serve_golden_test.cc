@@ -309,7 +309,7 @@ TEST(ServeGoldenTest, FunctionalDisaggregated) {
   ExpectGolden("functional disaggregated", report.serve.requests, tracer,
                metrics,
                {0x8d118ab8fe966994ULL, 0x2b9456fc9a929293ULL,
-                0xbfa4f6783715cfa7ULL});
+                0xabc706c5c10f21f7ULL});
 }
 
 TEST(ServeGoldenTest, AnalyticDisaggregatedE24Shape) {
@@ -366,7 +366,7 @@ TEST(ServeGoldenTest, AnalyticDisaggregatedE24Shape) {
   ExpectGolden("analytic disaggregated", run.report.serve.requests, tracer,
                metrics,
                {0xe5016091aa65bac0ULL, 0x9ad77f460700a5c9ULL,
-                0x07d3e0c8a4a72d8aULL});
+                0xc44a116512510524ULL});
 }
 
 }  // namespace

@@ -995,5 +995,15 @@ TEST(ServeRequestsTest, PoissonRequestsAreDeterministic) {
     EXPECT_GE(a[i].arrival, a[i - 1].arrival);
 }
 
+TEST(PoissonArrivalsTest, SortedDeterministicAndRateRoughlyRight) {
+  auto a = PoissonArrivals(10.0, 2000, 42);
+  auto b = PoissonArrivals(10.0, 2000, 42);
+  EXPECT_EQ(a, b);
+  for (size_t i = 1; i < a.size(); ++i) EXPECT_GE(a[i], a[i - 1]);
+  // Mean inter-arrival ~ 1/rate.
+  double mean = a.back() / static_cast<double>(a.size());
+  EXPECT_NEAR(mean, 0.1, 0.02);
+}
+
 }  // namespace
 }  // namespace tsi

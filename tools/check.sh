@@ -33,14 +33,17 @@
 #                             # round-trip a freshly tuned tiny-model cache
 #                             # through plan_cli validate --functional
 #   tools/check.sh disagg     # additionally re-run the disaggregated-serving
-#                             # suites under TSan with 8 SPMD slots forced
+#                             # suites (and the serving golden values)
+#                             # under TSan with 8 SPMD slots forced
 #                             # (two engines' thread pools live at once during
 #                             # migration) and run bench_serving --disagg to
 #                             # refresh the E24 sweep in BENCH_serving.json
 #   tools/check.sh asan       # additionally build an AddressSanitizer +
 #                             # UndefinedBehaviorSanitizer config
 #                             # (-DTSI_ASAN=ON) and run the SPMD, engine,
-#                             # serving, disaggregation, collective,
+#                             # serving (golden values and the anatomy/
+#                             # roofline folds included), disaggregation,
+#                             # collective,
 #                             # replication, estimator-property and plan
 #                             # suites (every replication site edits
 #                             # LayerCost, PriceBlock and Propagate)
@@ -85,15 +88,17 @@ ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
 echo "== ThreadSanitizer, 8 SPMD slots forced =="
 TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
   ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-        -R 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test|replication_test|replication_identity_test'
+        -R 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|serve_golden_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test|replication_test|replication_identity_test'
 
 if [[ "${1:-}" == "asan" ]]; then
   # Memory-safety and UB check: -fsanitize=address,undefined with
   # -fno-sanitize-recover, so any report fails the test. Only the suites it
   # runs are built; ring_test and collectives_test cover the per-axis chunk
   # bookkeeping of the wire-level collectives, estimator_properties_test and
-  # plan_test the estimator and the src/plan lowering.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|disagg_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test'
+  # plan_test the estimator and the src/plan lowering, serve_golden_test and
+  # anatomy_test the serving loop and the anatomy/roofline folds over its
+  # timeline.
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
@@ -137,14 +142,15 @@ if [[ "${1:-}" == "disagg" ]]; then
   # Disaggregation race check: KV migration exports from one engine and
   # imports into another, so two SimMachines' thread pools and page pools
   # are live at once; 8 forced SPMD slots overlap the source's chunked
-  # ExportSlot reads with the destination's Step writes. Then the
+  # ExportSlot reads with the destination's Step writes (serve_golden_test
+  # pins both pool shapes of the serving loop). Then the
   # E24 prefill/decode-pool sweep runs standalone, writing
   # BENCH_serving_disagg.json (the full tracked BENCH_serving.json is only
   # refreshed by the plain bench run, which includes every section).
   echo "== Disaggregated serving under TSan (8 SPMD slots) =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
     ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-          -R 'disagg_test|serve_test|engine_test'
+          -R 'disagg_test|serve_test|serve_golden_test|engine_test'
   echo "== Disaggregated serving bench (E24 sweep) =="
   (cd "$repo" && ./build-check/bench/bench_serving --disagg)
 fi
