@@ -1,7 +1,9 @@
 // Experiment E16 -- google-benchmark microbenchmarks of the tensor
 // substrate: matmul (blocked kernel vs the pre-kernel-layer naive loop),
 // fused epilogues, quantized matmul, softmax variants (§3.5's base-2
-// formulation), attention.
+// formulation), attention, and the Gaussian weight generator
+// (Rng::FillGaussian, ModelWeights::Random at the host-clock benchmark's
+// model shape).
 //
 // Writes BENCH_micro.json (override with TSI_BENCH_JSON) with one record per
 // run: op, shape, ns/iter, GFLOP/s. items processed == flops, so GFLOP/s is
@@ -12,6 +14,7 @@
 
 #include "json_reporter.h"
 #include "model/attention.h"
+#include "model/weights.h"
 #include "quant/int8.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -152,6 +155,36 @@ void BM_QuantizeInt8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizeInt8);
+
+// The Box-Muller kernel behind every random weight: 1M floats per iteration.
+void BM_FillGaussian(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  std::vector<float> out(static_cast<size_t>(n));
+  Rng rng(1);
+  for (auto _ : state) {
+    rng.FillGaussian(out.data(), n, 1.0f);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FillGaussian)->Arg(1 << 20);
+
+// ModelWeights::Random at perfbench/serve_bench.cc's model shape and seed:
+// the weight half of that benchmark's setup_s.
+void BM_RandomWeights(benchmark::State& state) {
+  ModelConfig c = TinyTestModel();
+  c.num_layers = 2;
+  c.d_model = 256;
+  c.d_ff = 1024;
+  c.n_heads = 16;
+  c.d_head = 16;
+  c.vocab_size = 512;
+  for (auto _ : state) {
+    ModelWeights w = ModelWeights::Random(c, 2023);
+    benchmark::DoNotOptimize(w);
+  }
+}
+BENCHMARK(BM_RandomWeights);
 
 }  // namespace
 }  // namespace tsi

@@ -35,9 +35,9 @@ Tensor RandomMatrix(uint64_t seed, uint64_t layer, uint64_t tag, int64_t rows,
 Tensor RandomGain(uint64_t seed, uint64_t layer, uint64_t tag, int64_t n) {
   Rng rng(Rng::DeriveSeed(seed, layer * 1000 + tag));
   // Gains near 1 with small jitter so the norm actually does something.
-  Tensor g({n});
-  for (int64_t i = 0; i < n; ++i)
-    g[i] = 1.0f + 0.1f * static_cast<float>(rng.NextGaussian());
+  // One rounding (explicit fma), as the FMA-contracted build always did.
+  Tensor g = Tensor::Gaussian({n}, rng);
+  for (int64_t i = 0; i < n; ++i) g[i] = std::fma(0.1f, g[i], 1.0f);
   return g;
 }
 

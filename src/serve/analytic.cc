@@ -126,6 +126,7 @@ ServeReport RunStaticBatchServing(const InferenceEstimator& estimator,
       now += estimator.Prefill(config.spec, /*batch=*/1, prompt).seconds;
       rec.first_token = now;  // the prefill samples token 1
       rec.finished = now;     // overwritten below unless max_new_tokens == 1
+      rec.token_times.push_back(now);
       rec.tokens.assign(static_cast<size_t>(r.max_new_tokens), 1);
       max_prompt = std::max(max_prompt, prompt);
       max_steps =
@@ -142,8 +143,9 @@ ServeReport RunStaticBatchServing(const InferenceEstimator& estimator,
       ++report.decode_steps;
       // 0-based decode step s emits token s+2 (the prefill emitted token 1).
       for (size_t j = 0; j < group.size(); ++j) {
-        if (static_cast<double>(requests[i + j].max_new_tokens) == s + 2)
-          group[j].finished = now;
+        const auto budget = static_cast<double>(requests[i + j].max_new_tokens);
+        if (budget >= s + 2) group[j].token_times.push_back(now);
+        if (budget == s + 2) group[j].finished = now;
       }
     }
     for (auto& rec : group) report.requests.push_back(std::move(rec));

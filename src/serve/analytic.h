@@ -112,7 +112,9 @@ class AnalyticServeBackend : public ServeBackend {
 
 // Collect-batch-then-run baseline on the same cost model (see file comment).
 // Request ids and arrival stamps come from `requests`; generated-token
-// counts follow each request's max_new_tokens (no EOS analytically).
+// counts follow each request's max_new_tokens (no EOS analytically), and
+// each record's token_times holds the prefill's first token and then every
+// decode step up to the one that emits its last token.
 ServeReport RunStaticBatchServing(const InferenceEstimator& estimator,
                                   const AnalyticServeConfig& config,
                                   std::vector<ServeRequest> requests);

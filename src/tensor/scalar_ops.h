@@ -26,10 +26,12 @@ inline float Swish2Scalar(float x) { return x * Sigmoid2Scalar(x); }
 // Base-e swish, kept for the §3.5 base-e/base-2 agreement tests.
 inline float SwishScalar(float x) { return x * (1.0f / (1.0f + std::exp(-x))); }
 
-// Gelu, tanh approximation (as used by the reference model).
+// Gelu, tanh approximation (as used by the reference model). The cubic
+// term is added with an explicit fma, the one rounding an FMA-contracting
+// native build always gave it, so a portable build computes the same bits.
 inline float GeluScalar(float x) {
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
+  float inner = kSqrt2OverPi * std::fma(0.044715f * x * x, x, x);
   return 0.5f * x * (1.0f + std::tanh(inner));
 }
 

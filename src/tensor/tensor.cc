@@ -42,8 +42,7 @@ Tensor Tensor::Full(Shape shape, float value) {
 
 Tensor Tensor::Gaussian(Shape shape, Rng& rng, float stddev) {
   Tensor t(std::move(shape));
-  for (auto& v : t.data_)
-    v = static_cast<float>(rng.NextGaussian()) * stddev;
+  rng.FillGaussian(t.data(), t.numel(), stddev);
   return t;
 }
 

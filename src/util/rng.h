@@ -1,9 +1,12 @@
 // Deterministic, seedable RNG used for weight generation and sampling.
 //
 // We deliberately avoid <random> distributions (their outputs are not
-// portable across standard libraries); this generator produces identical
-// streams on every platform, which the distributed-vs-reference equivalence
-// tests rely on.
+// portable across standard libraries) and libm (log/sin/cos differ in the
+// last bit between libm builds and ISA variants): the Gaussians come from a
+// self-contained Box-Muller kernel (fdlibm's log and sin/cos kernels, plain
+// IEEE arithmetic, rng.cc's compile flags pinned), so every platform and
+// every -march produces identical streams. The distributed-vs-reference
+// equivalence tests and the golden values rely on that.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,10 @@ class Rng {
   double NextUniform(double lo, double hi);
   // Standard normal via Box-Muller (cached second value).
   double NextGaussian();
+  // Writes n values equal to n calls of NextGaussian(), each cast to float
+  // and scaled by `stddev`, and leaves the generator where those calls would.
+  // The batched form of the same kernel, vectorized over pairs.
+  void FillGaussian(float* out, int64_t n, float stddev = 1.0f);
   // Uniform integer in [0, n).
   uint64_t NextBelow(uint64_t n);
 

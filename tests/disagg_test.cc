@@ -481,6 +481,29 @@ TEST(DisaggPipelineTest, BeatsCollectThenRunOnStreamingArrivals) {
   EXPECT_LT(MeanLatency(pipeline), MeanLatency(collect));
 }
 
+TEST(StaticBatchServingTest, TokenTimesCoverEveryToken) {
+  // One time per generated token: the prefill's first token, then each
+  // decode step until the request's own budget runs out, even while its
+  // slot keeps stepping as padding for a longer request in the group.
+  std::vector<ServeRequest> requests = UniformRequests(6, 0.0);
+  const int64_t budgets[] = {1, 3, 6, 2, 4, 5};
+  for (size_t i = 0; i < requests.size(); ++i)
+    requests[i].max_new_tokens = budgets[i];
+  InferenceEstimator est(Palm62B(), TpuV4());
+  const ServeReport report = RunStaticBatchServing(
+      est, AnalyticServeConfig{PipelineConfig(4, 4).decode_spec, 4}, requests);
+  ASSERT_EQ(report.completed(), 6);
+  for (const RequestRecord& r : report.requests) {
+    SCOPED_TRACE(testing::Message() << "request " << r.id);
+    ASSERT_EQ(static_cast<int64_t>(r.token_times.size()),
+              budgets[static_cast<size_t>(r.id)]);
+    EXPECT_EQ(r.token_times.front(), r.first_token);
+    EXPECT_EQ(r.token_times.back(), r.finished);
+    for (size_t t = 1; t < r.token_times.size(); ++t)
+      EXPECT_GT(r.token_times[t], r.token_times[t - 1]);
+  }
+}
+
 TEST(DisaggServingTest, RecordsPrefillTokensAndDecodeLanes) {
   ModelConfig cfg = TinyTestModel();
   InferenceEstimator estimator(cfg, TpuV4());

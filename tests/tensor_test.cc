@@ -264,5 +264,30 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
   EXPECT_NEAR(sumsq / n, 1.0, 0.05);
 }
 
+// FillGaussian is the batched form of NextGaussian: from a fresh state or
+// one holding a cached half-pair, n values equal n calls (cast to float and
+// scaled), across the kernel's 256-pair block edges, and the generator is
+// left where those calls leave it -- state and cached half alike.
+TEST(RngTest, FillGaussianMatchesNextGaussian) {
+  for (bool half_pair : {false, true}) {
+    for (int64_t n : {0, 1, 2, 3, 255, 256, 257, 513}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " half_pair=" << half_pair);
+      Rng fill(31), step(31);
+      if (half_pair) {
+        EXPECT_EQ(fill.NextGaussian(), step.NextGaussian());
+      }
+      std::vector<float> got(static_cast<size_t>(n));
+      fill.FillGaussian(got.data(), n, 0.5f);
+      for (int64_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[static_cast<size_t>(i)],
+                  static_cast<float>(step.NextGaussian()) * 0.5f)
+            << "i=" << i;
+      EXPECT_EQ(fill.NextU64(), step.NextU64());
+      EXPECT_EQ(fill.NextGaussian(), step.NextGaussian());
+      EXPECT_EQ(fill.NextGaussian(), step.NextGaussian());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tsi

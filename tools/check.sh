@@ -52,6 +52,13 @@
 #                             # chunks, tensor offset math, ragged row
 #                             # splits, KV page pool, ragged-step appends
 #                             # and their death tests)
+#   tools/check.sh portable   # additionally build without -march=native
+#                             # (-DTSI_MARCH_NATIVE=OFF, build-check-portable/)
+#                             # and run the weights, engine golden-value and
+#                             # determinism suites on it: their recorded
+#                             # hashes come from native builds, so this checks
+#                             # the claim that results are bit-identical with
+#                             # or without the native ISA
 #   tools/check.sh perfbench  # additionally rebuild the host-clock serving
 #                             # benchmark from scratch (.bench_build/) and
 #                             # run perfbench/run.py on both workloads for
@@ -97,8 +104,9 @@ if [[ "${1:-}" == "asan" ]]; then
   # bookkeeping of the wire-level collectives, estimator_properties_test and
   # plan_test the estimator and the src/plan lowering, serve_golden_test and
   # anatomy_test the serving loop and the anatomy/roofline folds over its
-  # timeline.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test'
+  # timeline, weights_golden_test the Gaussian kernel's block and half-pair
+  # bookkeeping.
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test|weights_golden_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
@@ -108,6 +116,21 @@ if [[ "${1:-}" == "asan" ]]; then
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
     ctest --test-dir "$repo/build-check-asan" --output-on-failure -j "$jobs" \
           -R "^(${asan_tests})\$"
+fi
+
+if [[ "${1:-}" == "portable" ]]; then
+  # Portability check: the kernel libraries built for baseline x86-64 (no
+  # -march=native) must reproduce the golden values recorded on native
+  # builds -- the random weights (the Gaussian kernel, rng.cc), the engine's
+  # logits and tokens, and the thread-count determinism suite.
+  portable_tests='weights_golden_test|engine_golden_test|determinism_test'
+  echo "== Portable build (TSI_MARCH_NATIVE=OFF) =="
+  cmake -B "$repo/build-check-portable" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+        -DTSI_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build "$repo/build-check-portable" -j "$jobs" \
+        --target ${portable_tests//|/ }
+  ctest --test-dir "$repo/build-check-portable" --output-on-failure -j "$jobs" \
+        -R "^(${portable_tests})\$"
 fi
 
 if [[ "${1:-}" == "bench" ]]; then
