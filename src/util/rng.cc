@@ -1,8 +1,8 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 
 namespace tsi {
 namespace {
@@ -22,26 +22,15 @@ uint64_t Mix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-double FromBits(uint64_t b) {
-  double d;
-  std::memcpy(&d, &b, sizeof d);
-  return d;
-}
-
-uint64_t ToBits(double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof b);
-  return b;
-}
-
 // (z >> 11) * 2^-53, i.e. NextDouble() of the draw z, exactly. The 53-bit
 // integer is assembled from two halves placed into double mantissas
 // (2^84 + hi * 2^32 and 2^52 + lo), because an int64-to-double conversion
 // does not vectorize below AVX-512.
 double UnitDouble(uint64_t z) {
   const uint64_t m = z >> 11;
-  const double hi = FromBits(0x4530000000000000ull | (m >> 32)) - 0x1.00000001p84;
-  const double lo = FromBits(0x4330000000000000ull | (m & 0xffffffffull));
+  const double hi =
+      std::bit_cast<double>(0x4530000000000000ull | (m >> 32)) - 0x1.00000001p84;
+  const double lo = std::bit_cast<double>(0x4330000000000000ull | (m & 0xffffffffull));
   return (hi + lo) * 0x1.0p-53;
 }
 
@@ -88,13 +77,14 @@ void GaussianPairs(uint64_t state, int64_t n, double* zc, double* zs) {
   // on the bits: a mantissa at or above sqrt(2)'s is halved and k bumped.
   for (int64_t p = 0; p < n; ++p) {
     const uint64_t s = state + static_cast<uint64_t>(2 * p + 1) * kGamma;
-    const uint64_t b = ToBits(1.0 - UnitDouble(Mix(s)));
+    const auto b = std::bit_cast<uint64_t>(1.0 - UnitDouble(Mix(s)));
     u2[p] = UnitDouble(Mix(s + kGamma));
     const uint64_t hx = (b >> 32) & 0xfffff;
     const uint64_t i = (hx + 0x95f64) & 0x100000;
-    x[p] = FromBits((b & 0x000fffffffffffffull) | ((i ^ 0x3ff00000ull) << 32));
+    x[p] = std::bit_cast<double>((b & 0x000fffffffffffffull) |
+                                 ((i ^ 0x3ff00000ull) << 32));
     // k = exponent - 1023 + (i >> 20) as a double, again through a mantissa.
-    dk[p] = FromBits(0x4330000000000000ull | ((b >> 52) + (i >> 20))) -
+    dk[p] = std::bit_cast<double>(0x4330000000000000ull | ((b >> 52) + (i >> 20))) -
             (0x1p52 + 1023);
   }
   for (int64_t p = 0; p < n; ++p) {
