@@ -3,15 +3,19 @@
 // fused epilogues, quantized matmul, softmax variants (§3.5's base-2
 // formulation), attention, and the Gaussian weight generator
 // (Rng::FillGaussian, ModelWeights::Random at the host-clock benchmark's
-// model shape).
+// model shape) and the engine construction that follows it there.
 //
 // Writes BENCH_micro.json (override with TSI_BENCH_JSON) with one record per
 // run: op, shape, ns/iter, GFLOP/s. items processed == flops, so GFLOP/s is
 // items_per_second/1e9.
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 
+#include "engine/engine.h"
+#include "hw/chip.h"
 #include "json_reporter.h"
 #include "model/attention.h"
 #include "model/weights.h"
@@ -169,9 +173,8 @@ void BM_FillGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_FillGaussian)->Arg(1 << 20);
 
-// ModelWeights::Random at perfbench/serve_bench.cc's model shape and seed:
-// the weight half of that benchmark's setup_s.
-void BM_RandomWeights(benchmark::State& state) {
+// perfbench/serve_bench.cc's model shape.
+ModelConfig BenchModel() {
   ModelConfig c = TinyTestModel();
   c.num_layers = 2;
   c.d_model = 256;
@@ -179,12 +182,41 @@ void BM_RandomWeights(benchmark::State& state) {
   c.n_heads = 16;
   c.d_head = 16;
   c.vocab_size = 512;
+  return c;
+}
+
+// ModelWeights::Random at perfbench/serve_bench.cc's model shape and seed:
+// the weight half of that benchmark's setup_s.
+void BM_RandomWeights(benchmark::State& state) {
+  const ModelConfig c = BenchModel();
   for (auto _ : state) {
     ModelWeights w = ModelWeights::Random(c, 2023);
     benchmark::DoNotOptimize(w);
   }
 }
 BENCHMARK(BM_RandomWeights);
+
+// The engine half of perfbench's setup_s: a DistributedEngine on its mesh
+// (2x2x1) and spec (kBatch), built from weights made once. The counter
+// minflt is the minor page faults per construction, read with getrusage
+// on this process.
+void BM_EngineConstruct(benchmark::State& state) {
+  const ModelWeights w = ModelWeights::Random(BenchModel(), 2023);
+  SimMachine machine(Torus3D(2, 2, 1), TpuV4());
+  EngineSpec spec;
+  spec.attn = AttnSharding::kBatch;
+  rusage before{}, after{};
+  getrusage(RUSAGE_SELF, &before);
+  for (auto _ : state) {
+    DistributedEngine engine(w, &machine, spec);
+    benchmark::DoNotOptimize(engine);
+  }
+  getrusage(RUSAGE_SELF, &after);
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(after.ru_minflt - before.ru_minflt),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EngineConstruct);
 
 }  // namespace
 }  // namespace tsi

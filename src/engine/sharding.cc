@@ -1,5 +1,6 @@
 #include "engine/sharding.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -8,24 +9,20 @@
 namespace tsi {
 namespace {
 
-// Rows [r0, r0 + nr) and columns [c0, c0 + nc) of the matrix `w`, in one
-// copy.
+// Rows [r0, r0 + nr) and columns [c0, c0 + nc) of the matrix `w`: a view
+// of `w`'s buffer when the cut keeps whole rows, else one copy.
 Tensor Cut(const Tensor& w, int64_t r0, int64_t nr, int64_t c0, int64_t nc) {
   const int64_t cols = w.dim(1);
-  std::vector<float> data;
-  data.reserve(static_cast<size_t>(nr * nc));
-  for (int64_t r = r0; r < r0 + nr; ++r) {
-    const float* src = w.data() + r * cols + c0;
-    data.insert(data.end(), src, src + nc);
-  }
-  return Tensor({nr, nc}, std::move(data));
+  if (c0 == 0 && nc == cols) return w.SharedRows(r0, nr);
+  Tensor out({nr, nc});
+  float* dst = out.data();
+  for (int64_t r = r0; r < r0 + nr; ++r, dst += nc)
+    std::copy_n(w.data() + r * cols + c0, nc, dst);
+  return out;
 }
 
-// Entries [i0, i0 + n) of the vector `v`.
-Tensor Cut(const Tensor& v, int64_t i0, int64_t n) {
-  const float* src = v.data() + i0;
-  return Tensor({n}, std::vector<float>(src, src + n));
-}
+// The whole of `t`, as a view of its buffer.
+Tensor Share(const Tensor& t) { return t.SharedRows(0, t.dim(0)); }
 
 }  // namespace
 
@@ -64,11 +61,11 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
     const int xr = mesh.RankInGroup(chip, kAxisX);
     const int yzr = mesh.RankInGroup(chip, kAxisY | kAxisZ);
     ChipWeights& cw = chips[static_cast<size_t>(chip)];
-    if (chip == 0) cw.embedding = weights.embedding;
-    cw.final_ln_gain = weights.final_ln_gain;
+    if (chip == 0) cw.embedding = Share(weights.embedding);
+    cw.final_ln_gain = Share(weights.final_ln_gain);
     const bool head_rank =
         replicate.ffn || (replicate.x ? yzr == 0 : chip == 0);
-    if (weight_gathered || (!shard_head && head_rank)) cw.head = head;
+    if (weight_gathered || (!shard_head && head_rank)) cw.head = Share(head);
     if (shard_head)
       cw.head_shard =
           Cut(head, 0, E, mesh.RankInGroup(chip, kAxisXYZ) * (V / n), V / n);
@@ -95,8 +92,8 @@ std::vector<ChipWeights> ShardWeights(const ModelWeights& weights,
           return Cut(w, r0, Eb, whole_cols ? 0 : yzr * w_cols, w_cols);
         };
         EBlockWeights b;
-        b.ln_gain = Cut(lw.ln_gain, r0, Eb);
-        b.ln2_gain = Cut(lw.ln2_gain, r0, Eb);
+        b.ln_gain = lw.ln_gain.SharedRows(r0, Eb);
+        b.ln2_gain = lw.ln2_gain.SharedRows(r0, Eb);
         b.wq = rows(lw.wq, replicate.qkv);
         b.wk = rows(lw.wk, kv_replicated);
         b.wv = rows(lw.wv, kv_replicated);

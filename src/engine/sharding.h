@@ -22,6 +22,11 @@
 // engine contracts heads and F one block at a time: it adds the blocks'
 // partial sums in group order, exactly the adds of the yz all-reduce they
 // replace. One matmul over all F would sum in a different order.
+//
+// A shard that is a run of whole rows of a ModelWeights tensor is a view of
+// that tensor's buffer (Tensor::SharedRows) and copies nothing; only column
+// cuts copy. The shards keep the buffers alive, so the weights they were
+// cut from may go away first.
 #pragma once
 
 #include <memory>
@@ -89,7 +94,8 @@ struct ChipWeights {
   Tensor final_ln_gain;  // [E] replicated: the final norm runs on full rows
   // The logit head: the embedding transposed once, at sharding time.
   Tensor head;        // [E, vocab], the whole head, on the chips that apply
-                      // it (ShardWeights); empty elsewhere
+                      // it (ShardWeights), all reading one buffer; empty
+                      // elsewhere
   Tensor head_shard;  // [E, vocab/n]: this chip's xyz-rank vocab columns
                       // when the weight-stationary head is sharded; empty
                       // when it runs whole (one chip, a vocab that does not

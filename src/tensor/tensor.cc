@@ -1,8 +1,11 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -25,30 +28,118 @@ std::string ShapeToString(const Shape& shape) {
   return os.str();
 }
 
-Tensor::Tensor(Shape shape)
-    : shape_(std::move(shape)),
-      data_(static_cast<size_t>(NumElements(shape_)), 0.0f) {}
+Tensor::Buffer* Tensor::Allocate(int64_t n) {
+  void* mem = ::operator new(sizeof(Buffer) +
+                             static_cast<size_t>(n) * sizeof(float));
+  Buffer* b = new (mem) Buffer;
+  b->refs.store(1, std::memory_order_relaxed);
+  b->capacity = n;
+  return b;
+}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  TSI_CHECK_EQ(NumElements(shape_), static_cast<int64_t>(data_.size()));
+void Tensor::Release() {
+  if (buf_ == nullptr) return;
+  // A sole holder frees without the atomic decrement: no other tensor can
+  // take a reference to a buffer only this one reaches.
+  if (buf_->refs.load(std::memory_order_acquire) == 1 ||
+      buf_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    buf_->~Buffer();
+    ::operator delete(buf_);
+  }
+  buf_ = nullptr;
+}
+
+void Tensor::Unshare() {
+  Buffer* own = Allocate(numel_);
+  std::copy_n(elements(), numel_, own->floats());
+  Release();
+  buf_ = own;
+  offset_ = 0;
+}
+
+void Tensor::ShareFrom(const Tensor& other, int64_t offset, int64_t numel) {
+  numel_ = numel;
+  if (numel == 0) return;
+  buf_ = other.buf_;
+  buf_->refs.fetch_add(1, std::memory_order_relaxed);
+  offset_ = other.offset_ + offset;
+}
+
+Tensor Tensor::Uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = NumElements(t.shape_);
+  if (t.numel_ > 0) t.buf_ = Allocate(t.numel_);
+  return t;
+}
+
+Tensor::Tensor(Shape shape) : Tensor(Uninitialized(std::move(shape))) {
+  std::fill_n(elements(), numel_, 0.0f);
+}
+
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : Tensor(Uninitialized(std::move(shape))) {
+  TSI_CHECK_EQ(numel_, static_cast<int64_t>(data.size()));
+  std::copy_n(data.data(), numel_, elements());
+}
+
+// A default-constructed tensor has shape {} and no elements, so the copy
+// sizes by numel_, not by the shape.
+Tensor::Tensor(const Tensor& other)
+    : shape_(other.shape_), numel_(other.numel_) {
+  if (numel_ > 0) buf_ = Allocate(numel_);
+  std::copy_n(other.elements(), numel_, elements());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  shape_ = other.shape_;
+  // Reuse a buffer of our own that is large enough, as a vector would. A
+  // buffer only this tensor holds cannot hold `other`'s elements too: a
+  // view of it would be a second holder.
+  if (buf_ == nullptr || buf_->refs.load(std::memory_order_acquire) != 1 ||
+      buf_->capacity < other.numel_) {
+    Release();
+    if (other.numel_ > 0) buf_ = Allocate(other.numel_);
+  }
+  offset_ = 0;
+  numel_ = other.numel_;
+  if (numel_ > 0) std::copy_n(other.elements(), numel_, buf_->floats());
+  return *this;
+}
+
+Tensor::Tensor(Tensor&& other) noexcept
+    : shape_(std::move(other.shape_)),
+      buf_(std::exchange(other.buf_, nullptr)),
+      offset_(std::exchange(other.offset_, 0)),
+      numel_(std::exchange(other.numel_, 0)) {}
+
+Tensor& Tensor::operator=(Tensor&& other) noexcept {
+  if (this == &other) return *this;
+  Release();
+  shape_ = std::move(other.shape_);
+  buf_ = std::exchange(other.buf_, nullptr);
+  offset_ = std::exchange(other.offset_, 0);
+  numel_ = std::exchange(other.numel_, 0);
+  return *this;
 }
 
 Tensor Tensor::Full(Shape shape, float value) {
-  Tensor t(std::move(shape));
-  for (auto& v : t.data_) v = value;
+  Tensor t = Uninitialized(std::move(shape));
+  std::fill_n(t.elements(), t.numel_, value);
   return t;
 }
 
 Tensor Tensor::Gaussian(Shape shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   rng.FillGaussian(t.data(), t.numel(), stddev);
   return t;
 }
 
 Tensor Tensor::Iota(Shape shape) {
-  Tensor t(std::move(shape));
-  for (int64_t i = 0; i < t.numel(); ++i) t.data_[static_cast<size_t>(i)] = static_cast<float>(i);
+  Tensor t = Uninitialized(std::move(shape));
+  float* d = t.elements();
+  for (int64_t i = 0; i < t.numel(); ++i) d[i] = static_cast<float>(i);
   return t;
 }
 
@@ -71,19 +162,30 @@ int64_t Tensor::FlattenIndex(std::initializer_list<int64_t> idx) const {
 }
 
 float& Tensor::at(std::initializer_list<int64_t> idx) {
-  return data_[static_cast<size_t>(FlattenIndex(idx))];
+  return data()[FlattenIndex(idx)];
 }
 
 float Tensor::at(std::initializer_list<int64_t> idx) const {
-  return data_[static_cast<size_t>(FlattenIndex(idx))];
+  return elements()[FlattenIndex(idx)];
 }
 
 Tensor Tensor::Reshape(Shape new_shape) const {
   TSI_CHECK_EQ(NumElements(new_shape), numel())
       << ShapeToString(shape_) << " -> " << ShapeToString(new_shape);
-  Tensor t;
+  Tensor t = *this;
   t.shape_ = std::move(new_shape);
-  t.data_ = data_;
+  return t;
+}
+
+Tensor Tensor::SharedRows(int64_t r0, int64_t n) const {
+  TSI_CHECK_GE(rank(), 1);
+  TSI_CHECK(r0 >= 0 && n >= 0 && r0 + n <= shape_[0])
+      << "rows [" << r0 << "," << r0 + n << ") of " << ShapeToString(shape_);
+  const int64_t row = shape_[0] == 0 ? 0 : numel_ / shape_[0];
+  Tensor t;
+  t.shape_ = shape_;
+  t.shape_[0] = n;
+  t.ShareFrom(*this, r0 * row, n * row);
   return t;
 }
 
@@ -102,10 +204,10 @@ Tensor Tensor::Slice(int64_t dim, int64_t start, int64_t len) const {
 
   Shape out_shape = shape_;
   out_shape[static_cast<size_t>(dim)] = len;
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
   for (int64_t o = 0; o < outer; ++o) {
-    const float* src = data_.data() + (o * d + start) * inner;
-    float* dst = out.data_.data() + o * len * inner;
+    const float* src = elements() + (o * d + start) * inner;
+    float* dst = out.elements() + o * len * inner;
     std::memcpy(dst, src, static_cast<size_t>(len * inner) * sizeof(float));
   }
   return out;
@@ -144,13 +246,13 @@ Tensor Tensor::Concat(int64_t dim, const std::vector<Tensor>& parts) {
   for (int64_t i = 0; i < dim; ++i) outer *= out_shape[static_cast<size_t>(i)];
   for (int64_t i = dim + 1; i < rank; ++i) inner *= out_shape[static_cast<size_t>(i)];
 
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
   int64_t offset = 0;  // running offset along `dim`
   for (const auto& p : parts) {
     int64_t d = p.shape_[static_cast<size_t>(dim)];
     for (int64_t o = 0; o < outer; ++o) {
-      const float* src = p.data_.data() + o * d * inner;
-      float* dst = out.data_.data() + (o * total + offset) * inner;
+      const float* src = p.elements() + o * d * inner;
+      float* dst = out.elements() + (o * total + offset) * inner;
       std::memcpy(dst, src, static_cast<size_t>(d * inner) * sizeof(float));
     }
     offset += d;
@@ -164,57 +266,70 @@ Tensor Tensor::Transpose2D() const {
   int64_t batch = numel() / (m * n);
   Shape out_shape = shape_;
   std::swap(out_shape[static_cast<size_t>(rank() - 2)], out_shape[static_cast<size_t>(rank() - 1)]);
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
   for (int64_t b = 0; b < batch; ++b) {
-    const float* src = data_.data() + b * m * n;
-    float* dst = out.data_.data() + b * m * n;
+    const float* src = elements() + b * m * n;
+    float* dst = out.elements() + b * m * n;
     for (int64_t i = 0; i < m; ++i)
       for (int64_t j = 0; j < n; ++j) dst[j * m + i] = src[i * n + j];
   }
   return out;
 }
 
+namespace {
+
+// out[i] = op(out[i], b[i]) over numel elements.
+template <typename Op>
+void Zip(float* out, const float* b, int64_t numel, Op op) {
+  for (int64_t i = 0; i < numel; ++i) out[i] = op(out[i], b[i]);
+}
+
+}  // namespace
+
 Tensor Tensor::Add(const Tensor& other) const {
   TSI_CHECK(SameShape(other)) << ShapeToString(shape_) << " vs " << ShapeToString(other.shape_);
   Tensor out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
+  Zip(out.elements(), other.elements(), numel_, [](float a, float b) { return a + b; });
   return out;
 }
 
 Tensor Tensor::Sub(const Tensor& other) const {
   TSI_CHECK(SameShape(other));
   Tensor out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
+  Zip(out.elements(), other.elements(), numel_, [](float a, float b) { return a - b; });
   return out;
 }
 
 Tensor Tensor::Mul(const Tensor& other) const {
   TSI_CHECK(SameShape(other));
   Tensor out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
+  Zip(out.elements(), other.elements(), numel_, [](float a, float b) { return a * b; });
   return out;
 }
 
 Tensor Tensor::Scale(float s) const {
   Tensor out = *this;
-  for (auto& v : out.data_) v *= s;
+  float* d = out.elements();
+  for (int64_t i = 0; i < numel_; ++i) d[i] *= s;
   return out;
 }
 
 void Tensor::AddInPlace(const Tensor& other) {
   TSI_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  Zip(data(), other.elements(), numel_, [](float a, float b) { return a + b; });
 }
 
 float Tensor::MaxAbs() const {
   float m = 0.0f;
-  for (float v : data_) m = std::max(m, std::fabs(v));
+  const float* d = elements();
+  for (int64_t i = 0; i < numel_; ++i) m = std::max(m, std::fabs(d[i]));
   return m;
 }
 
 double Tensor::SumDouble() const {
   double s = 0.0;
-  for (float v : data_) s += v;
+  const float* d = elements();
+  for (int64_t i = 0; i < numel_; ++i) s += d[i];
   return s;
 }
 

@@ -1,13 +1,24 @@
 // Dense row-major fp32 tensor.
 //
-// This is the numeric substrate for the functional multi-chip simulator. It
-// is deliberately simple: owning value type, copy = deep copy, no views.
-// Sharding in the engine is expressed with Chunk/Slice/Concat, which copy;
-// at the scaled-down model sizes used for functional verification this is
-// never a bottleneck, and value semantics keep chip-local state trivially
-// isolated (no accidental aliasing between "chips").
+// This is the numeric substrate for the functional multi-chip simulator.
+// A tensor is a shape over a run of floats in a reference-counted buffer.
+// A plain copy is a deep copy, and Slice/Chunk/Concat/Transpose2D copy, so
+// chip-local state stays isolated (no accidental aliasing between "chips").
+// Sharing is explicit and copy-on-write: SharedRows returns a tensor over
+// the same buffer, and non-const access (data(), operator[], at()) to a
+// buffer that another tensor still holds first takes a private copy.
+// Writing to a view therefore never changes its source, nor the source its
+// views, and a view keeps its buffer alive after its source is gone. A
+// pointer taken from non-const access before a view was made still writes
+// into the shared buffer, so take views only of tensors nobody is writing.
+// Const access never touches the reference count, so threads may read one
+// shared buffer through const tensors concurrently. The engine's
+// weight shards use this to hold whole-row cuts of the model's weights
+// without copying them (engine/sharding.h, docs/kernels.md "Weight
+// storage").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,7 +37,13 @@ class Tensor {
   Tensor() = default;
   // Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
-  Tensor(Shape shape, std::vector<float> data);
+  Tensor(Shape shape, const std::vector<float>& data);
+  // Deep copy: the copy owns a buffer of its own.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&& other) noexcept;
+  ~Tensor() { Release(); }
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor Full(Shape shape, float value);
@@ -38,13 +55,17 @@ class Tensor {
   const Shape& shape() const { return shape_; }
   int64_t rank() const { return static_cast<int64_t>(shape_.size()); }
   int64_t dim(int64_t i) const;
-  int64_t numel() const { return static_cast<int64_t>(data_.size()); }
-  bool empty() const { return data_.empty(); }
+  int64_t numel() const { return numel_; }
+  bool empty() const { return numel_ == 0; }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-  float& operator[](int64_t i) { return data_[static_cast<size_t>(i)]; }
-  float operator[](int64_t i) const { return data_[static_cast<size_t>(i)]; }
+  // Non-const access first detaches a shared buffer (see the file comment).
+  float* data() {
+    Detach();
+    return elements();
+  }
+  const float* data() const { return elements(); }
+  float& operator[](int64_t i) { return data()[i]; }
+  float operator[](int64_t i) const { return elements()[i]; }
 
   // Multi-index access (rank must match).
   float& at(std::initializer_list<int64_t> idx);
@@ -52,6 +73,16 @@ class Tensor {
 
   // Returns a tensor with the same data and a new shape (numel must match).
   Tensor Reshape(Shape new_shape) const;
+
+  // Rows [r0, r0 + n) along dim 0, sharing this tensor's buffer: no
+  // element is copied. Detaches on the first non-const access while the
+  // buffer is still shared.
+  Tensor SharedRows(int64_t r0, int64_t n) const;
+  // True iff both tensors read one buffer (a view and its source, or two
+  // views of one source).
+  bool SharesBufferWith(const Tensor& other) const {
+    return buf_ != nullptr && buf_ == other.buf_;
+  }
 
   // Copy of elements [start, start+len) along `dim`.
   Tensor Slice(int64_t dim, int64_t start, int64_t len) const;
@@ -76,10 +107,37 @@ class Tensor {
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 
  private:
+  // The reference count, then the floats, in one allocation.
+  struct Buffer {
+    std::atomic<int64_t> refs;
+    int64_t capacity;  // floats
+    float* floats() { return reinterpret_cast<float*>(this + 1); }
+  };
+  static Buffer* Allocate(int64_t n);
+  // A tensor whose elements the caller writes before any read.
+  static Tensor Uninitialized(Shape shape);
+
+  float* elements() const {
+    return buf_ == nullptr ? nullptr : buf_->floats() + offset_;
+  }
+  // Takes a private copy of the elements if another tensor holds the
+  // buffer. The acquire pairs with the other holders' release in Release,
+  // so their reads finish before this tensor writes in place.
+  void Detach() {
+    if (buf_ != nullptr && buf_->refs.load(std::memory_order_acquire) != 1)
+      Unshare();
+  }
+  void Unshare();
+  void Release();
+  // Points this (empty) tensor at `numel` elements of `other`'s buffer
+  // from `offset`, taking a reference.
+  void ShareFrom(const Tensor& other, int64_t offset, int64_t numel);
   int64_t FlattenIndex(std::initializer_list<int64_t> idx) const;
 
   Shape shape_;
-  std::vector<float> data_;
+  Buffer* buf_ = nullptr;
+  int64_t offset_ = 0;  // first element, in floats from buf_->floats()
+  int64_t numel_ = 0;
 };
 
 // Max |a-b| over all elements; shapes must match.

@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 namespace tsi {
@@ -11,7 +12,10 @@ double SortedPercentile(const std::vector<double>& sorted, double p) {
   size_t lo = static_cast<size_t>(idx);
   size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+  // The fused multiply-add a native build contracts this interpolation to,
+  // spelled out so every ISA rounds it the same way (tsi_util gets
+  // -march=native, and GCC contracts a*b + c by default).
+  return std::fma(sorted[lo], 1 - frac, sorted[hi] * frac);
 }
 
 double Mean(const std::vector<double>& values) {

@@ -8,7 +8,9 @@
 
 #include <set>
 
+#include "engine/engine.h"
 #include "engine/kvcache.h"
+#include "hw/chip.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -224,6 +226,103 @@ TEST(ShardSharingTest, ChipsWithEqualShardsShareOneCopy) {
   EXPECT_DEATH(ShardWeights(w, mesh, Replication{false, false, false, true,
                                                  /*ffn=*/true}),
                "site 5 needs");
+}
+
+// perfbench/serve_bench.cc's model.
+ModelConfig PerfbenchModel() {
+  ModelConfig c = TinyTestModel();
+  c.num_layers = 2;
+  c.d_model = 256;
+  c.d_ff = 1024;
+  c.n_heads = 16;
+  c.d_head = 16;
+  c.vocab_size = 512;
+  return c;
+}
+
+// True iff `shard` reads elements of `source`'s own buffer.
+bool Inside(const Tensor& shard, const Tensor& source) {
+  return shard.SharesBufferWith(source) && shard.data() >= source.data() &&
+         shard.data() + shard.numel() <= source.data() + source.numel();
+}
+
+TEST(ShardSharingTest, WholeRowShardsReadTheModelsBuffers) {
+  // Sites 1-5 on 2x2x1: every chip holds the whole layer, so every shard
+  // is a run of whole rows of a ModelWeights tensor and copies nothing.
+  const ModelConfig cfg = PerfbenchModel();
+  const ModelWeights w = ModelWeights::Random(cfg, 2023);
+  const Torus3D mesh(2, 2, 1);
+  const Replication all{true, true, true, true, true};
+  const std::vector<ChipWeights> chips = ShardWeights(w, mesh, all);
+  EXPECT_TRUE(chips[0].embedding.SharesBufferWith(w.embedding));
+  for (const ChipWeights& cw : chips) {
+    EXPECT_TRUE(cw.final_ln_gain.SharesBufferWith(w.final_ln_gain));
+    ASSERT_FALSE(cw.head.empty());
+    EXPECT_TRUE(cw.head.SharesBufferWith(chips[0].head));
+    for (size_t l = 0; l < w.layers.size(); ++l) {
+      const LayerWeights& lw = w.layers[l];
+      const ShardedLayerWeights& s = *cw.layers[l];
+      ASSERT_EQ(s.in.size(), 2u);
+      for (const EBlockWeights& b : s.in) {
+        EXPECT_TRUE(Inside(b.ln_gain, lw.ln_gain));
+        EXPECT_TRUE(Inside(b.ln2_gain, lw.ln2_gain));
+        EXPECT_TRUE(Inside(b.wq, lw.wq));
+        EXPECT_TRUE(Inside(b.wk, lw.wk));
+        EXPECT_TRUE(Inside(b.wv, lw.wv));
+        EXPECT_TRUE(Inside(b.win, lw.win));
+        EXPECT_TRUE(Inside(b.win_gate, lw.win_gate));
+      }
+      ASSERT_EQ(s.wo_blocks.size(), 2u);
+      ASSERT_EQ(s.wout_blocks.size(), 2u);
+      for (const Tensor& block : s.wo_blocks) EXPECT_TRUE(Inside(block, lw.wo));
+      for (const Tensor& block : s.wout_blocks)
+        EXPECT_TRUE(Inside(block, lw.wout));
+    }
+  }
+}
+
+TEST(ShardSharingTest, ColumnCutsOwnTheirElements) {
+  // Unreplicated on 2x2x1: the yz column shards of the d_model-input
+  // weights and the x column blocks of wo/wout are copies; the norm gains'
+  // E rows are still views.
+  const ModelConfig cfg = TinyTestModel();
+  const ModelWeights w = ModelWeights::Random(cfg, 9);
+  for (const ChipWeights& cw : ShardWeights(w, Torus3D(2, 2, 1))) {
+    const LayerWeights& lw = w.layers[0];
+    const ShardedLayerWeights& s = *cw.layers[0];
+    ASSERT_EQ(s.in.size(), 1u);
+    EXPECT_FALSE(s.in[0].wq.SharesBufferWith(lw.wq));
+    EXPECT_FALSE(s.in[0].win.SharesBufferWith(lw.win));
+    EXPECT_FALSE(s.in[0].win_gate.SharesBufferWith(lw.win_gate));
+    EXPECT_FALSE(s.wo.SharesBufferWith(lw.wo));
+    EXPECT_FALSE(s.wout.SharesBufferWith(lw.wout));
+    EXPECT_TRUE(s.in[0].ln_gain.SharesBufferWith(lw.ln_gain));
+    EXPECT_FALSE(cw.head_shard.SharesBufferWith(cw.head));
+  }
+}
+
+TEST(ShardSharingTest, EngineOutlivesTheWeightsItWasBuiltFrom) {
+  // The shards keep the model's buffers alive: an engine built from a
+  // temporary ModelWeights computes what one built from live weights does,
+  // and writing to the live weights afterwards changes neither.
+  const ModelConfig cfg = PerfbenchModel();
+  ModelWeights live = ModelWeights::Random(cfg, 2023);
+  EngineSpec spec;
+  spec.attn = AttnSharding::kBatch;
+  SimMachine m1(Torus3D(2, 2, 1), TpuV4());
+  SimMachine m2(Torus3D(2, 2, 1), TpuV4());
+  DistributedEngine from_live(live, &m1, spec);
+  DistributedEngine from_temp(ModelWeights::Random(cfg, 2023), &m2, spec);
+  ASSERT_TRUE(from_live.replication().x && from_live.replication().ffn);
+  live.embedding.AddInPlace(Tensor::Full(live.embedding.shape(), 1.0f));
+  live.layers[0].wq.AddInPlace(Tensor::Full(live.layers[0].wq.shape(), 1.0f));
+  const std::vector<int32_t> tokens = {1, 5, 9, 200, 3, 7, 11, 511};
+  const Tensor a = from_live.Prefill(tokens, 4);
+  const Tensor b = from_temp.Prefill(tokens, 4);
+  EXPECT_EQ(MaxAbsDiff(a, b), 0.0f);
+  const Tensor da = from_live.DecodeStep({2, 4, 6, 8});
+  const Tensor db = from_temp.DecodeStep({2, 4, 6, 8});
+  EXPECT_EQ(MaxAbsDiff(da, db), 0.0f);
 }
 
 TEST(ShardedKvCacheTest, AppendsAndTracksLength) {

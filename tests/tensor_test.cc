@@ -47,6 +47,87 @@ TEST(TensorTest, ReshapePreservesData) {
   EXPECT_EQ(r.at({2, 3}), 11.0f);
 }
 
+// SharedRows: the view's offset and extent, views of views, and a rank-1
+// source.
+TEST(TensorViewTest, SharedRowsReadsTheSourceRowsInPlace) {
+  const Tensor t = Tensor::Iota({5, 3});
+  const Tensor v = t.SharedRows(1, 3);
+  EXPECT_EQ(v.shape(), (Shape{3, 3}));
+  EXPECT_TRUE(v.SharesBufferWith(t));
+  EXPECT_EQ(v.data(), t.data() + 3);
+  EXPECT_EQ(v.at({2, 2}), 11.0f);
+  const Tensor vv = v.SharedRows(2, 1);
+  EXPECT_EQ(vv.data(), t.data() + 9);
+  EXPECT_EQ(vv.at({0, 0}), 9.0f);
+  const Tensor g = Tensor::Iota({8}).SharedRows(6, 2);
+  EXPECT_EQ(g.shape(), (Shape{2}));
+  EXPECT_EQ(g[0], 6.0f);
+  EXPECT_EQ(g[1], 7.0f);
+  const Tensor none = t.SharedRows(5, 0);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.shape(), (Shape{0, 3}));
+  EXPECT_DEATH(t.SharedRows(4, 2), "rows");
+}
+
+TEST(TensorViewTest, WritingToAViewDetachesIt) {
+  const Tensor t = Tensor::Iota({4, 3});
+  Tensor v = t.SharedRows(1, 2);
+  v[0] = -1.0f;  // non-const access takes a private copy first
+  EXPECT_FALSE(v.SharesBufferWith(t));
+  EXPECT_EQ(t[3], 3.0f);
+  const Tensor& cv = v;
+  EXPECT_EQ(cv[0], -1.0f);
+  for (int64_t i = 1; i < 6; ++i) EXPECT_EQ(cv[i], static_cast<float>(3 + i));
+  // A view left as the buffer's only holder writes in place.
+  Tensor sole = Tensor::Iota({4, 3}).SharedRows(2, 2);
+  const float* before = static_cast<const Tensor&>(sole).data();
+  sole.at({1, 2}) = 0.5f;
+  EXPECT_EQ(sole.data(), before);
+  EXPECT_EQ(sole[5], 0.5f);
+}
+
+TEST(TensorViewTest, WritingToASourceLeavesItsViewsUnchanged) {
+  Tensor t = Tensor::Iota({4, 3});
+  const Tensor v = t.SharedRows(2, 2);
+  const Tensor r = t.SharedRows(0, 4);
+  t.AddInPlace(Tensor::Full({4, 3}, 100.0f));
+  EXPECT_FALSE(t.SharesBufferWith(v));
+  EXPECT_FALSE(t.SharesBufferWith(r));
+  EXPECT_TRUE(v.SharesBufferWith(r));  // the old buffer, now theirs
+  EXPECT_EQ(t[6], 106.0f);
+  EXPECT_EQ(v[0], 6.0f);
+  EXPECT_EQ(r[6], 6.0f);
+}
+
+TEST(TensorViewTest, AViewOutlivesItsSource) {
+  Tensor v;
+  {
+    const Tensor t = Tensor::Iota({3, 4});
+    v = t.SharedRows(1, 2);
+  }
+  const Tensor& cv = v;
+  for (int64_t i = 0; i < 8; ++i) EXPECT_EQ(cv[i], static_cast<float>(4 + i));
+}
+
+TEST(TensorViewTest, ACopyOfAViewIsDeep) {
+  const Tensor t = Tensor::Iota({4, 2});
+  const Tensor v = t.SharedRows(1, 2);
+  const Tensor copy = v;
+  EXPECT_FALSE(copy.SharesBufferWith(t));
+  EXPECT_EQ(MaxAbsDiff(copy, v), 0.0f);
+  Tensor assigned = Tensor::Zeros({1});
+  assigned = v;
+  EXPECT_FALSE(assigned.SharesBufferWith(t));
+  EXPECT_EQ(assigned.shape(), (Shape{2, 2}));
+  EXPECT_EQ(MaxAbsDiff(assigned, v), 0.0f);
+  // Assigning a view of one's own buffer keeps the values.
+  Tensor self = Tensor::Iota({4, 2});
+  self = self.SharedRows(2, 2);
+  EXPECT_EQ(self.shape(), (Shape{2, 2}));
+  EXPECT_EQ(self[0], 4.0f);
+  EXPECT_EQ(self[3], 7.0f);
+}
+
 TEST(TensorTest, SliceMiddleDim) {
   Tensor t = Tensor::Iota({2, 4, 3});
   Tensor s = t.Slice(1, 1, 2);

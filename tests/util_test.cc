@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -35,6 +40,35 @@ TEST(StatsTest, SummarizeMatchesPointQueries) {
   LatencySummary empty = Summarize({});
   EXPECT_DOUBLE_EQ(empty.mean, 0.0);
   EXPECT_DOUBLE_EQ(empty.max, 0.0);
+}
+
+// Every latency percentile the serving reports print goes through
+// SortedPercentile, so its bits are pinned: an FNV-1a hash over Percentile
+// and Summarize results for seeded vectors of every length up to 200, at
+// quantiles that land between order statistics. Recorded on a native
+// build; a build without -march=native must match it (tools/check.sh
+// portable), which holds only if stats.cc spells the one fused
+// multiply-add a native build contracts to.
+TEST(StatsGoldenTest, PercentileBitsMatchTheRecordedHash) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](double d) {
+    const uint64_t bits = std::bit_cast<uint64_t>(d);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  Rng rng(41);
+  const double quantiles[] = {0, 1, 5, 10, 25, 33.3, 50, 66.7, 75, 90,
+                              95, 99, 99.9, 100};
+  for (int n = 1; n <= 200; ++n) {
+    std::vector<double> v(static_cast<size_t>(n));
+    for (double& x : v) x = rng.NextDouble() * 0.0375;
+    for (double p : quantiles) mix(Percentile(v, p));
+    const LatencySummary s = Summarize(v);
+    for (double d : {s.mean, s.p50, s.p95, s.p99, s.max}) mix(d);
+  }
+  EXPECT_EQ(h, 0x1d01f88b93d41539ull);
 }
 
 TEST(TableTest, AlignsColumnsAndCountsRows) {

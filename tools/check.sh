@@ -54,8 +54,8 @@
 #                             # and their death tests)
 #   tools/check.sh portable   # additionally build without -march=native
 #                             # (-DTSI_MARCH_NATIVE=OFF, build-check-portable/)
-#                             # and run the weights, engine golden-value and
-#                             # determinism suites on it: their recorded
+#                             # and run the weights, engine golden-value,
+#                             # determinism and stats suites on it: their recorded
 #                             # hashes come from native builds, so this checks
 #                             # the claim that results are bit-identical with
 #                             # or without the native ISA
@@ -105,8 +105,9 @@ if [[ "${1:-}" == "asan" ]]; then
   # plan_test the estimator and the src/plan lowering, serve_golden_test and
   # anatomy_test the serving loop and the anatomy/roofline folds over its
   # timeline, weights_golden_test the Gaussian kernel's block and half-pair
-  # bookkeeping.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test|weights_golden_test'
+  # bookkeeping, tensor_test the shared buffers' view offsets and
+  # copy-on-write detaches.
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test|weights_golden_test|tensor_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
@@ -122,8 +123,9 @@ if [[ "${1:-}" == "portable" ]]; then
   # Portability check: the kernel libraries built for baseline x86-64 (no
   # -march=native) must reproduce the golden values recorded on native
   # builds -- the random weights (the Gaussian kernel, rng.cc), the engine's
-  # logits and tokens, and the thread-count determinism suite.
-  portable_tests='weights_golden_test|engine_golden_test|determinism_test'
+  # logits and tokens, the thread-count determinism suite, and the latency
+  # percentiles (util_test's StatsGoldenTest).
+  portable_tests='weights_golden_test|engine_golden_test|determinism_test|util_test'
   echo "== Portable build (TSI_MARCH_NATIVE=OFF) =="
   cmake -B "$repo/build-check-portable" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
         -DTSI_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS=-Werror >/dev/null
