@@ -7,6 +7,7 @@
 // approximated §3, these tests would see last-bit drift immediately.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "core/inference_cost.h"
@@ -330,6 +331,132 @@ TEST(AutotuneTest, ReproducesFigure1SweepWinners) {
     EXPECT_EQ(i, sweep.size());
     EXPECT_EQ(stats.price_mismatches, 0);
   }
+}
+
+// Golden values for the layout search: the winner at every point the two
+// tests above visit (Figure 1 generates, int8 on PaLM 8B and 540B, bf16 on
+// 540B) plus batch-1/64/512 prefills of 2048 tokens on 64 chips. Each row
+// pins the winning spec ("" when nothing fits), the latency (per generated
+// token for a generate, whole input for a prefill), the cost and the MFU,
+// bit for bit. On a mismatch the failure message prints the table as it
+// reads now.
+struct WinnerRow {
+  std::string point;
+  std::string spec;
+  double latency = 0, cost = 0, mfu = 0;
+
+  bool operator==(const WinnerRow&) const = default;
+};
+
+std::vector<WinnerRow> WinnerRowsNow() {
+  std::vector<WinnerRow> rows;
+  auto add = [&](const InferenceEstimator& est, WeightFormat format,
+                 bool prefill, int chips, double batch) {
+    WinnerRow row;
+    row.point = est.config().name + "/" + ToString(format) +
+                (prefill ? "/prefill/" : "/generate/") +
+                std::to_string(chips) + "/" + std::to_string(int(batch));
+    auto best = prefill ? TunePhase(est, Phase::kPrefill, chips, format,
+                                    batch, 2048)
+                        : TuneGenerate(est, chips, format, batch, 1984, 64);
+    if (best.has_value()) {
+      row.spec = best->plan.spec.ToString();
+      row.latency = prefill ? best->result.seconds
+                            : best->result.PerStepLatency();
+      row.cost = best->result.cost_chipsec_per_token;
+      row.mfu = best->result.mfu;
+    }
+    rows.push_back(row);
+  };
+  const InferenceEstimator palm8b(Palm8B(), TpuV4());
+  const InferenceEstimator palm540b(Palm540BPadded(), TpuV4());
+  for (const InferenceEstimator* est : {&palm8b, &palm540b})
+    for (int chips : {8, 64, 256})
+      for (double batch : {4.0, 64.0, 512.0})
+        add(*est, WeightFormat::kInt8, false, chips, batch);
+  for (int chips : {8, 64})
+    for (double batch : {4.0, 64.0, 512.0})
+      add(palm540b, WeightFormat::kBf16, false, chips, batch);
+  for (WeightFormat format : {WeightFormat::kInt8, WeightFormat::kBf16})
+    for (double batch : {1.0, 64.0, 512.0})
+      add(palm540b, format, true, 64, batch);
+  return rows;
+}
+
+TEST(AutotuneGoldenTest, WinnersMatchRecordedValues) {
+  const std::vector<WinnerRow> want = {
+      {"PaLM-8B/int8/generate/8/4", "WS-2D/batch/int8 on 2x1x4",
+       0.0025927878790718171, 0.0051855757581436342, 0.012106137253997871},
+      {"PaLM-8B/int8/generate/8/64", "WS-2D/batch/int8 on 2x1x4",
+       0.0037853198088619536, 0.00047316497610774421, 0.13267527192206194},
+      {"PaLM-8B/int8/generate/8/512", "WS-1D/batch/int8 on 1x1x8",
+       0.012857812359433075, 0.0002009033181161418, 0.31247513708459251},
+      {"PaLM-8B/int8/generate/64/4", "WS-2D/head/int8 on 8x1x8",
+       0.0019761937697464044, 0.031619100315942471, 0.0019854230905310848},
+      {"PaLM-8B/int8/generate/64/64", "WS-2D/batch/int8 on 4x1x16",
+       0.0023460694784304213, 0.0023460694784304213, 0.026758496475172797},
+      {"PaLM-8B/int8/generate/64/512", "WS-2D/batch/int8 on 4x1x16",
+       0.0035972469228073662, 0.00044965586535092078, 0.13961186032811604},
+      {"PaLM-8B/int8/generate/256/4", "WS-2D/batch/int8 on 32x1x8",
+       0.0025691932658259485, 0.1644283690128607, 0.00038179112428087642},
+      {"PaLM-8B/int8/generate/256/64", "WG-XY/batch/int8 on 1x16x16",
+       0.0028604780478745104, 0.011441912191498042, 0.0054866084285927156},
+      {"PaLM-8B/int8/generate/256/512", "WG-XY/batch/int8 on 1x16x16",
+       0.003088055810905291, 0.0015440279054526455, 0.040658132956921646},
+      {"PaLM-540B-h64/int8/generate/8/4", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/int8/generate/8/64", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/int8/generate/8/512", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/int8/generate/64/4", "WS-2D/batch/int8 on 8x1x8",
+       0.020719808546873594, 0.33151693674997751, 0.012245016725755026},
+      {"PaLM-540B-h64/int8/generate/64/64", "WS-2D/batch/int8 on 8x1x8",
+       0.026121066771510559, 0.026121066771510559, 0.15540829441935508},
+      {"PaLM-540B-h64/int8/generate/64/512", "WS-2D/batch/int8 on 4x1x16",
+       0.066343067700721084, 0.0082928834625901355, 0.48950771510138336},
+      {"PaLM-540B-h64/int8/generate/256/4", "WS-2D/batch/int8 on 16x1x16",
+       0.01433872457296922, 0.91767837267003005, 0.0044235873441840351},
+      {"PaLM-540B-h64/int8/generate/256/64", "WS-2D/batch/int8 on 16x1x16",
+       0.015969386151350691, 0.063877544605402764, 0.063550195306524018},
+      {"PaLM-540B-h64/int8/generate/256/512", "WS-2D/batch/int8 on 8x1x32",
+       0.027950316602217314, 0.013975158301108657, 0.29047473723803963},
+      {"PaLM-540B-h64/bf16/generate/8/4", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/bf16/generate/8/64", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/bf16/generate/8/512", "",
+       0, 0, 0},
+      {"PaLM-540B-h64/bf16/generate/64/4", "WS-2D/batch/bf16 on 8x1x8",
+       0.030410289186873593, 0.48656462698997749, 0.0083430447060800494},
+      {"PaLM-540B-h64/bf16/generate/64/64", "WS-2D/batch/bf16 on 8x1x8",
+       0.035811547411510554, 0.035811547411510554, 0.1133553484502533},
+      {"PaLM-540B-h64/bf16/generate/64/512", "WS-2D/batch/bf16 on 4x1x16",
+       0.076033548340721083, 0.0095041935425901353, 0.42711992523967973},
+      {"PaLM-540B-h64/int8/prefill/64/1", "WS-2D/head/int8 on 4x1x16",
+       0.18970374016641903, 0.0059282418802005946, 0.68476126943005},
+      {"PaLM-540B-h64/int8/prefill/64/64", "WG-XY/batch/int8 on 1x8x8",
+       10.176547090233985, 0.004969017133903313, 0.81694836745023269},
+      {"PaLM-540B-h64/int8/prefill/64/512", "WG-XY/batch/int8 on 1x32x2",
+       79.580157034014633, 0.0048571873189706197, 0.83575743919113621},
+      {"PaLM-540B-h64/bf16/prefill/64/1", "WS-2D/head/bf16 on 4x1x16",
+       0.19939422080641903, 0.0062310694002005946, 0.65148214129084514},
+      {"PaLM-540B-h64/bf16/prefill/64/64", "WG-XY/batch/bf16 on 1x8x8",
+       10.275917470180651, 0.0050175378272366462, 0.80904829722235139},
+      {"PaLM-540B-h64/bf16/prefill/64/512", "WG-XY/batch/bf16 on 1x16x4",
+       79.921545743046025, 0.0048780240321683365, 0.83218746127621746},
+  };
+  const std::vector<WinnerRow> got = WinnerRowsNow();
+  if (got == want) return;
+  std::string table;
+  for (const WinnerRow& r : got) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"%s\", \"%s\",\n       %.17g, %.17g, %.17g},\n",
+                  r.point.c_str(), r.spec.c_str(), r.latency, r.cost, r.mfu);
+    table += buf;
+  }
+  ADD_FAILURE() << "golden rows read now:\n" << table;
 }
 
 TEST(AutotuneTest, BuildPlanCacheCoversGridAndSelfChecks) {
