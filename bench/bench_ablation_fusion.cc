@@ -5,8 +5,8 @@
 // bench_ablation_act_quant (EngineDecode/fp32 and EngineDecode/int8).
 #include "common.h"
 
-#include "sim/collective_einsum.h"
-#include "sim/collectives.h"
+#include "sim/ring.h"
+#include "sim/spmd.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -43,18 +43,20 @@ void RunCollectiveEinsumAblation() {
 
     SimMachine unfused(topo, TpuV4());
     unfused.set_hop_latency(1e-9);
-    ShardVec partial(static_cast<size_t>(s.chips));
-    for (int c = 0; c < s.chips; ++c) {
-      partial[static_cast<size_t>(c)] =
-          MatMul(x[static_cast<size_t>(c)], w[static_cast<size_t>(c)]);
-      unfused.ChargeComputeAndMemory(c, 2.0 * s.rows * s.k * s.cols,
+    SpmdExecutor(&unfused).Run([&](SpmdContext& ctx) {
+      const size_t c = static_cast<size_t>(ctx.chip());
+      Tensor partial = MatMul(x[c], w[c]);
+      unfused.ChargeComputeAndMemory(ctx.chip(), 2.0 * s.rows * s.k * s.cols,
                                      static_cast<double>(s.k * s.cols) * 2.0);
-    }
-    ReduceScatter(unfused, partial, kAxisX, 1);
+      ctx.ReduceScatter(kAxisX, std::move(partial), 1);
+    });
 
     SimMachine fused(topo, TpuV4());
     fused.set_hop_latency(1e-9);
-    MatMulReduceScatter(fused, x, w, kAxisX);
+    SpmdExecutor(&fused).Run([&](SpmdContext& ctx) {
+      const size_t c = static_cast<size_t>(ctx.chip());
+      ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+    });
 
     double t_compute = std::max(
         TpuV4().ComputeTime(2.0 * s.rows * s.k * s.cols),

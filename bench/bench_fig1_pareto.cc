@@ -13,8 +13,8 @@ void RunModel(const ModelConfig& cfg, WeightFormat fmt) {
   auto batches = PowerOfTwoBatches(1, 1024);
 
   PrintHeader(cfg.name + " / " + ToString(fmt) + " -- generate (64 tokens @ 2048 context)");
-  auto gen = ParetoFrontier(
-      SweepGenerate(est, chips, batches, fmt, /*input_len=*/1984, /*gen_len=*/64));
+  auto gen = ParetoFrontier(plan::Sweep(est, Phase::kDecode, chips, batches, fmt,
+                                        /*input_len=*/1984, /*gen_len=*/64));
   Table tg({"latency/token(ms)", "cost(chip-ms/token)", "chips", "batch", "layout", "MFU"});
   for (const auto& p : gen) {
     tg.AddRow({Ms(p.latency), FormatDouble(p.cost_chipsec_per_token * 1e3, 2),
@@ -24,7 +24,8 @@ void RunModel(const ModelConfig& cfg, WeightFormat fmt) {
   tg.Print();
 
   PrintHeader(cfg.name + " / " + ToString(fmt) + " -- prefill (2048 tokens)");
-  auto pre = ParetoFrontier(SweepPrefill(est, chips, batches, fmt, 2048));
+  auto pre = ParetoFrontier(
+      plan::Sweep(est, Phase::kPrefill, chips, batches, fmt, 2048));
   Table tp({"latency(s)", "cost(chip-ms/token)", "chips", "batch", "layout", "MFU"});
   for (const auto& p : pre) {
     tp.AddRow({FormatDouble(p.latency, 2),

@@ -46,8 +46,9 @@ void RunBenchmark(const PublishedBenchmark& bench) {
 
     std::string palm_cell = "-", mtnlg_cell = "-";
     if (B >= 4) {  // paper reports batch >= 4 (batch-sharded attention)
-      auto pp = BestPrefill(palm, 64, WeightFormat::kBf16, B, L);
-      auto pg = BestGenerate(palm, 64, WeightFormat::kBf16, B, L, G);
+      auto pp = plan::TunePhase(palm, Phase::kPrefill, 64, WeightFormat::kBf16,
+                                B, L);
+      auto pg = plan::TuneGenerate(palm, 64, WeightFormat::kBf16, B, L, G);
       if (pp && pg) {
         double secs = pp->result.seconds + pg->result.seconds;
         double tokens = B * (L + G);
@@ -55,8 +56,9 @@ void RunBenchmark(const PublishedBenchmark& bench) {
                      (64 * TpuV4().peak_flops) / secs;
         palm_cell = Cell(secs, mfu);
       }
-      auto mp = BestPrefill(mtnlg, 64, WeightFormat::kBf16, B, L);
-      auto mg = BestGenerate(mtnlg, 64, WeightFormat::kBf16, B, L, G);
+      auto mp = plan::TunePhase(mtnlg, Phase::kPrefill, 64,
+                                WeightFormat::kBf16, B, L);
+      auto mg = plan::TuneGenerate(mtnlg, 64, WeightFormat::kBf16, B, L, G);
       if (mp && mg) {
         double secs = mp->result.seconds + mg->result.seconds;
         double tokens = B * (L + G);

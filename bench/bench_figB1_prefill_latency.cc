@@ -12,36 +12,27 @@ int main() {
     Table t({"seq", "chips", "latency(ms)", "cost(chip-ms/token)", "layout", "MFU"});
     for (double seq = 32; seq <= 1024; seq *= 2) {
       // Pareto over chip count at this sequence length: report the
-      // latency-minimizing point and the cost-minimizing point.
-      ConfigEval best_lat;
-      int best_lat_chips = 0;
-      ConfigEval best_cost;
-      int best_cost_chips = 0;
-      bool have = false;
-      for (int n : PaperChipCounts()) {
-        auto e = BestPrefill(est, n, WeightFormat::kInt8, 1, seq);
-        if (!e) continue;
-        if (!have || e->result.seconds < best_lat.result.seconds) {
-          best_lat = *e;
-          best_lat_chips = n;
-        }
-        if (!have || e->result.cost_chipsec_per_token <
-                         best_cost.result.cost_chipsec_per_token) {
-          best_cost = *e;
-          best_cost_chips = n;
-        }
-        have = true;
+      // latency-minimizing point and the cost-minimizing point (the first
+      // of equals).
+      auto points = plan::Sweep(est, Phase::kPrefill, PaperChipCounts(), {1},
+                                WeightFormat::kInt8, seq);
+      if (points.empty()) continue;
+      const SweepPoint* best_lat = &points[0];
+      const SweepPoint* best_cost = &points[0];
+      for (const SweepPoint& p : points) {
+        if (p.latency < best_lat->latency) best_lat = &p;
+        if (p.cost_chipsec_per_token < best_cost->cost_chipsec_per_token)
+          best_cost = &p;
       }
-      if (!have) continue;
-      t.AddRow({FormatDouble(seq, 0), std::to_string(best_lat_chips),
-                Ms(best_lat.result.seconds),
-                FormatDouble(best_lat.result.cost_chipsec_per_token * 1e3, 2),
-                best_lat.spec.ToString(), FormatPercent(best_lat.result.mfu)});
-      if (best_cost_chips != best_lat_chips) {
-        t.AddRow({FormatDouble(seq, 0) + " (min-cost)", std::to_string(best_cost_chips),
-                  Ms(best_cost.result.seconds),
-                  FormatDouble(best_cost.result.cost_chipsec_per_token * 1e3, 2),
-                  best_cost.spec.ToString(), FormatPercent(best_cost.result.mfu)});
+      t.AddRow({FormatDouble(seq, 0), std::to_string(best_lat->chips),
+                Ms(best_lat->latency),
+                FormatDouble(best_lat->cost_chipsec_per_token * 1e3, 2),
+                best_lat->spec.ToString(), FormatPercent(best_lat->mfu)});
+      if (best_cost->chips != best_lat->chips) {
+        t.AddRow({FormatDouble(seq, 0) + " (min-cost)", std::to_string(best_cost->chips),
+                  Ms(best_cost->latency),
+                  FormatDouble(best_cost->cost_chipsec_per_token * 1e3, 2),
+                  best_cost->spec.ToString(), FormatPercent(best_cost->mfu)});
       }
     }
     t.Print();

@@ -12,7 +12,7 @@ void RunModel(const ModelConfig& cfg, WeightFormat fmt) {
 
   PrintHeader(cfg.name + " / " + ToString(fmt) + " -- MFU vs latency");
   // Reuse the cost-Pareto machinery with cost = -MFU.
-  auto gen = SweepGenerate(est, chips, batches, fmt, 1984, 64);
+  auto gen = plan::Sweep(est, Phase::kDecode, chips, batches, fmt, 1984, 64);
   for (auto& p : gen) p.cost_chipsec_per_token = -p.mfu;
   auto frontier = ParetoFrontier(std::move(gen));
   Table t({"phase", "latency", "MFU", "chips", "batch", "layout"});
@@ -20,7 +20,7 @@ void RunModel(const ModelConfig& cfg, WeightFormat fmt) {
     t.AddRow({"generate", Ms(p.latency) + "ms/token", FormatPercent(p.mfu),
               std::to_string(p.chips), FormatDouble(p.batch, 0), p.spec.ToString()});
   }
-  auto pre = SweepPrefill(est, chips, batches, fmt, 2048);
+  auto pre = plan::Sweep(est, Phase::kPrefill, chips, batches, fmt, 2048);
   for (auto& p : pre) p.cost_chipsec_per_token = -p.mfu;
   for (const auto& p : ParetoFrontier(std::move(pre))) {
     t.AddRow({"prefill", FormatDouble(p.latency, 2) + "s", FormatPercent(p.mfu),

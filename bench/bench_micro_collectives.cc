@@ -9,14 +9,25 @@
 #include "json_reporter.h"
 
 #include "hw/chip.h"
-#include "sim/collective_einsum.h"
-#include "sim/collectives.h"
 #include "sim/ring.h"
 #include "sim/spmd.h"
 #include "util/rng.h"
 
 namespace tsi {
 namespace {
+
+// Chip c's result of `op`, run on every chip in one SPMD region (a fresh
+// executor per call, so each iteration also pays the region's setup).
+template <typename Op>
+ShardVec PerChip(SimMachine& m, Op op) {
+  ShardVec out(static_cast<size_t>(m.num_chips()));
+  SpmdExecutor ex(&m);
+  ex.Run([&](SpmdContext& ctx) {
+    const size_t c = static_cast<size_t>(ctx.chip());
+    out[c] = op(ctx, c);
+  });
+  return out;
+}
 
 ShardVec MakeShards(const SimMachine& m, int64_t rows, int64_t cols) {
   ShardVec shards;
@@ -32,7 +43,9 @@ void BM_AllGather(benchmark::State& state) {
   ShardVec in = MakeShards(m, 64, 64);
   for (auto _ : state) {
     m.ResetCounters();
-    auto out = AllGather(m, in, kAxisXYZ, 0);
+    auto out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      return ctx.AllGather(kAxisXYZ, in[c], 0);
+    });
     benchmark::DoNotOptimize(out);
   }
   state.counters["virtual_us"] = m.MaxTime() * 1e6;
@@ -45,7 +58,9 @@ void BM_ReduceScatter(benchmark::State& state) {
   ShardVec in = MakeShards(m, 64, 64);
   for (auto _ : state) {
     m.ResetCounters();
-    auto out = ReduceScatter(m, in, kAxisXYZ, 0);
+    auto out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      return ctx.ReduceScatter(kAxisXYZ, in[c], 0);
+    });
     benchmark::DoNotOptimize(out);
   }
   state.counters["virtual_us"] = m.MaxTime() * 1e6;
@@ -58,7 +73,9 @@ void BM_AllReduce(benchmark::State& state) {
   ShardVec in = MakeShards(m, 64, 64);
   for (auto _ : state) {
     m.ResetCounters();
-    auto out = AllReduce(m, in, kAxisY);
+    auto out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      return ctx.AllReduce(kAxisY, in[c]);
+    });
     benchmark::DoNotOptimize(out);
   }
   state.counters["virtual_us"] = m.MaxTime() * 1e6;
@@ -70,7 +87,9 @@ void BM_AllToAll(benchmark::State& state) {
   ShardVec in = MakeShards(m, 64, 64);
   for (auto _ : state) {
     m.ResetCounters();
-    auto out = AllToAll(m, in, kAxisY | kAxisZ, 0, 1);
+    auto out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      return ctx.AllToAll(kAxisY | kAxisZ, in[c], 0, 1);
+    });
     benchmark::DoNotOptimize(out);
   }
   state.counters["virtual_us"] = m.MaxTime() * 1e6;
@@ -141,7 +160,9 @@ void BM_LoopedMatMulReduceScatter(benchmark::State& state) {
   ShardVec w = MakeShards(m, 64, 64);
   for (auto _ : state) {
     m.ResetCounters();
-    auto out = MatMulReduceScatter(m, x, w, kAxisX);
+    auto out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      return ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+    });
     benchmark::DoNotOptimize(out);
   }
   state.counters["virtual_us"] = m.MaxTime() * 1e6;

@@ -10,12 +10,12 @@
 //     search is reported as host_search_s (the search is milliseconds per
 //     point -- the paper's structured space, not black-box search).
 //
-//   * "fig1": the tuner's TuneGenerate winner at every Figure 1
-//     (chips, batch) point, cross-checked against the legacy planner's
-//     SweepGenerate choice -- same layout, same latency, bit for bit
-//     (`matches_planner`). The two searches share one candidate
-//     enumeration (EnumerateSpecs), so this gates the propagate->lower
-//     pipeline end to end.
+//   * "fig1": the tuner's winner at every Figure 1 (chips, batch) point
+//     (plan::Sweep), cross-checked against an exhaustive search that prices
+//     every spec of the raw cross product (EnumerateSpecs without dedup)
+//     directly with the estimator -- same layout, same latency, bit for bit
+//     (`matches_planner`). This gates the enumeration dedup and the
+//     propagate->lower pipeline end to end.
 //
 //   * "serving": a continuous-batching run (serve/runtime.h) over the
 //     analytic backend with the PlanCache consulted per prefill chunk and
@@ -26,12 +26,13 @@
 //
 // Writes BENCH_plan.json (override with TSI_BENCH_JSON); deterministic, so
 // tools/check.sh's autotune mode gates it against the tracked document with
-// tools/bench_diff. Exits 1 on any price mismatch or planner disagreement.
+// tools/bench_diff. Exits 1 on any price mismatch or fig1 disagreement.
 #include "common.h"
 
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "plan/autotune.h"
 #include "serve/analytic.h"
@@ -61,32 +62,34 @@ int Run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  // --- Figure 1 frontier: tuner vs legacy planner, point by point --------
+  // --- Figure 1 frontier: tuner vs exhaustive search, point by point ----
   const std::vector<int> chips = {8, 64, 256};
   const std::vector<double> batches = {4, 64, 512};
   const double input_len = 1984, gen_len = 64;
-  std::vector<SweepPoint> sweep =
-      SweepGenerate(est, chips, batches, format, input_len, gen_len);
   struct Fig1Point {
-    SweepPoint planner;
-    PartitionSpec tuned;
-    double tuned_latency = 0;
+    SweepPoint tuned;
     bool matches = false;
   };
   std::vector<Fig1Point> fig1;
   int mismatched_points = 0;
-  for (const SweepPoint& p : sweep) {
-    auto best = plan::TuneGenerate(est, p.chips, format, p.batch, input_len,
-                                   gen_len);
-    TSI_CHECK(best.has_value());
-    Fig1Point fp;
-    fp.planner = p;
-    fp.tuned = best->plan.spec;
-    fp.tuned_latency = best->result.PerStepLatency();
-    fp.matches = fp.tuned.ToString() == p.spec.ToString() &&
-                 fp.tuned_latency == p.latency;
-    if (!fp.matches) ++mismatched_points;
-    fig1.push_back(fp);
+  for (const SweepPoint& p : plan::Sweep(est, Phase::kDecode, chips, batches,
+                                         format, input_len, gen_len)) {
+    // The first of the fastest fitting specs over the raw cross product.
+    std::optional<PartitionSpec> full_spec;
+    PhaseResult full;
+    for (const PartitionSpec& s :
+         EnumerateSpecs(cfg, p.chips, format, /*dedup=*/false)) {
+      PhaseResult r = est.Generate(s, p.batch, input_len, gen_len);
+      if (r.fits_memory && (!full_spec || r.seconds < full.seconds)) {
+        full_spec = s;
+        full = r;
+      }
+    }
+    const bool matches = full_spec.has_value() &&
+                         full_spec->ToString() == p.spec.ToString() &&
+                         full.PerStepLatency() == p.latency;
+    if (!matches) ++mismatched_points;
+    fig1.push_back({p, matches});
   }
 
   // --- Serving with the cache: per-phase layouts + hit rate --------------
@@ -153,9 +156,9 @@ int Run() {
                  "\"latency_per_token_s\": %.9g, "
                  "\"cost_chipsec_per_token\": %.9g, \"mfu\": %.4f, "
                  "\"matches_planner\": %s}%s\n",
-                 p.planner.chips, p.planner.batch, p.tuned.ToString().c_str(),
-                 p.tuned_latency, p.planner.cost_chipsec_per_token,
-                 p.planner.mfu, p.matches ? "true" : "false",
+                 p.tuned.chips, p.tuned.batch, p.tuned.spec.ToString().c_str(),
+                 p.tuned.latency, p.tuned.cost_chipsec_per_token,
+                 p.tuned.mfu, p.matches ? "true" : "false",
                  i + 1 < fig1.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

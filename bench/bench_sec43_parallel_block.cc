@@ -26,8 +26,10 @@ int main() {
               FormatPercent(s.seconds / p.seconds - 1.0), "14%"});
   }
   for (double batch : {64.0, 512.0}) {
-    auto bp = BestPrefill(ep, 64, WeightFormat::kBf16, batch, 2048);
-    auto bs = BestPrefill(es, 64, WeightFormat::kBf16, batch, 2048);
+    auto bp = plan::TunePhase(ep, Phase::kPrefill, 64, WeightFormat::kBf16,
+                              batch, 2048);
+    auto bs = plan::TunePhase(es, Phase::kPrefill, 64, WeightFormat::kBf16,
+                              batch, 2048);
     if (!bp || !bs) continue;
     t.AddRow({"prefill", FormatDouble(batch, 0),
               FormatDouble(bp->result.seconds, 2) + "s",

@@ -7,8 +7,9 @@ namespace tsi {
 namespace {
 
 void Report(Table& t, const char* scenario, const char* phase, int chips,
-            const ConfigEval& e, double paper_mfu, double paper_latency) {
-  t.AddRow({scenario, phase, std::to_string(chips), e.spec.ToString(),
+            const plan::TuneResult& e, double paper_mfu,
+            double paper_latency) {
+  t.AddRow({scenario, phase, std::to_string(chips), e.plan.spec.ToString(),
             FormatPercent(e.result.mfu), FormatDouble(e.result.seconds, 2) + "s",
             FormatPercent(paper_mfu), FormatDouble(paper_latency, 2) + "s"});
 }
@@ -23,13 +24,15 @@ int main() {
   Table t({"scenario", "phase", "chips", "layout (ours)", "MFU", "latency",
            "paper MFU", "paper latency"});
 
-  auto pre_ll = BestPrefill(est, 16, WeightFormat::kInt8, 1, 2048);
-  auto dec_ll = BestGenerate(est, 16, WeightFormat::kInt8, 32, 1984, 64);
+  auto pre_ll =
+      plan::TunePhase(est, Phase::kPrefill, 16, WeightFormat::kInt8, 1, 2048);
+  auto dec_ll = plan::TuneGenerate(est, 16, WeightFormat::kInt8, 32, 1984, 64);
   if (pre_ll) Report(t, "low-latency", "prefill", 16, *pre_ll, 0.36, 0.16);
   if (dec_ll) Report(t, "low-latency", "decode", 16, *dec_ll, 0.08, 0.73);
 
-  auto pre_ht = BestPrefill(est, 32, WeightFormat::kBf16, 512, 2048);
-  auto dec_ht = BestGenerate(est, 8, WeightFormat::kBf16, 512, 1984, 64);
+  auto pre_ht =
+      plan::TunePhase(est, Phase::kPrefill, 32, WeightFormat::kBf16, 512, 2048);
+  auto dec_ht = plan::TuneGenerate(est, 8, WeightFormat::kBf16, 512, 1984, 64);
   if (pre_ht) Report(t, "high-throughput", "prefill", 32, *pre_ht, 0.73, 20.2);
   if (dec_ht) Report(t, "high-throughput", "decode", 8, *dec_ht, 0.37, 5.1);
 

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 #include "util/table.h"
 
 namespace tsi {

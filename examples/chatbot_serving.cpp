@@ -3,8 +3,8 @@
 // 1920-token cached conversation, then streams a 64-token reply.
 // Paper: "a total of 1.9 seconds".
 //
-// Part 1 drives the analytical planner: best layout per phase, the latency
-// budget, and the decode-batch trick (batch-1 prefill feeding a batch-64
+// Part 1 drives the layout autotuner (plan/autotune.h): best layout per
+// phase, the latency budget, and the decode-batch trick (batch-1 prefill feeding a batch-64
 // decode server). Part 2 runs the same interactive pattern through the
 // continuous-batching runtime (src/serve) on the functional sharded engine:
 // staggered chat turns admitted mid-flight, incremental prefill on top of
@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "core/memory.h"
-#include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 #include "serve/runtime.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -34,24 +34,28 @@ int main() {
 
   // Phase 1: incremental prefill of the new message over the cached history
   // (batch 1 minimizes prefill latency).
-  auto best_prefill_spec = BestPrefill(est, chips, WeightFormat::kInt8, 1, message);
+  auto best_prefill = plan::TunePhase(est, Phase::kPrefill, chips,
+                                      WeightFormat::kInt8, 1, message);
+  const PartitionSpec& prefill_spec = best_prefill->plan.spec;
   PhaseResult prefill =
-      est.Prefill(best_prefill_spec->spec, 1, message, /*prior_context=*/history);
+      est.Prefill(prefill_spec, 1, message, /*prior_context=*/history);
 
   // Phase 2: decode the reply. Batch 64 costs almost no extra latency but is
   // dramatically better for MFU -- serve 64 conversations per replica (or 64
   // samples of this one).
-  auto decode1 = BestGenerate(est, chips, WeightFormat::kInt8, 1, history + message, reply);
-  auto decode64 = BestGenerate(est, chips, WeightFormat::kInt8, 64, history + message, reply);
+  auto decode1 = plan::TuneGenerate(est, chips, WeightFormat::kInt8, 1,
+                                    history + message, reply);
+  auto decode64 = plan::TuneGenerate(est, chips, WeightFormat::kInt8, 64,
+                                     history + message, reply);
 
   Table t({"phase", "batch", "layout", "latency", "MFU", "cost(chip-ms/token)"});
-  t.AddRow({"prefill message", "1", best_prefill_spec->spec.ToString(),
+  t.AddRow({"prefill message", "1", prefill_spec.ToString(),
             FormatMs(prefill.seconds), FormatPercent(prefill.mfu),
             FormatDouble(prefill.cost_chipsec_per_token * 1e3, 1)});
-  t.AddRow({"decode reply", "1", decode1->spec.ToString(),
+  t.AddRow({"decode reply", "1", decode1->plan.spec.ToString(),
             FormatMs(decode1->result.seconds), FormatPercent(decode1->result.mfu),
             FormatDouble(decode1->result.cost_chipsec_per_token * 1e3, 1)});
-  t.AddRow({"decode reply", "64", decode64->spec.ToString(),
+  t.AddRow({"decode reply", "64", decode64->plan.spec.ToString(),
             FormatMs(decode64->result.seconds), FormatPercent(decode64->result.mfu),
             FormatDouble(decode64->result.cost_chipsec_per_token * 1e3, 1)});
   t.Print();
@@ -64,7 +68,7 @@ int main() {
                   decode64->result.cost_chipsec_per_token);
 
   // Memory budget at the decode configuration.
-  MemoryReport mem = ChipMemoryReport(model, decode64->spec, TpuV4(), 64,
+  MemoryReport mem = ChipMemoryReport(model, decode64->plan.spec, TpuV4(), 64,
                                       history + message + reply);
   std::printf("\nper-chip HBM: weights %s + KV cache %s of %s (%s)\n",
               FormatBytes(mem.weight_bytes_per_chip).c_str(),

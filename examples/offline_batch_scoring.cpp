@@ -6,8 +6,8 @@
 //   build/examples/offline_batch_scoring
 #include <cstdio>
 
-#include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 #include "util/table.h"
 
 int main() {
@@ -27,8 +27,10 @@ int main() {
   double best_cost = 1e300;
   double best_batch = 0;
   for (double batch : {64.0, 128.0, 256.0, 512.0}) {
-    auto pre = BestPrefill(est, chips, WeightFormat::kBf16, batch, input_len);
-    auto gen = BestGenerate(est, chips, WeightFormat::kBf16, batch, input_len, gen_len);
+    auto pre = plan::TunePhase(est, Phase::kPrefill, chips, WeightFormat::kBf16,
+                               batch, input_len);
+    auto gen = plan::TuneGenerate(est, chips, WeightFormat::kBf16, batch,
+                                  input_len, gen_len);
     if (!pre || !gen) continue;
     double seconds = pre->result.seconds + gen->result.seconds;
     double tokens = batch * (input_len + gen_len);
@@ -36,8 +38,9 @@ int main() {
                   gen->result.mfu * gen->result.tokens) / tokens;
     double cost = chips * seconds / tokens;
     double examples_per_hour = batch / seconds * 3600.0;
-    t.AddRow({FormatDouble(batch, 0), pre->spec.ToString(),
-              FormatDouble(pre->result.seconds, 1) + "s", gen->spec.ToString(),
+    t.AddRow({FormatDouble(batch, 0), pre->plan.spec.ToString(),
+              FormatDouble(pre->result.seconds, 1) + "s",
+              gen->plan.spec.ToString(),
               FormatDouble(gen->result.seconds, 1) + "s", FormatPercent(mfu),
               FormatDouble(cost * 1e3, 2), FormatDouble(examples_per_hour, 0)});
     if (cost < best_cost) {

@@ -4,8 +4,6 @@
 #include <set>
 #include <tuple>
 
-#include "util/logging.h"
-
 namespace tsi {
 
 namespace {
@@ -53,8 +51,9 @@ std::vector<PartitionSpec> EnumerateSpecs(const ModelConfig& config, int n_chips
         s.attn = a;
         s.weight_format = format;
         // Keep the FIRST of each cost-equivalent class (AllTorusShapes is
-        // lexicographic, BestOf keeps the first of equals): the surviving
-        // representative is exactly the spec the planner picked before.
+        // lexicographic, the autotuner keeps the first of equals): the
+        // surviving representative is the spec a search over the raw cross
+        // product would pick.
         if (dedup && !seen.insert(CostKey(s)).second) continue;
         specs.push_back(s);
       }
@@ -72,38 +71,6 @@ std::vector<PartitionSpec> EnumerateSpecs(const ModelConfig& config, int n_chips
   return specs;
 }
 
-namespace {
-
-template <typename EvalFn>
-std::optional<ConfigEval> BestOf(const ModelConfig& config, int n_chips,
-                                 WeightFormat format, EvalFn eval) {
-  std::optional<ConfigEval> best;
-  for (const PartitionSpec& spec : EnumerateSpecs(config, n_chips, format)) {
-    PhaseResult r = eval(spec);
-    if (!r.fits_memory) continue;
-    if (!best || r.seconds < best->result.seconds) best = ConfigEval{spec, r};
-  }
-  return best;
-}
-
-}  // namespace
-
-std::optional<ConfigEval> BestPrefill(const InferenceEstimator& est, int n_chips,
-                                      WeightFormat format, double batch,
-                                      double input_len) {
-  return BestOf(est.config(), n_chips, format, [&](const PartitionSpec& s) {
-    return est.Prefill(s, batch, input_len);
-  });
-}
-
-std::optional<ConfigEval> BestGenerate(const InferenceEstimator& est, int n_chips,
-                                       WeightFormat format, double batch,
-                                       double input_len, double gen_len) {
-  return BestOf(est.config(), n_chips, format, [&](const PartitionSpec& s) {
-    return est.Generate(s, batch, input_len, gen_len);
-  });
-}
-
 std::vector<SweepPoint> ParetoFrontier(std::vector<SweepPoint> points) {
   std::sort(points.begin(), points.end(), [](const SweepPoint& a, const SweepPoint& b) {
     if (a.latency != b.latency) return a.latency < b.latency;
@@ -118,51 +85,6 @@ std::vector<SweepPoint> ParetoFrontier(std::vector<SweepPoint> points) {
     }
   }
   return frontier;
-}
-
-std::vector<SweepPoint> SweepGenerate(const InferenceEstimator& est,
-                                      const std::vector<int>& chip_counts,
-                                      const std::vector<double>& batches,
-                                      WeightFormat format, double input_len,
-                                      double gen_len) {
-  std::vector<SweepPoint> points;
-  for (int chips : chip_counts) {
-    for (double batch : batches) {
-      auto best = BestGenerate(est, chips, format, batch, input_len, gen_len);
-      if (!best) continue;
-      SweepPoint p;
-      p.chips = chips;
-      p.batch = batch;
-      p.spec = best->spec;
-      p.latency = best->result.PerStepLatency();
-      p.cost_chipsec_per_token = best->result.cost_chipsec_per_token;
-      p.mfu = best->result.mfu;
-      points.push_back(p);
-    }
-  }
-  return points;
-}
-
-std::vector<SweepPoint> SweepPrefill(const InferenceEstimator& est,
-                                     const std::vector<int>& chip_counts,
-                                     const std::vector<double>& batches,
-                                     WeightFormat format, double input_len) {
-  std::vector<SweepPoint> points;
-  for (int chips : chip_counts) {
-    for (double batch : batches) {
-      auto best = BestPrefill(est, chips, format, batch, input_len);
-      if (!best) continue;
-      SweepPoint p;
-      p.chips = chips;
-      p.batch = batch;
-      p.spec = best->spec;
-      p.latency = best->result.seconds;  // time to process the whole input
-      p.cost_chipsec_per_token = best->result.cost_chipsec_per_token;
-      p.mfu = best->result.mfu;
-      points.push_back(p);
-    }
-  }
-  return points;
 }
 
 }  // namespace tsi

@@ -1,24 +1,20 @@
-// Partitioning planner: analytic layout selection and Pareto sweeps (§4).
+// Partitioning planner: the layout search space and Pareto frontiers (§4).
 //
-// Instead of black-box search (Alpa/GSPMD style), the planner enumerates the
+// Instead of black-box search (Alpa/GSPMD style), layouts come from the
 // paper's small structured space -- mesh factorizations of the chip count,
-// the five FFN layouts, and the two attention shardings -- evaluates each
-// with the analytical estimator, discards configurations that do not fit in
-// memory, and keeps the latency winner. Sweeping batch size and chip count
-// then yields the cost-vs-latency Pareto frontiers of Figure 1/C.1.
+// the five FFN layouts, and the two attention shardings -- enumerated here.
+// The one search over it is the autotuner (plan/autotune.h): it prices each
+// candidate with the analytical estimator, discards configurations that do
+// not fit in memory, and keeps the latency winner. Sweeping batch size and
+// chip count through it (plan::Sweep) then yields the cost-vs-latency
+// Pareto frontiers of Figure 1/C.1, which ParetoFrontier extracts.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/inference_cost.h"
 
 namespace tsi {
-
-struct ConfigEval {
-  PartitionSpec spec;
-  PhaseResult result;
-};
 
 // All candidate specs for `n_chips`: mesh shapes whose X divides d_model and
 // whose Y*Z divides d_ff, crossed with FFN layouts (WS-1D only on X == 1
@@ -28,24 +24,13 @@ struct ConfigEval {
 // coincide -- same attention sharding, same (X, Y*Z), same weight-gather
 // width and same residual-reduction group -- are represented by their first
 // enumeration (e.g. the y/z transposes of a mesh for any layout, or WG-X vs
-// WG-XY on a z-only mesh). The first-of-equals convention matches BestOf's
-// tie-breaking, so dedup never changes a planner winner; the legacy planner
-// and the autotuner (src/plan) both search this one entry point.
-// `dedup = false` returns the raw cross product (tests compare the two).
+// WG-XY on a z-only mesh). The first-of-equals convention matches the
+// autotuner's tie-breaking (it keeps the first of equally fast candidates),
+// so dedup never changes a winner. `dedup = false` returns the raw cross
+// product (tests compare the two).
 std::vector<PartitionSpec> EnumerateSpecs(const ModelConfig& config, int n_chips,
                                           WeightFormat format,
                                           bool dedup = true);
-
-// Lowest-latency feasible config for a prefill of B x L tokens.
-std::optional<ConfigEval> BestPrefill(const InferenceEstimator& est, int n_chips,
-                                      WeightFormat format, double batch,
-                                      double input_len);
-
-// Lowest-latency feasible config for generating `gen_len` tokens after
-// `input_len` of context.
-std::optional<ConfigEval> BestGenerate(const InferenceEstimator& est, int n_chips,
-                                       WeightFormat format, double batch,
-                                       double input_len, double gen_len);
 
 // One point of a latency/efficiency sweep.
 struct SweepPoint {
@@ -59,22 +44,8 @@ struct SweepPoint {
 
 // Keeps the points not dominated in (latency, cost): a point survives iff no
 // other point is at most as slow AND at most as expensive (with one strict).
-// Output is sorted by latency. `cost_of` selects the efficiency metric so the
-// same routine serves Figure 1 (cost) and Figure C.1 (MFU, negated).
+// Output is sorted by latency. Only the cost field is read as the efficiency
+// metric, so Figure C.1 reuses it by storing the negated MFU there.
 std::vector<SweepPoint> ParetoFrontier(std::vector<SweepPoint> points);
-
-// Figure-1-style sweep: for each (chips, batch) pick the best config and
-// report decode latency per token (generating `gen_len` tokens at `context`)
-// and its cost.
-std::vector<SweepPoint> SweepGenerate(const InferenceEstimator& est,
-                                      const std::vector<int>& chip_counts,
-                                      const std::vector<double>& batches,
-                                      WeightFormat format, double input_len,
-                                      double gen_len);
-
-std::vector<SweepPoint> SweepPrefill(const InferenceEstimator& est,
-                                     const std::vector<int>& chip_counts,
-                                     const std::vector<double>& batches,
-                                     WeightFormat format, double input_len);
 
 }  // namespace tsi

@@ -83,6 +83,34 @@ std::optional<TuneResult> TuneGenerate(const InferenceEstimator& est,
                   });
 }
 
+std::vector<SweepPoint> Sweep(const InferenceEstimator& est, Phase phase,
+                              const std::vector<int>& chip_counts,
+                              const std::vector<double>& batches,
+                              WeightFormat format, double input_len,
+                              double gen_len) {
+  const bool prefill = phase == Phase::kPrefill;
+  std::vector<SweepPoint> points;
+  for (int chips : chip_counts) {
+    for (double batch : batches) {
+      auto best = prefill ? TunePhase(est, phase, chips, format, batch,
+                                      input_len)
+                          : TuneGenerate(est, chips, format, batch, input_len,
+                                         gen_len);
+      if (!best) continue;
+      SweepPoint p;
+      p.chips = chips;
+      p.batch = batch;
+      p.spec = best->plan.spec;
+      p.latency =
+          prefill ? best->result.seconds : best->result.PerStepLatency();
+      p.cost_chipsec_per_token = best->result.cost_chipsec_per_token;
+      p.mfu = best->result.mfu;
+      points.push_back(p);
+    }
+  }
+  return points;
+}
+
 PlanCache BuildPlanCache(const InferenceEstimator& est,
                          const AutotuneRequest& req, TuneStats* stats) {
   PlanCache cache;

@@ -1,11 +1,12 @@
-// Layout autotuner: search the sharding space through the propagation pass.
+// Layout autotuner: the one layout search, run through the propagation pass.
 //
 // For each operating point (chips, phase, batch, context) the tuner takes
-// the shared candidate enumeration (core/planner.h EnumerateSpecs -- the
-// same entry point the legacy planner uses, §4's structured space), runs
-// every candidate through propagate + lower, self-checks that the schedule
-// prices identically to the hand-coded LayerCost, and keeps the
-// lowest-latency plan that fits memory, recording it in a PlanCache.
+// the candidate enumeration (core/planner.h EnumerateSpecs, §4's structured
+// space), runs every candidate through propagate + lower, self-checks that
+// the schedule prices identically to the hand-coded LayerCost, and keeps
+// the lowest-latency plan that fits memory (the first of equals). The
+// figure benches, the examples and the serving plan cache all pick their
+// layouts here.
 //
 // The search is purely analytic (milliseconds per point); functional
 // validation of the winners -- bit-identical logits between a plan-chosen
@@ -52,13 +53,23 @@ std::optional<TuneResult> TunePhase(const InferenceEstimator& est, Phase phase,
                                     TuneStats* stats = nullptr);
 
 // Best plan for a full generate (Figure 1 operating mode: `gen_len` tokens
-// after `input_len` of context); used to cross-check the tuner against
-// SweepGenerate's winners.
+// after `input_len` of context).
 std::optional<TuneResult> TuneGenerate(const InferenceEstimator& est,
                                        int chips, WeightFormat format,
                                        double batch, double input_len,
                                        double gen_len,
                                        TuneStats* stats = nullptr);
+
+// The tuned winner at every (chips, batch) point, in that order, skipping
+// points where nothing fits -- the input of Figure 1/C.1's Pareto frontiers
+// (ParetoFrontier). Decode points tune a generate of `gen_len` tokens after
+// `input_len` and report the latency per generated token; prefill points
+// tune the whole `input_len` input and report its total time.
+std::vector<SweepPoint> Sweep(const InferenceEstimator& est, Phase phase,
+                              const std::vector<int>& chip_counts,
+                              const std::vector<double>& batches,
+                              WeightFormat format, double input_len,
+                              double gen_len = 0);
 
 struct AutotuneRequest {
   std::vector<int> chip_counts;

@@ -311,7 +311,7 @@ SpmdExecutor::AxisGroup& SpmdExecutor::GroupFor(int chip, unsigned mask) {
 void SpmdExecutor::Run(const std::function<void(SpmdContext&)>& body) {
   TSI_CHECK(!tl_in_spmd_region)
       << "nested SPMD regions are not supported; inside a region use the "
-         "SpmdContext collectives, not the ShardVec wrappers";
+         "SpmdContext collectives";
   // Host wall-clock region metrics: how many SPMD regions ran, how long each
   // took on this machine, and the slot budget in force.
   static obs::Counter* regions =

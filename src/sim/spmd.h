@@ -4,8 +4,8 @@
 // process-wide thread pool's dedicated SPMD slots (util/threadpool.h). Each
 // closure receives an SpmdContext: its chip id plus *charged* collectives
 // whose data path is the rendezvous hub (sim/exchange.h) and whose virtual
-// clock / traffic accounting is identical to the serial lockstep formulas
-// in sim/collectives.cc. Collectives are the barrier points: a chip that
+// clock / traffic accounting follows the Appendix-A formulas (the charging
+// note on SpmdContext). Collectives are the barrier points: a chip that
 // reaches one parks until its whole torus group has arrived, so program
 // order across chips is exactly the serial lockstep order as observed
 // through any collective.
@@ -52,8 +52,7 @@ class SpmdExecutor {
   // returns when every chip has finished. Bodies may only touch chip-local
   // state plus what the context's collectives deliver. Regions must not
   // nest: inside a body, use the SpmdContext collectives, never another
-  // Run (or the ShardVec wrappers in sim/collectives.h, which open their
-  // own region).
+  // Run.
   void Run(const std::function<void(SpmdContext&)>& body);
 
   SimMachine& machine() const { return *machine_; }
@@ -85,8 +84,11 @@ class SpmdExecutor {
 };
 
 // One chip's view of an executing SPMD region: identity plus charged
-// collectives. Semantics match sim/collectives.h and sim/collective_einsum.h
-// exactly (same group order, same chunk assignment, same float add order).
+// collectives. A collective over `mask` runs within this chip's torus group
+// (Torus3D::GroupOf): members in group order, rank r owning chunk r of a
+// split, reductions adding in group order -- what a rank-ordered MPI
+// communicator would produce. The wire-level rings in sim/ring.h reproduce
+// each result and charge.
 //
 // Charging follows the algorithm a torus runs (Appendix A.1, one ring per
 // axis; sim/ring.h implements each one on the wire). A collective over axes
@@ -174,8 +176,26 @@ class SpmdContext {
   Tensor AllToAll(unsigned mask, Tensor t, int64_t split_dim,
                   int64_t concat_dim);
 
-  // Fused y = ReduceScatter(mask, x @ w) over the output's last dim, charged
-  // with the §3.5 pipelined schedule (sim/collective_einsum.h).
+  // Looped CollectiveEinsum (§3.5; Wang et al. 2023): fused
+  // y = ReduceScatter(mask, x @ w) over the output's last dim. x: [rows,
+  // k_in]; w: [k_in, cols], this chip's stationary weight shard, whose HBM
+  // stream is charged at `weight_byte_width` bytes per element. Result:
+  // [rows, cols / group size], numerically the unfused matmul + collective.
+  //
+  // Instead of a full partial-sum matmul followed by the reduce-scatter
+  // (compute time + comm time), the matmul is split into K chunks
+  // interleaved with the K-1 ring steps, so communication hides under the
+  // next chunk's compute. The clock is charged the pipelined time:
+  //
+  //   unfused:   T = T_compute + T_comm
+  //   fused:     T = t_chunk + sum over K-1 steps of max(t_chunk, t_step)
+  //
+  // which approaches max(T_compute, T_comm) for large K -- the overlap the
+  // analytic model's `overlap_fraction` summarizes; bench_ablation_fusion
+  // measures the gain across shapes. Over several torus axes the matmul is
+  // chunked over the ring of the mask's last axis, which carries the full
+  // buffer, and the other axes' rings follow as plain ring steps -- the
+  // same per-axis hops as the unfused collective, never more.
   Tensor MatMulReduceScatter(unsigned mask, const Tensor& x, const Tensor& w,
                              double weight_byte_width = 2.0);
   // The tuple form: ReduceScatterMany(mask, {tensors..., x @ *ws[0], ...},
@@ -189,7 +209,10 @@ class SpmdContext {
       const Tensor& x, const std::vector<const Tensor*>& ws,
       double weight_byte_width = 2.0,
       const std::vector<Extents>& extents = {});
-  // Fused y = AllGather(mask, x) @ w over the row dim, pipelined charge.
+  // Fused y = AllGather(mask, x) @ w over the row dim: gathers the
+  // row-sharded activations (x: [rows / group size, k_in]) while multiplying
+  // the chunks already arrived, charged with the same pipelined schedule as
+  // MatMulReduceScatter. Result: [rows, cols].
   Tensor AllGatherMatMul(unsigned mask, const Tensor& x, const Tensor& w,
                          double weight_byte_width = 2.0);
 
@@ -212,7 +235,7 @@ class SpmdContext {
   void ChargeRing(const std::vector<ExchangeHub::Deposit>& parts,
                   const SpmdExecutor::AxisGroup& g,
                   const std::vector<int64_t>& shares, const std::string& name);
-  // Entry barrier + pipelined fused-einsum charge (sim/collective_einsum.h)
+  // Entry barrier + pipelined fused-einsum charge (MatMulReduceScatter)
   // over the per-axis rings of `axes`, for a collective on a buffer of
   // `elems` elements per chip of which this chip sends `egress_elems`.
   void ChargePipelined(const std::vector<ExchangeHub::Deposit>& parts,

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "baseline/published.h"
-#include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 
 namespace tsi {
 namespace {
@@ -59,8 +59,8 @@ TEST(FtBaselineTest, OursBeatsFtAtMatchedScale) {
   auto ft_result = ft.Total(Tp(16), 64, 60, 20);
 
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto pre = BestPrefill(est, 64, WeightFormat::kBf16, 64, 60);
-  auto gen = BestGenerate(est, 64, WeightFormat::kBf16, 64, 60, 20);
+  auto pre = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 64, 60);
+  auto gen = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 64, 60, 20);
   ASSERT_TRUE(pre && gen);
   double ours_seconds = pre->result.seconds + gen->result.seconds;
   double ours_mfu = (pre->result.mfu * pre->result.tokens +

@@ -1,8 +1,12 @@
-#include "sim/collectives.h"
+// SpmdContext's charged collectives: results against their definitions
+// (group-order concat, sum and reshard) and charges against the per-axis
+// ring formulas of Appendix A.1.
+#include "sim/spmd.h"
 
 #include <gtest/gtest.h>
 
 #include "hw/chip.h"
+#include "sim/ring.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -10,6 +14,17 @@ namespace {
 
 SimMachine MakeMachine(int x, int y, int z) {
   return SimMachine(Torus3D(x, y, z), TpuV4());
+}
+
+// Chip c's result of `op`, run on every chip in one SPMD region.
+template <typename Op>
+ShardVec PerChip(SimMachine& m, Op op) {
+  ShardVec out(static_cast<size_t>(m.num_chips()));
+  SpmdExecutor ex(&m);
+  ex.Run([&](SpmdContext& ctx) {
+    out[static_cast<size_t>(ctx.chip())] = op(ctx, static_cast<size_t>(ctx.chip()));
+  });
+  return out;
 }
 
 ShardVec RandomShards(const SimMachine& m, Shape shape, uint64_t seed) {
@@ -61,7 +76,9 @@ TEST_P(CollectiveParamTest, AllGatherConcatenatesGroupShards) {
   auto p = GetParam();
   SimMachine m = MakeMachine(p.x, p.y, p.z);
   ShardVec in = RandomShards(m, {2, 3}, 1);
-  ShardVec out = AllGather(m, in, p.mask, /*dim=*/0);
+  ShardVec out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(p.mask, in[c], /*dim=*/0);
+  });
   int k = m.topo().GroupSize(p.mask);
   for (int c = 0; c < m.num_chips(); ++c) {
     EXPECT_EQ(out[c].dim(0), 2 * k);
@@ -79,7 +96,9 @@ TEST_P(CollectiveParamTest, ReduceScatterSumsAndShards) {
   SimMachine m = MakeMachine(p.x, p.y, p.z);
   int k = m.topo().GroupSize(p.mask);
   ShardVec in = RandomShards(m, {static_cast<int64_t>(4 * k), 3}, 2);
-  ShardVec out = ReduceScatter(m, in, p.mask, /*dim=*/0);
+  ShardVec out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.ReduceScatter(p.mask, in[c], /*dim=*/0);
+  });
   for (int c = 0; c < m.num_chips(); ++c) {
     std::vector<int> group = m.topo().GroupOf(c, p.mask);
     Tensor sum = in[static_cast<size_t>(group[0])];
@@ -96,8 +115,12 @@ TEST_P(CollectiveParamTest, AllReduceEqualsReduceScatterPlusAllGather) {
   SimMachine m2 = MakeMachine(p.x, p.y, p.z);
   int k = m1.topo().GroupSize(p.mask);
   ShardVec in = RandomShards(m1, {static_cast<int64_t>(2 * k), 5}, 3);
-  ShardVec ar = AllReduce(m1, in, p.mask);
-  ShardVec rs_ag = AllGather(m2, ReduceScatter(m2, in, p.mask, 0), p.mask, 0);
+  ShardVec ar = PerChip(m1, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllReduce(p.mask, in[c]);
+  });
+  ShardVec rs_ag = PerChip(m2, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(p.mask, ctx.ReduceScatter(p.mask, in[c], 0), 0);
+  });
   for (int c = 0; c < m1.num_chips(); ++c) {
     EXPECT_LT(MaxAbsDiff(ar[static_cast<size_t>(c)], rs_ag[static_cast<size_t>(c)]), 1e-5f);
   }
@@ -130,14 +153,12 @@ TEST_P(CollectiveParamTest, ChargesOneRingPerTorusAxis) {
     ShardVec in = RandomShards(m, {static_cast<int64_t>(4 * k), 3}, 9);
     // D: the gathered output (all-gather), else the per-chip input.
     double D = 4.0 * k * 3 * m.bytes_per_element();
-    if (op == 0) {
-      AllGather(m, in, p.mask, 0);
-      D *= k;
-    } else if (op == 1) {
-      ReduceScatter(m, in, p.mask, 0);
-    } else {
-      AllReduce(m, in, p.mask);
-    }
+    PerChip(m, [&](SpmdContext& ctx, size_t c) {
+      if (op == 0) return ctx.AllGather(p.mask, in[c], 0);
+      if (op == 1) return ctx.ReduceScatter(p.mask, in[c], 0);
+      return ctx.AllReduce(p.mask, in[c]);
+    });
+    if (op == 0) D *= k;
     double want_t = PerAxisRingTime(mesh, p.mask, cm, D);
     double want_bytes = D * (k - 1) / k;
     if (op == 2 && exchange) {
@@ -163,7 +184,9 @@ TEST_P(CollectiveParamTest, AllToAllMovesShardingBetweenDims) {
   SimMachine m = MakeMachine(p.x, p.y, p.z);
   int k = m.topo().GroupSize(p.mask);
   ShardVec in = RandomShards(m, {static_cast<int64_t>(2 * k), 3}, 4);
-  ShardVec out = AllToAll(m, in, p.mask, /*split_dim=*/0, /*concat_dim=*/1);
+  ShardVec out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllToAll(p.mask, in[c], /*split_dim=*/0, /*concat_dim=*/1);
+  });
   for (int c = 0; c < m.num_chips(); ++c) {
     std::vector<int> group = m.topo().GroupOf(c, p.mask);
     int r = m.topo().RankInGroup(c, p.mask);
@@ -182,8 +205,9 @@ TEST_P(CollectiveParamTest, AllToAllIsInvolutionOnSymmetricDims) {
   SimMachine m = MakeMachine(p.x, p.y, p.z);
   int k = m.topo().GroupSize(p.mask);
   ShardVec in = RandomShards(m, {static_cast<int64_t>(2 * k), static_cast<int64_t>(3 * k)}, 5);
-  ShardVec fwd = AllToAll(m, in, p.mask, 0, 1);
-  ShardVec back = AllToAll(m, fwd, p.mask, 1, 0);
+  ShardVec back = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllToAll(p.mask, ctx.AllToAll(p.mask, in[c], 0, 1), 1, 0);
+  });
   for (int c = 0; c < m.num_chips(); ++c)
     EXPECT_EQ(MaxAbsDiff(in[static_cast<size_t>(c)], back[static_cast<size_t>(c)]), 0.0f);
 }
@@ -205,7 +229,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CollectiveTimingTest, AllGatherChargesAppendixACost) {
   SimMachine m = MakeMachine(4, 1, 1);
   ShardVec in = RandomShards(m, {8, 16}, 6);
-  AllGather(m, in, kAxisX, 0);
+  PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(kAxisX, in[c], 0);
+  });
   // Gathered output: 4 * 8 * 16 elements * 2 bytes.
   double out_bytes = 4 * 8 * 16 * m.bytes_per_element();
   double want = m.comm_cost().AllGatherTime(out_bytes, 4);
@@ -219,7 +245,9 @@ TEST(CollectiveTimingTest, GroupsAdvanceIndependently) {
   // Pre-skew one chip's clock; its x-group syncs to it, the other does not.
   m.AdvanceTime(/*chip=*/0, 1.0);
   ShardVec in = RandomShards(m, {2, 2}, 7);
-  AllGather(m, in, kAxisX, 0);
+  PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(kAxisX, in[c], 0);
+  });
   double coll = m.comm_cost().AllGatherTime(2 * 2 * 2 * m.bytes_per_element(), 2);
   // Chips 0 and its x-peer end at 1.0 + coll; the other group's chips at coll.
   int peer = m.topo().GroupOf(0, kAxisX)[1];
@@ -237,7 +265,9 @@ TEST(CollectiveTimingTest, GroupsAdvanceIndependently) {
 TEST(CollectiveTimingTest, SingletonGroupsAreFree) {
   SimMachine m = MakeMachine(1, 2, 2);
   ShardVec in = RandomShards(m, {4, 4}, 8);
-  ShardVec out = AllGather(m, in, kAxisX, 0);
+  ShardVec out = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(kAxisX, in[c], 0);
+  });
   EXPECT_EQ(m.MaxTime(), 0.0);
   for (int c = 0; c < m.num_chips(); ++c)
     EXPECT_EQ(MaxAbsDiff(out[static_cast<size_t>(c)], in[static_cast<size_t>(c)]), 0.0f);

@@ -2,11 +2,11 @@
 // loudly (TSI_CHECK), and degenerate-but-legal inputs must work.
 #include <gtest/gtest.h>
 
-#include "core/planner.h"
 #include "engine/engine.h"
 #include "engine/sampler.h"
 #include "hw/chip.h"
 #include "model/reference.h"
+#include "plan/autotune.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -323,7 +323,7 @@ TEST(EdgeCaseTest, PlannerOnOddChipCounts) {
   // them: the planner must report infeasibility rather than produce an
   // invalid layout.
   InferenceEstimator palm(Palm62B(), TpuV4());
-  EXPECT_FALSE(BestGenerate(palm, 12, WeightFormat::kInt8, 12, 512, 8).has_value());
+  EXPECT_FALSE(plan::TuneGenerate(palm, 12, WeightFormat::kInt8, 12, 512, 8).has_value());
 
   // A model whose dims carry a factor of 3 partitions fine on 12 chips.
   ModelConfig cfg = TinyTestModel();
@@ -332,11 +332,11 @@ TEST(EdgeCaseTest, PlannerOnOddChipCounts) {
   cfg.n_heads = 12;
   cfg.num_layers = 8;
   InferenceEstimator est(cfg, TpuV4());
-  auto best = BestGenerate(est, 12, WeightFormat::kInt8, 12, 512, 8);
+  auto best = plan::TuneGenerate(est, 12, WeightFormat::kInt8, 12, 512, 8);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->spec.num_chips(), 12);
-  EXPECT_EQ(cfg.d_model % best->spec.mesh.x(), 0);
-  EXPECT_EQ(cfg.d_ff % (best->spec.mesh.y() * best->spec.mesh.z()), 0);
+  EXPECT_EQ(best->plan.spec.num_chips(), 12);
+  EXPECT_EQ(cfg.d_model % best->plan.spec.mesh.x(), 0);
+  EXPECT_EQ(cfg.d_ff % (best->plan.spec.mesh.y() * best->plan.spec.mesh.z()), 0);
 }
 
 TEST(EdgeCaseTest, EstimatorHandlesTinyAndHugeBatch) {

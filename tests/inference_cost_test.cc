@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 
 namespace tsi {
 namespace {
@@ -24,7 +24,7 @@ PartitionSpec Ws2dBatch64(WeightFormat f = WeightFormat::kBf16) {
 // PaLM 540B, 2048 context". Allow 25%.
 TEST(InferenceCostTest, HeadlineDecodeLatencyInt8) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto best = BestGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
+  auto best = plan::TuneGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
   ASSERT_TRUE(best.has_value());
   EXPECT_NEAR(best->result.PerStepLatency() / 28.4e-3, 1.0, 0.25);
 }
@@ -32,8 +32,8 @@ TEST(InferenceCostTest, HeadlineDecodeLatencyInt8) {
 // Figure 1: bf16 achieves ~36.9 ms/token where int8 achieves ~28.5.
 TEST(InferenceCostTest, Int8BeatsBf16AtLowBatch) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto i8 = BestGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
-  auto bf = BestGenerate(est, 64, WeightFormat::kBf16, 64, 1984, 64);
+  auto i8 = plan::TuneGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
+  auto bf = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 64, 1984, 64);
   ASSERT_TRUE(i8 && bf);
   double ratio = bf->result.PerStepLatency() / i8->result.PerStepLatency();
   EXPECT_NEAR(ratio, 36.9 / 28.5, 0.2);
@@ -44,8 +44,8 @@ TEST(InferenceCostTest, Int8BeatsBf16AtLowBatch) {
 TEST(InferenceCostTest, Int8AdvantageShrinksWithBatch) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
   auto adv = [&](double batch) {
-    auto i8 = BestGenerate(est, 64, WeightFormat::kInt8, batch, 1984, 64);
-    auto bf = BestGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
+    auto i8 = plan::TuneGenerate(est, 64, WeightFormat::kInt8, batch, 1984, 64);
+    auto bf = plan::TuneGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
     return bf->result.cost_chipsec_per_token / i8->result.cost_chipsec_per_token;
   };
   EXPECT_GT(adv(16), adv(512));
@@ -64,16 +64,16 @@ TEST(InferenceCostTest, Table2HighThroughputDecode) {
 
 TEST(InferenceCostTest, Table2HighThroughputPrefill) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto best = BestPrefill(est, 64, WeightFormat::kBf16, 512, 2048);
+  auto best = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 512, 2048);
   ASSERT_TRUE(best.has_value());
   EXPECT_NEAR(best->result.seconds / 85.2, 1.0, 0.25);
   EXPECT_NEAR(best->result.mfu / 0.76, 1.0, 0.2);
   // And the winning prefill layout is weight-gathered with batch-sharded
   // attention, as in Table 2.
-  EXPECT_TRUE(best->spec.ffn == FfnLayout::kWGXY ||
-              best->spec.ffn == FfnLayout::kWGXYZ)
-      << best->spec.ToString();
-  EXPECT_EQ(best->spec.attn, AttnSharding::kBatch);
+  EXPECT_TRUE(best->plan.spec.ffn == FfnLayout::kWGXY ||
+              best->plan.spec.ffn == FfnLayout::kWGXYZ)
+      << best->plan.spec.ToString();
+  EXPECT_EQ(best->plan.spec.attn, AttnSharding::kBatch);
 }
 
 // §4.3: serial blocks cost ~14% more decode latency than parallel blocks.
@@ -147,8 +147,8 @@ TEST(InferenceCostTest, PrefillWithPriorContextIsCheaperThanFull) {
 TEST(InferenceCostTest, LatencyGrowsSublinearlyWithModelSize) {
   InferenceEstimator e62(Palm62B(), TpuV4());
   InferenceEstimator e540(Palm540BPadded(), TpuV4());
-  auto b62 = BestGenerate(e62, 16, WeightFormat::kInt8, 32, 1984, 64);
-  auto b540 = BestGenerate(e540, 64, WeightFormat::kInt8, 32, 1984, 64);
+  auto b62 = plan::TuneGenerate(e62, 16, WeightFormat::kInt8, 32, 1984, 64);
+  auto b540 = plan::TuneGenerate(e540, 64, WeightFormat::kInt8, 32, 1984, 64);
   ASSERT_TRUE(b62 && b540);
   double latency_ratio = b540->result.PerStepLatency() / b62->result.PerStepLatency();
   double size_ratio = 540.0 / 62.0;  // ~8.7

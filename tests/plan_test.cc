@@ -272,64 +272,79 @@ TEST(EnumerateTest, DedupDropsEquivalentCandidatesButKeepsWinners) {
   }
 }
 
-TEST(EnumerateTest, DedupPreservesPlannerChoices) {
+// Dedup never changes the winner: the tuner's pick over the deduplicated
+// list equals the first of the fastest fitting specs over the raw cross
+// product (AutotuneGoldenTest pins the winners themselves).
+TEST(EnumerateTest, DedupPreservesTunedWinners) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
   for (int chips : {8, 64}) {
     for (double batch : {4.0, 64.0, 512.0}) {
-      auto best = BestGenerate(est, chips, WeightFormat::kBf16, batch, 1984, 64);
+      auto best = TuneGenerate(est, chips, WeightFormat::kBf16, batch, 1984, 64);
       // Recompute the winner against the FULL enumeration.
-      std::optional<ConfigEval> full_best;
+      std::optional<PartitionSpec> full_spec;
+      PhaseResult full;
       for (const PartitionSpec& spec :
            EnumerateSpecs(est.config(), chips, WeightFormat::kBf16, false)) {
         PhaseResult r = est.Generate(spec, batch, 1984, 64);
         if (!r.fits_memory) continue;
-        if (!full_best || r.seconds < full_best->result.seconds)
-          full_best = ConfigEval{spec, r};
+        if (!full_spec || r.seconds < full.seconds) {
+          full_spec = spec;
+          full = r;
+        }
       }
-      ASSERT_EQ(best.has_value(), full_best.has_value());
+      ASSERT_EQ(best.has_value(), full_spec.has_value());
       if (!best) continue;
-      EXPECT_DOUBLE_EQ(best->result.seconds, full_best->result.seconds);
-      EXPECT_EQ(best->spec.ffn, full_best->spec.ffn);
-      EXPECT_EQ(best->spec.attn, full_best->spec.attn);
+      EXPECT_DOUBLE_EQ(best->result.seconds, full.seconds);
+      EXPECT_EQ(best->plan.spec.ffn, full_spec->ffn);
+      EXPECT_EQ(best->plan.spec.attn, full_spec->attn);
     }
   }
 }
 
 // --- Autotuner -------------------------------------------------------------
 
-// The tuner (searching through propagate + lower) reproduces the Figure 1
-// frontier: at every (chips, batch) sweep point its winner matches
-// SweepGenerate's latency and cost exactly.
-TEST(AutotuneTest, ReproducesFigure1SweepWinners) {
+// plan::Sweep lists the tuned winner of every (chips, batch) point that
+// fits, in order -- latency per generated token for a generate, the whole
+// input for a prefill -- and every candidate behind it prices through the
+// derived schedule exactly as LayerCost does.
+TEST(AutotuneTest, SweepListsTheTunedWinnerOfEveryFeasiblePoint) {
+  const std::vector<int> chips = {8, 64, 256};
+  const std::vector<double> batches = {4, 64, 512};
   for (const ModelConfig& config : {Palm8B(), Palm540BPadded()}) {
     InferenceEstimator est(config, TpuV4());
-    std::vector<int> chips = {8, 64, 256};
-    std::vector<double> batches = {4, 64, 512};
-    auto sweep = SweepGenerate(est, chips, batches, WeightFormat::kInt8,
-                               1984, 64);
-    TuneStats stats;
-    size_t i = 0;
-    for (int c : chips) {
-      for (double b : batches) {
-        auto tuned = TuneGenerate(est, c, WeightFormat::kInt8, b, 1984, 64,
-                                  &stats);
-        bool swept = i < sweep.size() && sweep[i].chips == c &&
-                     sweep[i].batch == b;
-        if (!tuned.has_value()) {
-          EXPECT_FALSE(swept) << c << " chips batch " << b;
-          continue;
+    for (Phase phase : {Phase::kDecode, Phase::kPrefill}) {
+      const bool prefill = phase == Phase::kPrefill;
+      auto sweep =
+          Sweep(est, phase, chips, batches, WeightFormat::kInt8, 1984, 64);
+      TuneStats stats;
+      size_t i = 0;
+      for (int c : chips) {
+        for (double b : batches) {
+          auto tuned =
+              prefill
+                  ? TunePhase(est, phase, c, WeightFormat::kInt8, b, 1984,
+                              &stats)
+                  : TuneGenerate(est, c, WeightFormat::kInt8, b, 1984, 64,
+                                 &stats);
+          bool swept = i < sweep.size() && sweep[i].chips == c &&
+                       sweep[i].batch == b;
+          if (!tuned.has_value()) {
+            EXPECT_FALSE(swept) << c << " chips batch " << b;
+            continue;
+          }
+          ASSERT_TRUE(swept) << c << " chips batch " << b;
+          EXPECT_EQ(sweep[i].spec.ToString(), tuned->plan.spec.ToString());
+          EXPECT_EQ(sweep[i].latency, prefill ? tuned->result.seconds
+                                              : tuned->result.PerStepLatency());
+          EXPECT_EQ(sweep[i].cost_chipsec_per_token,
+                    tuned->result.cost_chipsec_per_token);
+          EXPECT_EQ(sweep[i].mfu, tuned->result.mfu);
+          ++i;
         }
-        ASSERT_TRUE(swept) << c << " chips batch " << b;
-        EXPECT_DOUBLE_EQ(tuned->result.PerStepLatency(), sweep[i].latency);
-        EXPECT_DOUBLE_EQ(tuned->result.cost_chipsec_per_token,
-                         sweep[i].cost_chipsec_per_token);
-        EXPECT_EQ(tuned->plan.spec.ffn, sweep[i].spec.ffn);
-        EXPECT_EQ(tuned->plan.spec.attn, sweep[i].spec.attn);
-        ++i;
       }
+      EXPECT_EQ(i, sweep.size());
+      EXPECT_EQ(stats.price_mismatches, 0);
     }
-    EXPECT_EQ(i, sweep.size());
-    EXPECT_EQ(stats.price_mismatches, 0);
   }
 }
 

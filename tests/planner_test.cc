@@ -1,10 +1,12 @@
-// Planner behaviour: spec enumeration, layout selection matching the paper's
-// serving strategy (§4.1), and Pareto-frontier invariants (§4.4 / Figure 1).
+// Planner behaviour: spec enumeration, layout selection (through the
+// autotuner) matching the paper's serving strategy (§4.1), and
+// Pareto-frontier invariants (§4.4 / Figure 1).
 #include "core/planner.h"
 
 #include <gtest/gtest.h>
 
 #include "hw/chip.h"
+#include "plan/autotune.h"
 
 namespace tsi {
 namespace {
@@ -48,45 +50,45 @@ TEST(PlannerTest, SingleChipHasDegenerateSpec) {
 TEST(PlannerTest, DecodePrefersWeightStationary2D) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
   for (double batch : {64.0, 256.0, 512.0}) {
-    auto best = BestGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
+    auto best = plan::TuneGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
     ASSERT_TRUE(best.has_value()) << batch;
-    EXPECT_EQ(best->spec.ffn, FfnLayout::kWS2D) << "batch " << batch;
+    EXPECT_EQ(best->plan.spec.ffn, FfnLayout::kWS2D) << "batch " << batch;
   }
 }
 
 TEST(PlannerTest, PrefillSwitchesToWeightGatheredAtLargeBatch) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto small = BestPrefill(est, 64, WeightFormat::kBf16, 1, 2048);
-  auto large = BestPrefill(est, 64, WeightFormat::kBf16, 512, 2048);
+  auto small = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 1, 2048);
+  auto large = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 512, 2048);
   ASSERT_TRUE(small && large);
-  EXPECT_TRUE(small->spec.ffn == FfnLayout::kWS2D ||
-              small->spec.ffn == FfnLayout::kWS1D)
-      << small->spec.ToString();
-  EXPECT_TRUE(large->spec.ffn == FfnLayout::kWGX ||
-              large->spec.ffn == FfnLayout::kWGXY ||
-              large->spec.ffn == FfnLayout::kWGXYZ)
-      << large->spec.ToString();
+  EXPECT_TRUE(small->plan.spec.ffn == FfnLayout::kWS2D ||
+              small->plan.spec.ffn == FfnLayout::kWS1D)
+      << small->plan.spec.ToString();
+  EXPECT_TRUE(large->plan.spec.ffn == FfnLayout::kWGX ||
+              large->plan.spec.ffn == FfnLayout::kWGXY ||
+              large->plan.spec.ffn == FfnLayout::kWGXYZ)
+      << large->plan.spec.ToString();
 }
 
 // The paper's proposed decode layout: batch-sharded multiquery attention
 // wins at long context.
 TEST(PlannerTest, DecodePrefersBatchShardedAttentionAtLongContext) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto best = BestGenerate(est, 64, WeightFormat::kBf16, 256, 8192, 64);
+  auto best = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 256, 8192, 64);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->spec.attn, AttnSharding::kBatch);
+  EXPECT_EQ(best->plan.spec.attn, AttnSharding::kBatch);
 }
 
 TEST(PlannerTest, InfeasibleReturnsNullopt) {
   // bf16 540B on 4 chips cannot fit (280 GB/chip needed vs 32 GiB).
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  EXPECT_FALSE(BestGenerate(est, 4, WeightFormat::kBf16, 64, 1984, 64).has_value());
+  EXPECT_FALSE(plan::TuneGenerate(est, 4, WeightFormat::kBf16, 64, 1984, 64).has_value());
 }
 
 TEST(PlannerTest, ParetoFrontierHasNoDominatedPoints) {
   InferenceEstimator est(Palm62B(), TpuV4());
-  auto points = SweepGenerate(est, {8, 16, 32, 64}, {8, 32, 128, 512},
-                              WeightFormat::kBf16, 1984, 64);
+  auto points = plan::Sweep(est, Phase::kDecode, {8, 16, 32, 64},
+                            {8, 32, 128, 512}, WeightFormat::kBf16, 1984, 64);
   ASSERT_GT(points.size(), 4u);
   auto frontier = ParetoFrontier(points);
   ASSERT_FALSE(frontier.empty());
@@ -111,8 +113,8 @@ TEST(PlannerTest, ParetoFrontierHasNoDominatedPoints) {
 // buys cost at higher latency.
 TEST(PlannerTest, BatchTradesLatencyForCost) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto b64 = BestGenerate(est, 64, WeightFormat::kBf16, 64, 1984, 64);
-  auto b512 = BestGenerate(est, 64, WeightFormat::kBf16, 512, 1984, 64);
+  auto b64 = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 64, 1984, 64);
+  auto b512 = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 512, 1984, 64);
   ASSERT_TRUE(b64 && b512);
   EXPECT_LT(b64->result.PerStepLatency(), b512->result.PerStepLatency());
   EXPECT_GT(b64->result.cost_chipsec_per_token,
@@ -121,8 +123,8 @@ TEST(PlannerTest, BatchTradesLatencyForCost) {
 
 TEST(PlannerTest, MoreChipsReduceLatencyAtFixedBatch) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto c64 = BestGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
-  auto c256 = BestGenerate(est, 256, WeightFormat::kInt8, 64, 1984, 64);
+  auto c64 = plan::TuneGenerate(est, 64, WeightFormat::kInt8, 64, 1984, 64);
+  auto c256 = plan::TuneGenerate(est, 256, WeightFormat::kInt8, 64, 1984, 64);
   ASSERT_TRUE(c64 && c256);
   EXPECT_LT(c256->result.PerStepLatency(), c64->result.PerStepLatency());
 }

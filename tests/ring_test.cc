@@ -1,6 +1,6 @@
 // Wire-level ring collectives and the fused Looped CollectiveEinsum: result
-// equivalence with the direct collectives, emergent Appendix-A timing, and
-// per-link traffic audits.
+// equivalence with SpmdContext's charged collectives (the direct side),
+// emergent Appendix-A timing, and per-link traffic audits.
 #include "sim/ring.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include <cstring>
 
 #include "hw/chip.h"
-#include "sim/collective_einsum.h"
-#include "sim/collectives.h"
 #include "sim/spmd.h"
 #include "util/rng.h"
 
@@ -64,7 +62,9 @@ TEST_P(RingCollectiveTest, AllGatherMatchesDirectResultAndTime) {
   ShardVec in = RandomShards(topo.num_chips(), {4, 6}, 1);
 
   SimMachine direct(topo, TpuV4());
-  ShardVec want = AllGather(direct, in, p.mask, 0);
+  ShardVec want = PerChip(direct, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(p.mask, in[c], 0);
+  });
 
   SimMachine ring(topo, TpuV4());
   RingTraffic traffic;
@@ -93,7 +93,9 @@ TEST_P(RingCollectiveTest, ReduceScatterMatchesDirectResultAndTime) {
   ShardVec in = RandomShards(topo.num_chips(), {static_cast<int64_t>(3 * k), 5}, 2);
 
   SimMachine direct(topo, TpuV4());
-  ShardVec want = ReduceScatter(direct, in, p.mask, 0);
+  ShardVec want = PerChip(direct, [&](SpmdContext& ctx, size_t c) {
+    return ctx.ReduceScatter(p.mask, in[c], 0);
+  });
 
   SimMachine ring(topo, TpuV4());
   RingTraffic traffic;
@@ -117,7 +119,9 @@ TEST_P(RingCollectiveTest, AllReduceMatchesDirectResultAndTime) {
   ShardVec in = RandomShards(topo.num_chips(), {static_cast<int64_t>(2 * k), 3}, 3);
 
   SimMachine direct(topo, TpuV4());
-  ShardVec want = AllReduce(direct, in, p.mask);
+  ShardVec want = PerChip(direct, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllReduce(p.mask, in[c]);
+  });
 
   SimMachine ring(topo, TpuV4());
   RingTraffic traffic;
@@ -154,17 +158,16 @@ TEST(CollectiveEinsumTest, MatMulReduceScatterNumericsMatchUnfused) {
   ShardVec w = RandomWeights(n, {16, 12}, 4);
 
   SimMachine unfused(topo, TpuV4());
-  ShardVec partial(static_cast<size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    partial[static_cast<size_t>(c)] =
-        MatMul(x[static_cast<size_t>(c)], w[static_cast<size_t>(c)]);
-    unfused.ChargeComputeAndMemory(
-        c, 2.0 * 8 * 16 * 12, 16 * 12 * 2.0);
-  }
-  ShardVec want = ReduceScatter(unfused, partial, kAxisX, 1);
+  ShardVec want = PerChip(unfused, [&](SpmdContext& ctx, size_t c) {
+    unfused.ChargeComputeAndMemory(ctx.chip(), 2.0 * 8 * 16 * 12,
+                                   16 * 12 * 2.0);
+    return ctx.ReduceScatter(kAxisX, MatMul(x[c], w[c]), 1);
+  });
 
   SimMachine fused(topo, TpuV4());
-  ShardVec got = MatMulReduceScatter(fused, x, w, kAxisX);
+  ShardVec got = PerChip(fused, [&](SpmdContext& ctx, size_t c) {
+    return ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+  });
   for (int c = 0; c < n; ++c) {
     EXPECT_LT(MaxAbsDiff(got[static_cast<size_t>(c)], want[static_cast<size_t>(c)]), 1e-4f);
   }
@@ -181,9 +184,13 @@ TEST(CollectiveEinsumTest, AllGatherMatMulNumericsMatchUnfused) {
   ShardVec w = RandomWeights(n, {16, 8}, 6);
 
   SimMachine unfused(topo, TpuV4());
-  ShardVec gathered = AllGather(unfused, x, kAxisY | kAxisZ, 0);
+  ShardVec gathered = PerChip(unfused, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGather(kAxisY | kAxisZ, x[c], 0);
+  });
   SimMachine fused(topo, TpuV4());
-  ShardVec got = AllGatherMatMul(fused, x, w, kAxisY | kAxisZ);
+  ShardVec got = PerChip(fused, [&](SpmdContext& ctx, size_t c) {
+    return ctx.AllGatherMatMul(kAxisY | kAxisZ, x[c], w[c]);
+  });
   for (int c = 0; c < n; ++c) {
     Tensor want = MatMul(gathered[static_cast<size_t>(c)], w[static_cast<size_t>(c)]);
     EXPECT_LT(MaxAbsDiff(got[static_cast<size_t>(c)], want), 1e-4f);
@@ -199,7 +206,9 @@ TEST(CollectiveEinsumTest, PipelinedTimeApproachesRoofline) {
   ShardVec w = RandomWeights(n, {64, 64}, 8);
 
   SimMachine fused(topo, TpuV4());
-  MatMulReduceScatter(fused, x, w, kAxisX);
+  PerChip(fused, [&](SpmdContext& ctx, size_t c) {
+    return ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+  });
   double t_fused = fused.MaxTime();
 
   // Unfused reference times.
@@ -222,7 +231,9 @@ TEST(CollectiveEinsumTest, SingletonGroupFallsBackToPlainMatMul) {
   ShardVec x = RandomShards(1, {4, 8}, 9);
   ShardVec w = RandomWeights(1, {8, 6}, 10);
   SimMachine m(topo, TpuV4());
-  ShardVec got = MatMulReduceScatter(m, x, w, kAxisX);
+  ShardVec got = PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+  });
   EXPECT_LT(MaxAbsDiff(got[0], MatMul(x[0], w[0])), 1e-5f);
   EXPECT_GT(m.MaxTime(), 0);
   EXPECT_EQ(m.TotalNetworkBytes(), 0.0);
@@ -233,7 +244,9 @@ TEST(CollectiveEinsumTest, BooksFlopsAndWeightTraffic) {
   ShardVec x = RandomShards(2, {8, 8}, 11);
   ShardVec w = RandomWeights(2, {8, 4}, 12);
   SimMachine m(topo, TpuV4());
-  MatMulReduceScatter(m, x, w, kAxisX);
+  PerChip(m, [&](SpmdContext& ctx, size_t c) {
+    return ctx.MatMulReduceScatter(kAxisX, x[c], w[c]);
+  });
   double flops_per_chip = 2.0 * 8 * 8 * 4;
   EXPECT_NEAR(m.TotalFlops(), 2 * flops_per_chip, 1e-6);
   EXPECT_GT(m.TotalNetworkBytes(), 0);

@@ -6,7 +6,7 @@
 
 #include "engine/engine.h"
 #include "hw/chip.h"
-#include "sim/collectives.h"
+#include "sim/spmd.h"
 #include "util/rng.h"
 
 namespace tsi {
@@ -52,14 +52,14 @@ TEST(TracerTest, CollectivesAreTracedWithAxisNames) {
   SimMachine m(Torus3D(2, 2, 1), TpuV4());
   Tracer tracer;
   m.AttachTracer(&tracer);
-  ShardVec in;
-  for (int c = 0; c < 4; ++c) {
-    Rng rng(static_cast<uint64_t>(c));
-    in.push_back(Tensor::Gaussian({4, 4}, rng));
-  }
-  AllGather(m, in, kAxisX, 0);
-  AllReduce(m, in, kAxisY);
-  AllToAll(m, in, kAxisX | kAxisY, 0, 1);
+  SpmdExecutor ex(&m);
+  ex.Run([&](SpmdContext& ctx) {
+    Rng rng(static_cast<uint64_t>(ctx.chip()));
+    Tensor t = Tensor::Gaussian({4, 4}, rng);
+    ctx.AllGather(kAxisX, t, 0);
+    ctx.AllReduce(kAxisY, t);
+    ctx.AllToAll(kAxisX | kAxisY, t, 0, 1);
+  });
   auto totals = tracer.TotalsByName();
   EXPECT_GT(totals["all-gather(x)"], 0.0);
   EXPECT_GT(totals["all-reduce(y)"], 0.0);

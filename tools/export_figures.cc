@@ -19,6 +19,7 @@
 #include "core/ffn_cost.h"
 #include "core/planner.h"
 #include "hw/chip.h"
+#include "plan/autotune.h"
 #include "util/table.h"
 
 namespace tsi {
@@ -49,7 +50,8 @@ void ExportFig1(const std::filesystem::path& dir) {
       Table gen({"latency_ms_per_token", "cost_chipms_per_token", "chips",
                  "batch", "mfu", "layout"});
       for (const auto& p :
-           ParetoFrontier(SweepGenerate(est, chips, batches, fmt, 1984, 64))) {
+           ParetoFrontier(plan::Sweep(est, Phase::kDecode, chips, batches,
+                                      fmt, 1984, 64))) {
         gen.AddRow({FormatDouble(p.latency * 1e3, 3),
                     FormatDouble(p.cost_chipsec_per_token * 1e3, 4),
                     std::to_string(p.chips), FormatDouble(p.batch, 0),
@@ -60,7 +62,8 @@ void ExportFig1(const std::filesystem::path& dir) {
       Table pre({"latency_s", "cost_chipms_per_token", "chips", "batch", "mfu",
                  "layout"});
       for (const auto& p :
-           ParetoFrontier(SweepPrefill(est, chips, batches, fmt, 2048))) {
+           ParetoFrontier(plan::Sweep(est, Phase::kPrefill, chips, batches,
+                                      fmt, 2048))) {
         pre.AddRow({FormatDouble(p.latency, 4),
                     FormatDouble(p.cost_chipsec_per_token * 1e3, 4),
                     std::to_string(p.chips), FormatDouble(p.batch, 0),
