@@ -173,22 +173,10 @@ void BM_FillGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_FillGaussian)->Arg(1 << 20);
 
-// perfbench/serve_bench.cc's model shape.
-ModelConfig BenchModel() {
-  ModelConfig c = TinyTestModel();
-  c.num_layers = 2;
-  c.d_model = 256;
-  c.d_ff = 1024;
-  c.n_heads = 16;
-  c.d_head = 16;
-  c.vocab_size = 512;
-  return c;
-}
-
 // ModelWeights::Random at perfbench/serve_bench.cc's model shape and seed:
 // the weight half of that benchmark's setup_s.
 void BM_RandomWeights(benchmark::State& state) {
-  const ModelConfig c = BenchModel();
+  const ModelConfig c = PerfbenchModel();
   for (auto _ : state) {
     ModelWeights w = ModelWeights::Random(c, 2023);
     benchmark::DoNotOptimize(w);
@@ -201,7 +189,7 @@ BENCHMARK(BM_RandomWeights);
 // minflt is the minor page faults per construction, read with getrusage
 // on this process.
 void BM_EngineConstruct(benchmark::State& state) {
-  const ModelWeights w = ModelWeights::Random(BenchModel(), 2023);
+  const ModelWeights w = ModelWeights::Random(PerfbenchModel(), 2023);
   SimMachine machine(Torus3D(2, 2, 1), TpuV4());
   EngineSpec spec;
   spec.attn = AttnSharding::kBatch;

@@ -122,6 +122,17 @@ ModelConfig TinyTestModel() {
   return c;
 }
 
+ModelConfig PerfbenchModel() {
+  ModelConfig c = TinyTestModel();
+  c.name = "perfbench";
+  c.d_model = 256;
+  c.d_ff = 1024;
+  c.n_heads = 16;
+  c.d_head = 16;
+  c.vocab_size = 512;
+  return c;
+}
+
 ModelConfig TinyTestModelMultihead() {
   ModelConfig c = TinyTestModel();
   c.name = "tiny-mha";

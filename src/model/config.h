@@ -84,4 +84,10 @@ ModelConfig TinyTestModel();            // MQA, gated, parallel
 ModelConfig TinyTestModelMultihead();   // MHA, plain FFN, serial
 ModelConfig TinyTestModelGrouped();     // GQA (2 kv heads), gated, parallel
 
+// The host-clock serving benchmark's model: TinyTestModel's MQA, gated,
+// parallel block at 2 layers, E = 256, F = 1024, 16 heads of 16, vocab 512.
+// perfbench/serve_bench.cc spells the same shape in its own BenchModel();
+// keep the two in step (weights_golden_test pins this one's weights).
+ModelConfig PerfbenchModel();
+
 }  // namespace tsi

@@ -24,19 +24,6 @@ namespace {
 
 constexpr double kHop = 1e-6;  // SystemModel's and SimMachine's default
 
-// The serving benchmark's model (perfbench/serve_bench.cc): PaLM-shaped,
-// multiquery, 2 layers, E = 256, vocab 512.
-ModelConfig ServingBenchModel() {
-  ModelConfig c = TinyTestModel();
-  c.name = "serving-bench";
-  c.d_model = 256;
-  c.d_ff = 1024;
-  c.n_heads = 16;
-  c.d_head = 16;
-  c.vocab_size = 512;
-  return c;
-}
-
 PartitionSpec Spec(const Torus3D& mesh, FfnLayout ffn, AttnSharding attn,
                    WeightFormat wf = WeightFormat::kBf16) {
   PartitionSpec s;
@@ -51,7 +38,7 @@ TEST(ReplicationRuleTest, ServingBenchModelReplicatesBothSitesOn2x2x1) {
   // Streaming the other yz rank's 32 KiB of Wq takes 27 ns and the other
   // chips' 192 KiB of the head 160 ns, against one hop (the all-to-all(yz))
   // and two (the all-gather(xyz) of the logits).
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   const Torus3D mesh(2, 2, 1);
   EXPECT_EQ(QkvReplicaParams(cfg, mesh) * 2.0, 32.0 * 1024);
   EXPECT_EQ(HeadReplicaParams(cfg, mesh) * 2.0, 192.0 * 1024);
@@ -87,7 +74,7 @@ TEST(ReplicationRuleTest, ServingBenchModelReplicatesWoOnOneTwoChipYzAxis) {
   // the all-to-all(yz)'s hop, wherever the yz all-reduce is one exchange --
   // one yz axis of extent 2, with any x (1x2x1 runs WS-1D, 2x1x2 puts the
   // axis on z).
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   EXPECT_EQ(WoReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0, 32.0 * 1024);
   for (const Torus3D& mesh :
        {Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2)}) {
@@ -125,7 +112,7 @@ TEST(ReplicationRuleTest, ServingBenchModelReplicatesWoOnOneTwoChipYzAxis) {
 TEST(ReplicationRuleTest, ReplicatedWoBlocksAreTheOldShards) {
   // Each chip's wo block j is chip (x, j)'s shard in the paper's layout --
   // fp32 elements and, quantized, int8 bytes and column scales.
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   const Torus3D mesh(2, 2, 1);
   const ModelWeights weights = ModelWeights::Random(cfg, 7);
   const Replication wo_only{false, false, true};
@@ -173,7 +160,7 @@ TEST(ReplicationRuleTest, ServingBenchModelKeepsLayersWholeOverX) {
   // site-1 and site-3 replicas) stream in 0.44 us against the layer's three
   // x collectives (moments all-reduce, reduce-scatter, all-gather), 3 us of
   // hops on a 2-chip x axis.
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   const Torus3D bench(2, 2, 1);
   const Replication yz_sites{true, true, true};
   EXPECT_EQ(XReplicaParams(cfg, bench, yz_sites) * 2.0, 516.0 * 1024);
@@ -237,7 +224,7 @@ TEST(ReplicationRuleTest, XBlocksAreTheOldShards) {
   // Under site 4 chip (x, j)'s E block g is chip (g, j)'s shard in the
   // paper's layout -- fp32 elements and, quantized, int8 bytes and column
   // scales -- and its wo and wout hold every x rank's columns side by side.
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   const Torus3D mesh(2, 2, 1);
   const ModelWeights weights = ModelWeights::Random(cfg, 9);
   const Replication yz_sites{true, true, true};
@@ -298,7 +285,7 @@ TEST(ReplicationRuleTest, ServingBenchModelKeepsFfnWholeOverYz) {
   // removes, one exchange of a row per owner group plus site 3's side
   // terms: 1.01 us. Wherever sites 1 and 3 fire and no x collective runs
   // -- 1x2x1 has no x axis, 2x2x1 and 2x1x2 keep the layers whole over x.
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   EXPECT_EQ(FfnYzReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0, 768.0 * 1024);
   EXPECT_NEAR(
       TpuV4().MemoryTime(FfnYzReplicaParams(cfg, Torus3D(2, 2, 1)) * 2.0),
@@ -371,7 +358,7 @@ TEST(ReplicationRuleTest, FfnYzBlocksAreTheOldShards) {
   // wout block k are chip (x, k)'s shards under sites 1-4 -- fp32 elements
   // and, quantized, int8 values and column scales -- and its wout at all F
   // is gone.
-  const ModelConfig cfg = ServingBenchModel();
+  const ModelConfig cfg = PerfbenchModel();
   const ModelWeights weights = ModelWeights::Random(cfg, 11);
   auto same = [](const Tensor& a, const Tensor& b) {
     return a.shape() == b.shape() &&
@@ -486,7 +473,7 @@ TEST(ReplicationRuleTest, Palm540BOn4x4x4ReplicatesNeitherSite) {
 TEST(ReplicationRuleTest, ZeroHopLatencyNeverReplicates) {
   for (const ModelConfig& cfg :
        {TinyTestModel(), TinyTestModelMultihead(), TinyTestModelGrouped(),
-        ServingBenchModel(), Palm8B(), Palm540B()})
+        PerfbenchModel(), Palm8B(), Palm540B()})
     for (const Torus3D& mesh :
          {Torus3D(2, 2, 1), Torus3D(1, 2, 1), Torus3D(2, 1, 2),
           Torus3D(1, 2, 2), Torus3D(2, 2, 2), Torus3D(4, 4, 4)})
@@ -531,7 +518,7 @@ TEST_P(ReplicationAgreementTest, EngineEstimatorAndLoweringAgree) {
   // Both block styles: a serial block's yz all-reduces are two.
   for (bool parallel : {true, false}) {
     SCOPED_TRACE(parallel ? "parallel" : "serial");
-    ModelConfig cfg = ServingBenchModel();
+    ModelConfig cfg = PerfbenchModel();
     cfg.parallel_block = parallel;
     const ModelWeights weights = ModelWeights::Random(cfg, 5);
     const Torus3D mesh = GetParam();

@@ -228,18 +228,6 @@ TEST(ShardSharingTest, ChipsWithEqualShardsShareOneCopy) {
                "site 5 needs");
 }
 
-// perfbench/serve_bench.cc's model.
-ModelConfig PerfbenchModel() {
-  ModelConfig c = TinyTestModel();
-  c.num_layers = 2;
-  c.d_model = 256;
-  c.d_ff = 1024;
-  c.n_heads = 16;
-  c.d_head = 16;
-  c.vocab_size = 512;
-  return c;
-}
-
 // True iff `shard` reads elements of `source`'s own buffer.
 bool Inside(const Tensor& shard, const Tensor& source) {
   return shard.SharesBufferWith(source) && shard.data() >= source.data() &&

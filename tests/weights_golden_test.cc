@@ -81,21 +81,9 @@ void ExpectWeights(const char* label, const ModelWeights& w,
     EXPECT_EQ(got[i], want[i]) << label << " " << tensors[i].first;
 }
 
-// perfbench/serve_bench.cc's BenchModel() at its weight seed.
-ModelConfig BenchModel() {
-  ModelConfig c = TinyTestModel();
-  c.name = "perfbench";
-  c.num_layers = 2;
-  c.d_model = 256;
-  c.d_ff = 1024;
-  c.n_heads = 16;
-  c.d_head = 16;
-  c.vocab_size = 512;
-  return c;
-}
-
+// The host-clock serving benchmark's model at its weight seed.
 TEST(WeightsGoldenTest, BenchModelSeed2023) {
-  ExpectWeights("bench@2023", ModelWeights::Random(BenchModel(), 2023),
+  ExpectWeights("bench@2023", ModelWeights::Random(PerfbenchModel(), 2023),
       {
         0x18cd13a9128b3171ull, 0x2fc2e430a6d21090ull, 0x73585565186b8ec3ull,
         0xc0a060c17e88f8f1ull, 0x4aaefcbf8c58d888ull, 0x556038a0ae9f5fc3ull,
