@@ -69,11 +69,29 @@
 #                             # agree exactly (one seed, one schedule)
 #
 # TSan halves throughput and multiplies memory, so TSI_TSAN_TESTS can narrow
-# the sanitized run to the concurrency-heavy tests; default is everything.
+# the sanitized run to the concurrency-heavy tests (exact suite names,
+# '|'-separated; a name no suite has fails the run); default is everything.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc)"
+
+# Runs ctest in build tree $1 on exactly the suites named by the
+# '|'-separated list $2. ctest exits 0 when a -R regex matches no test, so
+# a suite that was renamed or removed would silently drop out of the leg:
+# fail instead when the tree does not register every listed suite, and
+# anchor the regex so one name never matches another.
+run_suites() {
+  local dir="$1" list="$2" registered suite
+  registered="$(ctest --test-dir "$dir" -N | sed -n 's/^ *Test *#[0-9]*: //p')"
+  for suite in ${list//|/ }; do
+    if ! grep -qx -- "$suite" <<<"$registered"; then
+      echo "check.sh: $dir registers no test suite named '$suite'" >&2
+      exit 1
+    fi
+  done
+  ctest --test-dir "$dir" --output-on-failure -j "$jobs" -R "^(${list})\$"
+}
 
 echo "== Release build =="
 cmake -B "$repo/build-check" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
@@ -85,8 +103,11 @@ echo "== ThreadSanitizer build =="
 cmake -B "$repo/build-check-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSI_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$repo/build-check-tsan" -j "$jobs"
-ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-      ${TSI_TSAN_TESTS:+-R "$TSI_TSAN_TESTS"}
+if [[ -n "${TSI_TSAN_TESTS:-}" ]]; then
+  run_suites "$repo/build-check-tsan" "$TSI_TSAN_TESTS"
+else
+  ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs"
+fi
 
 # Re-run the concurrency-heavy tests with multi-slot SPMD execution forced
 # on: the default slot count is the host's core count, which can be 1 on a
@@ -94,8 +115,7 @@ ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
 # to check. 8 slots exercises concurrent charging, rendezvous, and tracing.
 echo "== ThreadSanitizer, 8 SPMD slots forced =="
 TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
-  ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-        -R 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|serve_golden_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test|replication_test|replication_identity_test'
+  run_suites "$repo/build-check-tsan" 'spmd_test|engine_test|engine_golden_test|collectives_test|ring_test|trace_test|determinism_test|serve_test|serve_golden_test|disagg_test|fastpath_test|sharding_test|anatomy_test|obs_test|replication_test|replication_identity_test'
 
 if [[ "${1:-}" == "asan" ]]; then
   # Memory-safety and UB check: -fsanitize=address,undefined with
@@ -115,8 +135,7 @@ if [[ "${1:-}" == "asan" ]]; then
         --target ${asan_tests//|/ }
   echo "== AddressSanitizer + UBSan, 8 SPMD slots forced =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
-    ctest --test-dir "$repo/build-check-asan" --output-on-failure -j "$jobs" \
-          -R "^(${asan_tests})\$"
+    run_suites "$repo/build-check-asan" "$asan_tests"
 fi
 
 if [[ "${1:-}" == "portable" ]]; then
@@ -131,8 +150,7 @@ if [[ "${1:-}" == "portable" ]]; then
         -DTSI_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "$repo/build-check-portable" -j "$jobs" \
         --target ${portable_tests//|/ }
-  ctest --test-dir "$repo/build-check-portable" --output-on-failure -j "$jobs" \
-        -R "^(${portable_tests})\$"
+  run_suites "$repo/build-check-portable" "$portable_tests"
 fi
 
 if [[ "${1:-}" == "bench" ]]; then
@@ -159,8 +177,7 @@ if [[ "${1:-}" == "paged" ]]; then
   # suite, and the prefix-sharing serving runtime.
   echo "== Paged KV cache under TSan (8 SPMD slots) =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
-    ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-          -R 'sharding_test|engine_test|serve_test|edge_cases_test'
+    run_suites "$repo/build-check-tsan" 'sharding_test|engine_test|serve_test|edge_cases_test'
 fi
 
 if [[ "${1:-}" == "disagg" ]]; then
@@ -174,8 +191,7 @@ if [[ "${1:-}" == "disagg" ]]; then
   # refreshed by the plain bench run, which includes every section).
   echo "== Disaggregated serving under TSan (8 SPMD slots) =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
-    ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-          -R 'disagg_test|serve_test|serve_golden_test|engine_test'
+    run_suites "$repo/build-check-tsan" 'disagg_test|serve_test|serve_golden_test|engine_test'
   echo "== Disaggregated serving bench (E24 sweep) =="
   (cd "$repo" && ./build-check/bench/bench_serving --disagg)
 fi
@@ -190,8 +206,7 @@ if [[ "${1:-}" == "autotune" ]]; then
   # CLI, with the validation half under TSan too.
   echo "== Plan/autotuner suites under TSan (8 SPMD slots) =="
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
-    ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
-          -R 'plan_test|planner_test|block_cost_test'
+    run_suites "$repo/build-check-tsan" 'plan_test|planner_test|block_cost_test'
   echo "== Autotuner bench regression gate (bench_diff) =="
   candidate="$repo/build-check/BENCH_plan.candidate.json"
   (cd "$repo" && TSI_BENCH_JSON="$candidate" ./build-check/bench/bench_plan)
