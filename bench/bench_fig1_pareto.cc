@@ -13,8 +13,9 @@ void RunModel(const ModelConfig& cfg, WeightFormat fmt) {
   auto batches = PowerOfTwoBatches(1, 1024);
 
   PrintHeader(cfg.name + " / " + ToString(fmt) + " -- generate (64 tokens @ 2048 context)");
-  auto gen = ParetoFrontier(plan::Sweep(est, Phase::kDecode, chips, batches, fmt,
-                                        /*input_len=*/1984, /*gen_len=*/64));
+  auto gen = ParetoFrontier(plan::Sweep(est, Phase::kDecode, chips, batches,
+                                        fmt, /*input_len=*/1984,
+                                        /*gen_len=*/64));
   Table tg({"latency/token(ms)", "cost(chip-ms/token)", "chips", "batch", "layout", "MFU"});
   for (const auto& p : gen) {
     tg.AddRow({Ms(p.latency), FormatDouble(p.cost_chipsec_per_token * 1e3, 2),

@@ -4,11 +4,12 @@
 // Paper: "a total of 1.9 seconds".
 //
 // Part 1 drives the layout autotuner (plan/autotune.h): best layout per
-// phase, the latency budget, and the decode-batch trick (batch-1 prefill feeding a batch-64
-// decode server). Part 2 runs the same interactive pattern through the
-// continuous-batching runtime (src/serve) on the functional sharded engine:
-// staggered chat turns admitted mid-flight, incremental prefill on top of
-// cached context, per-turn TTFT and time-per-output-token.
+// phase, the latency budget, and the decode-batch trick (batch-1 prefill
+// feeding a batch-64 decode server). Part 2 runs the same interactive
+// pattern through the continuous-batching runtime (src/serve) on the
+// functional sharded engine: staggered chat turns admitted mid-flight,
+// incremental prefill on top of cached context, per-turn TTFT and
+// time-per-output-token.
 //
 //   build/examples/chatbot_serving
 #include <cstdio>

@@ -59,7 +59,8 @@ TEST(FtBaselineTest, OursBeatsFtAtMatchedScale) {
   auto ft_result = ft.Total(Tp(16), 64, 60, 20);
 
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto pre = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 64, 60);
+  auto pre =
+      plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 64, 60);
   auto gen = plan::TuneGenerate(est, 64, WeightFormat::kBf16, 64, 60, 20);
   ASSERT_TRUE(pre && gen);
   double ours_seconds = pre->result.seconds + gen->result.seconds;

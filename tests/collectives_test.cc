@@ -22,7 +22,8 @@ ShardVec PerChip(SimMachine& m, Op op) {
   ShardVec out(static_cast<size_t>(m.num_chips()));
   SpmdExecutor ex(&m);
   ex.Run([&](SpmdContext& ctx) {
-    out[static_cast<size_t>(ctx.chip())] = op(ctx, static_cast<size_t>(ctx.chip()));
+    const size_t c = static_cast<size_t>(ctx.chip());
+    out[c] = op(ctx, c);
   });
   return out;
 }

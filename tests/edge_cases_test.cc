@@ -323,7 +323,8 @@ TEST(EdgeCaseTest, PlannerOnOddChipCounts) {
   // them: the planner must report infeasibility rather than produce an
   // invalid layout.
   InferenceEstimator palm(Palm62B(), TpuV4());
-  EXPECT_FALSE(plan::TuneGenerate(palm, 12, WeightFormat::kInt8, 12, 512, 8).has_value());
+  EXPECT_FALSE(
+      plan::TuneGenerate(palm, 12, WeightFormat::kInt8, 12, 512, 8).has_value());
 
   // A model whose dims carry a factor of 3 partitions fine on 12 chips.
   ModelConfig cfg = TinyTestModel();
@@ -334,9 +335,10 @@ TEST(EdgeCaseTest, PlannerOnOddChipCounts) {
   InferenceEstimator est(cfg, TpuV4());
   auto best = plan::TuneGenerate(est, 12, WeightFormat::kInt8, 12, 512, 8);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->plan.spec.num_chips(), 12);
-  EXPECT_EQ(cfg.d_model % best->plan.spec.mesh.x(), 0);
-  EXPECT_EQ(cfg.d_ff % (best->plan.spec.mesh.y() * best->plan.spec.mesh.z()), 0);
+  const Torus3D& mesh = best->plan.spec.mesh;
+  EXPECT_EQ(mesh.num_chips(), 12);
+  EXPECT_EQ(cfg.d_model % mesh.x(), 0);
+  EXPECT_EQ(cfg.d_ff % (mesh.y() * mesh.z()), 0);
 }
 
 TEST(EdgeCaseTest, EstimatorHandlesTinyAndHugeBatch) {

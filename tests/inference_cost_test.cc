@@ -64,7 +64,8 @@ TEST(InferenceCostTest, Table2HighThroughputDecode) {
 
 TEST(InferenceCostTest, Table2HighThroughputPrefill) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto best = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 512, 2048);
+  auto best = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16,
+                              512, 2048);
   ASSERT_TRUE(best.has_value());
   EXPECT_NEAR(best->result.seconds / 85.2, 1.0, 0.25);
   EXPECT_NEAR(best->result.mfu / 0.76, 1.0, 0.2);

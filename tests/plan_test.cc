@@ -279,7 +279,8 @@ TEST(EnumerateTest, DedupPreservesTunedWinners) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
   for (int chips : {8, 64}) {
     for (double batch : {4.0, 64.0, 512.0}) {
-      auto best = TuneGenerate(est, chips, WeightFormat::kBf16, batch, 1984, 64);
+      auto best =
+          TuneGenerate(est, chips, WeightFormat::kBf16, batch, 1984, 64);
       // Recompute the winner against the FULL enumeration.
       std::optional<PartitionSpec> full_spec;
       PhaseResult full;

@@ -50,7 +50,8 @@ TEST(PlannerTest, SingleChipHasDegenerateSpec) {
 TEST(PlannerTest, DecodePrefersWeightStationary2D) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
   for (double batch : {64.0, 256.0, 512.0}) {
-    auto best = plan::TuneGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
+    auto best =
+        plan::TuneGenerate(est, 64, WeightFormat::kBf16, batch, 1984, 64);
     ASSERT_TRUE(best.has_value()) << batch;
     EXPECT_EQ(best->plan.spec.ffn, FfnLayout::kWS2D) << "batch " << batch;
   }
@@ -58,8 +59,10 @@ TEST(PlannerTest, DecodePrefersWeightStationary2D) {
 
 TEST(PlannerTest, PrefillSwitchesToWeightGatheredAtLargeBatch) {
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  auto small = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 1, 2048);
-  auto large = plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 512, 2048);
+  auto small =
+      plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 1, 2048);
+  auto large =
+      plan::TunePhase(est, Phase::kPrefill, 64, WeightFormat::kBf16, 512, 2048);
   ASSERT_TRUE(small && large);
   EXPECT_TRUE(small->plan.spec.ffn == FfnLayout::kWS2D ||
               small->plan.spec.ffn == FfnLayout::kWS1D)
@@ -82,7 +85,8 @@ TEST(PlannerTest, DecodePrefersBatchShardedAttentionAtLongContext) {
 TEST(PlannerTest, InfeasibleReturnsNullopt) {
   // bf16 540B on 4 chips cannot fit (280 GB/chip needed vs 32 GiB).
   InferenceEstimator est(Palm540BPadded(), TpuV4());
-  EXPECT_FALSE(plan::TuneGenerate(est, 4, WeightFormat::kBf16, 64, 1984, 64).has_value());
+  EXPECT_FALSE(
+      plan::TuneGenerate(est, 4, WeightFormat::kBf16, 64, 1984, 64).has_value());
 }
 
 TEST(PlannerTest, ParetoFrontierHasNoDominatedPoints) {
