@@ -524,7 +524,12 @@ INSTANTIATE_TEST_SUITE_P(
     Layouts, PagedKvIdentityTest,
     ::testing::Values(PagedCase{2, 2, 1, kHeads, 0, false},
                       PagedCase{2, 2, 1, kBatch, 0, false},
-                      PagedCase{2, 2, 1, kHeads, 2, false},  // GQA head slices
+                      PagedCase{2, 2, 1, kHeads, 2, false},
+                      PagedCase{2, 2, 1, kHeads, 2, true},
+                      // GQA head slices: 2 kv heads over yz = 4 are
+                      // replicated, and each chip reads its kv group
+                      PagedCase{1, 2, 2, kHeads, 2, false},
+                      PagedCase{1, 2, 2, kHeads, 2, true},
                       PagedCase{2, 2, 1, kHeads, 0, true},
                       PagedCase{2, 2, 1, kBatch, 0, true},
                       PagedCase{1, 2, 2, kBatch, 2, true}),
@@ -616,24 +621,38 @@ struct StepCase {
   // ran them as separate slot-mapped prefill and decode calls.
   uint64_t prefill_hash, decode_hash;
   double time, hbm, net;
+  // ConfigForVariant's model and the mesh. GQA's 2 kv heads on 1x2x2 are
+  // replicated over yz = 4 under kHeads, so every lane, scratch lanes
+  // included, reads its chip's kv head slice.
+  int variant = 0;
+  int x = 2, y = 2, z = 1;
 };
 
 std::string StepCaseName(const ::testing::TestParamInfo<StepCase>& info) {
-  return std::string(info.param.attn == kBatch ? "batch" : "heads") +
-         (info.param.int8_ ? "_int8" : "_fp32");
+  const StepCase& p = info.param;
+  std::string s = std::string(p.attn == kBatch ? "batch" : "heads") +
+                  (p.int8_ ? "_int8" : "_fp32");
+  if (p.variant == 2) {
+    s += "_gqa_";
+    s += std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
+         std::to_string(p.z);
+  }
+  return s;
 }
 
 class StepTest : public ::testing::TestWithParam<StepCase> {
  protected:
-  // The serving frame on 2x2x1: 8 slots, kBatch owner group slot / 2.
+  // The serving frame: 8 slots, kBatch (on 2x2x1) owner group slot / 2.
   static constexpr int64_t kSlots = 8;
   static int64_t GroupOf(int64_t slot) { return slot / 2; }
 
   StepTest()
-      : cfg_(TinyTestModel()),
+      : cfg_(ConfigForVariant(GetParam().variant)),
         weights_(ModelWeights::Random(cfg_, 90)),
-        machine_(Torus3D(2, 2, 1), TpuV4()),
+        machine_(Mesh(GetParam()), TpuV4()),
         engine_(weights_, &machine_, Spec(GetParam())) {}
+
+  static Torus3D Mesh(const StepCase& p) { return Torus3D(p.x, p.y, p.z); }
 
   static EngineSpec Spec(const StepCase& p) {
     EngineSpec spec;
@@ -724,7 +743,7 @@ TEST_P(StepTest, ChunkRidingADecodeFrameMatchesTwoPassesAndCostsLess) {
   // modeled time: one pass's collective latency instead of two.
   const StepCase& p = GetParam();
   DistributedEngine& split = engine_;
-  SimMachine merged_machine(Torus3D(2, 2, 1), TpuV4());
+  SimMachine merged_machine(Mesh(p), TpuV4());
   DistributedEngine merged(weights_, &merged_machine, Spec(p));
   PrefillEverySlot(split);
   PrefillEverySlot(merged);
@@ -775,7 +794,11 @@ INSTANTIATE_TEST_SUITE_P(
         StepCase{kBatch, false, 0x346c762f6e078624ull, 0xa8b380204eafbce7ull,
                  3.9893333333333304e-07, 1910720, 0},
         StepCase{kBatch, true, 0xfdad6e45f7027ee3ull, 0x2b0cd5ebf0b8839eull,
-                 2.5440000000000048e-07, 1218000, 0}),
+                 2.5440000000000048e-07, 1218000, 0},
+        StepCase{kHeads, false, 0xe1f2007dcb8d848cull, 0x23f1a8a06d2afbc0ull,
+                 8.0224586666666781e-05, 668416, 64512, 2, 1, 2, 2},
+        StepCase{kHeads, true, 0x85cb9a8a7a4674f3ull, 0xa94685fec5e85a4cull,
+                 8.0171640000000169e-05, 414272, 64512, 2, 1, 2, 2}),
     StepCaseName);
 
 // Ragged kBatch frames: each owner group runs exactly its lanes' rows. The
