@@ -210,87 +210,34 @@ Tensor DistributedEngine::SlotAttention(int chip, int64_t layer, const Tensor& q
                                         int64_t gcount) {
   const auto& slots = cache_.step_slots(chip);
   const auto& widths = cache_.step_widths(chip);
-  const int64_t H = q.dim(1), dh = q.dim(2);
-  const bool int8 = cache_.format() == WeightFormat::kInt8;
   const double dhd = static_cast<double>(config_.d_head);
   double flops = 0, kv_bytes = 0;
-  std::vector<Tensor> outs;
-  outs.reserve(slots.size());
-  int64_t first = 0;  // the lane's first row of q
+  std::vector<RaggedLane> lanes(slots.size());
   for (size_t i = 0; i < slots.size(); ++i) {
-    const int64_t s = slots[i], T = widths[i];
-    const auto lane = static_cast<int64_t>(i);
-    Tensor qi = q.Slice(0, first, T).Reshape({1, T, H, dh});
-    first += T;
-    Tensor out;
-    if (s == ShardedKvCache::kScratchSlot) {
-      // Padding lanes read their per-lane step scratch (one step's worth of
-      // K/V, never paged).
-      if (int8) {
-        const QuantizedKv& kf = cache_.ScratchK8(chip, layer, lane);
-        const QuantizedKv& vf = cache_.ScratchV8(chip, layer, lane);
-        const bool slice = gcount >= 0 && gcount != kf.kv_heads();
-        QuantizedKv ks, vs;
-        if (slice) {
-          ks = SliceKvHeads(kf, g0, gcount);
-          vs = SliceKvHeads(vf, g0, gcount);
-        }
-        const QuantizedKv& kc = slice ? ks : kf;
-        const QuantizedKv& vc = slice ? vs : vf;
-        flops += 4.0 * static_cast<double>(T) * static_cast<double>(kc.t()) *
-                 heads * dhd;
-        kv_bytes += static_cast<double>(kc.ByteSize() + vc.ByteSize());
-        out = ScaledDotProductAttentionInt8Kv(qi, kc, vc, /*causal=*/true);
-      } else {
-        Tensor kc = cache_.ScratchK(chip, layer, lane);
-        Tensor vc = cache_.ScratchV(chip, layer, lane);
-        if (gcount >= 0 && gcount != kc.dim(2)) {
-          kc = kc.Slice(2, g0, gcount);
-          vc = vc.Slice(2, g0, gcount);
-        }
-        flops += 4.0 * static_cast<double>(T) *
-                 static_cast<double>(kc.dim(1)) * heads * dhd;
-        kv_bytes += 2.0 * static_cast<double>(kc.numel()) *
-                    machine_->bytes_per_element();
-        out = ScaledDotProductAttention(qi, kc, vc, /*causal=*/true);
-      }
+    RaggedLane& lane = lanes[i];
+    const auto l = static_cast<int64_t>(i);
+    lane.width = widths[i];
+    lane.k = cache_.Span(KvStream::kK, chip, layer, slots[i], l, g0, gcount);
+    lane.v = cache_.Span(KvStream::kV, chip, layer, slots[i], l, g0, gcount);
+    // The charges read the span's geometry, so a scratch lane (len ==
+    // width) and a resident slot share one formula. Every lane's flops and
+    // bytes are exact integers in double, so the sum equals the batched
+    // 4*B*T*len*heads*dh / 2*numel formulation bit-for-bit when every lane
+    // shares one shape -- the virtual clock stays identical to the
+    // static-batch path.
+    const double elems = static_cast<double>(lane.k.len * lane.k.kv_heads);
+    flops += 4.0 * static_cast<double>(lane.width) *
+             static_cast<double>(lane.k.len) * heads * dhd;
+    if (lane.k.int8()) {
+      // The §3.6/D.3 win: the decode-dominating KV stream is charged at its
+      // actual int8 footprint (1-byte values + per-vector scales).
+      kv_bytes += 2.0 * (elems * dhd + 4.0 * elems);
     } else {
-      // Resident slot: read through the page table. Charges are computed
-      // from the read geometry and are bit-for-bit equal to the contiguous
-      // expressions the cache had before paging.
-      const int64_t len = cache_.ReadLength(chip, s);
-      const int64_t stored = cache_.StoredKvHeads(chip);
-      const bool slice = gcount >= 0 && gcount != stored;
-      const int64_t sel = slice ? gcount : stored;
-      const int64_t off = slice ? g0 : 0;
-      // Per-lane flops/bytes are exact integers in double, so this sum
-      // equals the batched 4*B*T*len*heads*dh / 2*numel formulation
-      // bit-for-bit when every lane shares one shape -- the virtual clock
-      // stays identical to the static-batch path.
-      flops += 4.0 * static_cast<double>(T) * static_cast<double>(len) *
-               heads * dhd;
-      if (int8) {
-        // The §3.6/D.3 win: the decode-dominating KV stream is charged at
-        // its actual int8 footprint (1-byte values + per-vector scales).
-        kv_bytes += 2.0 * (static_cast<double>(len * sel) * dhd +
-                           4.0 * static_cast<double>(len * sel));
-        out = ScaledDotProductAttentionPagedInt8Kv(
-            qi, cache_.PageSpanK8(chip, layer, s, off, sel),
-            cache_.PageSpanV8(chip, layer, s, off, sel), /*causal=*/true);
-      } else {
-        kv_bytes += 2.0 * (static_cast<double>(len * sel) * dhd) *
-                    machine_->bytes_per_element();
-        out = ScaledDotProductAttentionPaged(
-            qi, cache_.PageSpanK(chip, layer, s, off, sel),
-            cache_.PageSpanV(chip, layer, s, off, sel), /*causal=*/true);
-      }
+      kv_bytes += 2.0 * (elems * dhd) * machine_->bytes_per_element();
     }
-    outs.push_back(out.Reshape({T, H, dh}));
   }
   machine_->ChargeComputeAndMemory(chip, flops, kv_bytes, "attention");
-  // Per-lane SDPA is bit-identical to one batched call: the kernel streams
-  // each (batch, head) pair independently (model/attention.cc).
-  return outs.size() == 1 ? std::move(outs[0]) : Tensor::Concat(0, outs);
+  return RaggedPagedAttention(q, lanes);
 }
 
 Tensor DistributedEngine::AttentionChip(SpmdContext& ctx, Tensor q, Tensor k,

@@ -271,15 +271,16 @@ class DistributedEngine {
   void LocalMatMulInt8Accumulate(int chip, const QuantizedActivations& x,
                                  const QuantizedTensor& w, Tensor* c);
 
-  // Runs SDPA per lane of `q` ([rows, heads, dh], the chip's step lanes
-  // back to back at their declared widths) against each lane's cached slot
-  // through its page table (or the lane's scratch), accumulating the
-  // attention flop/byte charges into ONE ChargeComputeAndMemory call so the
+  // Attends every lane of `q` ([rows, heads, dh], the chip's step lanes
+  // back to back at their declared widths) in one RaggedPagedAttention call:
+  // each lane reads its cache span (a resident slot through its page table,
+  // a scratch lane as one page over its step scratch; int8 caches
+  // dequantize as read). The attention flop/byte charges, one formula over
+  // the spans' geometry, go into ONE ChargeComputeAndMemory call so the
   // virtual clock matches the batched formulation exactly when all lanes
-  // share a shape. [g0, g0 + gcount) selects the kv-head slice of the cached
-  // K/V for this chip's query chunk (kHeads grouped-query path); gcount ==
-  // -1 reads all heads. Dispatches on the cache format: int8 caches run the
-  // dequant-fused SDPA kernel and charge the actual int8 footprint.
+  // share a shape; int8 caches charge their actual footprint. [g0, g0 +
+  // gcount) selects the kv-head slice of the cached K/V for this chip's
+  // query chunk (kHeads grouped-query path); gcount == -1 reads all heads.
   Tensor SlotAttention(int chip, int64_t layer, const Tensor& q, double heads,
                        int64_t g0 = 0, int64_t gcount = -1);
 

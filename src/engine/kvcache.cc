@@ -515,198 +515,70 @@ void ShardedKvCache::ForkSlot(int64_t parent, int64_t child,
   UpdateOccupancyGauges();
 }
 
-Tensor ShardedKvCache::K(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "K on an int8 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const int64_t ps = config_.page_size, row_elems = kv * dh;
+PagedKvSpan ShardedKvCache::Span(KvStream stream, int chip, int64_t layer,
+                                 int64_t slot, int64_t lane, int64_t g0,
+                                 int64_t gcount) const {
+  const bool int8 = format_ == WeightFormat::kInt8;
+  const bool v = stream == KvStream::kV;
   const LayerPages& lp =
       store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  const std::vector<int32_t>& table =
-      pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)];
-  Tensor out({1, len, kv, dh});
-  float* dst = out.data();
-  for (int64_t pos = 0; pos < len;) {
-    const int64_t run = std::min(ps - pos % ps, len - pos);
-    const std::vector<float>& page =
-        lp.k[static_cast<size_t>(table[static_cast<size_t>(pos / ps)])];
-    TSI_CHECK(!page.empty()) << "page never written (read before append?)";
-    std::memcpy(dst + pos * row_elems, page.data() + (pos % ps) * row_elems,
-                static_cast<size_t>(run * row_elems) * sizeof(float));
-    pos += run;
-  }
-  return out;
-}
-
-Tensor ShardedKvCache::V(int chip, int64_t layer, int64_t slot) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "V on an int8 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const int64_t ps = config_.page_size, row_elems = kv * dh;
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  const std::vector<int32_t>& table =
-      pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)];
-  Tensor out({1, len, kv, dh});
-  float* dst = out.data();
-  for (int64_t pos = 0; pos < len;) {
-    const int64_t run = std::min(ps - pos % ps, len - pos);
-    const std::vector<float>& page =
-        lp.v[static_cast<size_t>(table[static_cast<size_t>(pos / ps)])];
-    TSI_CHECK(!page.empty()) << "page never written (read before append?)";
-    std::memcpy(dst + pos * row_elems, page.data() + (pos % ps) * row_elems,
-                static_cast<size_t>(run * row_elems) * sizeof(float));
-    pos += run;
-  }
-  return out;
-}
-
-PagedKvSpan ShardedKvCache::PageSpanK(int chip, int64_t layer, int64_t slot,
-                                      int64_t g0, int64_t gcount) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "PageSpanK on an int8 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  const std::vector<int32_t>& table =
-      pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)];
   PagedKvSpan span;
-  span.len = len;
-  span.page_size = config_.page_size;
-  span.kv_stride = kv;
-  span.head_offset = g0;
-  span.kv_heads = gcount < 0 ? kv : gcount;
-  span.d_head = dh;
-  const auto npages = static_cast<size_t>(CeilDiv(len, config_.page_size));
-  span.pages.reserve(npages);
-  for (size_t p = 0; p < npages; ++p) {
-    const std::vector<float>& page = lp.k[static_cast<size_t>(table[p])];
-    TSI_CHECK(!page.empty()) << "page never written (read before append?)";
-    span.pages.push_back(page.data());
+  if (slot == kScratchSlot) {
+    TSI_CHECK(step_open_ && lane >= 0 &&
+              lane < static_cast<int64_t>(
+                         step_slots_[static_cast<size_t>(chip)].size()) &&
+              step_slots_[static_cast<size_t>(chip)][static_cast<size_t>(
+                  lane)] == kScratchSlot)
+        << "lane " << lane << " of chip " << chip
+        << " is not a scratch lane of the open step";
+    const auto i = static_cast<size_t>(lane);
+    span.len = span.page_size = step_widths_[static_cast<size_t>(chip)][i];
+    if (int8) {
+      const QuantizedKv& block = v ? lp.v8_scratch[i] : lp.k8_scratch[i];
+      TSI_CHECK(!block.empty()) << "scratch lane read before append";
+      span.kv_stride = block.kv_heads();
+      span.d_head = block.d_head();
+      span.pages8 = {block.values.data()};
+      span.scales = {block.scales.data()};
+    } else {
+      const Tensor& block = v ? lp.v_scratch[i] : lp.k_scratch[i];
+      TSI_CHECK(block.numel() > 0) << "scratch lane read before append";
+      span.kv_stride = block.dim(2);
+      span.d_head = block.dim(3);
+      span.pages = {block.data()};
+    }
+  } else {
+    span.len = ReadLength(chip, slot);
+    TSI_CHECK(span.len > 0 && SlotResident(chip, slot))
+        << "slot " << slot << " empty on chip " << chip;
+    ReadGeometry(chip, &span.kv_stride, &span.d_head);
+    span.page_size = config_.page_size;
+    const std::vector<int32_t>& table =
+        pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)];
+    const auto npages = static_cast<size_t>(CeilDiv(span.len, span.page_size));
+    if (int8) {
+      span.pages8.reserve(npages);
+      span.scales.reserve(npages);
+    } else {
+      span.pages.reserve(npages);
+    }
+    for (size_t p = 0; p < npages; ++p) {
+      const auto page = static_cast<size_t>(table[p]);
+      if (int8) {
+        const std::vector<int8_t>& values = (v ? lp.v8 : lp.k8)[page];
+        TSI_CHECK(!values.empty()) << "page never written (read before append?)";
+        span.pages8.push_back(values.data());
+        span.scales.push_back((v ? lp.v8s : lp.k8s)[page].data());
+      } else {
+        const std::vector<float>& values = (v ? lp.v : lp.k)[page];
+        TSI_CHECK(!values.empty()) << "page never written (read before append?)";
+        span.pages.push_back(values.data());
+      }
+    }
   }
-  return span;
-}
-
-PagedKvSpan ShardedKvCache::PageSpanV(int chip, int64_t layer, int64_t slot,
-                                      int64_t g0, int64_t gcount) const {
-  TSI_CHECK(format_ == WeightFormat::kBf16) << "PageSpanV on an int8 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  const std::vector<int32_t>& table =
-      pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)];
-  PagedKvSpan span;
-  span.len = len;
-  span.page_size = config_.page_size;
-  span.kv_stride = kv;
   span.head_offset = g0;
-  span.kv_heads = gcount < 0 ? kv : gcount;
-  span.d_head = dh;
-  const auto npages = static_cast<size_t>(CeilDiv(len, config_.page_size));
-  span.pages.reserve(npages);
-  for (size_t p = 0; p < npages; ++p) {
-    const std::vector<float>& page = lp.v[static_cast<size_t>(table[p])];
-    TSI_CHECK(!page.empty()) << "page never written (read before append?)";
-    span.pages.push_back(page.data());
-  }
+  span.kv_heads = gcount < 0 ? span.kv_stride : gcount;
   return span;
-}
-
-namespace {
-
-PagedKvSpanInt8 SpanInt8(const std::vector<std::vector<int8_t>>& values,
-                         const std::vector<std::vector<float>>& scales,
-                         const std::vector<int32_t>& table, int64_t len,
-                         int64_t ps, int64_t kv, int64_t dh, int64_t g0,
-                         int64_t gcount) {
-  PagedKvSpanInt8 span;
-  span.len = len;
-  span.page_size = ps;
-  span.kv_stride = kv;
-  span.head_offset = g0;
-  span.kv_heads = gcount < 0 ? kv : gcount;
-  span.d_head = dh;
-  const auto npages = static_cast<size_t>((len + ps - 1) / ps);
-  span.pages.reserve(npages);
-  span.scale_pages.reserve(npages);
-  for (size_t p = 0; p < npages; ++p) {
-    const auto page = static_cast<size_t>(table[p]);
-    TSI_CHECK(!values[page].empty()) << "page never written (read before append?)";
-    span.pages.push_back(values[page].data());
-    span.scale_pages.push_back(scales[page].data());
-  }
-  return span;
-}
-
-}  // namespace
-
-PagedKvSpanInt8 ShardedKvCache::PageSpanK8(int chip, int64_t layer,
-                                           int64_t slot, int64_t g0,
-                                           int64_t gcount) const {
-  TSI_CHECK(format_ == WeightFormat::kInt8) << "PageSpanK8 on an fp32 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  return SpanInt8(lp.k8, lp.k8s,
-                  pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)],
-                  len, config_.page_size, kv, dh, g0, gcount);
-}
-
-PagedKvSpanInt8 ShardedKvCache::PageSpanV8(int chip, int64_t layer,
-                                           int64_t slot, int64_t g0,
-                                           int64_t gcount) const {
-  TSI_CHECK(format_ == WeightFormat::kInt8) << "PageSpanV8 on an fp32 cache";
-  const int64_t len = ReadLength(chip, slot);
-  TSI_CHECK(len > 0 && SlotResident(chip, slot))
-      << "slot " << slot << " empty on chip " << chip;
-  int64_t kv = 0, dh = 0;
-  ReadGeometry(chip, &kv, &dh);
-  const LayerPages& lp =
-      store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)];
-  return SpanInt8(lp.v8, lp.v8s,
-                  pool_[static_cast<size_t>(chip)].tables[static_cast<size_t>(slot)],
-                  len, config_.page_size, kv, dh, g0, gcount);
-}
-
-const Tensor& ShardedKvCache::ScratchK(int chip, int64_t layer,
-                                       int64_t lane) const {
-  return store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)]
-      .k_scratch[static_cast<size_t>(lane)];
-}
-
-const Tensor& ShardedKvCache::ScratchV(int chip, int64_t layer,
-                                       int64_t lane) const {
-  return store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)]
-      .v_scratch[static_cast<size_t>(lane)];
-}
-
-const QuantizedKv& ShardedKvCache::ScratchK8(int chip, int64_t layer,
-                                             int64_t lane) const {
-  return store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)]
-      .k8_scratch[static_cast<size_t>(lane)];
-}
-
-const QuantizedKv& ShardedKvCache::ScratchV8(int chip, int64_t layer,
-                                             int64_t lane) const {
-  return store_[static_cast<size_t>(chip)][static_cast<size_t>(layer)]
-      .v8_scratch[static_cast<size_t>(lane)];
 }
 
 void ShardedKvCache::ResetSlot(int64_t slot) {
@@ -757,8 +629,8 @@ SlotPages ShardedKvCache::ExtractSlotPages(int chip, int64_t slot) const {
   out.k.reserve(static_cast<size_t>(num_layers_));
   out.v.reserve(static_cast<size_t>(num_layers_));
   for (int64_t l = 0; l < num_layers_; ++l) {
-    out.k.push_back(K(chip, l, slot));
-    out.v.push_back(V(chip, l, slot));
+    out.k.push_back(GatherSpan(Span(KvStream::kK, chip, l, slot)));
+    out.v.push_back(GatherSpan(Span(KvStream::kV, chip, l, slot)));
   }
   return out;
 }

@@ -44,9 +44,12 @@
 // at the next BeginStep -- the padding lanes a fixed decode frame or a
 // batch-divisibility constraint needs.
 //
-// Reads: PageSpanK/V (PageSpanK8/V8) expose a slot's page table to the paged
-// SDPA kernels (model/attention.h); K/V gather an fp32 slot into one
-// contiguous [1, len, kv, dh] block (the KV migration wire format).
+// Reads: Span returns any lane's K or V stream as one PagedKvSpan for
+// RaggedPagedAttention (model/attention.h) -- a resident slot through its
+// page table, a scratch lane as one page over its step scratch, fp32 or
+// int8 as stored, with an optional kv head slice. GatherSpan copies a span
+// into one contiguous [1, len, kv, dh] block (the KV migration wire
+// format).
 #pragma once
 
 #include <cstdint>
@@ -62,6 +65,9 @@ namespace tsi {
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
+
+// Which of a lane's two streams Span reads.
+enum class KvStream { kK, kV };
 
 // Paged-cache knobs, carried on EngineSpec. `page_size` is the allocation
 // granularity in token positions.
@@ -158,30 +164,18 @@ class ShardedKvCache {
   void ForkSlot(int64_t parent, int64_t child, int64_t prefix_len);
 
   // --- Reads ---------------------------------------------------------------
-  // An fp32 slot's K/V gathered from its pages into one contiguous block of
-  // shape [1, len, kv, dh]. `len` includes the open step's in-flight appends
-  // for slots targeted on `chip`. The slot must hold data on this chip
-  // (always true under kHeads; only on the owner under kBatch).
-  Tensor K(int chip, int64_t layer, int64_t slot) const;
-  Tensor V(int chip, int64_t layer, int64_t slot) const;
-  // Page-table views for the paged SDPA kernels;
-  // [g0, g0 + gcount) selects a head slice (gcount == -1: every stored
-  // head). Borrow the pool's buffers: valid until the next BeginStep /
-  // ResetSlot / ForkSlot.
-  PagedKvSpan PageSpanK(int chip, int64_t layer, int64_t slot, int64_t g0 = 0,
-                        int64_t gcount = -1) const;
-  PagedKvSpan PageSpanV(int chip, int64_t layer, int64_t slot, int64_t g0 = 0,
-                        int64_t gcount = -1) const;
-  // Scratch K/V for a padding lane of the in-flight step.
-  const Tensor& ScratchK(int chip, int64_t layer, int64_t lane) const;
-  const Tensor& ScratchV(int chip, int64_t layer, int64_t lane) const;
-  // Int8 readers (kInt8 caches only; dequant is folded into the SDPA kernel).
-  PagedKvSpanInt8 PageSpanK8(int chip, int64_t layer, int64_t slot,
-                             int64_t g0 = 0, int64_t gcount = -1) const;
-  PagedKvSpanInt8 PageSpanV8(int chip, int64_t layer, int64_t slot,
-                             int64_t g0 = 0, int64_t gcount = -1) const;
-  const QuantizedKv& ScratchK8(int chip, int64_t layer, int64_t lane) const;
-  const QuantizedKv& ScratchV8(int chip, int64_t layer, int64_t lane) const;
+  // `slot`'s K or V stream on `chip` as a span for RaggedPagedAttention, in
+  // the cache's storage format. A resident slot reads through its page
+  // table: its committed tokens plus, when it is targeted on `chip`, its
+  // lane's appends in the open step (the slot must hold data on this chip:
+  // always under kHeads, only on the owner under kBatch). kScratchSlot reads
+  // lane `lane`'s step scratch as one page of the lane's width (`lane` is
+  // ignored for resident slots). [g0, g0 + gcount) selects a head slice
+  // (gcount == -1: every stored head). Borrows the pool's buffers: valid
+  // until the next BeginStep / ResetSlot / ForkSlot.
+  PagedKvSpan Span(KvStream stream, int chip, int64_t layer, int64_t slot,
+                   int64_t lane = -1, int64_t g0 = 0,
+                   int64_t gcount = -1) const;
 
   // Readable context length of `slot` on `chip`: committed tokens, plus its
   // lane's width in the open step when the slot is targeted on this chip.

@@ -1,12 +1,12 @@
-// Scaled-dot-product attention shared by the single-chip reference and the
-// distributed engine (which calls it per shard: over a head subset when
-// sharded by heads, over a batch subset when sharded by batch, §3.3).
+// Scaled-dot-product attention: the contiguous kernel the single-chip
+// reference model runs, and the ragged paged kernel the distributed engine
+// runs per shard (over a head subset when sharded by heads, over a batch
+// subset when sharded by batch, §3.3) on its KV cache's pages.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "quant/int8.h"
 #include "tensor/tensor.h"
 
 namespace tsi {
@@ -20,57 +20,55 @@ namespace tsi {
 Tensor ScaledDotProductAttention(const Tensor& q, const Tensor& k,
                                  const Tensor& v, bool causal);
 
-// Same attention over an int8 KV cache block (decode fast path, §3.6/D.3):
-// dequantization is folded into the score and value loops -- each int8
-// element is expanded to float(int8 * scale) as it is read, so the result is
-// bit-identical to ScaledDotProductAttention(q, Dequantize(k), Dequantize(v),
-// causal) without materializing the fp32 KV. The quantization error itself
-// is bounded by the per-(position, head) scale: |kv - dequant| <= scale/2.
-Tensor ScaledDotProductAttentionInt8Kv(const Tensor& q, const QuantizedKv& k,
-                                       const QuantizedKv& v, bool causal);
-
-// --- Paged KV views (Ragged Paged Attention style) -------------------------
-// One sequence's K or V stream through a page table: `pages[p]` points at a
+// --- Ragged paged attention (Ragged Paged Attention style) ---------------
+// One sequence's K or V stream through a page table: page p holds a
 // [page_size, kv_stride, d_head] block, of which positions
 // [p*page_size, min((p+1)*page_size, len)) are valid. `kv_stride` is the
 // physical head count stored per position; [head_offset, head_offset +
 // kv_heads) is the slice visible to the kernel (the engine's grouped-query
-// head-group selection, normally the whole stride). The view borrows the
-// cache's page buffers -- it is valid only while no append/reset/fork runs.
+// head-group selection, normally the whole stride). An fp32 span fills
+// `pages`; an int8 span (§3.6/D.3) fills `pages8` with int8 values and
+// `scales` with one fp32 scale per (position, physical head) of each page,
+// and each element reads as float(int8 * scale) -- exactly the value
+// Dequantize produces. A contiguous block is a one-page span with
+// page_size == len. The view borrows its buffers -- the cache's pages are
+// valid only while no append/reset/fork runs.
 struct PagedKvSpan {
   std::vector<const float*> pages;
+  std::vector<const int8_t*> pages8;
+  std::vector<const float*> scales;
   int64_t len = 0;
   int64_t page_size = 0;
   int64_t kv_stride = 0;
   int64_t head_offset = 0;
   int64_t kv_heads = 0;
   int64_t d_head = 0;
+
+  bool int8() const { return !pages8.empty(); }
 };
 
-// Int8 twin: `pages[p]` holds [page_size, kv_stride, d_head] int8 values and
-// `scale_pages[p]` one fp32 scale per (position, physical head) of the page.
-struct PagedKvSpanInt8 {
-  std::vector<const int8_t*> pages;
-  std::vector<const float*> scale_pages;
-  int64_t len = 0;
-  int64_t page_size = 0;
-  int64_t kv_stride = 0;
-  int64_t head_offset = 0;
-  int64_t kv_heads = 0;
-  int64_t d_head = 0;
+// One sequence of a ragged batch: its `width` query rows are the suffix of
+// its `k`/`v` spans (causal: row i attends to positions <= i + len - width).
+struct RaggedLane {
+  int64_t width = 0;
+  PagedKvSpan k, v;
 };
 
-// Paged twins of the kernels above for a single sequence (q is [1, Tq, H,
-// dh]). The j-loop resolves each kv position through the page table but
-// visits positions in exactly the contiguous kernels' order with the same
-// per-element arithmetic, so the result is bit-identical to gathering the
-// pages into one [1, len, kv_heads, dh] block and calling the contiguous
-// kernel (tests/engine_test.cc pins this).
-Tensor ScaledDotProductAttentionPaged(const Tensor& q, const PagedKvSpan& k,
-                                      const PagedKvSpan& v, bool causal);
-Tensor ScaledDotProductAttentionPagedInt8Kv(const Tensor& q,
-                                            const PagedKvSpanInt8& k,
-                                            const PagedKvSpanInt8& v,
-                                            bool causal);
+// Causal attention for every lane in one call. q is [rows, H, dh] with the
+// lanes' rows back to back in order (rows == sum of widths); returns
+// [rows, H, dh]. Query head h reads kv head h*KV/H of the lane's head
+// slice (KV == kv_heads). Each (lane, head) pair is
+// ScaledDotProductAttention's streaming loop with the kv rows resolved
+// through the page table (page j/page_size, offset j%page_size) and int8
+// dequantized as read: the j-order, each score's d-order chain and the
+// softmax/weighted-sum passes are the contiguous kernel's, so every lane is
+// bit-identical to ScaledDotProductAttention on GatherSpan(k),
+// GatherSpan(v) (tests/fastpath_test.cc pins this).
+Tensor RaggedPagedAttention(const Tensor& q,
+                            const std::vector<RaggedLane>& lanes);
+
+// A span's visible heads as one contiguous [1, len, kv_heads, d_head] fp32
+// block (int8 spans dequantized as read): the KV migration wire format.
+Tensor GatherSpan(const PagedKvSpan& span);
 
 }  // namespace tsi

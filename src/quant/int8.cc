@@ -286,52 +286,6 @@ Tensor Dequantize(const QuantizedKv& q) {
   return out;
 }
 
-QuantizedKv SliceKvHeads(const QuantizedKv& q, int64_t h0, int64_t count) {
-  TSI_CHECK(h0 >= 0 && count >= 0 && h0 + count <= q.kv_heads())
-      << "kv head slice out of range";
-  QuantizedKv out;
-  out.shape = {q.rows(), q.t(), count, q.d_head()};
-  out.values.resize(static_cast<size_t>(NumElements(out.shape)));
-  out.scales.resize(static_cast<size_t>(q.rows() * q.t() * count));
-  const int64_t dh = q.d_head(), kv = q.kv_heads();
-  for (int64_t rt = 0; rt < q.rows() * q.t(); ++rt) {
-    std::memcpy(out.values.data() + rt * count * dh,
-                q.values.data() + (rt * kv + h0) * dh,
-                static_cast<size_t>(count * dh));
-    std::memcpy(out.scales.data() + rt * count,
-                q.scales.data() + rt * kv + h0,
-                static_cast<size_t>(count) * sizeof(float));
-  }
-  return out;
-}
-
-QuantizedKv ConcatKvTime(const QuantizedKv& a, const QuantizedKv& b) {
-  if (a.empty()) return b;
-  TSI_CHECK(!b.empty());
-  TSI_CHECK(a.rows() == b.rows() && a.kv_heads() == b.kv_heads() &&
-            a.d_head() == b.d_head())
-      << "kv concat shape mismatch";
-  QuantizedKv out;
-  out.shape = {a.rows(), a.t() + b.t(), a.kv_heads(), a.d_head()};
-  out.values.resize(a.values.size() + b.values.size());
-  out.scales.resize(a.scales.size() + b.scales.size());
-  const int64_t hv = a.kv_heads() * a.d_head();  // values per position
-  const int64_t hs = a.kv_heads();               // scales per position
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    int8_t* vdst = out.values.data() + r * (a.t() + b.t()) * hv;
-    std::memcpy(vdst, a.values.data() + r * a.t() * hv,
-                static_cast<size_t>(a.t() * hv));
-    std::memcpy(vdst + a.t() * hv, b.values.data() + r * b.t() * hv,
-                static_cast<size_t>(b.t() * hv));
-    float* sdst = out.scales.data() + r * (a.t() + b.t()) * hs;
-    std::memcpy(sdst, a.scales.data() + r * a.t() * hs,
-                static_cast<size_t>(a.t() * hs) * sizeof(float));
-    std::memcpy(sdst + a.t() * hs, b.scales.data() + r * b.t() * hs,
-                static_cast<size_t>(b.t() * hs) * sizeof(float));
-  }
-  return out;
-}
-
 QuantizedKv SliceKvPositions(const QuantizedKv& q, int64_t p0,
                              int64_t count) {
   TSI_CHECK(p0 >= 0 && count >= 0 && p0 + count <= q.rows() * q.t())

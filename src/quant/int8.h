@@ -95,9 +95,9 @@ QuantizedActivations QuantizeSwishGateInt8(const Tensor& h,
 // --- Int8 KV cache payload (§3.6 / D.3) ------------------------------------
 // One slot's (or step's) K or V block [rows, t, kv_heads, d_head] with a
 // symmetric scale per (row, position, head): scale = max over d_head |v|/127
-// (1.0 for all-zero vectors). Dequant is folded into the SDPA kernel
-// (ScaledDotProductAttentionInt8Kv); these accessors exist for tests and for
-// cache bookkeeping.
+// (1.0 for all-zero vectors). Dequant is folded into the attention kernel
+// (RaggedPagedAttention reads int8 pages and their scales); these accessors
+// exist for tests and for cache bookkeeping.
 struct QuantizedKv {
   Shape shape;                 // rank 4, [rows, t, kv_heads, d_head]
   std::vector<int8_t> values;  // row-major
@@ -117,10 +117,6 @@ struct QuantizedKv {
 
 QuantizedKv QuantizeKvInt8(const Tensor& kv);
 Tensor Dequantize(const QuantizedKv& q);
-// Heads [h0, h0+count) of q (the GQA head-group slice).
-QuantizedKv SliceKvHeads(const QuantizedKv& q, int64_t h0, int64_t count);
-// Concatenation along the time dim; `a` may be empty (returns b).
-QuantizedKv ConcatKvTime(const QuantizedKv& a, const QuantizedKv& b);
 // Positions [p0, p0 + count) of q's rows laid end to end (row r's position
 // t is p = r * t() + t), as a [1, count, kv_heads, d_head] block.
 QuantizedKv SliceKvPositions(const QuantizedKv& q, int64_t p0, int64_t count);

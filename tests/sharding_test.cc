@@ -313,6 +313,13 @@ TEST(ShardSharingTest, EngineOutlivesTheWeightsItWasBuiltFrom) {
   EXPECT_EQ(MaxAbsDiff(da, db), 0.0f);
 }
 
+// `slot`'s K stream on `chip` (lane `lane`'s scratch for kScratchSlot),
+// gathered into one [1, len, kv, dh] block; int8 caches read dequantized.
+Tensor GatherK(const ShardedKvCache& cache, int chip, int64_t layer,
+               int64_t slot, int64_t lane = -1) {
+  return GatherSpan(cache.Span(KvStream::kK, chip, layer, slot, lane));
+}
+
 TEST(ShardedKvCacheTest, AppendsAndTracksLength) {
   // Batch-sharded: chip 0 owns slots {0, 1}, chip 1 owns slots {2, 3}.
   // page_size 4 so 8 committed tokens fill pages exactly (no fragmentation).
@@ -333,7 +340,7 @@ TEST(ShardedKvCacheTest, AppendsAndTracksLength) {
   EXPECT_EQ(cache.length(), 8);
   EXPECT_EQ(cache.num_slots(), 4);
   for (int64_t slot = 0; slot < 4; ++slot) EXPECT_EQ(cache.slot_length(slot), 8);
-  EXPECT_EQ(cache.K(1, 2, /*slot=*/3).dim(1), 8);
+  EXPECT_EQ(GatherK(cache, 1, 2, /*slot=*/3).dim(1), 8);
   // Page-granular bytes: 4 slots x 2 full pages, each page 3 layers * K&V *
   // 4 positions * 1 head * 8 dh * 2B. Equals the token-granular footprint
   // here because every slot's length is a multiple of the page size.
@@ -367,7 +374,15 @@ TEST(ShardedKvCacheTest, ScratchLanesAreDiscarded) {
   // Lane 0 targets slot 0; lane 1 is padding and keeps its own row.
   cache.BeginStep({{0, ShardedKvCache::kScratchSlot}}, 3);
   cache.Append(0, 0, rows, rows);
-  EXPECT_EQ(MaxAbsDiff(cache.ScratchK(0, 0, /*lane=*/1), rows.Slice(0, 1, 1)),
+  // A scratch lane reads as one page of its width.
+  const PagedKvSpan scratch =
+      cache.Span(KvStream::kK, 0, 0, ShardedKvCache::kScratchSlot, /*lane=*/1);
+  EXPECT_EQ(scratch.len, 3);
+  EXPECT_EQ(scratch.page_size, 3);
+  EXPECT_EQ(scratch.pages.size(), 1u);
+  EXPECT_EQ(MaxAbsDiff(GatherK(cache, 0, 0, ShardedKvCache::kScratchSlot,
+                               /*lane=*/1),
+                       rows.Slice(0, 1, 1)),
             0.0f);
   cache.CommitStep();
   EXPECT_EQ(cache.length(), 3);
@@ -392,7 +407,12 @@ TEST(ShardedKvCacheTest, Int8ScratchLanesKeepTheirOwnPositions) {
     if (packed) block.shape = {1, 6, 1, 4};
     cache.BeginStep({{0, ShardedKvCache::kScratchSlot}}, {{3, 3}});
     cache.AppendQuantized(0, 0, block, block);
-    EXPECT_EQ(MaxAbsDiff(Dequantize(cache.ScratchK8(0, 0, /*lane=*/1)),
+    const PagedKvSpan scratch = cache.Span(
+        KvStream::kK, 0, 0, ShardedKvCache::kScratchSlot, /*lane=*/1);
+    EXPECT_TRUE(scratch.int8());
+    EXPECT_EQ(scratch.page_size, 3);
+    EXPECT_EQ(MaxAbsDiff(GatherK(cache, 0, 0, ShardedKvCache::kScratchSlot,
+                                 /*lane=*/1),
                          Dequantize(q).Slice(0, 1, 1)),
               0.0f)
         << (packed ? "packed" : "per lane");
@@ -432,7 +452,7 @@ TEST(ShardedKvCacheTest, ForkSlotSharesCommittedPrefixPages) {
   EXPECT_EQ(cache.pages_in_use(), 2);
   EXPECT_EQ(cache.pages_shared(), 2);
   EXPECT_EQ(cache.forks(), 1);
-  Tensor parent_k = cache.K(0, 1, 0), child_k = cache.K(0, 1, 1);
+  Tensor parent_k = GatherK(cache, 0, 1, 0), child_k = GatherK(cache, 0, 1, 1);
   ASSERT_EQ(parent_k.numel(), child_k.numel());
   for (int64_t i = 0; i < parent_k.numel(); ++i)
     ASSERT_EQ(parent_k.data()[i], child_k.data()[i]);
@@ -446,7 +466,7 @@ TEST(ShardedKvCacheTest, ForkSlotSharesCommittedPrefixPages) {
   cache.ResetSlot(0);
   EXPECT_EQ(cache.pages_in_use(), 3);
   EXPECT_EQ(cache.pages_shared(), 0);
-  EXPECT_EQ(cache.K(0, 0, 1).dim(1), 9);
+  EXPECT_EQ(GatherK(cache, 0, 0, 1).dim(1), 9);
 }
 
 TEST(ShardedKvCacheTest, CowSplitsSharedBoundaryPageOnDivergence) {
@@ -463,7 +483,7 @@ TEST(ShardedKvCacheTest, CowSplitsSharedBoundaryPageOnDivergence) {
   EXPECT_EQ(cache.pages_in_use(), 3);
   EXPECT_EQ(cache.pages_shared(), 1);  // page 0 still shared
 
-  Tensor parent_k = cache.K(0, 0, 0), child_k = cache.K(0, 0, 1);
+  Tensor parent_k = GatherK(cache, 0, 0, 0), child_k = GatherK(cache, 0, 0, 1);
   EXPECT_EQ(parent_k.dim(1), 6);
   EXPECT_EQ(child_k.dim(1), 8);
   // Shared prefix identical; the child's appended positions are its own.
@@ -475,8 +495,8 @@ TEST(ShardedKvCacheTest, CowSplitsSharedBoundaryPageOnDivergence) {
   // another split, and the child does not see it.
   AppendToSlot(cache, 0, MarkedRows(1, 8, 3000.0f));
   EXPECT_EQ(cache.cow_splits(), 1);
-  EXPECT_EQ(cache.K(0, 0, 1).data()[6 * 8], 2000.0f);
-  EXPECT_EQ(cache.K(0, 0, 0).data()[6 * 8], 3000.0f);
+  EXPECT_EQ(GatherK(cache, 0, 0, 1).data()[6 * 8], 2000.0f);
+  EXPECT_EQ(GatherK(cache, 0, 0, 0).data()[6 * 8], 3000.0f);
 }
 
 TEST(ShardedKvCacheTest, ResetSlotReclaimsPagesThroughFreeList) {
@@ -492,7 +512,7 @@ TEST(ShardedKvCacheTest, ResetSlotReclaimsPagesThroughFreeList) {
   AppendToSlot(cache, 1, MarkedRows(8, 8, 2000.0f));
   EXPECT_EQ(cache.pages_in_use(), 2);
   EXPECT_DOUBLE_EQ(cache.TotalBytes(2.0), two_pages);
-  EXPECT_EQ(cache.K(0, 0, 1).data()[0], 2000.0f);
+  EXPECT_EQ(GatherK(cache, 0, 0, 1).data()[0], 2000.0f);
 }
 
 TEST(ShardedKvCacheTest, Int8ForkAndCowMatchFp32Semantics) {
@@ -511,15 +531,16 @@ TEST(ShardedKvCacheTest, Int8ForkAndCowMatchFp32Semantics) {
   EXPECT_EQ(cache.cow_splits(), 1);
   // Prefixes agree (values and scales, read through the page tables);
   // divergent tails are independent.
-  PagedKvSpanInt8 pk = cache.PageSpanK8(0, 0, 0), ck = cache.PageSpanK8(0, 0, 1);
+  const PagedKvSpan pk = cache.Span(KvStream::kK, 0, 0, 0),
+                    ck = cache.Span(KvStream::kK, 0, 0, 1);
   EXPECT_EQ(pk.len, 6);
   EXPECT_EQ(ck.len, 7);
   for (int64_t pos = 0; pos < 6; ++pos) {
     const auto page = static_cast<size_t>(pos / 4);
     const int64_t at = pos % 4;
     for (int64_t d = 0; d < 8; ++d)
-      ASSERT_EQ(pk.pages[page][at * 8 + d], ck.pages[page][at * 8 + d]);
-    ASSERT_EQ(pk.scale_pages[page][at], ck.scale_pages[page][at]);
+      ASSERT_EQ(pk.pages8[page][at * 8 + d], ck.pages8[page][at * 8 + d]);
+    ASSERT_EQ(pk.scales[page][at], ck.scales[page][at]);
   }
   // Int8 bytes are page-granular too: values + fp32 scales for 3 pages.
   EXPECT_DOUBLE_EQ(cache.TotalBytes(2.0), 3 * 2.0 * (4 * 1 * 8 + 4.0 * 4 * 1));

@@ -50,8 +50,9 @@
 #                             # on it with 8 SPMD slots forced (packed
 #                             # tuple-collective deposits, per-axis ring
 #                             # chunks, tensor offset math, ragged row
-#                             # splits, KV page pool, ragged-step appends
-#                             # and their death tests)
+#                             # splits, KV page pool, ragged-step appends,
+#                             # the ragged paged attention kernel's page
+#                             # reads and their death tests)
 #   tools/check.sh portable   # additionally build without -march=native
 #                             # (-DTSI_MARCH_NATIVE=OFF, build-check-portable/)
 #                             # and run the weights, engine golden-value,
@@ -126,8 +127,9 @@ if [[ "${1:-}" == "asan" ]]; then
   # anatomy_test the serving loop and the anatomy/roofline folds over its
   # timeline, weights_golden_test the Gaussian kernel's block and half-pair
   # bookkeeping, tensor_test the shared buffers' view offsets and
-  # copy-on-write detaches.
-  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test|weights_golden_test|tensor_test'
+  # copy-on-write detaches, fastpath_test the ragged paged attention
+  # kernel's page-table pointer arithmetic over NaN-padded pages.
+  asan_tests='spmd_test|engine_test|engine_golden_test|serve_test|serve_golden_test|disagg_test|anatomy_test|ring_test|collectives_test|edge_cases_test|sharding_test|replication_test|replication_identity_test|estimator_properties_test|plan_test|weights_golden_test|tensor_test|fastpath_test'
   echo "== AddressSanitizer + UBSan build =="
   cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTSI_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
